@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race ci lint lint-selftest bench bench-check bench-scale examples check-client-only
+.PHONY: all build vet test race ci lint lint-selftest bench bench-check bench-scale bench-smoke examples check-client-only
 
 all: ci
 
@@ -26,7 +26,7 @@ lint:
 lint-selftest:
 	./scripts/lint_selftest.sh
 
-ci: build vet lint race
+ci: build vet lint race bench-smoke
 
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngine' -benchtime 3000x -benchmem ./internal/engine/
@@ -34,6 +34,13 @@ bench:
 # Fails if the engine hot path's allocs/op regresses above bench_budget.txt.
 bench-check:
 	./scripts/check_bench_budget.sh
+
+# benchmark/ is a module of its own that `go build ./...` never compiles:
+# this is the ≈5 s smoke that builds it against the root module and runs
+# every workload and ladder rung once, so a root API change that breaks the
+# repo's benchmark is noticed here and not by the next measurement.
+bench-smoke:
+	cd benchmark && test -z "$$(gofmt -l .)" && $(GO) vet . && $(GO) test .
 
 # Multi-core scaling sweep: steps/s and client-observed p50/p99 per-step
 # latency at 1, 2, 4, and 8 cores on the local and 5%-cross mixes.

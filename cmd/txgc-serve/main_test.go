@@ -133,6 +133,26 @@ func TestWireV2(t *testing.T) {
 		t.Fatalf("post-deadline read: %+v, want code=txn-aborted with a deadline cause", resp)
 	}
 
+	// Inside one batch, a step pipelined behind its own transaction's
+	// rejected step is a dead-transaction answer too, not a protocol error.
+	resp = s.handle(request{Op: "batch", Steps: []request{
+		{Op: "begin", Txn: 50, Footprint: []int32{0}},
+		{Op: "begin", Txn: 51, Footprint: []int32{0}},
+		{Op: "read", Txn: 50, Entity: i32(0)},
+		{Op: "write", Txn: 51, Entities: []int32{0, 4}},
+		{Op: "read", Txn: 50, Entity: i32(4)},
+		{Op: "write", Txn: 50, Entities: []int32{8}},
+	}})
+	if resp.Outcome != "ok" || len(resp.Results) != 6 {
+		t.Fatalf("batch: %+v", resp)
+	}
+	if r := resp.Results[4]; r.Outcome != "rejected" || r.Code != "cycle" {
+		t.Fatalf("batch cycle read: %+v, want rejected/code=cycle", r)
+	}
+	if r := resp.Results[5]; r.Outcome != "rejected" || r.Code != "txn-aborted" || r.Aborted == nil || *r.Aborted != 50 {
+		t.Fatalf("batch step behind its own abort: %+v, want rejected/code=txn-aborted", r)
+	}
+
 	// Duplicate begins are protocol errors.
 	s.handle(request{Op: "begin", Txn: 40, Footprint: []int32{3}})
 	resp = s.handle(request{Op: "begin", Txn: 40, Footprint: []int32{3}})

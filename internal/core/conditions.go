@@ -67,13 +67,13 @@ func CompletedTightSuccessors(v StateView, g *graph.Graph, tj model.TxnID) graph
 // predecessors will never participate in a future cycle, so it can be
 // removed.
 func HasActivePredecessor(v StateView, g *graph.Graph, id model.TxnID) bool {
-	anc := g.AncestorsScratch(id)
-	for a := range anc {
-		if v.Status(a) == model.StatusActive {
-			return true
-		}
+	r := g.Ref(id)
+	if r == graph.NoRef {
+		return false
 	}
-	return false
+	return g.FindAncestorRef(r, func(a graph.Ref) bool {
+		return v.Status(g.IDOf(a)) == model.StatusActive
+	}) != graph.NoRef
 }
 
 // C1Violation is a witness that condition C1 fails: active tight

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -25,10 +26,30 @@ func checkInvariants(t *testing.T, s *Scheduler) {
 			t.Fatalf("invariant: node T%d has no record", id)
 		}
 	}
-	for id := range s.txns {
+	var completed []model.TxnID
+	for id, tr := range s.txns {
 		if !s.g.HasNode(id) {
 			t.Fatalf("invariant: record T%d has no node", id)
 		}
+		if s.bySlot[tr.ref] != tr {
+			t.Fatalf("invariant: slot %d of T%d is not bound to its record", tr.ref, id)
+		}
+		if tr.Status == model.StatusCompleted {
+			completed = append(completed, id)
+		}
+	}
+	slices.Sort(completed)
+	if !slices.Equal(s.completed, completed) {
+		t.Fatalf("invariant: completed index %v, records say %v", s.completed, completed)
+	}
+	bound := 0
+	for _, tr := range s.bySlot {
+		if tr != nil {
+			bound++
+		}
+	}
+	if bound != len(s.txns) {
+		t.Fatalf("invariant: %d slots bound for %d records", bound, len(s.txns))
 	}
 	// Index ⊆ access sets. The indexes hold arena slots; every entry must
 	// resolve to a live record whose cached ref matches the slot.

@@ -143,7 +143,6 @@ func RestoreScheduler(cfg Config, st SchedulerState) (*Scheduler, error) {
 			accessSeq: make(map[model.Entity]int64, len(snap.Access)),
 			BeginSeq:  snap.BeginSeq,
 			EndSeq:    snap.EndSeq,
-			ref:       ref,
 			isCross:   snap.IsCross,
 			prepared:  snap.Prepared,
 		}
@@ -157,11 +156,12 @@ func RestoreScheduler(cfg Config, st SchedulerState) (*Scheduler, error) {
 			}
 		}
 		s.txns[snap.ID] = t
+		s.bindSlot(t, ref)
 		switch snap.Status {
 		case model.StatusActive:
 			s.numActive++
 		case model.StatusCompleted:
-			s.numCompleted++
+			s.markCompleted(t)
 		}
 		if snap.Prepared && snap.Status != model.StatusActive {
 			return nil, fmt.Errorf("core: restore: prepared transaction T%d is not active", snap.ID)

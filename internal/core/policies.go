@@ -66,7 +66,7 @@ func (sw *Sweep) JustCompleted() model.TxnID { return sw.justCompleted }
 // next Completed call (each deletion round of a policy loop rebuilds it),
 // and policies may reorder it in place.
 func (sw *Sweep) Completed() []model.TxnID {
-	sw.s.compScratch = sw.s.completedAppend(sw.s.compScratch[:0])
+	sw.s.compScratch = append(sw.s.compScratch[:0], sw.s.completed...)
 	ids := sw.s.compScratch
 	// Fast path: a shard that has never seen a cross transaction (no
 	// sub-nodes, no labels, no pins) filters nothing, even when a tracker
@@ -86,8 +86,7 @@ func (sw *Sweep) Completed() []model.TxnID {
 
 // CheckC1 tests condition C1 for id on the current graph.
 func (sw *Sweep) CheckC1(id model.TxnID) bool {
-	ok, _ := sw.s.CheckC1(id)
-	return ok
+	return sw.s.c1Holds(id)
 }
 
 // CheckC2 tests condition C2 for a set on the current graph.
@@ -154,7 +153,7 @@ func (Lemma1Policy) Sweep(sw *Sweep) {
 	for {
 		progress := false
 		for _, id := range sw.Completed() {
-			if !HasActivePredecessor(s, s.g, id) {
+			if _, _, active := s.ActiveAncestor(id); !active {
 				if sw.Delete(id) {
 					progress = true
 				}
@@ -200,10 +199,8 @@ func (p GreedyC1) Sweep(sw *Sweep) {
 		}
 		progress := false
 		for _, id := range ids {
-			if ok, _ := s.CheckC1(id); ok {
-				if sw.Delete(id) {
-					progress = true
-				}
+			if s.c1Holds(id) && sw.Delete(id) {
+				progress = true
 			}
 		}
 		if !progress {

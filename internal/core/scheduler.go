@@ -150,6 +150,10 @@ type Result struct {
 type Scheduler struct {
 	g    *graph.Graph
 	txns map[model.TxnID]*TxnState
+	// bySlot is txns indexed by arena slot (nil for a free slot), so the
+	// deletion conditions can ask a node's status while walking Refs without
+	// going back through the id→state map.
+	bySlot []*TxnState
 	// readers[x] and writers[x] index the transactions currently in the
 	// graph that have read/written x — the information Rules 2 and 3
 	// consult. Deleting a transaction removes it from these indexes: its
@@ -167,10 +171,14 @@ type Scheduler struct {
 	seq          int64
 	cfg          Config
 	stats        Stats
-	// numCompleted and numActive are maintained incrementally so the
-	// per-step bookkeeping in afterStep never scans txns.
-	numCompleted int
-	numActive    int
+	// completed holds the retained completed transaction IDs, ascending:
+	// inserted where a transaction completes (or is restored completed),
+	// removed where it is deleted, so a sweep copies the candidate list
+	// instead of scanning and sorting txns every fixpoint round.
+	completed []model.TxnID
+	// numActive is maintained incrementally so the per-step bookkeeping in
+	// afterStep never scans txns.
+	numActive int
 	// statePool recycles TxnState records (with their maps) across
 	// delete/abort → begin.
 	statePool []*TxnState
@@ -185,6 +193,10 @@ type Scheduler struct {
 	// nothing in steady state. manualSweep and its deleted buffer are the
 	// reused Sweep handle of SweepNow for the same reason.
 	compScratch []model.TxnID
+	// walkScratch and predScratch are checkC1's DFS stack and its list of
+	// active tight predecessors.
+	walkScratch []graph.Ref
+	predScratch []graph.Ref
 	manualSweep Sweep
 	// autoSweep is the same reuse for the per-step policy sweep in
 	// afterStep: one Sweep handle (and deleted buffer) per scheduler, not
@@ -262,28 +274,38 @@ func (s *Scheduler) ActiveTxns() []model.TxnID {
 }
 
 // CompletedTxns returns the IDs of retained completed transactions,
-// ascending. The slice is freshly allocated; the policy sweep path uses
-// completedAppend with a scratch buffer instead.
+// ascending. The slice is freshly allocated; the policy sweep path copies
+// the same index into a scratch buffer instead (Sweep.Completed).
 func (s *Scheduler) CompletedTxns() []model.TxnID {
-	return s.completedAppend(nil)
+	return slices.Clone(s.completed)
 }
 
-// completedAppend appends the retained completed transaction IDs to dst,
-// ascending.
-func (s *Scheduler) completedAppend(dst []model.TxnID) []model.TxnID {
-	mark := len(dst)
-	for id, t := range s.txns {
-		if t.Status == model.StatusCompleted {
-			dst = append(dst, id)
+// NumCompleted returns the number of retained completed transactions, O(1).
+func (s *Scheduler) NumCompleted() int { return len(s.completed) }
+
+// markCompleted flips t to completed and files it in the completed index.
+func (s *Scheduler) markCompleted(t *TxnState) {
+	t.Status = model.StatusCompleted
+	i := s.completedPos(t.ID)
+	s.completed = append(s.completed, t.ID)
+	copy(s.completed[i+1:], s.completed[i:])
+	s.completed[i] = t.ID
+}
+
+// completedPos returns the index of id in the completed index, or where it
+// belongs if absent. (Hand-rolled rather than slices.BinarySearch: the
+// hot-path lint reads a generic instantiation as interface boxing.)
+func (s *Scheduler) completedPos(id model.TxnID) int {
+	lo, hi := 0, len(s.completed)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); s.completed[mid] < id {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	slices.Sort(dst[mark:])
-	return dst
+	return lo
 }
-
-// NumCompleted returns the number of retained completed transactions.
-// The count is maintained incrementally, so this is O(1).
-func (s *Scheduler) NumCompleted() int { return s.numCompleted }
 
 // ActiveInfo names one active transaction for the retention governor's
 // straggler selection: its ID, its BeginSeq incarnation, and its age in
@@ -456,10 +478,9 @@ func (s *Scheduler) writeFinal(step model.Step) (Result, error) {
 		s.lastWriteSeq[x] = s.seq
 		s.lastWriter[x] = t.ID
 	}
-	t.Status = model.StatusCompleted
+	s.markCompleted(t)
 	t.EndSeq = s.seq
 	s.numActive--
-	s.numCompleted++
 	s.stats.Writes++
 	s.stats.Accepted++
 	s.stats.Completed++
@@ -504,10 +525,19 @@ func (s *Scheduler) acquireState(id model.TxnID, ref graph.Ref) *TxnState {
 	t.Status = model.StatusActive
 	t.BeginSeq = s.seq
 	t.EndSeq = 0
-	t.ref = ref
 	t.isCross = false
 	t.prepared = false
+	s.bindSlot(t, ref)
 	return t
+}
+
+// bindSlot records that t occupies arena slot ref.
+func (s *Scheduler) bindSlot(t *TxnState, ref graph.Ref) {
+	t.ref = ref
+	for int(ref) >= len(s.bySlot) {
+		s.bySlot = append(s.bySlot, nil)
+	}
+	s.bySlot[ref] = t
 }
 
 // releaseState recycles a TxnState that has been removed from txns. The
@@ -516,6 +546,7 @@ func (s *Scheduler) acquireState(id model.TxnID, ref graph.Ref) *TxnState {
 func (s *Scheduler) releaseState(t *TxnState) {
 	clear(t.Access)
 	clear(t.accessSeq)
+	s.bySlot[t.ref] = nil
 	t.ref = graph.NoRef
 	s.statePool = append(s.statePool, t)
 }
@@ -628,7 +659,8 @@ func (s *Scheduler) deleteTxn(id model.TxnID) error {
 	s.clearCross(t)
 	s.g.ReduceRef(t.ref)
 	delete(s.txns, id)
-	s.numCompleted--
+	i := s.completedPos(id)
+	s.completed = append(s.completed[:i], s.completed[i+1:]...)
 	s.releaseState(t)
 	s.stats.Deleted++
 	if s.cfg.OnDelete != nil {
@@ -657,7 +689,7 @@ func (s *Scheduler) afterStep(res *Result, sweepEvent bool) {
 	if a := s.g.NumArcs(); a > s.stats.PeakArcs {
 		s.stats.PeakArcs = a
 	}
-	kept := s.numCompleted
+	kept := len(s.completed)
 	if kept > s.stats.PeakKept {
 		s.stats.PeakKept = kept
 	}
@@ -707,10 +739,142 @@ func (s *Scheduler) CurrentWriterPresent(id model.TxnID) bool {
 }
 
 // CheckC1 evaluates Theorem 1's condition C1 for transaction id against
-// the scheduler's current (reduced) graph. See conditions.go.
+// the scheduler's current (reduced) graph. It is the generic CheckC1 of
+// conditions.go specialized to the scheduler's own arena (see checkC1) and
+// agrees with it verdict for verdict; when several witnesses exist the one
+// reported may differ.
 func (s *Scheduler) CheckC1(id model.TxnID) (bool, *C1Violation) {
-	return CheckC1(s, s.g, id)
+	t, ok := s.txns[id]
+	if !ok || t.Status != model.StatusCompleted {
+		return false, &C1Violation{Ti: id, Tj: model.NoTxn}
+	}
+	ok, tj, x := s.checkC1(t)
+	if ok {
+		return true, nil
+	}
+	return false, &C1Violation{Ti: id, Tj: s.g.IDOf(tj), X: x, Strength: t.Access[x]}
 }
+
+// c1Holds is CheckC1 without the witness, for the sweep loop: nothing is
+// allocated whichever way the verdict goes.
+func (s *Scheduler) c1Holds(id model.TxnID) bool {
+	t, ok := s.txns[id]
+	if !ok || t.Status != model.StatusCompleted {
+		return false
+	}
+	ok, _, _ = s.checkC1(t)
+	return ok
+}
+
+// checkC1 tests C1 for completed transaction t on arena slots. Both tight
+// closures are visit stamps on the graph, never sets: the walk back from t
+// through completed nodes lists the active nodes it stops at (t's active
+// tight predecessors), and for each such Tj the walk forward through
+// completed nodes stamps Tj's tight successors. "Some completed tight
+// successor of Tj other than t accesses x at least as strongly" is then read
+// off the entity indexes — writers[x], plus readers[x] when t only read x —
+// against the stamps. On failure it names the predecessor and entity.
+func (s *Scheduler) checkC1(t *TxnState) (ok bool, tj graph.Ref, x model.Entity) {
+	g := s.g
+	g.BeginVisit()
+	g.VisitRef(t.ref)
+	preds := s.predScratch[:0]
+	stack := append(s.walkScratch[:0], t.ref)
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, p := range g.InRefs(n) {
+			if !g.VisitRef(p) {
+				continue
+			}
+			if s.bySlot[p].Status == model.StatusActive {
+				preds = append(preds, p)
+			} else {
+				stack = append(stack, p)
+			}
+		}
+	}
+	s.predScratch = preds
+	s.walkScratch = stack // both walks leave it empty; keep what it grew to
+	for _, pj := range preds {
+		g.BeginVisit()
+		g.VisitRef(pj)
+		stack = append(stack, pj)
+		for len(stack) > 0 {
+			n := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, c := range g.OutRefs(n) {
+				if g.VisitRef(c) && s.bySlot[c].Status == model.StatusCompleted {
+					stack = append(stack, c)
+				}
+			}
+		}
+		s.walkScratch = stack
+		for e, need := range t.Access {
+			if !s.witnessed(e, need, t.ref) {
+				return false, pj, e
+			}
+		}
+	}
+	return true, graph.NoRef, 0
+}
+
+// witnessed reports whether some completed transaction other than ti that
+// carries the current visit stamp accesses x at least as strongly as need.
+func (s *Scheduler) witnessed(x model.Entity, need model.Access, ti graph.Ref) bool {
+	for _, w := range s.writers[x] {
+		if w != ti && s.g.VisitedRef(w) && s.bySlot[w].Status == model.StatusCompleted {
+			return true
+		}
+	}
+	if need == model.WriteAccess {
+		return false
+	}
+	for _, r := range s.readers[x] {
+		if r != ti && s.g.VisitedRef(r) && s.bySlot[r].Status == model.StatusCompleted {
+			return true
+		}
+	}
+	return false
+}
+
+// ActiveAncestor looks for an active transaction that reaches id by any
+// path (Lemma 1's obstacle), stopping at the first one. It returns that
+// transaction's arena slot and BeginSeq — together they name one
+// incarnation, since slots are recycled but sequence numbers are not — so a
+// caller can later ask ActiveAt whether the very same obstacle still stands.
+// It does for as long as that transaction stays active: the search stops at
+// the first active node it meets, so the path from it to id runs through
+// completed nodes only, and those leave the graph only by deletion, which
+// splices their arcs. found is false when id has no active ancestor or is
+// not in the graph.
+func (s *Scheduler) ActiveAncestor(id model.TxnID) (slot graph.Ref, beginSeq int64, found bool) {
+	t, ok := s.txns[id]
+	if !ok {
+		return graph.NoRef, 0, false
+	}
+	a := s.g.FindAncestorRef(t.ref, s.activeSlot)
+	if a == graph.NoRef {
+		return graph.NoRef, 0, false
+	}
+	return a, s.bySlot[a].BeginSeq, true
+}
+
+func (s *Scheduler) activeSlot(r graph.Ref) bool {
+	return s.bySlot[r].Status == model.StatusActive
+}
+
+// ActiveAt reports whether slot still holds the active transaction that
+// began at beginSeq.
+func (s *Scheduler) ActiveAt(slot graph.Ref, beginSeq int64) bool {
+	t := s.bySlot[slot]
+	return t != nil && t.BeginSeq == beginSeq && t.Status == model.StatusActive
+}
+
+// Terminations counts the active transactions that have stopped being
+// active so far — completions, rejections and aborts. While it has not
+// moved, every ActiveAt a caller could ask still answers as it last did.
+func (s *Scheduler) Terminations() int64 { return s.stats.Completed + s.stats.Aborts }
 
 // CheckC2 evaluates Theorem 4's condition C2 for the set of transactions.
 func (s *Scheduler) CheckC2(set graph.NodeSet) (bool, *C2Violation) {
@@ -784,7 +948,7 @@ func (s *Scheduler) emit(k emit.Kind, c emit.Class, txn model.TxnID, inc, n int6
 
 // DeleteIfSafe deletes id iff C1 holds, returning whether it deleted.
 func (s *Scheduler) DeleteIfSafe(id model.TxnID) bool {
-	if ok, _ := s.CheckC1(id); !ok {
+	if !s.c1Holds(id) {
 		return false
 	}
 	if err := s.deleteTxn(id); err != nil {

@@ -50,6 +50,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/emit"
 	"repro/internal/graph"
@@ -203,7 +204,7 @@ func (s *Scheduler) CommitPrepared(id model.TxnID) (Result, error) {
 	}
 	s.g.UnpinRef(t.ref)
 	t.prepared = false
-	t.Status = model.StatusCompleted
+	s.markCompleted(t)
 	// The write is now committed: install the current-value bookkeeping at
 	// the write's prepare-time position (EndSeq), unless a later write of
 	// the entity already landed between vote and decision.
@@ -214,7 +215,6 @@ func (s *Scheduler) CommitPrepared(id model.TxnID) (Result, error) {
 		}
 	}
 	s.numActive--
-	s.numCompleted++
 	s.stats.Completed++
 	s.emit(emit.KindCommit, emit.ClassOK, id, t.BeginSeq, 0)
 	res := Result{Accepted: true, Aborted: model.NoTxn, CompletedTxn: id}
@@ -328,7 +328,10 @@ func (s *Scheduler) crossCollect(t *TxnState) bool {
 		return true
 	}
 	for _, tail := range s.g.Targets() {
-		if c := s.crossOf(tail); c != model.NoTxn {
+		// A sub-node sources its label only while its transaction is live: a
+		// retired one can be on no future cycle, and a label minted after
+		// its purge would pass for a later incarnation's.
+		if c := s.crossOf(tail); c != model.NoTxn && s.cfg.Cross.LabelLive(c) {
 			if !arrive(c) {
 				return false
 			}
@@ -399,14 +402,15 @@ func (s *Scheduler) clearCross(t *TxnState) {
 	}
 }
 
-// PurgeLabel erases every stored occurrence of label id from this shard.
-// The engine calls it (on all shards) before re-registering a TxnID that
-// once named a dropped or retired cross transaction: stale entries of the
-// old incarnation would otherwise be indistinguishable from the new
-// incarnation's labels and stop crossFlood's DFS early, hiding real
-// reach-paths from the registry.
-func (s *Scheduler) PurgeLabel(id model.TxnID) {
-	if s.numLabeled == 0 {
+// PurgeLabels erases every stored occurrence of the labels ids from this
+// shard. The engine calls it for the dead incarnations of dropped and
+// retired cross transactions: left in place, their labels would be
+// indistinguishable from those of a later transaction reusing the TxnID and
+// stop crossFlood's DFS early, hiding real reach-paths from the registry.
+// (A dead transaction sources no new labels — see crossCollect — so once
+// purged its ID stays clean until it is registered again.)
+func (s *Scheduler) PurgeLabels(ids ...model.TxnID) {
+	if s.numLabeled == 0 || len(ids) == 0 {
 		return
 	}
 	for r := range s.labels {
@@ -416,7 +420,7 @@ func (s *Scheduler) PurgeLabel(id model.TxnID) {
 		}
 		kept := ls[:0]
 		for _, l := range ls {
-			if l != id {
+			if !slices.Contains(ids, l) {
 				kept = append(kept, l)
 			}
 		}

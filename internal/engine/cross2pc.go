@@ -22,6 +22,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -86,24 +87,86 @@ type crossRegistry struct {
 	// dirty records TxnIDs of dropped/retired cross transactions whose
 	// labels may still sit, unpruned, in shard graphs. Re-registering such
 	// an ID must purge those stale entries first (see register), or the new
-	// incarnation's flood would stop at them and hide real reach-paths.
-	dirty map[model.TxnID]struct{}
-	// cleanPending[p] counts decided entries still awaiting shard p's
-	// cleanliness report. shard.run's post-batch reportCrossClean scans
-	// the registry only while its shard's gauge is non-zero — and the
-	// decided-transition itself is delivered by the reqUpkeep kick the 2PC
-	// driver sends after decideCommit — so stalled *undecided*
-	// transactions and non-participant shards cost nothing. Invariant
-	// (under mu): for every decided entry e, each participant i with
-	// !e.clean[i] contributes 1 to cleanPending[e.parts[i]].
-	cleanPending []atomic.Int64
+	// incarnation's flood would stop at them and hide real reach-paths. An
+	// ID stays here only until every shard that took part has purged its
+	// labels (purge, below) — a dead transaction's labels exist on its
+	// participants only, and once it is dead nothing sources new ones — so
+	// the set holds the purges in flight, not every cross transaction the
+	// engine ever finished. retires numbers the removals, so that a purge
+	// ordered for one incarnation is never credited to a later one.
+	dirty   map[model.TxnID]dirtyMark
+	retires uint64
+	// purge[p] is the label purges shard p has been ordered and has not yet
+	// taken; like pending, the shard looks at ver lock-free and takes mu
+	// only when it moved.
+	purge []purgeSet
+	// pending[p] is the set of decided entries still awaiting shard p's
+	// cleanliness report. Invariant (under mu): id is in pending[p].ids iff
+	// its entry e is decided and p == e.parts[i] for some i with
+	// !e.clean[i]. Shard p keeps its own copy (shard.watch) and re-copies
+	// only when pending[p].ver has moved, so stalled *undecided*
+	// transactions, non-participant shards, and batches during which
+	// nothing was decided or reported never touch mu; the decided-transition
+	// itself is delivered by the reqUpkeep kick the 2PC driver sends after
+	// decideCommit.
+	pending []pendingSet
+}
+
+// dirtyMark is one dead incarnation in crossRegistry.dirty: the removal it
+// stems from and how many participants still owe the purge of its labels.
+// Recovery's marks (markDirty) carry no orders and stay until the ID is
+// reused.
+type dirtyMark struct {
+	seq  uint64
+	owed int
+}
+
+// purgeOrder tells one shard to erase the labels of one dead incarnation.
+type purgeOrder struct {
+	id  model.TxnID
+	seq uint64
+}
+
+// purgeSet is one shard's slice of crossRegistry.purge. orders is guarded
+// by crossRegistry.mu; ver is bumped under it on every change.
+type purgeSet struct {
+	orders []purgeOrder
+	ver    atomic.Uint64
+}
+
+// pendingSet is one shard's slice of crossRegistry.pending.
+type pendingSet struct {
+	// ids is kept in insertion order (removal closes the gap), which lets
+	// the shard merge a fresh copy into its watch list in one forward pass.
+	// Guarded by crossRegistry.mu.
+	ids []model.TxnID
+	// ver is bumped, under mu, on every change to ids; the owning shard
+	// compares it lock-free against the version it last copied.
+	ver atomic.Uint64
 }
 
 func newCrossRegistry(shards int) *crossRegistry {
 	return &crossRegistry{
-		txns:         make(map[model.TxnID]*crossEntry),
-		dirty:        make(map[model.TxnID]struct{}),
-		cleanPending: make([]atomic.Int64, shards),
+		txns:    make(map[model.TxnID]*crossEntry),
+		dirty:   make(map[model.TxnID]dirtyMark),
+		purge:   make([]purgeSet, shards),
+		pending: make([]pendingSet, shards),
+	}
+}
+
+// awaitLocked files id as awaiting shard p's cleanliness report; settleLocked
+// takes it out again. Caller holds r.mu.
+func (r *crossRegistry) awaitLocked(p int, id model.TxnID) {
+	ps := &r.pending[p]
+	ps.ids = append(ps.ids, id)
+	ps.ver.Add(1)
+}
+
+func (r *crossRegistry) settleLocked(p int, id model.TxnID) {
+	ps := &r.pending[p]
+	if i := slices.Index(ps.ids, id); i >= 0 {
+		ps.ids = slices.Delete(ps.ids, i, i+1)
+		ps.ver.Add(1)
 	}
 }
 
@@ -148,11 +211,17 @@ func (r *crossRegistry) removeLocked(id model.TxnID) {
 	}
 	delete(r.txns, id)
 	r.live.Delete(id)
-	r.dirty[id] = struct{}{}
+	r.retires++
+	r.dirty[id] = dirtyMark{seq: r.retires, owed: len(e.parts)}
+	for _, p := range e.parts {
+		ps := &r.purge[p]
+		ps.orders = append(ps.orders, purgeOrder{id: id, seq: r.retires})
+		ps.ver.Add(1)
+	}
 	if e.decided {
 		for i, p := range e.parts {
 			if !e.clean[i] {
-				r.cleanPending[p].Add(-1)
+				r.settleLocked(p, id)
 			}
 		}
 	}
@@ -168,7 +237,37 @@ func (r *crossRegistry) markDirty(id model.TxnID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.txns[id]; !ok {
-		r.dirty[id] = struct{}{}
+		r.dirty[id] = dirtyMark{}
+	}
+}
+
+// takePurges moves shard's outstanding purge orders into buf and returns
+// them with the version the (now empty) list is current at.
+func (r *crossRegistry) takePurges(shard int, buf []purgeOrder) ([]purgeOrder, uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	ps := &r.purge[shard]
+	buf = append(buf, ps.orders...)
+	ps.orders = ps.orders[:0]
+	return buf, ps.ver.Load()
+}
+
+// purged credits shard with having carried out orders; an incarnation every
+// participant has purged is forgotten. An order whose ID was re-registered
+// in the meantime (register purged it everywhere itself) matches no mark.
+func (r *crossRegistry) purged(orders []purgeOrder) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, o := range orders {
+		d, ok := r.dirty[o.id]
+		if !ok || d.seq != o.seq {
+			continue
+		}
+		if d.owed--; d.owed > 0 {
+			r.dirty[o.id] = d
+		} else {
+			delete(r.dirty, o.id)
+		}
 	}
 }
 
@@ -205,7 +304,7 @@ func (r *crossRegistry) decideCommit(id model.TxnID) {
 	e.decided = true
 	for i, p := range e.parts {
 		if !e.clean[i] {
-			r.cleanPending[p].Add(1)
+			r.awaitLocked(p, id)
 		}
 	}
 	r.maybeRetireLocked(id)
@@ -249,48 +348,40 @@ func (r *crossRegistry) maybeRetireLocked(id model.TxnID) {
 	}
 }
 
-// pendingClean appends to buf the decided transactions for which shard has
-// not yet reported cleanliness, and returns it.
-func (r *crossRegistry) pendingClean(shard int, buf []model.TxnID) []model.TxnID {
+// pendingFor copies shard's pending set into buf and returns it with the
+// version the copy is current at.
+func (r *crossRegistry) pendingFor(shard int, buf []model.TxnID) ([]model.TxnID, uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for id, e := range r.txns {
-		if !e.decided {
+	ps := &r.pending[shard]
+	return append(buf, ps.ids...), ps.ver.Load()
+}
+
+// reportClean records that each id's sub-node on shard has no active
+// ancestor. The property is monotone — in the basic model arcs only ever
+// point into acting nodes, so once every path into a completed sub-node
+// passes through completed nodes only, its ancestor set is frozen — which
+// is what makes a one-shot report sound. When the last participant
+// reports, the transaction is retired from the registry.
+func (r *crossRegistry) reportClean(shard int, ids ...model.TxnID) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, id := range ids {
+		e, ok := r.txns[id]
+		if !ok {
 			continue
 		}
 		for i, p := range e.parts {
 			if p == shard && !e.clean[i] {
-				buf = append(buf, id)
-				break
+				e.clean[i] = true
+				e.cleanN++
+				if e.decided {
+					r.settleLocked(p, id)
+				}
 			}
 		}
+		r.maybeRetireLocked(id)
 	}
-	return buf
-}
-
-// reportClean records that id's sub-node on shard has no active ancestor.
-// The property is monotone — in the basic model arcs only ever point into
-// acting nodes, so once every path into a completed sub-node passes
-// through completed nodes only, its ancestor set is frozen — which is what
-// makes a one-shot report sound. When the last participant reports, the
-// transaction is retired from the registry.
-func (r *crossRegistry) reportClean(id model.TxnID, shard int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.txns[id]
-	if !ok {
-		return
-	}
-	for i, p := range e.parts {
-		if p == shard && !e.clean[i] {
-			e.clean[i] = true
-			e.cleanN++
-			if e.decided {
-				r.cleanPending[p].Add(-1)
-			}
-		}
-	}
-	r.maybeRetireLocked(id)
 }
 
 // reachableLocked reports whether from reaches to through registry arcs.
@@ -619,10 +710,10 @@ func (e *Engine) commitCross(ctx context.Context, ct *crossTxn, final model.Step
 	ct.done = true
 	ct.committed = true
 	e.registry.decideCommit(ct.id)
-	// Wake the participants: a shard that checked its cleanPending gauge
-	// before decideCommit raised it may be blocked waiting for traffic;
-	// the kick makes it run reportCrossClean (a shard that is busy treats
-	// it as a no-op request).
+	// Wake the participants: a shard that compared its pending-set version
+	// before decideCommit bumped it may be blocked waiting for traffic; the
+	// kick makes it run reportCrossClean (a shard that is busy treats it as
+	// a no-op request).
 	for _, p := range ct.parts {
 		e.shards[p].trySend(request{kind: reqUpkeep})
 	}

@@ -490,12 +490,12 @@ func (e *Engine) registerBegin(ctx context.Context, step model.Step, pri Priorit
 // reads, final write) costs one queue hop instead of one per step. The
 // ordering contract is Submit's: steps of one transaction must appear in
 // order, and a client must not submit a transaction's next step elsewhere
-// before the batch returns. Within one batch, a step pipelined behind its
-// own transaction's final write or failed BEGIN is answered with the
-// scheduler's protocol error rather than the engine's unknown-transaction
-// rejection (per-step clients never see that window); either way the
-// client learns the transaction is dead, and route bookkeeping is
-// restored by the time the batch returns. Cross-partition steps interrupt
+// before the batch returns. A step pipelined behind the end of its own
+// transaction — behind its rejected step, or behind its final write — is
+// answered exactly as the per-step path would answer it: rejected, wrapping
+// ErrTxnAborted (ErrStragglerAborted after a reap). Only a step behind its
+// own refused BEGIN reports ErrProtocol, as the BEGIN itself did; its route
+// is dropped by the time the batch returns. Cross-partition steps interrupt
 // the pipeline (each is a routed round-trip of its own, and a final write
 // runs the two-phase commit) but never stall other clients' traffic.
 func (e *Engine) SubmitBatch(steps []model.Step) []Result {

@@ -153,14 +153,14 @@ func TestCtxCancelBetweenPrepareAndDecision(t *testing.T) {
 	// No registry entry leaked (and no stale cleanliness debt).
 	eng.registry.mu.Lock()
 	live := len(eng.registry.txns)
+	for i := range eng.registry.pending {
+		if n := len(eng.registry.pending[i].ids); n != 0 {
+			t.Errorf("shard %d still has %d pending cleanliness reports", i, n)
+		}
+	}
 	eng.registry.mu.Unlock()
 	if live != 0 {
 		t.Fatalf("cross-arc registry still tracks %d transactions after the abort", live)
-	}
-	for i := range eng.registry.cleanPending {
-		if n := eng.registry.cleanPending[i].Load(); n != 0 {
-			t.Fatalf("shard %d cleanPending = %d, want 0", i, n)
-		}
 	}
 
 	// The ID is fully released: a fresh incarnation begins and commits.

@@ -164,11 +164,16 @@ func TestGovernorRequiresPolicy(t *testing.T) {
 	}
 }
 
-// retainedTotal sums the per-shard retained completed-transaction counts.
+// retainedTotal sums the per-shard retained completed-transaction counts,
+// asking each scheduler through its mailbox. The lock-free RetainedCounts
+// gauge is refreshed only after a batch's replies have gone out, so reading
+// it right after Submit returns races the shard loop.
 func retainedTotal(e *Engine) int64 {
 	var total int64
-	for _, n := range e.RetainedCounts() {
-		total += n
+	for _, sh := range e.shards {
+		if rep, ok := sh.do(request{kind: reqStats}); ok {
+			total += rep.n
+		}
 	}
 	return total
 }

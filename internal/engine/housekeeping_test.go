@@ -1,0 +1,398 @@
+package engine
+
+import (
+	"errors"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/model"
+	"repro/internal/workload"
+)
+
+// The reference side of the cross-clean differential: the between-batch
+// registry upkeep as it was before the watched witnesses — scan the whole
+// registry for this shard's debts, materialize every debtor's ancestor
+// closure — kept here so the incremental path always has a full scan to be
+// held against.
+
+// refPendingClean is the registry scan: the decided transactions for which
+// shard has not reported cleanliness. Caller holds r.mu.
+func refPendingClean(r *crossRegistry, shard int) []model.TxnID {
+	var ids []model.TxnID
+	for id, e := range r.txns {
+		if !e.decided {
+			continue
+		}
+		for i, p := range e.parts {
+			if p == shard && !e.clean[i] {
+				ids = append(ids, id)
+				break
+			}
+		}
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// refClean is the full-scan verdict: no sub-node here, or no active
+// transaction anywhere in its ancestor closure.
+func refClean(sh *shard, id model.TxnID) bool {
+	if sh.sched.Txn(id) == nil {
+		return true
+	}
+	for a := range sh.sched.Graph().Ancestors(id) {
+		if sh.sched.Status(a) == model.StatusActive {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCrossCleanDifferential holds the watched-witness upkeep against the
+// full scan at every batch end of every shard, under a seeded cross-heavy
+// workload with stragglers, cycle rejections, 2PC vetoes, client aborts of
+// cross transactions in flight and governor reaps: what each pass reports
+// must be exactly what the full scan would report over the same debts, the
+// shard's copy of its debts must match the registry whenever the versions
+// agree, and the registry's per-shard sets must match a scan of its entries.
+func TestCrossCleanDifferential(t *testing.T) {
+	var passes, reports, carried atomic.Int64
+	var failed atomic.Bool
+	fail := func(format string, args ...any) {
+		if failed.CompareAndSwap(false, true) {
+			t.Errorf(format, args...)
+		}
+	}
+	testHookCrossClean = func(sh *shard, reported []model.TxnID) {
+		passes.Add(1)
+		reports.Add(int64(len(reported)))
+		for _, id := range reported {
+			if !refClean(sh, id) {
+				fail("shard %d reported T%d clean; the full scan finds an active ancestor", sh.idx, id)
+			}
+		}
+		var mine []model.TxnID
+		for _, w := range sh.watch {
+			mine = append(mine, w.id)
+			if refClean(sh, w.id) {
+				fail("shard %d keeps T%d dirty (witness slot %d); the full scan finds it clean", sh.idx, w.id, w.slot)
+			}
+			if !sh.sched.ActiveAt(w.slot, w.beginSeq) {
+				fail("shard %d: T%d's witness at slot %d is not active after the pass", sh.idx, w.id, w.slot)
+			}
+		}
+		carried.Add(int64(len(mine)))
+		reg := sh.eng.registry
+		reg.mu.Lock()
+		defer reg.mu.Unlock()
+		ps := &reg.pending[sh.idx]
+		have := slices.Clone(ps.ids)
+		slices.Sort(have)
+		if want := refPendingClean(reg, sh.idx); !slices.Equal(have, want) {
+			fail("registry pending[%d] = %v, entry scan says %v", sh.idx, have, want)
+		}
+		if ps.ver.Load() == sh.watchVer {
+			// Nothing changed since the shard copied (in particular it
+			// reported nothing this pass): its list is the registry's.
+			slices.Sort(mine)
+			if !slices.Equal(mine, have) {
+				fail("shard %d watches %v at version %d, registry holds %v", sh.idx, mine, sh.watchVer, have)
+			}
+		}
+	}
+	defer func() { testHookCrossClean = nil }()
+
+	eng := New(Config{
+		Shards:                4,
+		Policy:                func() core.Policy { return core.GreedyC1{} },
+		SweepEveryCompletions: 2,
+		BatchSize:             16,
+		RetentionWatermark:    24,
+		GovernorInterval:      200 * time.Microsecond,
+	})
+	txns := 500
+	if testing.Short() {
+		txns = 200
+	}
+	var wg sync.WaitGroup
+	for d := 0; d < 3; d++ {
+		wg.Add(1)
+		go func(d int) {
+			defer wg.Done()
+			gen := workload.New(workload.Config{
+				Entities: 64, Txns: txns, MaxActive: 6, Shards: 4,
+				ReadsMin: 1, ReadsMax: 3, HotFrac: 0.1, HotProb: 0.7,
+				CrossFrac: 0.3, CrossShards: 2 + d%2, Straggler: 12,
+				DeclareFootprint: true, RestartAborted: true,
+				BaseTxnID: model.TxnID(d+1) << 32, Seed: int64(1800 + d),
+			})
+			driveBatches(eng, gen, d == 2)
+		}(d)
+	}
+	wg.Wait()
+	st := eng.Stats()
+	// Quiet now: every debt gets reported, every dead incarnation purged
+	// and forgotten, within a few rounds of housekeeping.
+	left := registryResidue(eng)
+	eng.Close()
+
+	if failed.Load() {
+		t.FailNow()
+	}
+	if left != 0 {
+		t.Fatalf("%d registry entries, debts, purge orders and dead IDs left after the engine went quiet", left)
+	}
+	if st.CrossTxns == 0 || st.CrossAborts == 0 || st.Reaped == 0 || st.Merged.Rejected == 0 {
+		t.Fatalf("workload too tame: %d cross, %d cross aborts, %d reaped, %d rejected", st.CrossTxns, st.CrossAborts, st.Reaped, st.Merged.Rejected)
+	}
+	if reports.Load() == 0 || carried.Load() == 0 {
+		t.Fatalf("upkeep unexercised: %d reports, %d entries carried dirty across %d passes", reports.Load(), carried.Load(), passes.Load())
+	}
+	t.Logf("%d passes, %d reports, %d dirty entries carried, %d cross commits, %d cross aborts, %d reaped",
+		passes.Load(), reports.Load(), carried.Load(), st.CrossTxns-st.CrossAborts, st.CrossAborts, st.Reaped)
+}
+
+// driveBatches feeds gen to the engine sixteen steps per SubmitBatch, the
+// way the benchmark's embedded door does. With abortSome it also plays the
+// impatient client: now and then it aborts a cross transaction it has in
+// flight, which is a 2PC ABORT on every participant.
+func driveBatches(eng *Engine, gen *workload.Gen, abortSome bool) {
+	steps := make([]model.Step, 0, 16)
+	var results []Result
+	for n := 0; ; n++ {
+		steps = steps[:0]
+		for len(steps) < cap(steps) {
+			st, ok := gen.Next()
+			if !ok {
+				break
+			}
+			steps = append(steps, st)
+		}
+		if len(steps) == 0 {
+			return
+		}
+		results = eng.SubmitBatchInto(results[:0], steps)
+		for i, r := range results {
+			if r.Err != nil {
+				gen.NotifyAbort(steps[i].Txn)
+			}
+		}
+		if abortSome && n%5 == 0 {
+			for i, st := range steps {
+				if st.Kind == model.KindBegin && len(st.Entities) > 1 && results[i].Err == nil && eng.Abort(st.Txn) {
+					gen.NotifyAbort(st.Txn)
+					break
+				}
+			}
+		}
+	}
+}
+
+// TestCrossCleanProportional counts the work. One live straggler on shard 0
+// is an ancestor of K committed cross sub-transactions there, so shard 0
+// owes the registry K cleanliness reports it cannot yet make. While the
+// straggler lives each debt is searched exactly once, when it arrives; a
+// batch that terminates nothing then runs no ancestor search and never takes
+// the registry mutex (the test holds it throughout); and ending the
+// straggler — by completion, which retires the witness, or by abort, which
+// severs paths — re-examines each debt exactly once and clears them all.
+func TestCrossCleanProportional(t *testing.T) {
+	for _, ending := range []string{"complete", "abort"} {
+		t.Run(ending, func(t *testing.T) { crossCleanProportional(t, ending == "abort") })
+	}
+}
+
+func crossCleanProportional(t *testing.T, abort bool) {
+	const K = 64
+	// pass is shard 0's state at the end of one reportCrossClean.
+	type pass struct {
+		progress int64 // steps accepted plus transactions aborted so far
+		searches int64
+		watching int
+	}
+	seen := make(chan pass, 4096) // more than the passes the test can cause
+	testHookCrossClean = func(sh *shard, _ []model.TxnID) {
+		if sh.idx == 0 {
+			st := sh.sched.Stats()
+			seen <- pass{st.Accepted + st.Aborts, sh.witnessSearches, len(sh.watch)}
+		}
+	}
+	defer func() { testHookCrossClean = nil }()
+
+	eng := New(Config{Shards: 2, Policy: func() core.Policy { return core.GreedyC1{} }})
+	defer eng.Close()
+	// settled returns shard 0's first pass that ran after everything
+	// submitted so far was applied.
+	settled := func() pass {
+		t.Helper()
+		st := eng.Stats().PerShard[0]
+		want := st.Accepted + st.Aborts
+		deadline := time.After(10 * time.Second)
+		for {
+			select {
+			case p := <-seen:
+				if p.progress >= want {
+					return p
+				}
+			case <-deadline:
+				t.Fatal("shard 0 never finished its housekeeping")
+			}
+		}
+	}
+	must := func(res Result) {
+		t.Helper()
+		if !res.Accepted() {
+			t.Fatalf("%v: %v (%v)", res.Step, res.Outcome, res.Err)
+		}
+	}
+
+	// Entity 0 lives on shard 0, entity 1 on shard 1. The straggler reads 0;
+	// every cross transaction then writes it, so the straggler precedes all
+	// of their shard-0 sub-nodes.
+	must(eng.Submit(model.BeginDeclared(1, 0)))
+	must(eng.Submit(model.Read(1, 0)))
+	for i := 0; i < K; i++ {
+		id := model.TxnID(100 + i)
+		must(eng.Submit(model.BeginDeclared(id, 0, 1)))
+		must(eng.Submit(model.WriteFinal(id, 0, 1)))
+	}
+	// The last decision's upkeep kick may still be in flight: wait for the
+	// pass that has picked up all K debts.
+	p := settled()
+	for deadline := time.After(10 * time.Second); p.watching < K; {
+		select {
+		case p = <-seen:
+		case <-deadline:
+			t.Fatalf("shard 0 watches %d debts, want %d", p.watching, K)
+		}
+	}
+	if p.searches != K {
+		t.Fatalf("%d ancestor searches while %d debts arrived, want one each", p.searches, K)
+	}
+
+	// A batch that terminates nothing, with the registry mutex held against
+	// the shard: its housekeeping must get through regardless.
+	eng.registry.mu.Lock()
+	for _, r := range eng.SubmitBatch([]model.Step{model.BeginDeclared(900, 2), model.Read(900, 2)}) {
+		must(r)
+	}
+	idle := settled()
+	eng.registry.mu.Unlock()
+	if idle.searches != K || idle.watching != K {
+		t.Fatalf("idle batch: %d searches, %d debts watched; want %d and %d untouched", idle.searches, idle.watching, K, K)
+	}
+
+	// End the straggler.
+	if abort {
+		if !eng.Abort(1) {
+			t.Fatal("Abort(straggler) = false")
+		}
+	} else {
+		must(eng.Submit(model.WriteFinal(1, 4)))
+	}
+	end := settled()
+	if end.searches != 2*K || end.watching != 0 {
+		t.Fatalf("after the straggler ended: %d searches, %d debts left; want %d and 0", end.searches, end.watching, 2*K)
+	}
+	eng.registry.mu.Lock()
+	live := len(eng.registry.txns)
+	eng.registry.mu.Unlock()
+	if live != 0 {
+		t.Fatalf("registry still tracks %d transactions after every debt was reported", live)
+	}
+}
+
+// TestSubmitBatchStepBehindOwnAbort is the regression for a pipelined step
+// reaching the scheduler after its own transaction ended inside the same
+// same-shard run: it must be answered like the per-step path would —
+// rejected with ErrTxnAborted — not as a protocol violation.
+func TestSubmitBatchStepBehindOwnAbort(t *testing.T) {
+	eng := New(Config{Shards: 1})
+	defer eng.Close()
+	results := eng.SubmitBatch([]model.Step{
+		model.BeginDeclared(1, 0),
+		model.BeginDeclared(2, 0),
+		model.Read(1, 0),
+		model.WriteFinal(2, 0, 4), // T1 → T2
+		model.Read(1, 4),          // T2 → T1 would close the cycle: T1 aborts
+		model.WriteFinal(1, 8),    // pipelined behind its own abort
+		model.Read(2, 0),          // pipelined behind its own final write
+	})
+	if r := results[4]; r.Outcome != OutcomeRejected || !errors.Is(r.Err, ErrCycle) || r.Aborted != 1 {
+		t.Fatalf("cycle-closing read: %v aborted=%v err=%v, want rejected/T1/ErrCycle", r.Outcome, r.Aborted, r.Err)
+	}
+	for _, i := range []int{5, 6} {
+		r := results[i]
+		if r.Outcome != OutcomeRejected || !errors.Is(r.Err, ErrTxnAborted) || errors.Is(r.Err, ErrProtocol) || r.Aborted != r.Step.Txn {
+			t.Fatalf("step %d (%v): %v aborted=%v err=%v, want rejected with ErrTxnAborted", i, r.Step, r.Outcome, r.Aborted, r.Err)
+		}
+	}
+	s := eng.Stats()
+	if s.Aborted != 1 || s.Completed != 1 || s.Rejected != 3 {
+		t.Fatalf("stats: %d aborted, %d completed, %d rejected; want 1, 1, 3", s.Aborted, s.Completed, s.Rejected)
+	}
+	// A genuinely confused client still hears ErrProtocol: a second BEGIN
+	// for an ID the scheduler retains, and the step pipelined behind it.
+	results = eng.SubmitBatch([]model.Step{model.BeginDeclared(2, 0), model.Read(2, 0)})
+	for i, r := range results {
+		if r.Outcome != OutcomeError || !errors.Is(r.Err, ErrProtocol) {
+			t.Fatalf("duplicate-BEGIN batch step %d: %v err=%v, want ErrProtocol", i, r.Outcome, r.Err)
+		}
+	}
+}
+
+// TestRegistryForgetsRetiredIDs: the registry remembers a finished cross
+// transaction's ID only until its participants have purged its labels, not
+// forever — a server that commits cross transactions all day must not grow
+// a set of every ID it ever saw. (Reusing an ID whose purge is still in
+// flight is TestCrossIDReuseStaleLabels' subject.)
+func TestRegistryForgetsRetiredIDs(t *testing.T) {
+	eng := New(Config{Shards: 2, Policy: func() core.Policy { return core.GreedyC1{} }})
+	defer eng.Close()
+	const n = 500
+	peak := 0
+	for i := 0; i < n; i++ {
+		id := model.TxnID(1 + i)
+		for _, st := range []model.Step{
+			model.BeginDeclared(id, 0, 1), model.Read(id, 0), model.WriteFinal(id, 0, 1),
+		} {
+			if res := eng.Submit(st); !res.Accepted() {
+				t.Fatalf("%v: %v (%v)", st, res.Outcome, res.Err)
+			}
+		}
+		eng.registry.mu.Lock()
+		peak = max(peak, len(eng.registry.dirty))
+		eng.registry.mu.Unlock()
+	}
+	if peak > 16 {
+		t.Fatalf("registry remembered up to %d dead IDs while %d cross transactions ran one at a time", peak, n)
+	}
+	if left := registryResidue(eng); left != 0 {
+		t.Fatalf("%d registry entries, debts, purge orders and dead IDs left after the engine went quiet", left)
+	}
+}
+
+// registryResidue waits for a quiet engine's registry to empty and returns
+// what is left of it when it gives up: live entries, cleanliness debts,
+// purge orders, remembered dead IDs. Every batch ends in housekeeping, so
+// each Stats round-trip moves the tail one step along — the last reports,
+// the retirement they allow, the purges it orders, their acknowledgement.
+func registryResidue(eng *Engine) (left int) {
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		eng.Stats()
+		reg := eng.registry
+		reg.mu.Lock()
+		left = len(reg.txns) + len(reg.dirty)
+		for i := range reg.pending {
+			left += len(reg.pending[i].ids) + len(reg.purge[i].orders)
+		}
+		reg.mu.Unlock()
+		if left == 0 || time.Now().After(deadline) {
+			return left
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/ring"
 	"repro/internal/store"
@@ -73,7 +74,8 @@ type reply struct {
 	res     Result
 	results []Result
 	stats   core.Stats
-	// actives answers reqOldest; n answers reqSweep (transactions deleted).
+	// actives answers reqOldest; n answers reqSweep (transactions deleted)
+	// and reqStats (transactions retained).
 	actives []core.ActiveInfo
 	n       int64
 }
@@ -112,8 +114,25 @@ type shard struct {
 	retainedN atomic.Int64
 	// sinceSweep counts completions/aborts since the last GC sweep.
 	sinceSweep int //txgc:owner shard
+	// watch is this shard's copy of its registry pending set (decided cross
+	// sub-transactions awaiting its cleanliness report, crossRegistry.pending),
+	// each entry carrying the witness that keeps it dirty; watchSpare is the
+	// merge's other buffer. watchVer is the registry version the copy is
+	// current at; watchTerm is the scheduler's Terminations at the last pass
+	// over the list. See reportCrossClean.
+	watch      []watched //txgc:owner shard
+	watchSpare []watched //txgc:owner shard
+	watchVer   uint64    //txgc:owner shard
+	watchTerm  int64     //txgc:owner shard
 	// cleanBuf is scratch for cross-registry clean reporting.
 	cleanBuf []model.TxnID //txgc:owner shard
+	// purgeVer is the registry version at which this shard last took its
+	// label-purge orders (crossRegistry.purge); purgeBuf is their scratch.
+	purgeVer uint64       //txgc:owner shard
+	purgeBuf []purgeOrder //txgc:owner shard
+	// witnessSearches counts the ancestor searches reportCrossClean has run
+	// (the proportionality test's meter).
+	witnessSearches int64 //txgc:owner shard
 	// final is the scheduler's last Stats, published via close(done);
 	// readers synchronize on <-done before touching it.
 	final core.Stats //txgc:owner shard
@@ -185,11 +204,13 @@ func (sh *shard) do(req request) (reply, bool) {
 
 // run is the shard goroutine: drain a run of requests from the ring, apply
 // it, then sweep — one park/wake cycle amortizes across the whole run. No
-// timer is needed for registry upkeep: a shard's cleanliness verdict
-// (HasActivePredecessor over its own graph) can only change through a
-// request this shard processes, and every processed batch ends in
-// reportCrossClean — while the decided-transition itself is delivered by
-// the reqUpkeep kick the 2PC driver sends after decideCommit.
+// timer is needed for registry upkeep. What this shard owes the registry
+// changes only when a cross transaction it takes part in is decided, which
+// the 2PC driver announces with a reqUpkeep kick after decideCommit, or
+// when the active ancestor keeping a decided sub-transaction dirty
+// terminates here (completes, is rejected, or is aborted). Both arrive as
+// requests to this shard, and every processed batch ends in
+// reportCrossClean.
 func (sh *shard) run() {
 	defer close(sh.done)
 	for {
@@ -223,6 +244,9 @@ func (sh *shard) run() {
 		// ancestor set froze, so the registry can retire them and unblock
 		// deletion of their labeled successors.
 		sh.reportCrossClean()
+		// And erase the labels of cross transactions that have since left
+		// the registry, so it can forget their IDs.
+		sh.purgeDeadLabels()
 		if stop {
 			sh.shutdown()
 			return
@@ -240,7 +264,7 @@ func (sh *shard) handle(req request, tk uint64, fire bool) (stop bool) {
 		}
 		sh.mb.Reply(tk, reply{results: req.done})
 	case reqStats:
-		sh.mb.Reply(tk, reply{stats: sh.sched.Stats()})
+		sh.mb.Reply(tk, reply{stats: sh.sched.Stats(), n: int64(sh.sched.NumCompleted())})
 	case reqBeginSub:
 		sh.mb.Reply(tk, reply{res: sh.applyBeginSub(req.step)})
 	case reqPrepareSub:
@@ -262,7 +286,7 @@ func (sh *shard) handle(req request, tk uint64, fire bool) (stop bool) {
 		// every batch; this request exists only to unblock the park. Posted
 		// fire-and-forget, so there is no reply to send.
 	case reqPurgeLabel:
-		sh.sched.PurgeLabel(req.step.Txn)
+		sh.sched.PurgeLabels(req.step.Txn)
 		sh.mb.Reply(tk, reply{})
 	case reqOldest:
 		sh.mb.Reply(tk, reply{actives: sh.sched.OldestActives(governorCandidates)})
@@ -298,15 +322,17 @@ func (sh *shard) applyOne(step model.Step) (out Result) {
 	}
 	res, err := sh.sched.Apply(step)
 	if err != nil {
-		if step.Kind != model.KindBegin && eng.reaped.contains(step.Txn) {
-			// The governor's abort landed between the submitter's route
-			// lookup and this step reaching the scheduler: the transaction
-			// is dead by reap, not protocol-confused — report it that way so
-			// the session doesn't mistake its victim for still-live.
+		if step.Kind != model.KindBegin && sh.txnGone(step.Txn) {
+			// The transaction ended between the submitter's route lookup and
+			// this step reaching the scheduler — an earlier step of the same
+			// pipelined run was rejected or was its final write, or the
+			// governor's abort landed in between. It is dead, not
+			// protocol-confused: answer as the per-step path would, so the
+			// session learns its transaction is gone (and, for a reap, why).
 			eng.rejected.Add(1)
 			return Result{Step: step, Outcome: OutcomeRejected,
 				Aborted: step.Txn, CompletedTxn: model.NoTxn,
-				Err: stragglerErr(step)}
+				Err: eng.deadTxnErr(step)}
 		}
 		// The scheduler refused to process the step at all (duplicate
 		// BEGIN, step for a finished transaction, bad kind): a protocol
@@ -367,6 +393,17 @@ func (sh *shard) applyOne(step model.Step) (out Result) {
 		}
 	}
 	return out
+}
+
+// txnGone reports whether id no longer names a live transaction: its route
+// is gone, or the governor reaped it (the reap marks the ID before the route
+// is dropped).
+func (sh *shard) txnGone(id model.TxnID) bool {
+	if sh.eng.reaped.contains(id) {
+		return true
+	}
+	_, live := sh.eng.routes.load(id)
+	return !live
 }
 
 // applyBeginSub begins a cross sub-transaction on this shard's scheduler.
@@ -603,23 +640,120 @@ func (sh *shard) maybeSweep() {
 	sh.maybeCheckpoint()
 }
 
+// watched is one decided cross sub-transaction awaiting this shard's
+// cleanliness report, with the witness that keeps it dirty: the arena slot
+// and BeginSeq of one active ancestor (slot NoRef: not examined yet).
+type watched struct {
+	id       model.TxnID
+	slot     graph.Ref
+	beginSeq int64
+}
+
+// testHookCrossClean, when non-nil, runs on the shard goroutine at the end
+// of every reportCrossClean with the IDs that pass just reported; the
+// differential test recomputes the report set by full scan from it.
+var testHookCrossClean func(sh *shard, reported []model.TxnID)
+
 // reportCrossClean tells the registry which decided cross transactions
 // have a frozen ancestor set on this shard (no active ancestor — Lemma 1's
 // premise, which is monotone once the sub-node is completed). When every
 // participant has reported, the registry retires the transaction and its
 // labels die, unblocking deletion downstream.
+//
+// The answer for every watched entry is the one a full ancestor search
+// would give, but the search runs only where that answer can have changed.
+// The witness is the first active node a backward search met, so every node
+// strictly between it and the watched node was completed at the time. A
+// completed node leaves the graph only by deletion, which splices its arcs
+// (reduction preserves reachability among the nodes that remain); rejections
+// and aborts remove active nodes only, so they cannot touch that path; and
+// the watched node itself cannot go, because the registry still tracks it,
+// which gates it from every policy. The witness therefore stays an ancestor
+// for as long as it stays active, and the entry stays dirty with it. So an
+// entry is re-examined only when it is new or its witness terminated, and a
+// batch that terminated nothing skips the list altogether.
 func (sh *shard) reportCrossClean() {
 	reg := sh.eng.registry
-	if reg.cleanPending[sh.idx].Load() == 0 {
-		return
+	fresh := false
+	if reg.pending[sh.idx].ver.Load() != sh.watchVer {
+		fresh = sh.syncWatch()
 	}
-	sh.cleanBuf = reg.pendingClean(sh.idx, sh.cleanBuf[:0])
-	for _, id := range sh.cleanBuf {
-		t := sh.sched.Txn(id)
-		if t == nil || !core.HasActivePredecessor(sh.sched, sh.sched.Graph(), id) {
-			reg.reportClean(id, sh.idx)
+	reported := sh.cleanBuf[:0]
+	if term := sh.sched.Terminations(); len(sh.watch) > 0 && (fresh || term != sh.watchTerm) {
+		sh.watchTerm = term
+		kept := sh.watch[:0]
+		for _, w := range sh.watch {
+			if w.slot != graph.NoRef && sh.sched.ActiveAt(w.slot, w.beginSeq) {
+				kept = append(kept, w)
+				continue
+			}
+			sh.witnessSearches++
+			if slot, seq, found := sh.sched.ActiveAncestor(w.id); found {
+				kept = append(kept, watched{id: w.id, slot: slot, beginSeq: seq})
+			} else {
+				// No active ancestor, or no sub-node here at all.
+				reported = append(reported, w.id)
+			}
+		}
+		sh.watch = kept
+		if len(reported) > 0 {
+			reg.reportClean(sh.idx, reported...)
 		}
 	}
+	sh.cleanBuf = reported
+	if hook := testHookCrossClean; hook != nil {
+		hook(sh, reported)
+	}
+}
+
+// purgeDeadLabels carries out the label purges the registry has ordered
+// since the last batch: the labels of cross transactions that were dropped
+// or retired and that this shard took part in. An ID that is live again was
+// re-registered in the meantime; register purged it everywhere before any
+// sub-node of the new incarnation existed, and its labels here may by now
+// be the new incarnation's, so it is skipped.
+func (sh *shard) purgeDeadLabels() {
+	reg := sh.eng.registry
+	if reg.purge[sh.idx].ver.Load() == sh.purgeVer {
+		return
+	}
+	sh.purgeBuf, sh.purgeVer = reg.takePurges(sh.idx, sh.purgeBuf[:0])
+	dead := sh.cleanBuf[:0]
+	for _, o := range sh.purgeBuf {
+		if !reg.LabelLive(o.id) {
+			dead = append(dead, o.id)
+		}
+	}
+	sh.sched.PurgeLabels(dead...)
+	sh.cleanBuf = dead
+	reg.purged(sh.purgeBuf)
+}
+
+// syncWatch re-copies this shard's pending set from the registry, carrying
+// over the witnesses of entries that are still pending, and reports whether
+// any entry is new. Both lists are in the registry's insertion order, so
+// the survivors of the old list appear in the copy in the same order, ahead
+// of the additions: one forward cursor matches them up. (Should the orders
+// ever disagree, an entry merely loses its witness and is searched again.)
+func (sh *shard) syncWatch() (fresh bool) {
+	sh.cleanBuf, sh.watchVer = sh.eng.registry.pendingFor(sh.idx, sh.cleanBuf[:0])
+	old, merged := sh.watch, sh.watchSpare[:0]
+	next := 0
+	for _, id := range sh.cleanBuf {
+		k := next
+		for k < len(old) && old[k].id != id {
+			k++
+		}
+		if k < len(old) {
+			merged = append(merged, old[k])
+			next = k + 1
+		} else {
+			merged = append(merged, watched{id: id, slot: graph.NoRef})
+			fresh = true
+		}
+	}
+	sh.watch, sh.watchSpare = merged, old[:0]
+	return fresh
 }
 
 // shutdown fails still-queued requests so no client blocks forever,

@@ -309,12 +309,95 @@ func TestGraphDifferentialRandomOps(t *testing.T) {
 		if got, want := g.ForwardClosure(src, through), ref.forwardClosure(src, through); !sameSet(got, want) {
 			t.Fatalf("op %d: ForwardClosure(T%d) diverged: %v vs %v", op, src, got.Sorted(), want.Sorted())
 		}
+		// The early-exit ancestor search agrees with the materialized
+		// closure: it finds a qualifying ancestor iff Ancestors holds one,
+		// and what it returns is one of them.
+		mod := model.TxnID(2 + rng.Intn(5))
+		wantID := func(n model.TxnID) bool { return n%mod == 0 }
+		anc := g.Ancestors(src)
+		exists := false
+		for a := range anc {
+			exists = exists || wantID(a)
+		}
+		hit := g.FindAncestorRef(g.Ref(src), func(r Ref) bool { return wantID(g.IDOf(r)) })
+		if (hit != NoRef) != exists {
+			t.Fatalf("op %d: FindAncestorRef(T%d, %%%d) = %d, but Ancestors %v", op, src, mod, hit, anc.Sorted())
+		}
+		if hit != NoRef && (!anc.Has(g.IDOf(hit)) || !wantID(g.IDOf(hit))) {
+			t.Fatalf("op %d: FindAncestorRef(T%d, %%%d) returned T%d, not a qualifying ancestor of %v", op, src, mod, g.IDOf(hit), anc.Sorted())
+		}
+		// …reached through non-qualifying nodes only.
+		if hit != NoRef && !g.BackwardClosure(src, func(n model.TxnID) bool { return !wantID(n) }).Has(g.IDOf(hit)) {
+			t.Fatalf("op %d: FindAncestorRef(T%d, %%%d) returned T%d, which every path reaches through a qualifying node", op, src, mod, g.IDOf(hit))
+		}
+		// A caller-driven walk over the visit stamps reproduces the tight
+		// backward closure.
+		wantBack := g.BackwardClosure(src, through)
+		gotBack := visitBackward(g, g.Ref(src), through)
+		if !sameSet(gotBack, wantBack) {
+			t.Fatalf("op %d: visit-stamp backward walk from T%d diverged: %v vs %v", op, src, gotBack.Sorted(), wantBack.Sorted())
+		}
 		if !g.Acyclic() {
 			t.Fatalf("op %d: arena graph reports a cycle in an acyclic workload", op)
 		}
 	}
 	if next < 1000 {
 		t.Fatalf("workload too small: only %d nodes ever created", next)
+	}
+}
+
+// visitBackward is BackwardClosure written the way a scheduler drives the
+// visit primitives: its own stack over InRefs, VisitRef as the visited set,
+// and the closure read back off the stamps.
+func visitBackward(g *Graph, src Ref, through func(model.TxnID) bool) NodeSet {
+	g.BeginVisit()
+	g.VisitRef(src)
+	stack := []Ref{src}
+	var reached []Ref
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, p := range g.InRefs(n) {
+			if !g.VisitRef(p) {
+				continue
+			}
+			reached = append(reached, p)
+			if through(g.IDOf(p)) {
+				stack = append(stack, p)
+			}
+		}
+	}
+	out := make(NodeSet)
+	for _, r := range reached {
+		if !g.VisitedRef(r) {
+			panic("stamp lost before the next traversal")
+		}
+		out.Add(g.IDOf(r))
+	}
+	return out
+}
+
+// TestFindAncestorRefDoesNotAllocate pins the search's contract: stamps and
+// stack are graph scratch, and a non-escaping predicate stays on the stack.
+func TestFindAncestorRefDoesNotAllocate(t *testing.T) {
+	g := New()
+	const n = 200
+	refs := make([]Ref, n)
+	for i := range refs {
+		refs[i] = g.AddNodeRef(model.TxnID(i))
+		if i > 0 {
+			g.AddArc(model.TxnID(i-1), model.TxnID(i))
+		}
+	}
+	last := refs[n-1]
+	g.FindAncestorRef(last, func(Ref) bool { return false }) // grow the stack once
+	allocs := testing.AllocsPerRun(100, func() {
+		if g.FindAncestorRef(last, func(r Ref) bool { return r == refs[0] }) != refs[0] {
+			t.Fatal("chain head not found")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("FindAncestorRef allocates %.1f times per search", allocs)
 	}
 }
 

@@ -102,7 +102,7 @@ type Graph struct {
 	tepoch uint32
 	tlist  []Ref
 
-	// cset is the reused result set of the *Scratch closure variants.
+	// cset is the reused result set of BackwardClosureScratch.
 	cset NodeSet
 
 	// pinned marks prepared-but-undecided nodes (a cross-shard
@@ -558,6 +558,59 @@ func (g *Graph) LinkTargetsTo(head Ref) {
 	}
 }
 
+// FindAncestorRef searches backwards from src and returns the first slot
+// it meets that reaches src by a non-empty path and satisfies want, or
+// NoRef when no ancestor does. It stops at the first hit and materializes
+// nothing: visited slots are epoch stamps, the stack is graph scratch. want
+// is only ever called, never retained, so the func value a caller builds
+// for it stays off the heap. Which qualifying ancestor is returned is
+// unspecified, but a qualifying node is never expanded, so the path the hit
+// was reached by runs through non-qualifying nodes only.
+//
+//txgc:hotpath
+func (g *Graph) FindAncestorRef(src Ref, want func(Ref) bool) Ref {
+	ep := g.bumpEpoch()
+	g.visited[src] = ep
+	stack := append(g.stack[:0], src)
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, p := range g.in[n] {
+			if g.visited[p] == ep {
+				continue
+			}
+			if want(p) {
+				g.stack = stack
+				return p
+			}
+			g.visited[p] = ep
+			stack = append(stack, p)
+		}
+	}
+	g.stack = stack
+	return NoRef
+}
+
+// BeginVisit starts a caller-driven traversal: it clears the visit stamps
+// in O(1). A scheduler that knows its nodes' states walks InRefs/OutRefs
+// itself and uses VisitRef/VisitedRef as its visited set — the stamps left
+// behind are the closure, readable until the next traversal of any kind on
+// g (every search and closure method starts one).
+func (g *Graph) BeginVisit() { g.bumpEpoch() }
+
+// VisitRef stamps slot r in the current traversal and reports whether this
+// was its first visit.
+func (g *Graph) VisitRef(r Ref) bool {
+	if g.visited[r] == g.epoch {
+		return false
+	}
+	g.visited[r] = g.epoch
+	return true
+}
+
+// VisitedRef reports whether slot r was stamped in the current traversal.
+func (g *Graph) VisitedRef(r Ref) bool { return g.visited[r] == g.epoch }
+
 // ReachesAny reports whether src reaches any member of targets by a
 // non-empty path... more precisely by any path of length >= 1, or length 0
 // if src itself is in targets. This is the map-flavored compatibility
@@ -634,24 +687,13 @@ func (g *Graph) BackwardClosure(src model.TxnID, through func(model.TxnID) bool)
 	return g.closure(src, through, g.in)
 }
 
-// ForwardClosureScratch and BackwardClosureScratch are the closure
-// variants for single-owner hot paths (a scheduler evaluating C1 on its
-// own graph): the result set lives in graph-owned scratch, so no map is
-// allocated per call. The returned set is valid only until the next
-// *Scratch closure call on g and must not be retained or mutated.
-func (g *Graph) ForwardClosureScratch(src model.TxnID, through func(model.TxnID) bool) NodeSet {
-	return g.closureInto(g.scratchSet(), src, through, g.out)
-}
-
-// BackwardClosureScratch is ForwardClosureScratch on the reversed graph.
+// BackwardClosureScratch is BackwardClosure for a single owner evaluating
+// the generic deletion conditions on its own graph: the result set lives in
+// graph-owned scratch, so no map is allocated per call. The returned set is
+// valid only until the next BackwardClosureScratch call on g and must not
+// be retained or mutated.
 func (g *Graph) BackwardClosureScratch(src model.TxnID, through func(model.TxnID) bool) NodeSet {
 	return g.closureInto(g.scratchSet(), src, through, g.in)
-}
-
-// AncestorsScratch is Ancestors into graph-owned scratch (same validity
-// contract as the other *Scratch closures).
-func (g *Graph) AncestorsScratch(src model.TxnID) NodeSet {
-	return g.BackwardClosureScratch(src, func(model.TxnID) bool { return true })
 }
 
 func (g *Graph) scratchSet() NodeSet {

@@ -3,8 +3,11 @@
 # regress above the budgets in bench_budget.txt: the partition-local path
 # (BenchmarkEngineThroughput, greedy-c1 and nogc, 4 shards), the
 # cross-partition 2PC path (BenchmarkEngineCrossFrac at CrossFrac=0.05),
-# the telemetry emitter overhead (BenchmarkEngineEmitOverhead on vs off,
-# ns/op delta), the retention governor's peak retained count under attack
+# the between-batch sweep's allocations over a straggler-pinned stream
+# (BenchmarkSweepStragglerPinned in internal/core, allocs/txn vs
+# max_core_sweep_allocs_per_txn), the telemetry emitter overhead
+# (BenchmarkEngineEmitOverhead on vs off, ns/op delta), the retention
+# governor's peak retained count under attack
 # (BenchmarkEngineRetentionGoverned, peak-kept vs max_peak_kept), the
 # durability layer's WAL overhead at the default fsync batch
 # (BenchmarkEngineWALOverhead on vs off, ns/op delta vs
@@ -14,7 +17,7 @@
 #
 # Usage: check_bench_budget.sh [all|alloc|scale]
 #   all   (default) every gate
-#   alloc allocation + emitter + retention gates only
+#   alloc allocation + sweep + emitter + WAL + retention gates only
 #   scale the -cpu 2 p99 latency gate only (the CI bench-scale job)
 set -eu
 cd "$(dirname "$0")/.."
@@ -35,6 +38,7 @@ emit_budget=$(awk '/^max_emit_overhead_ns/ {print $2}' bench_budget.txt)
 kept_budget=$(awk '/^max_peak_kept/ {print $2}' bench_budget.txt)
 p99_budget=$(awk '/^max_p99_step_ns/ {print $2}' bench_budget.txt)
 wal_budget=$(awk '/^max_wal_overhead_ns/ {print $2}' bench_budget.txt)
+sweep_budget=$(awk '/^max_core_sweep_allocs_per_txn/ {print $2}' bench_budget.txt)
 [ -n "$budget" ] || { echo "check_bench_budget: no max_allocs_per_op in bench_budget.txt" >&2; exit 2; }
 [ -n "$nogc_budget" ] || { echo "check_bench_budget: no max_nogc_allocs_per_op in bench_budget.txt" >&2; exit 2; }
 [ -n "$cross_budget" ] || { echo "check_bench_budget: no max_cross_allocs_per_op in bench_budget.txt" >&2; exit 2; }
@@ -42,6 +46,7 @@ wal_budget=$(awk '/^max_wal_overhead_ns/ {print $2}' bench_budget.txt)
 [ -n "$kept_budget" ] || { echo "check_bench_budget: no max_peak_kept in bench_budget.txt" >&2; exit 2; }
 [ -n "$p99_budget" ] || { echo "check_bench_budget: no max_p99_step_ns in bench_budget.txt" >&2; exit 2; }
 [ -n "$wal_budget" ] || { echo "check_bench_budget: no max_wal_overhead_ns in bench_budget.txt" >&2; exit 2; }
+[ -n "$sweep_budget" ] || { echo "check_bench_budget: no max_core_sweep_allocs_per_txn in bench_budget.txt" >&2; exit 2; }
 
 if [ "$section" != "scale" ]; then
 	out=$(go test -run '^$' -bench 'BenchmarkEngineThroughput/shards=4/(policy=greedy-c1|policy=nogc)$|BenchmarkEngineCrossFrac/cross=5' \
@@ -75,6 +80,21 @@ if [ "$section" != "scale" ]; then
 		exit 1
 	fi
 	echo "check_bench_budget: OK: cross path $cross_allocs allocs/op within budget of $cross_budget"
+
+	# Between-batch sweep: allocations per transaction of the scheduler
+	# replaying a straggler-pinned stream with a GreedyC1 sweep every eighth
+	# completion. The count is a property of the code, not the host, so one
+	# run suffices; it is fractional (amortized pool and index growth), hence
+	# the awk comparison.
+	sweep_out=$(go test -run '^$' -bench 'BenchmarkSweepStragglerPinned' -benchtime 5x ./internal/core/)
+	echo "$sweep_out" | grep BenchmarkSweep || true
+	sweep_allocs=$(echo "$sweep_out" | awk '/BenchmarkSweepStragglerPinned/ {for (i = 2; i <= NF; i++) if ($i == "allocs/txn") print $(i-1)}' | head -1)
+	[ -n "$sweep_allocs" ] || { echo "check_bench_budget: could not parse allocs/txn from the sweep benchmark output" >&2; exit 2; }
+	if awk -v a="$sweep_allocs" -v b="$sweep_budget" 'BEGIN {exit !(a > b)}'; then
+		echo "check_bench_budget: FAIL: straggler-pinned sweep $sweep_allocs allocs/txn exceeds budget of $sweep_budget" >&2
+		exit 1
+	fi
+	echo "check_bench_budget: OK: straggler-pinned sweep $sweep_allocs allocs/txn within budget of $sweep_budget"
 
 	# Emitter overhead: the gate is the median of per-invocation (on - off)
 	# ns/op deltas over five paired runs. Pairing matters: within one `go

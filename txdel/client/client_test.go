@@ -439,6 +439,32 @@ func TestRawBatchPath(t *testing.T) {
 	}
 }
 
+// TestBatchStepBehindOwnAbort: a step pipelined in the same batch behind
+// its own transaction's rejected step answers like the per-step path —
+// ErrTxnAborted, never ErrProtocol — so a batch client's abort handling
+// sees one dead transaction, not a protocol failure.
+func TestBatchStepBehindOwnAbort(t *testing.T) {
+	db := open(t, Config{Shards: 1, Verify: true})
+	results := db.SubmitBatch([]Step{
+		model.BeginDeclared(1, 0),
+		model.BeginDeclared(2, 0),
+		model.Read(1, 0),
+		model.WriteFinal(2, 0, 4),
+		model.Read(1, 4), // closes the cycle: T1 aborts
+		model.WriteFinal(1, 8),
+	})
+	if !errors.Is(results[4].Err, ErrCycle) {
+		t.Fatalf("cycle-closing read err = %v, want ErrCycle", results[4].Err)
+	}
+	last := results[5]
+	if !errors.Is(last.Err, ErrTxnAborted) || errors.Is(last.Err, ErrProtocol) || last.Accepted() || last.Aborted != 1 {
+		t.Fatalf("step behind its own abort: %v aborted=%v err=%v, want rejected with ErrTxnAborted", last.Outcome, last.Aborted, last.Err)
+	}
+	if s := db.Stats(); s.Aborted != 1 || s.Completed != 1 {
+		t.Fatalf("stats: %d aborted, %d completed; want 1 and 1", s.Aborted, s.Completed)
+	}
+}
+
 // TestDurableRoundTrip: sessions against a DataDir-backed DB survive a
 // close/reopen — the retained transaction refuses a duplicate Begin, the
 // orphaned session is aborted, and the recovery report says so.
