@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race ci lint lint-selftest bench bench-check bench-scale bench-smoke examples check-client-only
+.PHONY: all build vet test race ci lint lint-selftest bench bench-check bench-scale bench-smoke examples
 
 all: ci
 
@@ -47,12 +47,8 @@ bench-smoke:
 bench-scale:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineParallelScaling' -benchtime 20000x -benchmem -cpu 1,2,4,8 ./internal/engine/
 
-# Examples and cmds must reach the engine through txdel/client only.
-check-client-only:
-	./scripts/check_client_only.sh
-
 # Build and run every example program against the public client facade.
-examples: check-client-only vet
+examples: vet
 	@for d in examples/*/; do \
 		echo "== go run ./$$d"; \
 		$(GO) run ./$$d >/dev/null || exit 1; \

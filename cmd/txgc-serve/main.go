@@ -5,9 +5,11 @@
 //
 // # Wire protocol v2
 //
-// A v2 session starts with a versioned handshake; every response then
-// carries a machine-readable "code" field mapped from the client error
-// taxonomy, and a begin may carry a deadline:
+// Every failed response carries a machine-readable "code" field mapped from
+// the client error taxonomy, and a begin may carry a deadline and a
+// priority. A session may open with a versioned handshake (hello), which
+// answers the one version this server speaks and refuses any other with
+// code "protocol"; a session that skips it is served the same protocol:
 //
 //	{"op":"hello","version":2}                    → {"outcome":"ok","version":2}
 //	{"op":"begin","txn":1,"footprint":[0,5,9],"deadline_ms":500,"priority":"high"}
@@ -46,16 +48,6 @@
 // and the final write commits through the cross-shard two-phase protocol.
 // Concurrent transactions on other shards (and on the participants) are
 // never disturbed.
-//
-// # Wire protocol v1 (shim)
-//
-// A session that never sends the hello op is served as v1: the same
-// request shapes are accepted and answered without the "code" field
-// (deadline_ms and priority are ignored), so pre-v2 clients keep getting
-// correct answers. Historical note: v1 servers predating the cross-shard
-// two-phase commit could answer "buffered" for a cross-partition step
-// (steps were held client-side until the final write); the 2PC engine
-// applies cross steps immediately and that outcome no longer exists.
 //
 // Usage:
 //
@@ -107,8 +99,11 @@ import (
 	"repro/txdel/client"
 )
 
-// maxVersion is the newest wire protocol this server speaks.
-const maxVersion = 2
+// wireVersion is the wire protocol this server speaks.
+const wireVersion = 2
+
+// maxRequestLine caps one request line (a large batch op is the long one).
+const maxRequestLine = 1 << 20
 
 type request struct {
 	Op        string  `json:"op"`
@@ -118,9 +113,9 @@ type request struct {
 	Footprint []int32 `json:"footprint,omitempty"`
 	// Version is the hello op's requested protocol version.
 	Version int `json:"version,omitempty"`
-	// DeadlineMS (v2, begin) bounds the transaction's lifetime.
+	// DeadlineMS (begin) bounds the transaction's lifetime.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// Priority (v2, begin) is "" / "normal" or "high" (bypasses admission
+	// Priority (begin) is "" / "normal" or "high" (bypasses admission
 	// control).
 	Priority string `json:"priority,omitempty"`
 	// Steps carries the sub-requests of a batch op (begin/read/write
@@ -136,7 +131,7 @@ type response struct {
 	Completed bool   `json:"completed,omitempty"`
 	Aborted   *int64 `json:"aborted,omitempty"`
 	Error     string `json:"error,omitempty"`
-	// Code is the v2 machine-readable error code (client.ErrorCode).
+	// Code is the machine-readable error code (client.ErrorCode).
 	Code    string        `json:"code,omitempty"`
 	Version int           `json:"version,omitempty"`
 	Stats   *client.Stats `json:"stats,omitempty"`
@@ -163,18 +158,15 @@ type ownedTxn struct {
 }
 
 // session serves one client stream. It tracks the transactions begun on
-// this stream so a disconnect aborts whatever the client left active, and
-// remembers the negotiated protocol version (1 until a hello says
-// otherwise).
+// this stream so a disconnect aborts whatever the client left active.
 type session struct {
-	db      *client.DB
-	version int
-	mu      sync.Mutex
-	own     map[txdel.TxnID]ownedTxn
+	db  *client.DB
+	mu  sync.Mutex
+	own map[txdel.TxnID]ownedTxn
 }
 
 func newSession(db *client.DB) *session {
-	return &session{db: db, version: 1, own: map[txdel.TxnID]ownedTxn{}}
+	return &session{db: db, own: map[txdel.TxnID]ownedTxn{}}
 }
 
 func (s *session) track(id txdel.TxnID, o ownedTxn) {
@@ -222,8 +214,8 @@ func (s *session) cleanup() {
 }
 
 // finish annotates a response from an operation error: outcome
-// classification, human-readable message, and (v2 only) the wire code.
-func (s *session) finish(out response, err error) response {
+// classification, human-readable message, and the wire code.
+func finish(out response, err error) response {
 	if err == nil {
 		if out.Outcome == "" {
 			out.Outcome = "accepted"
@@ -236,9 +228,7 @@ func (s *session) finish(out response, err error) response {
 		out.Outcome = "rejected"
 	}
 	out.Error = err.Error()
-	if s.version >= 2 {
-		out.Code = client.ErrorCode(err)
-	}
+	out.Code = client.ErrorCode(err)
 	return out
 }
 
@@ -264,13 +254,13 @@ func stepOf(sub request) (txdel.Step, error) {
 // answering with one result per step.
 func (s *session) handleBatch(req request) response {
 	if len(req.Steps) == 0 {
-		return s.protoErr(nil, "batch needs steps")
+		return protoErr(nil, "batch needs steps")
 	}
 	steps := make([]txdel.Step, len(req.Steps))
 	for i, sub := range req.Steps {
 		st, err := stepOf(sub)
 		if err != nil {
-			return s.protoErr(nil, fmt.Sprintf("batch step %d: %v", i, err))
+			return protoErr(nil, fmt.Sprintf("batch step %d: %v", i, err))
 		}
 		steps[i] = st
 	}
@@ -286,23 +276,19 @@ func (s *session) handleBatch(req request) response {
 }
 
 // protoErr is a malformed-request response.
-func (s *session) protoErr(txn *int64, msg string) response {
-	out := response{Txn: txn, Outcome: "error", Error: msg}
-	if s.version >= 2 {
-		out.Code = "protocol"
-	}
-	return out
+func protoErr(txn *int64, msg string) response {
+	return response{Txn: txn, Outcome: "error", Error: msg, Code: "protocol"}
 }
 
 func (s *session) handleBegin(req request) response {
 	id := txdel.TxnID(req.Txn)
 	ctx := context.Background()
 	var cancel context.CancelFunc
-	if s.version >= 2 && req.DeadlineMS > 0 {
+	if req.DeadlineMS > 0 {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
 	}
 	opts := []client.BeginOption{client.WithID(id), client.WithFootprint(entities(req.Footprint)...)}
-	if s.version >= 2 && req.Priority == "high" {
+	if req.Priority == "high" {
 		opts = append(opts, client.WithPriority(client.PriorityHigh))
 	}
 	txn, err := s.db.Begin(ctx, opts...)
@@ -310,7 +296,7 @@ func (s *session) handleBegin(req request) response {
 		if cancel != nil {
 			cancel()
 		}
-		return s.finish(response{Txn: ref(req.Txn)}, err)
+		return finish(response{Txn: ref(req.Txn)}, err)
 	}
 	s.track(id, ownedTxn{txn: txn, cancel: cancel})
 	return response{Txn: ref(req.Txn), Outcome: "accepted"}
@@ -320,17 +306,15 @@ func (s *session) handle(req request) response {
 	id := txdel.TxnID(req.Txn)
 	switch req.Op {
 	case "hello":
-		v := req.Version
-		if v < 1 || v > maxVersion {
-			return s.protoErr(nil, fmt.Sprintf("unsupported protocol version %d (this server speaks 1..%d)", req.Version, maxVersion))
+		if req.Version != wireVersion {
+			return protoErr(nil, fmt.Sprintf("unsupported protocol version %d (this server speaks %d)", req.Version, wireVersion))
 		}
-		s.version = v
-		return response{Outcome: "ok", Version: v}
+		return response{Outcome: "ok", Version: wireVersion}
 	case "begin":
 		return s.handleBegin(req)
 	case "read":
 		if req.Entity == nil {
-			return s.protoErr(ref(req.Txn), "read needs an entity")
+			return protoErr(ref(req.Txn), "read needs an entity")
 		}
 		x := txdel.Entity(*req.Entity)
 		o, ok := s.lookup(id)
@@ -340,7 +324,7 @@ func (s *session) handle(req request) response {
 			return s.fromResult(req.Txn, s.db.SubmitBatch([]txdel.Step{txdel.Read(id, x)})[0])
 		}
 		err := o.txn.Read(context.Background(), x)
-		out := s.finish(response{Txn: ref(req.Txn)}, err)
+		out := finish(response{Txn: ref(req.Txn)}, err)
 		if err != nil && !errors.Is(err, client.ErrProtocol) {
 			out.Aborted = ref(req.Txn)
 			s.untrack(id)
@@ -352,7 +336,7 @@ func (s *session) handle(req request) response {
 			return s.fromResult(req.Txn, s.db.SubmitBatch([]txdel.Step{txdel.WriteFinal(id, entities(req.Entities)...)})[0])
 		}
 		err := o.txn.Write(context.Background(), entities(req.Entities)...)
-		out := s.finish(response{Txn: ref(req.Txn)}, err)
+		out := finish(response{Txn: ref(req.Txn)}, err)
 		if err == nil {
 			out.Completed = true
 			s.untrack(id)
@@ -371,7 +355,7 @@ func (s *session) handle(req request) response {
 			aborted = s.db.Abort(id)
 		}
 		if !aborted {
-			return s.protoErr(ref(req.Txn), "unknown transaction")
+			return protoErr(ref(req.Txn), "unknown transaction")
 		}
 		return response{Txn: ref(req.Txn), Outcome: "aborted", Aborted: ref(req.Txn)}
 	case "batch":
@@ -380,13 +364,13 @@ func (s *session) handle(req request) response {
 		st := s.db.Stats()
 		return response{Outcome: "ok", Stats: &st}
 	default:
-		return s.protoErr(ref(req.Txn), fmt.Sprintf("unknown op %q", req.Op))
+		return protoErr(ref(req.Txn), fmt.Sprintf("unknown op %q", req.Op))
 	}
 }
 
 // fromResult renders a raw-path engine Result.
 func (s *session) fromResult(txn int64, res client.Result) response {
-	out := s.finish(response{Txn: ref(txn)}, res.Err)
+	out := finish(response{Txn: ref(txn)}, res.Err)
 	if res.CompletedTxn != txdel.NoTxn {
 		out.Completed = true
 		s.untrack(res.CompletedTxn)
@@ -401,7 +385,7 @@ func (s *session) fromResult(txn int64, res client.Result) response {
 func (s *session) serve(r io.Reader, w io.Writer) {
 	defer s.cleanup()
 	in := bufio.NewScanner(r)
-	in.Buffer(make([]byte, 0, 1<<16), 1<<20)
+	in.Buffer(make([]byte, 0, 1<<16), maxRequestLine)
 	out := bufio.NewWriter(w)
 	enc := json.NewEncoder(out)
 	for in.Scan() {
@@ -412,7 +396,7 @@ func (s *session) serve(r io.Reader, w io.Writer) {
 		var req request
 		var resp response
 		if err := json.Unmarshal(line, &req); err != nil {
-			resp = s.protoErr(nil, "bad request: "+err.Error())
+			resp = protoErr(nil, "bad request: "+err.Error())
 		} else {
 			resp = s.handle(req)
 		}
@@ -422,6 +406,13 @@ func (s *session) serve(r io.Reader, w io.Writer) {
 		if err := out.Flush(); err != nil {
 			return
 		}
+	}
+	if errors.Is(in.Err(), bufio.ErrTooLong) {
+		// Scan stops for good at a line over its cap. Say why before hanging
+		// up, or the client sees only a closed connection; best effort, as
+		// the session ends either way.
+		_ = enc.Encode(protoErr(nil, "request line exceeds 1 MiB"))
+		_ = out.Flush()
 	}
 }
 
@@ -501,8 +492,8 @@ func main() {
 
 	shutdown := func(code int) {
 		st := db.Stats()
-		fmt.Fprintf(os.Stderr, "txgc-serve: %d submitted, %d accepted, %d completed, %d shed, %d deleted by GC, %d cross (%d prepares, %d cross aborts), %d barrier kills\n",
-			st.Submitted, st.Accepted, st.Completed, st.Shed, st.Deleted, st.CrossTxns, st.Prepares, st.CrossAborts, st.BarrierKills)
+		fmt.Fprintf(os.Stderr, "txgc-serve: %d submitted, %d accepted, %d completed, %d shed, %d deleted by GC, %d cross (%d prepares, %d cross aborts)\n",
+			st.Submitted, st.Accepted, st.Completed, st.Shed, st.Deleted, st.CrossTxns, st.Prepares, st.CrossAborts)
 		if bus := db.Bus(); bus != nil {
 			fmt.Fprintf(os.Stderr, "txgc-serve: telemetry: %d events emitted, %d dropped\n", bus.Emitted(), bus.Dropped())
 		}

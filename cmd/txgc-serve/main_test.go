@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -24,46 +25,6 @@ func testSession(t *testing.T, cfg client.Config) *session {
 
 func i32(v int32) *int32 { return &v }
 
-// TestWireV1Shim drives a v1 session (no hello): the classic request
-// shapes must keep working and responses must carry no v2 code field.
-func TestWireV1Shim(t *testing.T) {
-	s := testSession(t, client.Config{Shards: 4, Policy: "greedy-c1", Verify: true})
-
-	if resp := s.handle(request{Op: "begin", Txn: 1, Footprint: []int32{0, 4}}); resp.Outcome != "accepted" {
-		t.Fatalf("begin: %+v", resp)
-	}
-	if resp := s.handle(request{Op: "read", Txn: 1, Entity: i32(4)}); resp.Outcome != "accepted" || resp.Code != "" {
-		t.Fatalf("read: %+v (v1 must not carry a code)", resp)
-	}
-	resp := s.handle(request{Op: "write", Txn: 1, Entities: []int32{0}})
-	if resp.Outcome != "accepted" || !resp.Completed {
-		t.Fatalf("write: %+v", resp)
-	}
-	// A misroute rejection still answers rejected + aborted, code-free.
-	s.handle(request{Op: "begin", Txn: 2, Footprint: []int32{0}})
-	resp = s.handle(request{Op: "read", Txn: 2, Entity: i32(1)})
-	if resp.Outcome != "rejected" || resp.Aborted == nil || *resp.Aborted != 2 || resp.Code != "" {
-		t.Fatalf("misroute: %+v", resp)
-	}
-	// Unknown transactions are rejected (the engine's answer), as before.
-	resp = s.handle(request{Op: "read", Txn: 99, Entity: i32(0)})
-	if resp.Outcome != "rejected" || resp.Code != "" {
-		t.Fatalf("unknown txn: %+v", resp)
-	}
-	// The batch op answers one result per step.
-	resp = s.handle(request{Op: "batch", Steps: []request{
-		{Op: "begin", Txn: 5, Footprint: []int32{1}},
-		{Op: "read", Txn: 5, Entity: i32(1)},
-		{Op: "write", Txn: 5, Entities: []int32{1}},
-	}})
-	if resp.Outcome != "ok" || len(resp.Results) != 3 || !resp.Results[2].Completed {
-		t.Fatalf("batch: %+v", resp)
-	}
-	if resp := s.handle(request{Op: "stats"}); resp.Stats == nil || resp.Stats.Completed != 2 {
-		t.Fatalf("stats: %+v", resp)
-	}
-}
-
 // TestWireV2 negotiates the handshake and checks machine-readable codes,
 // cross-shard 2PC commits, priority, and the deadline field.
 func TestWireV2(t *testing.T) {
@@ -73,8 +34,33 @@ func TestWireV2(t *testing.T) {
 	if resp.Outcome != "ok" || resp.Version != 2 {
 		t.Fatalf("hello: %+v", resp)
 	}
-	if resp := s.handle(request{Op: "hello", Version: 99}); resp.Outcome != "error" || resp.Code != "protocol" {
-		t.Fatalf("unsupported hello: %+v", resp)
+	for _, v := range []int{1, 99} {
+		if resp := s.handle(request{Op: "hello", Version: v}); resp.Outcome != "error" || resp.Code != "protocol" {
+			t.Fatalf("hello version %d: %+v, want error/code=protocol", v, resp)
+		}
+	}
+
+	// The handshake is optional: a session that never says hello is served
+	// the same protocol, codes included.
+	bare := newSession(s.db)
+	bare.handle(request{Op: "begin", Txn: 2, Footprint: []int32{0}})
+	resp = bare.handle(request{Op: "read", Txn: 2, Entity: i32(1)})
+	if resp.Outcome != "rejected" || resp.Aborted == nil || *resp.Aborted != 2 || resp.Code != "misroute" {
+		t.Fatalf("hello-less misroute: %+v, want rejected/aborted=2/code=misroute", resp)
+	}
+	if resp := bare.handle(request{Op: "read", Txn: 99, Entity: i32(0)}); resp.Outcome != "rejected" || resp.Code != "txn-aborted" {
+		t.Fatalf("hello-less unknown txn: %+v, want rejected/code=txn-aborted", resp)
+	}
+	resp = bare.handle(request{Op: "batch", Steps: []request{
+		{Op: "begin", Txn: 5, Footprint: []int32{1}},
+		{Op: "read", Txn: 5, Entity: i32(1)},
+		{Op: "write", Txn: 5, Entities: []int32{1}},
+	}})
+	if resp.Outcome != "ok" || len(resp.Results) != 3 || !resp.Results[2].Completed {
+		t.Fatalf("hello-less batch: %+v", resp)
+	}
+	if resp := bare.handle(request{Op: "stats"}); resp.Stats == nil || resp.Stats.Completed != 1 {
+		t.Fatalf("stats: %+v", resp)
 	}
 
 	// A cross-partition transaction with a generous deadline commits
@@ -159,7 +145,7 @@ func TestWireV2(t *testing.T) {
 	if resp.Outcome != "error" || resp.Code != "protocol" {
 		t.Fatalf("duplicate begin: %+v, want error/code=protocol", resp)
 	}
-	// Abort answers as in v1.
+	// Abort answers "aborted" once, then the ID is unknown.
 	if resp := s.handle(request{Op: "abort", Txn: 40}); resp.Outcome != "aborted" {
 		t.Fatalf("abort: %+v", resp)
 	}
@@ -193,4 +179,22 @@ func TestWireSessionCleanup(t *testing.T) {
 		t.Fatalf("reuse after cleanup: %+v", resp)
 	}
 	s.handle(request{Op: "abort", Txn: 1})
+}
+
+// TestWireOverlongLine: a request line over the scanner's cap ends the
+// session, but not silently — the client gets one protocol-error reply, and
+// whatever the stream left active is aborted.
+func TestWireOverlongLine(t *testing.T) {
+	s := testSession(t, client.Config{Shards: 2, Verify: true})
+	in := `{"op":"begin","txn":1,"footprint":[0]}` + "\n" + strings.Repeat("x", maxRequestLine+1) + "\n"
+	var out bytes.Buffer
+	s.serve(strings.NewReader(in), &out)
+	want := `{"txn":1,"outcome":"accepted"}` + "\n" +
+		`{"outcome":"error","error":"request line exceeds 1 MiB","code":"protocol"}` + "\n"
+	if got := out.String(); got != want {
+		t.Fatalf("replies = %q, want %q", got, want)
+	}
+	if got := s.db.Stats().Aborted; got != 1 {
+		t.Fatalf("Aborted after the session ended = %d, want 1", got)
+	}
 }

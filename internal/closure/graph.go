@@ -1,62 +1,69 @@
-// Transitive-closure variant of the graph engine. The paper remarks:
-// "If the cycle-checking algorithm keeps track of the transitive closure
-// of the graph (to facilitate testing whether a new arc can be inserted),
-// then removing a transaction is equivalent to simply deleting the
+// Package closure realises the paper's implementation remark: "If the
+// cycle-checking algorithm keeps track of the transitive closure of the
+// graph (to facilitate testing whether a new arc can be inserted), then
+// removing a transaction is equivalent to simply deleting the
 // corresponding node and incident edges from the transitive closure."
 //
-// Closure maintains full reachability incrementally: arc insertion costs
+// Graph maintains full reachability incrementally: arc insertion costs
 // O(V²) worst case but cycle tests are O(1) per candidate arc, and node
 // deletion (the paper's point) is plain removal — no predecessor×successor
 // splicing required, because the closure already records every implied
-// path.
-package graph
+// path. Scheduler is the basic conflict-graph scheduler rebuilt on it.
+//
+// This is a paper artefact, kept out of the kernel packages: nothing the
+// engine runs imports it, and internal/core and internal/graph export
+// nothing for its sake.
+package closure
 
-import "repro/internal/model"
+import (
+	"repro/internal/graph"
+	"repro/internal/model"
+)
 
-// Closure is a directed graph that maintains its own transitive closure.
-type Closure struct {
+// Graph is a directed graph that maintains its own transitive closure.
+type Graph struct {
 	// reach[u] = set of nodes v (v != u) with a path u ⇝ v.
-	reach map[model.TxnID]NodeSet
+	reach map[model.TxnID]graph.NodeSet
 	// rreach[v] = set of nodes u with a path u ⇝ v (inverse of reach).
-	rreach map[model.TxnID]NodeSet
-	// direct arcs, for NumArcs/rendering parity with Graph.
-	out  map[model.TxnID]NodeSet
+	rreach map[model.TxnID]graph.NodeSet
+	// direct arcs, for NumArcs/rendering parity with graph.Graph.
+	out  map[model.TxnID]graph.NodeSet
 	arcs int
 }
 
-// NewClosure returns an empty closure graph.
-func NewClosure() *Closure {
-	return &Closure{
-		reach:  make(map[model.TxnID]NodeSet),
-		rreach: make(map[model.TxnID]NodeSet),
-		out:    make(map[model.TxnID]NodeSet),
+// New returns an empty closure graph.
+func New() *Graph {
+	return &Graph{
+		reach:  make(map[model.TxnID]graph.NodeSet),
+		rreach: make(map[model.TxnID]graph.NodeSet),
+		out:    make(map[model.TxnID]graph.NodeSet),
 	}
 }
 
 // AddNode inserts an isolated node (idempotent).
-func (c *Closure) AddNode(id model.TxnID) {
+func (c *Graph) AddNode(id model.TxnID) {
 	if _, ok := c.reach[id]; ok {
 		return
 	}
-	c.reach[id] = make(NodeSet)
-	c.rreach[id] = make(NodeSet)
-	c.out[id] = make(NodeSet)
+	c.reach[id] = make(graph.NodeSet)
+	c.rreach[id] = make(graph.NodeSet)
+	c.out[id] = make(graph.NodeSet)
 }
 
 // HasNode reports membership.
-func (c *Closure) HasNode(id model.TxnID) bool {
+func (c *Graph) HasNode(id model.TxnID) bool {
 	_, ok := c.reach[id]
 	return ok
 }
 
 // NumNodes returns the node count.
-func (c *Closure) NumNodes() int { return len(c.reach) }
+func (c *Graph) NumNodes() int { return len(c.reach) }
 
 // NumArcs returns the count of DIRECT arcs inserted (not closure edges).
-func (c *Closure) NumArcs() int { return c.arcs }
+func (c *Graph) NumArcs() int { return c.arcs }
 
 // Reaches reports whether u ⇝ v (u == v counts when present).
-func (c *Closure) Reaches(u, v model.TxnID) bool {
+func (c *Graph) Reaches(u, v model.TxnID) bool {
 	if u == v {
 		return c.HasNode(u)
 	}
@@ -66,7 +73,7 @@ func (c *Closure) Reaches(u, v model.TxnID) bool {
 
 // WouldCycleArc reports, in O(1), whether adding from→to would create a
 // cycle: true iff to already reaches from.
-func (c *Closure) WouldCycleArc(from, to model.TxnID) bool {
+func (c *Graph) WouldCycleArc(from, to model.TxnID) bool {
 	if from == to {
 		return true
 	}
@@ -76,7 +83,7 @@ func (c *Closure) WouldCycleArc(from, to model.TxnID) bool {
 // WouldCycleInto reports whether adding arcs tail→head for every tail
 // would create a cycle — the basic scheduler's batch shape (all arcs
 // enter the acting transaction).
-func (c *Closure) WouldCycleInto(head model.TxnID, tails NodeSet) bool {
+func (c *Graph) WouldCycleInto(head model.TxnID, tails graph.NodeSet) bool {
 	for t := range tails {
 		if c.WouldCycleArc(t, head) {
 			return true
@@ -88,7 +95,7 @@ func (c *Closure) WouldCycleInto(head model.TxnID, tails NodeSet) bool {
 // AddArc inserts from→to and updates the closure. The caller must have
 // checked WouldCycleArc first; inserting a cycle-creating arc panics
 // (the closure's invariants would silently corrupt otherwise).
-func (c *Closure) AddArc(from, to model.TxnID) {
+func (c *Graph) AddArc(from, to model.TxnID) {
 	if from == to {
 		return
 	}
@@ -98,7 +105,7 @@ func (c *Closure) AddArc(from, to model.TxnID) {
 		return
 	}
 	if c.Reaches(to, from) {
-		panic("graph: Closure.AddArc would create a cycle")
+		panic("closure: AddArc would create a cycle")
 	}
 	c.out[from].Add(to)
 	c.arcs++
@@ -131,7 +138,7 @@ func (c *Closure) AddArc(from, to model.TxnID) {
 // closure. Reachability among the remaining nodes is preserved exactly
 // (any path through the deleted node was already recorded as closure
 // edges between its sources and destinations).
-func (c *Closure) DeleteNode(id model.TxnID) {
+func (c *Graph) DeleteNode(id model.TxnID) {
 	if !c.HasNode(id) {
 		return
 	}
@@ -158,8 +165,8 @@ func (c *Closure) DeleteNode(id model.TxnID) {
 }
 
 // Descendants returns the nodes reachable from id (excluding id).
-func (c *Closure) Descendants(id model.TxnID) NodeSet {
-	out := make(NodeSet, len(c.reach[id]))
+func (c *Graph) Descendants(id model.TxnID) graph.NodeSet {
+	out := make(graph.NodeSet, len(c.reach[id]))
 	for v := range c.reach[id] {
 		out.Add(v)
 	}
@@ -167,8 +174,8 @@ func (c *Closure) Descendants(id model.TxnID) NodeSet {
 }
 
 // Ancestors returns the nodes reaching id (excluding id).
-func (c *Closure) Ancestors(id model.TxnID) NodeSet {
-	out := make(NodeSet, len(c.rreach[id]))
+func (c *Graph) Ancestors(id model.TxnID) graph.NodeSet {
+	out := make(graph.NodeSet, len(c.rreach[id]))
 	for u := range c.rreach[id] {
 		out.Add(u)
 	}
@@ -176,8 +183,8 @@ func (c *Closure) Ancestors(id model.TxnID) NodeSet {
 }
 
 // Nodes returns all node IDs, ascending.
-func (c *Closure) Nodes() []model.TxnID {
-	s := make(NodeSet, len(c.reach))
+func (c *Graph) Nodes() []model.TxnID {
+	s := make(graph.NodeSet, len(c.reach))
 	for id := range c.reach {
 		s.Add(id)
 	}

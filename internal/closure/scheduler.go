@@ -1,9 +1,17 @@
-// ClosureScheduler: the basic conflict-graph scheduler re-implemented on
-// the transitive-closure engine, realizing the paper's implementation
-// remark: "If the cycle-checking algorithm keeps track of the transitive
-// closure of the graph (to facilitate testing whether a new arc can be
-// inserted), then removing a transaction is equivalent to simply deleting
-// the corresponding node and incident edges from the transitive closure."
+package closure
+
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/model"
+)
+
+// Scheduler is the basic conflict-graph scheduler re-implemented on the
+// transitive-closure Graph. It supports the same step protocol as
+// core.Scheduler and an optional greedy C1 deletion sweep.
 //
 // The closure answers every cycle test in O(|tails|) membership lookups
 // (no DFS), and deletion from it is plain node removal — no
@@ -12,39 +20,27 @@
 // intermediates), which the closure deliberately forgets; so the
 // scheduler also maintains the ordinary reduced graph as a shadow used
 // only by the deletion sweep. Tests verify step-for-step equivalence with
-// the DFS Scheduler under GreedyC1.
-package core
-
-import (
-	"fmt"
-
-	"repro/internal/graph"
-	"repro/internal/model"
-)
-
-// ClosureScheduler is the closure-backed basic-model scheduler. It
-// supports the same step protocol as Scheduler and an optional greedy C1
-// deletion sweep.
-type ClosureScheduler struct {
+// the DFS core.Scheduler under GreedyC1.
+type Scheduler struct {
 	// c serves the scheduler's cycle tests.
-	c *graph.Closure
+	c *Graph
 	// shadow is the reduced conflict graph (arcs + splices), consulted
 	// only by the C1 sweep.
 	shadow  *graph.Graph
-	txns    map[model.TxnID]*TxnState
+	txns    map[model.TxnID]*core.TxnState
 	readers map[model.Entity]graph.NodeSet
 	writers map[model.Entity]graph.NodeSet
 	gc      bool
-	stats   Stats
+	stats   core.Stats
 }
 
-// NewClosureScheduler returns an empty closure-backed scheduler; gc
-// enables the greedy C1 sweep after completions and aborts.
-func NewClosureScheduler(gc bool) *ClosureScheduler {
-	return &ClosureScheduler{
-		c:       graph.NewClosure(),
+// NewScheduler returns an empty closure-backed scheduler; gc enables the
+// greedy C1 sweep after completions and aborts.
+func NewScheduler(gc bool) *Scheduler {
+	return &Scheduler{
+		c:       New(),
 		shadow:  graph.New(),
-		txns:    make(map[model.TxnID]*TxnState),
+		txns:    make(map[model.TxnID]*core.TxnState),
 		readers: make(map[model.Entity]graph.NodeSet),
 		writers: make(map[model.Entity]graph.NodeSet),
 		gc:      gc,
@@ -52,24 +48,24 @@ func NewClosureScheduler(gc bool) *ClosureScheduler {
 }
 
 // Stats returns a snapshot of the counters.
-func (s *ClosureScheduler) Stats() Stats { return s.stats }
+func (s *Scheduler) Stats() core.Stats { return s.stats }
 
 // Closure exposes the underlying closure graph (read-only).
-func (s *ClosureScheduler) Closure() *graph.Closure { return s.c }
+func (s *Scheduler) Closure() *Graph { return s.c }
 
 // Graph exposes the reduced-graph shadow (read-only).
-func (s *ClosureScheduler) Graph() *graph.Graph { return s.shadow }
+func (s *Scheduler) Graph() *graph.Graph { return s.shadow }
 
-// Status mirrors Scheduler.Status.
-func (s *ClosureScheduler) Status(id model.TxnID) model.Status {
+// Status mirrors core.Scheduler.Status.
+func (s *Scheduler) Status(id model.TxnID) model.Status {
 	if t, ok := s.txns[id]; ok {
 		return t.Status
 	}
 	return model.StatusAborted
 }
 
-// Access mirrors Scheduler.Access.
-func (s *ClosureScheduler) Access(id model.TxnID) model.AccessSet {
+// Access mirrors core.Scheduler.Access.
+func (s *Scheduler) Access(id model.TxnID) model.AccessSet {
 	if t, ok := s.txns[id]; ok {
 		return t.Access
 	}
@@ -77,7 +73,7 @@ func (s *ClosureScheduler) Access(id model.TxnID) model.AccessSet {
 }
 
 // NumCompleted returns the retained completed-transaction count.
-func (s *ClosureScheduler) NumCompleted() int {
+func (s *Scheduler) NumCompleted() int {
 	n := 0
 	for _, t := range s.txns {
 		if t.Status == model.StatusCompleted {
@@ -88,22 +84,22 @@ func (s *ClosureScheduler) NumCompleted() int {
 }
 
 // Apply processes one basic-model step.
-func (s *ClosureScheduler) Apply(step model.Step) (Result, error) {
+func (s *Scheduler) Apply(step model.Step) (core.Result, error) {
 	switch step.Kind {
 	case model.KindBegin:
 		if _, ok := s.txns[step.Txn]; ok {
-			return Result{}, fmt.Errorf("core: duplicate BEGIN for T%d", step.Txn)
+			return core.Result{}, fmt.Errorf("closure: duplicate BEGIN for T%d", step.Txn)
 		}
 		s.c.AddNode(step.Txn)
 		s.shadow.AddNode(step.Txn)
-		s.txns[step.Txn] = &TxnState{ID: step.Txn, Status: model.StatusActive, Access: make(model.AccessSet)}
+		s.txns[step.Txn] = &core.TxnState{ID: step.Txn, Status: model.StatusActive, Access: make(model.AccessSet)}
 		s.stats.Begins++
 		s.stats.Accepted++
-		return Result{Step: step, Accepted: true, Aborted: model.NoTxn, CompletedTxn: model.NoTxn}, nil
+		return core.Result{Step: step, Accepted: true, Aborted: model.NoTxn, CompletedTxn: model.NoTxn}, nil
 	case model.KindRead:
 		t, err := s.activeTxn(step.Txn)
 		if err != nil {
-			return Result{}, err
+			return core.Result{}, err
 		}
 		tails := make(graph.NodeSet)
 		for w := range s.writers[step.Entity] {
@@ -122,11 +118,11 @@ func (s *ClosureScheduler) Apply(step model.Step) (Result, error) {
 		s.note(t, step.Entity, model.ReadAccess)
 		s.stats.Reads++
 		s.stats.Accepted++
-		return Result{Step: step, Accepted: true, Aborted: model.NoTxn, CompletedTxn: model.NoTxn}, nil
+		return core.Result{Step: step, Accepted: true, Aborted: model.NoTxn, CompletedTxn: model.NoTxn}, nil
 	case model.KindWriteFinal:
 		t, err := s.activeTxn(step.Txn)
 		if err != nil {
-			return Result{}, err
+			return core.Result{}, err
 		}
 		tails := make(graph.NodeSet)
 		for _, x := range step.Entities {
@@ -155,26 +151,26 @@ func (s *ClosureScheduler) Apply(step model.Step) (Result, error) {
 		s.stats.Writes++
 		s.stats.Accepted++
 		s.stats.Completed++
-		res := Result{Step: step, Accepted: true, Aborted: model.NoTxn, CompletedTxn: t.ID}
+		res := core.Result{Step: step, Accepted: true, Aborted: model.NoTxn, CompletedTxn: t.ID}
 		s.sweep(&res)
 		return res, nil
 	default:
-		return Result{}, fmt.Errorf("core: step kind %v not part of the basic model", step.Kind)
+		return core.Result{}, fmt.Errorf("closure: step kind %v not part of the basic model", step.Kind)
 	}
 }
 
-func (s *ClosureScheduler) activeTxn(id model.TxnID) (*TxnState, error) {
+func (s *Scheduler) activeTxn(id model.TxnID) (*core.TxnState, error) {
 	t, ok := s.txns[id]
 	if !ok {
-		return nil, fmt.Errorf("core: step for unknown transaction T%d", id)
+		return nil, fmt.Errorf("closure: step for unknown transaction T%d", id)
 	}
 	if t.Status != model.StatusActive {
-		return nil, fmt.Errorf("core: step for %v transaction T%d", t.Status, id)
+		return nil, fmt.Errorf("closure: step for %v transaction T%d", t.Status, id)
 	}
 	return t, nil
 }
 
-func (s *ClosureScheduler) note(t *TxnState, x model.Entity, a model.Access) {
+func (s *Scheduler) note(t *core.TxnState, x model.Entity, a model.Access) {
 	t.Access.Note(x, a)
 	idx := s.readers
 	if a == model.WriteAccess {
@@ -188,19 +184,19 @@ func (s *ClosureScheduler) note(t *TxnState, x model.Entity, a model.Access) {
 	set.Add(t.ID)
 }
 
-func (s *ClosureScheduler) reject(step model.Step, t *TxnState) Result {
+func (s *Scheduler) reject(step model.Step, t *core.TxnState) core.Result {
 	s.forget(t.ID)
 	s.c.DeleteNode(t.ID)      // aborts drop reachability through the node...
 	s.shadow.RemoveNode(t.ID) // ...in both structures
 	delete(s.txns, t.ID)
 	s.stats.Rejected++
 	s.stats.Aborts++
-	res := Result{Step: step, Accepted: false, Aborted: t.ID, CompletedTxn: model.NoTxn}
+	res := core.Result{Step: step, Accepted: false, Aborted: t.ID, CompletedTxn: model.NoTxn}
 	s.sweep(&res)
 	return res
 }
 
-func (s *ClosureScheduler) forget(id model.TxnID) {
+func (s *Scheduler) forget(id model.TxnID) {
 	t := s.txns[id]
 	if t == nil {
 		return
@@ -220,8 +216,8 @@ func (s *ClosureScheduler) forget(id model.TxnID) {
 }
 
 // CheckC1 evaluates condition C1 on the reduced-graph shadow.
-func (s *ClosureScheduler) CheckC1(ti model.TxnID) bool {
-	ok, _ := CheckC1(s, s.shadow, ti)
+func (s *Scheduler) CheckC1(ti model.TxnID) bool {
+	ok, _ := core.CheckC1(s, s.shadow, ti)
 	return ok
 }
 
@@ -229,7 +225,7 @@ func (s *ClosureScheduler) CheckC1(ti model.TxnID) bool {
 // Deletion is the paper's remark in action: the closure just drops the
 // node (reachability through it is already recorded); only the shadow
 // performs the splice.
-func (s *ClosureScheduler) sweep(res *Result) {
+func (s *Scheduler) sweep(res *core.Result) {
 	if !s.gc {
 		return
 	}
@@ -243,7 +239,7 @@ func (s *ClosureScheduler) sweep(res *Result) {
 				ids = append(ids, id)
 			}
 		}
-		sortTxns(ids)
+		slices.Sort(ids)
 		progress := false
 		for _, id := range ids {
 			if s.CheckC1(id) {

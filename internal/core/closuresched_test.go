@@ -1,17 +1,23 @@
-package core
+// The closure-backed scheduler lives in internal/closure (a paper artefact
+// outside the kernel packages). Its tests stay in this directory, as an
+// external test package, so their names in the suite do not change; the
+// lockstep test holds it to this package's DFS scheduler.
+package core_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/closure"
+	"repro/internal/core"
 	"repro/internal/model"
 )
 
 // TestClosureSchedulerExample1 replays Example 1 and expects the same
-// behaviour as the DFS scheduler with GreedyC1: one of T2/T3 retained.
+// behaviour as the DFS scheduler with core.GreedyC1: one of T2/T3 retained.
 func TestClosureSchedulerExample1(t *testing.T) {
-	s := NewClosureScheduler(true)
-	for _, st := range Example1Steps() {
+	s := closure.NewScheduler(true)
+	for _, st := range core.Example1Steps() {
 		res, err := s.Apply(st)
 		if err != nil {
 			t.Fatal(err)
@@ -26,7 +32,7 @@ func TestClosureSchedulerExample1(t *testing.T) {
 	// Deletion was plain node removal on the closure: the active T1 must
 	// still reach the surviving completed transaction.
 	survivor := model.NoTxn
-	for _, id := range []model.TxnID{Ex1T2, Ex1T3} {
+	for _, id := range []model.TxnID{core.Ex1T2, core.Ex1T3} {
 		if s.Status(id) == model.StatusCompleted {
 			survivor = id
 		}
@@ -34,19 +40,19 @@ func TestClosureSchedulerExample1(t *testing.T) {
 	if survivor == model.NoTxn {
 		t.Fatal("no survivor")
 	}
-	if !s.Closure().Reaches(Ex1T1, survivor) {
+	if !s.Closure().Reaches(core.Ex1T1, survivor) {
 		t.Fatal("closure lost reachability after deletion")
 	}
 }
 
 // TestClosureSchedulerLockstep runs random streams through the DFS
-// scheduler and the closure scheduler (both with GreedyC1) and demands
+// scheduler and the closure scheduler (both with core.GreedyC1) and demands
 // identical decisions, abort sets, and retention counts.
 func TestClosureSchedulerLockstep(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		dfs := NewScheduler(Config{Policy: GreedyC1{}})
-		clo := NewClosureScheduler(true)
+		dfs := core.NewScheduler(core.Config{Policy: core.GreedyC1{}})
+		clo := closure.NewScheduler(true)
 		type plan struct {
 			id    model.TxnID
 			reads []model.Entity
@@ -118,7 +124,7 @@ func TestClosureSchedulerLockstep(t *testing.T) {
 }
 
 func TestClosureSchedulerProtocolErrors(t *testing.T) {
-	s := NewClosureScheduler(false)
+	s := closure.NewScheduler(false)
 	if _, err := s.Apply(model.Begin(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +146,8 @@ func TestClosureSchedulerProtocolErrors(t *testing.T) {
 }
 
 func TestClosureSchedulerNoGCKeepsAll(t *testing.T) {
-	s := NewClosureScheduler(false)
-	for _, st := range Example1Steps() {
+	s := closure.NewScheduler(false)
+	for _, st := range core.Example1Steps() {
 		if _, err := s.Apply(st); err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +155,7 @@ func TestClosureSchedulerNoGCKeepsAll(t *testing.T) {
 	if s.NumCompleted() != 2 {
 		t.Fatalf("retained = %d, want 2", s.NumCompleted())
 	}
-	if s.Access(Ex1T2).Get(Ex1X) != model.WriteAccess {
+	if s.Access(core.Ex1T2).Get(core.Ex1X) != model.WriteAccess {
 		t.Fatal("access records")
 	}
 	if s.Graph().NumArcs() != 3 {

@@ -55,9 +55,6 @@ func TestSubmitBatchSemantics(t *testing.T) {
 		t.Fatalf("unknown-txn step err = %v, want ErrTxnAborted", results[8].Err)
 	}
 	s := eng.Stats()
-	if s.BarrierKills != 0 {
-		t.Fatalf("BarrierKills = %d, want 0 under 2PC", s.BarrierKills)
-	}
 	if s.Completed != 3 {
 		t.Fatalf("Completed = %d, want 3", s.Completed)
 	}
@@ -181,9 +178,6 @@ func TestSubmitBatchConcurrentCSR(t *testing.T) {
 	// sub-transaction per participant).
 	if s.Accepted > s.Merged.Accepted || s.Completed > s.Merged.Completed {
 		t.Fatalf("engine/scheduler counter mismatch: %+v vs %+v", s, s.Merged)
-	}
-	if s.BarrierKills != 0 {
-		t.Fatalf("BarrierKills = %d, want 0 under 2PC", s.BarrierKills)
 	}
 	if len(s.QueueDepth) != 4 {
 		t.Fatalf("QueueDepth has %d entries, want 4", len(s.QueueDepth))

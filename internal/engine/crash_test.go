@@ -388,6 +388,155 @@ func TestCrashFsyncFailStop(t *testing.T) {
 	mustAccept(t, eng2.Submit(model.WriteFinal(201, 1)))
 }
 
+// syncFault is a deterministic failpoint: once armed, the shard's WAL writes
+// succeed `skip` more times and fail from then on. It fails the write half of
+// a Sync (OpWrite), so the record being forced never reaches the medium and
+// what recovery finds is exactly what was durable before the fault.
+type syncFault struct {
+	shard int
+	armed atomic.Bool
+	skip  atomic.Int64
+}
+
+func (f *syncFault) fn(op store.FailOp) error {
+	if !f.armed.Load() || op.Shard != f.shard || op.Kind != store.OpWrite {
+		return nil
+	}
+	if f.skip.Add(-1) >= 0 {
+		return nil
+	}
+	return errInjectedCrash
+}
+
+// TestCrash2PCJournalFailure pins what a journal failure does at each stage
+// of a cross-partition final write over shards 0 and 1. Batched fsyncs and no
+// policy, so the only forced writes after arming are the 2PC's own: PREPARE
+// on 0, PREPARE on 1, COMMIT on 0 (the commit point), COMMIT on 1.
+func TestCrash2PCJournalFailure(t *testing.T) {
+	const shards = 2
+	for _, tc := range []struct {
+		name        string
+		shard, skip int  // the faulted shard, and its forced writes that still succeed
+		acked       bool // whether the final write is acknowledged — and so must survive
+	}{
+		// A YES vote that cannot be made durable never reaches the coordinator;
+		// recovery sheds the sub the dead shard could not journal the abort of.
+		{name: "prepare", shard: 1, skip: 0},
+		// No durable evidence of the decision anywhere: not acked, presumed abort.
+		{name: "first-commit", shard: 0, skip: 1},
+		// The decision is durable on shard 0: acked, recovery finishes shard 1.
+		{name: "later-commit", shard: 1, skip: 1, acked: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			fault := &syncFault{shard: tc.shard}
+			fault.skip.Store(int64(tc.skip))
+			fs, err := store.OpenFile(dir, shards, store.Options{Failpoint: fault.fn})
+			if err != nil {
+				t.Fatalf("open store: %v", err)
+			}
+			eng, _, err := Open(Config{Shards: shards, Store: fs})
+			if err != nil {
+				t.Fatalf("open engine: %v", err)
+			}
+			mustAccept(t, eng.Submit(model.BeginDeclared(1, 0, 1)))
+			mustAccept(t, eng.Submit(model.Read(1, 0)))
+			mustAccept(t, eng.Submit(model.Read(1, 1)))
+			fault.armed.Store(true)
+			res := eng.Submit(model.WriteFinal(1, 0, 1))
+			if res.Accepted() != tc.acked {
+				t.Fatalf("final write acked = %v, want %v (err %v)", res.Accepted(), tc.acked, res.Err)
+			}
+			if !tc.acked && !errors.Is(res.Err, ErrClosed) {
+				t.Fatalf("refused final write answered %v, want ErrClosed wrap", res.Err)
+			}
+			for i, n := range eng.PreparedCounts() {
+				if n != 0 {
+					t.Fatalf("shard %d still holds %d prepared subs", i, n)
+				}
+			}
+			if !tc.acked {
+				eng.registry.mu.Lock()
+				live := len(eng.registry.txns)
+				eng.registry.mu.Unlock()
+				if live != 0 {
+					t.Fatalf("registry still tracks %d transactions after the refusal", live)
+				}
+			}
+			// The faulted shard has fail-stopped; its neighbour still serves.
+			dead, alive := model.Entity(tc.shard), model.Entity(1-tc.shard)
+			if res := eng.Submit(model.BeginDeclared(2, dead)); !errors.Is(res.Err, ErrClosed) {
+				t.Fatalf("fail-stopped shard answered %+v (err %v), want ErrClosed wrap", res, res.Err)
+			}
+			mustAccept(t, eng.Submit(model.BeginDeclared(3, alive)))
+			mustAccept(t, eng.Submit(model.WriteFinal(3, alive)))
+			eng.Close()
+			fs.Close()
+
+			fs2, err := store.OpenFile(dir, shards, store.Options{})
+			if err != nil {
+				t.Fatalf("reopen store: %v", err)
+			}
+			defer fs2.Close()
+			eng2, rep, err := Open(Config{Shards: shards, Store: fs2})
+			if err != nil {
+				t.Fatalf("recovery failed: %v", err)
+			}
+			wantCommits, wantAborts := 0, 1
+			if tc.acked {
+				wantCommits, wantAborts = 1, 0
+			}
+			if rep.CrossCommitted != wantCommits || rep.CrossAborted != wantAborts {
+				t.Fatalf("recovery committed %d / aborted %d cross transactions, want %d / %d",
+					rep.CrossCommitted, rep.CrossAborted, wantCommits, wantAborts)
+			}
+			// Close first: the shard goroutines exit, making the schedulers
+			// safe to inspect directly.
+			eng2.Close()
+			for i, sh := range eng2.shards {
+				st := sh.sched.Txn(1)
+				if retained := st != nil && st.Status == model.StatusCompleted; retained != tc.acked {
+					t.Fatalf("shard %d: T1 recovered completed = %v, want %v", i, retained, tc.acked)
+				}
+			}
+		})
+	}
+}
+
+// TestIdleShardDoesNotRecheckpoint: a checkpoint rewrites the whole snapshot,
+// so a sweep that follows no new record must not take one.
+func TestIdleShardDoesNotRecheckpoint(t *testing.T) {
+	const shards = 2
+	st := store.NewMem(shards)
+	eng, _, err := Open(Config{Shards: shards, Policy: greedyPolicy, Store: st})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer eng.Close()
+	for i := 0; i < 8; i++ {
+		id, x := model.TxnID(i+1), model.Entity(i%shards)
+		mustAccept(t, eng.Submit(model.BeginDeclared(id, x)))
+		mustAccept(t, eng.Submit(model.WriteFinal(id, x)))
+	}
+	eng.sweepAll()
+	// The whole of Stats, not CheckpointSeq alone: a snapshot rewritten over
+	// an unchanged log keeps its LSN and shows only as one more forced write.
+	var idle [shards]store.Stats
+	for i := range idle {
+		if idle[i] = st.Shard(i).Stats(); idle[i].CheckpointSeq == 0 {
+			t.Fatalf("shard %d did not checkpoint at the sweep after its records", i)
+		}
+	}
+	for round := 0; round < 3; round++ {
+		eng.sweepAll()
+		for i, want := range idle {
+			if got := st.Shard(i).Stats(); got != want {
+				t.Fatalf("round %d: idle shard %d re-checkpointed: %+v -> %+v", round, i, want, got)
+			}
+		}
+	}
+}
+
 // TestWALBoundedUnderGovernedSoak: deletion policy = compaction policy. An
 // adversarial straggler pins retention; the governor reaps it under the
 // watermark; the freed sweeps keep advancing the checkpoint — so the WAL's

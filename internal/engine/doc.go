@@ -68,8 +68,8 @@
 // COMMIT or ABORT everywhere. Participants never pause — the prepared pin
 // freezes the sub-transaction, not the shard — and shards never wait on
 // each other, so concurrent two-phase commits cannot deadlock and
-// non-participants are untouched: Stats.BarrierKills stays zero by
-// construction, asserted across the test suite.
+// non-participants are untouched: a bystander active across a cross
+// commit goes on to commit (TestCrossPartition2PC).
 //
 // # Deletion under sharding — C1/C2 lifted to logical transactions
 //

@@ -68,9 +68,9 @@ type Config struct {
 	// Store, if non-nil, is the durability layer: each shard journals the
 	// accepted subschedule it applies — begins, reads, final writes, 2PC
 	// begin/prepare/commit, and every abort — to its own write-ahead log,
-	// and checkpoints its retained state at sweep boundaries (what the
-	// deletion policy proved safe to forget is exactly what is safe to
-	// truncate from the log). Open recovers from it before any shard goes
+	// and checkpoints its retained state after every sweep that follows new
+	// records (what the deletion policy proved safe to forget is exactly
+	// what is safe to truncate from the log). Open recovers from it before any shard goes
 	// live. Store.NumShards must equal Shards.
 	Store store.Store
 	// WALSyncEvery batches fsyncs on the journaling hot path: a shard
@@ -81,11 +81,6 @@ type Config struct {
 	// regardless — 2PC safety never rides the batch. Ignored without a
 	// Store.
 	WALSyncEvery int
-	// CheckpointEverySweeps is the checkpoint cadence, measured in
-	// deletion-policy sweeps (default 1: every sweep advances the
-	// checkpoint and truncates the WAL). Higher trades recovery replay
-	// length for fewer snapshot writes. Ignored without a Store.
-	CheckpointEverySweeps int
 	// HoldInDoubt keeps a fully-prepared cross-partition transaction found
 	// at recovery pinned, registered, and awaiting an explicit
 	// ResolveInDoubt decision, instead of presuming abort. Off by default:
@@ -112,9 +107,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WALSyncEvery <= 0 {
 		c.WALSyncEvery = 64
-	}
-	if c.CheckpointEverySweeps <= 0 {
-		c.CheckpointEverySweeps = 1
 	}
 	return c
 }
@@ -210,14 +202,6 @@ type Stats struct {
 	// NO votes (local or cross-shard cycle at prepare), registry vetoes on
 	// reads, misroutes, and client aborts.
 	CrossAborts int64
-
-	// Quiesces and BarrierKills counted the pre-2PC stop-the-world
-	// coordinator (one global barrier per cross commit, killing every
-	// concurrent active transaction). The 2PC engine never quiesces and
-	// never kills a bystander, so both are retained at zero — and the
-	// engine tests assert exactly that.
-	Quiesces     int64
-	BarrierKills int64
 
 	Misroutes int64 // partition-discipline violations
 
@@ -316,17 +300,13 @@ func Open(cfg Config) (*Engine, *RecoveryReport, error) {
 	e.resBufPool.New = func() any { b := make([]Result, 0, 64); return &b }
 	e.shards = make([]*shard, cfg.Shards)
 	for i := range e.shards {
-		sh := &shard{
+		e.shards[i] = &shard{
 			idx:  i,
 			eng:  e,
 			mb:   ring.NewMailbox[request, reply](cfg.QueueDepth),
 			done: make(chan struct{}),
+			jr:   openJournal(cfg.Store, i, cfg.WALSyncEvery),
 		}
-		if cfg.Store != nil {
-			//lint:ignore shardowned-access construction: the shard goroutine does not exist yet; its launch below happens-after this write
-			sh.st = cfg.Store.Shard(i)
-		}
-		e.shards[i] = sh
 	}
 	rep, err := e.recover()
 	if err != nil {

@@ -99,7 +99,7 @@ func (e *Engine) recover() (*RecoveryReport, error) {
 	// decision visible from some shard's tail.
 	commitEvidence := make(map[model.TxnID]bool)
 	for i, sh := range e.shards {
-		state, err := sh.st.Load()
+		state, err := sh.jr.load()
 		if err != nil {
 			return nil, fmt.Errorf("engine: recover shard %d: %w", i, err)
 		}
@@ -170,7 +170,7 @@ func (e *Engine) recover() (*RecoveryReport, error) {
 		sh := e.shards[i]
 		for _, id := range ids {
 			if sh.sched.AbortTxn(id) == nil {
-				sh.journal(store.RecAbort, id, 0, nil)
+				sh.jr.record(store.RecAbort, id, 0, nil)
 				rep.OrphansAborted++
 			}
 		}
@@ -199,7 +199,7 @@ func (e *Engine) recover() (*RecoveryReport, error) {
 				}
 				sh := e.shards[s.shard]
 				if s.prepared {
-					if err := sh.journalSynced(store.RecCommit, id, nil); err != nil {
+					if err := sh.jr.record(store.RecCommit, id, 0, nil); err != nil {
 						return nil, fmt.Errorf("engine: recover shard %d: journal commit T%d: %w", s.shard, id, err)
 					}
 					if _, err := sh.sched.CommitPrepared(id); err != nil {
@@ -209,7 +209,7 @@ func (e *Engine) recover() (*RecoveryReport, error) {
 					// A committed transaction with an unprepared sub cannot
 					// happen under the protocol (votes are synced before the
 					// decision); shed the stray sub defensively.
-					sh.journal(store.RecAbort, id, 0, nil)
+					sh.jr.record(store.RecAbort, id, 0, nil)
 				}
 			}
 			rep.CrossCommitted++
@@ -230,7 +230,7 @@ func (e *Engine) recover() (*RecoveryReport, error) {
 			for _, s := range subs {
 				sh := e.shards[s.shard]
 				if sh.sched.AbortTxn(id) == nil {
-					sh.journal(store.RecAbort, id, 0, nil)
+					sh.jr.record(store.RecAbort, id, 0, nil)
 					aborted = true
 				}
 			}
@@ -263,9 +263,8 @@ func (e *Engine) recover() (*RecoveryReport, error) {
 	// Make the resolutions durable, count what is retained, seed the trace
 	// referee, and swap in the live tracker and emitter.
 	for i, sh := range e.shards {
-		sh.walSync()
-		if sh.walErr != nil {
-			return nil, fmt.Errorf("engine: recover shard %d: sync resolutions: %w", i, sh.walErr)
+		if err := sh.jr.sync(); err != nil {
+			return nil, fmt.Errorf("engine: recover shard %d: sync resolutions: %w", i, err)
 		}
 		rep.TxnsRetained += len(sh.sched.ExportState().Txns)
 	}

@@ -137,26 +137,9 @@ type shard struct {
 	// readers synchronize on <-done before touching it.
 	final core.Stats //txgc:owner shard
 
-	// st is this shard's durability endpoint (nil: no WAL). All journal
-	// state below is touched only on the shard goroutine (and by recovery,
-	// which runs before the goroutine starts).
-	st store.ShardStore //txgc:owner shard
-	// walErr is the first journaling failure. The shard then fail-stops:
-	// new applies are refused (wrapping ErrClosed), while abort and commit
-	// paths still run so in-flight 2PC decisions resolve in memory.
-	walErr error //txgc:owner shard
-	// walPending counts records appended since the last sync; at
-	// Config.WALSyncEvery the shard forces the log.
-	walPending int //txgc:owner shard
-	// sweepsSinceCkpt counts policy sweeps since the last checkpoint;
-	// dirtySinceCkpt notes records appended since then (an idle shard
-	// never rewrites an unchanged snapshot).
-	sweepsSinceCkpt int  //txgc:owner shard
-	dirtySinceCkpt  bool //txgc:owner shard
-	// recBuf is the reused journal record: Append serializes synchronously
-	// and never retains its argument, so one buffer per shard replaces a
-	// heap-moved local per journaled record (found by txgc-lint -escape).
-	recBuf store.Record //txgc:owner shard
+	// jr is this shard's durability seam (journal.go) — the only way the
+	// shard reaches the store.
+	jr journal //txgc:owner shard
 }
 
 // trySend enqueues a fire-and-forget request (no reply expected), keeping
@@ -232,10 +215,9 @@ func (sh *shard) run() {
 			sh.depth.Add(-1)
 			stop = sh.handle(req, tk, fire)
 		}
-		// Batch-end journal flush: buffered frames reach the OS so a
-		// process kill loses at most the unsynced fsync batch, never the
-		// unflushed one.
-		sh.walFlush()
+		// Buffered frames reach the OS, so a process kill loses at most the
+		// unsynced fsync batch, never the unflushed one.
+		sh.jr.batchEnd()
 		// Amortized GC between batches: replies are already out, so sweep
 		// cost never lands on an individual submission's latency.
 		sh.maybeSweep()
@@ -278,7 +260,7 @@ func (sh *shard) handle(req request, tk uint64, fire bool) (stop bool) {
 		if err := sh.sched.AbortTxn(req.step.Txn); err == nil {
 			sh.eng.aborted.Add(1)
 			sh.sinceSweep++
-			sh.journal(store.RecAbort, req.step.Txn, 0, nil)
+			sh.jr.record(store.RecAbort, req.step.Txn, 0, nil)
 		}
 		sh.mb.Reply(tk, reply{})
 	case reqUpkeep:
@@ -291,12 +273,7 @@ func (sh *shard) handle(req request, tk uint64, fire bool) (stop bool) {
 	case reqOldest:
 		sh.mb.Reply(tk, reply{actives: sh.sched.OldestActives(governorCandidates)})
 	case reqSweep:
-		n := int64(len(sh.sched.SweepNow()))
-		sh.eng.deleted.Add(n)
-		sh.eng.sweeps.Add(1)
-		sh.sinceSweep = 0
-		sh.sweepsSinceCkpt++
-		sh.maybeCheckpoint()
+		n := sh.sweep()
 		// Refresh the retained gauge before replying: the governor reads it
 		// right after the sweep returns, and the run loop's own refresh only
 		// happens once the whole batch drains.
@@ -317,8 +294,8 @@ func (sh *shard) handle(req request, tk uint64, fire bool) (stop bool) {
 //txgc:hotpath
 func (sh *shard) applyOne(step model.Step) (out Result) {
 	eng := sh.eng
-	if sh.walRefuse(step, &out) {
-		return out
+	if err := sh.jr.refusal(step); err != nil {
+		return errResult(step, err)
 	}
 	res, err := sh.sched.Apply(step)
 	if err != nil {
@@ -349,22 +326,23 @@ func (sh *shard) applyOne(step model.Step) (out Result) {
 	if res.Accepted {
 		out.Outcome = OutcomeAccepted
 		eng.accepted.Add(1)
+		var jerr error
 		switch step.Kind {
 		case model.KindBegin:
-			sh.journal(store.RecBegin, step.Txn, 0, step.Entities)
+			jerr = sh.jr.record(store.RecBegin, step.Txn, 0, step.Entities)
 		case model.KindRead:
-			sh.journal(store.RecRead, step.Txn, step.Entity, nil)
+			jerr = sh.jr.record(store.RecRead, step.Txn, step.Entity, nil)
 		case model.KindWriteFinal:
-			sh.journal(store.RecWrite, step.Txn, 0, step.Entities)
+			jerr = sh.jr.record(store.RecWrite, step.Txn, 0, step.Entities)
 		}
-		if sh.walErr != nil && sh.eng.cfg.WALSyncEvery <= 1 {
+		if jerr != nil {
 			// Strict mode promised durability before the ack, and the journal
 			// died on this very step: answer with the failure instead of the
 			// accept. The scheduler keeps the step in memory, but the shard
 			// has fail-stopped, so the only observer left is recovery — which
 			// won't have the record, agreeing with the client that the ack
 			// never happened.
-			out = Result{Step: step, Outcome: OutcomeError, Aborted: model.NoTxn, CompletedTxn: model.NoTxn, Err: sh.walDeadErr(step)}
+			out = errResult(step, sh.jr.refusal(step))
 		}
 	} else {
 		out.Outcome = OutcomeRejected
@@ -377,7 +355,7 @@ func (sh *shard) applyOne(step model.Step) (out Result) {
 		if res.Aborted != model.NoTxn {
 			// The rejection's victim is gone from the graph; replay must
 			// see the abort or it would resurrect the victim live.
-			sh.journal(store.RecAbort, res.Aborted, 0, nil)
+			sh.jr.record(store.RecAbort, res.Aborted, 0, nil)
 		}
 	}
 	if res.CompletedTxn != model.NoTxn {
@@ -409,22 +387,20 @@ func (sh *shard) txnGone(id model.TxnID) bool {
 // applyBeginSub begins a cross sub-transaction on this shard's scheduler.
 // Engine-level logical counters are the 2PC driver's job; the shard only
 // applies and logs.
-func (sh *shard) applyBeginSub(step model.Step) (out Result) {
-	if sh.walRefuse(step, &out) {
-		return out
+func (sh *shard) applyBeginSub(step model.Step) Result {
+	if err := sh.jr.refusal(step); err != nil {
+		return errResult(step, err)
 	}
 	if _, err := sh.sched.BeginCross(step); err != nil {
-		return Result{Step: step, Outcome: OutcomeError, Aborted: model.NoTxn, CompletedTxn: model.NoTxn,
-			Err: fmt.Errorf("engine: %w: %v", ErrProtocol, err)}
+		return errResult(step, fmt.Errorf("engine: %w: %v", ErrProtocol, err))
 	}
 	if sh.eng.cfg.Log != nil {
 		sh.eng.cfg.Log.Append(step, true)
 	}
-	sh.journal(store.RecBeginSub, step.Txn, 0, step.Entities)
-	if sh.walErr != nil && sh.eng.cfg.WALSyncEvery <= 1 {
+	if sh.jr.record(store.RecBeginSub, step.Txn, 0, step.Entities) != nil {
 		// Strict mode: the sub-begin could not be made durable, so refuse it
 		// and let the coordinator abort the siblings (see applyOne).
-		return Result{Step: step, Outcome: OutcomeError, Aborted: model.NoTxn, CompletedTxn: model.NoTxn, Err: sh.walDeadErr(step)}
+		return errResult(step, sh.jr.refusal(step))
 	}
 	return Result{Step: step, Outcome: OutcomeAccepted, Aborted: model.NoTxn, CompletedTxn: model.NoTxn}
 }
@@ -433,9 +409,9 @@ func (sh *shard) applyBeginSub(step model.Step) (out Result) {
 // YES vote logs the write at its conflict position (the arcs go into the
 // graph now; a later ABORT excludes the transaction via MarkAborted) and
 // pins the sub-node.
-func (sh *shard) applyPrepareSub(step model.Step) (out Result) {
-	if sh.walRefuse(step, &out) {
-		return out
+func (sh *shard) applyPrepareSub(step model.Step) Result {
+	if err := sh.jr.refusal(step); err != nil {
+		return errResult(step, err)
 	}
 	vote, err := sh.sched.PrepareFinal(step)
 	// The gauge tracks the scheduler's prepared state, not the vote: a
@@ -446,23 +422,17 @@ func (sh *shard) applyPrepareSub(step model.Step) (out Result) {
 		sh.preparedN.Add(1)
 	}
 	if err != nil {
-		return Result{Step: step, Outcome: OutcomeError, Aborted: model.NoTxn, CompletedTxn: model.NoTxn,
-			Err: fmt.Errorf("engine: %w: %v", ErrProtocol, err)}
+		return errResult(step, fmt.Errorf("engine: %w: %v", ErrProtocol, err))
 	}
 	switch vote {
 	case core.VoteYes:
-		if jerr := sh.journalSynced(store.RecPrepare, step.Txn, step.Entities); jerr != nil {
+		if sh.jr.record(store.RecPrepare, step.Txn, 0, step.Entities) != nil {
 			// The YES vote could not be made durable, so it must never
 			// reach the coordinator: release the sub-transaction locally
 			// and answer with the failure (the coordinator then aborts the
 			// siblings).
-			if sh.sched.Prepared(step.Txn) {
-				sh.preparedN.Add(-1)
-			}
-			if sh.sched.AbortTxn(step.Txn) == nil {
-				sh.sinceSweep++
-			}
-			return Result{Step: step, Outcome: OutcomeError, Aborted: step.Txn, CompletedTxn: model.NoTxn, Err: sh.walDeadErr(step)}
+			sh.applyAbortSub(step.Txn)
+			return Result{Step: step, Outcome: OutcomeError, Aborted: step.Txn, CompletedTxn: model.NoTxn, Err: sh.jr.refusal(step)}
 		}
 		if sh.eng.cfg.Log != nil {
 			sh.eng.cfg.Log.Append(step, true)
@@ -487,15 +457,10 @@ func (sh *shard) applyPrepareSub(step model.Step) (out Result) {
 // journal failure fail-stops the shard but the commit still applies in
 // memory: the decision stands, and recovery finishes it from the evidence.
 func (sh *shard) applyCommitSub(id model.TxnID, decisionDurable bool) Result {
-	if err := sh.journalSynced(store.RecCommit, id, nil); err != nil && !decisionDurable {
-		if sh.sched.Prepared(id) {
-			sh.preparedN.Add(-1)
-		}
-		if sh.sched.AbortTxn(id) == nil {
-			sh.sinceSweep++
-		}
+	if sh.jr.record(store.RecCommit, id, 0, nil) != nil && !decisionDurable {
+		sh.applyAbortSub(id)
 		return Result{Outcome: OutcomeError, Aborted: id, CompletedTxn: model.NoTxn,
-			Err: sh.walDeadErr(model.Step{Kind: model.KindWriteFinal, Txn: id})}
+			Err: sh.jr.refusal(model.Step{Kind: model.KindWriteFinal, Txn: id})}
 	}
 	res, err := sh.sched.CommitPrepared(id)
 	if err != nil {
@@ -508,136 +473,40 @@ func (sh *shard) applyCommitSub(id model.TxnID, decisionDurable bool) Result {
 }
 
 // applyAbortSub releases a sub-transaction in any state; unknown IDs (the
-// scheduler already rejected a step of it here) are fine.
+// scheduler already rejected a step of it here) are fine. It is also how a
+// vote or decision that could not be journaled lets go of its prepared sub:
+// the journal has latched by then, so nothing more is written.
 func (sh *shard) applyAbortSub(id model.TxnID) {
 	if sh.sched.Prepared(id) {
 		sh.preparedN.Add(-1)
 	}
 	if err := sh.sched.AbortTxn(id); err == nil {
 		sh.sinceSweep++
-		sh.journal(store.RecAbort, id, 0, nil)
+		sh.jr.record(store.RecAbort, id, 0, nil)
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Journaling. Every accepted step and every abort is appended to the
-// shard's WAL before its reply leaves the shard; PREPARE votes and COMMIT
-// decisions are additionally synced before they take effect (see
-// journalSynced call sites). A journaling failure fail-stops the shard —
-// walErr latches, new applies are refused — because continuing to accept
-// work that cannot be made durable would silently break the recovery
-// contract.
-
-// journal appends one record, syncing per Config.WALSyncEvery. No-op
-// without a store or after a journaling failure (the failure already
-// latched; the caller's apply was refused or is a resolution path that
-// must still run in memory).
-func (sh *shard) journal(kind store.RecKind, txn model.TxnID, entity model.Entity, entities []model.Entity) {
-	if sh.st == nil || sh.walErr != nil {
-		return
-	}
-	sh.recBuf = store.Record{Kind: kind, Txn: txn, Entity: entity, Entities: entities}
-	if err := sh.st.Append(&sh.recBuf); err != nil {
-		sh.walErr = err
-		return
-	}
-	sh.walPending++
-	sh.dirtySinceCkpt = true
-	if sh.walPending >= sh.eng.cfg.WALSyncEvery {
-		sh.walSync()
-	}
+// errResult is the answer to a step the shard could not process: nothing
+// was aborted or completed by it.
+func errResult(step model.Step, err error) Result {
+	return Result{Step: step, Outcome: OutcomeError, Aborted: model.NoTxn, CompletedTxn: model.NoTxn, Err: err}
 }
 
-// journalSynced appends one record and forces it to the medium, reporting
-// the failure (nil store: nil). 2PC uses it for the records whose loss
-// would be unsafe: an unsynced YES vote must never reach the coordinator,
-// and an unsynced COMMIT must never be applied.
-func (sh *shard) journalSynced(kind store.RecKind, txn model.TxnID, entities []model.Entity) error {
-	if sh.st == nil {
-		return nil
-	}
-	if sh.walErr != nil {
-		return sh.walErr
-	}
-	rec := store.Record{Kind: kind, Txn: txn, Entities: entities}
-	if err := sh.st.Append(&rec); err != nil {
-		sh.walErr = err
-		return err
-	}
-	sh.dirtySinceCkpt = true
-	sh.walSync()
-	return sh.walErr
-}
-
-// walSync forces the log; a failure latches walErr.
-func (sh *shard) walSync() {
-	if sh.st == nil || sh.walErr != nil {
-		return
-	}
-	if err := sh.st.Sync(); err != nil {
-		sh.walErr = err
-		return
-	}
-	sh.walPending = 0
-}
-
-// walFlush pushes buffered frames to the OS at batch end: records acked
-// inside the batch survive a process kill (not a power loss) without
-// paying an fsync per batch.
-func (sh *shard) walFlush() {
-	if sh.st == nil || sh.walErr != nil {
-		return
-	}
-	if err := sh.st.Flush(); err != nil {
-		sh.walErr = err
-	}
-}
-
-// walDeadErr is the refusal a fail-stopped shard answers new applies with.
-func (sh *shard) walDeadErr(step model.Step) error {
-	//lint:ignore hotpath-fmt fail-stop path: the shard is already dead when this runs
-	return fmt.Errorf("engine: shard %d journal failed (%v): %v: %w", sh.idx, sh.walErr, step, ErrClosed)
-}
-
-// walRefuse reports whether the shard has fail-stopped, filling res with
-// the refusal if so.
-func (sh *shard) walRefuse(step model.Step, res *Result) bool {
-	if sh.walErr == nil {
-		return false
-	}
-	*res = Result{Step: step, Outcome: OutcomeError, Aborted: model.NoTxn, CompletedTxn: model.NoTxn, Err: sh.walDeadErr(step)}
-	return true
-}
-
-// maybeCheckpoint snapshots the retained state and truncates the WAL once
-// enough sweeps have run — checkpoint-at-sweep: the sweep just proved (C1/
-// C2) what is safe to forget, so the snapshot is as small as it will get
-// and everything the log said is now inside it.
-func (sh *shard) maybeCheckpoint() {
-	if sh.st == nil || sh.walErr != nil || !sh.dirtySinceCkpt ||
-		sh.sweepsSinceCkpt < sh.eng.cfg.CheckpointEverySweeps {
-		return
-	}
-	snap := store.EncodeSnapshot(sh.sched.ExportState())
-	if err := sh.st.Checkpoint(snap); err != nil {
-		sh.walErr = err
-		return
-	}
-	sh.sweepsSinceCkpt = 0
-	sh.dirtySinceCkpt = false
-	sh.walPending = 0
+// sweep runs the deletion policy now, then lets the journal checkpoint what
+// it retained, and reports how many transactions were deleted.
+func (sh *shard) sweep() int64 {
+	n := int64(len(sh.sched.SweepNow()))
+	sh.eng.deleted.Add(n)
+	sh.eng.sweeps.Add(1)
+	sh.sinceSweep = 0
+	sh.jr.swept(sh.sched)
+	return n
 }
 
 func (sh *shard) maybeSweep() {
-	if sh.eng.cfg.Policy == nil || sh.sinceSweep < sh.eng.cfg.SweepEveryCompletions {
-		return
+	if sh.eng.cfg.Policy != nil && sh.sinceSweep >= sh.eng.cfg.SweepEveryCompletions {
+		sh.sweep()
 	}
-	deleted := sh.sched.SweepNow()
-	sh.eng.deleted.Add(int64(len(deleted)))
-	sh.eng.sweeps.Add(1)
-	sh.sinceSweep = 0
-	sh.sweepsSinceCkpt++
-	sh.maybeCheckpoint()
 }
 
 // watched is one decided cross sub-transaction awaiting this shard's
@@ -762,7 +631,7 @@ func (sh *shard) syncWatch() (fresh bool) {
 func (sh *shard) shutdown() {
 	// A graceful close is a sync point: everything acknowledged is durable
 	// when Close returns.
-	sh.walSync()
+	sh.jr.sync()
 	sh.final = sh.sched.Stats()
 	for {
 		req, tk, fire, ok := sh.mb.Next()

@@ -1,15 +1,21 @@
-package graph
+// The transitive-closure graph lives in internal/closure (a paper artefact
+// outside the kernel packages). Its tests stay in this directory, as an
+// external test package, so their names in the suite do not change; the
+// property test holds it to this package's Graph+Reduce.
+package graph_test
 
 import (
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/closure"
+	"repro/internal/graph"
 	"repro/internal/model"
 )
 
 func TestClosureBasics(t *testing.T) {
-	c := NewClosure()
+	c := closure.New()
 	c.AddNode(1)
 	c.AddNode(1)
 	if c.NumNodes() != 1 {
@@ -36,7 +42,7 @@ func TestClosureBasics(t *testing.T) {
 }
 
 func TestClosureWouldCycle(t *testing.T) {
-	c := NewClosure()
+	c := closure.New()
 	c.AddArc(1, 2)
 	c.AddArc(2, 3)
 	if !c.WouldCycleArc(3, 1) {
@@ -48,10 +54,10 @@ func TestClosureWouldCycle(t *testing.T) {
 	if !c.WouldCycleArc(5, 5) {
 		t.Fatal("self-loop")
 	}
-	if !c.WouldCycleInto(1, NodeSet{3: {}}) {
+	if !c.WouldCycleInto(1, graph.NodeSet{3: {}}) {
 		t.Fatal("batch into 1 from 3 cycles")
 	}
-	if c.WouldCycleInto(3, NodeSet{1: {}, 2: {}}) {
+	if c.WouldCycleInto(3, graph.NodeSet{1: {}, 2: {}}) {
 		t.Fatal("batch into 3 is fine")
 	}
 }
@@ -62,7 +68,7 @@ func TestClosureAddCyclePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	c := NewClosure()
+	c := closure.New()
 	c.AddArc(1, 2)
 	c.AddArc(2, 1)
 }
@@ -70,7 +76,7 @@ func TestClosureAddCyclePanics(t *testing.T) {
 func TestClosureDeletePreservesReachability(t *testing.T) {
 	// The paper's remark: deleting a node from the closure needs no
 	// splicing.
-	c := NewClosure()
+	c := closure.New()
 	c.AddArc(1, 2)
 	c.AddArc(2, 3)
 	c.AddArc(4, 2)
@@ -85,7 +91,7 @@ func TestClosureDeletePreservesReachability(t *testing.T) {
 }
 
 func TestClosureAncestorsDescendants(t *testing.T) {
-	c := NewClosure()
+	c := closure.New()
 	c.AddArc(1, 2)
 	c.AddArc(2, 3)
 	if d := c.Descendants(1); !d.Has(2) || !d.Has(3) || d.Has(1) {
@@ -105,8 +111,8 @@ func TestClosureAgreesWithGraphProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		const n = 10
-		g := New()
-		c := NewClosure()
+		g := graph.New()
+		c := closure.New()
 		ids := make([]model.TxnID, n)
 		for i := range ids {
 			ids[i] = model.TxnID(i)
@@ -126,7 +132,7 @@ func TestClosureAgreesWithGraphProperty(t *testing.T) {
 					continue
 				}
 				// Both engines must agree on the cycle test.
-				gc := g.WouldCycle([]Arc{{u, v}})
+				gc := g.WouldCycle([]graph.Arc{{u, v}})
 				cc := c.WouldCycleArc(u, v)
 				if gc != cc {
 					t.Logf("seed %d: cycle test disagrees for %d->%d: graph=%v closure=%v", seed, u, v, gc, cc)
@@ -166,7 +172,7 @@ func TestClosureAgreesWithGraphProperty(t *testing.T) {
 }
 
 func BenchmarkClosureCycleCheck(b *testing.B) {
-	c := NewClosure()
+	c := closure.New()
 	for i := model.TxnID(0); i < 200; i++ {
 		c.AddNode(i)
 	}
@@ -181,14 +187,14 @@ func BenchmarkClosureCycleCheck(b *testing.B) {
 }
 
 func BenchmarkGraphCycleCheckDFS(b *testing.B) {
-	g := New()
+	g := graph.New()
 	for i := model.TxnID(0); i < 200; i++ {
 		g.AddNode(i)
 	}
 	for i := model.TxnID(0); i+1 < 200; i++ {
 		g.AddArc(i, i+1)
 	}
-	targets := NodeSet{0: {}}
+	targets := graph.NodeSet{0: {}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -14,9 +14,9 @@ import (
 //   - fields of sync/atomic types (atomic.Int64 and friends) may be read
 //     anywhere — the annotation still documents who writes, but the type
 //     itself makes cross-goroutine reads safe;
-//   - construction-time and post-join accesses (the engine writing sh.st
-//     before the goroutine starts, reading sh.final after <-sh.done) carry
-//     a //lint:ignore with the happens-before argument as the reason.
+//   - post-join accesses (the engine reading sh.final after <-sh.done)
+//     carry a //lint:ignore with the happens-before argument as the reason.
+//     (Construction needs none: a struct literal's keys are not selections.)
 //
 // This is the static twin of the -race tier: -race can only catch the
 // interleavings a test happens to schedule; this catches the access site.

@@ -132,9 +132,6 @@ type Config struct {
 	// decisions are always synced immediately regardless. Ignored without
 	// DataDir or Store.
 	FsyncBatch int
-	// CheckpointEverySweeps is the checkpoint cadence in deletion-policy
-	// sweeps (default 1). Ignored without DataDir or Store.
-	CheckpointEverySweeps int
 	// Store plugs a durability backend directly (e.g. store.NewMem in
 	// tests); mutually exclusive with DataDir. The caller keeps ownership:
 	// Close does not close it.
@@ -248,7 +245,6 @@ func Open(cfg Config) (*DB, error) {
 		Bus:                   bus,
 		Store:                 st,
 		WALSyncEvery:          cfg.FsyncBatch,
-		CheckpointEverySweeps: cfg.CheckpointEverySweeps,
 	})
 	if err != nil {
 		if owned != nil {

@@ -108,9 +108,6 @@ func TestCrossShardSession(t *testing.T) {
 	if s.CrossTxns != 1 || s.Prepares != 2 {
 		t.Fatalf("stats = %+v, want 1 cross txn / 2 prepares", s)
 	}
-	if s.BarrierKills != 0 {
-		t.Fatalf("BarrierKills = %d, want 0", s.BarrierKills)
-	}
 }
 
 // TestWithShards declares participants directly and roams both partitions.

@@ -70,9 +70,7 @@ func Example_crossShard() {
 	s := db.Stats()
 	fmt.Println("cross transactions:", s.CrossTxns)
 	fmt.Println("prepares:", s.Prepares)
-	fmt.Println("barrier kills:", s.BarrierKills)
 	// Output:
 	// cross transactions: 1
 	// prepares: 2
-	// barrier kills: 0
 }
