@@ -9,7 +9,11 @@
 // the client error taxonomy, and a begin may carry a deadline and a
 // priority. A session may open with a versioned handshake (hello), which
 // answers the one version this server speaks and refuses any other with
-// code "protocol"; a session that skips it is served the same protocol:
+// code "protocol"; a session that skips it is served the same protocol.
+// Clients may pipeline — send further requests without waiting for replies.
+// Replies come back in request order, and are flushed together once the
+// server has read everything sent so far, so a lone request is answered at
+// once and a burst costs one write:
 //
 //	{"op":"hello","version":2}                    → {"outcome":"ok","version":2}
 //	{"op":"begin","txn":1,"footprint":[0,5,9],"deadline_ms":500,"priority":"high"}
@@ -80,6 +84,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -90,7 +95,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
@@ -106,11 +110,11 @@ const wireVersion = 2
 const maxRequestLine = 1 << 20
 
 type request struct {
-	Op        string  `json:"op"`
-	Txn       int64   `json:"txn"`
-	Entity    *int32  `json:"entity,omitempty"`
-	Entities  []int32 `json:"entities,omitempty"`
-	Footprint []int32 `json:"footprint,omitempty"`
+	Op        string         `json:"op"`
+	Txn       int64          `json:"txn"`
+	Entity    *int32         `json:"entity,omitempty"`
+	Entities  []txdel.Entity `json:"entities,omitempty"`
+	Footprint []txdel.Entity `json:"footprint,omitempty"`
 	// Version is the hello op's requested protocol version.
 	Version int `json:"version,omitempty"`
 	// DeadlineMS (begin) bounds the transaction's lifetime.
@@ -141,14 +145,6 @@ type response struct {
 
 func ref(v int64) *int64 { return &v }
 
-func entities(xs []int32) []txdel.Entity {
-	out := make([]txdel.Entity, len(xs))
-	for i, x := range xs {
-		out[i] = txdel.Entity(x)
-	}
-	return out
-}
-
 // ownedTxn is one transaction begun on this stream: a client session (with
 // its deadline cancel, if any), or a bare ID begun through the raw batch
 // path.
@@ -158,10 +154,11 @@ type ownedTxn struct {
 }
 
 // session serves one client stream. It tracks the transactions begun on
-// this stream so a disconnect aborts whatever the client left active.
+// this stream so a disconnect aborts whatever the client left active. A
+// session belongs to a single goroutine — serve, and the cleanup it defers —
+// so own needs no lock (a deadline's watcher lives inside client.Txn).
 type session struct {
 	db  *client.DB
-	mu  sync.Mutex
 	own map[txdel.TxnID]ownedTxn
 }
 
@@ -169,39 +166,17 @@ func newSession(db *client.DB) *session {
 	return &session{db: db, own: map[txdel.TxnID]ownedTxn{}}
 }
 
-func (s *session) track(id txdel.TxnID, o ownedTxn) {
-	s.mu.Lock()
-	s.own[id] = o
-	s.mu.Unlock()
-}
-
 // untrack forgets id and releases its deadline timer.
 func (s *session) untrack(id txdel.TxnID) {
-	s.mu.Lock()
 	o, ok := s.own[id]
 	delete(s.own, id)
-	s.mu.Unlock()
 	if ok && o.cancel != nil {
 		o.cancel()
 	}
 }
 
-func (s *session) lookup(id txdel.TxnID) (ownedTxn, bool) {
-	s.mu.Lock()
-	o, ok := s.own[id]
-	s.mu.Unlock()
-	return o, ok
-}
-
 func (s *session) cleanup() {
-	s.mu.Lock()
-	owned := make(map[txdel.TxnID]ownedTxn, len(s.own))
 	for id, o := range s.own {
-		owned[id] = o
-	}
-	s.own = map[txdel.TxnID]ownedTxn{}
-	s.mu.Unlock()
-	for id, o := range owned {
 		if o.txn != nil {
 			_ = o.txn.Abort()
 		} else {
@@ -211,6 +186,7 @@ func (s *session) cleanup() {
 			o.cancel()
 		}
 	}
+	clear(s.own)
 }
 
 // finish annotates a response from an operation error: outcome
@@ -237,14 +213,14 @@ func stepOf(sub request) (txdel.Step, error) {
 	id := txdel.TxnID(sub.Txn)
 	switch sub.Op {
 	case "begin":
-		return txdel.BeginDeclared(id, entities(sub.Footprint)...), nil
+		return txdel.BeginDeclared(id, sub.Footprint...), nil
 	case "read":
 		if sub.Entity == nil {
 			return txdel.Step{}, fmt.Errorf("read needs an entity")
 		}
 		return txdel.Read(id, txdel.Entity(*sub.Entity)), nil
 	case "write":
-		return txdel.WriteFinal(id, entities(sub.Entities)...), nil
+		return txdel.WriteFinal(id, sub.Entities...), nil
 	default:
 		return txdel.Step{}, fmt.Errorf("op %q cannot appear in a batch", sub.Op)
 	}
@@ -268,7 +244,7 @@ func (s *session) handleBatch(req request) response {
 	out := response{Outcome: "ok", Results: make([]response, len(results))}
 	for i, res := range results {
 		if req.Steps[i].Op == "begin" && res.Accepted() {
-			s.track(steps[i].Txn, ownedTxn{})
+			s.own[steps[i].Txn] = ownedTxn{}
 		}
 		out.Results[i] = s.fromResult(int64(steps[i].Txn), res)
 	}
@@ -287,7 +263,7 @@ func (s *session) handleBegin(req request) response {
 	if req.DeadlineMS > 0 {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
 	}
-	opts := []client.BeginOption{client.WithID(id), client.WithFootprint(entities(req.Footprint)...)}
+	opts := []client.BeginOption{client.WithID(id), client.WithFootprint(req.Footprint...)}
 	if req.Priority == "high" {
 		opts = append(opts, client.WithPriority(client.PriorityHigh))
 	}
@@ -298,7 +274,7 @@ func (s *session) handleBegin(req request) response {
 		}
 		return finish(response{Txn: ref(req.Txn)}, err)
 	}
-	s.track(id, ownedTxn{txn: txn, cancel: cancel})
+	s.own[id] = ownedTxn{txn: txn, cancel: cancel}
 	return response{Txn: ref(req.Txn), Outcome: "accepted"}
 }
 
@@ -317,7 +293,7 @@ func (s *session) handle(req request) response {
 			return protoErr(ref(req.Txn), "read needs an entity")
 		}
 		x := txdel.Entity(*req.Entity)
-		o, ok := s.lookup(id)
+		o, ok := s.own[id]
 		if !ok || o.txn == nil {
 			// Not a session of this stream (begun elsewhere, or via the raw
 			// batch path): submit the bare step.
@@ -331,11 +307,11 @@ func (s *session) handle(req request) response {
 		}
 		return out
 	case "write":
-		o, ok := s.lookup(id)
+		o, ok := s.own[id]
 		if !ok || o.txn == nil {
-			return s.fromResult(req.Txn, s.db.SubmitBatch([]txdel.Step{txdel.WriteFinal(id, entities(req.Entities)...)})[0])
+			return s.fromResult(req.Txn, s.db.SubmitBatch([]txdel.Step{txdel.WriteFinal(id, req.Entities...)})[0])
 		}
-		err := o.txn.Write(context.Background(), entities(req.Entities)...)
+		err := o.txn.Write(context.Background(), req.Entities...)
 		out := finish(response{Txn: ref(req.Txn)}, err)
 		if err == nil {
 			out.Completed = true
@@ -346,7 +322,7 @@ func (s *session) handle(req request) response {
 		}
 		return out
 	case "abort":
-		o, ok := s.lookup(id)
+		o, ok := s.own[id]
 		s.untrack(id)
 		aborted := false
 		if ok && o.txn != nil {
@@ -382,37 +358,141 @@ func (s *session) fromResult(txn int64, res client.Result) response {
 	return out
 }
 
+// ioBufSize is the size of a session's read and write buffers: a burst of
+// pipelined requests that fits is one read, and its replies one write.
+const ioBufSize = 1 << 16
+
+var errLineTooLong = errors.New("request line exceeds 1 MiB")
+
+// readLine returns the next line of in without its "\n" or "\r\n", valid
+// until the next call, framing exactly as a bufio.Scanner capped at
+// maxRequestLine does: an unterminated last line is returned along with the
+// read error that ended it, and maxRequestLine bytes with no newline in
+// sight are errLineTooLong. A line longer than in's buffer is gathered in
+// *spill.
+func readLine(in *bufio.Reader, spill *[]byte) ([]byte, error) {
+	*spill = (*spill)[:0]
+	line, err := in.ReadSlice('\n')
+	for errors.Is(err, bufio.ErrBufferFull) {
+		if *spill = append(*spill, line...); len(*spill) >= maxRequestLine {
+			return nil, errLineTooLong
+		}
+		line, err = in.ReadSlice('\n')
+	}
+	if len(*spill) > 0 {
+		*spill = append(*spill, line...)
+		line = *spill
+	}
+	if n := len(line); n > 0 && line[n-1] == '\n' {
+		line = line[:n-1]
+	}
+	if n := len(line); n > 0 && line[n-1] == '\r' {
+		line = line[:n-1]
+	}
+	return line, err
+}
+
+// requestBuffered reports whether a whole line is already in in's buffer,
+// so that reading it cannot block.
+func requestBuffered(in *bufio.Reader) bool {
+	buf, _ := in.Peek(in.Buffered())
+	return bytes.IndexByte(buf, '\n') >= 0
+}
+
+// respond answers one request line.
+func (s *session) respond(line []byte) response {
+	var req request
+	if !decodeStep(line, &req) {
+		// A fresh request, as json.Unmarshal merges into what it is given;
+		// being of this block, only this path pays for its heap allocation.
+		var fresh request
+		if err := json.Unmarshal(line, &fresh); err != nil {
+			return protoErr(nil, "bad request: "+err.Error())
+		}
+		req = fresh
+	}
+	return s.handle(req)
+}
+
+// serve answers the requests on r, one reply line each, in request order,
+// until r ends. Clients may pipeline: replies are written to w only when
+// the next read could block — no whole request line is left in the buffer —
+// so a lone request is answered at once and a burst of N sent together is
+// answered by one write.
 func (s *session) serve(r io.Reader, w io.Writer) {
 	defer s.cleanup()
-	in := bufio.NewScanner(r)
-	in.Buffer(make([]byte, 0, 1<<16), maxRequestLine)
-	out := bufio.NewWriter(w)
+	in := bufio.NewReaderSize(r, ioBufSize)
+	out := bufio.NewWriterSize(w, ioBufSize)
+	defer out.Flush() // best effort: the session ends either way
 	enc := json.NewEncoder(out)
-	for in.Scan() {
-		line := in.Bytes()
-		if len(line) == 0 {
+	var spill, reply []byte
+	for {
+		if out.Buffered() > 0 && !requestBuffered(in) {
+			if err := out.Flush(); err != nil {
+				return
+			}
+		}
+		line, rerr := readLine(in, &spill)
+		var resp response
+		switch {
+		case errors.Is(rerr, errLineTooLong):
+			// Say why before hanging up, or the client sees only a closed
+			// connection.
+			resp = protoErr(nil, rerr.Error())
+		case len(line) > 0:
+			resp = s.respond(line)
+		case rerr != nil:
+			return
+		default: // a blank line
 			continue
 		}
-		var req request
-		var resp response
-		if err := json.Unmarshal(line, &req); err != nil {
-			resp = protoErr(nil, "bad request: "+err.Error())
+		var ok bool
+		var err error
+		if reply, ok = appendReply(reply[:0], &resp); ok {
+			_, err = out.Write(reply)
 		} else {
-			resp = s.handle(req)
+			err = enc.Encode(resp)
 		}
-		if err := enc.Encode(resp); err != nil {
-			return
-		}
-		if err := out.Flush(); err != nil {
+		if err != nil || rerr != nil {
 			return
 		}
 	}
-	if errors.Is(in.Err(), bufio.ErrTooLong) {
-		// Scan stops for good at a line over its cap. Say why before hanging
-		// up, or the client sees only a closed connection; best effort, as
-		// the session ends either way.
-		_ = enc.Encode(protoErr(nil, "request line exceeds 1 MiB"))
-		_ = out.Flush()
+}
+
+// transientAccept reports whether a failed Accept is worth retrying: out of
+// descriptors, a connection reset before it was accepted, a timeout.
+func transientAccept(err error) bool {
+	var ne net.Error
+	return errors.Is(err, syscall.EMFILE) || errors.Is(err, syscall.ENFILE) ||
+		errors.Is(err, syscall.ECONNABORTED) || (errors.As(err, &ne) && ne.Timeout())
+}
+
+// acceptLoop serves one session per connection until the listener fails
+// for good (it was closed). A failure that passes costs the waiting client a
+// moment, never the live sessions their engine: log once per streak and
+// retry, backing off as net/http's server does.
+func acceptLoop(ln net.Listener, db *client.DB) error {
+	var delay time.Duration
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			if !transientAccept(err) {
+				return err
+			}
+			if delay == 0 {
+				fmt.Fprintln(os.Stderr, "txgc-serve: accept:", err, "(retrying)")
+				delay = 5 * time.Millisecond
+			} else if delay *= 2; delay > time.Second {
+				delay = time.Second
+			}
+			time.Sleep(delay)
+			continue
+		}
+		delay = 0
+		go func() {
+			defer conn.Close()
+			newSession(db).serve(conn, conn)
+		}()
 	}
 }
 
@@ -536,15 +616,6 @@ func main() {
 		os.Exit(2)
 	}
 	fmt.Fprintln(os.Stderr, "txgc-serve: listening on", ln.Addr())
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "txgc-serve:", err)
-			shutdown(1)
-		}
-		go func(c net.Conn) {
-			defer c.Close()
-			newSession(db).serve(c, c)
-		}(conn)
-	}
+	fmt.Fprintln(os.Stderr, "txgc-serve:", acceptLoop(ln, db))
+	shutdown(1)
 }

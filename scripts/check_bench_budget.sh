@@ -5,9 +5,12 @@
 # cross-partition 2PC path (BenchmarkEngineCrossFrac at CrossFrac=0.05),
 # the between-batch sweep's allocations over a straggler-pinned stream
 # (BenchmarkSweepStragglerPinned in internal/core, allocs/txn vs
-# max_core_sweep_allocs_per_txn), the telemetry emitter overhead
-# (BenchmarkEngineEmitOverhead on vs off, ns/op delta), the retention
-# governor's peak retained count under attack
+# max_core_sweep_allocs_per_txn), the wire door's per-step codec and reply
+# coalescing (BenchmarkWireStep and BenchmarkServePipelined in
+# cmd/txgc-serve, allocs per step vs max_wire_allocs_per_step and writes
+# per eight-deep burst vs max_serve_writes_per_burst), the telemetry
+# emitter overhead (BenchmarkEngineEmitOverhead on vs off, ns/op delta),
+# the retention governor's peak retained count under attack
 # (BenchmarkEngineRetentionGoverned, peak-kept vs max_peak_kept), the
 # durability layer's WAL overhead at the default fsync batch
 # (BenchmarkEngineWALOverhead on vs off, ns/op delta vs
@@ -17,7 +20,7 @@
 #
 # Usage: check_bench_budget.sh [all|alloc|scale]
 #   all   (default) every gate
-#   alloc allocation + sweep + emitter + WAL + retention gates only
+#   alloc allocation + sweep + wire + emitter + WAL + retention gates only
 #   scale the -cpu 2 p99 latency gate only (the CI bench-scale job)
 set -eu
 cd "$(dirname "$0")/.."
@@ -39,6 +42,8 @@ kept_budget=$(awk '/^max_peak_kept/ {print $2}' bench_budget.txt)
 p99_budget=$(awk '/^max_p99_step_ns/ {print $2}' bench_budget.txt)
 wal_budget=$(awk '/^max_wal_overhead_ns/ {print $2}' bench_budget.txt)
 sweep_budget=$(awk '/^max_core_sweep_allocs_per_txn/ {print $2}' bench_budget.txt)
+wire_budget=$(awk '/^max_wire_allocs_per_step/ {print $2}' bench_budget.txt)
+writes_budget=$(awk '/^max_serve_writes_per_burst/ {print $2}' bench_budget.txt)
 [ -n "$budget" ] || { echo "check_bench_budget: no max_allocs_per_op in bench_budget.txt" >&2; exit 2; }
 [ -n "$nogc_budget" ] || { echo "check_bench_budget: no max_nogc_allocs_per_op in bench_budget.txt" >&2; exit 2; }
 [ -n "$cross_budget" ] || { echo "check_bench_budget: no max_cross_allocs_per_op in bench_budget.txt" >&2; exit 2; }
@@ -47,6 +52,8 @@ sweep_budget=$(awk '/^max_core_sweep_allocs_per_txn/ {print $2}' bench_budget.tx
 [ -n "$p99_budget" ] || { echo "check_bench_budget: no max_p99_step_ns in bench_budget.txt" >&2; exit 2; }
 [ -n "$wal_budget" ] || { echo "check_bench_budget: no max_wal_overhead_ns in bench_budget.txt" >&2; exit 2; }
 [ -n "$sweep_budget" ] || { echo "check_bench_budget: no max_core_sweep_allocs_per_txn in bench_budget.txt" >&2; exit 2; }
+[ -n "$wire_budget" ] || { echo "check_bench_budget: no max_wire_allocs_per_step in bench_budget.txt" >&2; exit 2; }
+[ -n "$writes_budget" ] || { echo "check_bench_budget: no max_serve_writes_per_burst in bench_budget.txt" >&2; exit 2; }
 
 if [ "$section" != "scale" ]; then
 	out=$(go test -run '^$' -bench 'BenchmarkEngineThroughput/shards=4/(policy=greedy-c1|policy=nogc)$|BenchmarkEngineCrossFrac/cross=5' \
@@ -95,6 +102,28 @@ if [ "$section" != "scale" ]; then
 		exit 1
 	fi
 	echo "check_bench_budget: OK: straggler-pinned sweep $sweep_allocs allocs/txn within budget of $sweep_budget"
+
+	# The wire door: allocations per step of the hand-rolled codec (one
+	# benchmark op is a transaction's three steps and their three replies)
+	# and writes per eight-deep pipelined burst through serve. Both are
+	# counts fixed by the code, so one run each; the codec=json arm runs
+	# alongside only to show the reference in the same output.
+	wire_out=$(go test -run '^$' -bench 'BenchmarkWireStep|BenchmarkServePipelined' -benchtime 2000x -benchmem ./cmd/txgc-serve/)
+	echo "$wire_out" | grep Benchmark || true
+	wire_allocs=$(echo "$wire_out" | awk '/codec=hand/ {for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1) / 3}' | head -1)
+	[ -n "$wire_allocs" ] || { echo "check_bench_budget: could not parse codec=hand allocs/op from the wire benchmark output" >&2; exit 2; }
+	if awk -v a="$wire_allocs" -v b="$wire_budget" 'BEGIN {exit !(a > b)}'; then
+		echo "check_bench_budget: FAIL: wire codec $wire_allocs allocs/step exceeds budget of $wire_budget" >&2
+		exit 1
+	fi
+	echo "check_bench_budget: OK: wire codec $wire_allocs allocs/step within budget of $wire_budget"
+	burst_writes=$(echo "$wire_out" | awk '/BenchmarkServePipelined/ {for (i = 2; i <= NF; i++) if ($i == "writes/op") print $(i-1)}' | head -1)
+	[ -n "$burst_writes" ] || { echo "check_bench_budget: could not parse writes/op from the wire benchmark output" >&2; exit 2; }
+	if awk -v a="$burst_writes" -v b="$writes_budget" 'BEGIN {exit !(a > b)}'; then
+		echo "check_bench_budget: FAIL: serve issued $burst_writes writes per eight-deep burst, budget $writes_budget (replies are no longer coalesced)" >&2
+		exit 1
+	fi
+	echo "check_bench_budget: OK: serve issued $burst_writes writes per eight-deep burst, budget $writes_budget"
 
 	# Emitter overhead: the gate is the median of per-invocation (on - off)
 	# ns/op deltas over five paired runs. Pairing matters: within one `go
