@@ -156,7 +156,7 @@ type ownedTxn struct {
 // session serves one client stream. It tracks the transactions begun on
 // this stream so a disconnect aborts whatever the client left active. A
 // session belongs to a single goroutine — serve, and the cleanup it defers —
-// so own needs no lock (a deadline's watcher lives inside client.Txn).
+// so own needs no lock (a deadline's expiry callback lives inside client.Txn).
 type session struct {
 	db  *client.DB
 	own map[txdel.TxnID]ownedTxn
@@ -550,8 +550,8 @@ func main() {
 		os.Exit(2)
 	}
 	if rep := db.Recovery(); rep != nil {
-		fmt.Fprintf(os.Stderr, "txgc-serve: recovered %d shards: %d records replayed, %d txns retained, %d orphans aborted, %d cross committed, %d cross aborted, %d in doubt\n",
-			rep.Shards, rep.RecordsReplayed, rep.TxnsRetained, rep.OrphansAborted, rep.CrossCommitted, rep.CrossAborted, len(rep.InDoubt))
+		fmt.Fprintf(os.Stderr, "txgc-serve: recovered %d shards: %d records replayed, %d txns retained, %d orphans aborted, %d cross committed, %d cross aborted\n",
+			rep.Shards, rep.RecordsReplayed, rep.TxnsRetained, rep.OrphansAborted, rep.CrossCommitted, rep.CrossAborted)
 	}
 
 	if metrics != nil {

@@ -19,27 +19,6 @@ import (
 	"repro/internal/workload"
 )
 
-func policyByName(name string) (core.Policy, bool) {
-	switch name {
-	case "nogc":
-		return core.NoGC{}, true
-	case "lemma1":
-		return core.Lemma1Policy{}, true
-	case "greedy-c1":
-		return core.GreedyC1{}, true
-	case "greedy-c1-newest":
-		return core.GreedyC1{NewestFirst: true}, true
-	case "max-safe":
-		return core.MaxSafeExact{}, true
-	case "noncurrent-safe":
-		return core.NoncurrentSafe{}, true
-	case "commit-gc-unsafe":
-		return core.CommitGC{}, true
-	default:
-		return nil, false
-	}
-}
-
 func main() {
 	var (
 		policyName = flag.String("policy", "greedy-c1", "deletion policy: nogc, lemma1, greedy-c1, greedy-c1-newest, max-safe, noncurrent-safe, commit-gc-unsafe")
@@ -55,10 +34,14 @@ func main() {
 	)
 	flag.Parse()
 
-	policy, ok := policyByName(*policyName)
-	if !ok {
+	var policy core.Policy // nil (nogc) never deletes
+	if *policyName == "commit-gc-unsafe" {
+		policy = core.CommitGC{} // the negative control is known only here
+	} else if mk, ok := core.PolicyByName(*policyName); !ok {
 		fmt.Fprintf(os.Stderr, "txgc-trace: unknown policy %q\n", *policyName)
 		os.Exit(2)
+	} else if mk != nil {
+		policy = mk()
 	}
 	s := core.NewScheduler(core.Config{Policy: policy})
 	gen := workload.New(workload.Config{

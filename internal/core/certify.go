@@ -115,41 +115,35 @@ func (c *Certifier) requireActive(id model.TxnID) error {
 // certify attempts to add the transaction to the certified graph.
 func (c *Certifier) certify(step model.Step) (Result, error) {
 	id := step.Txn
-	// Compute the arcs the transaction's whole history induces against
-	// certified transactions: for each pair of conflicting accesses the
-	// arc runs from the earlier access's transaction to the later's.
-	var arcs []graph.Arc
-	seen := make(map[graph.Arc]bool)
+	// The transaction's whole history induces an arc for each pair of
+	// conflicting accesses against a certified transaction, from the
+	// earlier access's transaction to the later's — so every arc touches
+	// the fresh node id. Mark the tails of the arcs into id and link id to
+	// the heads of the arcs out of it: the batch closes a cycle iff id then
+	// reaches a tail. Rejecting removes the node and its tentative arcs.
+	r := c.g.AddNodeRef(id)
+	c.g.ResetTargets()
 	for _, pa := range c.pending[id] {
 		for _, ev := range c.events[pa.entity] {
 			if ev.txn == id || !pa.access.Conflicts(ev.access) {
 				continue
 			}
-			var a graph.Arc
 			if ev.seq < pa.seq {
-				a = graph.Arc{From: ev.txn, To: id}
+				c.g.MarkTarget(c.g.Ref(ev.txn))
 			} else {
-				a = graph.Arc{From: id, To: ev.txn}
-			}
-			if !seen[a] {
-				seen[a] = true
-				arcs = append(arcs, a)
+				c.g.AddArc(id, ev.txn)
 			}
 		}
 	}
-	// Tentatively add the node, test the batch, and commit or roll back.
-	c.g.AddNode(id)
-	if c.g.WouldCycle(arcs) {
-		c.g.RemoveNode(id)
+	if c.g.ReachesAnyTarget(r) {
+		c.g.RemoveRef(r)
 		delete(c.pending, id)
 		c.status[id] = model.StatusAborted
 		c.stats.Rejected++
 		c.stats.Aborts++
 		return Result{Step: step, Accepted: false, Aborted: id, CompletedTxn: model.NoTxn}, nil
 	}
-	for _, a := range arcs {
-		c.g.AddArc(a.From, a.To)
-	}
+	c.g.LinkTargetsTo(r)
 	for _, pa := range c.pending[id] {
 		c.events[pa.entity] = append(c.events[pa.entity], certEvent{id, pa.access, pa.seq})
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/trace"
 )
 
 func capply(t *testing.T, c *Certifier, st model.Step) Result {
@@ -170,5 +171,80 @@ func TestCertifierAcceptsAtLeastAsMany(t *testing.T) {
 			t.Fatalf("seed %d: certification completed %d < preventive %d",
 				seed, cert.Stats().Completed, prev.Stats().Completed)
 		}
+	}
+}
+
+// TestCertifierCertifiesExactlyTheAcyclic is the referee for the cycle
+// test certify runs on the graph kernel. Over seeded random interleavings,
+// every final write is judged against a graph built from scratch: the
+// conflict graph of the certified transactions' steps plus the candidate's
+// is the would-be graph, and the candidate must be rejected iff that graph
+// has no topological order. After every step the accepted subschedule is
+// CSR and the certifier's graph is its conflict graph, arc for arc.
+func TestCertifierCertifiesExactlyTheAcyclic(t *testing.T) {
+	rejected := 0
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := NewCertifier()
+		var schedule []model.Step
+		certified := map[model.TxnID]bool{}
+		// subschedule restricts the schedule so far to the certified
+		// transactions and, when it is not NoTxn, one candidate.
+		subschedule := func(candidate model.TxnID) []model.Step {
+			var out []model.Step
+			for _, st := range schedule {
+				if certified[st.Txn] || st.Txn == candidate {
+					out = append(out, st)
+				}
+			}
+			return out
+		}
+		type plan struct {
+			id    model.TxnID
+			reads int
+		}
+		var act []plan
+		entity := func() model.Entity { return model.Entity(rng.Intn(5)) }
+		for next := model.TxnID(1); next <= 30 || len(act) > 0; {
+			var st model.Step
+			if next <= 30 && (len(act) == 0 || rng.Intn(3) == 0) {
+				act = append(act, plan{id: next, reads: rng.Intn(4)})
+				st = model.Begin(next)
+				next++
+			} else {
+				i := rng.Intn(len(act))
+				if p := &act[i]; p.reads > 0 {
+					p.reads--
+					st = model.Read(p.id, entity())
+				} else {
+					st = model.WriteFinal(p.id, entity(), entity())
+					act = append(act[:i], act[i+1:]...)
+				}
+			}
+			schedule = append(schedule, st)
+			res := capply(t, c, st)
+			if st.Kind == model.KindWriteFinal {
+				cyclic := trace.ConflictGraphOf(subschedule(st.Txn)).TopoOrder() == nil
+				if res.Accepted == cyclic {
+					t.Fatalf("seed %d: %v accepted=%v, would-be graph cyclic=%v", seed, st, res.Accepted, cyclic)
+				}
+				certified[st.Txn] = res.Accepted
+				if !res.Accepted {
+					rejected++
+				}
+			} else if !res.Accepted {
+				t.Fatalf("seed %d: %v must run free", seed, st)
+			}
+			accepted := subschedule(model.NoTxn)
+			if !trace.IsCSR(accepted) {
+				t.Fatalf("seed %d: accepted subschedule is not CSR after %v", seed, st)
+			}
+			if want := trace.ConflictGraphOf(accepted); !c.Graph().Equal(want) {
+				t.Fatalf("seed %d: after %v the certifier's graph is\n%vwant\n%v", seed, st, c.Graph(), want)
+			}
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no interleaving was rejected: the property was not exercised")
 	}
 }

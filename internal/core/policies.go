@@ -30,14 +30,36 @@ import (
 )
 
 // Policy decides which completed transactions to delete after a step. The
-// scheduler invokes Sweep after completions and aborts (or after every
-// accepted step with Config.SweepEveryStep); the policy performs deletions
-// through the Sweep handle.
+// scheduler invokes Sweep after completions and aborts; the policy performs
+// deletions through the Sweep handle.
 type Policy interface {
 	// Name identifies the policy in experiment tables.
 	Name() string
 	// Sweep performs zero or more deletions via sw.
 	Sweep(sw *Sweep)
+}
+
+// PolicyByName is the one place the built-in correct policies are known by
+// name. It returns a constructor, not a value: each scheduler (each shard
+// of an engine) takes its own instance. "nogc" names the nil constructor —
+// a nil Config.Policy never deletes and never sweeps. The UNSAFE negative
+// controls are deliberately not listed. Unknown names report false.
+func PolicyByName(name string) (func() Policy, bool) {
+	switch name {
+	case "nogc":
+		return nil, true
+	case "lemma1":
+		return func() Policy { return Lemma1Policy{} }, true
+	case "greedy-c1":
+		return func() Policy { return GreedyC1{} }, true
+	case "greedy-c1-newest":
+		return func() Policy { return GreedyC1{NewestFirst: true} }, true
+	case "noncurrent-safe":
+		return func() Policy { return NoncurrentSafe{} }, true
+	case "max-safe":
+		return func() Policy { return MaxSafeExact{} }, true
+	}
+	return nil, false
 }
 
 // Sweep is the mutating handle a Policy receives. It records what was

@@ -180,3 +180,23 @@ func TestSweepAccessors(t *testing.T) {
 		t.Fatal("sweep for T3's completion never ran")
 	}
 }
+
+// TestPolicyByName: every listed name builds the policy that calls itself
+// by that name, "nogc" is the nil constructor, and the UNSAFE negative
+// controls cannot be asked for by name.
+func TestPolicyByName(t *testing.T) {
+	for _, name := range []string{"lemma1", "greedy-c1", "greedy-c1-newest", "noncurrent-safe", "max-safe"} {
+		mk, ok := PolicyByName(name)
+		if !ok || mk == nil || mk().Name() != name {
+			t.Errorf("PolicyByName(%q) does not build the policy of that name", name)
+		}
+	}
+	if mk, ok := PolicyByName("nogc"); !ok || mk != nil {
+		t.Error(`PolicyByName("nogc") must be the nil constructor`)
+	}
+	for _, name := range []string{"", CommitGC{}.Name(), NoncurrentNaive{}.Name(), "commit-gc-unsafe"} {
+		if _, ok := PolicyByName(name); ok {
+			t.Errorf("PolicyByName(%q) must be unknown", name)
+		}
+	}
+}

@@ -99,13 +99,6 @@ type TxnState struct {
 type Config struct {
 	// Policy is the deletion policy; nil means never delete (NoGC).
 	Policy Policy
-	// SweepEveryStep forces a policy sweep after every accepted step. By
-	// default the scheduler sweeps only after completions and aborts,
-	// which is sufficient: in the basic model, BEGIN adds an isolated node
-	// and an accepted read only adds arcs whose head is the active reader,
-	// so neither can create a new active-tight-predecessor relationship or
-	// a new completed witness, hence cannot change any C1 verdict.
-	SweepEveryStep bool
 	// SweepManual disables the automatic post-step sweeps entirely: the
 	// policy runs only when the owner calls SweepNow. Engines use this to
 	// amortize GC off the hot path (sweeping between batches instead of
@@ -114,9 +107,6 @@ type Config struct {
 	SweepManual bool
 	// OnDelete, if non-nil, is invoked for every node the policy deletes.
 	OnDelete func(model.TxnID)
-	// MaxSafeBudget bounds the branch-and-bound search of MaxSafeExact
-	// (nodes explored); 0 means DefaultMaxSafeBudget.
-	MaxSafeBudget int
 	// Cross, if non-nil, enables sub-transactions on this scheduler and
 	// names the engine's cross-arc registry (see subtxn.go). Purely local
 	// schedulers leave it nil and pay nothing.
@@ -670,10 +660,13 @@ func (s *Scheduler) deleteTxn(id model.TxnID) error {
 }
 
 // afterStep updates peak statistics and runs the deletion policy.
-// sweepEvent is true for the events after which a C1 verdict can change
-// (a completion or an abort); see Config.SweepEveryStep.
+// sweepEvent is true for the events after which a C1 verdict can change, a
+// completion or an abort. Sweeping only then is sufficient: in the basic
+// model, BEGIN adds an isolated node and an accepted read only adds arcs
+// whose head is the active reader, so neither can create a new
+// active-tight-predecessor relationship or a new completed witness.
 func (s *Scheduler) afterStep(res *Result, sweepEvent bool) {
-	if s.cfg.Policy != nil && !s.cfg.SweepManual && (sweepEvent || s.cfg.SweepEveryStep) {
+	if s.cfg.Policy != nil && !s.cfg.SweepManual && sweepEvent {
 		sw := &s.autoSweep
 		sw.s = s
 		sw.justCompleted = res.CompletedTxn

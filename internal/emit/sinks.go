@@ -1,42 +1,10 @@
 package emit
 
 import (
-	"fmt"
 	"io"
 	"strconv"
 	"sync"
-	"time"
 )
-
-// LogSink renders each event as one human-readable line — the cheapest way
-// to watch a live engine. Lines are timestamped at consumption (events do
-// not carry wall-clock time; the hot path never calls the clock).
-type LogSink struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-// NewLogSink returns a sink writing lines to w. The caller owns w.
-func NewLogSink(w io.Writer) *LogSink { return &LogSink{w: w} }
-
-// Consume implements Sink.
-func (s *LogSink) Consume(ev Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fmt.Fprintf(s.w, "emit %s kind=%s class=%s shard=%d txn=%d inc=%d",
-		time.Now().Format(time.RFC3339Nano), ev.Kind, ev.Class, ev.Shard, ev.Txn, ev.Incarnation)
-	if ev.N != 0 {
-		fmt.Fprintf(s.w, " n=%d", ev.N)
-	}
-	if ev.DurNanos != 0 {
-		fmt.Fprintf(s.w, " dur=%s", time.Duration(ev.DurNanos))
-	}
-	fmt.Fprintln(s.w)
-}
-
-// Close implements Sink; the underlying writer stays open (the caller owns
-// it).
-func (s *LogSink) Close() error { return nil }
 
 // CaptureSink appends the event stream to a writer as JSON lines —
 // one {"rec":"event",...} object per event — so a live session can be
@@ -136,17 +104,6 @@ func (s *CountingSink) Count(k Kind) uint64 {
 		return 0
 	}
 	return s.counts[k]
-}
-
-// Total returns the number of events consumed.
-func (s *CountingSink) Total() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var t uint64
-	for _, c := range s.counts {
-		t += c
-	}
-	return t
 }
 
 // Close implements Sink.

@@ -81,12 +81,6 @@ type Config struct {
 	// regardless — 2PC safety never rides the batch. Ignored without a
 	// Store.
 	WALSyncEvery int
-	// HoldInDoubt keeps a fully-prepared cross-partition transaction found
-	// at recovery pinned, registered, and awaiting an explicit
-	// ResolveInDoubt decision, instead of presuming abort. Off by default:
-	// with the engine itself acting as coordinator, a crash loses the
-	// coordinator, and presumed abort is the standard resolution.
-	HoldInDoubt bool
 }
 
 func (c Config) withDefaults() Config {
@@ -395,7 +389,7 @@ func (e *Engine) SubmitCtx(ctx context.Context, step model.Step) Result {
 // never shed).
 func (e *Engine) SubmitPriority(ctx context.Context, step model.Step, pri Priority) Result {
 	if e.closed.Load() {
-		return Result{Step: step, Outcome: OutcomeError, Aborted: model.NoTxn, CompletedTxn: model.NoTxn, Err: stepErr(step, ErrClosed)}
+		return closedResult(step)
 	}
 	e.submitted.Add(1)
 	if ctx.Err() != nil {
@@ -492,7 +486,7 @@ func (e *Engine) SubmitBatchInto(dst []Result, steps []model.Step) []Result {
 	}
 	if e.closed.Load() {
 		for _, st := range steps {
-			dst = append(dst, Result{Step: st, Outcome: OutcomeError, Aborted: model.NoTxn, CompletedTxn: model.NoTxn, Err: ErrClosed})
+			dst = append(dst, closedResult(st))
 		}
 		return dst
 	}
@@ -585,7 +579,7 @@ func (e *Engine) flushRun(dst []Result, shardIdx int, steps []model.Step) []Resu
 			if st.Kind == model.KindBegin {
 				e.routes.delete(st.Txn)
 			}
-			dst = append(dst, Result{Step: st, Outcome: OutcomeError, Aborted: model.NoTxn, CompletedTxn: model.NoTxn, Err: ErrClosed})
+			dst = append(dst, closedResult(st))
 		}
 		return dst
 	}
@@ -622,7 +616,7 @@ func (e *Engine) submitBegin(ctx context.Context, step model.Step, pri Priority)
 func (e *Engine) doStep(shard int, step model.Step) Result {
 	rep, ok := e.shards[shard].do(request{kind: reqStep, step: step})
 	if !ok {
-		return Result{Step: step, Outcome: OutcomeError, Aborted: model.NoTxn, CompletedTxn: model.NoTxn, Err: ErrClosed}
+		return closedResult(step)
 	}
 	return rep.res
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -99,6 +100,14 @@ func TestResultErrTaxonomyRoundTrip(t *testing.T) {
 	eng2.Close()
 	if res = eng2.Submit(model.Begin(1)); !errors.Is(res.Err, ErrClosed) {
 		t.Fatalf("closed err = %v, want ErrClosed", res.Err)
+	}
+	// Both doors name the failing step, in the same words.
+	batch := eng2.SubmitBatch([]model.Step{model.Begin(1)})
+	if len(batch) != 1 || !errors.Is(batch[0].Err, ErrClosed) || batch[0].Err.Error() != res.Err.Error() {
+		t.Fatalf("closed batch = %+v, want one result with Submit's error %q", batch, res.Err)
+	}
+	if !strings.Contains(res.Err.Error(), model.Begin(1).String()) {
+		t.Fatalf("closed err %q does not name the step", res.Err)
 	}
 }
 

@@ -17,10 +17,9 @@
 //     some checkpoint) finishes committing on every lagging participant:
 //     the coordinator decided, so the decision stands.
 //   - A cross transaction prepared on EVERY participant but with no commit
-//     evidence is in doubt. By default it is presumed aborted (the engine
-//     itself was the coordinator and died undecided); with
-//     Config.HoldInDoubt it stays pinned and registered, awaiting
-//     ResolveInDoubt.
+//     evidence is in doubt, and is presumed aborted: the engine itself
+//     was the coordinator, so the crash lost the coordinator undecided,
+//     and presumed abort is the standard resolution.
 //   - Anything else — a cross transaction missing a durable YES vote
 //     somewhere — aborts everywhere.
 //
@@ -62,9 +61,6 @@ type RecoveryReport struct {
 	// CrossAborted counts cross transactions aborted during recovery
 	// (undecided, partially prepared, or presumed abort).
 	CrossAborted int
-	// InDoubt lists the fully-prepared cross transactions held pinned for
-	// ResolveInDoubt (only with Config.HoldInDoubt).
-	InDoubt []model.TxnID
 }
 
 // recoveryTracker is the cross tracker WAL replay runs under: every reach
@@ -134,18 +130,11 @@ func (e *Engine) recover() (*RecoveryReport, error) {
 	var crossOrder []model.TxnID // deterministic resolution order
 	orphans := make([][]model.TxnID, len(e.shards))
 	staleLabels := make(map[model.TxnID]bool)
-	reachPairs := make([][2]model.TxnID, 0)
 	for i, sh := range e.shards {
 		st := sh.sched.ExportState()
 		for _, t := range st.Txns {
 			for _, l := range t.Labels {
 				staleLabels[l] = true
-				if t.IsCross && l != t.ID {
-					// A label l on a cross sub-node of t.ID witnesses a
-					// shard-local path l→…→t.ID: re-derive the registry
-					// reach-arc if both ends end up registered (in doubt).
-					reachPairs = append(reachPairs, [2]model.TxnID{l, t.ID})
-				}
 			}
 			if t.IsCross {
 				if _, seen := cross[t.ID]; !seen {
@@ -176,23 +165,10 @@ func (e *Engine) recover() (*RecoveryReport, error) {
 		}
 	}
 
-	// Cross transactions: finish commits, hold or presume-abort the
-	// prepared, abort the rest.
-	inDoubtSet := make(map[model.TxnID]bool)
+	// Cross transactions: finish commits, abort the rest.
 	for _, id := range crossOrder {
 		subs := cross[id]
-		allPrepared := true
-		anyActive := false
-		for _, s := range subs {
-			if s.active {
-				anyActive = true
-				if !s.prepared {
-					allPrepared = false
-				}
-			}
-		}
-		switch {
-		case commitEvidence[id]:
+		if commitEvidence[id] {
 			for _, s := range subs {
 				if !s.active {
 					continue
@@ -213,51 +189,30 @@ func (e *Engine) recover() (*RecoveryReport, error) {
 				}
 			}
 			rep.CrossCommitted++
-		case anyActive && allPrepared && e.cfg.HoldInDoubt:
-			parts := make([]int, 0, len(subs))
-			for _, s := range subs {
-				parts = append(parts, s.shard)
-				e.shards[s.shard].preparedN.Add(1)
+			continue
+		}
+		// Undecided (presumed abort), partially prepared, or no active sub
+		// left at all. Aborting an already-gone sub is a no-op.
+		aborted := false
+		for _, s := range subs {
+			sh := e.shards[s.shard]
+			if sh.sched.AbortTxn(id) == nil {
+				sh.jr.record(store.RecAbort, id, 0, nil)
+				aborted = true
 			}
-			e.registry.register(id, parts)
-			e.routes.storeNew(id, route{kind: routeCross, ct: &crossTxn{id: id, parts: parts}})
-			inDoubtSet[id] = true
-			rep.InDoubt = append(rep.InDoubt, id)
-		default:
-			// Undecided (presumed abort), partially prepared, or no active
-			// sub left at all. Aborting an already-gone sub is a no-op.
-			aborted := false
-			for _, s := range subs {
-				sh := e.shards[s.shard]
-				if sh.sched.AbortTxn(id) == nil {
-					sh.jr.record(store.RecAbort, id, 0, nil)
-					aborted = true
-				}
-			}
-			if aborted {
-				rep.CrossAborted++
-			}
+		}
+		if aborted {
+			rep.CrossAborted++
 		}
 	}
 
-	// Registry arcs among the held in-doubt transactions, re-derived from
-	// the restored label sets.
-	for _, p := range reachPairs {
-		if inDoubtSet[p[0]] && inDoubtSet[p[1]] {
-			e.registry.OnCrossReach(p[0], p[1])
-		}
-	}
-	// Every other recovered cross ID is a dead incarnation whose labels
-	// may linger in shard graphs: mark it so re-registration purges them.
+	// Every recovered cross ID is a dead incarnation whose labels may
+	// linger in shard graphs: mark it so re-registration purges them.
 	for id := range cross {
-		if !inDoubtSet[id] {
-			e.registry.markDirty(id)
-		}
+		e.registry.markDirty(id)
 	}
 	for id := range staleLabels {
-		if !inDoubtSet[id] {
-			e.registry.markDirty(id)
-		}
+		e.registry.markDirty(id)
 	}
 
 	// Make the resolutions durable, count what is retained, seed the trace
@@ -266,7 +221,7 @@ func (e *Engine) recover() (*RecoveryReport, error) {
 		if err := sh.jr.sync(); err != nil {
 			return nil, fmt.Errorf("engine: recover shard %d: sync resolutions: %w", i, err)
 		}
-		rep.TxnsRetained += len(sh.sched.ExportState().Txns)
+		rep.TxnsRetained += sh.sched.NumActive() + sh.sched.NumCompleted()
 	}
 	if e.cfg.Log != nil {
 		e.seedTraceLog()
@@ -381,51 +336,4 @@ func (e *Engine) seedTraceLog() {
 			e.cfg.Log.Append(v.step, true)
 		}
 	}
-}
-
-// ResolveInDoubt decides a cross transaction Open held in doubt
-// (Config.HoldInDoubt): commit completes it on every participant, abort
-// releases it everywhere. It reports false if id is not an unresolved
-// in-doubt transaction. The decision is journaled and synced on every
-// participant before it applies, like any 2PC decision.
-func (e *Engine) ResolveInDoubt(id model.TxnID, commit bool) bool {
-	r, ok := e.routes.load(id)
-	if !ok || r.kind != routeCross {
-		return false
-	}
-	ct := r.ct
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	if ct.done {
-		return false
-	}
-	if !commit {
-		e.finishCrossAbort(ct, -1)
-		return true
-	}
-	for i, p := range ct.parts {
-		rep, ok := e.shards[p].do(request{kind: reqCommitSub, step: model.Step{Txn: id}, decisionDurable: i > 0})
-		if ok && i == 0 && rep.res.Outcome != OutcomeAccepted && rep.res.Aborted == id {
-			// The decision could not be made durable anywhere (the first
-			// participant's journal is dead): resolve as abort, which is
-			// what recovery would conclude from the evidence-free medium.
-			e.finishCrossAbort(ct, p)
-			return true
-		}
-		if !ok {
-			ct.done = true
-			e.registry.drop(id)
-			e.routes.delete(id)
-			return false
-		}
-	}
-	ct.done = true
-	ct.committed = true
-	e.registry.decideCommit(id)
-	for _, p := range ct.parts {
-		e.shards[p].trySend(request{kind: reqUpkeep})
-	}
-	e.routes.delete(id)
-	e.completed.Add(1)
-	return true
 }

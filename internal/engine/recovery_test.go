@@ -47,7 +47,7 @@ func TestRecoverRoundTrip(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer eng2.Close()
-	if rep2.OrphansAborted != 0 || rep2.CrossAborted != 0 || len(rep2.InDoubt) != 0 {
+	if rep2.OrphansAborted != 0 || rep2.CrossAborted != 0 {
 		t.Fatalf("clean shutdown recovered with resolutions: %+v", rep2)
 	}
 	if pre.Deleted > 0 {
@@ -181,8 +181,8 @@ func TestRecoverPrepared2PCPresumedAbort(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer eng.Close()
-	if rep.CrossAborted != 1 || len(rep.InDoubt) != 0 {
-		t.Fatalf("report = %+v, want CrossAborted=1, no in-doubt", rep)
+	if rep.CrossAborted != 1 {
+		t.Fatalf("report = %+v, want CrossAborted=1", rep)
 	}
 	for i, n := range eng.PreparedCounts() {
 		if n != 0 {
@@ -199,73 +199,6 @@ func TestRecoverPrepared2PCPresumedAbort(t *testing.T) {
 	mustAccept(t, eng.Submit(model.WriteFinal(9, 0)))
 }
 
-// TestRecoverPrepared2PCHeldInDoubt: with HoldInDoubt the transaction stays
-// pinned and registered until ResolveInDoubt decides it — either way the
-// prepared gauges drain to zero on both shards.
-func TestRecoverPrepared2PCHeldInDoubt(t *testing.T) {
-	for _, commit := range []bool{true, false} {
-		name := "abort"
-		if commit {
-			name = "commit"
-		}
-		t.Run(name, func(t *testing.T) {
-			st := crash2PC(t)
-			eng, rep, err := Open(Config{Shards: 2, Store: st, HoldInDoubt: true})
-			if err != nil {
-				t.Fatalf("reopen: %v", err)
-			}
-			defer eng.Close()
-			if len(rep.InDoubt) != 1 || rep.InDoubt[0] != 9 || rep.CrossAborted != 0 {
-				t.Fatalf("report = %+v, want InDoubt=[9]", rep)
-			}
-			for i, n := range eng.PreparedCounts() {
-				if n != 1 {
-					t.Fatalf("shard %d pins %d prepared subs, want 1 (held in doubt)", i, n)
-				}
-			}
-			if eng.ResolveInDoubt(9, commit) != true {
-				t.Fatal("ResolveInDoubt refused the held transaction")
-			}
-			if eng.ResolveInDoubt(9, commit) {
-				t.Fatal("ResolveInDoubt resolved the same transaction twice")
-			}
-			for i, n := range eng.PreparedCounts() {
-				if n != 0 {
-					t.Fatalf("shard %d still pins %d after %s", i, n, name)
-				}
-			}
-			st2 := eng.Stats()
-			if commit && st2.Completed != 1 {
-				t.Fatalf("Completed = %d after commit resolution, want 1", st2.Completed)
-			}
-			// The resolution is durable: a third generation sees nothing in
-			// doubt and nothing prepared.
-			eng.Close()
-			eng3, rep3, err := Open(Config{Shards: 2, Store: st, HoldInDoubt: true})
-			if err != nil {
-				t.Fatalf("third open: %v", err)
-			}
-			defer eng3.Close()
-			if len(rep3.InDoubt) != 0 {
-				t.Fatalf("resolved transaction back in doubt: %+v", rep3)
-			}
-			for i, n := range eng3.PreparedCounts() {
-				if n != 0 {
-					t.Fatalf("shard %d pins %d after durable resolution", i, n)
-				}
-			}
-			if commit {
-				// Committed: the ID is retained, so a duplicate BEGIN errors.
-				if res := eng3.Submit(model.Begin(9)); res.Outcome != OutcomeError {
-					t.Fatalf("committed ID began fresh: %+v", res)
-				}
-			} else {
-				mustAccept(t, eng3.Submit(model.BeginDeclared(9, 0)))
-			}
-		})
-	}
-}
-
 // TestRecoverCommitEvidenceFinishesLaggards: a durable COMMIT on one
 // participant commits the transaction everywhere — the decision stands even
 // if the other participant crashed before hearing it.
@@ -280,12 +213,12 @@ func TestRecoverCommitEvidenceFinishesLaggards(t *testing.T) {
 	if err := sh0.Sync(); err != nil {
 		t.Fatalf("sync commit evidence: %v", err)
 	}
-	eng, rep, err := Open(Config{Shards: 2, Store: st, HoldInDoubt: true})
+	eng, rep, err := Open(Config{Shards: 2, Store: st})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer eng.Close()
-	if rep.CrossCommitted != 1 || len(rep.InDoubt) != 0 || rep.CrossAborted != 0 {
+	if rep.CrossCommitted != 1 || rep.CrossAborted != 0 {
 		t.Fatalf("report = %+v, want CrossCommitted=1", rep)
 	}
 	for i, n := range eng.PreparedCounts() {

@@ -492,6 +492,10 @@ func errResult(step model.Step, err error) Result {
 	return Result{Step: step, Outcome: OutcomeError, Aborted: model.NoTxn, CompletedTxn: model.NoTxn, Err: err}
 }
 
+// closedResult is what every door answers for a step the engine can no
+// longer run: closed before the submit, or closed with the request queued.
+func closedResult(step model.Step) Result { return errResult(step, stepErr(step, ErrClosed)) }
+
 // sweep runs the deletion policy now, then lets the journal checkpoint what
 // it retained, and reports how many transactions were deleted.
 func (sh *shard) sweep() int64 {
@@ -646,15 +650,13 @@ func (sh *shard) shutdown() {
 			// Remaining steps of a queued batch fail; results already
 			// computed are delivered as-is.
 			for _, st := range req.steps {
-				req.done = append(req.done, Result{Step: st, Outcome: OutcomeError,
-					Aborted: model.NoTxn, CompletedTxn: model.NoTxn, Err: ErrClosed})
+				req.done = append(req.done, closedResult(st))
 			}
 			sh.mb.Reply(tk, reply{results: req.done, stats: sh.final})
 			continue
 		}
 		// A drained stats request can still be answered truthfully; every
 		// other kind is refused.
-		sh.mb.Reply(tk, reply{stats: sh.final, res: Result{Step: req.step, Outcome: OutcomeError,
-			Aborted: model.NoTxn, CompletedTxn: model.NoTxn, Err: ErrClosed}})
+		sh.mb.Reply(tk, reply{stats: sh.final, res: closedResult(req.step)})
 	}
 }

@@ -126,6 +126,15 @@ func (r *refGraph) reachesAny(src model.TxnID, targets NodeSet) bool {
 	return false
 }
 
+func (r *refGraph) anyReaches(sources NodeSet, dst model.TxnID) bool {
+	for s := range sources {
+		if r.reachable(s, dst) {
+			return true
+		}
+	}
+	return false
+}
+
 func (r *refGraph) forwardClosure(src model.TxnID, through func(model.TxnID) bool) NodeSet {
 	out := make(NodeSet)
 	if !r.hasNode(src) {
@@ -204,7 +213,7 @@ func sameSet(a, b NodeSet) bool {
 // add acyclic arc, reduce, remove) through the arena graph and the
 // map-based reference simultaneously, checking after every mutation that
 // counts agree and, on a sample, that reachability, closures, adjacency
-// lists, and cycle tests agree. The workload aggressively recycles slots
+// lists, and the set-to-node reachability queries agree. The workload aggressively recycles slots
 // (removes + fresh IDs) to stress the free list and the epoch-stamped
 // visited array.
 func TestGraphDifferentialRandomOps(t *testing.T) {
@@ -259,23 +268,21 @@ func TestGraphDifferentialRandomOps(t *testing.T) {
 			ref.removeNode(id)
 			dropAlive(id)
 		default:
-			// Query-only round: ReachesAny with a random target set and
-			// WouldCycle with a random arc batch.
-			src := pick()
-			targets := make(NodeSet)
+			// Query-only round: ReachesAny and AnyReaches with a random
+			// set, now and then holding an ID that is not a node.
+			end := pick()
+			set := make(NodeSet)
 			for k := 0; k < 1+rng.Intn(4); k++ {
-				targets.Add(pick())
+				set.Add(pick())
 			}
-			if got, want := g.ReachesAny(src, targets), ref.reachesAny(src, targets); got != want {
-				t.Fatalf("op %d: ReachesAny(T%d, %v) = %v, ref %v", op, src, targets.Sorted(), got, want)
+			if rng.Intn(4) == 0 {
+				set.Add(next)
 			}
-			var arcs []Arc
-			for k := 0; k < 1+rng.Intn(3); k++ {
-				arcs = append(arcs, Arc{pick(), pick()})
+			if got, want := g.ReachesAny(end, set), ref.reachesAny(end, set); got != want {
+				t.Fatalf("op %d: ReachesAny(T%d, %v) = %v, ref %v", op, end, set.Sorted(), got, want)
 			}
-			want := refWouldCycle(ref, arcs)
-			if got := g.WouldCycle(arcs); got != want {
-				t.Fatalf("op %d: WouldCycle(%v) = %v, ref %v", op, arcs, got, want)
+			if got, want := g.AnyReaches(set, end), ref.anyReaches(set, end); got != want {
+				t.Fatalf("op %d: AnyReaches(%v, T%d) = %v, ref %v", op, set.Sorted(), end, got, want)
 			}
 		}
 
@@ -399,37 +406,6 @@ func TestFindAncestorRefDoesNotAllocate(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("FindAncestorRef allocates %.1f times per search", allocs)
 	}
-}
-
-// refWouldCycle checks an arc batch against the reference by materializing
-// a scratch copy.
-func refWouldCycle(r *refGraph, arcs []Arc) bool {
-	scratch := newRefGraph()
-	for id := range r.out {
-		scratch.addNode(id)
-	}
-	for from, succs := range r.out {
-		for to := range succs {
-			scratch.addArc(from, to)
-		}
-	}
-	for _, a := range arcs {
-		if a.From == a.To {
-			return true
-		}
-		scratch.addNode(a.From)
-		scratch.addNode(a.To)
-		scratch.addArc(a.From, a.To)
-	}
-	// Cycle iff some node reaches itself through at least one arc.
-	for id := range scratch.out {
-		for s := range scratch.out[id] {
-			if s == id || scratch.reachable(s, id) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // TestGraphSlotRecycling pins the free-list behavior: removing nodes and

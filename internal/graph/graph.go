@@ -3,10 +3,10 @@
 // Yannakakis' "Deleting Completed Transactions" and the reduced graphs
 // obtained by deleting nodes.
 //
-// The engine supports the three operations the paper's schedulers need:
+// The paper asks three things of its graph:
 //
-//   - incremental cycle checks when a step wants to add a batch of arcs
-//     (all arcs of one step share an endpoint, so a single DFS suffices);
+//   - an incremental cycle test for a step whose new arcs all share an
+//     endpoint (so one search suffices);
 //   - reachability restricted to paths whose intermediate nodes satisfy a
 //     predicate ("tight" paths through completed transactions only);
 //   - node reduction — deleting a node and splicing arcs from all its
@@ -16,16 +16,31 @@
 // Nodes are model.TxnID values. The graph never stores parallel arcs or
 // self-loops.
 //
-// # Dense node arena
+// # One kernel, one translation layer
 //
-// Internally nodes live in a dense arena: each node gets a small
-// contiguous slot index (a Ref), recycled through a free list when the
-// node is removed. Adjacency is slot-indexed slices ([][]Ref), and
-// traversals mark visited slots in an epoch-stamped array, so the hot
-// operations (ReachesAnyTarget, LinkTargetsTo, ReduceRef) allocate
-// nothing in steady state. The map-flavored API (NodeSet in, NodeSet out)
-// is preserved on top as thin views for the oracle, the deletion
-// conditions, and the NP-solver.
+// The kernel is a dense arena keyed by Ref: each node gets a small
+// contiguous slot index, recycled through a free list when the node is
+// removed. Adjacency is slot-indexed slices ([][]Ref), and traversals mark
+// visited slots in an epoch-stamped array, so the hot operations
+// (ReachesAnyTarget, LinkTargetsTo, ReduceRef, FindAncestorRef) allocate
+// nothing in steady state. The schedulers and the engine call the kernel
+// directly and cache each live transaction's Ref.
+//
+// Exactly four functions own a traversal loop:
+//
+//   - ReachesAnyTarget — forward from one slot to any marked target;
+//   - FindAncestorRef — backward from one slot to the first slot
+//     satisfying a predicate;
+//   - closureInto — every node met along through-filtered paths, in
+//     either direction;
+//   - TopoOrder — Kahn's algorithm over the whole graph.
+//
+// Every ID-keyed query (Reachable, ReachesAny, AnyReaches, the closures,
+// Descendants/Ancestors, Acyclic) translates its IDs to Refs and calls one
+// of those four; the paper toolkit (multiwrite, predeclared, closure, the
+// generic deletion conditions) reads the graph through them. The queries
+// that mark targets (Reachable, ReachesAny, AnyReaches) clobber the
+// current target set.
 //
 // Traversal methods share per-graph scratch state (the visited array and
 // DFS stack): predicates and yield callbacks passed to them must not call
@@ -34,6 +49,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -253,34 +269,6 @@ func (g *Graph) HasArc(from, to model.TxnID) bool {
 	return g.hasArcRef(f, t)
 }
 
-// Succs calls yield for each immediate successor of id until yield returns
-// false. Iteration order is unspecified.
-func (g *Graph) Succs(id model.TxnID, yield func(model.TxnID) bool) {
-	r, ok := g.idx[id]
-	if !ok {
-		return
-	}
-	for _, s := range g.out[r] {
-		if !yield(g.ids[s]) {
-			return
-		}
-	}
-}
-
-// Preds calls yield for each immediate predecessor of id until yield
-// returns false.
-func (g *Graph) Preds(id model.TxnID, yield func(model.TxnID) bool) {
-	r, ok := g.idx[id]
-	if !ok {
-		return
-	}
-	for _, p := range g.in[r] {
-		if !yield(g.ids[p]) {
-			return
-		}
-	}
-}
-
 func (g *Graph) idList(refs []Ref) []model.TxnID {
 	out := make([]model.TxnID, len(refs))
 	for i, r := range refs {
@@ -306,24 +294,6 @@ func (g *Graph) PredList(id model.TxnID) []model.TxnID {
 		return nil
 	}
 	return g.idList(g.in[r])
-}
-
-// OutDegree returns the number of immediate successors of id.
-func (g *Graph) OutDegree(id model.TxnID) int {
-	r, ok := g.idx[id]
-	if !ok {
-		return 0
-	}
-	return len(g.out[r])
-}
-
-// InDegree returns the number of immediate predecessors of id.
-func (g *Graph) InDegree(id model.TxnID) int {
-	r, ok := g.idx[id]
-	if !ok {
-		return 0
-	}
-	return len(g.in[r])
 }
 
 // DropRef removes the first occurrence of x from list by swap-remove
@@ -443,41 +413,6 @@ func (g *Graph) bumpEpoch() uint32 {
 	return g.epoch
 }
 
-// Reachable reports whether there is a (possibly empty) path from src to
-// dst. Reachable(x, x) is true.
-func (g *Graph) Reachable(src, dst model.TxnID) bool {
-	if src == dst {
-		return g.HasNode(src)
-	}
-	sr, ok := g.idx[src]
-	if !ok {
-		return false
-	}
-	dr, ok := g.idx[dst]
-	if !ok {
-		return false
-	}
-	ep := g.bumpEpoch()
-	g.visited[sr] = ep
-	stack := append(g.stack[:0], sr)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range g.out[n] {
-			if s == dr {
-				g.stack = stack
-				return true
-			}
-			if g.visited[s] != ep {
-				g.visited[s] = ep
-				stack = append(stack, s)
-			}
-		}
-	}
-	g.stack = stack
-	return false
-}
-
 // ResetTargets begins a new target set for the slot-level cycle test.
 // The typical scheduler step is:
 //
@@ -504,9 +439,6 @@ func (g *Graph) MarkTarget(r Ref) {
 	g.tmark[r] = g.tepoch
 	g.tlist = append(g.tlist, r)
 }
-
-// NumTargets returns the size of the current target set.
-func (g *Graph) NumTargets() int { return len(g.tlist) }
 
 // Targets returns the marked slots of the current target set. The slice
 // aliases scratch storage: treat it as read-only and do not hold it past
@@ -611,65 +543,43 @@ func (g *Graph) VisitRef(r Ref) bool {
 // VisitedRef reports whether slot r was stamped in the current traversal.
 func (g *Graph) VisitedRef(r Ref) bool { return g.visited[r] == g.epoch }
 
-// ReachesAny reports whether src reaches any member of targets by a
-// non-empty path... more precisely by any path of length >= 1, or length 0
-// if src itself is in targets. This is the map-flavored compatibility
-// wrapper over the target machinery; it clobbers the current target set.
-func (g *Graph) ReachesAny(src model.TxnID, targets NodeSet) bool {
-	sr, ok := g.idx[src]
-	if !ok || len(targets) == 0 {
-		return false
-	}
-	if targets.Has(src) {
-		return true
-	}
+// markTargets makes ids (those that are nodes) the current target set.
+func (g *Graph) markTargets(ids NodeSet) {
 	g.ResetTargets()
-	for id := range targets {
+	for id := range ids {
 		if r, ok := g.idx[id]; ok {
 			g.MarkTarget(r)
 		}
 	}
+}
+
+// Reachable reports whether there is a (possibly empty) path from src to
+// dst. Reachable(x, x) is true.
+func (g *Graph) Reachable(src, dst model.TxnID) bool {
+	return g.ReachesAny(src, NodeSet{dst: {}})
+}
+
+// ReachesAny reports whether src reaches any member of targets by a path
+// of length ≥ 1, or length 0 if src itself is in targets.
+func (g *Graph) ReachesAny(src model.TxnID, targets NodeSet) bool {
+	sr, ok := g.idx[src]
+	if !ok {
+		return false
+	}
+	g.markTargets(targets)
 	return g.ReachesAnyTarget(sr)
 }
 
-// AnyReaches reports whether any member of sources reaches dst.
+// AnyReaches reports whether any member of sources reaches dst, by the
+// same path lengths as ReachesAny.
 func (g *Graph) AnyReaches(sources NodeSet, dst model.TxnID) bool {
 	dr, ok := g.idx[dst]
-	if !ok || len(sources) == 0 {
+	if !ok {
 		return false
 	}
-	if sources.Has(dst) {
-		return true
-	}
-	g.ResetTargets()
-	for id := range sources {
-		if r, ok := g.idx[id]; ok {
-			g.MarkTarget(r)
-		}
-	}
-	if len(g.tlist) == 0 {
-		return false
-	}
-	// Search backwards from dst.
-	ep := g.bumpEpoch()
-	g.visited[dr] = ep
-	stack := append(g.stack[:0], dr)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range g.in[n] {
-			if g.tmark[p] == g.tepoch {
-				g.stack = stack
-				return true
-			}
-			if g.visited[p] != ep {
-				g.visited[p] = ep
-				stack = append(stack, p)
-			}
-		}
-	}
-	g.stack = stack
-	return false
+	g.markTargets(sources)
+	marked := func(r Ref) bool { return g.tmark[r] == g.tepoch }
+	return marked(dr) || g.FindAncestorRef(dr, marked) != NoRef
 }
 
 // ForwardClosure returns every node reachable from src by a non-empty path
@@ -678,13 +588,13 @@ func (g *Graph) AnyReaches(sources NodeSet, dst model.TxnID) bool {
 // acyclic in our uses). Endpoints are unconstrained: this matches the
 // paper's "tight successor" when through selects completed transactions.
 func (g *Graph) ForwardClosure(src model.TxnID, through func(model.TxnID) bool) NodeSet {
-	return g.closure(src, through, g.out)
+	return g.closureInto(make(NodeSet), src, through, g.out)
 }
 
 // BackwardClosure is ForwardClosure on the reversed graph: every node that
 // reaches src by a non-empty path whose intermediate nodes satisfy through.
 func (g *Graph) BackwardClosure(src model.TxnID, through func(model.TxnID) bool) NodeSet {
-	return g.closure(src, through, g.in)
+	return g.closureInto(make(NodeSet), src, through, g.in)
 }
 
 // BackwardClosureScratch is BackwardClosure for a single owner evaluating
@@ -693,21 +603,15 @@ func (g *Graph) BackwardClosure(src model.TxnID, through func(model.TxnID) bool)
 // valid only until the next BackwardClosureScratch call on g and must not
 // be retained or mutated.
 func (g *Graph) BackwardClosureScratch(src model.TxnID, through func(model.TxnID) bool) NodeSet {
-	return g.closureInto(g.scratchSet(), src, through, g.in)
-}
-
-func (g *Graph) scratchSet() NodeSet {
 	if g.cset == nil {
 		g.cset = make(NodeSet)
 	}
 	clear(g.cset)
-	return g.cset
+	return g.closureInto(g.cset, src, through, g.in)
 }
 
-func (g *Graph) closure(src model.TxnID, through func(model.TxnID) bool, adj [][]Ref) NodeSet {
-	return g.closureInto(make(NodeSet), src, through, adj)
-}
-
+// closureInto adds to out every node met from src along adj (g.out or
+// g.in), expanding only src and the nodes that satisfy through.
 func (g *Graph) closureInto(out NodeSet, src model.TxnID, through func(model.TxnID) bool, adj [][]Ref) NodeSet {
 	sr, ok := g.idx[src]
 	if !ok {
@@ -734,142 +638,24 @@ func (g *Graph) closureInto(out NodeSet, src model.TxnID, through func(model.Txn
 	return out
 }
 
+func anyNode(model.TxnID) bool { return true }
+
 // Descendants returns all nodes reachable from src by a non-empty path.
-func (g *Graph) Descendants(src model.TxnID) NodeSet {
-	return g.ForwardClosure(src, func(model.TxnID) bool { return true })
-}
+func (g *Graph) Descendants(src model.TxnID) NodeSet { return g.ForwardClosure(src, anyNode) }
 
 // Ancestors returns all nodes that reach src by a non-empty path.
-func (g *Graph) Ancestors(src model.TxnID) NodeSet {
-	return g.BackwardClosure(src, func(model.TxnID) bool { return true })
-}
+func (g *Graph) Ancestors(src model.TxnID) NodeSet { return g.BackwardClosure(src, anyNode) }
 
-// WouldCycle reports whether tentatively adding arcs would create a
-// directed cycle. It mutates nothing, and tolerates arc endpoints that are
-// not (yet) nodes of the graph — the certification variant tests the
-// candidate transaction's arcs before inserting its node. Schedulers with
-// single-endpoint batches should prefer the target machinery; this general
-// form is off the hot path and may allocate.
-func (g *Graph) WouldCycle(arcs []Arc) bool {
-	if len(arcs) == 0 {
-		return false
-	}
-	// Overlay adjacency for the new arcs.
-	extra := make(map[model.TxnID][]model.TxnID, len(arcs))
-	for _, a := range arcs {
-		if a.From == a.To {
-			return true
-		}
-		extra[a.From] = append(extra[a.From], a.To)
-	}
-	succs := func(n model.TxnID, yield func(model.TxnID)) {
-		if r, ok := g.idx[n]; ok {
-			for _, s := range g.out[r] {
-				yield(g.ids[s])
-			}
-		}
-		for _, s := range extra[n] {
-			yield(s)
-		}
-	}
-	// A new cycle must use at least one new arc, so it lives entirely in
-	// the subgraph reachable from the arc heads. Collect that subgraph,
-	// then run a coloring DFS over graph+overlay restricted to it.
-	reach := make(NodeSet, len(arcs))
-	var stack []model.TxnID
-	for _, a := range arcs {
-		if !reach.Has(a.To) {
-			reach.Add(a.To)
-			stack = append(stack, a.To)
-		}
-	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		succs(n, func(s model.TxnID) {
-			if !reach.Has(s) {
-				reach.Add(s)
-				stack = append(stack, s)
-			}
-		})
-	}
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make(map[model.TxnID]uint8, len(reach))
-	type frame struct {
-		node model.TxnID
-		next []model.TxnID
-	}
-	neighbors := func(n model.TxnID) []model.TxnID {
-		var ns []model.TxnID
-		succs(n, func(s model.TxnID) {
-			if reach.Has(s) {
-				ns = append(ns, s)
-			}
-		})
-		return ns
-	}
-	for start := range reach {
-		if color[start] != white {
-			continue
-		}
-		st := []frame{{start, neighbors(start)}}
-		color[start] = gray
-		for len(st) > 0 {
-			f := &st[len(st)-1]
-			if len(f.next) == 0 {
-				color[f.node] = black
-				st = st[:len(st)-1]
-				continue
-			}
-			n := f.next[len(f.next)-1]
-			f.next = f.next[:len(f.next)-1]
-			switch color[n] {
-			case white:
-				color[n] = gray
-				st = append(st, frame{n, neighbors(n)})
-			case gray:
-				return true
-			}
-		}
-	}
-	return false
-}
+// Acyclic reports whether the whole graph is acyclic (used by tests, the
+// snapshot loader and the offline CSR checker).
+func (g *Graph) Acyclic() bool { return g.TopoOrder() != nil }
 
-// Acyclic reports whether the whole graph is acyclic (used by tests and
-// the offline CSR checker).
-func (g *Graph) Acyclic() bool {
-	indeg := make([]int, len(g.ids))
-	queue := make([]Ref, 0, g.nodes)
-	for _, r := range g.idx {
-		indeg[r] = len(g.in[r])
-		if indeg[r] == 0 {
-			queue = append(queue, r)
-		}
-	}
-	seen := 0
-	for len(queue) > 0 {
-		n := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		seen++
-		for _, s := range g.out[n] {
-			indeg[s]--
-			if indeg[s] == 0 {
-				queue = append(queue, s)
-			}
-		}
-	}
-	return seen == g.nodes
-}
-
-// TopoOrder returns the nodes in a topological order, or nil if the graph
-// has a cycle.
+// TopoOrder returns the nodes in a topological order — Kahn's algorithm,
+// made deterministic by sorting the sources and each batch of newly freed
+// nodes — or nil if the graph has a cycle. An empty graph's order is empty
+// and non-nil.
 func (g *Graph) TopoOrder() []model.TxnID {
 	indeg := make([]int, len(g.ids))
-	// Deterministic order: seed the queue sorted.
 	var queue []model.TxnID
 	for id, r := range g.idx {
 		indeg[r] = len(g.in[r])
@@ -877,22 +663,20 @@ func (g *Graph) TopoOrder() []model.TxnID {
 			queue = append(queue, id)
 		}
 	}
-	sort.Slice(queue, func(i, j int) bool { return queue[i] < queue[j] })
+	slices.Sort(queue)
 	order := make([]model.TxnID, 0, g.nodes)
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
 		order = append(order, n)
-		var next []model.TxnID
+		freed := len(queue)
 		for _, s := range g.out[g.idx[n]] {
-			sr := s
-			indeg[sr]--
-			if indeg[sr] == 0 {
-				next = append(next, g.ids[sr])
+			indeg[s]--
+			if indeg[s] == 0 {
+				queue = append(queue, g.ids[s])
 			}
 		}
-		sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
-		queue = append(queue, next...)
+		slices.Sort(queue[freed:])
 	}
 	if len(order) != g.nodes {
 		return nil

@@ -166,40 +166,6 @@ func TestClosureSrcNotIncluded(t *testing.T) {
 	}
 }
 
-func TestWouldCycle(t *testing.T) {
-	g := mk(t, [2]model.TxnID{1, 2}, [2]model.TxnID{2, 3})
-	if g.WouldCycle([]Arc{{3, 4}}) {
-		t.Fatal("arc to missing node cannot cycle until node exists")
-	}
-	if !g.WouldCycle([]Arc{{From: 3, To: 1}}) {
-		t.Fatal("3->1 closes a cycle")
-	}
-	if g.WouldCycle([]Arc{{From: 1, To: 3}}) {
-		t.Fatal("1->3 is a chord, not a cycle")
-	}
-	// Cycle entirely within the new arcs.
-	g.AddNode(7)
-	g.AddNode(8)
-	if !g.WouldCycle([]Arc{{7, 8}, {8, 7}}) {
-		t.Fatal("two new arcs forming a 2-cycle must be detected")
-	}
-	if !g.WouldCycle([]Arc{{5, 5}}) {
-		t.Fatal("self-loop arc is a cycle")
-	}
-	if g.WouldCycle(nil) {
-		t.Fatal("no arcs, no cycle")
-	}
-}
-
-func TestWouldCycleDoesNotMutate(t *testing.T) {
-	g := mk(t, [2]model.TxnID{1, 2})
-	before := g.Clone()
-	g.WouldCycle([]Arc{{2, 1}})
-	if !g.Equal(before) {
-		t.Fatal("WouldCycle mutated the graph")
-	}
-}
-
 func TestAcyclicAndTopo(t *testing.T) {
 	g := mk(t, [2]model.TxnID{1, 2}, [2]model.TxnID{2, 3}, [2]model.TxnID{1, 3})
 	if !g.Acyclic() {
@@ -329,47 +295,6 @@ func TestRemoveNodeMonotoneProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: WouldCycle(arcs) agrees with actually adding the arcs and
-// running the full acyclicity check.
-func TestWouldCycleAgreesWithAcyclic(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		const n = 8
-		g := New()
-		for i := model.TxnID(0); i < n; i++ {
-			g.AddNode(i)
-		}
-		for i := model.TxnID(0); i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if r.Intn(3) == 0 {
-					g.AddArc(i, j)
-				}
-			}
-		}
-		// Random candidate arcs, any direction.
-		var arcs []Arc
-		for k := 0; k < 1+r.Intn(4); k++ {
-			arcs = append(arcs, Arc{model.TxnID(r.Intn(n)), model.TxnID(r.Intn(n))})
-		}
-		// Skip self-loop candidates: WouldCycle treats them as cycles,
-		// while AddArc ignores them; they are not interesting here.
-		for _, a := range arcs {
-			if a.From == a.To {
-				return true
-			}
-		}
-		pred := g.WouldCycle(arcs)
-		h := g.Clone()
-		for _, a := range arcs {
-			h.AddArc(a.From, a.To)
-		}
-		return pred == !h.Acyclic()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

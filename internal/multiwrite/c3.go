@@ -83,7 +83,9 @@ func (s *Scheduler) CheckC3(ti model.TxnID) (bool, *C3Violation, error) {
 func (s *Scheduler) checkC3ForRemoved(ti model.TxnID, access model.AccessSet, removed graph.NodeSet) (bool, *C3Violation) {
 	alive := func(id model.TxnID) bool { return !removed.Has(id) }
 	// FC-ancestors of ti in G − removed: walk backwards through
-	// Finished/Committed intermediates that are alive.
+	// Finished/Committed intermediates that are alive. The through-filter
+	// governs expansion only; a collected endpoint must be alive too, hence
+	// the alive test on each member.
 	fcThrough := func(id model.TxnID) bool {
 		if !alive(id) {
 			return false
@@ -91,19 +93,16 @@ func (s *Scheduler) checkC3ForRemoved(ti model.TxnID, access model.AccessSet, re
 		st := s.Status(id)
 		return st == model.StatusFinished || st == model.StatusCommitted
 	}
-	// BackwardClosure's through-filter governs expansion; arc endpoints
-	// must also be alive, so filter the collected set afterwards.
-	anc := s.backwardClosureAlive(ti, alive, fcThrough)
-	for tj := range anc {
-		if s.Status(tj) != model.StatusActive {
+	for tj := range s.g.BackwardClosure(ti, fcThrough) {
+		if !alive(tj) || s.Status(tj) != model.StatusActive {
 			continue
 		}
 		// Unrestricted descendants of tj among alive nodes.
-		desc := s.forwardClosureAlive(tj, alive)
+		desc := s.g.ForwardClosure(tj, alive)
 		for x, need := range access {
 			found := false
 			for tk := range desc {
-				if tk == ti {
+				if tk == ti || !alive(tk) {
 					continue
 				}
 				if s.Access(tk).Get(x).AtLeastAsStrong(need) {
@@ -117,56 +116,6 @@ func (s *Scheduler) checkC3ForRemoved(ti model.TxnID, access model.AccessSet, re
 		}
 	}
 	return true, nil
-}
-
-// backwardClosureAlive collects nodes with a path to src where every node
-// on the path (including the collected endpoint's outgoing hop) is alive,
-// and intermediates additionally satisfy through.
-func (s *Scheduler) backwardClosureAlive(src model.TxnID, alive func(model.TxnID) bool, through func(model.TxnID) bool) graph.NodeSet {
-	out := make(graph.NodeSet)
-	expanded := graph.NodeSet{src: {}}
-	stack := []model.TxnID{src}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		s.g.Preds(n, func(p model.TxnID) bool {
-			if !alive(p) {
-				return true
-			}
-			if !out.Has(p) && p != src {
-				out.Add(p)
-			}
-			if !expanded.Has(p) && through(p) {
-				expanded.Add(p)
-				stack = append(stack, p)
-			}
-			return true
-		})
-	}
-	return out
-}
-
-// forwardClosureAlive collects nodes reachable from src via alive nodes.
-func (s *Scheduler) forwardClosureAlive(src model.TxnID, alive func(model.TxnID) bool) graph.NodeSet {
-	out := make(graph.NodeSet)
-	expanded := graph.NodeSet{src: {}}
-	stack := []model.TxnID{src}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		s.g.Succs(n, func(d model.TxnID) bool {
-			if !alive(d) {
-				return true
-			}
-			if !out.Has(d) && d != src {
-				out.Add(d)
-				expanded.Add(d)
-				stack = append(stack, d)
-			}
-			return true
-		})
-	}
-	return out
 }
 
 // DeleteIfSafe deletes ti iff C3 holds.

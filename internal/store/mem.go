@@ -137,23 +137,3 @@ func (s *memShard) Stats() Stats {
 		Records:       s.records.Load(),
 	}
 }
-
-// Corrupt flips one byte of the flushed WAL at offset off (for tests).
-func (s *memShard) Corrupt(off int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if off >= 0 && off < len(s.wal) {
-		s.wal[off] ^= 0xff
-	}
-}
-
-// TruncateWAL drops the last n bytes of the flushed WAL (for tests: a
-// simulated torn tail).
-func (s *memShard) TruncateWAL(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n > len(s.wal) {
-		n = len(s.wal)
-	}
-	s.wal = s.wal[:len(s.wal)-n]
-}

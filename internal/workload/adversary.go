@@ -141,18 +141,6 @@ func (a *Adversary) Aborts() int { return a.aborted }
 // Issued returns how many victim transactions have been issued.
 func (a *Adversary) Issued() int { return a.issued }
 
-// SleeperIDs returns the IDs of currently-live sleeper sessions (begun and
-// not yet aborted), for tests that need to identify reap victims.
-func (a *Adversary) SleeperIDs() []model.TxnID {
-	var out []model.TxnID
-	for _, s := range a.slots {
-		if s.id != model.NoTxn && s.begun {
-			out = append(out, s.id)
-		}
-	}
-	return out
-}
-
 // freshTrap allocates partition p's next never-before-seen entity.
 func (a *Adversary) freshTrap(p int) model.Entity {
 	x := a.trapNext[p]

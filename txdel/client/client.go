@@ -164,22 +164,14 @@ type Config struct {
 }
 
 func policyFactory(name string) (func() core.Policy, error) {
-	switch name {
-	case "", "nogc", "none":
-		return nil, nil
-	case "lemma1":
-		return func() core.Policy { return core.Lemma1Policy{} }, nil
-	case "greedy-c1":
-		return func() core.Policy { return core.GreedyC1{} }, nil
-	case "greedy-c1-newest":
-		return func() core.Policy { return core.GreedyC1{NewestFirst: true} }, nil
-	case "noncurrent-safe":
-		return func() core.Policy { return core.NoncurrentSafe{} }, nil
-	case "max-safe":
-		return func() core.Policy { return core.MaxSafeExact{} }, nil
-	default:
+	if name == "" || name == "none" {
+		name = "nogc"
+	}
+	factory, ok := core.PolicyByName(name)
+	if !ok {
 		return nil, fmt.Errorf("client: unknown policy %q (nogc, lemma1, greedy-c1, greedy-c1-newest, noncurrent-safe, max-safe): %w", name, ErrProtocol)
 	}
+	return factory, nil
 }
 
 // DB is an open handle on the sharded engine. All methods are safe for
@@ -267,13 +259,6 @@ func Open(cfg Config) (*DB, error) {
 // Recovery reports what Open recovered from the durability layer (an empty
 // report when durability is off).
 func (db *DB) Recovery() *RecoveryReport { return db.recovery }
-
-// ResolveInDoubt decides a cross-partition transaction recovery held in
-// doubt; see the engine documentation. Only meaningful after an Open whose
-// Recovery().InDoubt was non-empty.
-func (db *DB) ResolveInDoubt(id TxnID, commit bool) bool {
-	return db.eng.ResolveInDoubt(id, commit)
-}
 
 // NumShards returns the number of entity partitions.
 func (db *DB) NumShards() int { return db.eng.NumShards() }

@@ -216,7 +216,7 @@ func TestTaxonomyThroughClient(t *testing.T) {
 }
 
 // TestContextDeadlineAbortsSession: a session whose Begin deadline expires
-// while it idles is aborted by the watcher, and both the taxonomy member
+// while it idles is aborted by the expiry callback, and both the taxonomy member
 // and the context cause are visible.
 func TestContextDeadlineAbortsSession(t *testing.T) {
 	db := open(t, Config{Shards: 2, Verify: true})
@@ -235,7 +235,7 @@ func TestContextDeadlineAbortsSession(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for txn.Err() == nil {
 		if time.Now().After(deadline) {
-			t.Fatal("watcher never aborted the expired session")
+			t.Fatal("the expiry callback never aborted the expired session")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -298,6 +298,54 @@ func TestBeginContextGovernsLaterOps(t *testing.T) {
 	bcancel()
 	if err := txn2.Write(octx, 1); !errors.Is(err, ErrTxnAborted) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("write under merged ctx = %v, want ErrTxnAborted + Canceled", err)
+	}
+}
+
+// TestDeadBeginContextHasOneVoice: whoever notices a dead Begin context
+// first — the expiry callback while the session idles, or the next
+// operation finding it dead before submitting — the operation's error is
+// the session's Err, and its text is the same either way. (The engine used
+// to answer for the second case in its own words, so a wire transcript
+// depended on which side won the race.)
+func TestDeadBeginContextHasOneVoice(t *testing.T) {
+	bg := context.Background()
+	run := func(idle bool, op func(*Txn) error) string {
+		db := open(t, Config{Shards: 1})
+		ctx, cancel := context.WithCancel(bg)
+		defer cancel()
+		txn, err := db.Begin(ctx, WithID(7), WithFootprint(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cancel()
+		for deadline := time.Now().Add(5 * time.Second); idle && txn.Err() == nil; {
+			if time.Now().After(deadline) {
+				t.Fatal("the expiry callback never aborted the cancelled session")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		opErr := op(txn)
+		if !errors.Is(opErr, ErrTxnAborted) || !errors.Is(opErr, context.Canceled) {
+			t.Fatalf("op after begin-ctx cancel = %v, want ErrTxnAborted + Canceled", opErr)
+		}
+		if txn.Err() == nil || opErr.Error() != txn.Err().Error() {
+			t.Fatalf("op error %q, session error %q: want the same text", opErr, txn.Err())
+		}
+		if s := db.Stats(); s.Aborted != 1 {
+			t.Fatalf("Aborted = %d, want 1", s.Aborted)
+		}
+		return opErr.Error()
+	}
+	octx, ocancel := context.WithCancel(bg) // a live op context: the merged path
+	defer ocancel()
+	for name, op := range map[string]func(*Txn) error{
+		"read":         func(txn *Txn) error { return txn.Read(bg, 0) },
+		"write":        func(txn *Txn) error { return txn.Write(bg, 0) },
+		"write-merged": func(txn *Txn) error { return txn.Write(octx, 0) },
+	} {
+		if idle, busy := run(true, op), run(false, op); idle != busy {
+			t.Errorf("%s: callback first says %q, operation first says %q", name, idle, busy)
+		}
 	}
 }
 

@@ -82,8 +82,9 @@ type Txn struct {
 	mu    sync.Mutex
 	state txnState
 	err   error // terminal abort cause; nil while live or committed
-	// finished is closed on commit or abort; it stops the context watcher.
-	finished chan struct{}
+	// stopExpiry unregisters expire from beginCtx on commit or abort; nil
+	// when beginCtx cannot die.
+	stopExpiry func() bool
 }
 
 // Begin opens a transaction session. The context governs the whole
@@ -114,14 +115,18 @@ func (db *DB) Begin(ctx context.Context, opts ...BeginOption) (*Txn, error) {
 	if res.Err != nil {
 		return nil, res.Err
 	}
-	t := &Txn{db: db, id: id, beginCtx: ctx, finished: make(chan struct{})}
+	t := &Txn{db: db, id: id, beginCtx: ctx}
 	if db.bus != nil {
 		t.began = time.Now()
 		db.bus.Emit(emit.Event{Kind: emit.KindBegin, Class: emit.ClassOK,
 			Shard: emit.NoShard, Txn: id})
 	}
 	if ctx.Done() != nil {
-		go t.watch(ctx)
+		// Under mu: expire may already be running against a dead ctx, and
+		// its finishLocked reads stopExpiry.
+		t.mu.Lock()
+		t.stopExpiry = context.AfterFunc(ctx, t.expire)
+		t.mu.Unlock()
 	}
 	return t, nil
 }
@@ -146,19 +151,24 @@ func (t *Txn) opCtx(ctx context.Context) (context.Context, context.CancelFunc) {
 	return merged, func() { stop(); cancel(nil) }
 }
 
-// watch aborts the transaction the moment its Begin context dies, so a
+// expire aborts the transaction the moment its Begin context dies, so a
 // deadline fires even while the client is idle between operations.
-func (t *Txn) watch(ctx context.Context) {
-	select {
-	case <-ctx.Done():
-		t.mu.Lock()
-		if t.state == txnLive {
-			t.db.eng.Abort(t.id)
-			t.finishLocked(txnAborted, fmt.Errorf("client: T%d: %w (%w)", t.id, ErrTxnAborted, context.Cause(ctx)))
-		}
-		t.mu.Unlock()
-	case <-t.finished:
+func (t *Txn) expire() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.state == txnLive {
+		t.expireLocked()
 	}
+}
+
+// expireLocked is the one place that speaks for a dead Begin context,
+// whoever notices first: the AfterFunc while the session idles, or an
+// operation the engine refused for it. Aborting again what the engine has
+// already aborted is a no-op. Caller holds t.mu and has checked
+// t.state == txnLive.
+func (t *Txn) expireLocked() {
+	t.db.eng.Abort(t.id)
+	t.finishLocked(txnAborted, fmt.Errorf("client: T%d: %w (%w)", t.id, ErrTxnAborted, context.Cause(t.beginCtx)))
 }
 
 // finishLocked records the terminal state exactly once and emits the
@@ -168,7 +178,9 @@ func (t *Txn) watch(ctx context.Context) {
 func (t *Txn) finishLocked(s txnState, err error) {
 	t.state = s
 	t.err = err
-	close(t.finished)
+	if t.stopExpiry != nil {
+		t.stopExpiry()
+	}
 	if bus := t.db.bus; bus != nil {
 		kind := emit.KindCommit
 		if s != txnCommitted {
@@ -211,6 +223,29 @@ func (t *Txn) noteLocked(res Result) error {
 	return res.Err
 }
 
+// submitLocked runs one access step of a session under the merge of ctx
+// and the Begin context. Caller holds t.mu.
+func (t *Txn) submitLocked(ctx context.Context, step model.Step) error {
+	if t.state != txnLive {
+		return t.terminalErrLocked()
+	}
+	opctx, stop := t.opCtx(ctx)
+	if stop != nil {
+		defer stop()
+	}
+	res := t.db.eng.SubmitCtx(opctx, step)
+	if res.Err != nil {
+		if cause := context.Cause(t.beginCtx); cause != nil && errors.Is(res.Err, cause) {
+			// The engine killed the transaction for the Begin context's
+			// death, found on arrival or, through the merged context,
+			// mid-commit.
+			t.expireLocked()
+			return t.err
+		}
+	}
+	return t.noteLocked(res)
+}
+
 // ID returns the session's transaction ID.
 func (t *Txn) ID() TxnID { return t.id }
 
@@ -228,14 +263,7 @@ func (t *Txn) Err() error {
 func (t *Txn) Read(ctx context.Context, x Entity) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.state != txnLive {
-		return t.terminalErrLocked()
-	}
-	opctx, stop := t.opCtx(ctx)
-	if stop != nil {
-		defer stop()
-	}
-	return t.noteLocked(t.db.eng.SubmitCtx(opctx, model.Read(t.id, x)))
+	return t.submitLocked(ctx, model.Read(t.id, x))
 }
 
 // Write installs the transaction's whole write set atomically and commits
@@ -247,14 +275,7 @@ func (t *Txn) Read(ctx context.Context, x Entity) error {
 func (t *Txn) Write(ctx context.Context, xs ...Entity) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.state != txnLive {
-		return t.terminalErrLocked()
-	}
-	opctx, stop := t.opCtx(ctx)
-	if stop != nil {
-		defer stop()
-	}
-	return t.noteLocked(t.db.eng.SubmitCtx(opctx, model.WriteFinal(t.id, xs...)))
+	return t.submitLocked(ctx, model.WriteFinal(t.id, xs...))
 }
 
 // Abort aborts the session, releasing its state — sub-transactions and
