@@ -501,8 +501,6 @@ func main() {
 		addr        = flag.String("addr", "", "TCP listen address (empty: serve stdin/stdout)")
 		shards      = flag.Int("shards", 4, "number of entity partitions / scheduler goroutines")
 		policyName  = flag.String("policy", "greedy-c1", "deletion policy per shard")
-		batch       = flag.Int("batch", 64, "max steps a shard applies between GC opportunities")
-		queue       = flag.Int("queue", 1024, "per-shard submission queue depth")
 		sweepEvery  = flag.Int("sweep-every", 8, "sweep after this many completions per shard")
 		watermark   = flag.Int("overload-watermark", 0, "shed begins when a shard's backlog reaches this depth (0 = never shed)")
 		retention   = flag.Int("retention-watermark", 0, "abort the oldest straggler when retained completed transactions reach this count (0 = never reap; needs a deletion policy)")
@@ -534,8 +532,6 @@ func main() {
 	db, err := client.Open(client.Config{
 		Shards:                *shards,
 		Policy:                *policyName,
-		BatchSize:             *batch,
-		QueueDepth:            *queue,
 		SweepEveryCompletions: *sweepEvery,
 		OverloadWatermark:     *watermark,
 		RetentionWatermark:    *retention,

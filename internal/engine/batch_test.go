@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -42,9 +43,9 @@ func TestSubmitBatchSemantics(t *testing.T) {
 		OutcomeRejected, OutcomeAccepted,
 	}
 	for i, w := range want {
-		if results[i].Outcome != w {
+		if results[i].Outcome() != w {
 			t.Fatalf("step %d (%v): outcome %v (err=%v), want %v",
-				i, steps[i], results[i].Outcome, results[i].Err, w)
+				i, steps[i], results[i].Outcome(), results[i].Err, w)
 		}
 	}
 	if results[6].CompletedTxn != 1 || results[7].CompletedTxn != 3 || results[9].CompletedTxn != 2 {
@@ -77,14 +78,14 @@ func TestSubmitBatchMisroute(t *testing.T) {
 		model.BeginDeclared(2, 0),
 		model.WriteFinal(2, 0),
 	})
-	if results[2].Outcome != OutcomeRejected || !errors.Is(results[2].Err, ErrMisroute) {
-		t.Fatalf("misroute step: %v (%v)", results[2].Outcome, results[2].Err)
+	if results[2].Outcome() != OutcomeRejected || !errors.Is(results[2].Err, ErrMisroute) {
+		t.Fatalf("misroute step: %v (%v)", results[2].Outcome(), results[2].Err)
 	}
-	if results[3].Outcome != OutcomeRejected || !errors.Is(results[3].Err, ErrTxnAborted) {
-		t.Fatalf("post-abort step: %v (%v)", results[3].Outcome, results[3].Err)
+	if results[3].Outcome() != OutcomeRejected || !errors.Is(results[3].Err, ErrTxnAborted) {
+		t.Fatalf("post-abort step: %v (%v)", results[3].Outcome(), results[3].Err)
 	}
 	if !results[5].Accepted() || results[5].CompletedTxn != 2 {
-		t.Fatalf("T2 final: %v, CompletedTxn=%v", results[5].Outcome, results[5].CompletedTxn)
+		t.Fatalf("T2 final: %v, CompletedTxn=%v", results[5].Outcome(), results[5].CompletedTxn)
 	}
 }
 
@@ -102,26 +103,26 @@ func TestSubmitBatchDuplicateBegin(t *testing.T) {
 		model.BeginDeclared(4, 0), // reuse of a retained completed ID
 		model.Read(4, 0),          // must be unknown, not routed
 	})
-	if results[1].Outcome != OutcomeError {
-		t.Fatalf("duplicate live begin: %v, want error", results[1].Outcome)
+	if results[1].Outcome() != OutcomeError {
+		t.Fatalf("duplicate live begin: %v, want error", results[1].Outcome())
 	}
 	if !results[2].Accepted() || results[2].CompletedTxn != 4 {
-		t.Fatalf("final: %v", results[2].Outcome)
+		t.Fatalf("final: %v", results[2].Outcome())
 	}
-	if results[3].Outcome != OutcomeError {
-		t.Fatalf("retained-ID begin: %v, want error", results[3].Outcome)
+	if results[3].Outcome() != OutcomeError {
+		t.Fatalf("retained-ID begin: %v, want error", results[3].Outcome())
 	}
 	// The read was pipelined in the same shard run as the failed BEGIN, so
 	// it reaches the scheduler and reports its protocol error (documented
 	// batch divergence: per-step clients would see rejected/ErrTxnAborted).
-	if results[4].Outcome != OutcomeError {
-		t.Fatalf("read after failed reuse: %v (%v), want error", results[4].Outcome, results[4].Err)
+	if results[4].Outcome() != OutcomeError {
+		t.Fatalf("read after failed reuse: %v (%v), want error", results[4].Outcome(), results[4].Err)
 	}
 	// What matters is that the failed BEGIN did not poison the route: a
 	// later per-step submission must see the ID as unknown, not routed.
 	res := eng.Submit(model.Read(4, 0))
-	if res.Outcome != OutcomeRejected || !errors.Is(res.Err, ErrTxnAborted) {
-		t.Fatalf("read after batch: %v (%v), want rejected/ErrTxnAborted", res.Outcome, res.Err)
+	if res.Outcome() != OutcomeRejected || !errors.Is(res.Err, ErrTxnAborted) {
+		t.Fatalf("read after batch: %v (%v), want rejected/ErrTxnAborted", res.Outcome(), res.Err)
 	}
 }
 
@@ -136,7 +137,6 @@ func TestSubmitBatchConcurrentCSR(t *testing.T) {
 		Shards:                4,
 		Policy:                func() core.Policy { return core.GreedyC1{} },
 		SweepEveryCompletions: 3,
-		BatchSize:             16,
 		Log:                   log,
 	})
 	defer eng.Close()
@@ -193,70 +193,112 @@ func TestSubmitBatchConcurrentCSR(t *testing.T) {
 
 // TestSubmitBatchEquivalentToPerStep replays the same single-threaded
 // workload through per-step Submit and through SubmitBatch and demands
-// identical outcomes and identical engine counters (concurrency aside,
-// batching is pure plumbing).
+// identical Results and identical engine counters (concurrency aside,
+// batching is pure plumbing). The stream spans four shards with a fifth of
+// its transactions cross-partition, and every 23rd read is sent one entity
+// over — a foreign partition — so cross BEGINs, cross reads, two-phase
+// commits and both kinds of misroute go through both doors.
 func TestSubmitBatchEquivalentToPerStep(t *testing.T) {
-	build := func() (*Engine, *workload.Gen) {
+	run := func(submit func(*Engine, model.Step) Result) ([]Result, Stats) {
 		eng := New(Config{
-			Shards:                2,
+			Shards:                4,
 			Policy:                func() core.Policy { return core.GreedyC1{} },
 			SweepEveryCompletions: 2,
 		})
+		defer eng.Close()
 		gen := workload.New(workload.Config{
-			Entities: 32, Txns: 200, MaxActive: 4,
-			Shards: 2, DeclareFootprint: true, Seed: 9,
+			Entities: 48, Txns: 300, MaxActive: 4,
+			Shards: 4, CrossFrac: 0.2, DeclareFootprint: true, Seed: 9,
 		})
-		return eng, gen
+		var out []Result
+		for reads := 0; ; {
+			st, ok := gen.Next()
+			if !ok {
+				break
+			}
+			if st.Kind == model.KindRead {
+				if reads++; reads%23 == 0 {
+					st.Entity++
+				}
+			}
+			res := submit(eng, st)
+			out = append(out, res)
+			if !res.Accepted() {
+				gen.NotifyAbort(st.Txn)
+			}
+		}
+		return out, eng.Stats()
 	}
-
-	engA, genA := build()
-	defer engA.Close()
-	var perStep []Outcome
-	for {
-		st, ok := genA.Next()
-		if !ok {
-			break
-		}
-		res := engA.Submit(st)
-		perStep = append(perStep, res.Outcome)
-		switch res.Outcome {
-		case OutcomeAccepted:
-		default:
-			genA.NotifyAbort(st.Txn)
-		}
-	}
-
-	engB, genB := build()
-	defer engB.Close()
-	var batched []Outcome
-	steps := make([]model.Step, 0, 1)
-	for {
-		st, ok := genB.Next()
-		if !ok {
-			break
-		}
-		// Batch of one: same information flow as per-step, so the streams
-		// stay step-for-step comparable even under aborts.
-		steps = append(steps[:0], st)
-		res := engB.SubmitBatch(steps)[0]
-		batched = append(batched, res.Outcome)
-		switch res.Outcome {
-		case OutcomeAccepted:
-		default:
-			genB.NotifyAbort(st.Txn)
-		}
-	}
+	perStep, sa := run(func(eng *Engine, st model.Step) Result { return eng.Submit(st) })
+	// Batch of one: same information flow as per-step, so the streams stay
+	// step-for-step comparable even under aborts.
+	batched, sb := run(func(eng *Engine, st model.Step) Result { return eng.SubmitBatch([]model.Step{st})[0] })
 
 	if len(perStep) != len(batched) {
 		t.Fatalf("step counts diverged: %d vs %d", len(perStep), len(batched))
 	}
-	for i := range perStep {
-		if perStep[i] != batched[i] {
-			t.Fatalf("outcome %d diverged: per-step %v vs batched %v", i, perStep[i], batched[i])
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	for i, a := range perStep {
+		b := batched[i]
+		if a.Outcome() != b.Outcome() || errText(a.Err) != errText(b.Err) || a.Aborted != b.Aborted || a.CompletedTxn != b.CompletedTxn {
+			t.Fatalf("result %d (%v) diverged:\n per-step %v aborted=%v completed=%v err=%v\n batched  %v aborted=%v completed=%v err=%v",
+				i, a.Step, a.Outcome(), a.Aborted, a.CompletedTxn, a.Err, b.Outcome(), b.Aborted, b.CompletedTxn, b.Err)
 		}
 	}
-	sa, sb := engA.Stats(), engB.Stats()
-	if sa.Accepted != sb.Accepted || sa.Completed != sb.Completed || sa.Aborted != sb.Aborted {
-		t.Fatalf("counters diverged: per-step %+v vs batched %+v", sa, sb)
+	type counters struct{ sub, acc, rej, comp, abort, cross, prep, crossAbort, misroute int64 }
+	of := func(s Stats) counters {
+		return counters{s.Submitted, s.Accepted, s.Rejected, s.Completed, s.Aborted, s.CrossTxns, s.Prepares, s.CrossAborts, s.Misroutes}
+	}
+	if of(sa) != of(sb) {
+		t.Fatalf("counters diverged: per-step %+v vs batched %+v", of(sa), of(sb))
+	}
+	if sa.CrossTxns == 0 || sa.Prepares == 0 || sa.CrossAborts == 0 || sa.Misroutes == 0 || sa.Rejected == sa.Misroutes {
+		t.Fatalf("stream did not exercise cross, 2PC, misroute and cycle paths: %+v", of(sa))
+	}
+}
+
+// TestSubmitDoorsDoNotAllocate: a partition-local transaction (BEGIN, two
+// reads, final write) costs no allocation through either door in steady
+// state. Sending the per-step door through a one-step run would cost four.
+func TestSubmitDoorsDoNotAllocate(t *testing.T) {
+	eng := New(Config{Shards: 4, Policy: func() core.Policy { return core.GreedyC1{} }})
+	defer eng.Close()
+	txn := []model.Step{model.BeginDeclared(0, 0, 4), model.Read(0, 0), model.Read(0, 4), model.WriteFinal(0, 0)}
+	next := model.TxnID(0)
+	renumber := func() {
+		next++
+		for i := range txn {
+			txn[i].Txn = next
+		}
+	}
+	ctx := context.Background()
+	perStep := func() {
+		renumber()
+		for _, st := range txn {
+			if res := eng.SubmitCtx(ctx, st); !res.Accepted() {
+				t.Fatalf("%v: %v", st, res.Err)
+			}
+		}
+	}
+	dst := make([]Result, 0, len(txn))
+	batched := func() {
+		renumber()
+		dst = eng.SubmitBatchInto(dst[:0], txn)
+		if dst[3].CompletedTxn != next {
+			t.Fatalf("batched txn %v did not complete: %v", next, dst[3].Err)
+		}
+	}
+	for name, door := range map[string]func(){"SubmitCtx": perStep, "SubmitBatchInto": batched} {
+		for i := 0; i < 100; i++ {
+			door() // warm the pools, arenas and ring
+		}
+		if n := testing.AllocsPerRun(200, door); n != 0 {
+			t.Errorf("%s: %v allocs per 4-step transaction, want 0", name, n)
+		}
 	}
 }

@@ -493,8 +493,7 @@ func (e *Engine) participantsOf(xs []model.Entity) []int {
 func (e *Engine) beginCross(ctx context.Context, step model.Step, pri Priority) Result {
 	ct := &crossTxn{id: step.Txn, parts: e.participantsOf(step.Entities)}
 	if !e.routes.storeNew(step.Txn, route{kind: routeCross, ct: ct, pri: pri}) {
-		return Result{Step: step, Outcome: OutcomeError, Aborted: model.NoTxn, CompletedTxn: model.NoTxn,
-			Err: fmt.Errorf("engine: duplicate BEGIN for T%d: %w", step.Txn, ErrProtocol)}
+		return duplicateBegin(step)
 	}
 	if pri != PriorityHigh && e.cfg.OverloadWatermark > 0 {
 		// A cross transaction runs on every participant; one overloaded
@@ -516,7 +515,7 @@ func (e *Engine) beginCross(ctx context.Context, step model.Step, pri Priority) 
 		// published and already resolved the transaction (it deleted the
 		// route and counted the abort). Beginning sub-transactions now
 		// would resurrect it with no route left to ever finish them.
-		return Result{Step: step, Outcome: OutcomeRejected, Aborted: step.Txn, CompletedTxn: model.NoTxn, Err: stepErr(step, ErrTxnAborted)}
+		return answer(step, step.Txn, stepErr(step, ErrTxnAborted))
 	}
 	if e.registry.register(step.Txn, ct.parts) {
 		// The ID is being reused after an earlier cross incarnation died:
@@ -533,7 +532,7 @@ func (e *Engine) beginCross(ctx context.Context, step model.Step, pri Priority) 
 		if ok {
 			rep, ok = e.shards[p].do(request{kind: reqBeginSub, step: step})
 		}
-		if !ok || rep.res.Outcome != OutcomeAccepted {
+		if !ok || rep.res.Err != nil {
 			for _, q := range ct.parts[:i] {
 				e.abortSub(step.Txn, q)
 			}
@@ -542,17 +541,17 @@ func (e *Engine) beginCross(ctx context.Context, step model.Step, pri Priority) 
 			e.routes.delete(step.Txn)
 			if err := ctx.Err(); err != nil {
 				e.rejected.Add(1)
-				return Result{Step: step, Outcome: OutcomeRejected, Aborted: step.Txn, CompletedTxn: model.NoTxn, Err: ctxErr(step, context.Cause(ctx))}
+				return answer(step, step.Txn, ctxErr(step, context.Cause(ctx)))
 			}
 			if !ok {
-				return Result{Step: step, Outcome: OutcomeError, Aborted: model.NoTxn, CompletedTxn: model.NoTxn, Err: stepErr(step, ErrClosed)}
+				return closedResult(step)
 			}
 			return rep.res
 		}
 	}
 	e.crossTxns.Add(1)
 	e.accepted.Add(1)
-	return Result{Step: step, Outcome: OutcomeAccepted, Aborted: model.NoTxn, CompletedTxn: model.NoTxn}
+	return answer(step, model.NoTxn, nil)
 }
 
 // crossStep handles a read or final write of a live cross transaction.
@@ -562,11 +561,9 @@ func (e *Engine) crossStep(ctx context.Context, step model.Step, r route) Result
 	defer ct.mu.Unlock()
 	if ct.done {
 		if ct.committed {
-			return Result{Step: step, Outcome: OutcomeError, Aborted: model.NoTxn, CompletedTxn: model.NoTxn,
-				Err: fmt.Errorf("engine: step for T%d after its final write: %w", ct.id, ErrProtocol)}
+			return errResult(step, fmt.Errorf("engine: step for T%d after its final write: %w", ct.id, ErrProtocol))
 		}
-		e.rejected.Add(1)
-		return Result{Step: step, Outcome: OutcomeRejected, Aborted: step.Txn, CompletedTxn: model.NoTxn, Err: e.deadTxnErr(step)}
+		return e.deadTxn(step)
 	}
 	if step.Kind == model.KindRead {
 		p := e.partitionOf(step.Entity)
@@ -574,7 +571,7 @@ func (e *Engine) crossStep(ctx context.Context, step model.Step, r route) Result
 			return e.crossMisroute(step, ct)
 		}
 		res := e.doStep(p, step)
-		if res.Outcome == OutcomeRejected && res.Aborted == ct.id {
+		if res.Outcome() == OutcomeRejected && res.Aborted == ct.id {
 			// The shard rejected the read (local cycle, or the registry
 			// vetoed an inter-shard arc) and removed its sub-node; finish
 			// the logical abort on the siblings.
@@ -598,7 +595,7 @@ func (e *Engine) crossMisroute(step model.Step, ct *crossTxn) Result {
 		e.cfg.Log.Append(step, false)
 	}
 	e.finishCrossAbort(ct, -1)
-	return Result{Step: step, Outcome: OutcomeRejected, Aborted: ct.id, CompletedTxn: model.NoTxn, Err: stepErr(step, ErrMisroute)}
+	return answer(step, ct.id, stepErr(step, ErrMisroute))
 }
 
 // finishCrossAbort aborts ct's sub-transactions on every participant except
@@ -656,20 +653,18 @@ func (e *Engine) commitCross(ctx context.Context, ct *crossTxn, final model.Step
 		e.prepares.Add(1)
 		if !ok {
 			e.finishCrossAbort(ct, -1)
-			return Result{Step: final, Outcome: OutcomeError, Aborted: ct.id, CompletedTxn: model.NoTxn, Err: stepErr(final, ErrClosed)}
+			return answer(final, ct.id, stepErr(final, ErrClosed))
 		}
-		switch rep.res.Outcome {
-		case OutcomeAccepted:
-		case OutcomeRejected:
-			// A NO vote: either a local cycle on shard p (ErrCycle) or a
-			// registry veto (ErrCrossCycle). Abort everywhere — only this
-			// transaction dies; no bystander is touched.
+		if rep.res.Err != nil {
+			// A NO vote — a local cycle on shard p (ErrCycle) or a registry
+			// veto (ErrCrossCycle) — or a vote the shard could not cast.
+			// Abort everywhere: only this transaction dies; no bystander is
+			// touched.
 			e.finishCrossAbort(ct, -1)
-			e.rejected.Add(1)
-			return Result{Step: final, Outcome: OutcomeRejected, Aborted: ct.id, CompletedTxn: model.NoTxn, Err: rep.res.Err}
-		default:
-			e.finishCrossAbort(ct, -1)
-			return Result{Step: final, Outcome: OutcomeError, Aborted: ct.id, CompletedTxn: model.NoTxn, Err: rep.res.Err}
+			if rep.res.Outcome() == OutcomeRejected {
+				e.rejected.Add(1)
+			}
+			return answer(final, ct.id, rep.res.Err)
 		}
 	}
 	if hook := testHookPrepared; hook != nil {
@@ -681,7 +676,7 @@ func (e *Engine) commitCross(ctx context.Context, ct *crossTxn, final model.Step
 		// as a client abort would.
 		e.rejected.Add(1)
 		e.finishCrossAbort(ct, -1)
-		return Result{Step: final, Outcome: OutcomeRejected, Aborted: ct.id, CompletedTxn: model.NoTxn, Err: ctxErr(final, context.Cause(ctx))}
+		return answer(final, ct.id, ctxErr(final, context.Cause(ctx)))
 	}
 	// Unanimous YES: commit everywhere. The write arcs are already in every
 	// participant's graph (placed at prepare), so the decision only flips
@@ -691,12 +686,12 @@ func (e *Engine) commitCross(ctx context.Context, ct *crossTxn, final model.Step
 	// transaction resolves as the abort recovery would presume.
 	for i, p := range ct.parts {
 		rep, ok := e.shards[p].do(request{kind: reqCommitSub, step: model.Step{Txn: ct.id}, decisionDurable: i > 0})
-		if ok && i == 0 && rep.res.Outcome != OutcomeAccepted && rep.res.Aborted == ct.id {
+		if ok && i == 0 && rep.res.Err != nil && rep.res.Aborted == ct.id {
 			// The commit point failed (journal dead on the first
 			// participant, which already released its own sub): abort the
 			// siblings and report the transaction aborted.
 			e.finishCrossAbort(ct, p)
-			return Result{Step: final, Outcome: OutcomeError, Aborted: ct.id, CompletedTxn: model.NoTxn, Err: rep.res.Err}
+			return answer(final, ct.id, rep.res.Err)
 		}
 		if !ok {
 			// The engine is closing; surviving shards keep their prepared
@@ -704,7 +699,7 @@ func (e *Engine) commitCross(ctx context.Context, ct *crossTxn, final model.Step
 			ct.done = true
 			e.registry.drop(ct.id)
 			e.routes.delete(ct.id)
-			return Result{Step: final, Outcome: OutcomeError, Aborted: model.NoTxn, CompletedTxn: model.NoTxn, Err: stepErr(final, ErrClosed)}
+			return closedResult(final)
 		}
 	}
 	ct.done = true
@@ -720,7 +715,7 @@ func (e *Engine) commitCross(ctx context.Context, ct *crossTxn, final model.Step
 	e.routes.delete(ct.id)
 	e.accepted.Add(1)
 	e.completed.Add(1)
-	return Result{Step: final, Outcome: OutcomeAccepted, Aborted: model.NoTxn, CompletedTxn: ct.id}
+	return Result{Step: final, Aborted: model.NoTxn, CompletedTxn: ct.id}
 }
 
 // crossClientAbort implements Engine.Abort for a cross transaction: it

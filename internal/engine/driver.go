@@ -46,13 +46,9 @@ func (e *Engine) Drive(src StepSource, batchSize int) int {
 		submitted += len(steps)
 		results = e.SubmitBatchInto(results[:0], steps)
 		for _, r := range results {
-			switch r.Outcome {
-			case OutcomeAccepted:
-			default:
-				if !notified[r.Step.Txn] {
-					notified[r.Step.Txn] = true
-					src.NotifyAbort(r.Step.Txn)
-				}
+			if !r.Accepted() && !notified[r.Step.Txn] {
+				notified[r.Step.Txn] = true
+				src.NotifyAbort(r.Step.Txn)
 			}
 		}
 		// Once notified, the source stops emitting the dead transaction's

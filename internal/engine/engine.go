@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -23,11 +24,6 @@ type Config struct {
 	// Policy builds the deletion policy for one shard; each shard gets its
 	// own instance. nil means never delete (NoGC).
 	Policy func() core.Policy
-	// BatchSize caps how many queued steps a shard applies between GC
-	// opportunities (default 64).
-	BatchSize int
-	// QueueDepth is the per-shard submission buffer (default 1024).
-	QueueDepth int
 	// SweepEveryCompletions is the GC cadence: a shard sweeps once it has
 	// accumulated this many completions/aborts since the last sweep
 	// (default 8). Lower is tighter memory, higher is faster.
@@ -83,15 +79,17 @@ type Config struct {
 	WALSyncEvery int
 }
 
+// A shard drains at most runLength requests between GC opportunities, from
+// a ring of queueDepth cells. Neither is a knob: on the gated workloads no
+// shard ever drained a run longer than 5 requests or held more than 4.
+const (
+	runLength  = 64
+	queueDepth = 1024
+)
+
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 1
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 64
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 1024
 	}
 	if c.SweepEveryCompletions <= 0 {
 		c.SweepEveryCompletions = 8
@@ -106,7 +104,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Outcome is a coarse classification of one submission, derived from
-// Result.Err (which is the single source of truth — see errors.go).
+// Result.Err (the single source of truth — see errors.go) by
+// Result.Outcome.
 type Outcome uint8
 
 const (
@@ -137,10 +136,10 @@ func (o Outcome) String() string {
 
 // Result reports the engine-level effect of one submission. Err is nil iff
 // the step was applied and accepted; otherwise it wraps one member of the
-// error taxonomy (errors.go) plus the step's context.
+// error taxonomy (errors.go) plus the step's context. Nothing else records
+// the verdict: Outcome and Accepted read it from Err.
 type Result struct {
-	Step    model.Step
-	Outcome Outcome
+	Step model.Step
 	// Aborted is the transaction aborted by this submission (NoTxn
 	// otherwise). The step that kills a transaction carries the specific
 	// cause (ErrCycle, ErrCrossCycle, ErrMisroute); later steps addressed
@@ -153,8 +152,22 @@ type Result struct {
 	Err          error
 }
 
+// Outcome classifies the result by its Err: nil is accepted, an error
+// wrapping ErrProtocol or ErrClosed is an error (nothing changed), and any
+// other error is a rejection.
+func (r Result) Outcome() Outcome {
+	switch {
+	case r.Err == nil:
+		return OutcomeAccepted
+	case errors.Is(r.Err, ErrProtocol), errors.Is(r.Err, ErrClosed):
+		return OutcomeError
+	default:
+		return OutcomeRejected
+	}
+}
+
 // Accepted reports whether the step was applied and accepted.
-func (r Result) Accepted() bool { return r.Outcome == OutcomeAccepted }
+func (r Result) Accepted() bool { return r.Err == nil }
 
 // Priority classifies a BEGIN for admission control.
 type Priority uint8
@@ -178,7 +191,7 @@ const (
 // therefore over-counts relative to the logical fields whenever cross
 // traffic ran.
 type Stats struct {
-	Submitted int64 // Submit calls
+	Submitted int64 // steps submitted through either door (per step or batched)
 	Accepted  int64 // steps applied and accepted
 	Rejected  int64 // steps refused (cycle, cross-cycle, misroute, overload, dead txn)
 	Completed int64 // transactions completed
@@ -297,7 +310,7 @@ func Open(cfg Config) (*Engine, *RecoveryReport, error) {
 		e.shards[i] = &shard{
 			idx:  i,
 			eng:  e,
-			mb:   ring.NewMailbox[request, reply](cfg.QueueDepth),
+			mb:   ring.NewMailbox[request, reply](queueDepth),
 			done: make(chan struct{}),
 			jr:   openJournal(cfg.Store, i, cfg.WALSyncEvery),
 		}
@@ -388,11 +401,34 @@ func (e *Engine) SubmitCtx(ctx context.Context, step model.Step) Result {
 // steps (access steps ignore the priority — an admitted transaction is
 // never shed).
 func (e *Engine) SubmitPriority(ctx context.Context, step model.Step, pri Priority) Result {
+	shard, ok, res := e.admit(ctx, step, pri, func() {})
+	if !ok {
+		return res
+	}
+	return e.landed(e.doStep(shard, step))
+}
+
+// admit is the one decision both doors make about a step. Either it answers
+// the step itself (ok=false) — closed engine, dead context, duplicate, shed
+// or cross-partition BEGIN (its fan-out runs here), dead transaction, cross
+// step (it runs here), misroute, or a kind outside the basic model — or it
+// registers the step and names the shard that must apply it (ok=true).
+//
+// settle lands what the caller has admitted but not yet applied. admit
+// calls it before every answer, so answers keep submission order; before
+// an answered access step acts; and before it looks at a BEGIN of a live
+// ID, which the pending work may complete or abort. Any other BEGIN cannot
+// touch the pending work and is decided first, cross fan-out included:
+// that is the order the shards' BeginSeq, and so the governor's choice of
+// straggler, follow.
+func (e *Engine) admit(ctx context.Context, step model.Step, pri Priority, settle func()) (shard int, ok bool, res Result) {
 	if e.closed.Load() {
-		return closedResult(step)
+		settle()
+		return 0, false, closedResult(step)
 	}
 	e.submitted.Add(1)
 	if ctx.Err() != nil {
+		settle()
 		e.rejected.Add(1)
 		if step.Kind != model.KindBegin {
 			// Cancellation kills the whole transaction, not just this step.
@@ -400,17 +436,68 @@ func (e *Engine) SubmitPriority(ctx context.Context, step model.Step, pri Priori
 		}
 		// Cause, not Err: a derived context cancelled for a deadline still
 		// reports context.DeadlineExceeded.
-		return Result{Step: step, Outcome: OutcomeRejected, Aborted: step.Txn, CompletedTxn: model.NoTxn, Err: ctxErr(step, context.Cause(ctx))}
+		return 0, false, answer(step, step.Txn, ctxErr(step, context.Cause(ctx)))
 	}
 	switch step.Kind {
 	case model.KindBegin:
-		return e.submitBegin(ctx, step, pri)
+		if _, live := e.routes.load(step.Txn); live {
+			settle()
+		}
+		// A reused TxnID sheds the reaped mark of its dead predecessor: the
+		// new incarnation must never inherit a straggler verdict.
+		e.reaped.remove(step.Txn)
+		home, cross := e.beginRoute(step)
+		// The duplicate check runs before the shed check so a protocol bug
+		// is never misreported as a retryable overload.
+		switch {
+		case cross:
+			res = e.beginCross(ctx, step, pri)
+		case !e.routes.storeNew(step.Txn, route{kind: routeLocal, shard: home, pri: pri}):
+			res = duplicateBegin(step)
+		case pri != PriorityHigh && e.shardOverloaded(home):
+			e.routes.delete(step.Txn)
+			res = e.shedBegin(step, home)
+		default:
+			return home, true, Result{}
+		}
+		settle()
+		return 0, false, res
 	case model.KindRead, model.KindWriteFinal:
-		return e.submitAccess(ctx, step)
+		r, live := e.routes.load(step.Txn)
+		switch {
+		case !live:
+			settle()
+			return 0, false, e.deadTxn(step)
+		case r.kind == routeCross:
+			// A cross step is a round-trip of its own and a final write runs
+			// the two-phase commit: what is pending lands first.
+			settle()
+			return 0, false, e.crossStep(ctx, step, r)
+		case e.misroutedStep(step, r.shard):
+			settle()
+			return 0, false, e.misroute(step, r)
+		}
+		return r.shard, true, Result{}
 	default:
-		return Result{Step: step, Outcome: OutcomeError, Aborted: model.NoTxn, CompletedTxn: model.NoTxn,
-			Err: fmt.Errorf("engine: step kind %v not part of the basic model: %w", step.Kind, ErrProtocol)}
+		settle()
+		return 0, false, errResult(step, fmt.Errorf("engine: step kind %v not part of the basic model: %w", step.Kind, ErrProtocol))
 	}
+}
+
+// landed is the last word on a step a shard applied: a BEGIN the shard
+// refused (its ID collides with a retained completed transaction, or the
+// engine closed under it) drops the route admit registered, or the ID
+// would stay poisoned forever.
+func (e *Engine) landed(res Result) Result {
+	if res.Step.Kind == model.KindBegin && res.Outcome() == OutcomeError {
+		e.routes.delete(res.Step.Txn)
+	}
+	return res
+}
+
+// duplicateBegin answers a BEGIN whose ID is still routed.
+func duplicateBegin(step model.Step) Result {
+	return errResult(step, fmt.Errorf("engine: duplicate BEGIN for T%d: %w", step.Txn, ErrProtocol))
 }
 
 // shardOverloaded reports whether admission control should shed a BEGIN
@@ -430,32 +517,7 @@ func (e *Engine) shedBegin(step model.Step, home int) Result {
 		e.cfg.Bus.Emit(emit.Event{Kind: emit.KindShed, Class: emit.ClassOverload,
 			Shard: int32(home), Txn: step.Txn, N: e.shards[home].depth.Load()})
 	}
-	return Result{Step: step, Outcome: OutcomeRejected, Aborted: step.Txn, CompletedTxn: model.NoTxn, Err: stepErr(step, ErrOverload)}
-}
-
-// registerBegin routes a BEGIN: a cross-partition footprint fans out as
-// sub-transactions (direct result), a duplicate or shed ID answers
-// directly, and a partition-local BEGIN registers its route and reports
-// the home shard the step must be applied on. The duplicate check runs
-// before the shed check so a protocol bug is never misreported as a
-// retryable overload.
-func (e *Engine) registerBegin(ctx context.Context, step model.Step, pri Priority) (home int, direct bool, res Result) {
-	// A reused TxnID sheds the reaped mark of its dead predecessor: the new
-	// incarnation must never inherit a straggler verdict.
-	e.reaped.remove(step.Txn)
-	h, cross := e.beginRoute(step)
-	if cross {
-		return 0, true, e.beginCross(ctx, step, pri)
-	}
-	if !e.routes.storeNew(step.Txn, route{kind: routeLocal, shard: h, pri: pri}) {
-		return 0, true, Result{Step: step, Outcome: OutcomeError, Aborted: model.NoTxn, CompletedTxn: model.NoTxn,
-			Err: fmt.Errorf("engine: duplicate BEGIN for T%d: %w", step.Txn, ErrProtocol)}
-	}
-	if pri != PriorityHigh && e.shardOverloaded(h) {
-		e.routes.delete(step.Txn)
-		return 0, true, e.shedBegin(step, h)
-	}
-	return h, false, Result{}
+	return answer(step, step.Txn, stepErr(step, ErrOverload))
 }
 
 // SubmitBatch submits a client's steps in order and returns one Result per
@@ -481,75 +543,28 @@ func (e *Engine) SubmitBatch(steps []model.Step) []Result {
 // path submits at PriorityNormal with no deadline; session clients needing
 // per-transaction contexts or priorities use the per-step path.
 func (e *Engine) SubmitBatchInto(dst []Result, steps []model.Step) []Result {
-	if len(steps) == 0 {
-		return dst
-	}
-	if e.closed.Load() {
-		for _, st := range steps {
-			dst = append(dst, closedResult(st))
-		}
-		return dst
-	}
-	// run is the current span of consecutive steps bound for one shard.
-	runStart, runShard := -1, -1
-	flush := func(end int) {
+	// The run is steps[runStart:i], consecutive steps admitted to runShard
+	// and not yet applied; settle applies it.
+	runStart, runShard, i := -1, -1, 0
+	settle := func() {
 		if runStart >= 0 {
-			dst = e.flushRun(dst, runShard, steps[runStart:end])
+			dst = e.flushRun(dst, runShard, steps[runStart:i])
 			runStart = -1
 		}
 	}
-	extend := func(i, shard int) {
-		if runStart >= 0 && shard != runShard {
-			flush(i)
-		}
-		if runStart < 0 {
+	for ; i < len(steps); i++ {
+		shard, ok, res := e.admit(context.Background(), steps[i], PriorityNormal, settle)
+		switch {
+		case !ok:
+			dst = append(dst, res)
+		case runStart < 0:
+			runStart, runShard = i, shard
+		case shard != runShard:
+			settle()
 			runStart, runShard = i, shard
 		}
 	}
-	for i, st := range steps {
-		e.submitted.Add(1)
-		switch st.Kind {
-		case model.KindBegin:
-			if _, live := e.routes.load(st.Txn); live {
-				// The pending run may complete/abort this very ID; apply
-				// it first so duplicate detection sees the final state.
-				flush(i)
-			}
-			home, direct, res := e.registerBegin(context.Background(), st, PriorityNormal)
-			if direct {
-				flush(i)
-				dst = append(dst, res)
-				continue
-			}
-			extend(i, home)
-		case model.KindRead, model.KindWriteFinal:
-			r, ok := e.routes.load(st.Txn)
-			if !ok {
-				flush(i)
-				e.rejected.Add(1)
-				dst = append(dst, Result{Step: st, Outcome: OutcomeRejected, Aborted: st.Txn, CompletedTxn: model.NoTxn, Err: e.deadTxnErr(st)})
-				continue
-			}
-			if r.kind == routeCross {
-				// Routed individually; a final write runs the 2PC, so the
-				// pending run must land first to preserve step order.
-				flush(i)
-				dst = append(dst, e.crossStep(context.Background(), st, r))
-				continue
-			}
-			if foreign := e.misroutedStep(st, r.shard); foreign {
-				flush(i)
-				dst = append(dst, e.misroute(st, r))
-				continue
-			}
-			extend(i, r.shard)
-		default:
-			flush(i)
-			dst = append(dst, Result{Step: st, Outcome: OutcomeError, Aborted: model.NoTxn, CompletedTxn: model.NoTxn,
-				Err: fmt.Errorf("engine: step kind %v not part of the basic model: %w", st.Kind, ErrProtocol)})
-		}
-	}
-	flush(len(steps))
+	settle()
 	return dst
 }
 
@@ -576,39 +591,16 @@ func (e *Engine) flushRun(dst []Result, shardIdx int, steps []model.Step) []Resu
 		// Lost request (Close raced us). The buffer may still be written
 		// by the shutdown drain — abandon it rather than recycle.
 		for _, st := range steps {
-			if st.Kind == model.KindBegin {
-				e.routes.delete(st.Txn)
-			}
-			dst = append(dst, closedResult(st))
+			dst = append(dst, e.landed(closedResult(st)))
 		}
 		return dst
 	}
-	dst = append(dst, rep.results...)
-	// Mirror submitBegin: a BEGIN the scheduler refused must drop the
-	// route we registered, or the ID stays poisoned forever.
-	for i, st := range steps {
-		if st.Kind == model.KindBegin && i < len(rep.results) && rep.results[i].Outcome == OutcomeError {
-			e.routes.delete(st.Txn)
-		}
+	for _, res := range rep.results {
+		dst = append(dst, e.landed(res))
 	}
 	*bufp = rep.results[:0]
 	e.resBufPool.Put(bufp)
 	return dst
-}
-
-func (e *Engine) submitBegin(ctx context.Context, step model.Step, pri Priority) Result {
-	home, direct, res := e.registerBegin(ctx, step, pri)
-	if direct {
-		return res
-	}
-	res = e.doStep(home, step)
-	if res.Outcome == OutcomeError {
-		// The scheduler refused to start the transaction (e.g. its ID
-		// collides with a retained completed transaction): drop the route
-		// we just created, or the ID stays poisoned forever.
-		e.routes.delete(step.Txn)
-	}
-	return res
 }
 
 // doStep runs one step on a shard, mapping a lost request (Close raced the
@@ -621,29 +613,15 @@ func (e *Engine) doStep(shard int, step model.Step) Result {
 	return rep.res
 }
 
-// deadTxnErr is the error for a step addressed to a transaction with no
-// live route: stragglerErr when the retention governor reaped it (so the
-// session learns why), plain ErrTxnAborted otherwise.
-func (e *Engine) deadTxnErr(step model.Step) error {
+// deadTxn rejects a step addressed to a transaction that is no longer live:
+// with stragglerErr when the retention governor reaped it (so the session
+// learns why), plain ErrTxnAborted otherwise.
+func (e *Engine) deadTxn(step model.Step) Result {
+	e.rejected.Add(1)
 	if e.reaped.contains(step.Txn) {
-		return stragglerErr(step)
+		return answer(step, step.Txn, stragglerErr(step))
 	}
-	return stepErr(step, ErrTxnAborted)
-}
-
-func (e *Engine) submitAccess(ctx context.Context, step model.Step) Result {
-	r, ok := e.routes.load(step.Txn)
-	if !ok {
-		e.rejected.Add(1)
-		return Result{Step: step, Outcome: OutcomeRejected, Aborted: step.Txn, CompletedTxn: model.NoTxn, Err: e.deadTxnErr(step)}
-	}
-	if r.kind == routeCross {
-		return e.crossStep(ctx, step, r)
-	}
-	if e.misroutedStep(step, r.shard) {
-		return e.misroute(step, r)
-	}
-	return e.doStep(r.shard, step)
+	return answer(step, step.Txn, stepErr(step, ErrTxnAborted))
 }
 
 // misroute aborts a partition-local transaction that touched a foreign
@@ -663,7 +641,7 @@ func (e *Engine) misroute(step model.Step, r route) Result {
 	}
 	e.shards[r.shard].do(request{kind: reqAbortOne, step: model.Step{Txn: step.Txn}})
 	e.routes.delete(step.Txn)
-	return Result{Step: step, Outcome: OutcomeRejected, Aborted: step.Txn, CompletedTxn: model.NoTxn, Err: stepErr(step, ErrMisroute)}
+	return answer(step, step.Txn, stepErr(step, ErrMisroute))
 }
 
 // Abort aborts a live transaction (e.g. on client disconnect). For a
@@ -716,69 +694,50 @@ func (e *Engine) Stats() Stats {
 		}
 		s.PerShard = append(s.PerShard, cs)
 		s.Merged.Merge(cs)
-		// A shard that shut down serves nothing: its backlog is dead, its
-		// depth gauge may hold a phantom +1 from a submit that raced the
-		// shutdown drain, and a prepare whose decision was cut off by Close
-		// would pin the prepared gauge forever — so report zero rather than
-		// the stale counters.
+	}
+	s.QueueDepth = e.QueueDepths()
+	s.PreparedByShard = e.PreparedCounts()
+	return s
+}
+
+// gauge reads one lock-free gauge of every shard. A shard that shut down
+// reports zero rather than its stale counter: it serves nothing, so its
+// backlog is dead; its depth may hold a phantom +1 from a submit that raced
+// the shutdown drain; a prepare whose decision Close cut off would pin its
+// prepared count forever; and a closed engine retains nothing a client can
+// reach.
+func (e *Engine) gauge(of func(*shard) *atomic.Int64) []int64 {
+	out := make([]int64, len(e.shards))
+	for i, sh := range e.shards {
 		select {
 		case <-sh.done:
-			s.QueueDepth = append(s.QueueDepth, 0)
-			s.PreparedByShard = append(s.PreparedByShard, 0)
 		default:
-			s.QueueDepth = append(s.QueueDepth, sh.depth.Load())
-			s.PreparedByShard = append(s.PreparedByShard, sh.preparedN.Load())
+			out[i] = of(sh).Load()
 		}
 	}
-	return s
+	return out
 }
 
 // QueueDepths returns the instantaneous per-shard submission backlog
 // without a shard round-trip — the same gauge admission control sheds on
 // (Stats.QueueDepth fetches it alongside the heavier scheduler counters).
-// Dead shards report zero.
 func (e *Engine) QueueDepths() []int64 {
-	out := make([]int64, len(e.shards))
-	for i, sh := range e.shards {
-		select {
-		case <-sh.done:
-		default:
-			out[i] = sh.depth.Load()
-		}
-	}
-	return out
+	return e.gauge(func(sh *shard) *atomic.Int64 { return &sh.depth })
 }
 
 // RetainedCounts returns the per-shard count of retained completed
 // transactions (the storage the deletion policy reclaims), lock-free like
 // QueueDepths. The gauge is refreshed by the shard goroutine after every
-// batch, so it trails the scheduler by at most one batch. Dead shards
-// report zero: a closed engine retains nothing a client can reach.
+// run, so it trails the scheduler by at most one run.
 func (e *Engine) RetainedCounts() []int64 {
-	out := make([]int64, len(e.shards))
-	for i, sh := range e.shards {
-		select {
-		case <-sh.done:
-		default:
-			out[i] = sh.retainedN.Load()
-		}
-	}
-	return out
+	return e.gauge(func(sh *shard) *atomic.Int64 { return &sh.retainedN })
 }
 
 // PreparedCounts returns the per-shard count of prepared-but-undecided 2PC
 // sub-transactions (each pins its node against deletion), lock-free like
-// QueueDepths. Dead shards report zero.
+// QueueDepths.
 func (e *Engine) PreparedCounts() []int64 {
-	out := make([]int64, len(e.shards))
-	for i, sh := range e.shards {
-		select {
-		case <-sh.done:
-		default:
-			out[i] = sh.preparedN.Load()
-		}
-	}
-	return out
+	return e.gauge(func(sh *shard) *atomic.Int64 { return &sh.preparedN })
 }
 
 // Gauges snapshots the per-shard gauges in the shape the metrics endpoint

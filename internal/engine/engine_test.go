@@ -18,8 +18,8 @@ func TestSingleShardSemantics(t *testing.T) {
 
 	mustOutcome := func(res Result, want Outcome) {
 		t.Helper()
-		if res.Outcome != want {
-			t.Fatalf("%v: outcome = %v (err=%v), want %v", res.Step, res.Outcome, res.Err, want)
+		if res.Outcome() != want {
+			t.Fatalf("%v: outcome = %v (err=%v), want %v", res.Step, res.Outcome(), res.Err, want)
 		}
 	}
 	// T1 reads x, T2 reads y, T2 writes x (T1→T2), then T1 writes y: cycle.
@@ -51,21 +51,21 @@ func TestRoutingAndMisroute(t *testing.T) {
 	defer eng.Close()
 
 	// Footprint {0,4,8} is all partition 0.
-	if res := eng.Submit(model.BeginDeclared(1, 0, 4, 8)); res.Outcome != OutcomeAccepted {
-		t.Fatalf("begin: %v (%v)", res.Outcome, res.Err)
+	if res := eng.Submit(model.BeginDeclared(1, 0, 4, 8)); res.Outcome() != OutcomeAccepted {
+		t.Fatalf("begin: %v (%v)", res.Outcome(), res.Err)
 	}
-	if res := eng.Submit(model.Read(1, 8)); res.Outcome != OutcomeAccepted {
-		t.Fatalf("in-partition read: %v (%v)", res.Outcome, res.Err)
+	if res := eng.Submit(model.Read(1, 8)); res.Outcome() != OutcomeAccepted {
+		t.Fatalf("in-partition read: %v (%v)", res.Outcome(), res.Err)
 	}
 	// Entity 3 belongs to partition 3: misroute, transaction aborted.
 	res := eng.Submit(model.Read(1, 3))
-	if res.Outcome != OutcomeRejected || !errors.Is(res.Err, ErrMisroute) {
-		t.Fatalf("foreign read: %v (%v), want rejected/ErrMisroute", res.Outcome, res.Err)
+	if res.Outcome() != OutcomeRejected || !errors.Is(res.Err, ErrMisroute) {
+		t.Fatalf("foreign read: %v (%v), want rejected/ErrMisroute", res.Outcome(), res.Err)
 	}
 	// The transaction is gone now.
 	res = eng.Submit(model.Read(1, 8))
-	if res.Outcome != OutcomeRejected || !errors.Is(res.Err, ErrTxnAborted) {
-		t.Fatalf("post-abort read: %v (%v), want rejected/ErrTxnAborted", res.Outcome, res.Err)
+	if res.Outcome() != OutcomeRejected || !errors.Is(res.Err, ErrTxnAborted) {
+		t.Fatalf("post-abort read: %v (%v), want rejected/ErrTxnAborted", res.Outcome(), res.Err)
 	}
 	if s := eng.Stats(); s.Misroutes != 1 {
 		t.Fatalf("Misroutes = %d, want 1", s.Misroutes)
@@ -84,24 +84,24 @@ func TestCrossPartition2PC(t *testing.T) {
 
 	// A local active on shard 0 — a *participant* of the cross commit.
 	if res := eng.Submit(model.BeginDeclared(7, 4)); !res.Accepted() {
-		t.Fatalf("bystander begin: %v (%v)", res.Outcome, res.Err)
+		t.Fatalf("bystander begin: %v (%v)", res.Outcome(), res.Err)
 	}
 	if res := eng.Submit(model.Read(7, 4)); !res.Accepted() {
-		t.Fatalf("bystander read: %v (%v)", res.Outcome, res.Err)
+		t.Fatalf("bystander read: %v (%v)", res.Outcome(), res.Err)
 	}
 
 	// Cross transaction spanning partitions 0 and 2: sub-transactions begin
 	// on both shards, the read applies immediately on shard 0, and the
 	// final write runs PREPARE on both participants before COMMIT.
 	if res := eng.Submit(model.BeginDeclared(9, 0, 2)); !res.Accepted() {
-		t.Fatalf("cross begin: %v (%v)", res.Outcome, res.Err)
+		t.Fatalf("cross begin: %v (%v)", res.Outcome(), res.Err)
 	}
 	if res := eng.Submit(model.Read(9, 0)); !res.Accepted() {
-		t.Fatalf("cross read: %v (%v)", res.Outcome, res.Err)
+		t.Fatalf("cross read: %v (%v)", res.Outcome(), res.Err)
 	}
 	res := eng.Submit(model.WriteFinal(9, 2))
-	if res.Outcome != OutcomeAccepted || res.CompletedTxn != 9 {
-		t.Fatalf("cross final: %v (%v), CompletedTxn=%v", res.Outcome, res.Err, res.CompletedTxn)
+	if res.Outcome() != OutcomeAccepted || res.CompletedTxn != 9 {
+		t.Fatalf("cross final: %v (%v), CompletedTxn=%v", res.Outcome(), res.Err, res.CompletedTxn)
 	}
 
 	s := eng.Stats()
@@ -115,7 +115,7 @@ func TestCrossPartition2PC(t *testing.T) {
 	}
 	// The bystander survived the cross commit and completes normally.
 	if res := eng.Submit(model.WriteFinal(7, 4)); !res.Accepted() || res.CompletedTxn != 7 {
-		t.Fatalf("bystander final after cross commit: %v (%v)", res.Outcome, res.Err)
+		t.Fatalf("bystander final after cross commit: %v (%v)", res.Outcome(), res.Err)
 	}
 	// The referee agrees with everything that was accepted, and both
 	// transactions' steps are in the accepted subschedule.
@@ -145,7 +145,7 @@ func TestCrossCycleDetectedAtPrepare(t *testing.T) {
 	mustAccept := func(res Result) {
 		t.Helper()
 		if !res.Accepted() {
-			t.Fatalf("%v: %v (%v)", res.Step, res.Outcome, res.Err)
+			t.Fatalf("%v: %v (%v)", res.Step, res.Outcome(), res.Err)
 		}
 	}
 	mustAccept(eng.Submit(model.BeginDeclared(1, 0, 1)))
@@ -156,14 +156,14 @@ func TestCrossCycleDetectedAtPrepare(t *testing.T) {
 	// registry records as an inter-shard reach-arc T1→T2.
 	res := eng.Submit(model.WriteFinal(2, 0))
 	if !res.Accepted() || res.CompletedTxn != 2 {
-		t.Fatalf("T2 final: %v (%v)", res.Outcome, res.Err)
+		t.Fatalf("T2 final: %v (%v)", res.Outcome(), res.Err)
 	}
 	// T1 writes y: shard 1 would add arc T2→T1, composing with T1→T2 into
 	// a global cycle no single shard can see. The registry vetoes the
 	// prepare; T1 aborts, nothing else does.
 	res = eng.Submit(model.WriteFinal(1, 1))
-	if res.Outcome != OutcomeRejected || res.Aborted != 1 {
-		t.Fatalf("T1 final: %v (%v), want rejected cross abort", res.Outcome, res.Err)
+	if res.Outcome() != OutcomeRejected || res.Aborted != 1 {
+		t.Fatalf("T1 final: %v (%v), want rejected cross abort", res.Outcome(), res.Err)
 	}
 	if !errors.Is(res.Err, ErrCrossCycle) {
 		t.Fatalf("T1 final err = %v, want ErrCrossCycle", res.Err)
@@ -196,10 +196,10 @@ func TestCrossAbortReleasesPins(t *testing.T) {
 
 	// Client abort mid-flight: sub-transactions live on shards 0,1,2.
 	if res := eng.Submit(model.BeginDeclared(1, 0, 1, 2)); !res.Accepted() {
-		t.Fatalf("begin: %v (%v)", res.Outcome, res.Err)
+		t.Fatalf("begin: %v (%v)", res.Outcome(), res.Err)
 	}
 	if res := eng.Submit(model.Read(1, 1)); !res.Accepted() {
-		t.Fatalf("read: %v (%v)", res.Outcome, res.Err)
+		t.Fatalf("read: %v (%v)", res.Outcome(), res.Err)
 	}
 	if !eng.Abort(1) {
 		t.Fatal("abort of live cross txn returned false")
@@ -207,15 +207,15 @@ func TestCrossAbortReleasesPins(t *testing.T) {
 	if eng.Abort(1) {
 		t.Fatal("second abort returned true")
 	}
-	if res := eng.Submit(model.Read(1, 0)); res.Outcome != OutcomeRejected || !errors.Is(res.Err, ErrTxnAborted) {
-		t.Fatalf("read after abort: %v (%v)", res.Outcome, res.Err)
+	if res := eng.Submit(model.Read(1, 0)); res.Outcome() != OutcomeRejected || !errors.Is(res.Err, ErrTxnAborted) {
+		t.Fatalf("read after abort: %v (%v)", res.Outcome(), res.Err)
 	}
 	// Every shard released its sub-transaction: the ID is reusable.
 	if res := eng.Submit(model.BeginDeclared(1, 0, 1, 2)); !res.Accepted() {
-		t.Fatalf("begin after abort (ID reuse): %v (%v)", res.Outcome, res.Err)
+		t.Fatalf("begin after abort (ID reuse): %v (%v)", res.Outcome(), res.Err)
 	}
 	if res := eng.Submit(model.WriteFinal(1, 0, 1, 2)); !res.Accepted() || res.CompletedTxn != 1 {
-		t.Fatalf("reused txn final: %v (%v)", res.Outcome, res.Err)
+		t.Fatalf("reused txn final: %v (%v)", res.Outcome(), res.Err)
 	}
 
 	// Prepare failure on the second participant: T10 reads entity 3 on
@@ -224,27 +224,27 @@ func TestCrossAbortReleasesPins(t *testing.T) {
 	// first participant (shard 0) votes yes and pins, then shard 1 votes
 	// no — the abort must unpin shard 0.
 	if res := eng.Submit(model.BeginDeclared(10, 3, 4)); !res.Accepted() {
-		t.Fatalf("T10 begin: %v (%v)", res.Outcome, res.Err)
+		t.Fatalf("T10 begin: %v (%v)", res.Outcome(), res.Err)
 	}
 	if res := eng.Submit(model.Read(10, 3)); !res.Accepted() {
-		t.Fatalf("T10 read 3: %v (%v)", res.Outcome, res.Err)
+		t.Fatalf("T10 read 3: %v (%v)", res.Outcome(), res.Err)
 	}
 	if res := eng.Submit(model.Read(10, 4)); !res.Accepted() {
-		t.Fatalf("T10 read 4: %v (%v)", res.Outcome, res.Err)
+		t.Fatalf("T10 read 4: %v (%v)", res.Outcome(), res.Err)
 	}
 	// Local T11 on shard 1: writes 4 after T10's read (arc T10→T11)…
 	if res := eng.Submit(model.BeginDeclared(11, 4)); !res.Accepted() {
-		t.Fatalf("T11 begin: %v (%v)", res.Outcome, res.Err)
+		t.Fatalf("T11 begin: %v (%v)", res.Outcome(), res.Err)
 	}
 	if res := eng.Submit(model.WriteFinal(11, 4)); !res.Accepted() {
-		t.Fatalf("T11 final: %v (%v)", res.Outcome, res.Err)
+		t.Fatalf("T11 final: %v (%v)", res.Outcome(), res.Err)
 	}
 	// …then T10's final write of {3,4}: shard 0 prepares fine (and pins),
 	// but on shard 1 the write needs arc T11→T10 while T10→T11 already
 	// exists — a local cycle, so shard 1 votes no.
 	res := eng.Submit(model.WriteFinal(10, 3, 4))
-	if res.Outcome != OutcomeRejected || res.Aborted != 10 {
-		t.Fatalf("T10 final: %v (%v), want local-cycle rejection", res.Outcome, res.Err)
+	if res.Outcome() != OutcomeRejected || res.Aborted != 10 {
+		t.Fatalf("T10 final: %v (%v), want local-cycle rejection", res.Outcome(), res.Err)
 	}
 	s := eng.Stats()
 	for i, p := range s.PreparedByShard {
@@ -254,7 +254,7 @@ func TestCrossAbortReleasesPins(t *testing.T) {
 	}
 	// Both IDs reusable: every participant cleaned up.
 	if res := eng.Submit(model.BeginDeclared(10, 3, 4)); !res.Accepted() {
-		t.Fatalf("T10 reuse after vote-no: %v (%v)", res.Outcome, res.Err)
+		t.Fatalf("T10 reuse after vote-no: %v (%v)", res.Outcome(), res.Err)
 	}
 }
 
@@ -263,16 +263,16 @@ func TestDuplicateBeginAndBadKinds(t *testing.T) {
 	eng := New(Config{Shards: 2})
 	defer eng.Close()
 	if res := eng.Submit(model.BeginDeclared(1, 0)); !res.Accepted() {
-		t.Fatalf("begin: %v", res.Outcome)
+		t.Fatalf("begin: %v", res.Outcome())
 	}
-	if res := eng.Submit(model.BeginDeclared(1, 0)); res.Outcome != OutcomeError {
-		t.Fatalf("duplicate begin: %v, want error", res.Outcome)
+	if res := eng.Submit(model.BeginDeclared(1, 0)); res.Outcome() != OutcomeError {
+		t.Fatalf("duplicate begin: %v, want error", res.Outcome())
 	}
-	if res := eng.Submit(model.Write(1, 0)); res.Outcome != OutcomeError {
-		t.Fatalf("multiwrite step: %v, want error", res.Outcome)
+	if res := eng.Submit(model.Write(1, 0)); res.Outcome() != OutcomeError {
+		t.Fatalf("multiwrite step: %v, want error", res.Outcome())
 	}
-	if res := eng.Submit(model.Read(99, 0)); res.Outcome != OutcomeRejected {
-		t.Fatalf("read without begin: %v, want rejected", res.Outcome)
+	if res := eng.Submit(model.Read(99, 0)); res.Outcome() != OutcomeRejected {
+		t.Fatalf("read without begin: %v, want rejected", res.Outcome())
 	}
 }
 
@@ -291,8 +291,8 @@ func TestClientAbort(t *testing.T) {
 	if !eng.Abort(2) {
 		t.Fatal("abort of live cross txn returned false")
 	}
-	if res := eng.Submit(model.Read(2, 0)); res.Outcome != OutcomeRejected {
-		t.Fatalf("read after cross abort: %v", res.Outcome)
+	if res := eng.Submit(model.Read(2, 0)); res.Outcome() != OutcomeRejected {
+		t.Fatalf("read after cross abort: %v", res.Outcome())
 	}
 }
 
@@ -312,7 +312,7 @@ func TestGCDeletesUnderLoad(t *testing.T) {
 		p := i % 2
 		x := model.Entity(p + 2*(i%50))
 		if res := eng.Submit(model.BeginDeclared(id, x)); !res.Accepted() {
-			t.Fatalf("begin %d: %v (%v)", i, res.Outcome, res.Err)
+			t.Fatalf("begin %d: %v (%v)", i, res.Outcome(), res.Err)
 		}
 		eng.Submit(model.Read(id, x))
 		eng.Submit(model.WriteFinal(id, x))
@@ -342,7 +342,6 @@ func TestConcurrentSubmitRace(t *testing.T) {
 		Shards:                4,
 		Policy:                func() core.Policy { return core.GreedyC1{} },
 		SweepEveryCompletions: 4,
-		BatchSize:             8,
 	})
 	defer eng.Close()
 
@@ -364,7 +363,7 @@ func TestConcurrentSubmitRace(t *testing.T) {
 				} else {
 					fp = []model.Entity{x}
 				}
-				if res := eng.Submit(model.BeginDeclared(id, fp...)); res.Outcome == OutcomeError {
+				if res := eng.Submit(model.BeginDeclared(id, fp...)); res.Outcome() == OutcomeError {
 					t.Errorf("begin %d: %v", id, res.Err)
 					return
 				}
@@ -420,14 +419,14 @@ func TestReusedIDDoesNotPoisonRoute(t *testing.T) {
 	defer eng.Close()
 	eng.Submit(model.BeginDeclared(4, 0))
 	eng.Submit(model.WriteFinal(4, 0))
-	if res := eng.Submit(model.BeginDeclared(4, 0)); res.Outcome != OutcomeError {
-		t.Fatalf("reused begin: %v, want error", res.Outcome)
+	if res := eng.Submit(model.BeginDeclared(4, 0)); res.Outcome() != OutcomeError {
+		t.Fatalf("reused begin: %v, want error", res.Outcome())
 	}
 	// Without a lingering route, this is rejected at the engine (unknown
 	// txn), not routed to the shard as if T4 were live.
 	res := eng.Submit(model.Read(4, 0))
-	if res.Outcome != OutcomeRejected || !errors.Is(res.Err, ErrTxnAborted) {
-		t.Fatalf("read after failed reuse: %v (%v), want rejected/ErrTxnAborted", res.Outcome, res.Err)
+	if res.Outcome() != OutcomeRejected || !errors.Is(res.Err, ErrTxnAborted) {
+		t.Fatalf("read after failed reuse: %v (%v), want rejected/ErrTxnAborted", res.Outcome(), res.Err)
 	}
 }
 
@@ -445,12 +444,12 @@ func TestCrossReuseKeepsOriginalInTrace(t *testing.T) {
 	eng.Submit(model.WriteFinal(1, 0))
 	// Reuse ID 1 for a cross transaction; the sub-begin on shard 0 hits a
 	// duplicate-BEGIN protocol error and the fan-out rolls back.
-	if res := eng.Submit(model.BeginDeclared(1, 0, 1)); res.Outcome != OutcomeError {
-		t.Fatalf("cross reuse begin: %v (%v), want error", res.Outcome, res.Err)
+	if res := eng.Submit(model.BeginDeclared(1, 0, 1)); res.Outcome() != OutcomeError {
+		t.Fatalf("cross reuse begin: %v (%v), want error", res.Outcome(), res.Err)
 	}
 	// No route was left behind: the follow-up final write is unknown.
-	if res := eng.Submit(model.WriteFinal(1, 1)); res.Outcome != OutcomeRejected || !errors.Is(res.Err, ErrTxnAborted) {
-		t.Fatalf("cross reuse final: %v (%v), want rejected/ErrTxnAborted", res.Outcome, res.Err)
+	if res := eng.Submit(model.WriteFinal(1, 1)); res.Outcome() != OutcomeRejected || !errors.Is(res.Err, ErrTxnAborted) {
+		t.Fatalf("cross reuse final: %v (%v), want rejected/ErrTxnAborted", res.Outcome(), res.Err)
 	}
 	var got int
 	for _, st := range log.AcceptedSubschedule() {
@@ -494,7 +493,7 @@ func TestCrossIDReuseStaleLabels(t *testing.T) {
 	must := func(res Result) {
 		t.Helper()
 		if !res.Accepted() {
-			t.Fatalf("%v: %v (%v)", res.Step, res.Outcome, res.Err)
+			t.Fatalf("%v: %v (%v)", res.Step, res.Outcome(), res.Err)
 		}
 	}
 	// Era 1: long-lived local v reads e0; cross T1 reads e0; local L's
@@ -525,14 +524,14 @@ func TestCrossIDReuseStaleLabels(t *testing.T) {
 	must(eng.Submit(model.WriteFinal(2, 9)))
 	must(eng.Submit(model.Read(1, 9)))
 	res := eng.Submit(model.WriteFinal(5, 8))
-	if res.Outcome != OutcomeRejected || res.Aborted != 5 {
+	if res.Outcome() != OutcomeRejected || res.Aborted != 5 {
 		t.Fatalf("cycle-closing write: %v (%v), want rejection aborting T5 (stale label hid the reach-path?)",
-			res.Outcome, res.Err)
+			res.Outcome(), res.Err)
 	}
 	// The reused transaction itself commits fine.
 	res = eng.Submit(model.WriteFinal(1))
 	if !res.Accepted() || res.CompletedTxn != 1 {
-		t.Fatalf("reused T1 final: %v (%v)", res.Outcome, res.Err)
+		t.Fatalf("reused T1 final: %v (%v)", res.Outcome(), res.Err)
 	}
 	if err := log.CheckAcceptedCSR(); err != nil {
 		t.Fatal(err)

@@ -2,8 +2,10 @@
 // truth about why a submission failed: every non-accepted Result carries an
 // error wrapping exactly one of the sentinels below (plus the failing
 // step's context), so clients branch with errors.Is instead of decoding an
-// outcome enum. The Outcome field survives only as a coarse derived
-// classification (accepted / rejected / error) for display.
+// outcome enum. Result.Outcome is a coarse classification computed from Err
+// for display, and nothing stores it: nil is accepted, ErrProtocol or
+// ErrClosed is an error (state unchanged), and every other sentinel is a
+// rejection.
 package engine
 
 import (

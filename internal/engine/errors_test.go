@@ -22,7 +22,7 @@ func TestResultErrTaxonomyRoundTrip(t *testing.T) {
 	must := func(res Result) {
 		t.Helper()
 		if !res.Accepted() || res.Err != nil {
-			t.Fatalf("%v: %v (%v)", res.Step, res.Outcome, res.Err)
+			t.Fatalf("%v: %v (%v)", res.Step, res.Outcome(), res.Err)
 		}
 	}
 
@@ -33,8 +33,8 @@ func TestResultErrTaxonomyRoundTrip(t *testing.T) {
 	must(eng.Submit(model.Read(2, 2)))
 	must(eng.Submit(model.WriteFinal(2, 0)))
 	res := eng.Submit(model.WriteFinal(1, 2))
-	if res.Outcome != OutcomeRejected || !errors.Is(res.Err, ErrCycle) {
-		t.Fatalf("local cycle: %v (%v), want ErrCycle", res.Outcome, res.Err)
+	if res.Outcome() != OutcomeRejected || !errors.Is(res.Err, ErrCycle) {
+		t.Fatalf("local cycle: %v (%v), want ErrCycle", res.Outcome(), res.Err)
 	}
 
 	// ErrTxnAborted: a step for the freshly-dead transaction.
@@ -58,16 +58,16 @@ func TestResultErrTaxonomyRoundTrip(t *testing.T) {
 	must(eng.Submit(model.Read(11, 1)))
 	must(eng.Submit(model.WriteFinal(11, 0)))
 	res = eng.Submit(model.WriteFinal(10, 1))
-	if res.Outcome != OutcomeRejected || !errors.Is(res.Err, ErrCrossCycle) {
-		t.Fatalf("cross cycle: %v (%v), want ErrCrossCycle", res.Outcome, res.Err)
+	if res.Outcome() != OutcomeRejected || !errors.Is(res.Err, ErrCrossCycle) {
+		t.Fatalf("cross cycle: %v (%v), want ErrCrossCycle", res.Outcome(), res.Err)
 	}
 
 	// ErrProtocol: duplicate BEGIN (live ID), and a step kind outside the
 	// basic model.
 	must(eng.Submit(model.BeginDeclared(20, 0)))
 	res = eng.Submit(model.BeginDeclared(20, 0))
-	if res.Outcome != OutcomeError || !errors.Is(res.Err, ErrProtocol) {
-		t.Fatalf("duplicate begin: %v (%v), want ErrProtocol", res.Outcome, res.Err)
+	if res.Outcome() != OutcomeError || !errors.Is(res.Err, ErrProtocol) {
+		t.Fatalf("duplicate begin: %v (%v), want ErrProtocol", res.Outcome(), res.Err)
 	}
 	res = eng.Submit(model.Write(20, 0))
 	if !errors.Is(res.Err, ErrProtocol) {
@@ -80,16 +80,16 @@ func TestResultErrTaxonomyRoundTrip(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res = eng.SubmitCtx(ctx, model.Read(20, 0))
-	if res.Outcome != OutcomeRejected || !errors.Is(res.Err, ErrTxnAborted) || !errors.Is(res.Err, context.Canceled) {
-		t.Fatalf("cancelled-ctx step: %v (%v), want ErrTxnAborted + context.Canceled", res.Outcome, res.Err)
+	if res.Outcome() != OutcomeRejected || !errors.Is(res.Err, ErrTxnAborted) || !errors.Is(res.Err, context.Canceled) {
+		t.Fatalf("cancelled-ctx step: %v (%v), want ErrTxnAborted + context.Canceled", res.Outcome(), res.Err)
 	}
 	if res = eng.Submit(model.Read(20, 0)); !errors.Is(res.Err, ErrTxnAborted) {
 		t.Fatalf("T20 should be dead after ctx abort, got %v", res.Err)
 	}
 	// A BEGIN under a cancelled context never starts.
 	res = eng.SubmitCtx(ctx, model.BeginDeclared(21, 0))
-	if res.Outcome != OutcomeRejected || !errors.Is(res.Err, context.Canceled) {
-		t.Fatalf("cancelled-ctx begin: %v (%v)", res.Outcome, res.Err)
+	if res.Outcome() != OutcomeRejected || !errors.Is(res.Err, context.Canceled) {
+		t.Fatalf("cancelled-ctx begin: %v (%v)", res.Outcome(), res.Err)
 	}
 	if res = eng.Submit(model.BeginDeclared(21, 0)); !res.Accepted() {
 		t.Fatalf("ID 21 should be free after refused begin: %v", res.Err)
@@ -111,6 +111,40 @@ func TestResultErrTaxonomyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOutcomeDerivedFromErr pins Result.Outcome to the rule errors.go
+// states: nil is accepted, ErrProtocol or ErrClosed (however deeply
+// wrapped) is an error, every other member of the taxonomy is a rejection.
+func TestOutcomeDerivedFromErr(t *testing.T) {
+	step := model.Read(7, 3)
+	dead := journal{shard: 2, err: errors.New("disk gone")}
+	for _, tc := range []struct {
+		name string
+		err  error
+		want Outcome
+	}{
+		{"accepted", nil, OutcomeAccepted},
+		{"cycle", stepErr(step, ErrCycle), OutcomeRejected},
+		{"cross-cycle", stepErr(step, ErrCrossCycle), OutcomeRejected},
+		{"misroute", stepErr(step, ErrMisroute), OutcomeRejected},
+		{"overload", stepErr(step, ErrOverload), OutcomeRejected},
+		{"txn-aborted", stepErr(step, ErrTxnAborted), OutcomeRejected},
+		{"ctx-cancel", ctxErr(step, context.Canceled), OutcomeRejected},
+		{"ctx-deadline", ctxErr(step, context.DeadlineExceeded), OutcomeRejected},
+		{"straggler", stragglerErr(step), OutcomeRejected},
+		{"protocol", stepErr(step, ErrProtocol), OutcomeError},
+		{"closed", stepErr(step, ErrClosed), OutcomeError},
+		{"journal-refusal", dead.refusal(step), OutcomeError},
+	} {
+		res := Result{Step: step, Err: tc.err}
+		if got := res.Outcome(); got != tc.want {
+			t.Errorf("%s: Outcome() = %v, want %v (err %v)", tc.name, got, tc.want, tc.err)
+		}
+		if res.Accepted() != (tc.want == OutcomeAccepted) {
+			t.Errorf("%s: Accepted() = %v disagrees with Outcome() %v", tc.name, res.Accepted(), tc.want)
+		}
+	}
+}
+
 // TestCtxCancelBetweenPrepareAndDecision cancels a cross-partition final
 // write's context in the exact window where every participant holds a
 // prepared-but-undecided (pinned) sub-transaction. The 2PC driver must
@@ -122,7 +156,7 @@ func TestCtxCancelBetweenPrepareAndDecision(t *testing.T) {
 	must := func(res Result) {
 		t.Helper()
 		if !res.Accepted() {
-			t.Fatalf("%v: %v (%v)", res.Step, res.Outcome, res.Err)
+			t.Fatalf("%v: %v (%v)", res.Step, res.Outcome(), res.Err)
 		}
 	}
 	must(eng.Submit(model.BeginDeclared(1, 0, 1)))
@@ -139,8 +173,8 @@ func TestCtxCancelBetweenPrepareAndDecision(t *testing.T) {
 	defer func() { testHookPrepared = nil }()
 
 	res := eng.SubmitCtx(ctx, model.WriteFinal(1, 0, 1))
-	if res.Outcome != OutcomeRejected || res.Aborted != 1 {
-		t.Fatalf("final under mid-2PC cancel: %v (%v), want rejected abort of T1", res.Outcome, res.Err)
+	if res.Outcome() != OutcomeRejected || res.Aborted != 1 {
+		t.Fatalf("final under mid-2PC cancel: %v (%v), want rejected abort of T1", res.Outcome(), res.Err)
 	}
 	if !errors.Is(res.Err, ErrTxnAborted) || !errors.Is(res.Err, context.Canceled) {
 		t.Fatalf("err = %v, want ErrTxnAborted + context.Canceled", res.Err)
@@ -177,16 +211,28 @@ func TestCtxCancelBetweenPrepareAndDecision(t *testing.T) {
 	must(eng.Submit(model.BeginDeclared(1, 0, 1)))
 	res = eng.Submit(model.WriteFinal(1, 0, 1))
 	if !res.Accepted() || res.CompletedTxn != 1 {
-		t.Fatalf("reused T1 final: %v (%v)", res.Outcome, res.Err)
+		t.Fatalf("reused T1 final: %v (%v)", res.Outcome(), res.Err)
 	}
 }
 
 // blockingPolicy wedges its shard inside a GC sweep until the gate is
-// closed — a deterministic way to pile up a submission backlog.
-type blockingPolicy struct{ gate chan struct{} }
+// closed — a deterministic way to pile up a submission backlog. entered is
+// closed when the first sweep reaches the gate, so a test knows the shard
+// is wedged however many requests its run drained first.
+type blockingPolicy struct {
+	gate, entered chan struct{}
+	once          sync.Once
+}
 
-func (p *blockingPolicy) Name() string         { return "test-block" }
-func (p *blockingPolicy) Sweep(sw *core.Sweep) { <-p.gate }
+func newBlockingPolicy() *blockingPolicy {
+	return &blockingPolicy{gate: make(chan struct{}), entered: make(chan struct{})}
+}
+
+func (p *blockingPolicy) Name() string { return "test-block" }
+func (p *blockingPolicy) Sweep(sw *core.Sweep) {
+	p.once.Do(func() { close(p.entered) })
+	<-p.gate
+}
 
 // TestOverloadShedsBegins saturates a shard (its goroutine wedged in a
 // sweep, submitters stacked on the queue) and asserts that admission
@@ -195,24 +241,23 @@ func (p *blockingPolicy) Sweep(sw *core.Sweep) { <-p.gate }
 // the shard resumes — no deadlock anywhere.
 func TestOverloadShedsBegins(t *testing.T) {
 	const watermark = 4
-	gate := make(chan struct{})
+	pol := newBlockingPolicy()
 	eng := New(Config{
 		Shards:                1,
-		Policy:                func() core.Policy { return &blockingPolicy{gate: gate} },
+		Policy:                func() core.Policy { return pol },
 		SweepEveryCompletions: 1,
-		BatchSize:             1,
-		QueueDepth:            64,
 		OverloadWatermark:     watermark,
 	})
 	defer eng.Close()
 
-	// Complete one transaction; the post-batch sweep then wedges the shard.
+	// Complete one transaction; the sweep that follows wedges the shard.
 	if res := eng.Submit(model.BeginDeclared(1, 0)); !res.Accepted() {
-		t.Fatalf("begin: %v (%v)", res.Outcome, res.Err)
+		t.Fatalf("begin: %v (%v)", res.Outcome(), res.Err)
 	}
 	if res := eng.Submit(model.WriteFinal(1, 0)); !res.Accepted() {
-		t.Fatalf("final: %v (%v)", res.Outcome, res.Err)
+		t.Fatalf("final: %v (%v)", res.Outcome(), res.Err)
 	}
+	<-pol.entered
 
 	// Stack submitters on the wedged shard until the backlog passes the
 	// watermark. The first submitter goes alone so its ID (10) is known to
@@ -248,25 +293,25 @@ func TestOverloadShedsBegins(t *testing.T) {
 	// A normal-priority BEGIN is shed immediately — it neither blocks nor
 	// consumes a queue slot.
 	res := eng.Submit(model.BeginDeclared(99, 0))
-	if res.Outcome != OutcomeRejected || !errors.Is(res.Err, ErrOverload) {
-		t.Fatalf("overloaded begin: %v (%v), want rejected/ErrOverload", res.Outcome, res.Err)
+	if res.Outcome() != OutcomeRejected || !errors.Is(res.Err, ErrOverload) {
+		t.Fatalf("overloaded begin: %v (%v), want rejected/ErrOverload", res.Outcome(), res.Err)
 	}
 	// A duplicate of a routed ID is a protocol bug even under overload —
 	// the saturation must not relabel it as retryable.
 	res = eng.Submit(model.BeginDeclared(10, 0))
-	if res.Outcome != OutcomeError || !errors.Is(res.Err, ErrProtocol) || errors.Is(res.Err, ErrOverload) {
-		t.Fatalf("duplicate begin under overload: %v (%v), want ErrProtocol", res.Outcome, res.Err)
+	if res.Outcome() != OutcomeError || !errors.Is(res.Err, ErrProtocol) || errors.Is(res.Err, ErrOverload) {
+		t.Fatalf("duplicate begin under overload: %v (%v), want ErrProtocol", res.Outcome(), res.Err)
 	}
 	// The shed ID was never consumed: admitting it later must succeed.
-	close(gate)
+	close(pol.gate)
 	wg.Wait()
 	for i, r := range results {
 		if !r.Accepted() {
-			t.Fatalf("stacked high-priority begin %d: %v (%v) — the watermark must not shed PriorityHigh", i, r.Outcome, r.Err)
+			t.Fatalf("stacked high-priority begin %d: %v (%v) — the watermark must not shed PriorityHigh", i, r.Outcome(), r.Err)
 		}
 	}
 	if res := eng.Submit(model.BeginDeclared(99, 0)); !res.Accepted() {
-		t.Fatalf("begin after drain: %v (%v)", res.Outcome, res.Err)
+		t.Fatalf("begin after drain: %v (%v)", res.Outcome(), res.Err)
 	}
 	s := eng.Stats()
 	if s.Shed != 1 {

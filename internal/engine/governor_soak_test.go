@@ -60,7 +60,7 @@ func runSoak(t *testing.T, watermark int) (samples []int64, st Stats) {
 	defer eng.Close()
 
 	if res := eng.SubmitPriority(context.Background(), model.BeginDeclared(soakHighID, soakHighEntity), PriorityHigh); !res.Accepted() {
-		t.Fatalf("high-priority begin: %v (%v)", res.Outcome, res.Err)
+		t.Fatalf("high-priority begin: %v (%v)", res.Outcome(), res.Err)
 	}
 
 	adv := workload.NewAdversary(workload.AdversaryConfig{
@@ -106,7 +106,7 @@ func runSoak(t *testing.T, watermark int) (samples []int64, st Stats) {
 	// The exempt long-runner outlived the whole attack and commits.
 	res := eng.Submit(model.WriteFinal(soakHighID, soakHighEntity))
 	if !res.Accepted() || res.CompletedTxn != soakHighID {
-		t.Fatalf("PriorityHigh final after soak: %v (%v) — it must never be reaped", res.Outcome, res.Err)
+		t.Fatalf("PriorityHigh final after soak: %v (%v) — it must never be reaped", res.Outcome(), res.Err)
 	}
 	return samples, eng.Stats()
 }

@@ -30,7 +30,7 @@ func TestReapCrossStragglerUnblocksDownstreamGC(t *testing.T) {
 	must := func(res Result) {
 		t.Helper()
 		if !res.Accepted() {
-			t.Fatalf("%v: %v (%v)", res.Step, res.Outcome, res.Err)
+			t.Fatalf("%v: %v (%v)", res.Step, res.Outcome(), res.Err)
 		}
 	}
 
@@ -46,7 +46,7 @@ func TestReapCrossStragglerUnblocksDownstreamGC(t *testing.T) {
 		must(eng.Submit(model.BeginDeclared(vid, trap)))
 		res := eng.Submit(model.WriteFinal(vid, trap))
 		if !res.Accepted() || res.CompletedTxn != vid {
-			t.Fatalf("victim %d final: %v (%v)", vid, res.Outcome, res.Err)
+			t.Fatalf("victim %d final: %v (%v)", vid, res.Outcome(), res.Err)
 		}
 	}
 
@@ -105,7 +105,7 @@ func TestGovernorExemptsPriorityHigh(t *testing.T) {
 	must := func(res Result) {
 		t.Helper()
 		if !res.Accepted() {
-			t.Fatalf("%v: %v (%v)", res.Step, res.Outcome, res.Err)
+			t.Fatalf("%v: %v (%v)", res.Step, res.Outcome(), res.Err)
 		}
 	}
 
@@ -140,7 +140,7 @@ func TestGovernorExemptsPriorityHigh(t *testing.T) {
 	// The exempt transaction was untouched and commits normally.
 	res = eng.Submit(model.WriteFinal(1, 0))
 	if !res.Accepted() || res.CompletedTxn != 1 {
-		t.Fatalf("PriorityHigh final after governor pass: %v (%v) — exemption violated", res.Outcome, res.Err)
+		t.Fatalf("PriorityHigh final after governor pass: %v (%v) — exemption violated", res.Outcome(), res.Err)
 	}
 }
 

@@ -110,7 +110,6 @@ func TestCrossCleanDifferential(t *testing.T) {
 		Shards:                4,
 		Policy:                func() core.Policy { return core.GreedyC1{} },
 		SweepEveryCompletions: 2,
-		BatchSize:             16,
 		RetentionWatermark:    24,
 		GovernorInterval:      200 * time.Microsecond,
 	})
@@ -246,7 +245,7 @@ func crossCleanProportional(t *testing.T, abort bool) {
 	must := func(res Result) {
 		t.Helper()
 		if !res.Accepted() {
-			t.Fatalf("%v: %v (%v)", res.Step, res.Outcome, res.Err)
+			t.Fatalf("%v: %v (%v)", res.Step, res.Outcome(), res.Err)
 		}
 	}
 
@@ -322,13 +321,13 @@ func TestSubmitBatchStepBehindOwnAbort(t *testing.T) {
 		model.WriteFinal(1, 8),    // pipelined behind its own abort
 		model.Read(2, 0),          // pipelined behind its own final write
 	})
-	if r := results[4]; r.Outcome != OutcomeRejected || !errors.Is(r.Err, ErrCycle) || r.Aborted != 1 {
-		t.Fatalf("cycle-closing read: %v aborted=%v err=%v, want rejected/T1/ErrCycle", r.Outcome, r.Aborted, r.Err)
+	if r := results[4]; r.Outcome() != OutcomeRejected || !errors.Is(r.Err, ErrCycle) || r.Aborted != 1 {
+		t.Fatalf("cycle-closing read: %v aborted=%v err=%v, want rejected/T1/ErrCycle", r.Outcome(), r.Aborted, r.Err)
 	}
 	for _, i := range []int{5, 6} {
 		r := results[i]
-		if r.Outcome != OutcomeRejected || !errors.Is(r.Err, ErrTxnAborted) || errors.Is(r.Err, ErrProtocol) || r.Aborted != r.Step.Txn {
-			t.Fatalf("step %d (%v): %v aborted=%v err=%v, want rejected with ErrTxnAborted", i, r.Step, r.Outcome, r.Aborted, r.Err)
+		if r.Outcome() != OutcomeRejected || !errors.Is(r.Err, ErrTxnAborted) || errors.Is(r.Err, ErrProtocol) || r.Aborted != r.Step.Txn {
+			t.Fatalf("step %d (%v): %v aborted=%v err=%v, want rejected with ErrTxnAborted", i, r.Step, r.Outcome(), r.Aborted, r.Err)
 		}
 	}
 	s := eng.Stats()
@@ -339,8 +338,8 @@ func TestSubmitBatchStepBehindOwnAbort(t *testing.T) {
 	// for an ID the scheduler retains, and the step pipelined behind it.
 	results = eng.SubmitBatch([]model.Step{model.BeginDeclared(2, 0), model.Read(2, 0)})
 	for i, r := range results {
-		if r.Outcome != OutcomeError || !errors.Is(r.Err, ErrProtocol) {
-			t.Fatalf("duplicate-BEGIN batch step %d: %v err=%v, want ErrProtocol", i, r.Outcome, r.Err)
+		if r.Outcome() != OutcomeError || !errors.Is(r.Err, ErrProtocol) {
+			t.Fatalf("duplicate-BEGIN batch step %d: %v err=%v, want ErrProtocol", i, r.Outcome(), r.Err)
 		}
 	}
 }
@@ -361,7 +360,7 @@ func TestRegistryForgetsRetiredIDs(t *testing.T) {
 			model.BeginDeclared(id, 0, 1), model.Read(id, 0), model.WriteFinal(id, 0, 1),
 		} {
 			if res := eng.Submit(st); !res.Accepted() {
-				t.Fatalf("%v: %v (%v)", st, res.Outcome, res.Err)
+				t.Fatalf("%v: %v (%v)", st, res.Outcome(), res.Err)
 			}
 		}
 		eng.registry.mu.Lock()

@@ -22,7 +22,7 @@ func driveWorkload(eng *Engine, cfg workload.Config) {
 			return
 		}
 		res := eng.Submit(step)
-		switch res.Outcome {
+		switch res.Outcome() {
 		case OutcomeAccepted:
 		default:
 			gen.NotifyAbort(step.Txn)
@@ -51,7 +51,6 @@ func TestOracleShardedCSR(t *testing.T) {
 				Shards:                4,
 				Policy:                factory,
 				SweepEveryCompletions: 3,
-				BatchSize:             16,
 				Log:                   log,
 			})
 			defer eng.Close()
@@ -121,7 +120,6 @@ func TestOracleCrossHeavyCSR(t *testing.T) {
 				Shards:                4,
 				Policy:                factory,
 				SweepEveryCompletions: 2,
-				BatchSize:             16,
 				Log:                   log,
 			})
 			defer eng.Close()

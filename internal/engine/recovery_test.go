@@ -69,7 +69,7 @@ func TestRecoverRoundTrip(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		id := model.TxnID(i + 1)
 		res := eng2.Submit(model.Begin(id))
-		if res.Outcome == OutcomeError {
+		if res.Outcome() == OutcomeError {
 			retained++
 		} else if res.Accepted() {
 			// An undeclared BEGIN routes by ID hash; stay in that partition.
@@ -227,7 +227,7 @@ func TestRecoverCommitEvidenceFinishesLaggards(t *testing.T) {
 		}
 	}
 	// Committed on both shards now: duplicate BEGIN errors everywhere.
-	if res := eng.Submit(model.BeginDeclared(9, 1)); res.Outcome != OutcomeError {
+	if res := eng.Submit(model.BeginDeclared(9, 1)); res.Outcome() != OutcomeError {
 		t.Fatalf("committed ID began fresh on shard 1: %+v", res)
 	}
 }

@@ -87,7 +87,7 @@ type reply struct {
 // a cell with one CAS and publish with one store, and replies come back
 // through the same cell — no per-request channel is allocated, pooled, or
 // selected on. The shard goroutine drains the ring in runs of up to
-// BatchSize, so one wake amortizes across a whole backlog.
+// runLength requests, so one wake amortizes across a whole backlog.
 type shard struct {
 	idx int
 	eng *Engine
@@ -207,7 +207,7 @@ func (sh *shard) run() {
 		}
 		sh.depth.Add(-1)
 		stop := sh.handle(req, tk, fire)
-		for n := 1; n < sh.eng.cfg.BatchSize && !stop; n++ {
+		for n := 1; n < runLength && !stop; n++ {
 			req, tk, fire, ok = sh.mb.Next()
 			if !ok {
 				break
@@ -306,25 +306,19 @@ func (sh *shard) applyOne(step model.Step) (out Result) {
 			// governor's abort landed in between. It is dead, not
 			// protocol-confused: answer as the per-step path would, so the
 			// session learns its transaction is gone (and, for a reap, why).
-			eng.rejected.Add(1)
-			return Result{Step: step, Outcome: OutcomeRejected,
-				Aborted: step.Txn, CompletedTxn: model.NoTxn,
-				Err: eng.deadTxnErr(step)}
+			return eng.deadTxn(step)
 		}
 		// The scheduler refused to process the step at all (duplicate
 		// BEGIN, step for a finished transaction, bad kind): a protocol
 		// violation, state unchanged.
-		return Result{Step: step, Outcome: OutcomeError,
-			Aborted: model.NoTxn, CompletedTxn: model.NoTxn,
-			//lint:ignore hotpath-fmt protocol-violation path: accepted steps never reach this return
-			Err: fmt.Errorf("engine: %w: %v", ErrProtocol, err)}
+		//lint:ignore hotpath-fmt protocol-violation path: accepted steps never reach this return
+		return errResult(step, fmt.Errorf("engine: %w: %v", ErrProtocol, err))
 	}
 	if eng.cfg.Log != nil {
 		eng.cfg.Log.Append(step, res.Accepted)
 	}
 	out = Result{Step: step, Aborted: res.Aborted, CompletedTxn: res.CompletedTxn}
 	if res.Accepted {
-		out.Outcome = OutcomeAccepted
 		eng.accepted.Add(1)
 		var jerr error
 		switch step.Kind {
@@ -345,7 +339,6 @@ func (sh *shard) applyOne(step model.Step) (out Result) {
 			out = errResult(step, sh.jr.refusal(step))
 		}
 	} else {
-		out.Outcome = OutcomeRejected
 		if res.CrossVeto {
 			out.Err = stepErr(step, ErrCrossCycle)
 		} else {
@@ -402,7 +395,7 @@ func (sh *shard) applyBeginSub(step model.Step) Result {
 		// and let the coordinator abort the siblings (see applyOne).
 		return errResult(step, sh.jr.refusal(step))
 	}
-	return Result{Step: step, Outcome: OutcomeAccepted, Aborted: model.NoTxn, CompletedTxn: model.NoTxn}
+	return answer(step, model.NoTxn, nil)
 }
 
 // applyPrepareSub votes on this shard's slice of a cross final write. A
@@ -432,16 +425,16 @@ func (sh *shard) applyPrepareSub(step model.Step) Result {
 			// and answer with the failure (the coordinator then aborts the
 			// siblings).
 			sh.applyAbortSub(step.Txn)
-			return Result{Step: step, Outcome: OutcomeError, Aborted: step.Txn, CompletedTxn: model.NoTxn, Err: sh.jr.refusal(step)}
+			return answer(step, step.Txn, sh.jr.refusal(step))
 		}
 		if sh.eng.cfg.Log != nil {
 			sh.eng.cfg.Log.Append(step, true)
 		}
-		return Result{Step: step, Outcome: OutcomeAccepted, Aborted: model.NoTxn, CompletedTxn: model.NoTxn}
+		return answer(step, model.NoTxn, nil)
 	case core.VoteCrossCycle:
-		return Result{Step: step, Outcome: OutcomeRejected, Aborted: step.Txn, CompletedTxn: model.NoTxn, Err: stepErr(step, ErrCrossCycle)}
+		return answer(step, step.Txn, stepErr(step, ErrCrossCycle))
 	default: // VoteLocalCycle
-		return Result{Step: step, Outcome: OutcomeRejected, Aborted: step.Txn, CompletedTxn: model.NoTxn, Err: stepErr(step, ErrCycle)}
+		return answer(step, step.Txn, stepErr(step, ErrCycle))
 	}
 }
 
@@ -459,17 +452,15 @@ func (sh *shard) applyPrepareSub(step model.Step) Result {
 func (sh *shard) applyCommitSub(id model.TxnID, decisionDurable bool) Result {
 	if sh.jr.record(store.RecCommit, id, 0, nil) != nil && !decisionDurable {
 		sh.applyAbortSub(id)
-		return Result{Outcome: OutcomeError, Aborted: id, CompletedTxn: model.NoTxn,
-			Err: sh.jr.refusal(model.Step{Kind: model.KindWriteFinal, Txn: id})}
+		return answer(model.Step{}, id, sh.jr.refusal(model.Step{Kind: model.KindWriteFinal, Txn: id}))
 	}
 	res, err := sh.sched.CommitPrepared(id)
 	if err != nil {
-		return Result{Outcome: OutcomeError, Aborted: model.NoTxn, CompletedTxn: model.NoTxn,
-			Err: fmt.Errorf("engine: %w: %v", ErrProtocol, err)}
+		return errResult(model.Step{}, fmt.Errorf("engine: %w: %v", ErrProtocol, err))
 	}
 	sh.preparedN.Add(-1)
 	sh.sinceSweep++
-	return Result{Outcome: OutcomeAccepted, Aborted: model.NoTxn, CompletedTxn: res.CompletedTxn}
+	return Result{Aborted: model.NoTxn, CompletedTxn: res.CompletedTxn}
 }
 
 // applyAbortSub releases a sub-transaction in any state; unknown IDs (the
@@ -486,11 +477,15 @@ func (sh *shard) applyAbortSub(id model.TxnID) {
 	}
 }
 
+// answer is a Result for a step that completed nothing: err (nil when it
+// was accepted) and the transaction it aborted (NoTxn: none).
+func answer(step model.Step, aborted model.TxnID, err error) Result {
+	return Result{Step: step, Aborted: aborted, CompletedTxn: model.NoTxn, Err: err}
+}
+
 // errResult is the answer to a step the shard could not process: nothing
 // was aborted or completed by it.
-func errResult(step model.Step, err error) Result {
-	return Result{Step: step, Outcome: OutcomeError, Aborted: model.NoTxn, CompletedTxn: model.NoTxn, Err: err}
-}
+func errResult(step model.Step, err error) Result { return answer(step, model.NoTxn, err) }
 
 // closedResult is what every door answers for a step the engine can no
 // longer run: closed before the submit, or closed with the request queued.

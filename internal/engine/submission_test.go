@@ -58,7 +58,7 @@ func driveBatched(eng *Engine, cfg workload.Config, chunk int, tally *resultTall
 		tally.submitted += int64(len(steps))
 		results = eng.SubmitBatchInto(results[:0], steps)
 		for _, r := range results {
-			switch r.Outcome {
+			switch r.Outcome() {
 			case OutcomeAccepted:
 				tally.accepted++
 			case OutcomeRejected:
@@ -110,7 +110,6 @@ func TestSubmissionDifferentialLocal(t *testing.T) {
 		Shards:                4,
 		Policy:                func() core.Policy { return core.GreedyC1{} },
 		SweepEveryCompletions: 3,
-		BatchSize:             16,
 		Log:                   log,
 	})
 	defer eng.Close()
@@ -154,7 +153,6 @@ func TestSubmissionDifferentialCrossHeavy(t *testing.T) {
 		Shards:                4,
 		Policy:                func() core.Policy { return core.GreedyC1{} },
 		SweepEveryCompletions: 2,
-		BatchSize:             16,
 		Log:                   log,
 	})
 	defer eng.Close()
@@ -209,7 +207,6 @@ func TestSubmissionDifferentialGovernorReaping(t *testing.T) {
 		SweepEveryCompletions: 4,
 		RetentionWatermark:    32,
 		GovernorInterval:      time.Hour, // paced explicitly per chunk
-		BatchSize:             16,
 		Log:                   log,
 	})
 	defer eng.Close()

@@ -38,28 +38,28 @@ func TestStatsDifferential(t *testing.T) {
 		x := take(i % shards)
 		id := model.TxnID(i)
 		if res := eng.Submit(model.BeginDeclared(id, x)); !res.Accepted() {
-			t.Fatalf("local begin %d: %v (%v)", i, res.Outcome, res.Err)
+			t.Fatalf("local begin %d: %v (%v)", i, res.Outcome(), res.Err)
 		}
 		if res := eng.Submit(model.Read(id, x)); !res.Accepted() {
-			t.Fatalf("local read %d: %v (%v)", i, res.Outcome, res.Err)
+			t.Fatalf("local read %d: %v (%v)", i, res.Outcome(), res.Err)
 		}
 		res := eng.Submit(model.WriteFinal(id, x))
 		if !res.Accepted() || res.CompletedTxn != id {
-			t.Fatalf("local write %d: %v (%v)", i, res.Outcome, res.Err)
+			t.Fatalf("local write %d: %v (%v)", i, res.Outcome(), res.Err)
 		}
 	}
 	for i := 0; i < C; i++ {
 		a, b := take(i%shards), take((i+1)%shards)
 		id := model.TxnID(1000 + i)
 		if res := eng.Submit(model.BeginDeclared(id, a, b)); !res.Accepted() {
-			t.Fatalf("cross begin %d: %v (%v)", i, res.Outcome, res.Err)
+			t.Fatalf("cross begin %d: %v (%v)", i, res.Outcome(), res.Err)
 		}
 		if res := eng.Submit(model.Read(id, a)); !res.Accepted() {
-			t.Fatalf("cross read %d: %v (%v)", i, res.Outcome, res.Err)
+			t.Fatalf("cross read %d: %v (%v)", i, res.Outcome(), res.Err)
 		}
 		res := eng.Submit(model.WriteFinal(id, a, b))
 		if !res.Accepted() || res.CompletedTxn != id {
-			t.Fatalf("cross write %d: %v (%v)", i, res.Outcome, res.Err)
+			t.Fatalf("cross write %d: %v (%v)", i, res.Outcome(), res.Err)
 		}
 	}
 	for i := 0; i < M; i++ {
@@ -68,7 +68,7 @@ func TestStatsDifferential(t *testing.T) {
 		home := i % shards
 		id := model.TxnID(2000 + i)
 		if res := eng.Submit(model.BeginDeclared(id, take(home))); !res.Accepted() {
-			t.Fatalf("stray begin %d: %v (%v)", i, res.Outcome, res.Err)
+			t.Fatalf("stray begin %d: %v (%v)", i, res.Outcome(), res.Err)
 		}
 		res := eng.Submit(model.Read(id, take((home+1)%shards)))
 		if !errors.Is(res.Err, ErrMisroute) {

@@ -22,8 +22,27 @@
 #   all   (default) every gate
 #   alloc allocation + sweep + wire + emitter + WAL + retention gates only
 #   scale the -cpu 2 p99 latency gate only (the CI bench-scale job)
+#
+# Every gate runs and reports. A gate over budget is recorded and the
+# script moves on, so one host-dependent gate cannot hide the others; the
+# summary at the end names the failed gates and exits 1. Output that
+# cannot be parsed is a broken gate, not a verdict: it exits 2 at once.
 set -eu
 cd "$(dirname "$0")/.."
+
+gates=0
+nfailed=0
+failed=""
+pass() {
+	gates=$((gates + 1))
+	echo "check_bench_budget: OK: $1"
+}
+fail() {
+	gates=$((gates + 1))
+	nfailed=$((nfailed + 1))
+	failed="$failed $1"
+	echo "check_bench_budget: FAIL: $2" >&2
+}
 
 section=${1:-all}
 case "$section" in
@@ -67,26 +86,26 @@ if [ "$section" != "scale" ]; then
 	allocs=$(parse_allocs 'policy=greedy-c1')
 	[ -n "$allocs" ] || { echo "check_bench_budget: could not parse local allocs/op from benchmark output" >&2; exit 2; }
 	if [ "$allocs" -gt "$budget" ]; then
-		echo "check_bench_budget: FAIL: local path $allocs allocs/op exceeds budget of $budget" >&2
-		exit 1
+		fail local-allocs "local path $allocs allocs/op exceeds budget of $budget"
+	else
+		pass "local path $allocs allocs/op within budget of $budget"
 	fi
-	echo "check_bench_budget: OK: local path $allocs allocs/op within budget of $budget"
 
 	nogc_allocs=$(parse_allocs 'policy=nogc')
 	[ -n "$nogc_allocs" ] || { echo "check_bench_budget: could not parse nogc allocs/op from benchmark output" >&2; exit 2; }
 	if [ "$nogc_allocs" -gt "$nogc_budget" ]; then
-		echo "check_bench_budget: FAIL: nogc path $nogc_allocs allocs/op exceeds budget of $nogc_budget (plumbing regression — nogc's retained-state allocations are already priced in)" >&2
-		exit 1
+		fail nogc-allocs "nogc path $nogc_allocs allocs/op exceeds budget of $nogc_budget (plumbing regression — nogc's retained-state allocations are already priced in)"
+	else
+		pass "nogc path $nogc_allocs allocs/op within budget of $nogc_budget"
 	fi
-	echo "check_bench_budget: OK: nogc path $nogc_allocs allocs/op within budget of $nogc_budget"
 
 	cross_allocs=$(parse_allocs 'cross=5')
 	[ -n "$cross_allocs" ] || { echo "check_bench_budget: could not parse cross allocs/op from benchmark output" >&2; exit 2; }
 	if [ "$cross_allocs" -gt "$cross_budget" ]; then
-		echo "check_bench_budget: FAIL: cross path $cross_allocs allocs/op exceeds budget of $cross_budget" >&2
-		exit 1
+		fail cross-allocs "cross path $cross_allocs allocs/op exceeds budget of $cross_budget"
+	else
+		pass "cross path $cross_allocs allocs/op within budget of $cross_budget"
 	fi
-	echo "check_bench_budget: OK: cross path $cross_allocs allocs/op within budget of $cross_budget"
 
 	# Between-batch sweep: allocations per transaction of the scheduler
 	# replaying a straggler-pinned stream with a GreedyC1 sweep every eighth
@@ -98,10 +117,10 @@ if [ "$section" != "scale" ]; then
 	sweep_allocs=$(echo "$sweep_out" | awk '/BenchmarkSweepStragglerPinned/ {for (i = 2; i <= NF; i++) if ($i == "allocs/txn") print $(i-1)}' | head -1)
 	[ -n "$sweep_allocs" ] || { echo "check_bench_budget: could not parse allocs/txn from the sweep benchmark output" >&2; exit 2; }
 	if awk -v a="$sweep_allocs" -v b="$sweep_budget" 'BEGIN {exit !(a > b)}'; then
-		echo "check_bench_budget: FAIL: straggler-pinned sweep $sweep_allocs allocs/txn exceeds budget of $sweep_budget" >&2
-		exit 1
+		fail sweep-allocs "straggler-pinned sweep $sweep_allocs allocs/txn exceeds budget of $sweep_budget"
+	else
+		pass "straggler-pinned sweep $sweep_allocs allocs/txn within budget of $sweep_budget"
 	fi
-	echo "check_bench_budget: OK: straggler-pinned sweep $sweep_allocs allocs/txn within budget of $sweep_budget"
 
 	# The wire door: allocations per step of the hand-rolled codec (one
 	# benchmark op is a transaction's three steps and their three replies)
@@ -113,17 +132,17 @@ if [ "$section" != "scale" ]; then
 	wire_allocs=$(echo "$wire_out" | awk '/codec=hand/ {for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1) / 3}' | head -1)
 	[ -n "$wire_allocs" ] || { echo "check_bench_budget: could not parse codec=hand allocs/op from the wire benchmark output" >&2; exit 2; }
 	if awk -v a="$wire_allocs" -v b="$wire_budget" 'BEGIN {exit !(a > b)}'; then
-		echo "check_bench_budget: FAIL: wire codec $wire_allocs allocs/step exceeds budget of $wire_budget" >&2
-		exit 1
+		fail wire-allocs "wire codec $wire_allocs allocs/step exceeds budget of $wire_budget"
+	else
+		pass "wire codec $wire_allocs allocs/step within budget of $wire_budget"
 	fi
-	echo "check_bench_budget: OK: wire codec $wire_allocs allocs/step within budget of $wire_budget"
 	burst_writes=$(echo "$wire_out" | awk '/BenchmarkServePipelined/ {for (i = 2; i <= NF; i++) if ($i == "writes/op") print $(i-1)}' | head -1)
 	[ -n "$burst_writes" ] || { echo "check_bench_budget: could not parse writes/op from the wire benchmark output" >&2; exit 2; }
 	if awk -v a="$burst_writes" -v b="$writes_budget" 'BEGIN {exit !(a > b)}'; then
-		echo "check_bench_budget: FAIL: serve issued $burst_writes writes per eight-deep burst, budget $writes_budget (replies are no longer coalesced)" >&2
-		exit 1
+		fail serve-writes "serve issued $burst_writes writes per eight-deep burst, budget $writes_budget (replies are no longer coalesced)"
+	else
+		pass "serve issued $burst_writes writes per eight-deep burst, budget $writes_budget"
 	fi
-	echo "check_bench_budget: OK: serve issued $burst_writes writes per eight-deep burst, budget $writes_budget"
 
 	# Emitter overhead: the gate is the median of per-invocation (on - off)
 	# ns/op deltas over five paired runs. Pairing matters: within one `go
@@ -148,14 +167,15 @@ if [ "$section" != "scale" ]; then
 	done
 	delta=$(echo "$emit_deltas" | tr ' ' '\n' | grep -v '^$' | sort -n | awk '{v[NR] = $1} END {print v[int((NR + 1) / 2)]}')
 	if [ "$delta" -gt "$emit_budget" ]; then
-		echo "check_bench_budget: FAIL: emitter overhead ${delta} ns/op (median of paired deltas:${emit_deltas}) exceeds budget of ${emit_budget} ns" >&2
-		exit 1
+		fail emit-overhead "emitter overhead ${delta} ns/op (median of paired deltas:${emit_deltas}) exceeds budget of ${emit_budget} ns"
+	else
+		pass "emitter overhead ${delta} ns/op (median of paired deltas:${emit_deltas}) within budget of ${emit_budget} ns"
 	fi
 	if [ "$emit_allocs" -gt "$budget" ]; then
-		echo "check_bench_budget: FAIL: emitter=on path $emit_allocs allocs/op exceeds budget of $budget (Emit must not allocate)" >&2
-		exit 1
+		fail emit-allocs "emitter=on path $emit_allocs allocs/op exceeds budget of $budget (Emit must not allocate)"
+	else
+		pass "emitter=on path $emit_allocs allocs/op within budget of $budget"
 	fi
-	echo "check_bench_budget: OK: emitter overhead ${delta} ns/op (median of paired deltas:${emit_deltas}) within budget of ${emit_budget} ns, emitter=on $emit_allocs allocs/op within budget of $budget"
 
 	# WAL overhead: same paired-delta methodology as the emitter gate — the
 	# wal=on-fsync=64 and wal=off variants run back-to-back within one `go
@@ -176,10 +196,10 @@ if [ "$section" != "scale" ]; then
 	done
 	wal_delta=$(echo "$wal_deltas" | tr ' ' '\n' | grep -v '^$' | sort -n | awk '{v[NR] = $1} END {print v[int((NR + 1) / 2)]}')
 	if [ "$wal_delta" -gt "$wal_budget" ]; then
-		echo "check_bench_budget: FAIL: WAL overhead ${wal_delta} ns/op (median of paired deltas:${wal_deltas}) exceeds budget of ${wal_budget} ns" >&2
-		exit 1
+		fail wal-overhead "WAL overhead ${wal_delta} ns/op (median of paired deltas:${wal_deltas}) exceeds budget of ${wal_budget} ns"
+	else
+		pass "WAL overhead ${wal_delta} ns/op (median of paired deltas:${wal_deltas}) within budget of ${wal_budget} ns"
 	fi
-	echo "check_bench_budget: OK: WAL overhead ${wal_delta} ns/op (median of paired deltas:${wal_deltas}) within budget of ${wal_budget} ns"
 
 	# Retention governor: peak retained count while the adversarial leak
 	# family runs must stay under max_peak_kept — the bounded-retention SLO as
@@ -192,10 +212,10 @@ if [ "$section" != "scale" ]; then
 	[ -n "$peak" ] || { echo "check_bench_budget: could not parse peak-kept from benchmark output" >&2; exit 2; }
 	peak_int=${peak%.*}
 	if [ "$peak_int" -gt "$kept_budget" ]; then
-		echo "check_bench_budget: FAIL: governed peak retention $peak exceeds budget of $kept_budget" >&2
-		exit 1
+		fail peak-kept "governed peak retention $peak exceeds budget of $kept_budget"
+	else
+		pass "governed peak retention $peak within budget of $kept_budget"
 	fi
-	echo "check_bench_budget: OK: governed peak retention $peak within budget of $kept_budget"
 fi
 
 if [ "$section" = "all" ] || [ "$section" = "scale" ]; then
@@ -213,8 +233,14 @@ if [ "$section" = "all" ] || [ "$section" = "scale" ]; then
 	[ -n "$p99" ] || { echo "check_bench_budget: could not parse p99-step-ns from benchmark output" >&2; exit 2; }
 	p99_int=${p99%.*}
 	if [ "$p99_int" -gt "$p99_budget" ]; then
-		echo "check_bench_budget: FAIL: submission p99 ${p99} ns/step at -cpu 2 exceeds budget of ${p99_budget}" >&2
-		exit 1
+		fail p99-step "submission p99 ${p99} ns/step at -cpu 2 exceeds budget of ${p99_budget}"
+	else
+		pass "submission p99 ${p99} ns/step at -cpu 2 within budget of ${p99_budget}"
 	fi
-	echo "check_bench_budget: OK: submission p99 ${p99} ns/step at -cpu 2 within budget of ${p99_budget}"
 fi
+
+if [ -n "$failed" ]; then
+	echo "check_bench_budget: SUMMARY: $nfailed of $gates gates failed:$failed" >&2
+	exit 1
+fi
+echo "check_bench_budget: SUMMARY: all $gates gates within budget"

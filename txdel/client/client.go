@@ -101,11 +101,6 @@ type Config struct {
 	// delete), "lemma1", "greedy-c1", "greedy-c1-newest",
 	// "noncurrent-safe", or "max-safe".
 	Policy string
-	// BatchSize caps how many queued steps a shard applies between GC
-	// opportunities (default 64).
-	BatchSize int
-	// QueueDepth is the per-shard submission buffer (default 1024).
-	QueueDepth int
 	// SweepEveryCompletions is the GC cadence per shard (default 8).
 	SweepEveryCompletions int
 	// OverloadWatermark, if > 0, enables admission control: Begins aimed
@@ -151,12 +146,10 @@ type Config struct {
 	// commit/abort carrying wall-clock latency) is delivered to each sink
 	// on one drain goroutine. A *emit.MetricsSink in the list is wired to
 	// the engine's gauges and the bus's drop counters automatically. The
-	// DB owns the bus: Close drains and closes the sinks.
+	// DB owns the bus: Close drains and closes the sinks. The bus ring holds
+	// emit.DefaultBuffer events; when sinks fall behind, events beyond it
+	// are dropped and counted — the hot path never blocks.
 	Sinks []emit.Sink
-	// EventBuffer is the bus ring capacity (rounded up to a power of two;
-	// default emit.DefaultBuffer). When sinks fall behind, events beyond
-	// the buffer are dropped and counted — the hot path never blocks.
-	EventBuffer int
 
 	// enginePolicy, when non-nil, overrides Policy with a custom factory —
 	// a seam for this package's tests.
@@ -207,7 +200,7 @@ func Open(cfg Config) (*DB, error) {
 	}
 	var bus *emit.Bus
 	if len(cfg.Sinks) > 0 {
-		bus = emit.NewBus(cfg.EventBuffer, cfg.Sinks...)
+		bus = emit.NewBus(emit.DefaultBuffer, cfg.Sinks...)
 	}
 	st := cfg.Store
 	var owned *store.File
@@ -228,8 +221,6 @@ func Open(cfg Config) (*DB, error) {
 	eng, rep, err := engine.Open(engine.Config{
 		Shards:                cfg.Shards,
 		Policy:                factory,
-		BatchSize:             cfg.BatchSize,
-		QueueDepth:            cfg.QueueDepth,
 		SweepEveryCompletions: cfg.SweepEveryCompletions,
 		OverloadWatermark:     cfg.OverloadWatermark,
 		RetentionWatermark:    cfg.RetentionWatermark,
@@ -259,9 +250,6 @@ func Open(cfg Config) (*DB, error) {
 // Recovery reports what Open recovered from the durability layer (an empty
 // report when durability is off).
 func (db *DB) Recovery() *RecoveryReport { return db.recovery }
-
-// NumShards returns the number of entity partitions.
-func (db *DB) NumShards() int { return db.eng.NumShards() }
 
 // Stats returns a snapshot of the engine counters. Safe to call
 // concurrently with sessions and after Close.

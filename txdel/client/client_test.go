@@ -349,11 +349,18 @@ func TestDeadBeginContextHasOneVoice(t *testing.T) {
 	}
 }
 
-// blockingPolicy wedges its shard inside a GC sweep until the gate closes.
-type blockingPolicy struct{ gate chan struct{} }
+// blockingPolicy wedges its shard inside a GC sweep until the gate closes;
+// entered is closed when the first sweep reaches the gate.
+type blockingPolicy struct {
+	gate, entered chan struct{}
+	once          sync.Once
+}
 
-func (p *blockingPolicy) Name() string         { return "test-block" }
-func (p *blockingPolicy) Sweep(sw *core.Sweep) { <-p.gate }
+func (p *blockingPolicy) Name() string { return "test-block" }
+func (p *blockingPolicy) Sweep(sw *core.Sweep) {
+	p.once.Do(func() { close(p.entered) })
+	<-p.gate
+}
 
 // TestOverloadShedThroughClient saturates the single shard and asserts
 // Begin sheds with ErrOverload while a PriorityHigh Begin is admitted —
@@ -361,16 +368,16 @@ func (p *blockingPolicy) Sweep(sw *core.Sweep) { <-p.gate }
 func TestOverloadShedThroughClient(t *testing.T) {
 	const watermark = 3
 	gate := make(chan struct{})
+	pol := &blockingPolicy{gate: gate, entered: make(chan struct{})}
 	db := open(t, Config{
 		Shards:                1,
 		SweepEveryCompletions: 1,
-		BatchSize:             1,
 		OverloadWatermark:     watermark,
-		enginePolicy:          func() core.Policy { return &blockingPolicy{gate: gate} },
+		enginePolicy:          func() core.Policy { return pol },
 	})
 	ctx := context.Background()
 
-	// One completion wedges the shard in its post-batch sweep.
+	// One completion wedges the shard in the sweep that follows.
 	txn, err := db.Begin(ctx, WithFootprint(0))
 	if err != nil {
 		t.Fatal(err)
@@ -378,6 +385,7 @@ func TestOverloadShedThroughClient(t *testing.T) {
 	if err := txn.Write(ctx, 0); err != nil {
 		t.Fatal(err)
 	}
+	<-pol.entered
 
 	var wg sync.WaitGroup
 	highErrs := make([]error, watermark+2)
@@ -470,7 +478,7 @@ func TestRawBatchPath(t *testing.T) {
 	}
 	for i, r := range results[:3] {
 		if !r.Accepted() {
-			t.Fatalf("step %d: %v (%v)", i, r.Outcome, r.Err)
+			t.Fatalf("step %d: %v (%v)", i, r.Outcome(), r.Err)
 		}
 	}
 	if results[2].CompletedTxn != 1 {
@@ -503,7 +511,7 @@ func TestBatchStepBehindOwnAbort(t *testing.T) {
 	}
 	last := results[5]
 	if !errors.Is(last.Err, ErrTxnAborted) || errors.Is(last.Err, ErrProtocol) || last.Accepted() || last.Aborted != 1 {
-		t.Fatalf("step behind its own abort: %v aborted=%v err=%v, want rejected with ErrTxnAborted", last.Outcome, last.Aborted, last.Err)
+		t.Fatalf("step behind its own abort: %v aborted=%v err=%v, want rejected with ErrTxnAborted", last.Outcome(), last.Aborted, last.Err)
 	}
 	if s := db.Stats(); s.Aborted != 1 || s.Completed != 1 {
 		t.Fatalf("stats: %d aborted, %d completed; want 1 and 1", s.Aborted, s.Completed)
