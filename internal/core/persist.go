@@ -6,9 +6,12 @@
 // the splice arcs name conflicts whose witnesses are gone. ExportState
 // therefore captures the graph as it stands (nodes, arcs, pins), the
 // per-transaction access bookkeeping Corollary 1 needs (access kinds and
-// sequence numbers), the per-entity current-value map (which may name
+// sequence numbers) and the per-entity current-value map (which may name
 // deleted transactions — exactly the non-compositionality the paper
-// studies), and the cross-shard label sets, all in deterministic order.
+// studies), all in deterministic order. Cross-ancestor labels are left
+// out: a restored scheduler tracks no cross transaction until its owner
+// installs a tracker, and the engine's recovery registers none, so every
+// label a snapshot could carry would be dead on arrival.
 //
 // RestoreScheduler inverts it. The entity indexes (readers/writers) are
 // rebuilt from the access sets: a transaction whose retained access level
@@ -47,8 +50,6 @@ type TxnSnap struct {
 	Prepared bool
 	Pinned   bool
 	Access   []AccessSnap
-	// Labels is the node's cross-ancestor label set (live at export time).
-	Labels []model.TxnID
 }
 
 // EntityWrite is one entry of the schedule-level current-value map.
@@ -93,10 +94,6 @@ func (s *Scheduler) ExportState() SchedulerState {
 			snap.Access = append(snap.Access, AccessSnap{Entity: x, Access: a, Seq: t.accessSeq[x]})
 		}
 		slices.SortFunc(snap.Access, func(a, b AccessSnap) int { return int(a.Entity - b.Entity) })
-		if ls := s.labelsOf(t.ref); len(ls) > 0 {
-			snap.Labels = slices.Clone(ls)
-			slices.Sort(snap.Labels)
-		}
 		st.Txns = append(st.Txns, snap)
 	}
 	slices.SortFunc(st.Txns, func(a, b TxnSnap) int {
@@ -170,14 +167,7 @@ func RestoreScheduler(cfg Config, st SchedulerState) (*Scheduler, error) {
 			s.g.PinRef(ref)
 		}
 		if snap.IsCross {
-			s.ensureCrossCap(ref)
-			s.crossID[ref] = snap.ID
 			s.numCross++
-		}
-		for _, l := range snap.Labels {
-			if !s.hasLabel(ref, l) {
-				s.addLabel(ref, l)
-			}
 		}
 	}
 	for _, a := range st.Arcs {

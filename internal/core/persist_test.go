@@ -48,7 +48,8 @@ func TestExportRestoreSpliceArcs(t *testing.T) {
 
 // TestExportRestorePrepared checks a prepared (pinned) cross
 // sub-transaction survives a round trip: still prepared, still pinned,
-// still committable and abortable, labels intact.
+// still committable and abortable, and restored without labels (snapshots
+// carry none: see persist.go).
 func TestExportRestorePrepared(t *testing.T) {
 	cfg := Config{Cross: permissiveTracker{}}
 	s := NewScheduler(cfg)
@@ -67,6 +68,9 @@ func TestExportRestorePrepared(t *testing.T) {
 	// A bystander downstream of the sub-node carries its label.
 	s.MustApply(model.Begin(9))
 	s.MustApply(model.Read(9, 2))
+	if len(s.labelsOf(s.Txn(9).ref)) == 0 {
+		t.Fatal("bystander T9 carries no label before export")
+	}
 
 	exp := s.ExportState()
 	for _, branch := range []string{"commit", "abort"} {
@@ -83,6 +87,9 @@ func TestExportRestorePrepared(t *testing.T) {
 		}
 		if got := fmt.Sprintf("%+v", restored.ExportState()); got != fmt.Sprintf("%+v", exp) {
 			t.Fatalf("%s: re-export mismatch", branch)
+		}
+		if restored.numLabeled != 0 {
+			t.Fatalf("%s: restored scheduler carries labels on %d slots, want none", branch, restored.numLabeled)
 		}
 		switch branch {
 		case "commit":

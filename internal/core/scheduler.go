@@ -194,18 +194,18 @@ type Scheduler struct {
 	// buffer until the next sweep, matching SweepNow's contract.
 	autoSweep Sweep
 
-	// Cross-shard bookkeeping (subtxn.go), all indexed by arena slot.
-	// crossID names the logical cross transaction occupying a slot as a
-	// sub-transaction (NoTxn otherwise); labels holds each slot's
-	// cross-ancestor label set. numCross and numLabeled gate the hot path:
-	// both zero means no label work can be needed.
-	crossID    []model.TxnID
-	labels     [][]model.TxnID
+	// Cross-shard bookkeeping (subtxn.go). labels holds each arena slot's
+	// cross-ancestor label set. numCross counts the sub-nodes present and
+	// numLabeled the slots carrying labels: both zero means no label work
+	// can be needed.
+	labels     [][]label
 	numCross   int
 	numLabeled int
-	// inLabels and crossStack are propagation scratch.
-	inLabels   []model.TxnID
+	// inLabels, crossStack and flooded (the slots the current flood
+	// labeled) are propagation scratch.
+	inLabels   []label
 	crossStack []graph.Ref
+	flooded    []graph.Ref
 }
 
 // NewScheduler returns an empty scheduler with the given configuration.

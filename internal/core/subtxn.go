@@ -18,6 +18,12 @@
 // accepted step (deletion is gated on labels, see below, so reduction never
 // breaks the invariant for live labels).
 //
+// A label names the incarnation that sourced it — its sub-node's arena slot
+// and BeginSeq — not the reusable TxnID. It is live while that slot still
+// holds that incarnation and the tracker still tracks the transaction, so
+// a dead incarnation's leftover labels can never pass for those of a later
+// transaction reusing its ID, and nobody ever has to erase them.
+//
 // Whenever a label src first arrives at the sub-node of a different cross
 // transaction dst, a shard-local path src→…→dst has materialized: an
 // inter-shard arc candidate src→dst. The scheduler reports it to the
@@ -50,7 +56,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/emit"
 	"repro/internal/graph"
@@ -67,8 +72,9 @@ type CrossTracker interface {
 	// recording the inter-shard arc src→dst would close a cycle among
 	// cross transactions spanning shard graphs.
 	OnCrossReach(src, dst model.TxnID) bool
-	// LabelLive reports whether src's label is still relevant. Labels of
-	// retired cross transactions are pruned lazily.
+	// LabelLive reports whether src is still tracked, and with it the
+	// labels its live incarnation sourced. Labels of retired cross
+	// transactions are pruned lazily.
 	LabelLive(src model.TxnID) bool
 }
 
@@ -111,10 +117,7 @@ func (s *Scheduler) BeginCross(step model.Step) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	t := s.txns[step.Txn]
-	t.isCross = true
-	s.ensureCrossCap(t.ref)
-	s.crossID[t.ref] = t.ID
+	s.txns[step.Txn].isCross = true
 	s.numCross++
 	return res, nil
 }
@@ -228,41 +231,56 @@ func (s *Scheduler) crossEnabled() bool {
 	return s.cfg.Cross != nil && (s.numCross > 0 || s.numLabeled > 0)
 }
 
-// ensureCrossCap grows the per-slot cross bookkeeping to cover ref.
-func (s *Scheduler) ensureCrossCap(ref graph.Ref) {
-	for int(ref) >= len(s.crossID) {
-		s.crossID = append(s.crossID, model.NoTxn)
-		s.labels = append(s.labels, nil)
-	}
+// label names the cross sub-transaction incarnation that sourced it: the
+// arena slot of its sub-node and its BeginSeq there. Slots are recycled but
+// sequence numbers are not, so a label outlives its incarnation only as a
+// dead value that no later transaction's label can equal, whatever TxnID
+// that transaction reuses.
+type label struct {
+	slot graph.Ref
+	seq  int64
 }
 
-// crossOf returns the logical cross transaction occupying slot r, or NoTxn.
-func (s *Scheduler) crossOf(r graph.Ref) model.TxnID {
-	if int(r) < len(s.crossID) {
-		return s.crossID[r]
+// sourceOf returns the label the node in slot r sources, if any: its own
+// incarnation's, when it is the sub-node of a cross transaction the tracker
+// still tracks. A retired transaction can be on no future cycle, so it
+// sources nothing.
+func (s *Scheduler) sourceOf(r graph.Ref) (label, bool) {
+	t := s.bySlot[r]
+	if !t.isCross || !s.cfg.Cross.LabelLive(t.ID) {
+		return label{}, false
 	}
-	return model.NoTxn
+	return label{slot: r, seq: t.BeginSeq}, true
+}
+
+// labelLive reports whether l's incarnation still holds its slot and is
+// still tracked. A tracked transaction's sub-node never leaves the graph
+// (policyDeletable refuses it, and an abort ends the tracking), so the slot
+// test only kills labels the tracker would call dead too, or those of a
+// transaction already aborting.
+func (s *Scheduler) labelLive(l label) bool {
+	t := s.bySlot[l.slot]
+	return t != nil && t.BeginSeq == l.seq && s.cfg.Cross.LabelLive(t.ID)
 }
 
 // labelsOf returns slot r's current label set (possibly containing dead
 // labels; prune with pruneLabels).
-func (s *Scheduler) labelsOf(r graph.Ref) []model.TxnID {
+func (s *Scheduler) labelsOf(r graph.Ref) []label {
 	if int(r) < len(s.labels) {
 		return s.labels[r]
 	}
 	return nil
 }
 
-// pruneLabels drops labels of retired cross transactions from slot r and
-// returns the surviving set.
-func (s *Scheduler) pruneLabels(r graph.Ref) []model.TxnID {
+// pruneLabels drops dead labels from slot r and returns the surviving set.
+func (s *Scheduler) pruneLabels(r graph.Ref) []label {
 	ls := s.labelsOf(r)
 	if len(ls) == 0 {
 		return ls
 	}
 	kept := ls[:0]
 	for _, l := range ls {
-		if s.cfg.Cross.LabelLive(l) {
+		if s.labelLive(l) {
 			kept = append(kept, l)
 		}
 	}
@@ -273,9 +291,10 @@ func (s *Scheduler) pruneLabels(r graph.Ref) []model.TxnID {
 	return kept
 }
 
-// hasLabel reports whether slot r carries label l (or is l's own sub-node).
-func (s *Scheduler) hasLabel(r graph.Ref, l model.TxnID) bool {
-	if s.crossOf(r) == l {
+// hasLabel reports whether slot r carries the live label l (or is l's own
+// sub-node).
+func (s *Scheduler) hasLabel(r graph.Ref, l label) bool {
+	if l.slot == r {
 		return true
 	}
 	for _, x := range s.labelsOf(r) {
@@ -286,10 +305,12 @@ func (s *Scheduler) hasLabel(r graph.Ref, l model.TxnID) bool {
 	return false
 }
 
-// addLabel records label l on slot r, returning whether it was new. The
-// caller has already checked hasLabel.
-func (s *Scheduler) addLabel(r graph.Ref, l model.TxnID) {
-	s.ensureCrossCap(r)
+// addLabel records label l on slot r. The caller has already checked
+// hasLabel.
+func (s *Scheduler) addLabel(r graph.Ref, l label) {
+	for int(r) >= len(s.labels) {
+		s.labels = append(s.labels, nil)
+	}
 	if len(s.labels[r]) == 0 {
 		s.numLabeled++
 	}
@@ -307,37 +328,12 @@ func (s *Scheduler) crossCollect(t *TxnState) bool {
 	if !s.crossEnabled() {
 		return true
 	}
-	//lint:ignore hotpath-closure seen/arrive never leave this frame, so the compiler stack-allocates them; escape mode (-escape) would flag a 'func literal escapes' regression
-	seen := func(l model.TxnID) bool {
-		for _, x := range s.inLabels {
-			if x == l {
-				return true
-			}
-		}
-		return false
-	}
-	//lint:ignore hotpath-closure non-escaping, as seen above
-	arrive := func(l model.TxnID) bool {
-		if l == t.ID || seen(l) || s.hasLabel(t.ref, l) {
-			return true
-		}
-		if t.isCross && !s.cfg.Cross.OnCrossReach(l, t.ID) {
+	for _, tail := range s.g.Targets() {
+		if l, ok := s.sourceOf(tail); ok && !s.arrive(t, l) {
 			return false
 		}
-		s.inLabels = append(s.inLabels, l)
-		return true
-	}
-	for _, tail := range s.g.Targets() {
-		// A sub-node sources its label only while its transaction is live: a
-		// retired one can be on no future cycle, and a label minted after
-		// its purge would pass for a later incarnation's.
-		if c := s.crossOf(tail); c != model.NoTxn && s.cfg.Cross.LabelLive(c) {
-			if !arrive(c) {
-				return false
-			}
-		}
 		for _, l := range s.pruneLabels(tail) {
-			if !arrive(l) {
+			if !s.arrive(t, l) {
 				return false
 			}
 		}
@@ -345,19 +341,41 @@ func (s *Scheduler) crossCollect(t *TxnState) bool {
 	return true
 }
 
+// arrive files the live label l in s.inLabels unless the acting node t
+// already has it or it already arrived this step. A new arrival at a cross
+// sub-node is reported to the tracker; arrive returns false on a veto.
+func (s *Scheduler) arrive(t *TxnState, l label) bool {
+	if s.hasLabel(t.ref, l) {
+		return true
+	}
+	for _, x := range s.inLabels {
+		if x == l {
+			return true
+		}
+	}
+	if t.isCross && !s.cfg.Cross.OnCrossReach(s.bySlot[l.slot].ID, t.ID) {
+		return false
+	}
+	s.inLabels = append(s.inLabels, l)
+	return true
+}
+
 // crossFlood merges s.inLabels into the acting node's label set and pushes
 // every newly-arrived label forward along out-arcs (labels are eager: the
 // reaches-invariant must hold after the step). Arrival at another cross
 // sub-node reports an inter-shard arc; a veto returns false and the caller
-// rejects the step, removing the acting node and with it the only new
-// paths (labels already spread beyond it become a harmless
-// over-approximation).
+// rejects the step. The flood then takes back every label it placed: a
+// DFS cut short leaves labeled nodes whose successors lack the label, and a
+// later flood of that label would stop at them and never report the
+// sub-nodes beyond.
 func (s *Scheduler) crossFlood(t *TxnState) bool {
 	if len(s.inLabels) == 0 {
 		return true
 	}
+	s.flooded = s.flooded[:0]
 	for _, l := range s.inLabels {
-		s.addLabel(t.ref, l)
+		s.floodLabel(t.ref, l)
+		src := s.bySlot[l.slot].ID
 		// Per-label DFS from t through nodes not yet carrying l.
 		s.crossStack = append(s.crossStack[:0], t.ref)
 		for len(s.crossStack) > 0 {
@@ -367,19 +385,36 @@ func (s *Scheduler) crossFlood(t *TxnState) bool {
 				if s.hasLabel(w, l) {
 					continue
 				}
-				if c := s.crossOf(w); c != model.NoTxn {
-					if c != l && !s.cfg.Cross.OnCrossReach(l, c) {
-						return false
-					}
-					// A sub-node sources its own ID; store the transit label
-					// too so future successors inherit it.
+				// A sub-node sources its own label; it stores the transit
+				// label too so future successors inherit it.
+				if c := s.bySlot[w]; c.isCross && !s.cfg.Cross.OnCrossReach(src, c.ID) {
+					s.unflood()
+					return false
 				}
-				s.addLabel(w, l)
+				s.floodLabel(w, l)
 				s.crossStack = append(s.crossStack, w)
 			}
 		}
 	}
 	return true
+}
+
+// floodLabel adds label l to slot r on behalf of crossFlood, noting the
+// slot for unflood.
+func (s *Scheduler) floodLabel(r graph.Ref, l label) {
+	s.addLabel(r, l)
+	s.flooded = append(s.flooded, r)
+}
+
+// unflood removes the labels of the current crossFlood, newest first: each
+// is the last entry of its slot's set when its turn comes.
+func (s *Scheduler) unflood() {
+	for i := len(s.flooded) - 1; i >= 0; i-- {
+		r := s.flooded[i]
+		if s.labels[r] = s.labels[r][:len(s.labels[r])-1]; len(s.labels[r]) == 0 {
+			s.numLabeled--
+		}
+	}
 }
 
 // clearCross erases slot-level cross bookkeeping when t's node leaves the
@@ -388,46 +423,12 @@ func (s *Scheduler) clearCross(t *TxnState) {
 	if s.cfg.Cross == nil {
 		return
 	}
-	r := t.ref
-	if int(r) >= len(s.crossID) {
-		return
-	}
-	if s.crossID[r] != model.NoTxn {
-		s.crossID[r] = model.NoTxn
+	if t.isCross {
 		s.numCross--
 	}
-	if len(s.labels[r]) > 0 {
+	if r := t.ref; int(r) < len(s.labels) && len(s.labels[r]) > 0 {
 		s.labels[r] = s.labels[r][:0]
 		s.numLabeled--
-	}
-}
-
-// PurgeLabels erases every stored occurrence of the labels ids from this
-// shard. The engine calls it for the dead incarnations of dropped and
-// retired cross transactions: left in place, their labels would be
-// indistinguishable from those of a later transaction reusing the TxnID and
-// stop crossFlood's DFS early, hiding real reach-paths from the registry.
-// (A dead transaction sources no new labels — see crossCollect — so once
-// purged its ID stays clean until it is registered again.)
-func (s *Scheduler) PurgeLabels(ids ...model.TxnID) {
-	if s.numLabeled == 0 || len(ids) == 0 {
-		return
-	}
-	for r := range s.labels {
-		ls := s.labels[r]
-		if len(ls) == 0 {
-			continue
-		}
-		kept := ls[:0]
-		for _, l := range ls {
-			if !slices.Contains(ids, l) {
-				kept = append(kept, l)
-			}
-		}
-		s.labels[r] = kept
-		if len(kept) == 0 {
-			s.numLabeled--
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -169,6 +170,99 @@ func TestLabelLatePropagation(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("late reach-arc 300→200 not reported; arcs = %v", tr.arcs)
+	}
+}
+
+// TestLabelNamesIncarnation is the engine's TestCrossIDReuseStaleLabels on
+// one scheduler: cross T1 hands its label down a chain of local
+// transactions and aborts, leaving a stale copy on L; the tracker forgets
+// T1, then tracks the reused ID again for a fresh sub-transaction. Nothing
+// erases the stale copy. The new incarnation's label must still flood
+// through L, or the registry never hears of its reach-path to T2.
+func TestLabelNamesIncarnation(t *testing.T) {
+	tr := &fakeTracker{retired: map[model.TxnID]bool{}, veto: map[reachArc]bool{}}
+	s := NewScheduler(Config{Cross: tr})
+	must := func(res Result) {
+		t.Helper()
+		if !res.Accepted {
+			t.Fatalf("%v rejected", res.Step)
+		}
+	}
+	// v reads e0; cross T1 reads e0; L writes e0 (arcs v→L, T1→L, label T1
+	// on L); M reads L's e4 (label T1 on M) and writes e6.
+	must(s.MustApply(model.Begin(5)))
+	must(s.MustApply(model.Read(5, 0)))
+	s.MustBeginCross(t, 1)
+	must(s.MustApply(model.Read(1, 0)))
+	must(s.MustApply(model.Begin(7)))
+	must(s.MustApply(model.WriteFinal(7, 0, 4)))
+	must(s.MustApply(model.Begin(11)))
+	must(s.MustApply(model.Read(11, 4)))
+	must(s.MustApply(model.WriteFinal(11, 6)))
+	if err := s.AbortTxn(1); err != nil {
+		t.Fatal(err)
+	}
+	tr.retired[1] = true
+	// Cross T2 reads M's e6 (arc M→T2): M's dead label is pruned, L's stays.
+	s.MustBeginCross(t, 2)
+	must(s.MustApply(model.Read(2, 6)))
+	// The ID is tracked again, for a new sub-transaction reading e8; v's
+	// write of e8 links T1→v and so T1→v→L→M→T2.
+	delete(tr.retired, 1)
+	s.MustBeginCross(t, 1)
+	must(s.MustApply(model.Read(1, 8)))
+	tr.arcs = nil
+	must(s.MustApply(model.WriteFinal(5, 8)))
+	if !slices.Contains(tr.arcs, reachArc{1, 2}) {
+		t.Fatalf("reach-arc 1→2 of the reused ID not reported (flood stopped at a stale label); arcs = %v", tr.arcs)
+	}
+}
+
+// TestVetoedFloodLeavesNoLabels: a registry veto met halfway through a
+// flood rejects the step, and the labels the flood had already placed
+// downstream must go with it. Left behind, they sit on nodes whose
+// successors lack them, and a later flood of the same label stops there:
+// here the real path A→L→C would go unreported, and a global cycle through
+// A and C could commit.
+func TestVetoedFloodLeavesNoLabels(t *testing.T) {
+	tr := &fakeTracker{retired: map[model.TxnID]bool{}, veto: map[reachArc]bool{}}
+	s := NewScheduler(Config{Cross: tr})
+	must := func(res Result) {
+		t.Helper()
+		if !res.Accepted {
+			t.Fatalf("%v rejected", res.Step)
+		}
+	}
+	// Cross A reads e1. X reads e2, which W overwrites (X→W); active L
+	// reads W's e3 (W→L) and e4, which cross C then writes (L→C).
+	s.MustBeginCross(t, 1)
+	must(s.MustApply(model.Read(1, 1)))
+	must(s.MustApply(model.Begin(2)))
+	must(s.MustApply(model.Read(2, 2)))
+	must(s.MustApply(model.Begin(3)))
+	must(s.MustApply(model.WriteFinal(3, 2, 3)))
+	must(s.MustApply(model.Begin(4)))
+	must(s.MustApply(model.Read(4, 3)))
+	must(s.MustApply(model.Read(4, 4)))
+	s.MustBeginCross(t, 5)
+	if vote, err := s.PrepareFinal(model.WriteFinal(5, 4)); err != nil || vote != VoteYes {
+		t.Fatalf("prepare C: %v %v", vote, err)
+	}
+	// X's write of e1 links A→X: label A floods X→W→L and meets C, and the
+	// registry vetoes A→C, so X is rejected.
+	tr.veto[reachArc{1, 5}] = true
+	if res := s.MustApply(model.WriteFinal(2, 1)); res.Accepted || !res.CrossVeto {
+		t.Fatalf("X's write: %+v, want a cross veto", res)
+	}
+	if s.numLabeled != 0 {
+		t.Fatalf("the vetoed flood left labels on %d slots", s.numLabeled)
+	}
+	// L's own write of e1 now links A→L for real: A→L→C must be reported.
+	delete(tr.veto, reachArc{1, 5})
+	tr.arcs = nil
+	must(s.MustApply(model.WriteFinal(4, 1)))
+	if !slices.Contains(tr.arcs, reachArc{1, 5}) {
+		t.Fatalf("reach-arc A→C through L not reported; arcs = %v", tr.arcs)
 	}
 }
 

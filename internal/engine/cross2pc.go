@@ -16,7 +16,11 @@
 // it records, per pair of cross transactions, whether one's sub-node
 // reaches the other's inside some shard graph (reported by the shards'
 // label propagation), and vetoes the step that would close a cycle among
-// those reach-arcs. See the package documentation for the full argument.
+// those reach-arcs. It holds live state only: a retired or aborted
+// transaction's entry goes at once, and nothing of its ID is kept for the
+// labels it left in shard graphs — those name its incarnation, not the
+// reusable TxnID, so they die with it. See the package documentation for
+// the full argument.
 package engine
 
 import (
@@ -84,22 +88,6 @@ type crossRegistry struct {
 	// conservative (labels only go live→dead).
 	size atomic.Int64
 	live sync.Map
-	// dirty records TxnIDs of dropped/retired cross transactions whose
-	// labels may still sit, unpruned, in shard graphs. Re-registering such
-	// an ID must purge those stale entries first (see register), or the new
-	// incarnation's flood would stop at them and hide real reach-paths. An
-	// ID stays here only until every shard that took part has purged its
-	// labels (purge, below) — a dead transaction's labels exist on its
-	// participants only, and once it is dead nothing sources new ones — so
-	// the set holds the purges in flight, not every cross transaction the
-	// engine ever finished. retires numbers the removals, so that a purge
-	// ordered for one incarnation is never credited to a later one.
-	dirty   map[model.TxnID]dirtyMark
-	retires uint64
-	// purge[p] is the label purges shard p has been ordered and has not yet
-	// taken; like pending, the shard looks at ver lock-free and takes mu
-	// only when it moved.
-	purge []purgeSet
 	// pending[p] is the set of decided entries still awaiting shard p's
 	// cleanliness report. Invariant (under mu): id is in pending[p].ids iff
 	// its entry e is decided and p == e.parts[i] for some i with
@@ -110,28 +98,6 @@ type crossRegistry struct {
 	// itself is delivered by the reqUpkeep kick the 2PC driver sends after
 	// decideCommit.
 	pending []pendingSet
-}
-
-// dirtyMark is one dead incarnation in crossRegistry.dirty: the removal it
-// stems from and how many participants still owe the purge of its labels.
-// Recovery's marks (markDirty) carry no orders and stay until the ID is
-// reused.
-type dirtyMark struct {
-	seq  uint64
-	owed int
-}
-
-// purgeOrder tells one shard to erase the labels of one dead incarnation.
-type purgeOrder struct {
-	id  model.TxnID
-	seq uint64
-}
-
-// purgeSet is one shard's slice of crossRegistry.purge. orders is guarded
-// by crossRegistry.mu; ver is bumped under it on every change.
-type purgeSet struct {
-	orders []purgeOrder
-	ver    atomic.Uint64
 }
 
 // pendingSet is one shard's slice of crossRegistry.pending.
@@ -148,8 +114,6 @@ type pendingSet struct {
 func newCrossRegistry(shards int) *crossRegistry {
 	return &crossRegistry{
 		txns:    make(map[model.TxnID]*crossEntry),
-		dirty:   make(map[model.TxnID]dirtyMark),
-		purge:   make([]purgeSet, shards),
 		pending: make([]pendingSet, shards),
 	}
 }
@@ -172,52 +136,35 @@ func (r *crossRegistry) settleLocked(p int, id model.TxnID) {
 
 var _ core.CrossTracker = (*crossRegistry)(nil)
 
-// register adds a cross transaction with its participant set. needsPurge
-// reports that the ID previously named a dropped/retired cross transaction
-// whose stale labels must be purged from every shard before any
-// sub-transaction of the new incarnation begins (the caller does the
-// purge; label work on the new incarnation cannot start until its
-// sub-nodes exist, so purging after register but before the sub-begins is
-// race-free — in the window, stale labels read as live, which is merely
-// conservative).
-func (r *crossRegistry) register(id model.TxnID, parts []int) (needsPurge bool) {
+// register adds a cross transaction with its participant set. The ID may
+// have named an earlier cross transaction: that incarnation's leftover
+// labels name its own sub-nodes, never this one's, so nothing needs
+// erasing first.
+func (r *crossRegistry) register(id model.TxnID, parts []int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.dirty[id]; ok {
-		delete(r.dirty, id)
-		needsPurge = true
-	}
 	r.txns[id] = &crossEntry{parts: parts, clean: make([]bool, len(parts))}
 	r.live.Store(id, struct{}{})
 	r.size.Store(int64(len(r.txns)))
-	return needsPurge
 }
 
-// removeLocked erases id and its arcs. Caller holds r.mu.
-func (r *crossRegistry) removeLocked(id model.TxnID) {
-	e, ok := r.txns[id]
-	if !ok {
-		return
+// removeLocked erases id's entry e and its arcs, then lets each registry
+// successor retire in turn, since losing the arc from id may have zeroed its
+// in-degree. e is out of the map before the cascade starts, so the cascade
+// never touches e.out while it is walked. Caller holds r.mu.
+func (r *crossRegistry) removeLocked(id model.TxnID, e *crossEntry) {
+	for i := range e.in {
+		if ie, ok := r.txns[i]; ok {
+			delete(ie.out, id)
+		}
 	}
 	for o := range e.out {
 		if oe, ok := r.txns[o]; ok {
 			delete(oe.in, id)
 		}
 	}
-	for i := range e.in {
-		if ie, ok := r.txns[i]; ok {
-			delete(ie.out, id)
-		}
-	}
 	delete(r.txns, id)
 	r.live.Delete(id)
-	r.retires++
-	r.dirty[id] = dirtyMark{seq: r.retires, owed: len(e.parts)}
-	for _, p := range e.parts {
-		ps := &r.purge[p]
-		ps.orders = append(ps.orders, purgeOrder{id: id, seq: r.retires})
-		ps.ver.Add(1)
-	}
 	if e.decided {
 		for i, p := range e.parts {
 			if !e.clean[i] {
@@ -226,48 +173,8 @@ func (r *crossRegistry) removeLocked(id model.TxnID) {
 		}
 	}
 	r.size.Store(int64(len(r.txns)))
-}
-
-// markDirty records id as a dead cross incarnation whose labels may still
-// sit, unpruned, in shard graphs. Recovery calls it for every cross ID it
-// restored but did not re-register (committed, aborted, or presumed-abort
-// resolved), so a future re-registration of the ID purges the stale labels
-// exactly as it would for an ID retired live.
-func (r *crossRegistry) markDirty(id model.TxnID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.txns[id]; !ok {
-		r.dirty[id] = dirtyMark{}
-	}
-}
-
-// takePurges moves shard's outstanding purge orders into buf and returns
-// them with the version the (now empty) list is current at.
-func (r *crossRegistry) takePurges(shard int, buf []purgeOrder) ([]purgeOrder, uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ps := &r.purge[shard]
-	buf = append(buf, ps.orders...)
-	ps.orders = ps.orders[:0]
-	return buf, ps.ver.Load()
-}
-
-// purged credits shard with having carried out orders; an incarnation every
-// participant has purged is forgotten. An order whose ID was re-registered
-// in the meantime (register purged it everywhere itself) matches no mark.
-func (r *crossRegistry) purged(orders []purgeOrder) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, o := range orders {
-		d, ok := r.dirty[o.id]
-		if !ok || d.seq != o.seq {
-			continue
-		}
-		if d.owed--; d.owed > 0 {
-			r.dirty[o.id] = d
-		} else {
-			delete(r.dirty, o.id)
-		}
+	for o := range e.out {
+		r.maybeRetireLocked(o)
 	}
 }
 
@@ -278,17 +185,8 @@ func (r *crossRegistry) purged(orders []purgeOrder) {
 func (r *crossRegistry) drop(id model.TxnID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.txns[id]
-	if !ok {
-		return
-	}
-	succs := make([]model.TxnID, 0, len(e.out))
-	for s := range e.out {
-		succs = append(succs, s)
-	}
-	r.removeLocked(id)
-	for _, s := range succs {
-		r.maybeRetireLocked(s)
+	if e, ok := r.txns[id]; ok {
+		r.removeLocked(id, e)
 	}
 }
 
@@ -331,20 +229,8 @@ func (r *crossRegistry) decideCommit(id model.TxnID) {
 // go. Retirement cascades: removing id's out-arcs may zero a successor's
 // in-degree.
 func (r *crossRegistry) maybeRetireLocked(id model.TxnID) {
-	e, ok := r.txns[id]
-	if !ok {
-		return
-	}
-	if !e.decided || e.cleanN != len(e.parts) || len(e.in) != 0 {
-		return
-	}
-	succs := make([]model.TxnID, 0, len(e.out))
-	for s := range e.out {
-		succs = append(succs, s)
-	}
-	r.removeLocked(id)
-	for _, s := range succs {
-		r.maybeRetireLocked(s)
+	if e, ok := r.txns[id]; ok && e.decided && e.cleanN == len(e.parts) && len(e.in) == 0 {
+		r.removeLocked(id, e)
 	}
 }
 
@@ -517,13 +403,7 @@ func (e *Engine) beginCross(ctx context.Context, step model.Step, pri Priority) 
 		// would resurrect it with no route left to ever finish them.
 		return answer(step, step.Txn, stepErr(step, ErrTxnAborted))
 	}
-	if e.registry.register(step.Txn, ct.parts) {
-		// The ID is being reused after an earlier cross incarnation died:
-		// purge its stale labels everywhere before any sub-node exists.
-		for _, sh := range e.shards {
-			sh.do(request{kind: reqPurgeLabel, step: model.Step{Txn: step.Txn}})
-		}
-	}
+	e.registry.register(step.Txn, ct.parts)
 	for i, p := range ct.parts {
 		// A context dying mid-fan-out rolls back like any sub-begin
 		// failure: the logical transaction never existed.

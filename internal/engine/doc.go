@@ -50,7 +50,9 @@
 //     an arc is added. When label X first lands on the sub-node of a
 //     different cross transaction Y, a shard-local path X→…→Y exists: an
 //     inter-shard reach-arc X→Y, reported to the engine's cross-arc
-//     registry (cross2pc.go).
+//     registry (cross2pc.go). A label names the sub-node incarnation that
+//     sourced it (arena slot and BeginSeq), so a client reusing a TxnID
+//     never meets its predecessor's leftover labels as its own.
 //
 //  3. The registry keeps the reach-arcs among live cross transactions and
 //     refuses the one that would close a registry cycle — the acting step

@@ -481,9 +481,10 @@ func TestStatsCloseRace(t *testing.T) {
 // TestCrossIDReuseStaleLabels is the regression test for stale
 // cross-ancestor labels colliding with TxnID reuse: after cross T1 aborts,
 // its labels linger lazily on completed nodes; if the same ID is reused
-// for a new cross transaction, those stale entries must be purged — or the
-// label flood stops at them, the registry misses the new incarnation's
-// reach-path, and a global cycle commits. With the purge, the
+// for a new cross transaction, those stale entries must not pass for the
+// new incarnation's — or the label flood stops at them, the registry misses
+// the new incarnation's reach-path, and a global cycle commits. A label
+// names the incarnation that sourced it, so the stale ones are dead and the
 // cycle-closing local write is vetoed; the incarnation-aware referee
 // double-checks the accepted subschedule either way.
 func TestCrossIDReuseStaleLabels(t *testing.T) {
@@ -515,10 +516,11 @@ func TestCrossIDReuseStaleLabels(t *testing.T) {
 	// still carries its stale copy).
 	must(eng.Submit(model.BeginDeclared(2, 6, 9))) // T2 cross {0,1}
 	must(eng.Submit(model.Read(2, 6)))
-	// Era 2: reuse ID 1 for a fresh cross transaction (purge must clear
-	// L's stale label here), then close the loop: T2 commits writing e9,
-	// new T1 reads it (reach-arc 2→1), and v's write of e8 would complete
-	// the path 1→v→L→M→2 — a global cycle — so it must be vetoed.
+	// Era 2: reuse ID 1 for a fresh cross transaction (L's stale label
+	// names the dead incarnation, not this one), then close the loop: T2
+	// commits writing e9, new T1 reads it (reach-arc 2→1), and v's write of
+	// e8 would complete the path 1→v→L→M→2 — a global cycle — so it must be
+	// vetoed.
 	must(eng.Submit(model.BeginDeclared(1, 8, 9)))
 	must(eng.Submit(model.Read(1, 8)))
 	must(eng.Submit(model.WriteFinal(2, 9)))

@@ -50,10 +50,12 @@ const (
 // transaction surface ErrStragglerAborted instead of the generic
 // ErrTxnAborted. It is consulted only on failure paths (route misses and
 // scheduler rejections), and the atomic count makes the empty case — every
-// engine without a governor — a single load.
+// engine without a governor — a single load. ids maps each remembered ID to
+// the ring slot it owns; an ID removed early leaves its slot unowned, so the
+// add that later overwrites the slot evicts only an ID still owning it.
 type reapedSet struct {
 	mu   sync.Mutex
-	ids  map[model.TxnID]struct{}
+	ids  map[model.TxnID]int
 	ring [reapedRemember]model.TxnID
 	pos  int
 	n    atomic.Int64
@@ -62,13 +64,13 @@ type reapedSet struct {
 func (r *reapedSet) add(id model.TxnID) {
 	r.mu.Lock()
 	if r.ids == nil {
-		r.ids = make(map[model.TxnID]struct{})
+		r.ids = make(map[model.TxnID]int)
 	}
 	if _, ok := r.ids[id]; !ok {
-		if len(r.ids) >= reapedRemember {
+		if slot, ok := r.ids[r.ring[r.pos]]; ok && slot == r.pos {
 			delete(r.ids, r.ring[r.pos])
 		}
-		r.ids[id] = struct{}{}
+		r.ids[id] = r.pos
 		r.ring[r.pos] = id
 		r.pos = (r.pos + 1) % reapedRemember
 		r.n.Store(int64(len(r.ids)))

@@ -15,9 +15,9 @@ import (
 // sleeper traps eight victims (reads their entities before they write),
 // so every victim is double-gated: C1 fails (the sleeper is an active
 // tight predecessor with no witness in sight) AND the victim carries the
-// sleeper's cross-ancestor label. Reaping the sleeper must purge the
-// stale labels along with the arcs, so ONE governor pass — reap plus its
-// forced sweep — reclaims the whole backlog. Run under -race in CI.
+// sleeper's cross-ancestor label. Reaping the sleeper must kill its labels
+// along with the arcs, so ONE governor pass — reap plus its forced sweep —
+// reclaims the whole backlog. Run under -race in CI.
 func TestReapCrossStragglerUnblocksDownstreamGC(t *testing.T) {
 	eng := New(Config{
 		Shards:                2,
@@ -161,6 +161,30 @@ func TestGovernorRequiresPolicy(t *testing.T) {
 	}
 	if eng.govStop != nil {
 		t.Fatal("governor loop started without a deletion policy")
+	}
+}
+
+// TestReapedSetStaysBounded: remove runs on every BEGIN, so IDs leave the
+// reaped memory before the ring wraps over their slots. The ring must then
+// overwrite such a slot without keeping any ID past its eviction, and the
+// set must still hold the most recent reapedRemember reaps.
+func TestReapedSetStaysBounded(t *testing.T) {
+	var r reapedSet
+	for id := model.TxnID(1); id <= reapedRemember; id++ {
+		r.add(id)
+	}
+	r.remove(reapedRemember / 2)
+	last := model.TxnID(4 * reapedRemember)
+	for id := model.TxnID(reapedRemember + 1); id <= last; id++ {
+		r.add(id)
+		if len(r.ids) > reapedRemember {
+			t.Fatalf("after adding T%d the set remembers %d IDs, bound %d", id, len(r.ids), reapedRemember)
+		}
+	}
+	for id := last - reapedRemember + 1; id <= last; id++ {
+		if !r.contains(id) {
+			t.Fatalf("T%d, among the last %d reaps, is forgotten", id, reapedRemember)
+		}
 	}
 }
 

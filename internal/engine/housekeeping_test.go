@@ -134,8 +134,8 @@ func TestCrossCleanDifferential(t *testing.T) {
 	}
 	wg.Wait()
 	st := eng.Stats()
-	// Quiet now: every debt gets reported, every dead incarnation purged
-	// and forgotten, within a few rounds of housekeeping.
+	// Quiet now: every debt gets reported and every entry retired within a
+	// few rounds of housekeeping.
 	left := registryResidue(eng)
 	eng.Close()
 
@@ -143,7 +143,7 @@ func TestCrossCleanDifferential(t *testing.T) {
 		t.FailNow()
 	}
 	if left != 0 {
-		t.Fatalf("%d registry entries, debts, purge orders and dead IDs left after the engine went quiet", left)
+		t.Fatalf("%d registry entries and debts left after the engine went quiet", left)
 	}
 	if st.CrossTxns == 0 || st.CrossAborts == 0 || st.Reaped == 0 || st.Merged.Rejected == 0 {
 		t.Fatalf("workload too tame: %d cross, %d cross aborts, %d reaped, %d rejected", st.CrossTxns, st.CrossAborts, st.Reaped, st.Merged.Rejected)
@@ -214,10 +214,18 @@ func crossCleanProportional(t *testing.T, abort bool) {
 		watching int
 	}
 	seen := make(chan pass, 4096) // more than the passes the test can cause
+	// passes1 numbers shard 1's passes; quiet1 is the last one that ended
+	// with shard 1 owing nothing and its copy of its debts current, after
+	// which its housekeeping never takes the registry mutex again.
+	var passes1, quiet1 atomic.Int64
 	testHookCrossClean = func(sh *shard, _ []model.TxnID) {
 		if sh.idx == 0 {
 			st := sh.sched.Stats()
 			seen <- pass{st.Accepted + st.Aborts, sh.witnessSearches, len(sh.watch)}
+			return
+		}
+		if n := passes1.Add(1); len(sh.watch) == 0 && sh.eng.registry.pending[sh.idx].ver.Load() == sh.watchVer {
+			quiet1.Store(n)
 		}
 	}
 	defer func() { testHookCrossClean = nil }()
@@ -271,6 +279,17 @@ func crossCleanProportional(t *testing.T, abort bool) {
 	}
 	if p.searches != K {
 		t.Fatalf("%d ancestor searches while %d debts arrived, want one each", p.searches, K)
+	}
+
+	// Every sub-node on shard 1 is clean, but each report there moved the
+	// version of shard 1's debts, and its next pass re-copies them under the
+	// registry mutex. Wait for a quiet pass that began after the last
+	// decision (the second pass from now): Stats below visits every shard,
+	// and would wait on a shard 1 stuck behind the mutex held here.
+	for n, deadline := passes1.Load(), time.Now().Add(10*time.Second); quiet1.Load() < n+2; eng.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatal("shard 1 never settled its own debts")
+		}
 	}
 
 	// A batch that terminates nothing, with the registry mutex held against
@@ -344,11 +363,12 @@ func TestSubmitBatchStepBehindOwnAbort(t *testing.T) {
 	}
 }
 
-// TestRegistryForgetsRetiredIDs: the registry remembers a finished cross
-// transaction's ID only until its participants have purged its labels, not
-// forever — a server that commits cross transactions all day must not grow
-// a set of every ID it ever saw. (Reusing an ID whose purge is still in
-// flight is TestCrossIDReuseStaleLabels' subject.)
+// TestRegistryForgetsRetiredIDs: the registry holds live cross transactions
+// only. A finished one is forgotten once it retires, and nothing of its ID
+// is kept for the labels it left behind — those name its incarnation and
+// die with it — so a server that commits cross transactions all day must not
+// grow a set of every ID it ever saw. (Reusing an ID whose stale labels
+// still sit in a shard graph is TestCrossIDReuseStaleLabels' subject.)
 func TestRegistryForgetsRetiredIDs(t *testing.T) {
 	eng := New(Config{Shards: 2, Policy: func() core.Policy { return core.GreedyC1{} }})
 	defer eng.Close()
@@ -364,30 +384,29 @@ func TestRegistryForgetsRetiredIDs(t *testing.T) {
 			}
 		}
 		eng.registry.mu.Lock()
-		peak = max(peak, len(eng.registry.dirty))
+		peak = max(peak, len(eng.registry.txns))
 		eng.registry.mu.Unlock()
 	}
 	if peak > 16 {
-		t.Fatalf("registry remembered up to %d dead IDs while %d cross transactions ran one at a time", peak, n)
+		t.Fatalf("registry held up to %d entries while %d cross transactions ran one at a time", peak, n)
 	}
 	if left := registryResidue(eng); left != 0 {
-		t.Fatalf("%d registry entries, debts, purge orders and dead IDs left after the engine went quiet", left)
+		t.Fatalf("%d registry entries and debts left after the engine went quiet", left)
 	}
 }
 
 // registryResidue waits for a quiet engine's registry to empty and returns
-// what is left of it when it gives up: live entries, cleanliness debts,
-// purge orders, remembered dead IDs. Every batch ends in housekeeping, so
-// each Stats round-trip moves the tail one step along — the last reports,
-// the retirement they allow, the purges it orders, their acknowledgement.
+// what is left of it when it gives up: live entries and cleanliness debts.
+// Every batch ends in housekeeping, so each Stats round-trip moves the tail
+// one step along — the last reports, then the retirement they allow.
 func registryResidue(eng *Engine) (left int) {
 	for deadline := time.Now().Add(10 * time.Second); ; {
 		eng.Stats()
 		reg := eng.registry
 		reg.mu.Lock()
-		left = len(reg.txns) + len(reg.dirty)
+		left = len(reg.txns)
 		for i := range reg.pending {
-			left += len(reg.pending[i].ids) + len(reg.purge[i].orders)
+			left += len(reg.pending[i].ids)
 		}
 		reg.mu.Unlock()
 		if left == 0 || time.Now().After(deadline) {

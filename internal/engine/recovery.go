@@ -129,13 +129,9 @@ func (e *Engine) recover() (*RecoveryReport, error) {
 	cross := make(map[model.TxnID][]subState)
 	var crossOrder []model.TxnID // deterministic resolution order
 	orphans := make([][]model.TxnID, len(e.shards))
-	staleLabels := make(map[model.TxnID]bool)
 	for i, sh := range e.shards {
 		st := sh.sched.ExportState()
 		for _, t := range st.Txns {
-			for _, l := range t.Labels {
-				staleLabels[l] = true
-			}
 			if t.IsCross {
 				if _, seen := cross[t.ID]; !seen {
 					crossOrder = append(crossOrder, t.ID)
@@ -204,15 +200,6 @@ func (e *Engine) recover() (*RecoveryReport, error) {
 		if aborted {
 			rep.CrossAborted++
 		}
-	}
-
-	// Every recovered cross ID is a dead incarnation whose labels may
-	// linger in shard graphs: mark it so re-registration purges them.
-	for id := range cross {
-		e.registry.markDirty(id)
-	}
-	for id := range staleLabels {
-		e.registry.markDirty(id)
 	}
 
 	// Make the resolutions durable, count what is retained, seed the trace

@@ -40,10 +40,6 @@ const (
 	// after a commit decision so a shard blocked waiting for traffic runs
 	// its registry upkeep (reportCrossClean) promptly.
 	reqUpkeep
-	// reqPurgeLabel erases stale cross-ancestor labels of a dead
-	// incarnation before its TxnID is re-registered (see
-	// crossRegistry.register).
-	reqPurgeLabel
 	// reqOldest snapshots the shard's oldest active transactions for the
 	// retention governor's straggler selection.
 	reqOldest
@@ -126,10 +122,6 @@ type shard struct {
 	watchTerm  int64     //txgc:owner shard
 	// cleanBuf is scratch for cross-registry clean reporting.
 	cleanBuf []model.TxnID //txgc:owner shard
-	// purgeVer is the registry version at which this shard last took its
-	// label-purge orders (crossRegistry.purge); purgeBuf is their scratch.
-	purgeVer uint64       //txgc:owner shard
-	purgeBuf []purgeOrder //txgc:owner shard
 	// witnessSearches counts the ancestor searches reportCrossClean has run
 	// (the proportionality test's meter).
 	witnessSearches int64 //txgc:owner shard
@@ -226,9 +218,6 @@ func (sh *shard) run() {
 		// ancestor set froze, so the registry can retire them and unblock
 		// deletion of their labeled successors.
 		sh.reportCrossClean()
-		// And erase the labels of cross transactions that have since left
-		// the registry, so it can forget their IDs.
-		sh.purgeDeadLabels()
 		if stop {
 			sh.shutdown()
 			return
@@ -267,9 +256,6 @@ func (sh *shard) handle(req request, tk uint64, fire bool) (stop bool) {
 		// Nothing to do here: the run loop calls reportCrossClean after
 		// every batch; this request exists only to unblock the park. Posted
 		// fire-and-forget, so there is no reply to send.
-	case reqPurgeLabel:
-		sh.sched.PurgeLabels(req.step.Txn)
-		sh.mb.Reply(tk, reply{})
 	case reqOldest:
 		sh.mb.Reply(tk, reply{actives: sh.sched.OldestActives(governorCandidates)})
 	case reqSweep:
@@ -572,29 +558,6 @@ func (sh *shard) reportCrossClean() {
 	if hook := testHookCrossClean; hook != nil {
 		hook(sh, reported)
 	}
-}
-
-// purgeDeadLabels carries out the label purges the registry has ordered
-// since the last batch: the labels of cross transactions that were dropped
-// or retired and that this shard took part in. An ID that is live again was
-// re-registered in the meantime; register purged it everywhere before any
-// sub-node of the new incarnation existed, and its labels here may by now
-// be the new incarnation's, so it is skipped.
-func (sh *shard) purgeDeadLabels() {
-	reg := sh.eng.registry
-	if reg.purge[sh.idx].ver.Load() == sh.purgeVer {
-		return
-	}
-	sh.purgeBuf, sh.purgeVer = reg.takePurges(sh.idx, sh.purgeBuf[:0])
-	dead := sh.cleanBuf[:0]
-	for _, o := range sh.purgeBuf {
-		if !reg.LabelLive(o.id) {
-			dead = append(dead, o.id)
-		}
-	}
-	sh.sched.PurgeLabels(dead...)
-	sh.cleanBuf = dead
-	reg.purged(sh.purgeBuf)
 }
 
 // syncWatch re-copies this shard's pending set from the registry, carrying

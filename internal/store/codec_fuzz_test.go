@@ -1,7 +1,9 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -75,6 +77,7 @@ func FuzzSnapshot(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{snapshotVersion})
 	f.Add(EncodeSnapshot(sampleState()))
+	f.Add(v1Snapshot())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := DecodeSnapshot(data)
 		if err != nil {
@@ -100,4 +103,54 @@ func sampleState() core.SchedulerState {
 	s.MustApply(model.Begin(2))
 	s.MustApply(model.WriteFinal(2, 3))
 	return s.ExportState()
+}
+
+// v1Snapshot is a version-1 checkpoint as earlier releases wrote it: one
+// completed cross sub-transaction T7 (wrote entity 3 at seq 2) carrying the
+// labels T3 and T5, which v1 listed after each transaction's accesses.
+func v1Snapshot() []byte {
+	b := []byte{snapshotVersionV1}
+	b = binary.AppendVarint(b, 4)  // seq
+	b = binary.AppendUvarint(b, 1) // txns
+	b = binary.AppendVarint(b, 7)
+	b = append(b, byte(model.StatusCompleted))
+	b = binary.AppendVarint(b, 1) // begin seq
+	b = binary.AppendVarint(b, 2) // end seq
+	b = append(b, snapFlagCross)
+	b = binary.AppendUvarint(b, 1) // accesses
+	b = binary.AppendVarint(b, 3)
+	b = append(b, byte(model.WriteAccess))
+	b = binary.AppendVarint(b, 2)
+	b = binary.AppendUvarint(b, 2) // labels
+	b = binary.AppendVarint(b, 3)
+	b = binary.AppendVarint(b, 5)
+	b = binary.AppendUvarint(b, 0) // arcs
+	b = binary.AppendUvarint(b, 1) // writes
+	b = binary.AppendVarint(b, 3)
+	b = binary.AppendVarint(b, 2)
+	b = binary.AppendVarint(b, 7)
+	return b
+}
+
+// TestSnapshotV1StillDecodes: a data dir checkpointed by a version-1 writer
+// keeps opening. Its label lists are read and dropped; everything else
+// decodes as written, and re-encodes as version 2.
+func TestSnapshotV1StillDecodes(t *testing.T) {
+	st, err := DecodeSnapshot(v1Snapshot())
+	if err != nil {
+		t.Fatalf("DecodeSnapshot(v1): %v", err)
+	}
+	want := core.TxnSnap{ID: 7, Status: model.StatusCompleted, BeginSeq: 1, EndSeq: 2, IsCross: true,
+		Access: []core.AccessSnap{{Entity: 3, Access: model.WriteAccess, Seq: 2}}}
+	if st.Seq != 4 || len(st.Txns) != 1 || fmt.Sprintf("%+v", st.Txns[0]) != fmt.Sprintf("%+v", want) ||
+		len(st.Arcs) != 0 || len(st.Writes) != 1 || st.Writes[0] != (core.EntityWrite{Entity: 3, Seq: 2, Writer: 7}) {
+		t.Fatalf("v1 decoded as %+v", st)
+	}
+	enc := EncodeSnapshot(st)
+	if enc[0] != snapshotVersion {
+		t.Fatalf("re-encoded as version %d, want %d", enc[0], snapshotVersion)
+	}
+	if re, err := DecodeSnapshot(enc); err != nil || fmt.Sprintf("%+v", re) != fmt.Sprintf("%+v", st) {
+		t.Fatalf("v2 round trip: %+v, %v; want %+v", re, err, st)
+	}
 }

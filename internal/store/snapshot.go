@@ -4,6 +4,11 @@
 // entity writes); every list is length-prefixed and the exporter sorts
 // each section, so equal states encode to equal bytes — a property the
 // contract tests lean on.
+//
+// Version 2 is written. Version 1 also carried each transaction's
+// cross-ancestor labels after its accesses; it still decodes, with the
+// labels read and dropped (a recovered engine tracks no cross transaction,
+// so every one of them is dead), so an existing data dir keeps opening.
 package store
 
 import (
@@ -15,7 +20,10 @@ import (
 	"repro/internal/model"
 )
 
-const snapshotVersion = 1
+const (
+	snapshotVersion   = 2
+	snapshotVersionV1 = 1
+)
 
 const (
 	snapFlagCross    = 1 << 0
@@ -50,10 +58,6 @@ func EncodeSnapshot(st core.SchedulerState) []byte {
 			buf = binary.AppendVarint(buf, int64(a.Entity))
 			buf = append(buf, byte(a.Access))
 			buf = binary.AppendVarint(buf, a.Seq)
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(t.Labels)))
-		for _, l := range t.Labels {
-			buf = binary.AppendVarint(buf, int64(l))
 		}
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(st.Arcs)))
@@ -124,9 +128,10 @@ func (r *snapReader) byte(what string) byte {
 // DecodeSnapshot inverts EncodeSnapshot.
 func DecodeSnapshot(data []byte) (core.SchedulerState, error) {
 	var st core.SchedulerState
-	if len(data) == 0 || data[0] != snapshotVersion {
+	if len(data) == 0 || (data[0] != snapshotVersion && data[0] != snapshotVersionV1) {
 		return st, fmt.Errorf("%w: snapshot: unknown version", ErrCorruptWAL)
 	}
+	v1 := data[0] == snapshotVersionV1
 	r := &snapReader{p: data[1:]}
 	st.Seq = r.varint("seq")
 	ntxns := r.uvarint("txn count")
@@ -148,9 +153,11 @@ func DecodeSnapshot(data []byte) (core.SchedulerState, error) {
 			a.Seq = r.varint("access seq")
 			t.Access = append(t.Access, a)
 		}
-		nlabels := r.uvarint("label count")
-		for j := uint64(0); j < nlabels && r.err == nil; j++ {
-			t.Labels = append(t.Labels, model.TxnID(r.varint("label")))
+		if v1 {
+			nlabels := r.uvarint("label count")
+			for j := uint64(0); j < nlabels && r.err == nil; j++ {
+				r.varint("label")
+			}
 		}
 		st.Txns = append(st.Txns, t)
 	}
