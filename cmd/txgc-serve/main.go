@@ -36,8 +36,9 @@
 // decision of a cross-shard write, releasing prepared pins everywhere.
 //
 // The batch op pipelines several begin/read/write steps through a single
-// engine submission (consecutive same-shard steps cost one queue hop
-// instead of one each), answering with one result per step:
+// engine submission (each shard applies its steps in submission order, one
+// queue hop per shard instead of one per step, the shards concurrently),
+// answering with one result per step:
 //
 //	{"op":"batch","steps":[{"op":"begin","txn":1,"footprint":[0,4]},
 //	                       {"op":"read","txn":1,"entity":4},

@@ -3,8 +3,12 @@ package engine
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/model"
@@ -259,6 +263,226 @@ func TestSubmitBatchEquivalentToPerStep(t *testing.T) {
 	}
 	if sa.CrossTxns == 0 || sa.Prepares == 0 || sa.CrossAborts == 0 || sa.Misroutes == 0 || sa.Rejected == sa.Misroutes {
 		t.Fatalf("stream did not exercise cross, 2PC, misroute and cycle paths: %+v", of(sa))
+	}
+}
+
+// interleavedBatch returns 64 steps: sixteen partition-local transactions
+// T base+1 … base+16, four homed on each shard of a 4-shard engine, each a
+// BEGIN declaring two entities of its partition, a read of each and a final
+// write of the first, shuffled together by rng (each transaction's own
+// steps stay in order). No step in it is one the engine answers without a
+// shard, so the batch door sends it as one window.
+func interleavedBatch(rng *rand.Rand, base model.TxnID) []model.Step {
+	const shards, txns, perPart = 4, 16, 1024
+	var plans [txns][]model.Step
+	for j := range plans {
+		id := base + model.TxnID(j+1)
+		x := model.Entity(j%shards + shards*rng.Intn(perPart-1))
+		y := x + shards
+		plans[j] = []model.Step{model.BeginDeclared(id, x, y), model.Read(id, x), model.Read(id, y), model.WriteFinal(id, x)}
+	}
+	steps := make([]model.Step, 0, 4*txns)
+	for len(steps) < cap(steps) {
+		if j := rng.Intn(txns); len(plans[j]) > 0 {
+			steps = append(steps, plans[j][0])
+			plans[j] = plans[j][1:]
+		}
+	}
+	return steps
+}
+
+// TestSubmitBatchWindowRoundTrips: a 64-step batch interleaving sixteen
+// local transactions over four shards, with nothing in it that settles the
+// window early, costs one round-trip per shard, not one per same-shard run.
+func TestSubmitBatchWindowRoundTrips(t *testing.T) {
+	var trips atomic.Int64
+	testHookRoundTrip = func(*shard) { trips.Add(1) }
+	defer func() { testHookRoundTrip = nil }()
+	eng := New(Config{Shards: 4, Policy: func() core.Policy { return core.GreedyC1{} }})
+	defer eng.Close()
+
+	steps := interleavedBatch(rand.New(rand.NewSource(1)), 0)
+	results := eng.SubmitBatch(steps)
+	if n := trips.Load(); n > 4 {
+		t.Fatalf("%d mailbox round-trips for one 64-step window over 4 shards, want at most 4", n)
+	}
+	completed := 0
+	for i, r := range results {
+		if !r.Accepted() {
+			t.Fatalf("step %d (%v): %v", i, r.Step, r.Err)
+		}
+		if r.CompletedTxn != model.NoTxn {
+			completed++
+		}
+	}
+	if completed != 16 {
+		t.Fatalf("%d transactions completed, want 16", completed)
+	}
+}
+
+// TestSubmitBatchWindowMatchesPerStep sends one pre-materialised local-only
+// stream over four shards through the per-step door and, 64 steps at a
+// time, through the batch door, whose windows fan out to several shards at
+// once. The stream has no abort feedback, so the victims of its many cycles
+// keep their later steps, which land behind their own abort; every 23rd
+// read is shifted into a foreign partition (misroutes, some of them behind
+// their own abort too); and one BEGIN comes again while its transaction is
+// live. Whole Results and the nine counters of
+// TestSubmitBatchEquivalentToPerStep must agree.
+func TestSubmitBatchWindowMatchesPerStep(t *testing.T) {
+	gen := workload.New(workload.Config{
+		Entities: 32, Txns: 400, MaxActive: 16,
+		Shards: 4, DeclareFootprint: true, Seed: 27,
+	})
+	var stream []model.Step
+	for reads := 0; ; {
+		st, ok := gen.Next()
+		if !ok {
+			break
+		}
+		if st.Kind == model.KindRead {
+			if reads++; reads%23 == 0 {
+				st.Entity++
+			}
+		}
+		stream = append(stream, st)
+	}
+	const dup = 5 // stream[0] is a BEGIN; its transaction is still live here
+	stream = slices.Insert(stream, dup, stream[0])
+	// The random stream seldom puts a misroute right behind its own abort in
+	// one window, so its last window gets one for sure, on entities the
+	// stream never touches: T1 reads 32, T2 writes 32 and 36 (T1 → T2), T1's
+	// read of 36 closes the cycle, and T1's next read strays to shard 1,
+	// while T3 keeps shard 3 in the same window.
+	const t1, t2, t3 = 1 << 20, 1<<20 + 1, 1<<20 + 2
+	stream = append(stream,
+		model.BeginDeclared(t1, 32, 36), model.BeginDeclared(t2, 32, 36), model.BeginDeclared(t3, 35),
+		model.Read(t1, 32), model.WriteFinal(t2, 32, 36), model.Read(t3, 35),
+		model.Read(t1, 36), model.Read(t1, 33), model.WriteFinal(t3, 35))
+
+	run := func(submit func(*Engine) []Result) ([]Result, Stats) {
+		eng := New(Config{
+			Shards:                4,
+			Policy:                func() core.Policy { return core.GreedyC1{} },
+			SweepEveryCompletions: 2,
+		})
+		defer eng.Close()
+		return submit(eng), eng.Stats()
+	}
+	perStep, sa := run(func(eng *Engine) []Result {
+		out := make([]Result, 0, len(stream))
+		for _, st := range stream {
+			out = append(out, eng.Submit(st))
+		}
+		return out
+	})
+	batched, sb := run(func(eng *Engine) []Result {
+		// The first batch takes the remainder, so the last one is the
+		// stream's last 64 steps, the hand-made tail whole.
+		out := eng.SubmitBatchInto(nil, stream[:len(stream)%64])
+		for i := len(stream) % 64; i < len(stream); i += 64 {
+			out = eng.SubmitBatchInto(out, stream[i:i+64])
+		}
+		return out
+	})
+
+	if len(perStep) != len(stream) || len(batched) != len(stream) {
+		t.Fatalf("%d steps: %d per-step results, %d batched", len(stream), len(perStep), len(batched))
+	}
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	var cycles, dead int
+	for i, a := range perStep {
+		b := batched[i]
+		if a.Outcome() != b.Outcome() || errText(a.Err) != errText(b.Err) || a.Aborted != b.Aborted || a.CompletedTxn != b.CompletedTxn {
+			t.Fatalf("result %d (%v) diverged:\n per-step %v aborted=%v completed=%v err=%v\n batched  %v aborted=%v completed=%v err=%v",
+				i, a.Step, a.Outcome(), a.Aborted, a.CompletedTxn, a.Err, b.Outcome(), b.Aborted, b.CompletedTxn, b.Err)
+		}
+		switch {
+		case errors.Is(a.Err, ErrCycle):
+			cycles++
+		case errors.Is(a.Err, ErrTxnAborted):
+			dead++
+		}
+	}
+	type counters struct{ sub, acc, rej, comp, abort, cross, prep, crossAbort, misroute int64 }
+	of := func(s Stats) counters {
+		return counters{s.Submitted, s.Accepted, s.Rejected, s.Completed, s.Aborted, s.CrossTxns, s.Prepares, s.CrossAborts, s.Misroutes}
+	}
+	if of(sa) != of(sb) {
+		t.Fatalf("counters diverged: per-step %+v vs batched %+v", of(sa), of(sb))
+	}
+	if !errors.Is(perStep[dup].Err, ErrProtocol) || cycles == 0 || dead == 0 || sa.Misroutes == 0 || sa.CrossTxns != 0 {
+		t.Fatalf("stream did not exercise a live duplicate BEGIN (%v), cycles (%d), steps behind their own abort (%d) and misroutes, local only: %+v",
+			perStep[dup].Err, cycles, dead, of(sa))
+	}
+	if tail := perStep[len(perStep)-3:]; tail[0].Aborted != t1 || !errors.Is(tail[1].Err, ErrTxnAborted) || tail[2].CompletedTxn != t3 {
+		t.Fatalf("tail: T1's read %v, its stray read %v, T3's write completed %v; want a cycle, a dead step, T3",
+			tail[0].Err, tail[1].Err, tail[2].CompletedTxn)
+	}
+}
+
+// TestSubmitBatchCloseRacesWindows: Close lands while four clients fan
+// multi-shard windows out. Every step is answered in its place, every
+// ErrClosed names its step in closedResult's words, and no batch hangs.
+func TestSubmitBatchCloseRacesWindows(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		eng := New(Config{Shards: 4, Policy: func() core.Policy { return core.GreedyC1{} }})
+		const clients = 4
+		var wg sync.WaitGroup
+		started := make(chan struct{}, clients)
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(round*clients + c)))
+				var results []Result
+				for b := 0; ; b++ {
+					steps := interleavedBatch(rng, model.TxnID(c<<24|b<<5))
+					results = eng.SubmitBatchInto(results[:0], steps)
+					if b == 0 {
+						started <- struct{}{}
+					}
+					if len(results) != len(steps) {
+						t.Errorf("%d results for %d steps", len(results), len(steps))
+						return
+					}
+					closed := false
+					for i, r := range results {
+						st := steps[i]
+						if r.Step.Txn != st.Txn || r.Step.Kind != st.Kind || r.Step.Entity != st.Entity {
+							t.Errorf("result %d answers %v, want %v", i, r.Step, st)
+							return
+						}
+						if errors.Is(r.Err, ErrClosed) {
+							closed = true
+							if want := closedResult(st).Err.Error(); r.Err.Error() != want {
+								t.Errorf("result %d: %q, want %q", i, r.Err, want)
+								return
+							}
+						}
+					}
+					if closed {
+						return
+					}
+				}
+			}(c)
+		}
+		for c := 0; c < clients; c++ {
+			<-started
+		}
+		eng.Close()
+		finished := make(chan struct{})
+		go func() { wg.Wait(); close(finished) }()
+		select {
+		case <-finished:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: a batch hung across Close", round)
+		}
 	}
 }
 

@@ -74,15 +74,56 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineBatchInterleaved is the batch door's fan-out: one
+// goroutine sends 64-step seeded batches, each sixteen partition-local
+// transactions interleaved over four shards (interleavedBatch), through
+// SubmitBatchInto. roundtrips/batch counts mailbox round-trips through the
+// test hook: one per shard a window touches, so at most 4 here, where a
+// door that waited out every same-shard run paid 47.94. The count is
+// deterministic, and scripts/check_bench_budget.sh gates it at
+// max_batch_roundtrips_per_batch. Regenerate the BENCH_engine.json record
+// with:
+//
+//	go test -run '^$' -bench BenchmarkEngineBatchInterleaved -benchtime 3000x -benchmem ./internal/engine/
+func BenchmarkEngineBatchInterleaved(b *testing.B) {
+	var trips atomic.Int64
+	testHookRoundTrip = func(*shard) { trips.Add(1) }
+	defer func() { testHookRoundTrip = nil }()
+	eng := New(Config{Shards: 4, Policy: func() core.Policy { return core.GreedyC1{} }})
+	defer eng.Close()
+	// Sixteen batch shapes, renumbered per iteration so every ID is fresh.
+	rng := rand.New(rand.NewSource(7))
+	var shapes [16][]model.Step
+	for i := range shapes {
+		shapes[i] = interleavedBatch(rng, 0)
+	}
+	steps := make([]model.Step, 64)
+	results := make([]Result, 0, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	trips.Store(0)
+	for i := 0; i < b.N; i++ {
+		for k, st := range shapes[i%len(shapes)] {
+			st.Txn += model.TxnID(16 * i)
+			steps[k] = st
+		}
+		results = eng.SubmitBatchInto(results[:0], steps)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(trips.Load())/float64(b.N), "roundtrips/batch")
+	b.ReportMetric(float64(b.N)*64/b.Elapsed().Seconds(), "steps/s")
+}
+
 // BenchmarkEngineEmitOverhead measures what attaching the telemetry bus
 // costs the hot path: the same partition-local workload as
 // BenchmarkEngineThroughput (4 shards, greedy-c1, whole transactions through
 // SubmitBatchInto) run once without an emitter and once publishing every
-// lifecycle event to a live bus draining into a CountingSink.
-// scripts/check_bench_budget.sh gates the ns/op delta (median of paired
-// on/off runs) at max_emit_overhead_ns and holds the emitter=on variant to
-// the same allocs/op budget as the bare path — Emit must stay
-// allocation-free.
+// lifecycle event to a live bus draining into a CountingSink. The on
+// variant reports events/txn, every Emit call (published or dropped) per
+// transaction. scripts/check_bench_budget.sh gates that count at
+// max_emit_events_per_txn, holds the emitter=on variant to the same
+// allocs/op budget as the bare path — Emit must stay allocation-free — and
+// prints the paired on-off ns/op delta without gating it.
 // Regenerate the BENCH_engine.json record with:
 //
 //	go test -run '^$' -bench BenchmarkEngineEmitOverhead -benchtime 10000x -benchmem ./internal/engine/
@@ -124,6 +165,7 @@ func BenchmarkEngineEmitOverhead(b *testing.B) {
 		bus := emit.NewBus(emit.DefaultBuffer, &sink)
 		defer bus.Close()
 		run(b, bus)
+		b.ReportMetric(float64(bus.Emitted()+bus.Dropped())/float64(b.N), "events/txn")
 	})
 }
 
@@ -253,8 +295,8 @@ func BenchmarkEngineCrossFrac(b *testing.B) {
 // per-shard file WAL, sweeping the fsync batch (1 = strict, every record
 // durable before its ack; 64 = default; 256 = throughput-oriented).
 // scripts/check_bench_budget.sh gates the ns/op delta of the default
-// wal=on-fsync=64 variant against wal=off (median of paired runs, same
-// methodology as the emitter gate) at max_wal_overhead_ns. Regenerate the
+// wal=on-fsync=64 variant against wal=off (median of paired runs) at
+// max_wal_overhead_ns. Regenerate the
 // BENCH_engine.json record with:
 //
 //	go test -run '^$' -bench BenchmarkEngineWALOverhead -benchtime 10000x -benchmem ./internal/engine/

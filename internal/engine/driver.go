@@ -14,15 +14,16 @@ type StepSource interface {
 }
 
 // Drive pumps a step source into the engine through SubmitBatchInto,
-// batchSize steps per round-trip, reusing its step and result buffers so
-// the submission loop allocates nothing in steady state. It reacts to
-// rejections the way a per-step client session would: a rejected or
-// errored step means the transaction is dead (cycle abort, misroute,
-// overload shed, or engine shutdown), so the source discards its remaining
-// plan. Because a whole batch is decided before the source hears about
-// aborts, steps of a freshly dead transaction may still be in flight; the
-// engine rejects them as unknown, and the abort is reported to the source
-// only once. Returns the number of steps submitted.
+// batchSize steps per batch (each shard sees its steps in submission
+// order, the shards apply their parts concurrently), reusing its step and
+// result buffers so the submission loop allocates nothing in steady state.
+// It reacts to rejections the way a per-step client session would: a
+// rejected or errored step means the transaction is dead (cycle abort,
+// misroute, overload shed, or engine shutdown), so the source discards its
+// remaining plan. Because a whole batch is decided before the source hears
+// about aborts, steps of a freshly dead transaction may still be in
+// flight; the engine rejects them as unknown, and the abort is reported to
+// the source only once. Returns the number of steps submitted.
 func (e *Engine) Drive(src StepSource, batchSize int) int {
 	if batchSize < 1 {
 		batchSize = 1

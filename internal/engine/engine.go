@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -273,11 +274,6 @@ type Engine struct {
 	completed, aborted, deleted, sweeps atomic.Int64
 	crossTxns, prepares, crossAborts    atomic.Int64
 	misroutes, shed                     atomic.Int64
-
-	// resBufPool recycles SubmitBatch result buffers, keeping the steady
-	// state submit path free of allocations. (Replies need no pool: the
-	// shard mailbox's ring cell is the completion slot.)
-	resBufPool sync.Pool
 }
 
 // New starts an engine with cfg's shard goroutines running. It is Open
@@ -304,7 +300,6 @@ func Open(cfg Config) (*Engine, *RecoveryReport, error) {
 	}
 	e := &Engine{cfg: cfg, registry: newCrossRegistry(cfg.Shards)}
 	e.routes.init()
-	e.resBufPool.New = func() any { b := make([]Result, 0, 64); return &b }
 	e.shards = make([]*shard, cfg.Shards)
 	for i := range e.shards {
 		e.shards[i] = &shard{
@@ -475,6 +470,12 @@ func (e *Engine) admit(ctx context.Context, step model.Step, pri Priority, settl
 			return 0, false, e.crossStep(ctx, step, r)
 		case e.misroutedStep(step, r.shard):
 			settle()
+			// What was pending may have ended the transaction (a batched
+			// step behind its own abort or final write): then it is dead,
+			// as the per-step door would find it, not misrouted.
+			if _, live := e.routes.load(step.Txn); !live {
+				return 0, false, e.deadTxn(step)
+			}
 			return 0, false, e.misroute(step, r)
 		}
 		return r.shard, true, Result{}
@@ -520,20 +521,30 @@ func (e *Engine) shedBegin(step model.Step, home int) Result {
 	return answer(step, step.Txn, stepErr(step, ErrOverload))
 }
 
-// SubmitBatch submits a client's steps in order and returns one Result per
-// step. Consecutive steps bound for the same shard are pipelined through a
-// single shard round-trip, so a whole partition-local transaction (BEGIN,
-// reads, final write) costs one queue hop instead of one per step. The
-// ordering contract is Submit's: steps of one transaction must appear in
+// SubmitBatch submits a client's steps and returns one Result per step, in
+// submission order. Each shard sees the batch's steps bound for it in
+// submission order, and the shards apply their parts concurrently: the
+// partition-local steps between two points where the batch must wait (see
+// below) go out as one round-trip to every shard they touch, all in flight
+// at once, so a whole partition-local transaction (BEGIN, reads, final
+// write) costs one queue hop instead of one per step, and sixteen
+// interleaved ones over four shards cost four. A partition-local step
+// touches only its shard's state, so only the interleaving of different
+// shards' work changes, as it does between two concurrent clients.
+//
+// The ordering contract is Submit's: steps of one transaction must appear in
 // order, and a client must not submit a transaction's next step elsewhere
 // before the batch returns. A step pipelined behind the end of its own
 // transaction — behind its rejected step, or behind its final write — is
 // answered exactly as the per-step path would answer it: rejected, wrapping
 // ErrTxnAborted (ErrStragglerAborted after a reap). Only a step behind its
 // own refused BEGIN reports ErrProtocol, as the BEGIN itself did; its route
-// is dropped by the time the batch returns. Cross-partition steps interrupt
-// the pipeline (each is a routed round-trip of its own, and a final write
-// runs the two-phase commit) but never stall other clients' traffic.
+// is dropped by the time the batch returns. The batch waits for what it has
+// sent before every step the engine answers without a shard — a
+// cross-partition step (a routed round-trip of its own; a final write runs
+// the two-phase commit), a misroute, a step of a dead transaction, a
+// duplicate or shed BEGIN — and before a BEGIN that reuses a live ID. None
+// of this stalls other clients' traffic.
 func (e *Engine) SubmitBatch(steps []model.Step) []Result {
 	return e.SubmitBatchInto(make([]Result, 0, len(steps)), steps)
 }
@@ -543,28 +554,107 @@ func (e *Engine) SubmitBatch(steps []model.Step) []Result {
 // path submits at PriorityNormal with no deadline; session clients needing
 // per-transaction contexts or priorities use the per-step path.
 func (e *Engine) SubmitBatchInto(dst []Result, steps []model.Step) []Result {
-	// The run is steps[runStart:i], consecutive steps admitted to runShard
-	// and not yet applied; settle applies it.
-	runStart, runShard, i := -1, -1, 0
-	settle := func() {
-		if runStart >= 0 {
-			dst = e.flushRun(dst, runShard, steps[runStart:i])
-			runStart = -1
-		}
-	}
-	for ; i < len(steps); i++ {
+	var w window
+	settle := func() { dst = e.apply(&w, dst, steps) }
+	for i := range steps {
 		shard, ok, res := e.admit(context.Background(), steps[i], PriorityNormal, settle)
-		switch {
-		case !ok:
+		if !ok {
 			dst = append(dst, res)
-		case runStart < 0:
-			runStart, runShard = i, shard
-		case shard != runShard:
+			continue
+		}
+		if !w.add(i, shard) {
 			settle()
-			runStart, runShard = i, shard
+			w.add(i, shard)
 		}
 	}
 	settle()
+	return dst
+}
+
+// windowCap bounds a window that touches more than one shard, since each
+// shard's share of it is a bit mask over the window's positions. A window
+// on one shard needs no mask and has no bound.
+const windowCap = 64
+
+// window is the batch door's admitted but unapplied work: steps[start:
+// start+n], every one admitted, split into one part per shard it touches.
+// Every step the engine answers itself settles the window first, so the
+// window is always one contiguous span, and its results land at the end of
+// dst in the same order.
+type window struct {
+	start, n int
+	parts    [windowCap]part
+	nparts   int
+}
+
+// part is one shard's share of a window: the bit for each of its steps'
+// positions, and the ticket of the round-trip that carries them.
+type part struct {
+	shard int
+	own   uint64
+	tk    ring.Ticket
+	sent  bool
+}
+
+// add appends steps[i], admitted to shard, to the window. It reports false,
+// adding nothing, when the window must be applied first: a window of
+// windowCap steps takes no step for a second shard.
+func (w *window) add(i, shard int) bool {
+	if w.n == 0 {
+		w.start, w.nparts = i, 0
+	}
+	p := 0
+	for p < w.nparts && w.parts[p].shard != shard {
+		p++
+	}
+	if w.n >= windowCap && (w.nparts > 1 || p == w.nparts) {
+		return false
+	}
+	if p == w.nparts {
+		w.parts[p] = part{shard: shard}
+		w.nparts++
+	}
+	w.parts[p].own |= 1 << w.n
+	w.n++
+	return true
+}
+
+// apply runs the window and empties it: it publishes one reqBatch to every
+// shard the window touches, then waits for all the replies. Each shard
+// writes its steps' results into their own places in dst, so nothing is
+// merged or copied afterwards. A window on one shard goes out unmasked,
+// the caller's span as it stands.
+func (e *Engine) apply(w *window, dst []Result, steps []model.Step) []Result {
+	if w.n == 0 {
+		return dst
+	}
+	base := len(dst)
+	dst = slices.Grow(dst, w.n)[:base+w.n]
+	batch := request{kind: reqBatch, steps: steps[w.start : w.start+w.n], out: dst[base:]}
+	parts := w.parts[:w.nparts]
+	if len(parts) == 1 {
+		parts[0].own = 0
+	}
+	for i := range parts {
+		batch.own = parts[i].own
+		parts[i].tk, parts[i].sent = e.shards[parts[i].shard].start(batch)
+	}
+	for _, pt := range parts {
+		sh := e.shards[pt.shard]
+		if pt.sent {
+			if _, ok := sh.mb.Wait(pt.tk, sh.done); ok {
+				continue
+			}
+		}
+		// Never published, or lost to Close: the shard is gone, so nothing
+		// else writes these results.
+		batch.own = pt.own
+		batch.refuse()
+	}
+	for _, res := range dst[base:] {
+		e.landed(res)
+	}
+	w.n = 0
 	return dst
 }
 
@@ -580,27 +670,6 @@ func (e *Engine) misroutedStep(st model.Step, home int) bool {
 		}
 	}
 	return false
-}
-
-// flushRun applies one same-shard span through a single reqBatch
-// round-trip, appending its results to dst.
-func (e *Engine) flushRun(dst []Result, shardIdx int, steps []model.Step) []Result {
-	bufp := e.resBufPool.Get().(*[]Result)
-	rep, ok := e.shards[shardIdx].do(request{kind: reqBatch, steps: steps, done: (*bufp)[:0]})
-	if !ok {
-		// Lost request (Close raced us). The buffer may still be written
-		// by the shutdown drain — abandon it rather than recycle.
-		for _, st := range steps {
-			dst = append(dst, e.landed(closedResult(st)))
-		}
-		return dst
-	}
-	for _, res := range rep.results {
-		dst = append(dst, e.landed(res))
-	}
-	*bufp = rep.results[:0]
-	e.resBufPool.Put(bufp)
-	return dst
 }
 
 // doStep runs one step on a shard, mapping a lost request (Close raced the

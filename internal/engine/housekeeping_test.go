@@ -326,7 +326,7 @@ func crossCleanProportional(t *testing.T, abort bool) {
 
 // TestSubmitBatchStepBehindOwnAbort is the regression for a pipelined step
 // reaching the scheduler after its own transaction ended inside the same
-// same-shard run: it must be answered like the per-step path would —
+// batch window: it must be answered like the per-step path would —
 // rejected with ErrTxnAborted — not as a protocol violation.
 func TestSubmitBatchStepBehindOwnAbort(t *testing.T) {
 	eng := New(Config{Shards: 1})

@@ -17,7 +17,8 @@ const (
 	// reqStep applies one step to the shard's scheduler (local steps and
 	// cross sub-transaction reads alike).
 	reqStep reqKind = iota
-	// reqBatch applies a run of steps in one round-trip (SubmitBatch).
+	// reqBatch applies this shard's steps of a batch window in one
+	// round-trip (SubmitBatch).
 	reqBatch
 	// reqStats snapshots the shard's scheduler counters.
 	reqStats
@@ -59,17 +60,31 @@ type request struct {
 	// block the in-memory commit (recovery finishes the laggard from the
 	// evidence). The first participant's journal is the commit point.
 	decisionDurable bool
-	// steps is a reqBatch's remaining pipeline; it aliases the caller's
-	// input (the caller blocks until the reply, so the shard owns it).
+	// steps is a reqBatch's window and out its results, both aliasing the
+	// caller's buffers: the shard writes out[k] for each step k it owns
+	// (every step when own is 0, else the set bits of own), so the shards a
+	// window fans out to write disjoint elements, and the caller reads none
+	// until every reply is in.
 	steps []model.Step
-	// done accumulates a reqBatch's results.
-	done []Result
+	out   []Result
+	own   uint64
+}
+
+// owns reports whether a reqBatch's step k is this shard's to apply.
+func (r *request) owns(k int) bool { return r.own == 0 || r.own&(1<<k) != 0 }
+
+// refuse answers every step of a reqBatch this shard owns with ErrClosed.
+func (r *request) refuse() {
+	for k, st := range r.steps {
+		if r.owns(k) {
+			r.out[k] = closedResult(st)
+		}
+	}
 }
 
 type reply struct {
-	res     Result
-	results []Result
-	stats   core.Stats
+	res   Result
+	stats core.Stats
 	// actives answers reqOldest; n answers reqSweep (transactions deleted)
 	// and reqStats (transactions retained).
 	actives []core.ActiveInfo
@@ -151,30 +166,42 @@ func (sh *shard) trySend(req request) bool {
 	return true
 }
 
+// testHookRoundTrip, when non-nil, runs on the submitting goroutine for
+// every request start publishes: the round-trip counter of the batch-window
+// tests and benchmark.
+var testHookRoundTrip func(sh *shard)
+
+// start publishes a request that expects a reply, without waiting for it;
+// sh.mb.Wait(tk, sh.done) redeems the ticket. ok=false means the shard shut
+// down while its ring was full, and nothing was published.
+func (sh *shard) start(req request) (tk ring.Ticket, ok bool) {
+	if hook := testHookRoundTrip; hook != nil {
+		hook(sh)
+	}
+	sh.depth.Add(1)
+	tk, ok = sh.mb.Start(req, sh.done)
+	if !ok {
+		// Never published: no consumer will ever decrement for it.
+		sh.depth.Add(-1)
+	}
+	return tk, ok
+}
+
 // do sends a request and waits for its reply. ok=false means the shard
 // shut down without serving the request (Close raced the caller). The
 // round-trip is one ring cell: claim, publish, park on the cell until the
 // shard writes the reply back into it — nothing is allocated and no pool
 // is touched. A request published but never served (the shutdown drain
 // already ran) leaves its cell abandoned; by then every later submission
-// fails fast on sh.done, so the ring is garbage either way.
+// fails fast on sh.done, so the ring is garbage either way. Its depth
+// decrement belongs to whoever drains the cell, which may be no one — Stats
+// reports dead shards at zero, so the phantom count is invisible.
 func (sh *shard) do(req request) (reply, bool) {
-	sh.depth.Add(1)
-	rep, sent, ok := sh.mb.Send(req, sh.done)
-	if !sent {
-		// Never published: the shard shut down while the ring was full and
-		// no consumer will ever decrement for this request.
-		sh.depth.Add(-1)
-		return reply{}, false
-	}
+	tk, ok := sh.start(req)
 	if !ok {
-		// Published but unanswered (Close raced the caller): the depth
-		// decrement belongs to whoever drains the cell, which may be no
-		// one — Stats reports dead shards at zero, so the phantom count is
-		// invisible.
 		return reply{}, false
 	}
-	return rep, true
+	return sh.mb.Wait(tk, sh.done)
 }
 
 // run is the shard goroutine: drain a run of requests from the ring, apply
@@ -230,10 +257,12 @@ func (sh *shard) handle(req request, tk uint64, fire bool) (stop bool) {
 	case reqStep:
 		sh.mb.Reply(tk, reply{res: sh.applyOne(req.step)})
 	case reqBatch:
-		for _, st := range req.steps {
-			req.done = append(req.done, sh.applyOne(st))
+		for k, st := range req.steps {
+			if req.owns(k) {
+				req.out[k] = sh.applyOne(st)
+			}
 		}
-		sh.mb.Reply(tk, reply{results: req.done})
+		sh.mb.Reply(tk, reply{})
 	case reqStats:
 		sh.mb.Reply(tk, reply{stats: sh.sched.Stats(), n: int64(sh.sched.NumCompleted())})
 	case reqBeginSub:
@@ -288,7 +317,7 @@ func (sh *shard) applyOne(step model.Step) (out Result) {
 		if step.Kind != model.KindBegin && sh.txnGone(step.Txn) {
 			// The transaction ended between the submitter's route lookup and
 			// this step reaching the scheduler — an earlier step of the same
-			// pipelined run was rejected or was its final write, or the
+			// batch window was rejected or was its final write, or the
 			// governor's abort landed in between. It is dead, not
 			// protocol-confused: answer as the per-step path would, so the
 			// session learns its transaction is gone (and, for a reap, why).
@@ -605,12 +634,8 @@ func (sh *shard) shutdown() {
 			continue
 		}
 		if req.kind == reqBatch {
-			// Remaining steps of a queued batch fail; results already
-			// computed are delivered as-is.
-			for _, st := range req.steps {
-				req.done = append(req.done, closedResult(st))
-			}
-			sh.mb.Reply(tk, reply{results: req.done, stats: sh.final})
+			req.refuse()
+			sh.mb.Reply(tk, reply{stats: sh.final})
 			continue
 		}
 		// A drained stats request can still be answered truthfully; every

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -38,8 +39,7 @@ func (t *resultTally) add(o *resultTally) {
 // driveBatched feeds one generator's stream through SubmitBatchInto in
 // multi-transaction chunks — the pipelined mode the ring transport
 // rebuilt — and tallies every Result.
-func driveBatched(eng *Engine, cfg workload.Config, chunk int, tally *resultTally, onChunk func()) {
-	gen := workload.New(cfg)
+func driveBatched(eng *Engine, gen workload.Generator, chunk int, tally *resultTally, onChunk func()) {
 	steps := make([]model.Step, 0, chunk)
 	results := make([]Result, 0, chunk)
 	notified := make(map[model.TxnID]bool)
@@ -78,6 +78,58 @@ func driveBatched(eng *Engine, cfg workload.Config, chunk int, tally *resultTall
 			onChunk()
 		}
 	}
+}
+
+// lastingStraggler keeps one straggler alive on top of a generator's
+// stream for as long as the stream lasts. workload.Gen begins a single
+// straggler and does not reissue it after an abort, and a straggler reading
+// across partitions can be cross-vetoed before retention ever reaches a
+// governor watermark; if every driver's dies that early, nothing is left to
+// reap. So the stragglers come from here: one begins first and, whenever
+// one dies, another under the next ID. Each declares one entity per
+// partition, reads a random entity every `every` steps, and commits
+// read-only when the stream ends.
+type lastingStraggler struct {
+	gen                     workload.Generator
+	rng                     *rand.Rand
+	shards, entities, every int
+	next                    model.TxnID // the next straggler's ID
+	live                    model.TxnID // the live straggler, NoTxn while none
+	since                   int
+	ended                   bool // the wrapped stream is exhausted
+}
+
+func (s *lastingStraggler) Next() (model.Step, bool) {
+	switch {
+	case s.live == model.NoTxn && !s.ended:
+		s.live, s.next, s.since = s.next, s.next+1, 0
+		fp := make([]model.Entity, s.shards)
+		for i := range fp {
+			fp[i] = model.Entity(i)
+		}
+		return model.BeginDeclared(s.live, fp...), true
+	case s.live != model.NoTxn && s.since >= s.every:
+		s.since = 0
+		return model.Read(s.live, model.Entity(s.rng.Intn(s.entities))), true
+	}
+	s.since++
+	if st, ok := s.gen.Next(); ok {
+		return st, true
+	}
+	s.ended = true
+	if id := s.live; id != model.NoTxn {
+		s.live = model.NoTxn
+		return model.WriteFinal(id), true
+	}
+	return model.Step{}, false
+}
+
+func (s *lastingStraggler) NotifyAbort(id model.TxnID) {
+	if id == s.live {
+		s.live = model.NoTxn
+		return
+	}
+	s.gen.NotifyAbort(id)
 }
 
 // checkTally asserts the engine's aggregate counters equal the union of
@@ -123,12 +175,12 @@ func TestSubmissionDifferentialLocal(t *testing.T) {
 		go func(d int) {
 			defer wg.Done()
 			var tally resultTally
-			driveBatched(eng, workload.Config{
+			driveBatched(eng, workload.New(workload.Config{
 				Entities: 64, Txns: 200, MaxActive: 4,
 				Shards: 4, DeclareFootprint: true,
 				BaseTxnID: model.TxnID(d * 1_000_000), RestartAborted: true,
 				Seed: int64(400 + d),
-			}, 24, &tally, nil)
+			}), 24, &tally, nil)
 			mu.Lock()
 			total.add(&tally)
 			mu.Unlock()
@@ -166,13 +218,13 @@ func TestSubmissionDifferentialCrossHeavy(t *testing.T) {
 		go func(d int) {
 			defer wg.Done()
 			var tally resultTally
-			driveBatched(eng, workload.Config{
+			driveBatched(eng, workload.New(workload.Config{
 				Entities: 48, Txns: 200, MaxActive: 5,
 				Shards: 4, CrossFrac: 0.25, CrossShards: 2 + d%2,
 				DeclareFootprint: true,
 				BaseTxnID:        model.TxnID(d * 1_000_000), RestartAborted: true,
 				Seed: int64(4000 + d),
-			}, 24, &tally, nil)
+			}), 24, &tally, nil)
 			mu.Lock()
 			total.add(&tally)
 			mu.Unlock()
@@ -221,16 +273,20 @@ func TestSubmissionDifferentialGovernorReaping(t *testing.T) {
 		go func(d int) {
 			defer wg.Done()
 			var tally resultTally
-			cfg := workload.Config{
-				Entities: 48, Txns: 250, MaxActive: 5,
-				Shards: 4, DeclareFootprint: true,
-				BaseTxnID: model.TxnID(d * 1_000_000), RestartAborted: true,
-				Seed: int64(7000 + d),
-			}
-			// Every driver parks a straggler so each stream keeps arcs
+			// Every driver keeps a straggler alive so each stream keeps arcs
 			// open; the governor must reap to hold the watermark.
-			cfg.Straggler = 10 + d
-			driveBatched(eng, cfg, 24, &tally, func() {
+			gen := &lastingStraggler{
+				gen: workload.New(workload.Config{
+					Entities: 48, Txns: 250, MaxActive: 5,
+					Shards: 4, DeclareFootprint: true,
+					BaseTxnID: model.TxnID(d * 1_000_000), RestartAborted: true,
+					Seed: int64(7000 + d),
+				}),
+				rng:    rand.New(rand.NewSource(int64(7100 + d))),
+				shards: 4, entities: 48, every: 60 - 4*d,
+				next: model.TxnID(d*1_000_000 + 500_000),
+			}
+			driveBatched(eng, gen, 24, &tally, func() {
 				if chunks.Add(1)%4 == 0 {
 					eng.GovernNow()
 				}

@@ -189,8 +189,9 @@ type rcell[Req, Rep any] struct {
 }
 
 // Mailbox is a bounded multi-producer single-consumer request ring with
-// reply delivery through the same cells. Producers call Send (round-trip)
-// or Post (fire-and-forget); the single consumer loops Next + Reply.
+// reply delivery through the same cells. Producers call Send (round-trip),
+// Start and Wait (the round-trip's two halves, so several can overlap) or
+// Post (fire-and-forget); the single consumer loops Next + Reply.
 type Mailbox[Req, Rep any] struct {
 	cells []rcell[Req, Rep]
 	mask  uint64
@@ -268,20 +269,38 @@ func (m *Mailbox[Req, Rep]) publish(c *rcell[Req, Rep], pos uint64, req Req, fir
 	}
 }
 
-// Send publishes req and waits for the consumer's reply. sent reports
-// whether the request was published (false only when stop closed while the
-// ring was full — the consumer never saw it); ok reports whether a reply
-// was received. sent && !ok means the request was published but stop
-// closed before the consumer replied: the cell is abandoned (a late reply
-// may still be written into it, so it is never recycled), which only
-// happens during shutdown, when the whole ring is about to be garbage.
-func (m *Mailbox[Req, Rep]) Send(req Req, stop <-chan struct{}) (rep Rep, sent, ok bool) {
+// Ticket names a request Start published; Wait redeems it for the reply.
+type Ticket uint64
+
+// Start publishes req without waiting for the reply, so a producer can have
+// requests in flight on several mailboxes (or several on one) before it
+// waits for any. sent=false means stop closed while the ring was full: the
+// consumer never saw the request and the ticket is void. Every other ticket
+// must be redeemed by exactly one Wait, because its cell stays claimed until
+// then: a producer holding Cap unredeemed tickets on one mailbox would wait
+// on itself at the next claim.
+func (m *Mailbox[Req, Rep]) Start(req Req, stop <-chan struct{}) (tk Ticket, sent bool) {
 	c, pos, claimed := m.claim(stop)
 	if !claimed {
-		return rep, false, false
+		return 0, false
 	}
 	m.publish(c, pos, req, false)
-	rep, ok = m.await(c, pos, stop)
+	return Ticket(pos), true
+}
+
+// Send publishes req and waits for the consumer's reply: Start, then Wait.
+// sent reports whether the request was published (false only when stop
+// closed while the ring was full — the consumer never saw it); ok reports
+// whether a reply was received. sent && !ok means the request was published
+// but stop closed before the consumer replied: the cell is abandoned (a
+// late reply may still be written into it, so it is never recycled), which
+// only happens during shutdown, when the whole ring is about to be garbage.
+func (m *Mailbox[Req, Rep]) Send(req Req, stop <-chan struct{}) (rep Rep, sent, ok bool) {
+	tk, sent := m.Start(req, stop)
+	if !sent {
+		return rep, false, false
+	}
+	rep, ok = m.Wait(tk, stop)
 	return rep, true, ok
 }
 
@@ -297,15 +316,18 @@ func (m *Mailbox[Req, Rep]) Post(req Req, stop <-chan struct{}) bool {
 	return true
 }
 
-// await waits for the reply to the request published at pos: spin briefly,
-// then park on the cell's wake channel. The waiter-flag handshake with
-// Reply runs on sequentially consistent atomics: either the waiter sees
-// the reply's sequence store and skips the park, or Reply sees the waiter
-// flag and sends the token — a lost wake would need both loads to precede
-// both stores, which seq-cst forbids. Spurious tokens (from a waiter that
-// raced past its own park, possibly a lap ago) are absorbed by re-checking
-// the sequence around every park.
-func (m *Mailbox[Req, Rep]) await(c *rcell[Req, Rep], pos uint64, stop <-chan struct{}) (Rep, bool) {
+// Wait waits for the reply to the request Start published under tk: spin
+// briefly, then park on the cell's wake channel. ok=false means stop closed
+// before the consumer replied, and the cell is abandoned (see Send). The
+// waiter-flag handshake with Reply runs on sequentially consistent atomics:
+// either the waiter sees the reply's sequence store and skips the park, or
+// Reply sees the waiter flag and sends the token — a lost wake would need
+// both loads to precede both stores, which seq-cst forbids. Spurious tokens
+// (from a waiter that raced past its own park, possibly a lap ago) are
+// absorbed by re-checking the sequence around every park.
+func (m *Mailbox[Req, Rep]) Wait(tk Ticket, stop <-chan struct{}) (Rep, bool) {
+	pos := uint64(tk)
+	c := &m.cells[pos&m.mask]
 	done := pos + 2
 	for i := 0; i < replySpins; i++ {
 		if c.seq.Load() == done {

@@ -243,9 +243,83 @@ func TestMailboxStopWhileAwaitingReply(t *testing.T) {
 	}
 }
 
+// TestMailboxStartWaitOutOfOrder: one producer keeps several Start tickets
+// outstanding on one mailbox and redeems them in reverse order, lap after
+// lap of a small ring; every Wait must return its own request's reply.
+func TestMailboxStartWaitOutOfOrder(t *testing.T) {
+	m := NewMailbox[int, int](8)
+	done := make(chan struct{})
+	defer close(done)
+	go func() {
+		for {
+			req, tk, _, ok := m.Next()
+			if !ok {
+				if !m.Park(done) {
+					return
+				}
+				continue
+			}
+			m.Reply(tk, req*2)
+		}
+	}()
+	var tks [5]Ticket
+	for lap := 0; lap < 20; lap++ {
+		for i := range tks {
+			tk, sent := m.Start(lap*10+i, nil)
+			if !sent {
+				t.Fatalf("lap %d: Start(%d) not sent", lap, i)
+			}
+			tks[i] = tk
+		}
+		for i := len(tks) - 1; i >= 0; i-- {
+			if rep, ok := m.Wait(tks[i], nil); !ok || rep != (lap*10+i)*2 {
+				t.Fatalf("lap %d: Wait(ticket %d) = (%d, %v), want (%d, true)", lap, i, rep, ok, (lap*10+i)*2)
+			}
+		}
+	}
+}
+
+// TestMailboxStopBetweenStartAndWait: stop closes while two tickets are
+// outstanding and only the first was answered. The answered one still
+// yields its reply; the other gives up at once instead of waiting forever.
+func TestMailboxStopBetweenStartAndWait(t *testing.T) {
+	m := NewMailbox[int, int](4)
+	stop := make(chan struct{})
+	tk1, sent1 := m.Start(1, stop)
+	tk2, sent2 := m.Start(2, stop)
+	if !sent1 || !sent2 {
+		t.Fatal("Start with room in the ring must publish")
+	}
+	req, tk, _, ok := m.Next()
+	if !ok || req != 1 {
+		t.Fatalf("Next = (%d, %v), want the first request", req, ok)
+	}
+	m.Reply(tk, 100)
+	close(stop)
+	type outcome struct {
+		rep int
+		ok  bool
+	}
+	res := make(chan [2]outcome, 1)
+	go func() {
+		var o [2]outcome
+		o[1].rep, o[1].ok = m.Wait(tk2, stop)
+		o[0].rep, o[0].ok = m.Wait(tk1, stop)
+		res <- o
+	}()
+	select {
+	case o := <-res:
+		if o[0] != (outcome{100, true}) || o[1] != (outcome{0, false}) {
+			t.Fatalf("answered ticket = %+v, want {100 true}; unanswered = %+v, want {0 false}", o[0], o[1])
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Wait did not return after stop closed")
+	}
+}
+
 // TestMailboxLateReplyAfterStop pins the shutdown-drain contract: a reply
 // written while the producer is giving up is still picked up (ok=true) —
-// the last-chance seq check in await.
+// the last-chance seq check in Wait.
 func TestMailboxLateReplyAfterStop(t *testing.T) {
 	m := NewMailbox[int, int](4)
 	stop := make(chan struct{})

@@ -8,9 +8,13 @@
 # max_core_sweep_allocs_per_txn), the wire door's per-step codec and reply
 # coalescing (BenchmarkWireStep and BenchmarkServePipelined in
 # cmd/txgc-serve, allocs per step vs max_wire_allocs_per_step and writes
-# per eight-deep burst vs max_serve_writes_per_burst), the telemetry
-# emitter overhead (BenchmarkEngineEmitOverhead on vs off, ns/op delta),
-# the retention governor's peak retained count under attack
+# per eight-deep burst vs max_serve_writes_per_burst), the batch door's
+# fan-out (BenchmarkEngineBatchInterleaved, mailbox round-trips per 64-step
+# batch vs max_batch_roundtrips_per_batch), the telemetry emitter
+# (BenchmarkEngineEmitOverhead: events published per transaction vs
+# max_emit_events_per_txn, allocs/op with the bus on, and the paired on-off
+# ns/op delta, printed for information only), the retention governor's
+# peak retained count under attack
 # (BenchmarkEngineRetentionGoverned, peak-kept vs max_peak_kept), the
 # durability layer's WAL overhead at the default fsync batch
 # (BenchmarkEngineWALOverhead on vs off, ns/op delta vs
@@ -20,7 +24,8 @@
 #
 # Usage: check_bench_budget.sh [all|alloc|scale]
 #   all   (default) every gate
-#   alloc allocation + sweep + wire + emitter + WAL + retention gates only
+#   alloc allocation + sweep + wire + fan-out + emitter + WAL + retention
+#         gates only
 #   scale the -cpu 2 p99 latency gate only (the CI bench-scale job)
 #
 # Every gate runs and reports. A gate over budget is recorded and the
@@ -56,7 +61,8 @@ esac
 budget=$(awk '/^max_allocs_per_op/ {print $2}' bench_budget.txt)
 nogc_budget=$(awk '/^max_nogc_allocs_per_op/ {print $2}' bench_budget.txt)
 cross_budget=$(awk '/^max_cross_allocs_per_op/ {print $2}' bench_budget.txt)
-emit_budget=$(awk '/^max_emit_overhead_ns/ {print $2}' bench_budget.txt)
+trips_budget=$(awk '/^max_batch_roundtrips_per_batch/ {print $2}' bench_budget.txt)
+events_budget=$(awk '/^max_emit_events_per_txn/ {print $2}' bench_budget.txt)
 kept_budget=$(awk '/^max_peak_kept/ {print $2}' bench_budget.txt)
 p99_budget=$(awk '/^max_p99_step_ns/ {print $2}' bench_budget.txt)
 wal_budget=$(awk '/^max_wal_overhead_ns/ {print $2}' bench_budget.txt)
@@ -66,7 +72,8 @@ writes_budget=$(awk '/^max_serve_writes_per_burst/ {print $2}' bench_budget.txt)
 [ -n "$budget" ] || { echo "check_bench_budget: no max_allocs_per_op in bench_budget.txt" >&2; exit 2; }
 [ -n "$nogc_budget" ] || { echo "check_bench_budget: no max_nogc_allocs_per_op in bench_budget.txt" >&2; exit 2; }
 [ -n "$cross_budget" ] || { echo "check_bench_budget: no max_cross_allocs_per_op in bench_budget.txt" >&2; exit 2; }
-[ -n "$emit_budget" ] || { echo "check_bench_budget: no max_emit_overhead_ns in bench_budget.txt" >&2; exit 2; }
+[ -n "$trips_budget" ] || { echo "check_bench_budget: no max_batch_roundtrips_per_batch in bench_budget.txt" >&2; exit 2; }
+[ -n "$events_budget" ] || { echo "check_bench_budget: no max_emit_events_per_txn in bench_budget.txt" >&2; exit 2; }
 [ -n "$kept_budget" ] || { echo "check_bench_budget: no max_peak_kept in bench_budget.txt" >&2; exit 2; }
 [ -n "$p99_budget" ] || { echo "check_bench_budget: no max_p99_step_ns in bench_budget.txt" >&2; exit 2; }
 [ -n "$wal_budget" ] || { echo "check_bench_budget: no max_wal_overhead_ns in bench_budget.txt" >&2; exit 2; }
@@ -75,7 +82,7 @@ writes_budget=$(awk '/^max_serve_writes_per_burst/ {print $2}' bench_budget.txt)
 [ -n "$writes_budget" ] || { echo "check_bench_budget: no max_serve_writes_per_burst in bench_budget.txt" >&2; exit 2; }
 
 if [ "$section" != "scale" ]; then
-	out=$(go test -run '^$' -bench 'BenchmarkEngineThroughput/shards=4/(policy=greedy-c1|policy=nogc)$|BenchmarkEngineCrossFrac/cross=5' \
+	out=$(go test -run '^$' -bench 'BenchmarkEngineThroughput/shards=4/(policy=greedy-c1|policy=nogc)$|BenchmarkEngineCrossFrac/cross=5|BenchmarkEngineBatchInterleaved' \
 		-benchtime 3000x -benchmem ./internal/engine/)
 	echo "$out"
 
@@ -105,6 +112,18 @@ if [ "$section" != "scale" ]; then
 		fail cross-allocs "cross path $cross_allocs allocs/op exceeds budget of $cross_budget"
 	else
 		pass "cross path $cross_allocs allocs/op within budget of $cross_budget"
+	fi
+
+	# Batch door fan-out: mailbox round-trips per 64-step batch of sixteen
+	# interleaved local transactions over four shards. A count fixed by the
+	# code (one per shard a window touches), so the budget is the measured
+	# value and the comparison exact.
+	trips=$(echo "$out" | awk '/BenchmarkEngineBatchInterleaved/ {for (i = 2; i <= NF; i++) if ($i == "roundtrips/batch") print $(i-1)}' | head -1)
+	[ -n "$trips" ] || { echo "check_bench_budget: could not parse roundtrips/batch from benchmark output" >&2; exit 2; }
+	if awk -v a="$trips" -v b="$trips_budget" 'BEGIN {exit !(a > b)}'; then
+		fail batch-roundtrips "batch door $trips mailbox round-trips per batch exceeds budget of $trips_budget (windows no longer fan out)"
+	else
+		pass "batch door $trips mailbox round-trips per batch within budget of $trips_budget"
 	fi
 
 	# Between-batch sweep: allocations per transaction of the scheduler
@@ -144,15 +163,14 @@ if [ "$section" != "scale" ]; then
 		pass "serve issued $burst_writes writes per eight-deep burst, budget $writes_budget"
 	fi
 
-	# Emitter overhead: the gate is the median of per-invocation (on - off)
-	# ns/op deltas over five paired runs. Pairing matters: within one `go
-	# test` invocation the two variants run back-to-back, so slow drift on a
-	# shared host (thermal, noisy neighbors) cancels out of the delta, where
-	# comparing a min or median of independent pools flaps by 15%. The
-	# budget is absolute ns (see bench_budget.txt) so speeding up the rest
-	# of the hot path cannot fail this gate.
+	# Emitter: events published per transaction (a count, the same on any
+	# host) and allocs/op with the bus on are gated. The median of five
+	# paired (on - off) ns/op deltas is printed for information only: it
+	# tracks the host's spare CPU for the drain goroutine, not the code (see
+	# bench_budget.txt).
 	emit_deltas=""
 	emit_allocs=0
+	emit_events=0
 	for _i in 1 2 3 4 5; do
 		emit_out=$(go test -run '^$' -bench 'BenchmarkEngineEmitOverhead' \
 			-benchtime 10000x -benchmem ./internal/engine/)
@@ -164,12 +182,16 @@ if [ "$section" != "scale" ]; then
 		a=$(echo "$emit_out" | awk '/emitter=on/ {for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}' | head -1)
 		[ -n "$a" ] || { echo "check_bench_budget: could not parse emitter=on allocs/op" >&2; exit 2; }
 		[ "$a" -gt "$emit_allocs" ] && emit_allocs=$a
+		ev=$(echo "$emit_out" | awk '/emitter=on/ {for (i = 2; i <= NF; i++) if ($i == "events/txn") print $(i-1)}' | head -1)
+		[ -n "$ev" ] || { echo "check_bench_budget: could not parse emitter=on events/txn" >&2; exit 2; }
+		emit_events=$(awk -v a="$ev" -v b="$emit_events" 'BEGIN {print (a > b) ? a : b}')
 	done
 	delta=$(echo "$emit_deltas" | tr ' ' '\n' | grep -v '^$' | sort -n | awk '{v[NR] = $1} END {print v[int((NR + 1) / 2)]}')
-	if [ "$delta" -gt "$emit_budget" ]; then
-		fail emit-overhead "emitter overhead ${delta} ns/op (median of paired deltas:${emit_deltas}) exceeds budget of ${emit_budget} ns"
+	echo "check_bench_budget: info: emitter overhead ${delta} ns/op (median of paired deltas:${emit_deltas}; not gated)"
+	if awk -v a="$emit_events" -v b="$events_budget" 'BEGIN {exit !(a > b)}'; then
+		fail emit-events "emitter published $emit_events events per transaction, budget $events_budget"
 	else
-		pass "emitter overhead ${delta} ns/op (median of paired deltas:${emit_deltas}) within budget of ${emit_budget} ns"
+		pass "emitter published $emit_events events per transaction, budget $events_budget"
 	fi
 	if [ "$emit_allocs" -gt "$budget" ]; then
 		fail emit-allocs "emitter=on path $emit_allocs allocs/op exceeds budget of $budget (Emit must not allocate)"
@@ -177,9 +199,9 @@ if [ "$section" != "scale" ]; then
 		pass "emitter=on path $emit_allocs allocs/op within budget of $budget"
 	fi
 
-	# WAL overhead: same paired-delta methodology as the emitter gate — the
-	# wal=on-fsync=64 and wal=off variants run back-to-back within one `go
-	# test` invocation, so host drift cancels out of the delta. The budget
+	# WAL overhead: the median of paired deltas — the wal=on-fsync=64 and
+	# wal=off variants run back-to-back within one `go test` invocation, so
+	# host drift cancels out of the delta. The budget
 	# is absolute ns and dominated by real fsync latency (see
 	# bench_budget.txt); three pairs suffice because the signal a regression
 	# leaves (lost fsync batching, per-record allocation storms) is a

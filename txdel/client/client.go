@@ -260,11 +260,13 @@ func (db *DB) Stats() Stats { return db.eng.Stats() }
 func (db *DB) QueueDepths() []int64 { return db.eng.QueueDepths() }
 
 // SubmitBatch is the raw step path under the session API: it submits a
-// client's steps in order (consecutive same-shard steps pipelined through
-// one shard round-trip) and returns one Result per step. Sessions and
-// batches may be mixed on one DB, but one transaction's steps must all
-// come from one or the other. Batch steps run at PriorityNormal with no
-// deadline.
+// client's steps and returns one Result per step, in submission order.
+// Each shard sees the batch's steps bound for it in submission order, and
+// the shards apply their parts concurrently: the partition-local steps
+// between two cross-partition steps cost one round-trip per shard they
+// touch, not one per step. Sessions and batches may be mixed on one DB,
+// but one transaction's steps must all come from one or the other. Batch
+// steps run at PriorityNormal with no deadline.
 func (db *DB) SubmitBatch(steps []Step) []Result { return db.eng.SubmitBatch(steps) }
 
 // Abort aborts a live transaction by ID, whatever state it is in —
@@ -276,8 +278,8 @@ func (db *DB) SubmitBatch(steps []Step) []Result { return db.eng.SubmitBatch(ste
 func (db *DB) Abort(id TxnID) bool { return db.eng.Abort(id) }
 
 // Drive pumps a step source (e.g. a txdel.Workload generator) into the
-// engine through the batched submission path, batchSize steps per shard
-// round-trip, reacting to rejections the way a per-step session would. It
+// engine through the batched submission path (SubmitBatch), batchSize steps
+// per batch, reacting to rejections the way a per-step session would. It
 // returns the number of steps submitted.
 func (db *DB) Drive(src StepSource, batchSize int) int { return db.eng.Drive(src, batchSize) }
 
