@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -266,19 +267,27 @@ func TestSubmitBatchEquivalentToPerStep(t *testing.T) {
 	}
 }
 
-// interleavedBatch returns 64 steps: sixteen partition-local transactions
-// T base+1 … base+16, four homed on each shard of a 4-shard engine, each a
-// BEGIN declaring two entities of its partition, a read of each and a final
-// write of the first, shuffled together by rng (each transaction's own
-// steps stay in order). No step in it is one the engine answers without a
-// shard, so the batch door sends it as one window.
-func interleavedBatch(rng *rand.Rand, base model.TxnID) []model.Step {
+// interleavedBatch returns 64 steps: sixteen transactions T base+1 …
+// base+16 over a 4-shard engine, shuffled together by rng (each
+// transaction's own steps stay in order). Transaction j is homed on shard
+// j mod 4. The first cross of them span their home shard and the next, on
+// two entities no other transaction touches: a BEGIN, a read of each, and a
+// final write of both. The rest are partition-local: a BEGIN declaring two
+// entities of its partition, a read of each and a final write of the first.
+// With cross = 0 no step in it is one the engine answers without a shard,
+// so the batch door sends it as one window.
+func interleavedBatch(rng *rand.Rand, base model.TxnID, cross int) []model.Step {
 	const shards, txns, perPart = 4, 16, 1024
 	var plans [txns][]model.Step
 	for j := range plans {
 		id := base + model.TxnID(j+1)
 		x := model.Entity(j%shards + shards*rng.Intn(perPart-1))
 		y := x + shards
+		if j < cross {
+			a := model.Entity(shards*perPart + 2*shards*j + j%shards)
+			plans[j] = []model.Step{model.BeginDeclared(id, a, a+1), model.Read(id, a), model.Read(id, a+1), model.WriteFinal(id, a, a+1)}
+			continue
+		}
 		plans[j] = []model.Step{model.BeginDeclared(id, x, y), model.Read(id, x), model.Read(id, y), model.WriteFinal(id, x)}
 	}
 	steps := make([]model.Step, 0, 4*txns)
@@ -301,7 +310,7 @@ func TestSubmitBatchWindowRoundTrips(t *testing.T) {
 	eng := New(Config{Shards: 4, Policy: func() core.Policy { return core.GreedyC1{} }})
 	defer eng.Close()
 
-	steps := interleavedBatch(rand.New(rand.NewSource(1)), 0)
+	steps := interleavedBatch(rand.New(rand.NewSource(1)), 0, 0)
 	results := eng.SubmitBatch(steps)
 	if n := trips.Load(); n > 4 {
 		t.Fatalf("%d mailbox round-trips for one 64-step window over 4 shards, want at most 4", n)
@@ -426,6 +435,242 @@ func TestSubmitBatchWindowMatchesPerStep(t *testing.T) {
 	}
 }
 
+// TestSubmitBatchCrossMatchesPerStep sends one pre-materialised stream over
+// four shards through the per-step door and, batch by batch, through the
+// batch door, where cross reads ride the windows. The local part is a
+// random stream without abort feedback (cycles, steps behind their own
+// abort); spliced into it, each inside one batch, are cross transactions on
+// entities nothing else touches, so their verdicts cannot depend on
+// cross-shard timing. Every fourth one is walked into a cycle by a local
+// partner on its first participant: its second read there is rejected, its
+// next read there lands in the same window behind the rejection, and its
+// read on the other participant comes later in the same batch. The others
+// read on both participants and commit. Whole Results and the nine counters
+// must agree.
+func TestSubmitBatchCrossMatchesPerStep(t *testing.T) {
+	gen := workload.New(workload.Config{
+		Entities: 32, Txns: 300, MaxActive: 12,
+		Shards: 4, DeclareFootprint: true, Seed: 28,
+	})
+	var local []model.Step
+	for {
+		st, ok := gen.Next()
+		if !ok {
+			break
+		}
+		local = append(local, st)
+	}
+	// cross returns the k-th spliced transaction: T (cross over shards s and
+	// s+1 mod 4, on entities between 64+16k and 64+16k+7) and, when doomed,
+	// its local partner L.
+	cross := func(k int) []model.Step {
+		tx, l := model.TxnID(1<<20+2*k), model.TxnID(1<<20+2*k+1)
+		s := k % 4
+		a := model.Entity(64 + 16*k + s) // a and b on shard s, c on shard s+1
+		b, c := a+4, a+1
+		if k%4 != 0 {
+			return []model.Step{
+				model.BeginDeclared(tx, a, c), model.Read(tx, a), model.Read(tx, a),
+				model.Read(tx, c), model.WriteFinal(tx, a, c),
+			}
+		}
+		return []model.Step{
+			model.BeginDeclared(tx, a, b, c), model.BeginDeclared(l, a, b),
+			model.Read(tx, a), model.WriteFinal(l, a, b), // T → L
+			model.Read(tx, b), // L → T closes the cycle: T's read is rejected
+			model.Read(tx, a), // behind the rejection, same shard, same window
+			model.Read(tx, c), // the other participant, later in the batch
+			model.WriteFinal(tx, a, c),
+		}
+	}
+	var batches [][]model.Step
+	for k := 0; len(local) > 0; k++ {
+		n := min(len(local), 40+k%17)
+		batch := slices.Clone(local[:n])
+		local = local[n:]
+		batch = slices.Insert(batch, (7*k)%(n+1), cross(k)...)
+		batches = append(batches, batch)
+	}
+
+	run := func(submit func(*Engine) []Result) ([]Result, Stats) {
+		eng := New(Config{
+			Shards:                4,
+			Policy:                func() core.Policy { return core.GreedyC1{} },
+			SweepEveryCompletions: 2,
+		})
+		defer eng.Close()
+		return submit(eng), eng.Stats()
+	}
+	perStep, sa := run(func(eng *Engine) []Result {
+		var out []Result
+		for _, batch := range batches {
+			for _, st := range batch {
+				out = append(out, eng.Submit(st))
+			}
+		}
+		return out
+	})
+	batched, sb := run(func(eng *Engine) []Result {
+		var out []Result
+		for _, batch := range batches {
+			out = eng.SubmitBatchInto(out, batch)
+		}
+		return out
+	})
+
+	if len(perStep) != len(batched) {
+		t.Fatalf("%d per-step results, %d batched", len(perStep), len(batched))
+	}
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	var crossCycles, crossDead int
+	for i, a := range perStep {
+		b := batched[i]
+		if a.Outcome() != b.Outcome() || errText(a.Err) != errText(b.Err) || a.Aborted != b.Aborted || a.CompletedTxn != b.CompletedTxn {
+			t.Fatalf("result %d (%v) diverged:\n per-step %v aborted=%v completed=%v err=%v\n batched  %v aborted=%v completed=%v err=%v",
+				i, a.Step, a.Outcome(), a.Aborted, a.CompletedTxn, a.Err, b.Outcome(), b.Aborted, b.CompletedTxn, b.Err)
+		}
+		if a.Step.Txn >= 1<<20 && a.Step.Txn%2 == 0 && a.Step.Kind == model.KindRead {
+			switch {
+			case errors.Is(a.Err, ErrCycle):
+				crossCycles++
+			case errors.Is(a.Err, ErrTxnAborted):
+				crossDead++
+			}
+		}
+	}
+	type counters struct{ sub, acc, rej, comp, abort, cross, prep, crossAbort, misroute int64 }
+	of := func(s Stats) counters {
+		return counters{s.Submitted, s.Accepted, s.Rejected, s.Completed, s.Aborted, s.CrossTxns, s.Prepares, s.CrossAborts, s.Misroutes}
+	}
+	if of(sa) != of(sb) {
+		t.Fatalf("counters diverged: per-step %+v vs batched %+v", of(sa), of(sb))
+	}
+	doomed := (len(batches) + 3) / 4
+	if crossCycles != doomed || crossDead != 2*doomed || sa.CrossAborts != int64(doomed) || sa.CrossTxns != int64(len(batches)) {
+		t.Fatalf("%d batches: %d cross reads rejected, %d behind them, %d cross aborts of %d cross transactions; want %d, %d, %d",
+			len(batches), crossCycles, crossDead, sa.CrossAborts, sa.CrossTxns, doomed, 2*doomed, doomed)
+	}
+}
+
+// TestCrossReadRacesAbort: Engine.Abort lands on cross transactions while
+// their reads ride batch windows, half of them also racing a read the shard
+// rejects (a local partner closes a cycle) and the other half their own
+// two-phase commit. Every step must be answered in its place and never as a
+// protocol error; every cross transaction ends exactly once — committed, or
+// aborted by whichever of Abort, the rejected read and the client's own
+// closing Abort got there first — so CrossAborts counts each aborted one
+// once; and no prepared pin or registry entry outlives the run.
+func TestCrossReadRacesAbort(t *testing.T) {
+	eng := New(Config{Shards: 4, Policy: func() core.Policy { return core.GreedyC1{} }})
+	defer eng.Close()
+	const clients, rounds = 3, 150
+	victims := make(chan model.TxnID, clients*rounds)
+	racerDone := make(chan struct{})
+	var won atomic.Int64
+	go func() {
+		defer close(racerDone)
+		rng := rand.New(rand.NewSource(1))
+		for id := range victims {
+			for n := rng.Intn(8); n > 0; n-- {
+				runtime.Gosched()
+			}
+			if eng.Abort(id) {
+				won.Add(1)
+			}
+		}
+	}()
+	var committed, begun, dead atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			var results []Result
+			for r := 0; r < rounds; r++ {
+				k := c*rounds + r
+				tx, l := model.TxnID(2*k+2), model.TxnID(2*k+3)
+				s := k % 4
+				a := model.Entity(16*k + s) // a and b on shard s, c on shard s+1
+				b, x := a+4, a+1
+				steps := []model.Step{
+					model.BeginDeclared(tx, a, b, x), model.BeginDeclared(l, a, b),
+					model.Read(tx, a), model.Read(tx, x),
+				}
+				if k%2 == 0 {
+					steps = append(steps,
+						model.WriteFinal(l, a, b), // T → L
+						model.Read(tx, b),         // L → T: a cycle, T's read is rejected
+						model.Read(tx, a), model.Read(tx, x))
+				} else {
+					steps = append(steps, model.Read(tx, a), model.Read(tx, x),
+						model.WriteFinal(tx, a, x), model.WriteFinal(l, a, b))
+				}
+				victims <- tx
+				results = eng.SubmitBatchInto(results[:0], steps)
+				for i, res := range results {
+					st := steps[i]
+					if res.Step.Txn != st.Txn || res.Step.Kind != st.Kind || res.Step.Entity != st.Entity {
+						t.Errorf("result %d answers %v, want %v", i, res.Step, st)
+						return
+					}
+					if res.Outcome() == OutcomeError {
+						t.Errorf("%v: %v", st, res.Err)
+						return
+					}
+					if st.Txn == tx && errors.Is(res.Err, ErrTxnAborted) {
+						dead.Add(1)
+					}
+				}
+				if results[0].Accepted() {
+					begun.Add(1)
+				}
+				if res := results[len(results)-2]; res.CompletedTxn == tx {
+					committed.Add(1)
+				}
+				eng.Abort(tx) // a no-op unless T is still live
+				eng.Abort(l)
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(victims)
+	<-racerDone
+	if t.Failed() {
+		return
+	}
+	t.Logf("Abort won %d races; %d steps of a cross transaction answered ErrTxnAborted", won.Load(), dead.Load())
+
+	s := eng.Stats()
+	total := int64(clients * rounds)
+	if s.CrossTxns != begun.Load() || s.CrossAborts != total-committed.Load() {
+		t.Fatalf("%d cross BEGINs accepted, %d committed of %d: Stats has %d begun, %d cross aborts, want %d",
+			begun.Load(), committed.Load(), total, s.CrossTxns, s.CrossAborts, total-committed.Load())
+	}
+	for i, n := range s.PreparedByShard {
+		if n != 0 {
+			t.Errorf("shard %d still pins %d prepared sub-transactions", i, n)
+		}
+	}
+	// A committed transaction leaves the registry once every participant
+	// has reported it clean, on the shards' own time: poll.
+	for deadline := time.Now().Add(10 * time.Second); ; eng.Stats() {
+		eng.registry.mu.Lock()
+		n := len(eng.registry.txns)
+		eng.registry.mu.Unlock()
+		if n == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("registry still tracks %d transactions", n)
+		}
+	}
+}
+
 // TestSubmitBatchCloseRacesWindows: Close lands while four clients fan
 // multi-shard windows out. Every step is answered in its place, every
 // ErrClosed names its step in closedResult's words, and no batch hangs.
@@ -442,7 +687,7 @@ func TestSubmitBatchCloseRacesWindows(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(round*clients + c)))
 				var results []Result
 				for b := 0; ; b++ {
-					steps := interleavedBatch(rng, model.TxnID(c<<24|b<<5))
+					steps := interleavedBatch(rng, model.TxnID(c<<24|b<<5), 0)
 					results = eng.SubmitBatchInto(results[:0], steps)
 					if b == 0 {
 						started <- struct{}{}

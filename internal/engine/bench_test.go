@@ -95,7 +95,7 @@ func BenchmarkEngineBatchInterleaved(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	var shapes [16][]model.Step
 	for i := range shapes {
-		shapes[i] = interleavedBatch(rng, 0)
+		shapes[i] = interleavedBatch(rng, 0, 0)
 	}
 	steps := make([]model.Step, 64)
 	results := make([]Result, 0, 64)
@@ -111,6 +111,50 @@ func BenchmarkEngineBatchInterleaved(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(trips.Load())/float64(b.N), "roundtrips/batch")
+	b.ReportMetric(float64(b.N)*64/b.Elapsed().Seconds(), "steps/s")
+}
+
+// BenchmarkEngineBatchCross is BenchmarkEngineBatchInterleaved with two of
+// the sixteen transactions in each 64-step batch cross-partition (two
+// shards each, on entities no other transaction touches). It reports
+// roundtrips/batch, every mailbox round-trip the submitting goroutine
+// starts (windows, sub-begins, prepares, commits), and windows/batch, the
+// windows the batch door sends. Each cross BEGIN, each cross read bound for
+// a second shard and each final write of a cross transaction ends a window;
+// the cross reads themselves ride in one. Both counts are deterministic, and
+// scripts/check_bench_budget.sh gates windows/batch at
+// max_cross_batch_windows_per_batch. Regenerate the BENCH_engine.json
+// record with:
+//
+//	go test -run '^$' -bench BenchmarkEngineBatchCross -benchtime 3000x -benchmem ./internal/engine/
+func BenchmarkEngineBatchCross(b *testing.B) {
+	var trips, windows atomic.Int64
+	testHookRoundTrip = func(*shard) { trips.Add(1) }
+	testHookWindow = func() { windows.Add(1) }
+	defer func() { testHookRoundTrip, testHookWindow = nil, nil }()
+	eng := New(Config{Shards: 4, Policy: func() core.Policy { return core.GreedyC1{} }})
+	defer eng.Close()
+	rng := rand.New(rand.NewSource(7))
+	var shapes [16][]model.Step
+	for i := range shapes {
+		shapes[i] = interleavedBatch(rng, 0, 2)
+	}
+	steps := make([]model.Step, 64)
+	results := make([]Result, 0, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	trips.Store(0)
+	windows.Store(0)
+	for i := 0; i < b.N; i++ {
+		for k, st := range shapes[i%len(shapes)] {
+			st.Txn += model.TxnID(16 * i)
+			steps[k] = st
+		}
+		results = eng.SubmitBatchInto(results[:0], steps)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(trips.Load())/float64(b.N), "roundtrips/batch")
+	b.ReportMetric(float64(windows.Load())/float64(b.N), "windows/batch")
 	b.ReportMetric(float64(b.N)*64/b.Elapsed().Seconds(), "steps/s")
 }
 

@@ -3,14 +3,18 @@
 //
 // A cross-partition transaction is split into one sub-transaction per
 // participating shard, all sharing the logical TxnID. BEGIN fans out
-// sub-begins; reads route to the owning shard and apply immediately, like
-// local steps; the final write runs the two-phase commit from the
-// submitting goroutine: PREPARE each participant (the shard votes on its
-// slice of the write set, pinning the sub-node on yes), then COMMIT or
-// ABORT everywhere. Non-participating shards never hear about any of it,
-// and participating shards keep serving other traffic between vote and
-// decision — the prepared pin, not a pause, is what freezes the
-// sub-transaction.
+// sub-begins; reads route to the owning shard like local steps, and travel
+// in the batch door's window with them (Engine.admit); the final write runs
+// the two-phase commit from the submitting goroutine: PREPARE every
+// participant (the shard votes on its slice of the write set, pinning the
+// sub-node on yes), then COMMIT or ABORT everywhere. Every fan-out publishes
+// to all its participants before it waits for any, so a step of the
+// protocol costs one wait, not one per participant; only COMMIT waits
+// twice, since the first participant's durable decision is the commit point
+// and must exist before any other participant commits. Non-participating
+// shards never hear about any of it, and participating shards keep serving
+// other traffic between vote and decision — the prepared pin, not a pause,
+// is what freezes the sub-transaction.
 //
 // The cross-arc registry below is the piece that restores global safety:
 // it records, per pair of cross transactions, whether one's sub-node
@@ -33,6 +37,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/emit"
 	"repro/internal/model"
+	"repro/internal/ring"
 )
 
 // testHookPrepared, when non-nil, is invoked by commitCross after every
@@ -46,11 +51,28 @@ type crossTxn struct {
 	mu    sync.Mutex
 	id    model.TxnID
 	parts []int // participating shards, ascending
+	// legs[i] is parts[i]'s share of the fan-out in progress (see fanOut);
+	// guarded by mu like everything below.
+	legs []leg
 	// done marks the decision (or a failed begin); committed distinguishes
 	// COMMIT from ABORT for late-arriving steps.
 	done      bool
 	committed bool
 }
+
+// leg is one participant's share of a fan-out: the ticket of the request
+// published to its shard and, once collected, the answer (ok=false: none
+// came back, because the request was never published or the shard shut
+// down first).
+type leg struct {
+	tk   ring.Ticket
+	sent bool
+	res  Result
+	ok   bool
+}
+
+// failed reports whether the leg's request was not carried out.
+func (l leg) failed() bool { return !l.ok || l.res.Err != nil }
 
 // participant reports whether shard p takes part in the transaction.
 func (ct *crossTxn) participant(p int) bool {
@@ -344,9 +366,46 @@ func (r *crossRegistry) LabelLive(id model.TxnID) bool {
 
 // ---------------------------------------------------------------------------
 // Engine-side protocol driver. All of these run on the submitting client's
-// goroutine with ct.mu held, doing plain round-trips to participant shards;
-// shards never block on each other, so concurrent two-phase commits (even
-// with overlapping participants) cannot deadlock.
+// goroutine with ct.mu held, doing round-trips to participant shards;
+// shards never block on each other or on any ct.mu, so concurrent two-phase
+// commits (even with overlapping participants) cannot deadlock.
+
+// startLegs publishes, for each participant i that req names (ok=true), the
+// request req(i) to its shard, without waiting for any answer; the other
+// legs are marked unsent. req(i) runs before leg i is overwritten, so it may
+// read the leg's previous answer. Caller holds ct.mu.
+func (e *Engine) startLegs(ct *crossTxn, req func(i int) (request, bool)) {
+	for i, p := range ct.parts {
+		r, ok := req(i)
+		l := &ct.legs[i]
+		l.sent = false
+		if ok {
+			l.tk, l.sent = e.shards[p].start(r)
+		}
+	}
+}
+
+// waitLegs collects the answers to what startLegs published, in
+// participant order. Caller holds ct.mu.
+func (e *Engine) waitLegs(ct *crossTxn) {
+	for i, p := range ct.parts {
+		l := &ct.legs[i]
+		var rep reply
+		l.ok = false
+		if l.sent {
+			sh := e.shards[p]
+			rep, l.ok = sh.mb.Wait(l.tk, sh.done)
+		}
+		l.res = rep.res
+	}
+}
+
+// fanOut sends req(i) to every participant i it names, all before it waits
+// for any, and leaves each answer in ct.legs[i]. Caller holds ct.mu.
+func (e *Engine) fanOut(ct *crossTxn, req func(i int) (request, bool)) {
+	e.startLegs(ct, req)
+	e.waitLegs(ct)
+}
 
 // participantsOf returns the sorted distinct shards owning the footprint.
 func (e *Engine) participantsOf(xs []model.Entity) []int {
@@ -373,11 +432,26 @@ func (e *Engine) participantsOf(xs []model.Entity) []int {
 }
 
 // beginCross fans a cross-partition BEGIN out as one sub-begin per
-// participating shard. On any failure (admission shed, duplicate ID on
-// some shard, or the engine closing) the sub-transactions already begun
-// are rolled back and the logical transaction never existed.
-func (e *Engine) beginCross(ctx context.Context, step model.Step, pri Priority) Result {
-	ct := &crossTxn{id: step.Txn, parts: e.participantsOf(step.Entities)}
+// participating shard. It publishes every sub-begin, then lands the
+// caller's pending work (settle; see Engine.admit), whose requests queue
+// behind the sub-begins on every shard they share, then waits for the
+// sub-begins: a BEGIN and the window before it cost one wait. On any
+// failure (admission shed, duplicate ID on some shard, or the engine
+// closing) every sub-begin that applied is aborted and the logical
+// transaction never existed; if one applied, the trace marks the
+// incarnation it opened aborted. When none applied, the ID's current
+// incarnation in the trace is an earlier transaction's, which the mark
+// would wrongly kill.
+//
+// ct.mu is held across settle, and settle's landed may take the mu of
+// another cross transaction with a rejected read in the window. That cannot
+// deadlock: this ct was created here and no step of it can be pending, so
+// the only other party that can want its mu is Engine.Abort, which holds no
+// other ct.mu while it waits; and whoever holds another transaction's mu
+// waits only for shards, which never wait for a ct.mu.
+func (e *Engine) beginCross(step model.Step, pri Priority, settle func()) Result {
+	parts := e.participantsOf(step.Entities)
+	ct := &crossTxn{id: step.Txn, parts: parts, legs: make([]leg, len(parts))}
 	if !e.routes.storeNew(step.Txn, route{kind: routeCross, ct: ct, pri: pri}) {
 		return duplicateBegin(step)
 	}
@@ -404,39 +478,41 @@ func (e *Engine) beginCross(ctx context.Context, step model.Step, pri Priority) 
 		return answer(step, step.Txn, stepErr(step, ErrTxnAborted))
 	}
 	e.registry.register(step.Txn, ct.parts)
-	for i, p := range ct.parts {
-		// A context dying mid-fan-out rolls back like any sub-begin
-		// failure: the logical transaction never existed.
-		var rep reply
-		ok := ctx.Err() == nil
-		if ok {
-			rep, ok = e.shards[p].do(request{kind: reqBeginSub, step: step})
-		}
-		if !ok || rep.res.Err != nil {
-			for _, q := range ct.parts[:i] {
-				e.abortSub(step.Txn, q)
-			}
-			ct.done = true
-			e.registry.drop(step.Txn)
-			e.routes.delete(step.Txn)
-			if err := ctx.Err(); err != nil {
-				e.rejected.Add(1)
-				return answer(step, step.Txn, ctxErr(step, context.Cause(ctx)))
-			}
-			if !ok {
-				return closedResult(step)
-			}
-			return rep.res
-		}
+	e.startLegs(ct, func(int) (request, bool) { return request{kind: reqBeginSub, step: step}, true })
+	settle()
+	e.waitLegs(ct)
+	failed := slices.IndexFunc(ct.legs, leg.failed)
+	if failed < 0 {
+		e.crossTxns.Add(1)
+		e.accepted.Add(1)
+		return answer(step, model.NoTxn, nil)
 	}
-	e.crossTxns.Add(1)
-	e.accepted.Add(1)
-	return answer(step, model.NoTxn, nil)
+	res, ok := ct.legs[failed].res, ct.legs[failed].ok
+	applied := false
+	e.fanOut(ct, func(i int) (request, bool) {
+		if ct.legs[i].failed() {
+			return request{}, false
+		}
+		applied = true
+		return request{kind: reqAbortSub, step: model.Step{Txn: ct.id}}, true
+	})
+	if applied && e.cfg.Log != nil {
+		e.cfg.Log.MarkAborted(ct.id)
+	}
+	ct.done = true
+	e.registry.drop(step.Txn)
+	e.routes.delete(step.Txn)
+	if !ok {
+		return closedResult(step)
+	}
+	return res
 }
 
-// crossStep handles a read or final write of a live cross transaction.
-func (e *Engine) crossStep(ctx context.Context, step model.Step, r route) Result {
-	ct := r.ct
+// crossStep answers a cross transaction's final write, or a read outside
+// its participants. Its other reads never come here: they go to their
+// shards like local steps, and landed finishes the abort a rejected one
+// starts.
+func (e *Engine) crossStep(ctx context.Context, step model.Step, ct *crossTxn) Result {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
 	if ct.done {
@@ -446,18 +522,7 @@ func (e *Engine) crossStep(ctx context.Context, step model.Step, r route) Result
 		return e.deadTxn(step)
 	}
 	if step.Kind == model.KindRead {
-		p := e.partitionOf(step.Entity)
-		if !ct.participant(p) {
-			return e.crossMisroute(step, ct)
-		}
-		res := e.doStep(p, step)
-		if res.Outcome() == OutcomeRejected && res.Aborted == ct.id {
-			// The shard rejected the read (local cycle, or the registry
-			// vetoed an inter-shard arc) and removed its sub-node; finish
-			// the logical abort on the siblings.
-			e.finishCrossAbort(ct, p)
-		}
-		return res
+		return e.crossMisroute(step, ct)
 	}
 	return e.commitCross(ctx, ct, step)
 }
@@ -479,15 +544,14 @@ func (e *Engine) crossMisroute(step model.Step, ct *crossTxn) Result {
 }
 
 // finishCrossAbort aborts ct's sub-transactions on every participant except
-// skipShard (whose scheduler already removed its own sub-node), then
-// retires the logical transaction: route, registry entry, trace exclusion,
-// and the engine's logical abort counters. Caller holds ct.mu.
+// skipShard (whose scheduler already removed its own sub-node), all at once
+// (fanOut), then retires the logical transaction: route, registry entry,
+// trace exclusion, and the engine's logical abort counters. A shard that
+// already lost its sub-node ignores the abort. Caller holds ct.mu.
 func (e *Engine) finishCrossAbort(ct *crossTxn, skipShard int) {
-	for _, p := range ct.parts {
-		if p != skipShard {
-			e.abortSub(ct.id, p)
-		}
-	}
+	e.fanOut(ct, func(i int) (request, bool) {
+		return request{kind: reqAbortSub, step: model.Step{Txn: ct.id}}, ct.parts[i] != skipShard
+	})
 	ct.done = true
 	e.registry.drop(ct.id)
 	e.routes.delete(ct.id)
@@ -496,12 +560,6 @@ func (e *Engine) finishCrossAbort(ct *crossTxn, skipShard int) {
 	if e.cfg.Log != nil {
 		e.cfg.Log.MarkAborted(ct.id)
 	}
-}
-
-// abortSub releases one shard's sub-transaction (pin included), ignoring
-// shards that already lost it.
-func (e *Engine) abortSub(id model.TxnID, shard int) {
-	e.shards[shard].do(request{kind: reqAbortSub, step: model.Step{Txn: id}})
 }
 
 // writeSubsetFor carves the slice of the final write set owned by shard p.
@@ -516,35 +574,40 @@ func (e *Engine) writeSubsetFor(final model.Step, p int) model.Step {
 }
 
 // commitCross is the two-phase commit of ct's final write. Caller holds
-// ct.mu. Every outcome — commit, local-cycle vote, registry veto, context
-// cancellation between PREPARE and decision, shard shutdown — resolves the
-// transaction deterministically on all participants: a prepared-but-
-// undecided sub-transaction never outlives the decision, and its pins are
-// released on every shard.
+// ct.mu. PREPARE goes to every participant at once; the first NO vote in
+// participant order, or the first shard that could not vote, decides the
+// answer. COMMIT goes to parts[0] first, whose durable RecCommit is the
+// commit point, then to the rest at once, which commit on that evidence
+// (decisionDurable). Every outcome — commit, local-cycle vote, registry
+// veto, context cancellation between PREPARE and decision, shard shutdown —
+// resolves the transaction deterministically on all participants: a
+// prepared-but-undecided sub-transaction never outlives the decision, and
+// its pins are released on every shard.
 func (e *Engine) commitCross(ctx context.Context, ct *crossTxn, final model.Step) Result {
 	for _, x := range final.Entities {
 		if !ct.participant(e.partitionOf(x)) {
 			return e.crossMisroute(final, ct)
 		}
 	}
-	for _, p := range ct.parts {
-		sub := e.writeSubsetFor(final, p)
-		rep, ok := e.shards[p].do(request{kind: reqPrepareSub, step: sub})
-		e.prepares.Add(1)
-		if !ok {
+	e.fanOut(ct, func(i int) (request, bool) {
+		return request{kind: reqPrepareSub, step: e.writeSubsetFor(final, ct.parts[i])}, true
+	})
+	e.prepares.Add(int64(len(ct.parts)))
+	for _, l := range ct.legs {
+		if !l.ok {
 			e.finishCrossAbort(ct, -1)
 			return answer(final, ct.id, stepErr(final, ErrClosed))
 		}
-		if rep.res.Err != nil {
-			// A NO vote — a local cycle on shard p (ErrCycle) or a registry
-			// veto (ErrCrossCycle) — or a vote the shard could not cast.
-			// Abort everywhere: only this transaction dies; no bystander is
-			// touched.
+		if l.res.Err != nil {
+			// A NO vote — a local cycle on that shard (ErrCycle) or a
+			// registry veto (ErrCrossCycle) — or a vote the shard could not
+			// cast. Abort everywhere: only this transaction dies; no
+			// bystander is touched.
 			e.finishCrossAbort(ct, -1)
-			if rep.res.Outcome() == OutcomeRejected {
+			if l.res.Outcome() == OutcomeRejected {
 				e.rejected.Add(1)
 			}
-			return answer(final, ct.id, rep.res.Err)
+			return answer(final, ct.id, l.res.Err)
 		}
 	}
 	if hook := testHookPrepared; hook != nil {
@@ -564,23 +627,29 @@ func (e *Engine) commitCross(ctx context.Context, ct *crossTxn, final model.Step
 	// participant's durable RecCommit is the commit point; if it cannot be
 	// journaled, no evidence of the decision exists anywhere and the
 	// transaction resolves as the abort recovery would presume.
-	for i, p := range ct.parts {
-		rep, ok := e.shards[p].do(request{kind: reqCommitSub, step: model.Step{Txn: ct.id}, decisionDurable: i > 0})
-		if ok && i == 0 && rep.res.Err != nil && rep.res.Aborted == ct.id {
-			// The commit point failed (journal dead on the first
-			// participant, which already released its own sub): abort the
-			// siblings and report the transaction aborted.
-			e.finishCrossAbort(ct, p)
-			return answer(final, ct.id, rep.res.Err)
+	commit := request{kind: reqCommitSub, step: model.Step{Txn: ct.id}}
+	rep, ok := e.shards[ct.parts[0]].do(commit)
+	if ok && rep.res.Err != nil && rep.res.Aborted == ct.id {
+		// The commit point failed (journal dead on the first participant,
+		// which already released its own sub): abort the siblings and
+		// report the transaction aborted.
+		e.finishCrossAbort(ct, ct.parts[0])
+		return answer(final, ct.id, rep.res.Err)
+	}
+	if ok {
+		commit.decisionDurable = true
+		e.fanOut(ct, func(i int) (request, bool) { return commit, i > 0 })
+		for _, l := range ct.legs[1:] {
+			ok = ok && l.ok
 		}
-		if !ok {
-			// The engine is closing; surviving shards keep their prepared
-			// state only until their goroutines exit.
-			ct.done = true
-			e.registry.drop(ct.id)
-			e.routes.delete(ct.id)
-			return closedResult(final)
-		}
+	}
+	if !ok {
+		// The engine is closing; surviving shards keep their prepared state
+		// only until their goroutines exit.
+		ct.done = true
+		e.registry.drop(ct.id)
+		e.routes.delete(ct.id)
+		return closedResult(final)
 	}
 	ct.done = true
 	ct.committed = true

@@ -396,7 +396,7 @@ func (e *Engine) SubmitCtx(ctx context.Context, step model.Step) Result {
 // steps (access steps ignore the priority — an admitted transaction is
 // never shed).
 func (e *Engine) SubmitPriority(ctx context.Context, step model.Step, pri Priority) Result {
-	shard, ok, res := e.admit(ctx, step, pri, func() {})
+	shard, _, ok, res := e.admit(ctx, step, pri, func() {})
 	if !ok {
 		return res
 	}
@@ -406,20 +406,23 @@ func (e *Engine) SubmitPriority(ctx context.Context, step model.Step, pri Priori
 // admit is the one decision both doors make about a step. Either it answers
 // the step itself (ok=false) — closed engine, dead context, duplicate, shed
 // or cross-partition BEGIN (its fan-out runs here), dead transaction, cross
-// step (it runs here), misroute, or a kind outside the basic model — or it
-// registers the step and names the shard that must apply it (ok=true).
+// final write (its two-phase commit runs here), misroute, or a kind outside
+// the basic model — or it registers the step and names the shard that must
+// apply it (ok=true): a partition-local step, or a cross transaction's read
+// on one of its participants, for which ct names the transaction.
 //
 // settle lands what the caller has admitted but not yet applied. admit
 // calls it before every answer, so answers keep submission order; before
 // an answered access step acts; and before it looks at a BEGIN of a live
 // ID, which the pending work may complete or abort. Any other BEGIN cannot
-// touch the pending work and is decided first, cross fan-out included:
-// that is the order the shards' BeginSeq, and so the governor's choice of
-// straggler, follow.
-func (e *Engine) admit(ctx context.Context, step model.Step, pri Priority, settle func()) (shard int, ok bool, res Result) {
+// touch the pending work and is decided first: a local one before the
+// pending work lands, a cross one's sub-begins published before it (see
+// beginCross). That is the order the shards' BeginSeq, and so the
+// governor's choice of straggler, follow.
+func (e *Engine) admit(ctx context.Context, step model.Step, pri Priority, settle func()) (shard int, ct *crossTxn, ok bool, res Result) {
 	if e.closed.Load() {
 		settle()
-		return 0, false, closedResult(step)
+		return 0, nil, false, closedResult(step)
 	}
 	e.submitted.Add(1)
 	if ctx.Err() != nil {
@@ -431,7 +434,7 @@ func (e *Engine) admit(ctx context.Context, step model.Step, pri Priority, settl
 		}
 		// Cause, not Err: a derived context cancelled for a deadline still
 		// reports context.DeadlineExceeded.
-		return 0, false, answer(step, step.Txn, ctxErr(step, context.Cause(ctx)))
+		return 0, nil, false, answer(step, step.Txn, ctxErr(step, context.Cause(ctx)))
 	}
 	switch step.Kind {
 	case model.KindBegin:
@@ -446,52 +449,69 @@ func (e *Engine) admit(ctx context.Context, step model.Step, pri Priority, settl
 		// is never misreported as a retryable overload.
 		switch {
 		case cross:
-			res = e.beginCross(ctx, step, pri)
+			res = e.beginCross(step, pri, settle)
 		case !e.routes.storeNew(step.Txn, route{kind: routeLocal, shard: home, pri: pri}):
 			res = duplicateBegin(step)
 		case pri != PriorityHigh && e.shardOverloaded(home):
 			e.routes.delete(step.Txn)
 			res = e.shedBegin(step, home)
 		default:
-			return home, true, Result{}
+			return home, nil, true, Result{}
 		}
 		settle()
-		return 0, false, res
+		return 0, nil, false, res
 	case model.KindRead, model.KindWriteFinal:
 		r, live := e.routes.load(step.Txn)
 		switch {
 		case !live:
 			settle()
-			return 0, false, e.deadTxn(step)
+			return 0, nil, false, e.deadTxn(step)
 		case r.kind == routeCross:
-			// A cross step is a round-trip of its own and a final write runs
-			// the two-phase commit: what is pending lands first.
+			if p := e.partitionOf(step.Entity); step.Kind == model.KindRead && r.ct.participant(p) {
+				return p, r.ct, true, Result{}
+			}
+			// A final write runs the two-phase commit, and a misrouted read
+			// aborts on every participant: what is pending lands first.
 			settle()
-			return 0, false, e.crossStep(ctx, step, r)
+			return 0, nil, false, e.crossStep(ctx, step, r.ct)
 		case e.misroutedStep(step, r.shard):
 			settle()
 			// What was pending may have ended the transaction (a batched
 			// step behind its own abort or final write): then it is dead,
 			// as the per-step door would find it, not misrouted.
 			if _, live := e.routes.load(step.Txn); !live {
-				return 0, false, e.deadTxn(step)
+				return 0, nil, false, e.deadTxn(step)
 			}
-			return 0, false, e.misroute(step, r)
+			return 0, nil, false, e.misroute(step, r)
 		}
-		return r.shard, true, Result{}
+		return r.shard, nil, true, Result{}
 	default:
 		settle()
-		return 0, false, errResult(step, fmt.Errorf("engine: step kind %v not part of the basic model: %w", step.Kind, ErrProtocol))
+		return 0, nil, false, errResult(step, fmt.Errorf("engine: step kind %v not part of the basic model: %w", step.Kind, ErrProtocol))
 	}
 }
 
-// landed is the last word on a step a shard applied: a BEGIN the shard
+// landed is the last word on a step a shard applied. A BEGIN the shard
 // refused (its ID collides with a retained completed transaction, or the
 // engine closed under it) drops the route admit registered, or the ID
-// would stay poisoned forever.
+// would stay poisoned forever. A cross read the shard rejected (a local
+// cycle, or the registry vetoed an inter-shard arc) cost the transaction
+// only that shard's sub-node; landed aborts it on the other participants,
+// unless it is already decided (Engine.Abort got there first, or an
+// earlier rejected read of the same window did).
 func (e *Engine) landed(res Result) Result {
-	if res.Step.Kind == model.KindBegin && res.Outcome() == OutcomeError {
+	switch {
+	case res.Step.Kind == model.KindBegin && res.Outcome() == OutcomeError:
 		e.routes.delete(res.Step.Txn)
+	case res.Step.Kind == model.KindRead && res.Aborted == res.Step.Txn:
+		if r, live := e.routes.load(res.Aborted); live && r.kind == routeCross {
+			ct := r.ct
+			ct.mu.Lock()
+			if !ct.done {
+				e.finishCrossAbort(ct, e.partitionOf(res.Step.Entity))
+			}
+			ct.mu.Unlock()
+		}
 	}
 	return res
 }
@@ -524,13 +544,13 @@ func (e *Engine) shedBegin(step model.Step, home int) Result {
 // SubmitBatch submits a client's steps and returns one Result per step, in
 // submission order. Each shard sees the batch's steps bound for it in
 // submission order, and the shards apply their parts concurrently: the
-// partition-local steps between two points where the batch must wait (see
-// below) go out as one round-trip to every shard they touch, all in flight
-// at once, so a whole partition-local transaction (BEGIN, reads, final
-// write) costs one queue hop instead of one per step, and sixteen
-// interleaved ones over four shards cost four. A partition-local step
-// touches only its shard's state, so only the interleaving of different
-// shards' work changes, as it does between two concurrent clients.
+// steps between two points where the batch must wait (see below) go out as
+// one round-trip to every shard they touch, all in flight at once, so a
+// whole partition-local transaction (BEGIN, reads, final write) costs one
+// queue hop instead of one per step, and sixteen interleaved ones over four
+// shards cost four. A partition-local step, like a cross read, touches only
+// its shard's state, so only the interleaving of different shards' work
+// changes, as it does between two concurrent clients.
 //
 // The ordering contract is Submit's: steps of one transaction must appear in
 // order, and a client must not submit a transaction's next step elsewhere
@@ -539,12 +559,16 @@ func (e *Engine) shedBegin(step model.Step, home int) Result {
 // answered exactly as the per-step path would answer it: rejected, wrapping
 // ErrTxnAborted (ErrStragglerAborted after a reap). Only a step behind its
 // own refused BEGIN reports ErrProtocol, as the BEGIN itself did; its route
-// is dropped by the time the batch returns. The batch waits for what it has
-// sent before every step the engine answers without a shard — a
-// cross-partition step (a routed round-trip of its own; a final write runs
-// the two-phase commit), a misroute, a step of a dead transaction, a
-// duplicate or shed BEGIN — and before a BEGIN that reuses a live ID. None
-// of this stalls other clients' traffic.
+// is dropped by the time the batch returns. A cross-partition transaction's
+// reads travel with the partition-local steps, each to its participant's
+// shard. The batch waits for what it has sent before every step the engine
+// answers without a shard — a cross final write (the two-phase commit), a
+// misroute, a step of a dead transaction, a duplicate or shed BEGIN — before
+// a BEGIN that reuses a live ID, and before a cross read whose transaction
+// already has a read bound for another shard in flight, so that a rejection
+// on one participant lands before a sibling acts. A cross BEGIN publishes
+// its sub-begins first and then waits for them together with what was sent
+// before it. None of this stalls other clients' traffic.
 func (e *Engine) SubmitBatch(steps []model.Step) []Result {
 	return e.SubmitBatchInto(make([]Result, 0, len(steps)), steps)
 }
@@ -557,14 +581,14 @@ func (e *Engine) SubmitBatchInto(dst []Result, steps []model.Step) []Result {
 	var w window
 	settle := func() { dst = e.apply(&w, dst, steps) }
 	for i := range steps {
-		shard, ok, res := e.admit(context.Background(), steps[i], PriorityNormal, settle)
+		shard, ct, ok, res := e.admit(context.Background(), steps[i], PriorityNormal, settle)
 		if !ok {
 			dst = append(dst, res)
 			continue
 		}
-		if !w.add(i, shard) {
+		if !w.add(i, shard, ct) {
 			settle()
-			w.add(i, shard)
+			w.add(i, shard, ct)
 		}
 	}
 	settle()
@@ -580,11 +604,20 @@ const windowCap = 64
 // start+n], every one admitted, split into one part per shard it touches.
 // Every step the engine answers itself settles the window first, so the
 // window is always one contiguous span, and its results land at the end of
-// dst in the same order.
+// dst in the same order. reads names, for each cross transaction with a
+// read in the window, the one shard its reads go to.
 type window struct {
 	start, n int
 	parts    [windowCap]part
 	nparts   int
+	reads    [windowCap]crossRead
+	nreads   int
+}
+
+// crossRead records that the window holds reads of ct bound for shard.
+type crossRead struct {
+	ct    *crossTxn
+	shard int
 }
 
 // part is one shard's share of a window: the bit for each of its steps'
@@ -596,12 +629,14 @@ type part struct {
 	sent  bool
 }
 
-// add appends steps[i], admitted to shard, to the window. It reports false,
+// add appends steps[i], admitted to shard, to the window; ct names the
+// cross transaction when the step is one of its reads. It reports false,
 // adding nothing, when the window must be applied first: a window of
-// windowCap steps takes no step for a second shard.
-func (w *window) add(i, shard int) bool {
+// windowCap steps takes no step for a second shard, and a window holding a
+// read of ct bound for one shard takes none for another.
+func (w *window) add(i, shard int, ct *crossTxn) bool {
 	if w.n == 0 {
-		w.start, w.nparts = i, 0
+		w.start, w.nparts, w.nreads = i, 0, 0
 	}
 	p := 0
 	for p < w.nparts && w.parts[p].shard != shard {
@@ -609,6 +644,23 @@ func (w *window) add(i, shard int) bool {
 	}
 	if w.n >= windowCap && (w.nparts > 1 || p == w.nparts) {
 		return false
+	}
+	if ct != nil {
+		r := 0
+		for r < w.nreads && w.reads[r].ct != ct {
+			r++
+		}
+		switch {
+		case r < w.nreads:
+			if w.reads[r].shard != shard {
+				return false
+			}
+		case r == len(w.reads):
+			return false
+		default:
+			w.reads[r] = crossRead{ct: ct, shard: shard}
+			w.nreads++
+		}
 	}
 	if p == w.nparts {
 		w.parts[p] = part{shard: shard}
@@ -619,6 +671,10 @@ func (w *window) add(i, shard int) bool {
 	return true
 }
 
+// testHookWindow, when non-nil, runs on the submitting goroutine for every
+// window apply sends: the window counter of the batch benchmarks.
+var testHookWindow func()
+
 // apply runs the window and empties it: it publishes one reqBatch to every
 // shard the window touches, then waits for all the replies. Each shard
 // writes its steps' results into their own places in dst, so nothing is
@@ -627,6 +683,9 @@ func (w *window) add(i, shard int) bool {
 func (e *Engine) apply(w *window, dst []Result, steps []model.Step) []Result {
 	if w.n == 0 {
 		return dst
+	}
+	if hook := testHookWindow; hook != nil {
+		hook()
 	}
 	base := len(dst)
 	dst = slices.Grow(dst, w.n)[:base+w.n]

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -459,6 +460,89 @@ func TestCrossReuseKeepsOriginalInTrace(t *testing.T) {
 	}
 	if got != 2 {
 		t.Fatalf("original T1 has %d steps in the accepted subschedule, want 2 (begin+write)", got)
+	}
+}
+
+// TestCrossBeginRollbackLeavesNoTrace is TestCrossReuseKeepsOriginalInTrace
+// with the original on the second participant: shard 0's sub-begin applies
+// and is logged before shard 1 refuses the duplicate, so the rollback must
+// mark the incarnation that sub-begin opened aborted, or the referee keeps
+// its BEGIN as a third step of T1.
+func TestCrossBeginRollbackLeavesNoTrace(t *testing.T) {
+	log := trace.NewSafeLog()
+	eng := New(Config{Shards: 2, Log: log}) // nogc keeps T1 retained on shard 1
+	defer eng.Close()
+	mustAccept(t, eng.Submit(model.BeginDeclared(1, 1)))
+	mustAccept(t, eng.Submit(model.WriteFinal(1, 1)))
+	if res := eng.Submit(model.BeginDeclared(1, 0, 1)); res.Outcome() != OutcomeError {
+		t.Fatalf("cross reuse begin: %v (%v), want error", res.Outcome(), res.Err)
+	}
+	var got []model.Step
+	for _, st := range log.AcceptedSubschedule() {
+		if st.Txn == 1 {
+			got = append(got, st)
+		}
+	}
+	if len(got) != 2 {
+		t.Fatalf("T1 has %d steps in the accepted subschedule, want 2 (the original's begin+write): %v", len(got), got)
+	}
+}
+
+// TestCrossBeginFanOutRollback: a three-shard cross BEGIN whose ID collides
+// with a retained transaction on one participant, at each position in turn,
+// and then on all three (the original was itself a cross transaction). The
+// sub-begins go out together, so the others apply before the refusal is
+// seen; the rollback must leave no sub-node, route or registry entry behind,
+// and must not kill the original in the trace — which it would if it marked
+// an abort when no sub-begin applied.
+func TestCrossBeginFanOutRollback(t *testing.T) {
+	const id = 7
+	for _, orig := range [][]model.Entity{{0}, {1}, {2}, {0, 1, 2}} {
+		log := trace.NewSafeLog()
+		eng := New(Config{Shards: 3, Log: log}) // nogc: the original stays retained
+		defer eng.Close()
+		mustAccept(t, eng.Submit(model.BeginDeclared(id, orig...)))
+		mustAccept(t, eng.Submit(model.WriteFinal(id, orig...)))
+		res := eng.Submit(model.BeginDeclared(id, 0, 1, 2))
+		if !errors.Is(res.Err, ErrProtocol) {
+			t.Fatalf("original on %v: cross begin answered %v, want ErrProtocol", orig, res.Err)
+		}
+		if _, live := eng.routes.load(id); live {
+			t.Fatalf("original on %v: route left behind", orig)
+		}
+		eng.registry.mu.Lock()
+		entries := len(eng.registry.txns)
+		eng.registry.mu.Unlock()
+		if entries != 0 {
+			t.Fatalf("original on %v: registry tracks %d transactions", orig, entries)
+		}
+		if s := eng.Stats(); s.CrossTxns != int64(len(orig)/3) || s.CrossAborts != 0 {
+			t.Fatalf("original on %v: %d cross transactions begun, %d aborted; the second BEGIN never happened", orig, s.CrossTxns, s.CrossAborts)
+		}
+		// A consecutive run of sub-begins opens one incarnation each, and the
+		// abort mark kills the last; earlier ones keep a bare BEGIN, which the
+		// conflict graph ignores. What must survive is the original's write,
+		// one slice per shard it ran on.
+		writes := slices.DeleteFunc(log.AcceptedSubschedule(), func(st model.Step) bool { return st.Txn != id || st.Kind == model.KindBegin })
+		if len(writes) != len(orig) {
+			t.Fatalf("original on %v: T%d keeps %d accepted non-BEGIN steps, want the original's %d", orig, id, len(writes), len(orig))
+		}
+		if err := log.CheckAcceptedCSR(); err != nil {
+			t.Fatalf("original on %v: %v", orig, err)
+		}
+		// Close first: the shard goroutines exit, making the schedulers safe
+		// to inspect directly.
+		eng.Close()
+		for i, sh := range eng.shards {
+			st := sh.sched.Txn(id)
+			if slices.Contains(orig, model.Entity(i)) {
+				if st == nil || st.Status != model.StatusCompleted {
+					t.Fatalf("original on %v: gone from shard %d", orig, i)
+				}
+			} else if st != nil {
+				t.Fatalf("original on %v: shard %d keeps a sub-node in state %v", orig, i, st.Status)
+			}
+		}
 	}
 }
 

@@ -382,14 +382,17 @@ func (sh *shard) applyOne(step model.Step) (out Result) {
 }
 
 // txnGone reports whether id no longer names a live transaction: its route
-// is gone, or the governor reaped it (the reap marks the ID before the route
-// is dropped).
+// is gone, the governor reaped it (the reap marks the ID before the route
+// is dropped), or it is a cross transaction whose sub-node here is gone. A
+// cross route outlives its sub-nodes until its abort is finished: a
+// rejected read earlier in the same window, or an abort under way, removed
+// this one, and the submitter drops the route once that lands.
 func (sh *shard) txnGone(id model.TxnID) bool {
 	if sh.eng.reaped.contains(id) {
 		return true
 	}
-	_, live := sh.eng.routes.load(id)
-	return !live
+	r, live := sh.eng.routes.load(id)
+	return !live || r.kind == routeCross && sh.sched.Txn(id) == nil
 }
 
 // applyBeginSub begins a cross sub-transaction on this shard's scheduler.

@@ -10,7 +10,9 @@
 # cmd/txgc-serve, allocs per step vs max_wire_allocs_per_step and writes
 # per eight-deep burst vs max_serve_writes_per_burst), the batch door's
 # fan-out (BenchmarkEngineBatchInterleaved, mailbox round-trips per 64-step
-# batch vs max_batch_roundtrips_per_batch), the telemetry emitter
+# batch vs max_batch_roundtrips_per_batch), cross steps in the batch window
+# (BenchmarkEngineBatchCross, windows per 64-step batch vs
+# max_cross_batch_windows_per_batch), the telemetry emitter
 # (BenchmarkEngineEmitOverhead: events published per transaction vs
 # max_emit_events_per_txn, allocs/op with the bus on, and the paired on-off
 # ns/op delta, printed for information only), the retention governor's
@@ -24,8 +26,8 @@
 #
 # Usage: check_bench_budget.sh [all|alloc|scale]
 #   all   (default) every gate
-#   alloc allocation + sweep + wire + fan-out + emitter + WAL + retention
-#         gates only
+#   alloc allocation + sweep + wire + fan-out + cross-window + emitter +
+#         WAL + retention gates only
 #   scale the -cpu 2 p99 latency gate only (the CI bench-scale job)
 #
 # Every gate runs and reports. A gate over budget is recorded and the
@@ -62,6 +64,7 @@ budget=$(awk '/^max_allocs_per_op/ {print $2}' bench_budget.txt)
 nogc_budget=$(awk '/^max_nogc_allocs_per_op/ {print $2}' bench_budget.txt)
 cross_budget=$(awk '/^max_cross_allocs_per_op/ {print $2}' bench_budget.txt)
 trips_budget=$(awk '/^max_batch_roundtrips_per_batch/ {print $2}' bench_budget.txt)
+windows_budget=$(awk '/^max_cross_batch_windows_per_batch/ {print $2}' bench_budget.txt)
 events_budget=$(awk '/^max_emit_events_per_txn/ {print $2}' bench_budget.txt)
 kept_budget=$(awk '/^max_peak_kept/ {print $2}' bench_budget.txt)
 p99_budget=$(awk '/^max_p99_step_ns/ {print $2}' bench_budget.txt)
@@ -73,6 +76,7 @@ writes_budget=$(awk '/^max_serve_writes_per_burst/ {print $2}' bench_budget.txt)
 [ -n "$nogc_budget" ] || { echo "check_bench_budget: no max_nogc_allocs_per_op in bench_budget.txt" >&2; exit 2; }
 [ -n "$cross_budget" ] || { echo "check_bench_budget: no max_cross_allocs_per_op in bench_budget.txt" >&2; exit 2; }
 [ -n "$trips_budget" ] || { echo "check_bench_budget: no max_batch_roundtrips_per_batch in bench_budget.txt" >&2; exit 2; }
+[ -n "$windows_budget" ] || { echo "check_bench_budget: no max_cross_batch_windows_per_batch in bench_budget.txt" >&2; exit 2; }
 [ -n "$events_budget" ] || { echo "check_bench_budget: no max_emit_events_per_txn in bench_budget.txt" >&2; exit 2; }
 [ -n "$kept_budget" ] || { echo "check_bench_budget: no max_peak_kept in bench_budget.txt" >&2; exit 2; }
 [ -n "$p99_budget" ] || { echo "check_bench_budget: no max_p99_step_ns in bench_budget.txt" >&2; exit 2; }
@@ -82,7 +86,7 @@ writes_budget=$(awk '/^max_serve_writes_per_burst/ {print $2}' bench_budget.txt)
 [ -n "$writes_budget" ] || { echo "check_bench_budget: no max_serve_writes_per_burst in bench_budget.txt" >&2; exit 2; }
 
 if [ "$section" != "scale" ]; then
-	out=$(go test -run '^$' -bench 'BenchmarkEngineThroughput/shards=4/(policy=greedy-c1|policy=nogc)$|BenchmarkEngineCrossFrac/cross=5|BenchmarkEngineBatchInterleaved' \
+	out=$(go test -run '^$' -bench 'BenchmarkEngineThroughput/shards=4/(policy=greedy-c1|policy=nogc)$|BenchmarkEngineCrossFrac/cross=5|BenchmarkEngineBatchInterleaved|BenchmarkEngineBatchCross' \
 		-benchtime 3000x -benchmem ./internal/engine/)
 	echo "$out"
 
@@ -124,6 +128,17 @@ if [ "$section" != "scale" ]; then
 		fail batch-roundtrips "batch door $trips mailbox round-trips per batch exceeds budget of $trips_budget (windows no longer fan out)"
 	else
 		pass "batch door $trips mailbox round-trips per batch within budget of $trips_budget"
+	fi
+
+	# Cross steps in the window: windows per 64-step batch of sixteen
+	# interleaved transactions, two of them cross-partition. Also a count
+	# fixed by the code; a cross read that settles the window again raises it.
+	windows=$(echo "$out" | awk '/BenchmarkEngineBatchCross/ {for (i = 2; i <= NF; i++) if ($i == "windows/batch") print $(i-1)}' | head -1)
+	[ -n "$windows" ] || { echo "check_bench_budget: could not parse windows/batch from benchmark output" >&2; exit 2; }
+	if awk -v a="$windows" -v b="$windows_budget" 'BEGIN {exit !(a > b)}'; then
+		fail cross-batch-windows "batch door $windows windows per cross-carrying batch exceeds budget of $windows_budget (cross steps settle the window again)"
+	else
+		pass "batch door $windows windows per cross-carrying batch within budget of $windows_budget"
 	fi
 
 	# Between-batch sweep: allocations per transaction of the scheduler
