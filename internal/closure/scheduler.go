@@ -27,11 +27,18 @@ type Scheduler struct {
 	// shadow is the reduced conflict graph (arcs + splices), consulted
 	// only by the C1 sweep.
 	shadow  *graph.Graph
-	txns    map[model.TxnID]*core.TxnState
+	txns    map[model.TxnID]*txn
 	readers map[model.Entity]graph.NodeSet
 	writers map[model.Entity]graph.NodeSet
 	gc      bool
 	stats   core.Stats
+}
+
+// txn is the closure scheduler's record of one transaction.
+type txn struct {
+	id     model.TxnID
+	status model.Status
+	access model.AccessSet
 }
 
 // NewScheduler returns an empty closure-backed scheduler; gc enables the
@@ -40,7 +47,7 @@ func NewScheduler(gc bool) *Scheduler {
 	return &Scheduler{
 		c:       New(),
 		shadow:  graph.New(),
-		txns:    make(map[model.TxnID]*core.TxnState),
+		txns:    make(map[model.TxnID]*txn),
 		readers: make(map[model.Entity]graph.NodeSet),
 		writers: make(map[model.Entity]graph.NodeSet),
 		gc:      gc,
@@ -59,7 +66,7 @@ func (s *Scheduler) Graph() *graph.Graph { return s.shadow }
 // Status mirrors core.Scheduler.Status.
 func (s *Scheduler) Status(id model.TxnID) model.Status {
 	if t, ok := s.txns[id]; ok {
-		return t.Status
+		return t.status
 	}
 	return model.StatusAborted
 }
@@ -67,7 +74,7 @@ func (s *Scheduler) Status(id model.TxnID) model.Status {
 // Access mirrors core.Scheduler.Access.
 func (s *Scheduler) Access(id model.TxnID) model.AccessSet {
 	if t, ok := s.txns[id]; ok {
-		return t.Access
+		return t.access
 	}
 	return nil
 }
@@ -76,7 +83,7 @@ func (s *Scheduler) Access(id model.TxnID) model.AccessSet {
 func (s *Scheduler) NumCompleted() int {
 	n := 0
 	for _, t := range s.txns {
-		if t.Status == model.StatusCompleted {
+		if t.status == model.StatusCompleted {
 			n++
 		}
 	}
@@ -92,7 +99,7 @@ func (s *Scheduler) Apply(step model.Step) (core.Result, error) {
 		}
 		s.c.AddNode(step.Txn)
 		s.shadow.AddNode(step.Txn)
-		s.txns[step.Txn] = &core.TxnState{ID: step.Txn, Status: model.StatusActive, Access: make(model.AccessSet)}
+		s.txns[step.Txn] = &txn{id: step.Txn, status: model.StatusActive, access: make(model.AccessSet)}
 		s.stats.Begins++
 		s.stats.Accepted++
 		return core.Result{Step: step, Accepted: true, Aborted: model.NoTxn, CompletedTxn: model.NoTxn}, nil
@@ -103,17 +110,17 @@ func (s *Scheduler) Apply(step model.Step) (core.Result, error) {
 		}
 		tails := make(graph.NodeSet)
 		for w := range s.writers[step.Entity] {
-			if w != t.ID {
+			if w != t.id {
 				tails.Add(w)
 			}
 		}
 		// The closure decides acceptance in O(|tails|).
-		if s.c.WouldCycleInto(t.ID, tails) {
+		if s.c.WouldCycleInto(t.id, tails) {
 			return s.reject(step, t), nil
 		}
 		for w := range tails {
-			s.c.AddArc(w, t.ID)
-			s.shadow.AddArc(w, t.ID)
+			s.c.AddArc(w, t.id)
+			s.shadow.AddArc(w, t.id)
 		}
 		s.note(t, step.Entity, model.ReadAccess)
 		s.stats.Reads++
@@ -127,31 +134,31 @@ func (s *Scheduler) Apply(step model.Step) (core.Result, error) {
 		tails := make(graph.NodeSet)
 		for _, x := range step.Entities {
 			for r := range s.readers[x] {
-				if r != t.ID {
+				if r != t.id {
 					tails.Add(r)
 				}
 			}
 			for w := range s.writers[x] {
-				if w != t.ID {
+				if w != t.id {
 					tails.Add(w)
 				}
 			}
 		}
-		if s.c.WouldCycleInto(t.ID, tails) {
+		if s.c.WouldCycleInto(t.id, tails) {
 			return s.reject(step, t), nil
 		}
 		for u := range tails {
-			s.c.AddArc(u, t.ID)
-			s.shadow.AddArc(u, t.ID)
+			s.c.AddArc(u, t.id)
+			s.shadow.AddArc(u, t.id)
 		}
 		for _, x := range step.Entities {
 			s.note(t, x, model.WriteAccess)
 		}
-		t.Status = model.StatusCompleted
+		t.status = model.StatusCompleted
 		s.stats.Writes++
 		s.stats.Accepted++
 		s.stats.Completed++
-		res := core.Result{Step: step, Accepted: true, Aborted: model.NoTxn, CompletedTxn: t.ID}
+		res := core.Result{Step: step, Accepted: true, Aborted: model.NoTxn, CompletedTxn: t.id}
 		s.sweep(&res)
 		return res, nil
 	default:
@@ -159,19 +166,19 @@ func (s *Scheduler) Apply(step model.Step) (core.Result, error) {
 	}
 }
 
-func (s *Scheduler) activeTxn(id model.TxnID) (*core.TxnState, error) {
+func (s *Scheduler) activeTxn(id model.TxnID) (*txn, error) {
 	t, ok := s.txns[id]
 	if !ok {
 		return nil, fmt.Errorf("closure: step for unknown transaction T%d", id)
 	}
-	if t.Status != model.StatusActive {
-		return nil, fmt.Errorf("closure: step for %v transaction T%d", t.Status, id)
+	if t.status != model.StatusActive {
+		return nil, fmt.Errorf("closure: step for %v transaction T%d", t.status, id)
 	}
 	return t, nil
 }
 
-func (s *Scheduler) note(t *core.TxnState, x model.Entity, a model.Access) {
-	t.Access.Note(x, a)
+func (s *Scheduler) note(t *txn, x model.Entity, a model.Access) {
+	t.access.Note(x, a)
 	idx := s.readers
 	if a == model.WriteAccess {
 		idx = s.writers
@@ -181,17 +188,17 @@ func (s *Scheduler) note(t *core.TxnState, x model.Entity, a model.Access) {
 		set = make(graph.NodeSet)
 		idx[x] = set
 	}
-	set.Add(t.ID)
+	set.Add(t.id)
 }
 
-func (s *Scheduler) reject(step model.Step, t *core.TxnState) core.Result {
-	s.forget(t.ID)
-	s.c.DeleteNode(t.ID)      // aborts drop reachability through the node...
-	s.shadow.RemoveNode(t.ID) // ...in both structures
-	delete(s.txns, t.ID)
+func (s *Scheduler) reject(step model.Step, t *txn) core.Result {
+	s.forget(t.id)
+	s.c.DeleteNode(t.id)      // aborts drop reachability through the node...
+	s.shadow.RemoveNode(t.id) // ...in both structures
+	delete(s.txns, t.id)
 	s.stats.Rejected++
 	s.stats.Aborts++
-	res := core.Result{Step: step, Accepted: false, Aborted: t.ID, CompletedTxn: model.NoTxn}
+	res := core.Result{Step: step, Accepted: false, Aborted: t.id, CompletedTxn: model.NoTxn}
 	s.sweep(&res)
 	return res
 }
@@ -201,7 +208,7 @@ func (s *Scheduler) forget(id model.TxnID) {
 	if t == nil {
 		return
 	}
-	for x, a := range t.Access {
+	for x, a := range t.access {
 		delete(s.readers[x], id)
 		if len(s.readers[x]) == 0 {
 			delete(s.readers, x)
@@ -235,7 +242,7 @@ func (s *Scheduler) sweep(res *core.Result) {
 		// map order would (rarely) retain a different set.
 		var ids []model.TxnID
 		for id, t := range s.txns {
-			if t.Status == model.StatusCompleted {
+			if t.status == model.StatusCompleted {
 				ids = append(ids, id)
 			}
 		}

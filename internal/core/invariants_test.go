@@ -51,54 +51,15 @@ func checkInvariants(t *testing.T, s *Scheduler) {
 	if bound != len(s.txns) {
 		t.Fatalf("invariant: %d slots bound for %d records", bound, len(s.txns))
 	}
-	// Index ⊆ access sets. The indexes hold arena slots; every entry must
-	// resolve to a live record whose cached ref matches the slot.
-	hasRef := func(list []graph.Ref, r graph.Ref) bool {
-		for _, v := range list {
-			if v == r {
-				return true
-			}
-		}
-		return false
-	}
-	for x, list := range s.readers {
-		for _, r := range list {
-			id := s.g.IDOf(r)
-			tr := s.txns[id]
-			if tr == nil || tr.ref != r || tr.Access.Get(x) == model.NoAccess {
-				t.Fatalf("invariant: stale reader index entry (slot %d → T%d, %d)", r, id, x)
-			}
-		}
-	}
-	for x, list := range s.writers {
-		for _, r := range list {
-			id := s.g.IDOf(r)
-			tr := s.txns[id]
-			if tr == nil || tr.ref != r || tr.Access.Get(x) != model.WriteAccess {
-				t.Fatalf("invariant: stale writer index entry (slot %d → T%d, %d)", r, id, x)
-			}
-		}
-	}
-	// Access sets ⊆ index.
-	for id, tr := range s.txns {
-		for x, a := range tr.Access {
-			if a == model.WriteAccess {
-				if !hasRef(s.writers[x], tr.ref) {
-					t.Fatalf("invariant: writer (T%d, %d) missing from index", id, x)
-				}
-			} else if !hasRef(s.readers[x], tr.ref) {
-				t.Fatalf("invariant: reader (T%d, %d) missing from index", id, x)
-			}
-		}
-	}
+	checkEntityRecords(t, s)
 	// Conflicting present pairs are joined by an arc (in one direction).
 	ids := s.g.Nodes()
 	for i, a := range ids {
 		for _, b := range ids[i+1:] {
 			ta, tb := s.txns[a], s.txns[b]
 			conflict := false
-			for x, aa := range ta.Access {
-				if aa.Conflicts(tb.Access.Get(x)) {
+			for _, ac := range ta.acc {
+				if ac.a.Conflicts(accessOf(tb, ac.x)) {
 					conflict = true
 					break
 				}
@@ -107,6 +68,76 @@ func checkInvariants(t *testing.T, s *Scheduler) {
 				t.Fatalf("invariant: conflicting pair T%d, T%d with no arc", a, b)
 			}
 		}
+	}
+}
+
+// accessOf returns tr's strongest access to x.
+func accessOf(tr *TxnState, x model.Entity) model.Access {
+	if i := tr.find(x); i >= 0 {
+		return tr.acc[i].a
+	}
+	return model.NoAccess
+}
+
+// checkEntityRecords asserts that the entity records agree exactly with the
+// live access lists (deletion = forgetting, abort = forgetting):
+//   - every access names the live record of its entity, once per entity;
+//   - every reader or writer a record lists is a live transaction whose
+//     access list says so, and every such access is listed;
+//   - no record is kept that no present transaction touches and that holds
+//     no current value, and the slab's slots are each either filed or free.
+func checkEntityRecords(t *testing.T, s *Scheduler) {
+	t.Helper()
+	for id, tr := range s.txns {
+		for i, ac := range tr.acc {
+			if r, ok := s.ents.ids[ac.x]; !ok || r != ac.rec {
+				t.Fatalf("invariant: T%d's access to %d names slot %d, the entity's record is %d (filed %v)", id, ac.x, ac.rec, r, ok)
+			}
+			if tr.find(ac.x) != i {
+				t.Fatalf("invariant: T%d lists entity %d twice", id, ac.x)
+			}
+			e := &s.ents.recs[ac.rec]
+			if ac.reader != slices.Contains(e.readers, tr.ref) {
+				t.Fatalf("invariant: T%d reader of %d = %v, record readers %v", id, ac.x, ac.reader, e.readers)
+			}
+			if (ac.a == model.WriteAccess) != slices.Contains(e.writers, tr.ref) {
+				t.Fatalf("invariant: T%d writes %d = %v, record writers %v", id, ac.x, ac.a == model.WriteAccess, e.writers)
+			}
+			if !ac.reader && ac.a != model.WriteAccess {
+				t.Fatalf("invariant: T%d's access to %d lists it nowhere", id, ac.x)
+			}
+		}
+	}
+	listed := func(x model.Entity, rs []graph.Ref, write bool) {
+		for _, r := range rs {
+			id := s.g.IDOf(r)
+			tr := s.txns[id]
+			if tr == nil || tr.ref != r {
+				t.Fatalf("invariant: record of %d lists slot %d, which holds no live transaction", x, r)
+			}
+			if i := tr.find(x); i < 0 || (write && tr.acc[i].a != model.WriteAccess) || (!write && !tr.acc[i].reader) {
+				t.Fatalf("invariant: record of %d lists T%d (write=%v), its access list disagrees", x, id, write)
+			}
+		}
+	}
+	seen := map[int32]bool{}
+	for x, r := range s.ents.ids {
+		e := &s.ents.recs[r]
+		if len(e.readers) == 0 && len(e.writers) == 0 && !e.written() {
+			t.Fatalf("invariant: entity %d keeps an empty, never-written record", x)
+		}
+		listed(x, e.readers, false)
+		listed(x, e.writers, true)
+		seen[r] = true
+	}
+	for _, r := range s.ents.free {
+		if seen[r] {
+			t.Fatalf("invariant: slot %d is both filed and free", r)
+		}
+		seen[r] = true
+	}
+	if len(seen) != len(s.ents.recs) {
+		t.Fatalf("invariant: %d slots filed or free of %d", len(seen), len(s.ents.recs))
 	}
 }
 

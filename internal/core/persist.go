@@ -13,9 +13,9 @@
 // installs a tracker, and the engine's recovery registers none, so every
 // label a snapshot could carry would be dead on arrival.
 //
-// RestoreScheduler inverts it. The entity indexes (readers/writers) are
-// rebuilt from the access sets: a transaction whose retained access level
-// is WriteAccess re-indexes as a writer only, which is conflict-equivalent
+// RestoreScheduler inverts it. The entity records' reader and writer lists
+// are rebuilt from the access sets: a transaction whose retained access
+// level is WriteAccess re-lists as a writer only, which is conflict-equivalent
 // — Rules 2 and 3 consult writers for every conflict a read entry could
 // have witnessed, and the arcs those conflicts produced are restored
 // verbatim from the arc list anyway.
@@ -88,10 +88,10 @@ func (s *Scheduler) ExportState() SchedulerState {
 			IsCross:  t.isCross,
 			Prepared: t.prepared,
 			Pinned:   s.g.PinnedRef(t.ref),
-			Access:   make([]AccessSnap, 0, len(t.Access)),
+			Access:   make([]AccessSnap, 0, len(t.acc)),
 		}
-		for x, a := range t.Access {
-			snap.Access = append(snap.Access, AccessSnap{Entity: x, Access: a, Seq: t.accessSeq[x]})
+		for _, ac := range t.acc {
+			snap.Access = append(snap.Access, AccessSnap{Entity: ac.x, Access: ac.a, Seq: ac.seq})
 		}
 		slices.SortFunc(snap.Access, func(a, b AccessSnap) int { return int(a.Entity - b.Entity) })
 		st.Txns = append(st.Txns, snap)
@@ -106,9 +106,11 @@ func (s *Scheduler) ExportState() SchedulerState {
 			return 0
 		}
 	})
-	st.Writes = make([]EntityWrite, 0, len(s.lastWriteSeq))
-	for x, seq := range s.lastWriteSeq {
-		st.Writes = append(st.Writes, EntityWrite{Entity: x, Seq: seq, Writer: s.lastWriter[x]})
+	st.Writes = make([]EntityWrite, 0, len(s.ents.ids))
+	for x, r := range s.ents.ids {
+		if e := &s.ents.recs[r]; e.written() {
+			st.Writes = append(st.Writes, EntityWrite{Entity: x, Seq: e.lastSeq, Writer: e.lastWriter})
+		}
 	}
 	slices.SortFunc(st.Writes, func(a, b EntityWrite) int { return int(a.Entity - b.Entity) })
 	return st
@@ -134,23 +136,27 @@ func RestoreScheduler(cfg Config, st SchedulerState) (*Scheduler, error) {
 		}
 		ref := s.g.AddNodeRef(snap.ID)
 		t := &TxnState{
-			ID:        snap.ID,
-			Status:    snap.Status,
-			Access:    make(model.AccessSet, len(snap.Access)),
-			accessSeq: make(map[model.Entity]int64, len(snap.Access)),
-			BeginSeq:  snap.BeginSeq,
-			EndSeq:    snap.EndSeq,
-			isCross:   snap.IsCross,
-			prepared:  snap.Prepared,
+			ID:       snap.ID,
+			Status:   snap.Status,
+			acc:      make([]access, 0, len(snap.Access)),
+			BeginSeq: snap.BeginSeq,
+			EndSeq:   snap.EndSeq,
+			isCross:  snap.IsCross,
+			prepared: snap.Prepared,
 		}
 		for _, a := range snap.Access {
-			t.Access[a.Entity] = a.Access
-			t.accessSeq[a.Entity] = a.Seq
-			if a.Access == model.WriteAccess {
-				s.writers[a.Entity] = append(s.writers[a.Entity], ref)
-			} else {
-				s.readers[a.Entity] = append(s.readers[a.Entity], ref)
+			if t.find(a.Entity) >= 0 {
+				return nil, fmt.Errorf("core: restore: transaction T%d lists entity %d twice", snap.ID, a.Entity)
 			}
+			r := s.ents.file(a.Entity)
+			e := &s.ents.recs[r]
+			reader := a.Access != model.WriteAccess
+			if reader {
+				e.readers = append(e.readers, ref)
+			} else {
+				e.writers = append(e.writers, ref)
+			}
+			t.acc = append(t.acc, access{x: a.Entity, rec: r, a: a.Access, reader: reader, seq: a.Seq})
 		}
 		s.txns[snap.ID] = t
 		s.bindSlot(t, ref)
@@ -180,11 +186,11 @@ func RestoreScheduler(cfg Config, st SchedulerState) (*Scheduler, error) {
 		return nil, fmt.Errorf("core: restore: restored conflict graph is cyclic")
 	}
 	for _, w := range st.Writes {
-		if w.Seq > st.Seq {
-			return nil, fmt.Errorf("core: restore: write seq %d for entity %d exceeds scheduler seq %d", w.Seq, w.Entity, st.Seq)
+		if w.Seq < 1 || w.Seq > st.Seq {
+			return nil, fmt.Errorf("core: restore: write seq %d for entity %d outside [1, scheduler seq %d]", w.Seq, w.Entity, st.Seq)
 		}
-		s.lastWriteSeq[w.Entity] = w.Seq
-		s.lastWriter[w.Entity] = w.Writer
+		e := &s.ents.recs[s.ents.file(w.Entity)]
+		e.lastSeq, e.lastWriter = w.Seq, w.Writer
 	}
 	return s, nil
 }

@@ -109,7 +109,8 @@ func TestExportRestorePrepared(t *testing.T) {
 }
 
 // TestRestoreRejectsBadState checks the validation edges: cyclic graphs,
-// duplicate IDs, arcs to missing nodes, prepared non-actives.
+// duplicate IDs, arcs to missing nodes, prepared non-actives, an entity
+// listed twice in one access set, and a current value at sequence 0.
 func TestRestoreRejectsBadState(t *testing.T) {
 	base := func() SchedulerState {
 		s := NewScheduler(Config{})
@@ -144,6 +145,18 @@ func TestRestoreRejectsBadState(t *testing.T) {
 	bad.Txns[0].Prepared = true // T1 is completed
 	if _, err := RestoreScheduler(Config{}, bad); err == nil {
 		t.Fatal("prepared completed transaction restored without error")
+	}
+
+	bad = base()
+	bad.Txns[0].Access = append(bad.Txns[0].Access, bad.Txns[0].Access[0])
+	if _, err := RestoreScheduler(Config{}, bad); err == nil {
+		t.Fatal("an access list naming one entity twice restored without error")
+	}
+
+	bad = base()
+	bad.Writes[0].Seq = 0 // sequence numbers start at 1
+	if _, err := RestoreScheduler(Config{}, bad); err == nil {
+		t.Fatal("a write at sequence number 0 restored without error")
 	}
 }
 

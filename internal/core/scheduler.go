@@ -74,18 +74,16 @@ func (s *Stats) Merge(o Stats) {
 // TxnState is the scheduler's record of one transaction. Deleting the
 // transaction erases this record: that is the storage the paper's
 // conditions let us reclaim. Records are pooled: once a transaction is
-// deleted or aborted its TxnState (and maps) are recycled for a future
+// deleted or aborted its TxnState (and access list) is recycled for a future
 // BEGIN, so steady-state churn allocates nothing.
 type TxnState struct {
 	ID     model.TxnID
 	Status model.Status
-	Access model.AccessSet
-	// accessSeq tracks, per entity, the sequence number of the latest
-	// access; together with Scheduler.lastWriteSeq it decides currency
-	// (Corollary 1).
-	accessSeq map[model.Entity]int64
-	BeginSeq  int64
-	EndSeq    int64
+	// acc is the transaction's read/write set, one entry per entity it
+	// accessed (entity.go).
+	acc      []access
+	BeginSeq int64
+	EndSeq   int64
 	// ref is the transaction's slot in the graph arena, valid while the
 	// node is present (active or retained completed).
 	ref graph.Ref
@@ -144,23 +142,16 @@ type Scheduler struct {
 	// deletion conditions can ask a node's status while walking Refs without
 	// going back through the id→state map.
 	bySlot []*TxnState
-	// readers[x] and writers[x] index the transactions currently in the
-	// graph that have read/written x — the information Rules 2 and 3
-	// consult. Deleting a transaction removes it from these indexes: its
-	// access sets are forgotten. The indexes hold arena slots (graph.Ref),
-	// not IDs, so the per-step cycle test never touches the id→slot map;
-	// empty entries keep their capacity for the next occupant.
-	readers map[model.Entity][]graph.Ref
-	writers map[model.Entity][]graph.Ref
-	// lastWriteSeq and lastWriter track the schedule-level current value
-	// per entity (for Corollary 1's noncurrent rule); lastWriter may name
-	// a deleted transaction, which is precisely what makes the naive
-	// noncurrent rule non-compositional.
-	lastWriteSeq map[model.Entity]int64
-	lastWriter   map[model.Entity]model.TxnID
-	seq          int64
-	cfg          Config
-	stats        Stats
+	// ents holds a record per entity (entity.go): the retained transactions
+	// that read or wrote it — the information Rules 2 and 3 consult, as
+	// arena slots, so the per-step cycle test never touches the id→slot map
+	// — and its schedule-level current value (Corollary 1). Deleting a
+	// transaction removes it from the records: its access sets are
+	// forgotten.
+	ents  entityTable
+	seq   int64
+	cfg   Config
+	stats Stats
 	// completed holds the retained completed transaction IDs, ascending:
 	// inserted where a transaction completes (or is restored completed),
 	// removed where it is deleted, so a sweep copies the candidate list
@@ -169,15 +160,12 @@ type Scheduler struct {
 	// numActive is maintained incrementally so the per-step bookkeeping in
 	// afterStep never scans txns.
 	numActive int
-	// statePool recycles TxnState records (with their maps) across
+	// statePool recycles TxnState records (with their access lists) across
 	// delete/abort → begin.
 	statePool []*TxnState
-	// idxFree recycles the backing arrays of emptied readers/writers
-	// entries: forget deletes an entry whose last occupant leaves (the
-	// paper's storage-reclamation point applied to the entity indexes),
-	// and without this list every re-touch of such an entity would
-	// allocate a fresh one-element slice. Bounded; see forget.
-	idxFree [][]graph.Ref
+	// recScratch holds a final write's record slots, one per written
+	// entity, from its cycle test to its bookkeeping.
+	recScratch []int32
 	// compScratch backs Sweep.Completed's candidate list, so the policy
 	// sweep loop (which rebuilds the list every deletion round) allocates
 	// nothing in steady state. manualSweep and its deleted buffer are the
@@ -206,18 +194,20 @@ type Scheduler struct {
 	inLabels   []label
 	crossStack []graph.Ref
 	flooded    []graph.Ref
+	// sweepEpoch numbers the sweep in progress (0 outside one), and
+	// liveMemo holds, per arena slot, the tracker's answer for the
+	// transaction in it as of that sweep (see tracked).
+	sweepEpoch int64
+	liveMemo   []liveMemo
 }
 
 // NewScheduler returns an empty scheduler with the given configuration.
 func NewScheduler(cfg Config) *Scheduler {
 	return &Scheduler{
-		g:            graph.New(),
-		txns:         make(map[model.TxnID]*TxnState),
-		readers:      make(map[model.Entity][]graph.Ref),
-		writers:      make(map[model.Entity][]graph.Ref),
-		lastWriteSeq: make(map[model.Entity]int64),
-		lastWriter:   make(map[model.Entity]model.TxnID),
-		cfg:          cfg,
+		g:    graph.New(),
+		txns: make(map[model.TxnID]*TxnState),
+		ents: entityTable{ids: make(map[model.Entity]int32)},
+		cfg:  cfg,
 	}
 }
 
@@ -243,12 +233,19 @@ func (s *Scheduler) Status(id model.TxnID) model.Status {
 	return model.StatusAborted
 }
 
-// Access implements StateView.
+// Access implements StateView for the generic condition checkers and the
+// paper toolkit. It builds a fresh AccessSet from the transaction's access
+// list, so every call allocates; the scheduler's own paths read the list.
 func (s *Scheduler) Access(id model.TxnID) model.AccessSet {
-	if t, ok := s.txns[id]; ok {
-		return t.Access
+	t, ok := s.txns[id]
+	if !ok {
+		return nil
 	}
-	return nil
+	out := make(model.AccessSet, len(t.acc))
+	for _, ac := range t.acc {
+		out[ac.x] = ac.a
+	}
+	return out
 }
 
 // ActiveTxns returns the IDs of active transactions, ascending.
@@ -398,9 +395,12 @@ func (s *Scheduler) read(step model.Step) (Result, error) {
 	// Rule 2: arcs from every node that has written x into the reader.
 	g := s.g
 	g.ResetTargets()
-	for _, w := range s.writers[x] {
-		if w != t.ref {
-			g.MarkTarget(w)
+	r := s.recordOf(t, x)
+	if r >= 0 {
+		for _, w := range s.ents.recs[r].writers {
+			if w != t.ref {
+				g.MarkTarget(w)
+			}
 		}
 	}
 	// A cycle appears iff the reader already reaches one of the tails.
@@ -413,7 +413,7 @@ func (s *Scheduler) read(step model.Step) (Result, error) {
 		return s.reject(step, t, true), nil
 	}
 	g.LinkTargetsTo(t.ref)
-	s.noteAccess(t, x, model.ReadAccess)
+	s.noteAccess(t, x, model.ReadAccess, r)
 	if !s.crossFlood(t) {
 		return s.reject(step, t, true), nil
 	}
@@ -431,22 +431,8 @@ func (s *Scheduler) writeFinal(step model.Step) (Result, error) {
 		return Result{}, err
 	}
 	s.seq++
-	// Rule 3: for every written entity, arcs from every prior reader or
-	// writer of it into the writer.
 	g := s.g
-	g.ResetTargets()
-	for _, x := range step.Entities {
-		for _, r := range s.readers[x] {
-			if r != t.ref {
-				g.MarkTarget(r)
-			}
-		}
-		for _, w := range s.writers[x] {
-			if w != t.ref {
-				g.MarkTarget(w)
-			}
-		}
-	}
+	s.markWriteTargets(t, step.Entities)
 	if g.ReachesAnyTarget(t.ref) {
 		return s.reject(step, t, false), nil
 	}
@@ -458,15 +444,13 @@ func (s *Scheduler) writeFinal(step model.Step) (Result, error) {
 		// The write's new arcs pushed a label into a cross sub-node and the
 		// registry vetoed: the step would close a cycle spanning shard
 		// graphs. Reject it before any access bookkeeping lands — in
-		// particular lastWriteSeq/lastWriter must never name a write that
-		// failed, or Corollary 1's noncurrency test would see a phantom
-		// overwrite.
+		// particular no current value may name a write that failed, or
+		// Corollary 1's noncurrency test would see a phantom overwrite.
 		return s.reject(step, t, true), nil
 	}
-	for _, x := range step.Entities {
-		s.noteAccess(t, x, model.WriteAccess)
-		s.lastWriteSeq[x] = s.seq
-		s.lastWriter[x] = t.ID
+	for i, x := range step.Entities {
+		e := &s.ents.recs[s.noteAccess(t, x, model.WriteAccess, s.recScratch[i])]
+		e.lastSeq, e.lastWriter = s.seq, t.ID
 	}
 	s.markCompleted(t)
 	t.EndSeq = s.seq
@@ -480,21 +464,56 @@ func (s *Scheduler) writeFinal(step model.Step) (Result, error) {
 	return res, nil
 }
 
+// markWriteTargets runs Rule 3's marking for t's final write of xs — arcs
+// from every retained reader or writer of each entity into the writer — and
+// leaves each entity's record slot in recScratch for the write's
+// bookkeeping.
+func (s *Scheduler) markWriteTargets(t *TxnState, xs []model.Entity) {
+	g := s.g
+	g.ResetTargets()
+	s.recScratch = s.recScratch[:0]
+	for _, x := range xs {
+		r := s.recordOf(t, x)
+		s.recScratch = append(s.recScratch, r)
+		if r < 0 {
+			continue
+		}
+		e := &s.ents.recs[r]
+		for _, rd := range e.readers {
+			if rd != t.ref {
+				g.MarkTarget(rd)
+			}
+		}
+		for _, w := range e.writers {
+			if w != t.ref {
+				g.MarkTarget(w)
+			}
+		}
+	}
+}
+
 func (s *Scheduler) activeTxn(id model.TxnID) (*TxnState, error) {
-	t, ok := s.txns[id]
-	if !ok {
-		//lint:ignore hotpath-fmt protocol-violation path: every accepted step takes the ok branch
-		return nil, fmt.Errorf("core: step for unknown transaction T%d (no BEGIN, aborted, or deleted)", id)
-	}
-	if t.Status != model.StatusActive {
-		//lint:ignore hotpath-fmt protocol-violation path, as above
-		return nil, fmt.Errorf("core: step for %v transaction T%d", t.Status, id)
-	}
-	if t.prepared {
-		//lint:ignore hotpath-fmt protocol-violation path, as above
-		return nil, fmt.Errorf("core: step for prepared transaction T%d", id)
+	t := s.txns[id]
+	if t == nil || t.Status != model.StatusActive || t.prepared {
+		return nil, stepRefused(id, t)
 	}
 	return t, nil
+}
+
+// stepRefused is the error for a step by transaction id, whose record is t
+// (nil when id is unknown: never begun, aborted, or deleted), when t may take
+// no step: it is no longer active, or it is prepared. The formats that need
+// no status name the ID as argument 2 ([2]), so one call serves all three.
+func stepRefused(id model.TxnID, t *TxnState) error {
+	format, status := "core: step for unknown transaction T%[2]d (no BEGIN, aborted, or deleted)", model.StatusAborted
+	if t != nil {
+		format, status = "core: step for %v transaction T%d", t.Status
+		if t.prepared {
+			format = "core: step for prepared transaction T%[2]d"
+		}
+	}
+	//lint:ignore hotpath-fmt protocol-violation path: an accepted step never calls this
+	return fmt.Errorf(format, status, id)
 }
 
 // acquireState returns a fresh-or-recycled TxnState for a BEGIN at the
@@ -506,10 +525,7 @@ func (s *Scheduler) acquireState(id model.TxnID, ref graph.Ref) *TxnState {
 		s.statePool = s.statePool[:n-1]
 	} else {
 		//lint:ignore hotpath-alloc pool miss only: in steady state delete/abort→begin recycles through statePool, so this branch runs O(peak concurrent txns) times, not O(steps)
-		t = &TxnState{
-			Access:    make(model.AccessSet),
-			accessSeq: make(map[model.Entity]int64),
-		}
+		t = &TxnState{ID: id}
 	}
 	t.ID = id
 	t.Status = model.StatusActive
@@ -531,45 +547,12 @@ func (s *Scheduler) bindSlot(t *TxnState, ref graph.Ref) {
 }
 
 // releaseState recycles a TxnState that has been removed from txns. The
-// maps are cleared here, at release time: no live code may retain an
-// AccessSet of a deleted/aborted transaction.
+// access list is cleared here, at release time, keeping its capacity.
 func (s *Scheduler) releaseState(t *TxnState) {
-	clear(t.Access)
-	clear(t.accessSeq)
+	t.acc = t.acc[:0]
 	s.bySlot[t.ref] = nil
 	t.ref = graph.NoRef
 	s.statePool = append(s.statePool, t)
-}
-
-func (s *Scheduler) noteAccess(t *TxnState, x model.Entity, a model.Access) {
-	prev := t.Access[x]
-	if a > prev {
-		t.Access[x] = a
-	}
-	t.accessSeq[x] = s.seq
-	// First read of x indexes t as a reader; a (final) write indexes it
-	// as a writer even if it read x before — Rule 3 consults both.
-	if a == model.WriteAccess {
-		if prev < model.WriteAccess {
-			s.writers[x] = s.appendIdx(s.writers[x], t.ref)
-		}
-	} else if prev == model.NoAccess {
-		s.readers[x] = s.appendIdx(s.readers[x], t.ref)
-	}
-}
-
-// appendIdx appends r to an entity-index slice, seeding a fresh entry from
-// the idxFree recycle list so touching an entity whose index entry was
-// reclaimed does not allocate.
-func (s *Scheduler) appendIdx(rs []graph.Ref, r graph.Ref) []graph.Ref {
-	if rs == nil {
-		if n := len(s.idxFree); n > 0 {
-			rs = s.idxFree[n-1]
-			s.idxFree[n-1] = nil
-			s.idxFree = s.idxFree[:n-1]
-		}
-	}
-	return append(rs, r)
 }
 
 // reject aborts the acting transaction: the step is refused and the node,
@@ -594,44 +577,6 @@ func (s *Scheduler) reject(step model.Step, t *TxnState, cross bool) Result {
 	res := Result{Step: step, Accepted: false, Aborted: t.ID, CompletedTxn: model.NoTxn, CrossVeto: cross}
 	s.afterStep(&res, true)
 	return res
-}
-
-// forget erases the transaction from the per-entity indexes. Its graph
-// node is handled separately (RemoveRef on abort, ReduceRef on deletion).
-// An entry whose last occupant leaves is deleted outright — the paper's
-// storage-reclamation point applies to the entity indexes too, and a
-// long-lived server reading a wide sparse keyspace must not retain a
-// slice per entity it ever saw. Hot entities keep a non-empty slice, so
-// the steady-state append path stays allocation-free.
-func (s *Scheduler) forget(t *TxnState) {
-	for x, a := range t.Access {
-		if rs := graph.DropRef(s.readers[x], t.ref); len(rs) > 0 {
-			s.readers[x] = rs
-		} else {
-			s.recycleIdx(rs)
-			delete(s.readers, x)
-		}
-		if a == model.WriteAccess {
-			if ws := graph.DropRef(s.writers[x], t.ref); len(ws) > 0 {
-				s.writers[x] = ws
-			} else {
-				s.recycleIdx(ws)
-				delete(s.writers, x)
-			}
-		}
-	}
-}
-
-// idxFreeMax bounds the recycle list; beyond it, emptied backing arrays
-// are simply released to the GC (a cold keyspace shrinking for good must
-// not pin its index storage forever).
-const idxFreeMax = 256
-
-// recycleIdx stashes an emptied index entry's backing array for reuse.
-func (s *Scheduler) recycleIdx(rs []graph.Ref) {
-	if cap(rs) > 0 && len(s.idxFree) < idxFreeMax {
-		s.idxFree = append(s.idxFree, rs[:0])
-	}
 }
 
 // deleteTxn removes a completed transaction with the paper's reduction:
@@ -668,13 +613,9 @@ func (s *Scheduler) deleteTxn(id model.TxnID) error {
 func (s *Scheduler) afterStep(res *Result, sweepEvent bool) {
 	if s.cfg.Policy != nil && !s.cfg.SweepManual && sweepEvent {
 		sw := &s.autoSweep
-		sw.s = s
 		sw.justCompleted = res.CompletedTxn
-		sw.deleted = sw.deleted[:0]
-		s.cfg.Policy.Sweep(sw)
+		s.sweep(sw)
 		res.Deleted = sw.deleted
-		s.stats.Sweeps++
-		s.emit(emit.KindSweep, emit.ClassOK, model.NoTxn, 0, int64(len(sw.deleted)))
 	}
 	if n := s.g.NumNodes(); n > s.stats.PeakNodes {
 		s.stats.PeakNodes = n
@@ -690,6 +631,19 @@ func (s *Scheduler) afterStep(res *Result, sweepEvent bool) {
 	s.stats.KeptSample++
 }
 
+// sweep runs the policy once through sw. For its duration the tracker's
+// LabelLive answers are remembered per arena slot (see tracked): the sweep
+// number, which no earlier sweep of this scheduler shares, is the epoch.
+func (s *Scheduler) sweep(sw *Sweep) {
+	sw.s = s
+	sw.deleted = sw.deleted[:0]
+	s.sweepEpoch = s.stats.Sweeps + 1
+	s.cfg.Policy.Sweep(sw)
+	s.sweepEpoch = 0
+	s.stats.Sweeps++
+	s.emit(emit.KindSweep, emit.ClassOK, model.NoTxn, 0, int64(len(sw.deleted)))
+}
+
 // Noncurrent reports whether completed transaction id is noncurrent in the
 // sense of Corollary 1: every entity it accessed has been subsequently
 // overwritten. This is a property of the schedule, not of the (possibly
@@ -700,9 +654,9 @@ func (s *Scheduler) Noncurrent(id model.TxnID) bool {
 	if !ok || t.Status != model.StatusCompleted {
 		return false
 	}
-	for x := range t.Access {
-		if t.accessSeq[x] >= s.lastWriteSeq[x] {
-			return false // t read or wrote the current value of x
+	for _, ac := range t.acc {
+		if ac.seq >= s.ents.recs[ac.rec].lastSeq {
+			return false // t read or wrote the current value of ac.x
 		}
 	}
 	return true
@@ -719,12 +673,12 @@ func (s *Scheduler) CurrentWriterPresent(id model.TxnID) bool {
 	if !ok {
 		return false
 	}
-	for x := range t.Access {
-		w, ok := s.lastWriter[x]
-		if !ok || w == id {
+	for _, ac := range t.acc {
+		e := &s.ents.recs[ac.rec]
+		if !e.written() || e.lastWriter == id {
 			return false
 		}
-		if _, present := s.txns[w]; !present {
+		if _, present := s.txns[e.lastWriter]; !present {
 			return false
 		}
 	}
@@ -741,11 +695,11 @@ func (s *Scheduler) CheckC1(id model.TxnID) (bool, *C1Violation) {
 	if !ok || t.Status != model.StatusCompleted {
 		return false, &C1Violation{Ti: id, Tj: model.NoTxn}
 	}
-	ok, tj, x := s.checkC1(t)
+	ok, tj, i := s.checkC1(t)
 	if ok {
 		return true, nil
 	}
-	return false, &C1Violation{Ti: id, Tj: s.g.IDOf(tj), X: x, Strength: t.Access[x]}
+	return false, &C1Violation{Ti: id, Tj: s.g.IDOf(tj), X: t.acc[i].x, Strength: t.acc[i].a}
 }
 
 // c1Holds is CheckC1 without the witness, for the sweep loop: nothing is
@@ -765,9 +719,10 @@ func (s *Scheduler) c1Holds(id model.TxnID) bool {
 // tight predecessors), and for each such Tj the walk forward through
 // completed nodes stamps Tj's tight successors. "Some completed tight
 // successor of Tj other than t accesses x at least as strongly" is then read
-// off the entity indexes — writers[x], plus readers[x] when t only read x —
-// against the stamps. On failure it names the predecessor and entity.
-func (s *Scheduler) checkC1(t *TxnState) (ok bool, tj graph.Ref, x model.Entity) {
+// off x's record — its writers, plus its readers when t only read x —
+// against the stamps. On failure it names the predecessor and the index of
+// the entity in t's access list.
+func (s *Scheduler) checkC1(t *TxnState) (ok bool, tj graph.Ref, i int) {
 	g := s.g
 	g.BeginVisit()
 	g.VisitRef(t.ref)
@@ -803,9 +758,9 @@ func (s *Scheduler) checkC1(t *TxnState) (ok bool, tj graph.Ref, x model.Entity)
 			}
 		}
 		s.walkScratch = stack
-		for e, need := range t.Access {
-			if !s.witnessed(e, need, t.ref) {
-				return false, pj, e
+		for i, ac := range t.acc {
+			if !s.witnessed(&s.ents.recs[ac.rec], ac.a, t.ref) {
+				return false, pj, i
 			}
 		}
 	}
@@ -813,9 +768,10 @@ func (s *Scheduler) checkC1(t *TxnState) (ok bool, tj graph.Ref, x model.Entity)
 }
 
 // witnessed reports whether some completed transaction other than ti that
-// carries the current visit stamp accesses x at least as strongly as need.
-func (s *Scheduler) witnessed(x model.Entity, need model.Access, ti graph.Ref) bool {
-	for _, w := range s.writers[x] {
+// carries the current visit stamp accesses e's entity at least as strongly
+// as need.
+func (s *Scheduler) witnessed(e *entity, need model.Access, ti graph.Ref) bool {
+	for _, w := range e.writers {
 		if w != ti && s.g.VisitedRef(w) && s.bySlot[w].Status == model.StatusCompleted {
 			return true
 		}
@@ -823,7 +779,7 @@ func (s *Scheduler) witnessed(x model.Entity, need model.Access, ti graph.Ref) b
 	if need == model.WriteAccess {
 		return false
 	}
-	for _, r := range s.readers[x] {
+	for _, r := range e.readers {
 		if r != ti && s.g.VisitedRef(r) && s.bySlot[r].Status == model.StatusCompleted {
 			return true
 		}
@@ -893,12 +849,8 @@ func (s *Scheduler) SweepNow() []model.TxnID {
 		return nil
 	}
 	sw := &s.manualSweep
-	sw.s = s
 	sw.justCompleted = model.NoTxn
-	sw.deleted = sw.deleted[:0]
-	s.cfg.Policy.Sweep(sw)
-	s.stats.Sweeps++
-	s.emit(emit.KindSweep, emit.ClassOK, model.NoTxn, 0, int64(len(sw.deleted)))
+	s.sweep(sw)
 	return sw.deleted
 }
 

@@ -74,7 +74,9 @@ type CrossTracker interface {
 	OnCrossReach(src, dst model.TxnID) bool
 	// LabelLive reports whether src is still tracked, and with it the
 	// labels its live incarnation sourced. Labels of retired cross
-	// transactions are pruned lazily.
+	// transactions are pruned lazily. A policy sweep asks once per sub-node
+	// and keeps the answer until it ends, so an answer may only ever change
+	// from live to dead.
 	LabelLive(src model.TxnID) bool
 }
 
@@ -147,19 +149,7 @@ func (s *Scheduler) PrepareFinal(step model.Step) (PrepareVote, error) {
 	}
 	s.seq++
 	g := s.g
-	g.ResetTargets()
-	for _, x := range step.Entities {
-		for _, r := range s.readers[x] {
-			if r != t.ref {
-				g.MarkTarget(r)
-			}
-		}
-		for _, w := range s.writers[x] {
-			if w != t.ref {
-				g.MarkTarget(w)
-			}
-		}
-	}
+	s.markWriteTargets(t, step.Entities)
 	if g.ReachesAnyTarget(t.ref) {
 		s.emit(emit.KindVeto, emit.ClassCycle, t.ID, t.BeginSeq, 0)
 		return VoteLocalCycle, nil
@@ -169,12 +159,12 @@ func (s *Scheduler) PrepareFinal(step model.Step) (PrepareVote, error) {
 		return VoteCrossCycle, nil
 	}
 	g.LinkTargetsTo(t.ref)
-	// Note the write accesses (arcs and indexes), but leave the
-	// current-value bookkeeping (lastWriteSeq/lastWriter) to
-	// CommitPrepared: an ABORT decision must not leave Corollary 1's
-	// noncurrency test believing these entities were overwritten.
-	for _, x := range step.Entities {
-		s.noteAccess(t, x, model.WriteAccess)
+	// Note the write accesses (arcs and entity records), but leave the
+	// current values to CommitPrepared: an ABORT decision must not leave
+	// Corollary 1's noncurrency test believing these entities were
+	// overwritten.
+	for i, x := range step.Entities {
+		s.noteAccess(t, x, model.WriteAccess, s.recScratch[i])
 	}
 	t.prepared = true
 	t.EndSeq = s.seq
@@ -208,13 +198,12 @@ func (s *Scheduler) CommitPrepared(id model.TxnID) (Result, error) {
 	s.g.UnpinRef(t.ref)
 	t.prepared = false
 	s.markCompleted(t)
-	// The write is now committed: install the current-value bookkeeping at
-	// the write's prepare-time position (EndSeq), unless a later write of
-	// the entity already landed between vote and decision.
-	for x, a := range t.Access {
-		if a == model.WriteAccess && t.EndSeq > s.lastWriteSeq[x] {
-			s.lastWriteSeq[x] = t.EndSeq
-			s.lastWriter[x] = t.ID
+	// The write is now committed: install the current values at the
+	// write's prepare-time position (EndSeq), unless a later write of the
+	// entity already landed between vote and decision.
+	for _, ac := range t.acc {
+		if e := &s.ents.recs[ac.rec]; ac.a == model.WriteAccess && t.EndSeq > e.lastSeq {
+			e.lastSeq, e.lastWriter = t.EndSeq, t.ID
 		}
 	}
 	s.numActive--
@@ -247,7 +236,7 @@ type label struct {
 // sources nothing.
 func (s *Scheduler) sourceOf(r graph.Ref) (label, bool) {
 	t := s.bySlot[r]
-	if !t.isCross || !s.cfg.Cross.LabelLive(t.ID) {
+	if !t.isCross || !s.tracked(r) {
 		return label{}, false
 	}
 	return label{slot: r, seq: t.BeginSeq}, true
@@ -260,7 +249,34 @@ func (s *Scheduler) sourceOf(r graph.Ref) (label, bool) {
 // transaction already aborting.
 func (s *Scheduler) labelLive(l label) bool {
 	t := s.bySlot[l.slot]
-	return t != nil && t.BeginSeq == l.seq && s.cfg.Cross.LabelLive(t.ID)
+	return t != nil && t.BeginSeq == l.seq && s.tracked(l.slot)
+}
+
+// liveMemo is one slot's remembered LabelLive answer and the sweep it was
+// asked in.
+type liveMemo struct {
+	epoch int64
+	live  bool
+}
+
+// tracked asks the tracker whether it still tracks the transaction in the
+// occupied slot r. During a sweep it asks once per slot and remembers the
+// answer until the sweep ends, instead of once per label per candidate per
+// fixpoint round. No step runs inside a sweep, so a slot keeps its
+// incarnation throughout, and labels only go live→dead: a remembered "live"
+// is conservative, a remembered "dead" stays true.
+func (s *Scheduler) tracked(r graph.Ref) bool {
+	if s.sweepEpoch == 0 {
+		return s.cfg.Cross.LabelLive(s.bySlot[r].ID)
+	}
+	for int(r) >= len(s.liveMemo) {
+		s.liveMemo = append(s.liveMemo, liveMemo{})
+	}
+	m := &s.liveMemo[r]
+	if m.epoch != s.sweepEpoch {
+		m.epoch, m.live = s.sweepEpoch, s.cfg.Cross.LabelLive(s.bySlot[r].ID)
+	}
+	return m.live
 }
 
 // labelsOf returns slot r's current label set (possibly containing dead
@@ -447,7 +463,7 @@ func (s *Scheduler) policyDeletable(id model.TxnID) bool {
 	if s.cfg.Cross == nil {
 		return true
 	}
-	if t.isCross && s.cfg.Cross.LabelLive(t.ID) {
+	if t.isCross && s.tracked(t.ref) {
 		return false
 	}
 	return len(s.pruneLabels(t.ref)) == 0
