@@ -20,11 +20,13 @@
 // it records, per pair of cross transactions, whether one's sub-node
 // reaches the other's inside some shard graph (reported by the shards'
 // label propagation), and vetoes the step that would close a cycle among
-// those reach-arcs. It holds live state only: a retired or aborted
-// transaction's entry goes at once, and nothing of its ID is kept for the
-// labels it left in shard graphs — those name its incarnation, not the
-// reusable TxnID, so they die with it. See the package documentation for
-// the full argument.
+// those reach-arcs. A committed transaction stays until every participant
+// has reported its sub-node clean; each participant files that report as a
+// debt of its own when it commits the sub-node. The registry holds live
+// state only: a retired or aborted transaction's entry goes at once, and
+// nothing of its ID is kept for the labels it left in shard graphs — those
+// name its incarnation, not the reusable TxnID, so they die with it. See
+// the package documentation for the full argument.
 package engine
 
 import (
@@ -86,8 +88,7 @@ func (ct *crossTxn) participant(p int) bool {
 
 // crossEntry is one cross transaction's registry record.
 type crossEntry struct {
-	parts   []int
-	decided bool
+	parts []int
 	// clean[i] records that parts[i] reported the sub-node has no active
 	// ancestor there (monotone; see reportClean). cleanN counts them.
 	clean  []bool
@@ -99,75 +100,43 @@ type crossEntry struct {
 
 // crossRegistry tracks live cross transactions and the inter-shard
 // reach-arcs among them. It implements core.CrossTracker for every shard
-// scheduler of the engine. All methods are safe for concurrent use.
+// scheduler of the engine. All methods are safe for concurrent use. What a
+// shard still owes the registry — the reports of its committed sub-nodes —
+// the shard keeps itself (shard.watch), so its housekeeping takes mu only to
+// report.
 type crossRegistry struct {
 	mu   sync.Mutex
 	txns map[model.TxnID]*crossEntry
-	// size mirrors len(txns) so shards can skip clean-reporting without
-	// taking the lock; live mirrors the key set so LabelLive — called per
-	// label per node on every policy sweep of every shard — never touches
+	// live mirrors the key set and size its length, so LabelLive — called
+	// per label source on every policy sweep of every shard — never touches
 	// the mutex. Both are updated under mu; a stale "live" read is
 	// conservative (labels only go live→dead).
 	size atomic.Int64
 	live sync.Map
-	// pending[p] is the set of decided entries still awaiting shard p's
-	// cleanliness report. Invariant (under mu): id is in pending[p].ids iff
-	// its entry e is decided and p == e.parts[i] for some i with
-	// !e.clean[i]. Shard p keeps its own copy (shard.watch) and re-copies
-	// only when pending[p].ver has moved, so stalled *undecided*
-	// transactions, non-participant shards, and batches during which
-	// nothing was decided or reported never touch mu; the decided-transition
-	// itself is delivered by the reqUpkeep kick the 2PC driver sends after
-	// decideCommit.
-	pending []pendingSet
 }
 
-// pendingSet is one shard's slice of crossRegistry.pending.
-type pendingSet struct {
-	// ids is kept in insertion order (removal closes the gap), which lets
-	// the shard merge a fresh copy into its watch list in one forward pass.
-	// Guarded by crossRegistry.mu.
-	ids []model.TxnID
-	// ver is bumped, under mu, on every change to ids; the owning shard
-	// compares it lock-free against the version it last copied.
-	ver atomic.Uint64
-}
-
-func newCrossRegistry(shards int) *crossRegistry {
-	return &crossRegistry{
-		txns:    make(map[model.TxnID]*crossEntry),
-		pending: make([]pendingSet, shards),
-	}
-}
-
-// awaitLocked files id as awaiting shard p's cleanliness report; settleLocked
-// takes it out again. Caller holds r.mu.
-func (r *crossRegistry) awaitLocked(p int, id model.TxnID) {
-	ps := &r.pending[p]
-	ps.ids = append(ps.ids, id)
-	ps.ver.Add(1)
-}
-
-func (r *crossRegistry) settleLocked(p int, id model.TxnID) {
-	ps := &r.pending[p]
-	if i := slices.Index(ps.ids, id); i >= 0 {
-		ps.ids = slices.Delete(ps.ids, i, i+1)
-		ps.ver.Add(1)
-	}
+func newCrossRegistry() *crossRegistry {
+	return &crossRegistry{txns: make(map[model.TxnID]*crossEntry)}
 }
 
 var _ core.CrossTracker = (*crossRegistry)(nil)
 
-// register adds a cross transaction with its participant set. The ID may
-// have named an earlier cross transaction: that incarnation's leftover
-// labels name its own sub-nodes, never this one's, so nothing needs
-// erasing first.
-func (r *crossRegistry) register(id model.TxnID, parts []int) {
+// register adds a cross transaction with its participant set. It refuses
+// (false) an ID it still tracks: a committed transaction's entry outlives
+// its route until it retires, and overwriting it would lose its reach-arcs
+// and clean marks. An ID whose earlier incarnation retired is fine: that
+// incarnation's leftover labels name its own sub-nodes, never this one's,
+// so nothing needs erasing first.
+func (r *crossRegistry) register(id model.TxnID, parts []int) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if _, tracked := r.txns[id]; tracked {
+		return false
+	}
 	r.txns[id] = &crossEntry{parts: parts, clean: make([]bool, len(parts))}
 	r.live.Store(id, struct{}{})
 	r.size.Store(int64(len(r.txns)))
+	return true
 }
 
 // removeLocked erases id's entry e and its arcs, then lets each registry
@@ -187,13 +156,6 @@ func (r *crossRegistry) removeLocked(id model.TxnID, e *crossEntry) {
 	}
 	delete(r.txns, id)
 	r.live.Delete(id)
-	if e.decided {
-		for i, p := range e.parts {
-			if !e.clean[i] {
-				r.settleLocked(p, id)
-			}
-		}
-	}
 	r.size.Store(int64(len(r.txns)))
 	for o := range e.out {
 		r.maybeRetireLocked(o)
@@ -212,65 +174,38 @@ func (r *crossRegistry) drop(id model.TxnID) {
 	}
 }
 
-// decideCommit marks a committed transaction decided; see maybeRetireLocked
-// for when it actually leaves the registry.
-func (r *crossRegistry) decideCommit(id model.TxnID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.txns[id]
-	if !ok {
-		return
-	}
-	e.decided = true
-	for i, p := range e.parts {
-		if !e.clean[i] {
-			r.awaitLocked(p, id)
-		}
-	}
-	r.maybeRetireLocked(id)
-}
-
 // maybeRetireLocked retires id iff no future global cycle can pass through
-// it, which needs all three of:
+// it, which needs both of:
 //
-//  1. decided — its own sub-nodes stop acting;
-//  2. clean on every participant — no active node reaches any sub-node, so
-//     (arcs only ever point into acting nodes) the logical node's ancestor
-//     set is frozen on every shard, and no *new* label can ever arrive at
-//     it (a node whose new label would flow in would itself be an active
-//     predecessor);
-//  3. registry in-degree zero — no live cross transaction reaches it even
+//  1. clean on every participant. A shard reports only a sub-node it has
+//     committed, so every sub-node has stopped acting; and no active node
+//     reaches any of them, so (arcs only ever point into acting nodes) the
+//     logical node's ancestor set is frozen on every shard, and no *new*
+//     label can ever arrive at it (a node whose new label would flow in
+//     would itself be an active predecessor);
+//  2. registry in-degree zero — no live cross transaction reaches it even
 //     through *existing* paths. Without this, a cycle could close through
 //     id later without touching id at all: X→…→id and id→…→Y both already
 //     exist, and only the return path Y→…→X is new. Retiring id would have
 //     deleted exactly the two arcs that make that veto fire.
 //
-// Conditions 1+2 guarantee no new incoming paths, 3 guarantees no existing
-// incoming path from anything still alive; together nothing can ever
-// re-enter id, so its outgoing reach-arcs are dead weight and the entry can
-// go. Retirement cascades: removing id's out-arcs may zero a successor's
-// in-degree.
+// Condition 1 guarantees no new incoming paths, 2 no existing incoming path
+// from anything still alive; together nothing can ever re-enter id, so its
+// outgoing reach-arcs are dead weight and the entry can go. Retirement
+// cascades: removing id's out-arcs may zero a successor's in-degree.
 func (r *crossRegistry) maybeRetireLocked(id model.TxnID) {
-	if e, ok := r.txns[id]; ok && e.decided && e.cleanN == len(e.parts) && len(e.in) == 0 {
+	if e, ok := r.txns[id]; ok && e.cleanN == len(e.parts) && len(e.in) == 0 {
 		r.removeLocked(id, e)
 	}
 }
 
-// pendingFor copies shard's pending set into buf and returns it with the
-// version the copy is current at.
-func (r *crossRegistry) pendingFor(shard int, buf []model.TxnID) ([]model.TxnID, uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ps := &r.pending[shard]
-	return append(buf, ps.ids...), ps.ver.Load()
-}
-
-// reportClean records that each id's sub-node on shard has no active
-// ancestor. The property is monotone — in the basic model arcs only ever
-// point into acting nodes, so once every path into a completed sub-node
-// passes through completed nodes only, its ancestor set is frozen — which
-// is what makes a one-shot report sound. When the last participant
-// reports, the transaction is retired from the registry.
+// reportClean records that each id's sub-node on shard, which shard has
+// committed, has no active ancestor. The property is monotone — in the
+// basic model arcs only ever point into acting nodes, so once every path
+// into a completed sub-node passes through completed nodes only, its
+// ancestor set is frozen — which is what makes a one-shot report sound.
+// When the last participant reports, the transaction is retired from the
+// registry.
 func (r *crossRegistry) reportClean(shard int, ids ...model.TxnID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -283,9 +218,6 @@ func (r *crossRegistry) reportClean(shard int, ids ...model.TxnID) {
 			if p == shard && !e.clean[i] {
 				e.clean[i] = true
 				e.cleanN++
-				if e.decided {
-					r.settleLocked(p, id)
-				}
 			}
 		}
 		r.maybeRetireLocked(id)
@@ -435,7 +367,8 @@ func (e *Engine) participantsOf(xs []model.Entity) []int {
 // participating shard. It publishes every sub-begin, then lands the
 // caller's pending work (settle; see Engine.admit), whose requests queue
 // behind the sub-begins on every shard they share, then waits for the
-// sub-begins: a BEGIN and the window before it cost one wait. On any
+// sub-begins: a BEGIN and the window before it cost one wait. An ID the
+// registry still tracks is refused before anything begins. On any other
 // failure (admission shed, duplicate ID on some shard, or the engine
 // closing) every sub-begin that applied is aborted and the logical
 // transaction never existed; if one applied, the trace marks the
@@ -477,7 +410,14 @@ func (e *Engine) beginCross(step model.Step, pri Priority, settle func()) Result
 		// would resurrect it with no route left to ever finish them.
 		return answer(step, step.Txn, stepErr(step, ErrTxnAborted))
 	}
-	e.registry.register(step.Txn, ct.parts)
+	if !e.registry.register(step.Txn, ct.parts) {
+		// The ID names a committed cross transaction the registry still
+		// tracks. Nothing is begun yet, so dropping the route is the whole
+		// rollback; done keeps a racing Engine.Abort off the old entry.
+		ct.done = true
+		e.routes.delete(step.Txn)
+		return duplicateBegin(step)
+	}
 	e.startLegs(ct, func(int) (request, bool) { return request{kind: reqBeginSub, step: step}, true })
 	settle()
 	e.waitLegs(ct)
@@ -651,16 +591,10 @@ func (e *Engine) commitCross(ctx context.Context, ct *crossTxn, final model.Step
 		e.routes.delete(ct.id)
 		return closedResult(final)
 	}
+	// Each participant filed its clean report as a debt when it committed;
+	// the registry entry retires once the last one is paid.
 	ct.done = true
 	ct.committed = true
-	e.registry.decideCommit(ct.id)
-	// Wake the participants: a shard that compared its pending-set version
-	// before decideCommit bumped it may be blocked waiting for traffic; the
-	// kick makes it run reportCrossClean (a shard that is busy treats it as
-	// a no-op request).
-	for _, p := range ct.parts {
-		e.shards[p].trySend(request{kind: reqUpkeep})
-	}
 	e.routes.delete(ct.id)
 	e.accepted.Add(1)
 	e.completed.Add(1)

@@ -9,9 +9,9 @@
 // x mod N. Each of the N shards is owned by exactly one goroutine (the
 // single-writer discipline) running its own core.Scheduler with its own
 // conflict graph and deletion policy. Clients call Submit, which routes the
-// step to its shard over a buffered channel; the shard goroutine drains
-// steps in batches, applies them, replies, and runs the deletion-policy
-// sweep between batches (amortized GC off the per-step path, cadence set
+// step to its shard through a lock-free ring mailbox; the shard goroutine
+// drains steps in batches, applies them, replies, and runs the
+// deletion-policy sweep between batches (amortized GC off the per-step path, cadence set
 // by Config.SweepEveryCompletions).
 //
 // A transaction declares its entity footprint on BEGIN
@@ -87,17 +87,19 @@
 //     reach-arc from the registry.
 //
 // The registry retires a cross transaction T — unpinning all of the above
-// and letting plain per-shard C1/C2 resume — once (a) T is decided, (b)
-// every participant reports T's sub-node free of active ancestors, and (c)
-// no live cross transaction still reaches T (registry in-degree zero).
-// (a)+(b) freeze T's ancestor sets: arcs only ever point into acting
-// nodes, so a completed sub-node all of whose ancestors are completed can
-// never gain new ones, and no new label can arrive at it (its carrier
-// would already be an active ancestor). (c) covers cycles that would use
-// T's *existing* through-paths while only the return path is new: the
-// reach-arcs into and out of T must stay until nothing live can re-enter
-// it. Retirement cascades along out-arcs, so chains of decided
-// transactions drain as their predecessors expire.
+// and letting plain per-shard C1/C2 resume — once (a) every participant
+// reports T's sub-node free of active ancestors, and (b) no live cross
+// transaction still reaches T (registry in-degree zero). A shard files the
+// report as a debt when it commits its sub-node, and reports nothing else,
+// so (a) also says every participant committed: T is decided. (a) freezes
+// T's ancestor sets: arcs only ever point into acting nodes, so a completed
+// sub-node all of whose ancestors are completed can never gain new ones,
+// and no new label can arrive at it (its carrier would already be an active
+// ancestor). (b) covers cycles that would use T's *existing* through-paths
+// while only the return path is new: the reach-arcs into and out of T must
+// stay until nothing live can re-enter it. Retirement cascades along
+// out-arcs, so chains of committed transactions drain as their
+// predecessors expire.
 //
 // The offline referee (trace.CheckAcceptedCSR) closes the loop end to end:
 // sub-transactions log under the logical TxnID, so the referee rebuilds

@@ -298,7 +298,7 @@ func Open(cfg Config) (*Engine, *RecoveryReport, error) {
 	if cfg.Store != nil && cfg.Store.NumShards() != cfg.Shards {
 		return nil, nil, fmt.Errorf("engine: store has %d shards, config wants %d", cfg.Store.NumShards(), cfg.Shards)
 	}
-	e := &Engine{cfg: cfg, registry: newCrossRegistry(cfg.Shards)}
+	e := &Engine{cfg: cfg, registry: newCrossRegistry()}
 	e.routes.init()
 	e.shards = make([]*shard, cfg.Shards)
 	for i := range e.shards {
@@ -516,7 +516,8 @@ func (e *Engine) landed(res Result) Result {
 	return res
 }
 
-// duplicateBegin answers a BEGIN whose ID is still routed.
+// duplicateBegin answers a BEGIN whose ID is still routed, or still tracked
+// by the cross registry.
 func duplicateBegin(step model.Step) Result {
 	return errResult(step, fmt.Errorf("engine: duplicate BEGIN for T%d: %w", step.Txn, ErrProtocol))
 }
@@ -767,8 +768,7 @@ func (e *Engine) misroute(step model.Step, r route) Result {
 		// A rejected step marks the transaction aborted in the trace.
 		e.cfg.Log.Append(step, false)
 	}
-	e.shards[r.shard].do(request{kind: reqAbortOne, step: model.Step{Txn: step.Txn}})
-	e.routes.delete(step.Txn)
+	e.abortLocal(r.shard, step.Txn)
 	return answer(step, step.Txn, stepErr(step, ErrMisroute))
 }
 
@@ -784,12 +784,20 @@ func (e *Engine) Abort(id model.TxnID) bool {
 	if r.kind == routeCross {
 		return e.crossClientAbort(r.ct)
 	}
-	e.shards[r.shard].do(request{kind: reqAbortOne, step: model.Step{Txn: id}})
-	e.routes.delete(id)
+	e.abortLocal(r.shard, id)
 	if e.cfg.Log != nil {
 		e.cfg.Log.MarkAborted(id)
 	}
 	return true
+}
+
+// abortLocal aborts a partition-local transaction on its shard, counting
+// the abort if it applied, and drops its route.
+func (e *Engine) abortLocal(shard int, id model.TxnID) {
+	if rep, ok := e.shards[shard].do(request{kind: reqAbortSub, step: model.Step{Txn: id}}); ok && rep.n > 0 {
+		e.aborted.Add(1)
+	}
+	e.routes.delete(id)
 }
 
 // Stats returns a snapshot of the aggregate counters. It is safe to call

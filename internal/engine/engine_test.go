@@ -546,6 +546,53 @@ func TestCrossBeginFanOutRollback(t *testing.T) {
 	}
 }
 
+// TestCrossBeginKeepsTrackedEntry: straggler T1 reads e0 and cross T5 over
+// shards {0,1} commits writing it, so shard 0 cannot report T5 clean and
+// the registry keeps tracking it. A cross BEGIN reusing ID 5 is refused
+// before anything begins, and T5's entry survives as it was — its
+// reach-arcs, clean marks and label liveness with it. On two shards the
+// newcomer meets T5's retained sub-nodes; on four nothing but the registry
+// knows the ID is taken.
+func TestCrossBeginKeepsTrackedEntry(t *testing.T) {
+	for _, shards := range []int{2, 4} {
+		eng := New(Config{Shards: shards})
+		defer eng.Close()
+		mustAccept(t, eng.Submit(model.BeginDeclared(1, 0)))
+		mustAccept(t, eng.Submit(model.Read(1, 0)))
+		mustAccept(t, eng.Submit(model.BeginDeclared(5, 0, 1)))
+		mustAccept(t, eng.Submit(model.WriteFinal(5, 0, 1)))
+		tracked := func() *crossEntry {
+			eng.registry.mu.Lock()
+			defer eng.registry.mu.Unlock()
+			return eng.registry.txns[5]
+		}
+		old := tracked()
+		if old == nil {
+			t.Fatalf("%d shards: T5 retired behind a live straggler", shards)
+		}
+		if res := eng.Submit(model.BeginDeclared(5, 2, 3)); !errors.Is(res.Err, ErrProtocol) {
+			t.Fatalf("%d shards: BEGIN reusing tracked T5 answered %v (%v), want ErrProtocol", shards, res.Outcome(), res.Err)
+		}
+		if _, live := eng.routes.load(5); live {
+			t.Fatalf("%d shards: refused BEGIN left its route behind", shards)
+		}
+		if e := tracked(); e != old || !slices.Equal(e.parts, []int{0, 1}) || !eng.registry.LabelLive(5) {
+			t.Fatalf("%d shards: T5's registry entry was replaced or erased", shards)
+		}
+		if s := eng.Stats(); s.CrossTxns != 1 || s.CrossAborts != 0 {
+			t.Fatalf("%d shards: %d cross transactions begun, %d aborted; the second BEGIN never happened", shards, s.CrossTxns, s.CrossAborts)
+		}
+		// Close first: the shard goroutines exit, making the schedulers safe
+		// to inspect directly.
+		eng.Close()
+		for _, sh := range eng.shards[2:] {
+			if sh.sched.Txn(5) != nil {
+				t.Fatalf("%d shards: the refused BEGIN left a sub-node on shard %d", shards, sh.idx)
+			}
+		}
+	}
+}
+
 // TestStatsCloseRace: Stats must return (not hang) when racing Close.
 func TestStatsCloseRace(t *testing.T) {
 	for i := 0; i < 20; i++ {

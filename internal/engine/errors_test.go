@@ -151,6 +151,8 @@ func TestOutcomeDerivedFromErr(t *testing.T) {
 // decide ABORT: pins released, PreparedByShard drained to zero, and no
 // cross-arc registry entry left behind. Run under -race in CI.
 func TestCtxCancelBetweenPrepareAndDecision(t *testing.T) {
+	debts := meterDebts(2, nil)
+	defer func() { testHookCrossClean = nil }()
 	eng := New(Config{Shards: 2})
 	defer eng.Close()
 	must := func(res Result) {
@@ -194,13 +196,11 @@ func TestCtxCancelBetweenPrepareAndDecision(t *testing.T) {
 	}
 
 	// No registry entry leaked (and no stale cleanliness debt).
+	if n := debts.total(); n != 0 {
+		t.Errorf("the shards still owe %d cleanliness reports", n)
+	}
 	eng.registry.mu.Lock()
 	live := len(eng.registry.txns)
-	for i := range eng.registry.pending {
-		if n := len(eng.registry.pending[i].ids); n != 0 {
-			t.Errorf("shard %d still has %d pending cleanliness reports", i, n)
-		}
-	}
 	eng.registry.mu.Unlock()
 	if live != 0 {
 		t.Fatalf("cross-arc registry still tracks %d transactions after the abort", live)

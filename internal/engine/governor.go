@@ -7,7 +7,7 @@
 // across shards. The governor turns the watermark into an SLO: when the
 // engine-wide retained count crosses Config.RetentionWatermark, it aborts
 // the oldest live straggler through the same machinery as a client
-// context-deadline abort (Engine.Abort → reqAbortOne / crossClientAbort),
+// context-deadline abort (Engine.Abort → reqAbortSub / crossClientAbort),
 // which removes the straggler's node and arcs, drops its registry entry and
 // labels, and thereby re-enables the sweeps that reclaim its hostages.
 //

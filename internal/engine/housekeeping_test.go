@@ -19,19 +19,18 @@ import (
 // closure — kept here so the incremental path always has a full scan to be
 // held against.
 
-// refPendingClean is the registry scan: the decided transactions for which
-// shard has not reported cleanliness. Caller holds r.mu.
-func refPendingClean(r *crossRegistry, shard int) []model.TxnID {
+// refPendingClean is the registry scan: the transactions whose sub-node
+// shard has committed and not yet reported clean. Caller holds r.mu and
+// runs on sh's goroutine.
+func refPendingClean(r *crossRegistry, sh *shard) []model.TxnID {
 	var ids []model.TxnID
 	for id, e := range r.txns {
-		if !e.decided {
+		i := slices.Index(e.parts, sh.idx)
+		if i < 0 || e.clean[i] {
 			continue
 		}
-		for i, p := range e.parts {
-			if p == shard && !e.clean[i] {
-				ids = append(ids, id)
-				break
-			}
+		if t := sh.sched.Txn(id); t != nil && t.Status == model.StatusCompleted {
+			ids = append(ids, id)
 		}
 	}
 	slices.Sort(ids)
@@ -56,9 +55,9 @@ func refClean(sh *shard, id model.TxnID) bool {
 // full scan at every batch end of every shard, under a seeded cross-heavy
 // workload with stragglers, cycle rejections, 2PC vetoes, client aborts of
 // cross transactions in flight and governor reaps: what each pass reports
-// must be exactly what the full scan would report over the same debts, the
-// shard's copy of its debts must match the registry whenever the versions
-// agree, and the registry's per-shard sets must match a scan of its entries.
+// must be exactly what the full scan would report over the same debts, and
+// the debts the shard filed as it committed must be exactly what a scan of
+// the registry's entries says it owes.
 func TestCrossCleanDifferential(t *testing.T) {
 	var passes, reports, carried atomic.Int64
 	var failed atomic.Bool
@@ -67,7 +66,7 @@ func TestCrossCleanDifferential(t *testing.T) {
 			t.Errorf(format, args...)
 		}
 	}
-	testHookCrossClean = func(sh *shard, reported []model.TxnID) {
+	debts := meterDebts(4, func(sh *shard, reported []model.TxnID) {
 		passes.Add(1)
 		reports.Add(int64(len(reported)))
 		for _, id := range reported {
@@ -89,21 +88,18 @@ func TestCrossCleanDifferential(t *testing.T) {
 		reg := sh.eng.registry
 		reg.mu.Lock()
 		defer reg.mu.Unlock()
-		ps := &reg.pending[sh.idx]
-		have := slices.Clone(ps.ids)
-		slices.Sort(have)
-		if want := refPendingClean(reg, sh.idx); !slices.Equal(have, want) {
-			fail("registry pending[%d] = %v, entry scan says %v", sh.idx, have, want)
+		slices.Sort(mine)
+		want := refPendingClean(reg, sh)
+		// A closing engine drops a commit it could not finish, so only then
+		// may the shard owe a report the registry no longer waits for.
+		owed := mine
+		if sh.eng.closed.Load() {
+			owed = slices.DeleteFunc(slices.Clone(mine), func(id model.TxnID) bool { return !slices.Contains(want, id) })
 		}
-		if ps.ver.Load() == sh.watchVer {
-			// Nothing changed since the shard copied (in particular it
-			// reported nothing this pass): its list is the registry's.
-			slices.Sort(mine)
-			if !slices.Equal(mine, have) {
-				fail("shard %d watches %v at version %d, registry holds %v", sh.idx, mine, sh.watchVer, have)
-			}
+		if !slices.Equal(owed, want) {
+			fail("shard %d watches %v, entry scan says it owes %v", sh.idx, mine, want)
 		}
-	}
+	})
 	defer func() { testHookCrossClean = nil }()
 
 	eng := New(Config{
@@ -136,7 +132,7 @@ func TestCrossCleanDifferential(t *testing.T) {
 	st := eng.Stats()
 	// Quiet now: every debt gets reported and every entry retired within a
 	// few rounds of housekeeping.
-	left := registryResidue(eng)
+	left := registryResidue(eng, debts)
 	eng.Close()
 
 	if failed.Load() {
@@ -214,18 +210,10 @@ func crossCleanProportional(t *testing.T, abort bool) {
 		watching int
 	}
 	seen := make(chan pass, 4096) // more than the passes the test can cause
-	// passes1 numbers shard 1's passes; quiet1 is the last one that ended
-	// with shard 1 owing nothing and its copy of its debts current, after
-	// which its housekeeping never takes the registry mutex again.
-	var passes1, quiet1 atomic.Int64
 	testHookCrossClean = func(sh *shard, _ []model.TxnID) {
 		if sh.idx == 0 {
 			st := sh.sched.Stats()
 			seen <- pass{st.Accepted + st.Aborts, sh.witnessSearches, len(sh.watch)}
-			return
-		}
-		if n := passes1.Add(1); len(sh.watch) == 0 && sh.eng.registry.pending[sh.idx].ver.Load() == sh.watchVer {
-			quiet1.Store(n)
 		}
 	}
 	defer func() { testHookCrossClean = nil }()
@@ -267,8 +255,8 @@ func crossCleanProportional(t *testing.T, abort bool) {
 		must(eng.Submit(model.BeginDeclared(id, 0, 1)))
 		must(eng.Submit(model.WriteFinal(id, 0, 1)))
 	}
-	// The last decision's upkeep kick may still be in flight: wait for the
-	// pass that has picked up all K debts.
+	// The last commit's pass may still be running: wait for the one that has
+	// filed all K debts.
 	p := settled()
 	for deadline := time.After(10 * time.Second); p.watching < K; {
 		select {
@@ -281,20 +269,32 @@ func crossCleanProportional(t *testing.T, abort bool) {
 		t.Fatalf("%d ancestor searches while %d debts arrived, want one each", p.searches, K)
 	}
 
-	// Every sub-node on shard 1 is clean, but each report there moved the
-	// version of shard 1's debts, and its next pass re-copies them under the
-	// registry mutex. Wait for a quiet pass that began after the last
-	// decision (the second pass from now): Stats below visits every shard,
-	// and would wait on a shard 1 stuck behind the mutex held here.
-	for n, deadline := passes1.Load(), time.Now().Add(10*time.Second); quiet1.Load() < n+2; eng.Stats() {
+	// Every sub-node on shard 1 is clean, and shard 1 reports each in the
+	// pass that ends the run that committed it, under the registry mutex.
+	// Take the mutex once every report is in (a Stats round-trip lets a
+	// pass still running finish): shard 1 then owes nothing, so Stats below,
+	// which visits every shard, cannot wait on a shard 1 stuck behind it.
+	shard1Owes := func() bool {
+		for _, e := range eng.registry.txns {
+			if !e.clean[1] { // every entry's parts are [0 1]
+				return true
+			}
+		}
+		return false
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; eng.Stats() {
+		eng.registry.mu.Lock()
+		if !shard1Owes() {
+			break
+		}
+		eng.registry.mu.Unlock()
 		if time.Now().After(deadline) {
-			t.Fatal("shard 1 never settled its own debts")
+			t.Fatal("shard 1 never reported its sub-nodes clean")
 		}
 	}
 
 	// A batch that terminates nothing, with the registry mutex held against
 	// the shard: its housekeeping must get through regardless.
-	eng.registry.mu.Lock()
 	for _, r := range eng.SubmitBatch([]model.Step{model.BeginDeclared(900, 2), model.Read(900, 2)}) {
 		must(r)
 	}
@@ -370,6 +370,8 @@ func TestSubmitBatchStepBehindOwnAbort(t *testing.T) {
 // grow a set of every ID it ever saw. (Reusing an ID whose stale labels
 // still sit in a shard graph is TestCrossIDReuseStaleLabels' subject.)
 func TestRegistryForgetsRetiredIDs(t *testing.T) {
+	debts := meterDebts(2, nil)
+	defer func() { testHookCrossClean = nil }()
 	eng := New(Config{Shards: 2, Policy: func() core.Policy { return core.GreedyC1{} }})
 	defer eng.Close()
 	const n = 500
@@ -390,27 +392,52 @@ func TestRegistryForgetsRetiredIDs(t *testing.T) {
 	if peak > 16 {
 		t.Fatalf("registry held up to %d entries while %d cross transactions ran one at a time", peak, n)
 	}
-	if left := registryResidue(eng); left != 0 {
+	if left := registryResidue(eng, debts); left != 0 {
 		t.Fatalf("%d registry entries and debts left after the engine went quiet", left)
 	}
 }
 
 // registryResidue waits for a quiet engine's registry to empty and returns
-// what is left of it when it gives up: live entries and cleanliness debts.
-// Every batch ends in housekeeping, so each Stats round-trip moves the tail
-// one step along — the last reports, then the retirement they allow.
-func registryResidue(eng *Engine) (left int) {
+// what is left of it when it gives up: live entries and the clean reports
+// the shards still owe. Every batch ends in housekeeping, so each Stats
+// round-trip moves the tail one step along — the last reports, then the
+// retirement they allow.
+func registryResidue(eng *Engine, debts debtMeter) (left int) {
 	for deadline := time.Now().Add(10 * time.Second); ; {
 		eng.Stats()
 		reg := eng.registry
 		reg.mu.Lock()
-		left = len(reg.txns)
-		for i := range reg.pending {
-			left += len(reg.pending[i].ids)
-		}
+		left = len(reg.txns) + debts.total()
 		reg.mu.Unlock()
 		if left == 0 || time.Now().After(deadline) {
 			return left
 		}
 	}
+}
+
+// debtMeter holds, per shard, how many clean reports the shard owed the
+// registry at the end of its last housekeeping pass. The count is taken on
+// the shard goroutine, the only one that may read shard.watch.
+type debtMeter []atomic.Int64
+
+// meterDebts installs a debtMeter for an engine with the given number of
+// shards as testHookCrossClean, chaining to next when it is not nil. Call
+// it before the engine starts, and reset the hook after the engine closes.
+func meterDebts(shards int, next func(sh *shard, reported []model.TxnID)) debtMeter {
+	m := make(debtMeter, shards)
+	testHookCrossClean = func(sh *shard, reported []model.TxnID) {
+		m[sh.idx].Store(int64(len(sh.watch)))
+		if next != nil {
+			next(sh, reported)
+		}
+	}
+	return m
+}
+
+// total sums the shards' debts.
+func (m debtMeter) total() (n int) {
+	for i := range m {
+		n += int(m[i].Load())
+	}
+	return n
 }

@@ -30,17 +30,11 @@ const (
 	reqPrepareSub
 	// reqCommitSub is the COMMIT decision for a prepared sub-transaction.
 	reqCommitSub
-	// reqAbortSub releases a sub-transaction (any state: begun, mid-reads,
-	// or prepared) — the ABORT decision, a sibling-abort, or a client
-	// abort.
+	// reqAbortSub aborts a transaction: a sub-transaction in any state
+	// (begun, mid-reads, or prepared) — the ABORT decision, a sibling-abort,
+	// or a client abort — or a local one (misroute, client abort). The
+	// reply's n says whether it applied.
 	reqAbortSub
-	// reqAbortOne kills one active local transaction (misroute / client
-	// abort).
-	reqAbortOne
-	// reqUpkeep is a no-op wake-up: the 2PC driver kicks participants
-	// after a commit decision so a shard blocked waiting for traffic runs
-	// its registry upkeep (reportCrossClean) promptly.
-	reqUpkeep
 	// reqOldest snapshots the shard's oldest active transactions for the
 	// retention governor's straggler selection.
 	reqOldest
@@ -85,8 +79,9 @@ func (r *request) refuse() {
 type reply struct {
 	res   Result
 	stats core.Stats
-	// actives answers reqOldest; n answers reqSweep (transactions deleted)
-	// and reqStats (transactions retained).
+	// actives answers reqOldest; n answers reqSweep (transactions deleted),
+	// reqStats (transactions retained) and reqAbortSub (transactions
+	// aborted: 0 or 1).
 	actives []core.ActiveInfo
 	n       int64
 }
@@ -125,16 +120,12 @@ type shard struct {
 	retainedN atomic.Int64
 	// sinceSweep counts completions/aborts since the last GC sweep.
 	sinceSweep int //txgc:owner shard
-	// watch is this shard's copy of its registry pending set (decided cross
-	// sub-transactions awaiting its cleanliness report, crossRegistry.pending),
-	// each entry carrying the witness that keeps it dirty; watchSpare is the
-	// merge's other buffer. watchVer is the registry version the copy is
-	// current at; watchTerm is the scheduler's Terminations at the last pass
-	// over the list. See reportCrossClean.
-	watch      []watched //txgc:owner shard
-	watchSpare []watched //txgc:owner shard
-	watchVer   uint64    //txgc:owner shard
-	watchTerm  int64     //txgc:owner shard
+	// watch is what this shard owes the cross registry: the committed cross
+	// sub-transactions awaiting its cleanliness report, each entry carrying
+	// the witness that keeps it dirty. watchTerm is the scheduler's
+	// Terminations at the last pass over the list. See reportCrossClean.
+	watch     []watched //txgc:owner shard
+	watchTerm int64     //txgc:owner shard
 	// cleanBuf is scratch for cross-registry clean reporting.
 	cleanBuf []model.TxnID //txgc:owner shard
 	// witnessSearches counts the ancestor searches reportCrossClean has run
@@ -207,12 +198,10 @@ func (sh *shard) do(req request) (reply, bool) {
 // run is the shard goroutine: drain a run of requests from the ring, apply
 // it, then sweep — one park/wake cycle amortizes across the whole run. No
 // timer is needed for registry upkeep. What this shard owes the registry
-// changes only when a cross transaction it takes part in is decided, which
-// the 2PC driver announces with a reqUpkeep kick after decideCommit, or
-// when the active ancestor keeping a decided sub-transaction dirty
-// terminates here (completes, is rejected, or is aborted). Both arrive as
-// requests to this shard, and every processed batch ends in
-// reportCrossClean.
+// changes only when it commits a cross sub-transaction, or when the active
+// ancestor keeping a committed sub-transaction dirty terminates here
+// (completes, is rejected, or is aborted). Both happen while it serves a
+// request, and every processed batch ends in reportCrossClean.
 func (sh *shard) run() {
 	defer close(sh.done)
 	for {
@@ -241,7 +230,7 @@ func (sh *shard) run() {
 		// cost never lands on an individual submission's latency.
 		sh.maybeSweep()
 		sh.retainedN.Store(int64(sh.sched.NumCompleted()))
-		// Registry upkeep: report decided cross sub-transactions whose
+		// Registry upkeep: report committed cross sub-transactions whose
 		// ancestor set froze, so the registry can retire them and unblock
 		// deletion of their labeled successors.
 		sh.reportCrossClean()
@@ -272,19 +261,11 @@ func (sh *shard) handle(req request, tk uint64, fire bool) (stop bool) {
 	case reqCommitSub:
 		sh.mb.Reply(tk, reply{res: sh.applyCommitSub(req.step.Txn, req.decisionDurable)})
 	case reqAbortSub:
-		sh.applyAbortSub(req.step.Txn)
-		sh.mb.Reply(tk, reply{})
-	case reqAbortOne:
-		if err := sh.sched.AbortTxn(req.step.Txn); err == nil {
-			sh.eng.aborted.Add(1)
-			sh.sinceSweep++
-			sh.jr.record(store.RecAbort, req.step.Txn, 0, nil)
+		var n int64
+		if sh.applyAbortSub(req.step.Txn) {
+			n = 1
 		}
-		sh.mb.Reply(tk, reply{})
-	case reqUpkeep:
-		// Nothing to do here: the run loop calls reportCrossClean after
-		// every batch; this request exists only to unblock the park. Posted
-		// fire-and-forget, so there is no reply to send.
+		sh.mb.Reply(tk, reply{n: n})
 	case reqOldest:
 		sh.mb.Reply(tk, reply{actives: sh.sched.OldestActives(governorCandidates)})
 	case reqSweep:
@@ -478,21 +459,28 @@ func (sh *shard) applyCommitSub(id model.TxnID, decisionDurable bool) Result {
 	}
 	sh.preparedN.Add(-1)
 	sh.sinceSweep++
+	// The registry now waits for this shard's clean report: file the debt.
+	// The commit is itself a termination, so this run's closing
+	// reportCrossClean examines the entry.
+	sh.watch = append(sh.watch, watched{id: id, slot: graph.NoRef})
 	return Result{Aborted: model.NoTxn, CompletedTxn: res.CompletedTxn}
 }
 
-// applyAbortSub releases a sub-transaction in any state; unknown IDs (the
-// scheduler already rejected a step of it here) are fine. It is also how a
-// vote or decision that could not be journaled lets go of its prepared sub:
-// the journal has latched by then, so nothing more is written.
-func (sh *shard) applyAbortSub(id model.TxnID) {
+// applyAbortSub aborts a transaction in any state and reports whether it
+// was live here; unknown IDs (the scheduler already rejected a step of it
+// here) are fine. It is also how a vote or decision that could not be
+// journaled lets go of its prepared sub: the journal has latched by then,
+// so nothing more is written.
+func (sh *shard) applyAbortSub(id model.TxnID) bool {
 	if sh.sched.Prepared(id) {
 		sh.preparedN.Add(-1)
 	}
-	if err := sh.sched.AbortTxn(id); err == nil {
-		sh.sinceSweep++
-		sh.jr.record(store.RecAbort, id, 0, nil)
+	if sh.sched.AbortTxn(id) != nil {
+		return false
 	}
+	sh.sinceSweep++
+	sh.jr.record(store.RecAbort, id, 0, nil)
+	return true
 }
 
 // answer is a Result for a step that completed nothing: err (nil when it
@@ -526,7 +514,7 @@ func (sh *shard) maybeSweep() {
 	}
 }
 
-// watched is one decided cross sub-transaction awaiting this shard's
+// watched is one committed cross sub-transaction awaiting this shard's
 // cleanliness report, with the witness that keeps it dirty: the arena slot
 // and BeginSeq of one active ancestor (slot NoRef: not examined yet).
 type watched struct {
@@ -540,7 +528,7 @@ type watched struct {
 // differential test recomputes the report set by full scan from it.
 var testHookCrossClean func(sh *shard, reported []model.TxnID)
 
-// reportCrossClean tells the registry which decided cross transactions
+// reportCrossClean tells the registry which committed cross transactions
 // have a frozen ancestor set on this shard (no active ancestor — Lemma 1's
 // premise, which is monotone once the sub-node is completed). When every
 // participant has reported, the registry retires the transaction and its
@@ -557,15 +545,11 @@ var testHookCrossClean func(sh *shard, reported []model.TxnID)
 // which gates it from every policy. The witness therefore stays an ancestor
 // for as long as it stays active, and the entry stays dirty with it. So an
 // entry is re-examined only when it is new or its witness terminated, and a
-// batch that terminated nothing skips the list altogether.
+// batch that terminated nothing skips the list altogether (a new entry comes
+// with a termination: the commit that filed it).
 func (sh *shard) reportCrossClean() {
-	reg := sh.eng.registry
-	fresh := false
-	if reg.pending[sh.idx].ver.Load() != sh.watchVer {
-		fresh = sh.syncWatch()
-	}
 	reported := sh.cleanBuf[:0]
-	if term := sh.sched.Terminations(); len(sh.watch) > 0 && (fresh || term != sh.watchTerm) {
+	if term := sh.sched.Terminations(); len(sh.watch) > 0 && term != sh.watchTerm {
 		sh.watchTerm = term
 		kept := sh.watch[:0]
 		for _, w := range sh.watch {
@@ -583,40 +567,13 @@ func (sh *shard) reportCrossClean() {
 		}
 		sh.watch = kept
 		if len(reported) > 0 {
-			reg.reportClean(sh.idx, reported...)
+			sh.eng.registry.reportClean(sh.idx, reported...)
 		}
 	}
 	sh.cleanBuf = reported
 	if hook := testHookCrossClean; hook != nil {
 		hook(sh, reported)
 	}
-}
-
-// syncWatch re-copies this shard's pending set from the registry, carrying
-// over the witnesses of entries that are still pending, and reports whether
-// any entry is new. Both lists are in the registry's insertion order, so
-// the survivors of the old list appear in the copy in the same order, ahead
-// of the additions: one forward cursor matches them up. (Should the orders
-// ever disagree, an entry merely loses its witness and is searched again.)
-func (sh *shard) syncWatch() (fresh bool) {
-	sh.cleanBuf, sh.watchVer = sh.eng.registry.pendingFor(sh.idx, sh.cleanBuf[:0])
-	old, merged := sh.watch, sh.watchSpare[:0]
-	next := 0
-	for _, id := range sh.cleanBuf {
-		k := next
-		for k < len(old) && old[k].id != id {
-			k++
-		}
-		if k < len(old) {
-			merged = append(merged, old[k])
-			next = k + 1
-		} else {
-			merged = append(merged, watched{id: id, slot: graph.NoRef})
-			fresh = true
-		}
-	}
-	sh.watch, sh.watchSpare = merged, old[:0]
-	return fresh
 }
 
 // shutdown fails still-queued requests so no client blocks forever,

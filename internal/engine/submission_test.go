@@ -198,7 +198,7 @@ func TestSubmissionDifferentialLocal(t *testing.T) {
 }
 
 // TestSubmissionDifferentialCrossHeavy: a quarter of transactions span
-// partitions (2PC, registry labels, upkeep kicks riding the same ring).
+// partitions (2PC and registry labels riding the same ring).
 func TestSubmissionDifferentialCrossHeavy(t *testing.T) {
 	log := trace.NewSafeLog()
 	eng := New(Config{
