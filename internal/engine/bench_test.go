@@ -231,9 +231,7 @@ func BenchmarkEngineRetentionGoverned(b *testing.B) {
 	eng := New(Config{
 		Shards:                shards,
 		Policy:                func() core.Policy { return core.GreedyC1{} },
-		SweepEveryCompletions: 4,
-		RetentionWatermark:    watermark,
-		GovernorInterval:      time.Hour, // paced explicitly, once per chunk
+		SweepEveryCompletions: 4, // no RetentionWatermark: paced explicitly, once per chunk
 	})
 	defer eng.Close()
 	adv := workload.NewAdversary(workload.AdversaryConfig{
@@ -272,7 +270,7 @@ func BenchmarkEngineRetentionGoverned(b *testing.B) {
 				adv.NotifyAbort(r.Aborted)
 			}
 		}
-		eng.GovernNow()
+		eng.govern(watermark)
 		var total int64
 		for _, n := range eng.RetainedCounts() {
 			total += n

@@ -16,7 +16,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/model"
 	"repro/internal/store"
@@ -551,7 +550,6 @@ func TestWALBoundedUnderGovernedSoak(t *testing.T) {
 	eng, _, err := Open(Config{
 		Shards: shards, Policy: greedyPolicy,
 		SweepEveryCompletions: 4, WALSyncEvery: 32,
-		RetentionWatermark: 32, GovernorInterval: time.Hour,
 		Store: fs,
 	})
 	if err != nil {
@@ -572,10 +570,10 @@ func TestWALBoundedUnderGovernedSoak(t *testing.T) {
 		mustAccept(t, eng.Submit(model.Read(id, x)))
 		mustAccept(t, eng.Submit(model.WriteFinal(id, x)))
 		if i%64 == 63 {
-			eng.GovernNow()
+			eng.govern(32)
 		}
 	}
-	eng.GovernNow()
+	eng.govern(32)
 	var appended int64
 	for i := 0; i < shards; i++ {
 		st := fs.Shard(i).Stats()

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/emit"
@@ -36,21 +35,14 @@ type Config struct {
 	// already-admitted transactions are never shed (they drain the
 	// backlog), and a PriorityHigh BEGIN bypasses the watermark.
 	OverloadWatermark int
-	// RetentionWatermark, if > 0, enables the retention governor: whenever
-	// the engine-wide retained completed count (sum of RetainedCounts) sits
-	// at or above the watermark, the governor aborts the oldest live
-	// straggler — the active transaction with the smallest BeginSeq, which
-	// is what pins completed predecessors against deletion (Theorem 1's
-	// active-tight-predecessor condition) — through the same machinery as a
-	// client's context-deadline abort, then sweeps. PriorityHigh
-	// transactions and prepared 2PC sub-transactions are exempt. Requires a
-	// Policy: without one nothing is ever deleted, so reaping could never
-	// lower retention.
+	// RetentionWatermark, if > 0, enables the retention governor: once a
+	// shard's run grows the engine-wide retained count (sum of
+	// RetainedCounts) to or past it, the next submission to finish aborts
+	// the oldest non-PriorityHigh, unprepared active — the straggler pinning
+	// completed predecessors (Theorem 1) — as a context-deadline abort
+	// would, and sweeps, until the count is back under. No timer: an idle
+	// engine reaps nothing. Requires a Policy, or reaping frees nothing.
 	RetentionWatermark int
-	// GovernorInterval is how often the retention governor wakes to check
-	// the watermark (default 2ms when RetentionWatermark > 0). Tests drive
-	// the governor deterministically with GovernNow and set a long interval.
-	GovernorInterval time.Duration
 	// Log, if non-nil, records every applied step for offline refereeing
 	// (trace.CheckAcceptedCSR). Sub-transactions of a cross-partition
 	// transaction log under the logical TxnID, so the referee's conflict
@@ -94,9 +86,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SweepEveryCompletions <= 0 {
 		c.SweepEveryCompletions = 8
-	}
-	if c.RetentionWatermark > 0 && c.GovernorInterval <= 0 {
-		c.GovernorInterval = 2 * time.Millisecond
 	}
 	if c.WALSyncEvery <= 0 {
 		c.WALSyncEvery = 64
@@ -197,8 +186,8 @@ type Stats struct {
 	Rejected  int64 // steps refused (cycle, cross-cycle, misroute, overload, dead txn)
 	Completed int64 // transactions completed
 	Aborted   int64 // transactions aborted, all causes
-	Deleted   int64 // nodes reclaimed by deletion-policy sweeps
-	Sweeps    int64 // amortized GC sweeps executed
+	Deleted   int64 // nodes reclaimed by deletion-policy sweeps (Merged.Deleted)
+	Sweeps    int64 // deletion-policy sweeps executed (Merged.Sweeps)
 	CrossTxns int64 // cross-partition transactions begun
 	Shed      int64 // BEGINs refused by admission control (ErrOverload)
 	Reaped    int64 // stragglers aborted by the retention governor
@@ -260,20 +249,18 @@ type Engine struct {
 
 	// reaped remembers recently governor-aborted TxnIDs so a straggler's
 	// session learns *why* it died (ErrStragglerAborted) instead of the
-	// generic ErrTxnAborted; reapedN is the Stats.Reaped counter. govMu
-	// serializes governor passes (the ticker and explicit GovernNow calls);
-	// govStop/govDone bound the governor goroutine's lifetime (nil when the
-	// governor is disabled).
-	reaped  reapedSet
-	reapedN atomic.Int64
-	govMu   sync.Mutex
-	govStop chan struct{}
-	govDone chan struct{}
+	// generic ErrTxnAborted; reapedN is the Stats.Reaped counter. govWanted
+	// is a shard's request for a governor pass, claimed by the next
+	// submitter to finish (governIfWanted); govMu serializes passes.
+	reaped    reapedSet
+	reapedN   atomic.Int64
+	govWanted atomic.Bool
+	govMu     sync.Mutex
 
-	submitted, accepted, rejected       atomic.Int64
-	completed, aborted, deleted, sweeps atomic.Int64
-	crossTxns, prepares, crossAborts    atomic.Int64
-	misroutes, shed                     atomic.Int64
+	submitted, accepted, rejected    atomic.Int64
+	completed, aborted               atomic.Int64
+	crossTxns, prepares, crossAborts atomic.Int64
+	misroutes, shed                  atomic.Int64
 }
 
 // New starts an engine with cfg's shard goroutines running. It is Open
@@ -291,8 +278,8 @@ func New(cfg Config) *Engine {
 // Open starts an engine. With a Config.Store it first recovers: every
 // shard's scheduler is rebuilt from its checkpoint plus WAL tail, orphaned
 // transactions are resolved (see recovery.go), and only then do the shard
-// goroutines and the governor start. The report describes what was
-// recovered (empty-but-non-nil without a Store).
+// goroutines start; the engine starts no other. The report describes what
+// was recovered (empty-but-non-nil without a Store).
 func Open(cfg Config) (*Engine, *RecoveryReport, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Store != nil && cfg.Store.NumShards() != cfg.Shards {
@@ -316,11 +303,6 @@ func Open(cfg Config) (*Engine, *RecoveryReport, error) {
 	}
 	for _, sh := range e.shards {
 		go sh.run()
-	}
-	if cfg.RetentionWatermark > 0 && cfg.Policy != nil {
-		e.govStop = make(chan struct{})
-		e.govDone = make(chan struct{})
-		go e.governorLoop()
 	}
 	return e, rep, nil
 }
@@ -397,10 +379,11 @@ func (e *Engine) SubmitCtx(ctx context.Context, step model.Step) Result {
 // never shed).
 func (e *Engine) SubmitPriority(ctx context.Context, step model.Step, pri Priority) Result {
 	shard, _, ok, res := e.admit(ctx, step, pri, func() {})
-	if !ok {
-		return res
+	if ok {
+		res = e.landed(e.doStep(shard, step))
 	}
-	return e.landed(e.doStep(shard, step))
+	e.governIfWanted()
+	return res
 }
 
 // admit is the one decision both doors make about a step. Either it answers
@@ -577,7 +560,8 @@ func (e *Engine) SubmitBatch(steps []model.Step) []Result {
 // SubmitBatchInto is SubmitBatch appending into dst (pass a reused buffer
 // with spare capacity to keep the submit path allocation-free). The batch
 // path submits at PriorityNormal with no deadline; session clients needing
-// per-transaction contexts or priorities use the per-step path.
+// per-transaction contexts or priorities use the per-step path. Both doors
+// end by running a pending governor pass (Config.RetentionWatermark).
 func (e *Engine) SubmitBatchInto(dst []Result, steps []model.Step) []Result {
 	var w window
 	settle := func() { dst = e.apply(&w, dst, steps) }
@@ -593,6 +577,7 @@ func (e *Engine) SubmitBatchInto(dst []Result, steps []model.Step) []Result {
 		}
 	}
 	settle()
+	e.governIfWanted()
 	return dst
 }
 
@@ -809,8 +794,6 @@ func (e *Engine) Stats() Stats {
 		Rejected:    e.rejected.Load(),
 		Completed:   e.completed.Load(),
 		Aborted:     e.aborted.Load(),
-		Deleted:     e.deleted.Load(),
-		Sweeps:      e.sweeps.Load(),
 		CrossTxns:   e.crossTxns.Load(),
 		Shed:        e.shed.Load(),
 		Reaped:      e.reapedN.Load(),
@@ -831,6 +814,7 @@ func (e *Engine) Stats() Stats {
 		s.PerShard = append(s.PerShard, cs)
 		s.Merged.Merge(cs)
 	}
+	s.Deleted, s.Sweeps = s.Merged.Deleted, s.Merged.Sweeps
 	s.QueueDepth = e.QueueDepths()
 	s.PreparedByShard = e.PreparedCounts()
 	return s
@@ -905,12 +889,6 @@ func (e *Engine) Gauges() emit.GaugeSnapshot {
 func (e *Engine) Close() {
 	if !e.closed.CompareAndSwap(false, true) {
 		return
-	}
-	if e.govStop != nil {
-		// Stop the governor before the shards: a reap mid-shutdown would
-		// race the shard drain for no benefit.
-		close(e.govStop)
-		<-e.govDone
 	}
 	for _, sh := range e.shards {
 		sh.trySend(request{kind: reqStop})

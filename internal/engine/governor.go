@@ -11,6 +11,11 @@
 // which removes the straggler's node and arcs, drops its registry entry and
 // labels, and thereby re-enables the sweeps that reclaim its hostages.
 //
+// Trigger: no clock, no goroutine. A run that grows a shard's retained count
+// to an engine total at or over the watermark sets Engine.govWanted; the next
+// submitter to finish claims it and runs the pass, so the traffic that grew
+// retention pays for it and an idle engine reaps nothing.
+//
 // Selection policy: oldest active by BeginSeq (reported per shard by
 // core.Scheduler.OldestActives, compared across shards by age in scheduler
 // steps), skipping PriorityHigh transactions (route.pri) and prepared 2PC
@@ -24,7 +29,6 @@ package engine
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/emit"
@@ -100,41 +104,36 @@ func (r *reapedSet) contains(id model.TxnID) bool {
 	return ok
 }
 
-// governorLoop is the governor goroutine: wake every GovernorInterval,
-// check the watermark, reap if crossed. Started by New iff
-// RetentionWatermark > 0 and a Policy is configured.
-func (e *Engine) governorLoop() {
-	defer close(e.govDone)
-	t := time.NewTicker(e.cfg.GovernorInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-e.govStop:
-			return
-		case <-t.C:
-			e.GovernNow()
-		}
+// retentionGrew is called by a shard whose run grew its retained count: at
+// or over the watermark, it asks the next submitter for a pass.
+func (e *Engine) retentionGrew() {
+	if w := e.cfg.RetentionWatermark; w > 0 && e.cfg.Policy != nil && e.retainedSum() >= int64(w) {
+		e.govWanted.Store(true)
 	}
 }
 
-// GovernNow runs one governor pass synchronously and returns the number of
-// stragglers it reaped. The background loop calls it on its ticker; tests
-// call it directly (with a long GovernorInterval) to drive reaping
-// deterministically. Safe for concurrent use; a no-op when the governor is
-// not configured or the engine closed.
-func (e *Engine) GovernNow() int {
-	if e.cfg.RetentionWatermark <= 0 || e.cfg.Policy == nil || e.closed.Load() {
+// governIfWanted runs the pass a shard asked for, on the submitter that
+// claims the request first. Both doors call it once their steps are answered.
+func (e *Engine) governIfWanted() {
+	if e.govWanted.Load() && e.govWanted.CompareAndSwap(true, false) {
+		e.govern(e.cfg.RetentionWatermark)
+	}
+}
+
+// govern runs one governor pass against watermark and returns the number of
+// stragglers it reaped. Tests call it on an engine configured without a
+// watermark to reap deterministically. Safe for concurrent use; a no-op
+// without a Policy or once the engine closed.
+func (e *Engine) govern(watermark int) int {
+	if watermark <= 0 || e.cfg.Policy == nil || e.closed.Load() {
 		return 0
 	}
 	e.govMu.Lock()
 	defer e.govMu.Unlock()
 	reaped := 0
 	for attempts := 0; attempts < maxReapsPerPass; attempts++ {
-		var total int64
-		for _, n := range e.RetainedCounts() {
-			total += n
-		}
-		if total < int64(e.cfg.RetentionWatermark) {
+		total := e.retainedSum()
+		if total < int64(watermark) {
 			break
 		}
 		id, shardIdx, inc, ok := e.oldestStraggler()
@@ -153,11 +152,20 @@ func (e *Engine) GovernNow() int {
 			// The reap released nothing deletable — the remaining retention
 			// is pinned by other actives or undecided 2PC, and reaping more
 			// of the oldest would repeat the same non-result. Yield until
-			// the next tick.
+			// retention grows again.
 			break
 		}
 	}
 	return reaped
+}
+
+// retainedSum sums the shards' retained gauges, lock-free.
+func (e *Engine) retainedSum() int64 {
+	var total int64
+	for _, sh := range e.shards {
+		total += sh.retainedN.Load()
+	}
+	return total
 }
 
 // oldestStraggler picks the reap victim: the globally oldest active

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/model"
@@ -14,13 +13,16 @@ import (
 // label-chain bombs, cross fan-out victims, respawning attackers) against
 // the engine and sample the engine-wide retained count after every chunk.
 //
-//   - Governor ON: every sample must stay under watermark + one chunk —
-//     the governor's SLO. An innocent PriorityHigh long-runner rides along
-//     for the entire attack and must survive to commit.
+//   - Governor ON, one pass per chunk: every sample must stay under
+//     watermark + one chunk — the governor's SLO. An innocent PriorityHigh
+//     long-runner rides along for the entire attack and must survive to
+//     commit.
+//   - Governor ON, the engine's own trigger: the same, one chunk looser
+//     (see TestSoakBoundedRetentionSelfTriggered).
 //   - Governor OFF: the same attack leaks without bound — samples grow
 //     monotonically past the watermark, which is the control arm proving
 //     the suite actually manufactures retention (a self-healing adversary
-//     would pass the ON arm vacuously).
+//     would pass the ON arms vacuously).
 //
 // CI runs this in short mode under -race (the `soak` job).
 
@@ -43,20 +45,31 @@ func soakVictims(t *testing.T) int {
 	return 2000
 }
 
+// soakArm is how runSoak governs the engine.
+type soakArm int
+
+const (
+	soakOff    soakArm = iota // no governor
+	soakManual                // govern(soakWatermark) after every chunk
+	soakAuto                  // Config.RetentionWatermark: the engine's own trigger
+)
+
 // runSoak drives the adversary against a fresh engine in chunks of
-// soakChunk steps, reaping (when watermark > 0) and sampling retained
-// counts after each chunk. It begins the PriorityHigh long-runner first —
-// oldest active in the system, the governor's most tempting victim — and
-// asserts it still commits after the attack ends.
-func runSoak(t *testing.T, watermark int) (samples []int64, st Stats) {
+// soakChunk steps, governing it as arm says and sampling retained counts
+// after each chunk. It begins the PriorityHigh long-runner first — oldest
+// active in the system, the governor's most tempting victim — and asserts
+// it still commits after the attack ends.
+func runSoak(t *testing.T, arm soakArm) (samples []int64, st Stats) {
 	t.Helper()
-	eng := New(Config{
+	cfg := Config{
 		Shards:                soakShards,
 		Policy:                func() core.Policy { return core.GreedyC1{} },
 		SweepEveryCompletions: 4,
-		RetentionWatermark:    watermark,
-		GovernorInterval:      time.Hour, // GovernNow drives reaping deterministically
-	})
+	}
+	if arm == soakAuto {
+		cfg.RetentionWatermark = soakWatermark
+	}
+	eng := New(cfg)
 	defer eng.Close()
 
 	if res := eng.SubmitPriority(context.Background(), model.BeginDeclared(soakHighID, soakHighEntity), PriorityHigh); !res.Accepted() {
@@ -99,7 +112,9 @@ func runSoak(t *testing.T, watermark int) (samples []int64, st Stats) {
 				adv.NotifyAbort(r.Aborted)
 			}
 		}
-		eng.GovernNow()
+		if arm == soakManual {
+			eng.govern(soakWatermark)
+		}
 		samples = append(samples, retainedTotal(eng))
 	}
 
@@ -111,17 +126,42 @@ func runSoak(t *testing.T, watermark int) (samples []int64, st Stats) {
 	return samples, eng.Stats()
 }
 
-// TestSoakBoundedRetentionUnderAttack is the governor-ON arm: retained
-// storage stays bounded by watermark + one chunk for the entire attack.
+// TestSoakBoundedRetentionUnderAttack is the governor-ON arm with one pass
+// per chunk: retained storage stays bounded by watermark + one chunk for the
+// entire attack.
 func TestSoakBoundedRetentionUnderAttack(t *testing.T) {
-	samples, st := runSoak(t, soakWatermark)
+	samples, st := runSoak(t, soakManual)
+	checkSoakBound(t, samples, st, soakWatermark+soakChunk)
+}
+
+// TestSoakBoundedRetentionSelfTriggered is the governor-ON arm with the
+// watermark in Config and no pass run by hand: the engine's own trigger
+// must hold the attack too.
+//
+// The bound is one chunk looser than the manual arm's. There a pass runs
+// after every chunk, so a sample exceeds the watermark by at most what the
+// pass could not reap. Here a pass runs at the end of a batch only if a
+// shard's run asked for it before the batch's last window was answered;
+// the run that answers the last window asks after its replies are out, so
+// the next batch claims that request. A sample may therefore carry one
+// more chunk of completions than the manual arm's: watermark + 2·chunk.
+func TestSoakBoundedRetentionSelfTriggered(t *testing.T) {
+	samples, st := runSoak(t, soakAuto)
+	checkSoakBound(t, samples, st, soakWatermark+2*soakChunk)
+	manual, mst := runSoak(t, soakManual)
+	t.Logf("manual arm: chunks=%d reaped=%d peak=%d bound=%d", len(manual), mst.Reaped, maxSample(manual), soakWatermark+soakChunk)
+}
+
+// checkSoakBound asserts that a governed soak reaped and kept every sample
+// at or under bound, and logs its reaps and peak.
+func checkSoakBound(t *testing.T, samples []int64, st Stats, bound int64) {
+	t.Helper()
 	if len(samples) == 0 {
 		t.Fatal("adversary produced no chunks")
 	}
-	bound := int64(soakWatermark + soakChunk)
 	for i, s := range samples {
 		if s > bound {
-			t.Fatalf("sample %d/%d: retained = %d, exceeds watermark+chunk = %d", i, len(samples), s, bound)
+			t.Fatalf("sample %d/%d: retained = %d, exceeds bound %d", i, len(samples), s, bound)
 		}
 	}
 	if st.Reaped == 0 {
@@ -135,7 +175,7 @@ func TestSoakBoundedRetentionUnderAttack(t *testing.T) {
 // ON arm enforces. If this arm ever stops growing, the adversary has gone
 // self-healing (e.g. a reused trap entity) and the ON arm proves nothing.
 func TestSoakUnboundedRetentionWithoutGovernor(t *testing.T) {
-	samples, st := runSoak(t, 0)
+	samples, st := runSoak(t, soakOff)
 	if st.Reaped != 0 {
 		t.Fatalf("Stats.Reaped = %d with the governor disabled", st.Reaped)
 	}

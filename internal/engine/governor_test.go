@@ -22,9 +22,7 @@ func TestReapCrossStragglerUnblocksDownstreamGC(t *testing.T) {
 	eng := New(Config{
 		Shards:                2,
 		Policy:                func() core.Policy { return core.GreedyC1{} },
-		SweepEveryCompletions: 1,
-		RetentionWatermark:    4,
-		GovernorInterval:      time.Hour, // only GovernNow drives reaping
+		SweepEveryCompletions: 1, // no RetentionWatermark: only govern drives reaping
 	})
 	defer eng.Close()
 	must := func(res Result) {
@@ -57,8 +55,8 @@ func TestReapCrossStragglerUnblocksDownstreamGC(t *testing.T) {
 	}
 
 	// One governor pass: reap the sleeper, sweep, watermark holds again.
-	if n := eng.GovernNow(); n != 1 {
-		t.Fatalf("GovernNow reaped %d, want 1", n)
+	if n := eng.govern(4); n != 1 {
+		t.Fatalf("govern reaped %d, want 1", n)
 	}
 	if s := eng.Stats(); s.Reaped != 1 {
 		t.Fatalf("Stats.Reaped = %d, want 1", s.Reaped)
@@ -84,8 +82,8 @@ func TestReapCrossStragglerUnblocksDownstreamGC(t *testing.T) {
 	}
 
 	// Below the watermark the governor is idle.
-	if n := eng.GovernNow(); n != 0 {
-		t.Fatalf("second GovernNow reaped %d, want 0 (watermark holds)", n)
+	if n := eng.govern(4); n != 0 {
+		t.Fatalf("second govern reaped %d, want 0 (watermark holds)", n)
 	}
 }
 
@@ -98,8 +96,6 @@ func TestGovernorExemptsPriorityHigh(t *testing.T) {
 		Shards:                1,
 		Policy:                func() core.Policy { return core.GreedyC1{} },
 		SweepEveryCompletions: 1,
-		RetentionWatermark:    2,
-		GovernorInterval:      time.Hour,
 	})
 	defer eng.Close()
 	must := func(res Result) {
@@ -125,8 +121,8 @@ func TestGovernorExemptsPriorityHigh(t *testing.T) {
 	if got := retainedTotal(eng); got != 2 {
 		t.Fatalf("retained = %d, want 2", got)
 	}
-	if n := eng.GovernNow(); n != 1 {
-		t.Fatalf("GovernNow reaped %d, want 1 (the normal straggler only)", n)
+	if n := eng.govern(2); n != 1 {
+		t.Fatalf("govern reaped %d, want 1 (the normal straggler only)", n)
 	}
 	// T2's hostage is reclaimed; T1's is still pinned — by design, the
 	// exemption trades retention for priority.
@@ -145,22 +141,87 @@ func TestGovernorExemptsPriorityHigh(t *testing.T) {
 }
 
 // TestGovernorRequiresPolicy: a watermark without a deletion policy is
-// inert — reaping would free nothing (nogc never sweeps), so New refuses
-// to start the loop and GovernNow refuses to reap.
+// inert — reaping would free nothing (nogc never sweeps), so no shard ever
+// asks for a pass and govern refuses to reap.
 func TestGovernorRequiresPolicy(t *testing.T) {
-	eng := New(Config{Shards: 1, RetentionWatermark: 1, GovernorInterval: time.Hour})
+	eng := New(Config{Shards: 1, RetentionWatermark: 1})
 	defer eng.Close()
-	if res := eng.Submit(model.BeginDeclared(1, 0)); !res.Accepted() {
-		t.Fatalf("begin: %v", res.Err)
+	for id := model.TxnID(1); id <= 4; id++ {
+		// Straight on the shard: no door runs, so no submitter claims a
+		// request a run might make.
+		for _, st := range []model.Step{model.BeginDeclared(id, 0), model.WriteFinal(id, 0)} {
+			if res := eng.doStep(0, st); !res.Accepted() {
+				t.Fatalf("%v: %v", st, res.Err)
+			}
+		}
 	}
-	if res := eng.Submit(model.WriteFinal(1, 0)); !res.Accepted() {
-		t.Fatalf("final: %v", res.Err)
+	if n := eng.govern(1); n != 0 {
+		t.Fatalf("govern without a policy reaped %d, want 0", n)
 	}
-	if n := eng.GovernNow(); n != 0 {
-		t.Fatalf("GovernNow without a policy reaped %d, want 0", n)
+	// Every run has ended once Close returns, so every request a run could
+	// have made is visible.
+	eng.Close()
+	if eng.govWanted.Load() {
+		t.Fatal("a shard asked for a governor pass without a deletion policy")
 	}
-	if eng.govStop != nil {
-		t.Fatal("governor loop started without a deletion policy")
+}
+
+// TestGovernorWaitsForTraffic pins the governor's clockless trigger. A
+// sleeper traps victims until retention reaches the watermark, the last
+// completion applied straight on the shard so no door sees the crossing.
+// Then the engine idles: no timer may reap. The first submission after
+// that, unrelated to the sleeper, runs the pass the crossing asked for.
+func TestGovernorWaitsForTraffic(t *testing.T) {
+	const watermark = 4
+	eng := New(Config{
+		Shards:                1,
+		Policy:                func() core.Policy { return core.GreedyC1{} },
+		SweepEveryCompletions: 1,
+		RetentionWatermark:    watermark,
+	})
+	defer eng.Close()
+	must := func(res Result) {
+		t.Helper()
+		if !res.Accepted() {
+			t.Fatalf("%v: %v (%v)", res.Step, res.Outcome(), res.Err)
+		}
+	}
+	must(eng.Submit(model.BeginDeclared(1, 0)))
+	for k := 1; k <= watermark; k++ {
+		trap, vid := model.Entity(k), model.TxnID(100+k)
+		must(eng.Submit(model.Read(1, trap)))
+		must(eng.Submit(model.BeginDeclared(vid, trap)))
+		if k < watermark {
+			must(eng.Submit(model.WriteFinal(vid, trap)))
+		} else {
+			must(eng.doStep(0, model.WriteFinal(vid, trap)))
+		}
+	}
+	if got := retainedTotal(eng); got != watermark {
+		t.Fatalf("retained = %d, want %d (victims pinned)", got, watermark)
+	}
+
+	time.Sleep(20 * time.Millisecond)
+	if s := eng.Stats(); s.Reaped != 0 {
+		t.Fatalf("an idle engine reaped %d stragglers", s.Reaped)
+	}
+
+	// Unrelated transactions on fresh entities: each is deleted at its own
+	// sweep, so only the pass can bring retention down.
+	id := model.TxnID(1000)
+	for ; id < 1064 && eng.Stats().Reaped == 0; id++ {
+		x := model.Entity(id)
+		must(eng.Submit(model.BeginDeclared(id, x)))
+		must(eng.Submit(model.WriteFinal(id, x)))
+	}
+	if s := eng.Stats(); s.Reaped != 1 {
+		t.Fatalf("after %d unrelated transactions Stats.Reaped = %d, want 1", id-1000, s.Reaped)
+	}
+	if got := retainedTotal(eng); got >= watermark {
+		t.Fatalf("retained after the pass = %d, want < %d", got, watermark)
+	}
+	if res := eng.Submit(model.Read(1, 64)); !errors.Is(res.Err, ErrStragglerAborted) {
+		t.Fatalf("sleeper step after the pass: %v, want ErrStragglerAborted", res.Err)
 	}
 }
 

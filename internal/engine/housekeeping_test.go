@@ -107,7 +107,6 @@ func TestCrossCleanDifferential(t *testing.T) {
 		Policy:                func() core.Policy { return core.GreedyC1{} },
 		SweepEveryCompletions: 2,
 		RetentionWatermark:    24,
-		GovernorInterval:      200 * time.Microsecond,
 	})
 	txns := 500
 	if testing.Short() {

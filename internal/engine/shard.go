@@ -115,8 +115,8 @@ type shard struct {
 	// from anywhere — the shardowned analyzer exempts atomics.
 	preparedN atomic.Int64 //txgc:owner shard
 	// retainedN mirrors the scheduler's retained-completed count for
-	// lock-free gauge reads (Engine.RetainedCounts); the shard goroutine
-	// refreshes it after every batch.
+	// lock-free reads (Engine.RetainedCounts, the governor's trigger); the
+	// shard goroutine refreshes it after every run.
 	retainedN atomic.Int64
 	// sinceSweep counts completions/aborts since the last GC sweep.
 	sinceSweep int //txgc:owner shard
@@ -229,7 +229,9 @@ func (sh *shard) run() {
 		// Amortized GC between batches: replies are already out, so sweep
 		// cost never lands on an individual submission's latency.
 		sh.maybeSweep()
-		sh.retainedN.Store(int64(sh.sched.NumCompleted()))
+		if n := int64(sh.sched.NumCompleted()); n > sh.retainedN.Swap(n) {
+			sh.eng.retentionGrew()
+		}
 		// Registry upkeep: report committed cross sub-transactions whose
 		// ancestor set froze, so the registry can retire them and unblock
 		// deletion of their labeled successors.
@@ -501,8 +503,6 @@ func closedResult(step model.Step) Result { return errResult(step, stepErr(step,
 // it retained, and reports how many transactions were deleted.
 func (sh *shard) sweep() int64 {
 	n := int64(len(sh.sched.SweepNow()))
-	sh.eng.deleted.Add(n)
-	sh.eng.sweeps.Add(1)
 	sh.sinceSweep = 0
 	sh.jr.swept(sh.sched)
 	return n

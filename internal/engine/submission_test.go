@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/model"
@@ -256,9 +255,7 @@ func TestSubmissionDifferentialGovernorReaping(t *testing.T) {
 	eng := New(Config{
 		Shards:                4,
 		Policy:                func() core.Policy { return core.GreedyC1{} },
-		SweepEveryCompletions: 4,
-		RetentionWatermark:    32,
-		GovernorInterval:      time.Hour, // paced explicitly per chunk
+		SweepEveryCompletions: 4, // no RetentionWatermark: paced explicitly per chunk
 		Log:                   log,
 	})
 	defer eng.Close()
@@ -288,7 +285,7 @@ func TestSubmissionDifferentialGovernorReaping(t *testing.T) {
 			}
 			driveBatched(eng, gen, 24, &tally, func() {
 				if chunks.Add(1)%4 == 0 {
-					eng.GovernNow()
+					eng.govern(32)
 				}
 			})
 			mu.Lock()
@@ -297,7 +294,7 @@ func TestSubmissionDifferentialGovernorReaping(t *testing.T) {
 		}(d)
 	}
 	wg.Wait()
-	eng.GovernNow()
+	eng.govern(32)
 
 	if err := log.CheckAcceptedCSR(); err != nil {
 		t.Fatalf("accepted subschedule not CSR under reaping: %v", err)

@@ -9,8 +9,8 @@ import (
 
 // TestStragglerReapSurfacesTypedError runs the retention governor end to
 // end through the session API: a sleeper session traps a victim past the
-// watermark, the background governor loop reaps it, and the session's next
-// operation must surface ErrStragglerAborted — still matching
+// watermark, a later submission's governor pass reaps it, and the session's
+// next operation must surface ErrStragglerAborted — still matching
 // ErrTxnAborted for legacy branches — with the stable wire code
 // "straggler-aborted". Run under -race in CI.
 func TestStragglerReapSurfacesTypedError(t *testing.T) {
@@ -32,7 +32,8 @@ func TestStragglerReapSurfacesTypedError(t *testing.T) {
 	}
 	// The victim writes entity 2 and completes — trapped: the sleeper is an
 	// active tight predecessor and no witness can ever appear. Retained hits
-	// the watermark; the governor's next tick reaps the sleeper.
+	// the watermark, and the shard asks for a governor pass, which the next
+	// submission runs: one of the sleeper's own reads below.
 	victim, err := db.Begin(ctx, WithFootprint(2))
 	if err != nil {
 		t.Fatal(err)
