@@ -500,7 +500,7 @@ func acceptLoop(ln net.Listener, db *client.DB) error {
 func main() {
 	var (
 		addr        = flag.String("addr", "", "TCP listen address (empty: serve stdin/stdout)")
-		shards      = flag.Int("shards", 4, "number of entity partitions / scheduler goroutines")
+		shards      = flag.Int("shards", 4, "number of entity partitions, each with its own scheduler")
 		policyName  = flag.String("policy", "greedy-c1", "deletion policy per shard")
 		sweepEvery  = flag.Int("sweep-every", 8, "sweep after this many completions per shard")
 		watermark   = flag.Int("overload-watermark", 0, "shed begins when a shard's backlog reaches this depth (0 = never shed)")

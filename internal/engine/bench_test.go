@@ -79,16 +79,20 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // transactions interleaved over four shards (interleavedBatch), through
 // SubmitBatchInto. roundtrips/batch counts mailbox round-trips through the
 // test hook: one per shard a window touches, so at most 4 here, where a
-// door that waited out every same-shard run paid 47.94. The count is
-// deterministic, and scripts/check_bench_budget.sh gates it at
-// max_batch_roundtrips_per_batch. Regenerate the BENCH_engine.json record
-// with:
+// door that waited out every same-shard run paid 47.94. parks/batch counts
+// the times the submitter went to sleep waiting for a reply: a lone
+// submitter finds every runner flag free and runs each shard itself, so it
+// never parks (with a goroutine per shard it parked 0.34–0.67 times per
+// batch). Both counts are deterministic, and scripts/check_bench_budget.sh
+// gates them at max_batch_roundtrips_per_batch and max_parks_per_batch.
+// Regenerate the BENCH_engine.json record with:
 //
 //	go test -run '^$' -bench BenchmarkEngineBatchInterleaved -benchtime 3000x -benchmem ./internal/engine/
 func BenchmarkEngineBatchInterleaved(b *testing.B) {
-	var trips atomic.Int64
+	var trips, parks atomic.Int64
 	testHookRoundTrip = func(*shard) { trips.Add(1) }
-	defer func() { testHookRoundTrip = nil }()
+	testHookPark = func() { parks.Add(1) }
+	defer func() { testHookRoundTrip, testHookPark = nil, nil }()
 	eng := New(Config{Shards: 4, Policy: func() core.Policy { return core.GreedyC1{} }})
 	defer eng.Close()
 	// Sixteen batch shapes, renumbered per iteration so every ID is fresh.
@@ -102,6 +106,7 @@ func BenchmarkEngineBatchInterleaved(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	trips.Store(0)
+	parks.Store(0)
 	for i := 0; i < b.N; i++ {
 		for k, st := range shapes[i%len(shapes)] {
 			st.Txn += model.TxnID(16 * i)
@@ -111,6 +116,7 @@ func BenchmarkEngineBatchInterleaved(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(trips.Load())/float64(b.N), "roundtrips/batch")
+	b.ReportMetric(float64(parks.Load())/float64(b.N), "parks/batch")
 	b.ReportMetric(float64(b.N)*64/b.Elapsed().Seconds(), "steps/s")
 }
 

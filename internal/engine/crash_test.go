@@ -224,8 +224,8 @@ func TestCrashStrictNoAckedLoss(t *testing.T) {
 			if err != nil {
 				t.Fatalf("recovery failed: %v", err)
 			}
-			// Close first: the shard goroutines exit, making the schedulers
-			// safe to inspect directly.
+			// Close first: every shard shuts down and its runner flag stays
+			// taken, making the schedulers safe to inspect directly.
 			eng2.Close()
 			recovered := make(map[model.Entity]model.TxnID)
 			for _, sh := range eng2.shards {
@@ -489,8 +489,8 @@ func TestCrash2PCJournalFailure(t *testing.T) {
 				t.Fatalf("recovery committed %d / aborted %d cross transactions, want %d / %d",
 					rep.CrossCommitted, rep.CrossAborted, wantCommits, wantAborts)
 			}
-			// Close first: the shard goroutines exit, making the schedulers
-			// safe to inspect directly.
+			// Close first: every shard shuts down and its runner flag stays
+			// taken, making the schedulers safe to inspect directly.
 			eng2.Close()
 			for i, sh := range eng2.shards {
 				st := sh.sched.Txn(1)

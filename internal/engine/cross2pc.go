@@ -39,7 +39,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/emit"
 	"repro/internal/model"
-	"repro/internal/ring"
 )
 
 // testHookPrepared, when non-nil, is invoked by commitCross after every
@@ -53,24 +52,22 @@ type crossTxn struct {
 	mu    sync.Mutex
 	id    model.TxnID
 	parts []int // participating shards, ascending
-	// legs[i] is parts[i]'s share of the fan-out in progress (see fanOut);
-	// guarded by mu like everything below.
-	legs []leg
+	// calls[i] carries parts[i]'s share of the fan-out in progress and
+	// legs[i] holds its answer (see fanOut); guarded by mu like everything
+	// below.
+	calls []call
+	legs  []leg
 	// done marks the decision (or a failed begin); committed distinguishes
 	// COMMIT from ABORT for late-arriving steps.
 	done      bool
 	committed bool
 }
 
-// leg is one participant's share of a fan-out: the ticket of the request
-// published to its shard and, once collected, the answer (ok=false: none
-// came back, because the request was never published or the shard shut
-// down first).
+// leg is one participant's answer to a fan-out (ok=false: none came back,
+// because the request was never published or the shard shut down first).
 type leg struct {
-	tk   ring.Ticket
-	sent bool
-	res  Result
-	ok   bool
+	res Result
+	ok  bool
 }
 
 // failed reports whether the leg's request was not carried out.
@@ -298,45 +295,27 @@ func (r *crossRegistry) LabelLive(id model.TxnID) bool {
 
 // ---------------------------------------------------------------------------
 // Engine-side protocol driver. All of these run on the submitting client's
-// goroutine with ct.mu held, doing round-trips to participant shards;
-// shards never block on each other or on any ct.mu, so concurrent two-phase
-// commits (even with overlapping participants) cannot deadlock.
+// goroutine with ct.mu held, doing round-trips to participant shards, and
+// run a participant themselves when it has no runner; a shard's run never
+// blocks on another shard or on any ct.mu, so concurrent two-phase commits
+// (even with overlapping participants) cannot deadlock.
 
-// startLegs publishes, for each participant i that req names (ok=true), the
-// request req(i) to its shard, without waiting for any answer; the other
-// legs are marked unsent. req(i) runs before leg i is overwritten, so it may
-// read the leg's previous answer. Caller holds ct.mu.
-func (e *Engine) startLegs(ct *crossTxn, req func(i int) (request, bool)) {
-	for i, p := range ct.parts {
-		r, ok := req(i)
-		l := &ct.legs[i]
-		l.sent = false
-		if ok {
-			l.tk, l.sent = e.shards[p].start(r)
-		}
-	}
-}
-
-// waitLegs collects the answers to what startLegs published, in
-// participant order. Caller holds ct.mu.
-func (e *Engine) waitLegs(ct *crossTxn) {
-	for i, p := range ct.parts {
-		l := &ct.legs[i]
-		var rep reply
-		l.ok = false
-		if l.sent {
-			sh := e.shards[p]
-			rep, l.ok = sh.mb.Wait(l.tk, sh.done)
-		}
-		l.res = rep.res
-	}
-}
-
-// fanOut sends req(i) to every participant i it names, all before it waits
-// for any, and leaves each answer in ct.legs[i]. Caller holds ct.mu.
+// fanOut sends req(i) to every participant i it names (ok=true), all
+// before it waits for any, then waits for the answers, running any
+// participant that has no runner itself (await), and leaves each answer in
+// ct.legs[i]. req(i) may read leg i's previous answer. Caller holds ct.mu.
 func (e *Engine) fanOut(ct *crossTxn, req func(i int) (request, bool)) {
-	e.startLegs(ct, req)
-	e.waitLegs(ct)
+	for i, p := range ct.parts {
+		ct.calls[i] = call{}
+		if r, ok := req(i); ok {
+			ct.calls[i] = e.shards[p].start(r)
+		}
+	}
+	await(ct.calls)
+	for i := range ct.calls {
+		rep, ok := ct.calls[i].redeem()
+		ct.legs[i] = leg{res: rep.res, ok: ok}
+	}
 }
 
 // participantsOf returns the sorted distinct shards owning the footprint.
@@ -364,17 +343,19 @@ func (e *Engine) participantsOf(xs []model.Entity) []int {
 }
 
 // beginCross fans a cross-partition BEGIN out as one sub-begin per
-// participating shard. It publishes every sub-begin, then lands the
-// caller's pending work (settle; see Engine.admit), whose requests queue
-// behind the sub-begins on every shard they share, then waits for the
-// sub-begins: a BEGIN and the window before it cost one wait. An ID the
-// registry still tracks is refused before anything begins. On any other
-// failure (admission shed, duplicate ID on some shard, or the engine
-// closing) every sub-begin that applied is aborted and the logical
-// transaction never existed; if one applied, the trace marks the
-// incarnation it opened aborted. When none applied, the ID's current
-// incarnation in the trace is an earlier transaction's, which the mark
-// would wrongly kill.
+// participating shard and waits for them, then lands the caller's pending
+// work (settle; see Engine.admit), whose steps therefore apply after the
+// sub-begins on every shard they share. The window is not published while
+// the sub-begins are out: a ring cell is freed only when its producer
+// redeems the reply, so a submitter claiming a cell on a ring where it
+// still holds one would wait on itself once other submitters' claims
+// lapped the ring. An ID the registry still tracks is refused before
+// anything begins. On any other failure (admission shed, duplicate ID on
+// some shard, or the engine closing) every sub-begin that applied is
+// aborted and the logical transaction never existed; if one applied, the
+// trace marks the incarnation it opened aborted. When none applied, the
+// ID's current incarnation in the trace is an earlier transaction's, which
+// the mark would wrongly kill.
 //
 // ct.mu is held across settle, and settle's landed may take the mu of
 // another cross transaction with a rejected read in the window. That cannot
@@ -384,7 +365,7 @@ func (e *Engine) participantsOf(xs []model.Entity) []int {
 // waits only for shards, which never wait for a ct.mu.
 func (e *Engine) beginCross(step model.Step, pri Priority, settle func()) Result {
 	parts := e.participantsOf(step.Entities)
-	ct := &crossTxn{id: step.Txn, parts: parts, legs: make([]leg, len(parts))}
+	ct := &crossTxn{id: step.Txn, parts: parts, calls: make([]call, len(parts)), legs: make([]leg, len(parts))}
 	if !e.routes.storeNew(step.Txn, route{kind: routeCross, ct: ct, pri: pri}) {
 		return duplicateBegin(step)
 	}
@@ -418,9 +399,8 @@ func (e *Engine) beginCross(step model.Step, pri Priority, settle func()) Result
 		e.routes.delete(step.Txn)
 		return duplicateBegin(step)
 	}
-	e.startLegs(ct, func(int) (request, bool) { return request{kind: reqBeginSub, step: step}, true })
+	e.fanOut(ct, func(int) (request, bool) { return request{kind: reqBeginSub, step: step}, true })
 	settle()
-	e.waitLegs(ct)
 	failed := slices.IndexFunc(ct.legs, leg.failed)
 	if failed < 0 {
 		e.crossTxns.Add(1)
@@ -585,7 +565,7 @@ func (e *Engine) commitCross(ctx context.Context, ct *crossTxn, final model.Step
 	}
 	if !ok {
 		// The engine is closing; surviving shards keep their prepared state
-		// only until their goroutines exit.
+		// only until they shut down.
 		ct.done = true
 		e.registry.drop(ct.id)
 		e.routes.delete(ct.id)

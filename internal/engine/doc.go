@@ -6,13 +6,19 @@
 // # Architecture
 //
 // The entity space is hash-partitioned: entity x belongs to partition
-// x mod N. Each of the N shards is owned by exactly one goroutine (the
-// single-writer discipline) running its own core.Scheduler with its own
-// conflict graph and deletion policy. Clients call Submit, which routes the
-// step to its shard through a lock-free ring mailbox; the shard goroutine
-// drains steps in batches, applies them, replies, and runs the
-// deletion-policy sweep between batches (amortized GC off the per-step path, cadence set
-// by Config.SweepEveryCompletions).
+// x mod N. Each of the N shards runs its own core.Scheduler with its own
+// conflict graph and deletion policy, and is owned by one goroutine at a
+// time (the single-writer discipline) — not a goroutine of its own, but
+// whichever submitter holds the shard's runner flag. Clients call Submit,
+// which routes the step to its shard through a lock-free ring mailbox and
+// then waits for the reply; a waiter that finds the flag free becomes the
+// runner: it drains the ring in runs, applies each request, replies, and
+// runs the deletion-policy sweep between runs (amortized GC off the
+// per-step path, cadence set by Config.SweepEveryCompletions). This is flat
+// combining (Hendler et al., SPAA 2010) on the ring the shard already had:
+// one runner applies everyone's queued requests, so a step costs no
+// goroutine hand-off unless two submitters want the same shard at once.
+// The engine starts no goroutine of its own.
 //
 // A transaction declares its entity footprint on BEGIN
 // (model.BeginDeclared). A footprint inside one partition routes the

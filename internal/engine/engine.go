@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -18,8 +19,8 @@ import (
 
 // Config configures an Engine.
 type Config struct {
-	// Shards is the number of entity partitions / scheduler goroutines
-	// (default 1).
+	// Shards is the number of entity partitions, each with its own
+	// scheduler (default 1).
 	Shards int
 	// Policy builds the deletion policy for one shard; each shard gets its
 	// own instance. nil means never delete (NoGC).
@@ -72,12 +73,16 @@ type Config struct {
 	WALSyncEvery int
 }
 
-// A shard drains at most runLength requests between GC opportunities, from
+// A runner drains at most runLength requests between GC opportunities, from
 // a ring of queueDepth cells. Neither is a knob: on the gated workloads no
-// shard ever drained a run longer than 5 requests or held more than 4.
+// shard ever drained a run longer than 5 requests or held more than 4. The
+// cells are most of an idle engine's heap (about 470 B each with the reply
+// slot and its bell), so a ring holds 256: a submitter holds at most one
+// cell per ring, so claims backpressure only beyond 256 concurrent
+// submitters on one shard.
 const (
 	runLength  = 64
-	queueDepth = 1024
+	queueDepth = 256
 )
 
 func (c Config) withDefaults() Config {
@@ -207,8 +212,8 @@ type Stats struct {
 	PreparedByShard []int64
 
 	// QueueDepth is the instantaneous per-shard submission backlog
-	// (requests enqueued or blocked enqueuing, not yet picked up by the
-	// shard goroutine), indexed by shard. Maintained as a cheap atomic on
+	// (requests enqueued or blocked enqueuing, not yet picked up by a
+	// runner), indexed by shard. Maintained as a cheap atomic on
 	// the submit path; groundwork for admission control and load shedding.
 	QueueDepth []int64
 
@@ -263,7 +268,7 @@ type Engine struct {
 	misroutes, shed                  atomic.Int64
 }
 
-// New starts an engine with cfg's shard goroutines running. It is Open
+// New starts an engine with cfg's shards ready. It is Open
 // without the recovery report, and panics if recovery fails — which is only
 // possible with a Config.Store whose medium is corrupt; use Open to handle
 // that case.
@@ -276,10 +281,12 @@ func New(cfg Config) *Engine {
 }
 
 // Open starts an engine. With a Config.Store it first recovers: every
-// shard's scheduler is rebuilt from its checkpoint plus WAL tail, orphaned
-// transactions are resolved (see recovery.go), and only then do the shard
-// goroutines start; the engine starts no other. The report describes what
-// was recovered (empty-but-non-nil without a Store).
+// shard's scheduler is rebuilt from its checkpoint plus WAL tail, and
+// orphaned transactions are resolved (see recovery.go), before Open
+// returns and any submission can run a shard. The engine starts no
+// goroutine: every shard is run by the submitters waiting on it (see
+// shard.serve). The report describes what was recovered
+// (empty-but-non-nil without a Store).
 func Open(cfg Config) (*Engine, *RecoveryReport, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Store != nil && cfg.Store.NumShards() != cfg.Shards {
@@ -300,9 +307,6 @@ func Open(cfg Config) (*Engine, *RecoveryReport, error) {
 	rep, err := e.recover()
 	if err != nil {
 		return nil, nil, err
-	}
-	for _, sh := range e.shards {
-		go sh.run()
 	}
 	return e, rep, nil
 }
@@ -399,7 +403,7 @@ func (e *Engine) SubmitPriority(ctx context.Context, step model.Step, pri Priori
 // an answered access step acts; and before it looks at a BEGIN of a live
 // ID, which the pending work may complete or abort. Any other BEGIN cannot
 // touch the pending work and is decided first: a local one before the
-// pending work lands, a cross one's sub-begins published before it (see
+// pending work lands, a cross one's sub-begins applied before it (see
 // beginCross). That is the order the shards' BeginSeq, and so the
 // governor's choice of straggler, follow.
 func (e *Engine) admit(ctx context.Context, step model.Step, pri Priority, settle func()) (shard int, ct *crossTxn, ok bool, res Result) {
@@ -551,8 +555,8 @@ func (e *Engine) shedBegin(step model.Step, home int) Result {
 // a BEGIN that reuses a live ID, and before a cross read whose transaction
 // already has a read bound for another shard in flight, so that a rejection
 // on one participant lands before a sibling acts. A cross BEGIN publishes
-// its sub-begins first and then waits for them together with what was sent
-// before it. None of this stalls other clients' traffic.
+// its sub-begins and waits for them first, then sends what came before it.
+// None of this stalls other clients' traffic.
 func (e *Engine) SubmitBatch(steps []model.Step) []Result {
 	return e.SubmitBatchInto(make([]Result, 0, len(steps)), steps)
 }
@@ -596,8 +600,10 @@ type window struct {
 	start, n int
 	parts    [windowCap]part
 	nparts   int
-	reads    [windowCap]crossRead
-	nreads   int
+	// calls[i] carries parts[i] while apply waits for it.
+	calls  [windowCap]call
+	reads  [windowCap]crossRead
+	nreads int
 }
 
 // crossRead records that the window holds reads of ct bound for shard.
@@ -607,12 +613,10 @@ type crossRead struct {
 }
 
 // part is one shard's share of a window: the bit for each of its steps'
-// positions, and the ticket of the round-trip that carries them.
+// positions.
 type part struct {
 	shard int
 	own   uint64
-	tk    ring.Ticket
-	sent  bool
 }
 
 // add appends steps[i], admitted to shard, to the window; ct names the
@@ -662,10 +666,11 @@ func (w *window) add(i, shard int, ct *crossTxn) bool {
 var testHookWindow func()
 
 // apply runs the window and empties it: it publishes one reqBatch to every
-// shard the window touches, then waits for all the replies. Each shard
-// writes its steps' results into their own places in dst, so nothing is
-// merged or copied afterwards. A window on one shard goes out unmasked,
-// the caller's span as it stands.
+// shard the window touches, then waits for all the replies, running any of
+// those shards that has no runner itself (await). Each shard writes its
+// steps' results into their own places in dst, so nothing is merged or
+// copied afterwards. A window on one shard goes out unmasked, the caller's
+// span as it stands.
 func (e *Engine) apply(w *window, dst []Result, steps []model.Step) []Result {
 	if w.n == 0 {
 		return dst
@@ -680,21 +685,19 @@ func (e *Engine) apply(w *window, dst []Result, steps []model.Step) []Result {
 	if len(parts) == 1 {
 		parts[0].own = 0
 	}
+	calls := w.calls[:len(parts)]
 	for i := range parts {
 		batch.own = parts[i].own
-		parts[i].tk, parts[i].sent = e.shards[parts[i].shard].start(batch)
+		calls[i] = e.shards[parts[i].shard].start(batch)
 	}
-	for _, pt := range parts {
-		sh := e.shards[pt.shard]
-		if pt.sent {
-			if _, ok := sh.mb.Wait(pt.tk, sh.done); ok {
-				continue
-			}
+	await(calls)
+	for i := range calls {
+		if _, ok := calls[i].redeem(); !ok {
+			// Never published, or lost to Close: the shard is gone, so
+			// nothing else writes these results.
+			batch.own = parts[i].own
+			batch.refuse()
 		}
-		// Never published, or lost to Close: the shard is gone, so nothing
-		// else writes these results.
-		batch.own = pt.own
-		batch.refuse()
 	}
 	for _, res := range dst[base:] {
 		e.landed(res)
@@ -829,9 +832,7 @@ func (e *Engine) Stats() Stats {
 func (e *Engine) gauge(of func(*shard) *atomic.Int64) []int64 {
 	out := make([]int64, len(e.shards))
 	for i, sh := range e.shards {
-		select {
-		case <-sh.done:
-		default:
+		if !sh.down() {
 			out[i] = of(sh).Load()
 		}
 	}
@@ -847,8 +848,8 @@ func (e *Engine) QueueDepths() []int64 {
 
 // RetainedCounts returns the per-shard count of retained completed
 // transactions (the storage the deletion policy reclaims), lock-free like
-// QueueDepths. The gauge is refreshed by the shard goroutine after every
-// run, so it trails the scheduler by at most one run.
+// QueueDepths. The gauge is refreshed by the runner after every run, so it
+// trails the scheduler by at most one run.
 func (e *Engine) RetainedCounts() []int64 {
 	return e.gauge(func(sh *shard) *atomic.Int64 { return &sh.retainedN })
 }
@@ -884,16 +885,23 @@ func (e *Engine) Gauges() emit.GaugeSnapshot {
 	return gs
 }
 
-// Close stops the shard goroutines. Submits still in flight when Close is
-// called receive ErrClosed; callers should stop submitting first.
+// Close shuts every shard down: once the engine is marked closed, the next
+// runner of each shard — Close itself, or a submitter still waiting on it —
+// runs shutdown instead of a run, answers every queued request with
+// ErrClosed, makes the journal durable, and keeps the runner flag for good.
+// Close returns when every shard is down. Submits still in flight receive
+// ErrClosed; callers should stop submitting first.
 func (e *Engine) Close() {
 	if !e.closed.CompareAndSwap(false, true) {
 		return
 	}
 	for _, sh := range e.shards {
-		sh.trySend(request{kind: reqStop})
-	}
-	for _, sh := range e.shards {
-		<-sh.done
+		for !sh.down() {
+			if sh.running.CompareAndSwap(false, true) {
+				sh.run() // the engine is closed: this run is the shutdown
+			} else {
+				runtime.Gosched()
+			}
+		}
 	}
 }

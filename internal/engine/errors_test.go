@@ -234,11 +234,11 @@ func (p *blockingPolicy) Sweep(sw *core.Sweep) {
 	<-p.gate
 }
 
-// TestOverloadShedsBegins saturates a shard (its goroutine wedged in a
-// sweep, submitters stacked on the queue) and asserts that admission
-// control sheds further BEGINs with ErrOverload instead of blocking, that
-// a PriorityHigh BEGIN is exempt, and that the engine drains cleanly once
-// the shard resumes — no deadlock anywhere.
+// TestOverloadShedsBegins saturates a shard (its runner wedged in a sweep,
+// submitters stacked on the queue) and asserts that admission control sheds
+// further BEGINs with ErrOverload instead of blocking, that a PriorityHigh
+// BEGIN is exempt, and that the engine drains cleanly once the shard
+// resumes — no deadlock anywhere.
 func TestOverloadShedsBegins(t *testing.T) {
 	const watermark = 4
 	pol := newBlockingPolicy()
@@ -251,12 +251,13 @@ func TestOverloadShedsBegins(t *testing.T) {
 	defer eng.Close()
 
 	// Complete one transaction; the sweep that follows wedges the shard.
+	// The submitter of the final write runs that sweep itself, so it
+	// submits from a goroutine of its own and returns once the gate opens.
 	if res := eng.Submit(model.BeginDeclared(1, 0)); !res.Accepted() {
 		t.Fatalf("begin: %v (%v)", res.Outcome(), res.Err)
 	}
-	if res := eng.Submit(model.WriteFinal(1, 0)); !res.Accepted() {
-		t.Fatalf("final: %v (%v)", res.Outcome(), res.Err)
-	}
+	final := make(chan Result, 1)
+	go func() { final <- eng.Submit(model.WriteFinal(1, 0)) }()
 	<-pol.entered
 
 	// Stack submitters on the wedged shard until the backlog passes the
@@ -304,6 +305,9 @@ func TestOverloadShedsBegins(t *testing.T) {
 	}
 	// The shed ID was never consumed: admitting it later must succeed.
 	close(pol.gate)
+	if res := <-final; !res.Accepted() {
+		t.Fatalf("final: %v (%v)", res.Outcome(), res.Err)
+	}
 	wg.Wait()
 	for i, r := range results {
 		if !r.Accepted() {

@@ -251,8 +251,8 @@ func TestReapedSetStaysBounded(t *testing.T) {
 
 // retainedTotal sums the per-shard retained completed-transaction counts,
 // asking each scheduler through its mailbox. The lock-free RetainedCounts
-// gauge is refreshed only after a batch's replies have gone out, so reading
-// it right after Submit returns races the shard loop.
+// gauge is refreshed only after a run's replies have gone out, so reading
+// it right after Submit returns races the runner.
 func retainedTotal(e *Engine) int64 {
 	var total int64
 	for _, sh := range e.shards {

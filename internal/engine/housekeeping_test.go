@@ -415,8 +415,8 @@ func registryResidue(eng *Engine, debts debtMeter) (left int) {
 }
 
 // debtMeter holds, per shard, how many clean reports the shard owed the
-// registry at the end of its last housekeeping pass. The count is taken on
-// the shard goroutine, the only one that may read shard.watch.
+// registry at the end of its last housekeeping pass. The count is taken by
+// the runner, the only goroutine that may read shard.watch.
 type debtMeter []atomic.Int64
 
 // meterDebts installs a debtMeter for an engine with the given number of

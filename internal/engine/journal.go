@@ -23,8 +23,9 @@ import (
 // memory; every later journal call is a no-op. The zero value (no store) is
 // a journal whose every method is a no-op.
 //
-// A journal belongs to its shard's goroutine (and to recovery, which runs
-// before that goroutine starts).
+// A journal belongs to its shard's runner (and to recovery, which runs
+// before any submission can run the shard), so fsync runs on whichever
+// submitter holds the runner flag.
 type journal struct {
 	st store.ShardStore
 	// shard names the owner in refusals.

@@ -26,7 +26,7 @@
 // Every resolution is journaled and synced before Open returns, so a crash
 // during (or right after) recovery re-resolves to the same state.
 //
-//lint:file-ignore shardowned recovery runs on Open's goroutine strictly before any shard goroutine starts, so it owns every shard's state by happens-before (the goroutine launch in Open is the synchronization point)
+//lint:file-ignore shardowned recovery runs on Open's goroutine strictly before Open returns the engine, so it owns every shard's state by happens-before (whoever later runs a shard received the engine through that return)
 package engine
 
 import (
@@ -80,8 +80,8 @@ type subState struct {
 
 // recover builds every shard's scheduler — fresh without a Store,
 // checkpoint+tail otherwise — and resolves interrupted transactions. It
-// runs before the shard goroutines start, so scheduler access is
-// single-threaded.
+// runs inside Open, before any submission can run a shard, so scheduler
+// access is single-threaded.
 func (e *Engine) recover() (*RecoveryReport, error) {
 	rep := &RecoveryReport{Shards: len(e.shards)}
 	if e.cfg.Store == nil {

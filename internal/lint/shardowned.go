@@ -7,9 +7,10 @@ import (
 )
 
 // NewShardowned builds the shardowned analyzer: a struct field annotated
-// //txgc:owner shard belongs to the single goroutine running the struct's
-// run method. Every access to the field must come from run's intra-package
-// static call graph. Two escapes are sanctioned:
+// //txgc:owner shard belongs to whichever goroutine is inside the struct's
+// run method — the runner's drain under the runner flag, which admits one
+// goroutine at a time. Every access to the field must come from run's
+// intra-package static call graph. Two escapes are sanctioned:
 //
 //   - fields of sync/atomic types (atomic.Int64 and friends) may be read
 //     anywhere — the annotation still documents who writes, but the type
@@ -23,7 +24,7 @@ import (
 func NewShardowned() *Analyzer {
 	return &Analyzer{
 		Name: "shardowned",
-		Doc:  "//txgc:owner shard fields accessed only from the owning run loop (or via atomics)",
+		Doc:  "//txgc:owner shard fields accessed only from the runner's run method (or via atomics)",
 		Run:  runShardowned,
 	}
 }
@@ -64,7 +65,7 @@ func runShardowned(prog *Program) []Diagnostic {
 }
 
 // findStrayAccesses walks every function in pkg and flags selections of an
-// owned field from outside the run loop's call graph.
+// owned field from outside the run method's call graph.
 func findStrayAccesses(prog *Program, pkg *Package, owned map[*types.Var]bool, cc *callChain, run *types.Func) []Diagnostic {
 	var out []Diagnostic
 	for _, file := range pkg.Files {

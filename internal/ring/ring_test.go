@@ -344,3 +344,61 @@ func TestMailboxLateReplyAfterStop(t *testing.T) {
 	// ok=false is also legal (the consumer lost the race entirely); what
 	// must never happen is a wrong reply, checked above.
 }
+
+// TestMailboxPollArmNudge drives the pieces a producer that runs the
+// consumer's side itself uses: Poll redeems without blocking and only once,
+// Arm reports a reply already in, and Nudge rings the oldest waiting
+// request's bell, looking past a request whose producer armed none.
+func TestMailboxPollArmNudge(t *testing.T) {
+	m := NewMailbox[int, int](8)
+	rung := func(b *Bell) bool {
+		select {
+		case <-b.ch:
+			return true
+		default:
+			return false
+		}
+	}
+	t1, _ := m.Start(1, nil)
+	t2, _ := m.Start(2, nil)
+	if _, ok := m.Poll(t1); ok {
+		t.Fatal("Poll redeemed a request the consumer has not answered")
+	}
+	b := NewBell()
+	if m.Arm(t2, b) {
+		t.Fatal("Arm reported a reply that was never written")
+	}
+	if !m.Pending() {
+		t.Fatal("Pending = false with two requests published")
+	}
+	m.Nudge()
+	if !rung(b) {
+		t.Fatal("Nudge did not reach the bell armed behind an unarmed request")
+	}
+
+	req, tk, _, ok := m.Next()
+	if !ok || req != 1 {
+		t.Fatalf("Next = (%d, %v), want (1, true)", req, ok)
+	}
+	m.Reply(tk, 10)
+	if rep, ok := m.Poll(t1); !ok || rep != 10 {
+		t.Fatalf("Poll(t1) = (%d, %v), want (10, true)", rep, ok)
+	}
+	if _, ok := m.Poll(t1); ok {
+		t.Fatal("a ticket was redeemed twice")
+	}
+	req, tk, _, _ = m.Next()
+	m.Reply(tk, req*10)
+	if !rung(b) {
+		t.Fatal("Reply did not ring the armed bell")
+	}
+	if !m.Arm(t2, nil) {
+		t.Fatal("Arm did not report the reply already in")
+	}
+	if rep, ok := m.Poll(t2); !ok || rep != 20 {
+		t.Fatalf("Poll(t2) = (%d, %v), want (20, true)", rep, ok)
+	}
+	if m.Pending() {
+		t.Fatal("Pending = true on a drained ring")
+	}
+}

@@ -123,8 +123,9 @@ type ShardState struct {
 	Tail       []Record
 }
 
-// ShardStore is one shard's durability endpoint. A shard store is owned by
-// exactly one shard goroutine; only Stats may be called concurrently.
+// ShardStore is one shard's durability endpoint. A shard store is used by
+// one goroutine at a time, the shard's runner; only Stats may be called
+// concurrently.
 type ShardStore interface {
 	// Append stages one record in the write buffer and assigns its LSN.
 	// The record is not durable until Sync.

@@ -10,7 +10,8 @@
 # cmd/txgc-serve, allocs per step vs max_wire_allocs_per_step and writes
 # per eight-deep burst vs max_serve_writes_per_burst), the batch door's
 # fan-out (BenchmarkEngineBatchInterleaved, mailbox round-trips per 64-step
-# batch vs max_batch_roundtrips_per_batch), cross steps in the batch window
+# batch vs max_batch_roundtrips_per_batch, and the lone submitter's parks per
+# batch vs max_parks_per_batch), cross steps in the batch window
 # (BenchmarkEngineBatchCross, windows per 64-step batch vs
 # max_cross_batch_windows_per_batch), the telemetry emitter
 # (BenchmarkEngineEmitOverhead: events published per transaction vs
@@ -64,6 +65,7 @@ budget=$(awk '/^max_allocs_per_op/ {print $2}' bench_budget.txt)
 nogc_budget=$(awk '/^max_nogc_allocs_per_op/ {print $2}' bench_budget.txt)
 cross_budget=$(awk '/^max_cross_allocs_per_op/ {print $2}' bench_budget.txt)
 trips_budget=$(awk '/^max_batch_roundtrips_per_batch/ {print $2}' bench_budget.txt)
+parks_budget=$(awk '/^max_parks_per_batch/ {print $2}' bench_budget.txt)
 windows_budget=$(awk '/^max_cross_batch_windows_per_batch/ {print $2}' bench_budget.txt)
 events_budget=$(awk '/^max_emit_events_per_txn/ {print $2}' bench_budget.txt)
 kept_budget=$(awk '/^max_peak_kept/ {print $2}' bench_budget.txt)
@@ -76,6 +78,7 @@ writes_budget=$(awk '/^max_serve_writes_per_burst/ {print $2}' bench_budget.txt)
 [ -n "$nogc_budget" ] || { echo "check_bench_budget: no max_nogc_allocs_per_op in bench_budget.txt" >&2; exit 2; }
 [ -n "$cross_budget" ] || { echo "check_bench_budget: no max_cross_allocs_per_op in bench_budget.txt" >&2; exit 2; }
 [ -n "$trips_budget" ] || { echo "check_bench_budget: no max_batch_roundtrips_per_batch in bench_budget.txt" >&2; exit 2; }
+[ -n "$parks_budget" ] || { echo "check_bench_budget: no max_parks_per_batch in bench_budget.txt" >&2; exit 2; }
 [ -n "$windows_budget" ] || { echo "check_bench_budget: no max_cross_batch_windows_per_batch in bench_budget.txt" >&2; exit 2; }
 [ -n "$events_budget" ] || { echo "check_bench_budget: no max_emit_events_per_txn in bench_budget.txt" >&2; exit 2; }
 [ -n "$kept_budget" ] || { echo "check_bench_budget: no max_peak_kept in bench_budget.txt" >&2; exit 2; }
@@ -128,6 +131,17 @@ if [ "$section" != "scale" ]; then
 		fail batch-roundtrips "batch door $trips mailbox round-trips per batch exceeds budget of $trips_budget (windows no longer fan out)"
 	else
 		pass "batch door $trips mailbox round-trips per batch within budget of $trips_budget"
+	fi
+
+	# Parks of the lone submitter: it finds every runner flag free and runs
+	# each shard itself, so it never sleeps waiting for a reply. A count
+	# fixed by the code; any park means a wake-up hand-off came back.
+	parks=$(echo "$out" | awk '/BenchmarkEngineBatchInterleaved/ {for (i = 2; i <= NF; i++) if ($i == "parks/batch") print $(i-1)}' | head -1)
+	[ -n "$parks" ] || { echo "check_bench_budget: could not parse parks/batch from benchmark output" >&2; exit 2; }
+	if awk -v a="$parks" -v b="$parks_budget" 'BEGIN {exit !(a > b)}'; then
+		fail batch-parks "batch door parked $parks times per batch with no other submitter, budget $parks_budget (the submitter no longer runs the shards itself)"
+	else
+		pass "batch door parked $parks times per batch with no other submitter, budget $parks_budget"
 	fi
 
 	# Cross steps in the window: windows per 64-step batch of sixteen

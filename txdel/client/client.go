@@ -94,8 +94,8 @@ const (
 
 // Config configures a DB.
 type Config struct {
-	// Shards is the number of entity partitions / scheduler goroutines
-	// (default 1).
+	// Shards is the number of entity partitions, each with its own
+	// scheduler (default 1).
 	Shards int
 	// Policy names the per-shard deletion policy: "nogc" (default, never
 	// delete), "lemma1", "greedy-c1", "greedy-c1-newest",
@@ -184,7 +184,7 @@ type DB struct {
 	recovery   *RecoveryReport
 }
 
-// Open starts the engine with cfg's shard goroutines running.
+// Open starts the engine with cfg's shards ready to run.
 func Open(cfg Config) (*DB, error) {
 	factory := cfg.enginePolicy
 	if factory == nil {

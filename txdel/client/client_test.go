@@ -377,14 +377,15 @@ func TestOverloadShedThroughClient(t *testing.T) {
 	})
 	ctx := context.Background()
 
-	// One completion wedges the shard in the sweep that follows.
+	// One completion wedges the shard in the sweep that follows. The
+	// session that writes runs that sweep itself, so it writes from a
+	// goroutine of its own and returns once the gate opens.
 	txn, err := db.Begin(ctx, WithFootprint(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := txn.Write(ctx, 0); err != nil {
-		t.Fatal(err)
-	}
+	wrote := make(chan error, 1)
+	go func() { wrote <- txn.Write(ctx, 0) }()
 	<-pol.entered
 
 	var wg sync.WaitGroup
@@ -412,6 +413,9 @@ func TestOverloadShedThroughClient(t *testing.T) {
 		t.Fatalf("begin on saturated shard = %v, want ErrOverload", err)
 	}
 	close(gate)
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
 	wg.Wait()
 	for i, err := range highErrs {
 		if err != nil {
