@@ -302,7 +302,7 @@ func interleavedBatch(rng *rand.Rand, base model.TxnID, cross int) []model.Step 
 
 // TestSubmitBatchWindowRoundTrips: a 64-step batch interleaving sixteen
 // local transactions over four shards, with nothing in it that settles the
-// window early, costs one round-trip per shard, not one per same-shard run.
+// window early, costs one visit per shard, not one per same-shard run.
 func TestSubmitBatchWindowRoundTrips(t *testing.T) {
 	var trips atomic.Int64
 	testHookRoundTrip = func(*shard) { trips.Add(1) }
@@ -313,7 +313,7 @@ func TestSubmitBatchWindowRoundTrips(t *testing.T) {
 	steps := interleavedBatch(rand.New(rand.NewSource(1)), 0, 0)
 	results := eng.SubmitBatch(steps)
 	if n := trips.Load(); n > 4 {
-		t.Fatalf("%d mailbox round-trips for one 64-step window over 4 shards, want at most 4", n)
+		t.Fatalf("%d shard visits for one 64-step window over 4 shards, want at most 4", n)
 	}
 	completed := 0
 	for i, r := range results {
@@ -764,7 +764,7 @@ func TestSubmitDoorsDoNotAllocate(t *testing.T) {
 	}
 	for name, door := range map[string]func(){"SubmitCtx": perStep, "SubmitBatchInto": batched} {
 		for i := 0; i < 100; i++ {
-			door() // warm the pools, arenas and ring
+			door() // warm the pools and arenas
 		}
 		if n := testing.AllocsPerRun(200, door); n != 0 {
 			t.Errorf("%s: %v allocs per 4-step transaction, want 0", name, n)

@@ -20,7 +20,7 @@ import (
 // BenchmarkEngineThroughput sweeps shard count × deletion policy under
 // partition-local traffic from GOMAXPROCS submitter goroutines. Each
 // iteration is one whole transaction (BEGIN + 3 reads + final write = 5
-// steps) pipelined through SubmitBatch — one shard round-trip per
+// steps) pipelined through SubmitBatch — one shard visit per
 // transaction, the way a real client session drives the engine; steps/s
 // is reported as a metric. Under nogc the per-shard graphs grow without
 // bound, so sharding pays even on one core (smaller graphs → cheaper
@@ -77,14 +77,14 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // BenchmarkEngineBatchInterleaved is the batch door's fan-out: one
 // goroutine sends 64-step seeded batches, each sixteen partition-local
 // transactions interleaved over four shards (interleavedBatch), through
-// SubmitBatchInto. roundtrips/batch counts mailbox round-trips through the
+// SubmitBatchInto. roundtrips/batch counts shard visits (runs) through the
 // test hook: one per shard a window touches, so at most 4 here, where a
 // door that waited out every same-shard run paid 47.94. parks/batch counts
-// the times the submitter went to sleep waiting for a reply: a lone
-// submitter finds every runner flag free and runs each shard itself, so it
-// never parks (with a goroutine per shard it parked 0.34–0.67 times per
-// batch). Both counts are deterministic, and scripts/check_bench_budget.sh
-// gates them at max_batch_roundtrips_per_batch and max_parks_per_batch.
+// the times the submitter blocked on a shard lock held elsewhere: a lone
+// submitter finds every lock free, so it never blocks (with a goroutine per
+// shard it slept waiting for a reply 0.34–0.67 times per batch). Both
+// counts are deterministic, and scripts/check_bench_budget.sh gates them at
+// max_batch_roundtrips_per_batch and max_parks_per_batch.
 // Regenerate the BENCH_engine.json record with:
 //
 //	go test -run '^$' -bench BenchmarkEngineBatchInterleaved -benchtime 3000x -benchmem ./internal/engine/
@@ -123,8 +123,8 @@ func BenchmarkEngineBatchInterleaved(b *testing.B) {
 // BenchmarkEngineBatchCross is BenchmarkEngineBatchInterleaved with two of
 // the sixteen transactions in each 64-step batch cross-partition (two
 // shards each, on entities no other transaction touches). It reports
-// roundtrips/batch, every mailbox round-trip the submitting goroutine
-// starts (windows, sub-begins, prepares, commits), and windows/batch, the
+// roundtrips/batch, every shard visit the submitting goroutine makes
+// (windows, sub-begins, prepares, commits), and windows/batch, the
 // windows the batch door sends. Each cross BEGIN, each cross read bound for
 // a second shard and each final write of a cross transaction ends a window;
 // the cross reads themselves ride in one. Both counts are deterministic, and
@@ -461,9 +461,9 @@ func (h *latHist) quantile(q float64) int64 {
 // shards, greedy-c1, GOMAXPROCS submitter goroutines pipelining whole
 // 5-step transactions through SubmitBatchInto, at CrossFrac 0 (pure
 // partition-local) and 0.05 (the oracle suite's canonical mix). Run it
-// with -cpu 1,2,4,8 and compare steps/s across the sweep: the ring
-// mailbox submission path has no global lock, so throughput should rise
-// with cores until the shard consumers saturate. Each iteration's
+// with -cpu 1,2,4,8 and compare steps/s across the sweep: the submission
+// path has no global lock, only one per shard, so throughput should rise
+// with cores until the shards saturate. Each iteration's
 // SubmitBatchInto round-trip is timed into a log-linear histogram
 // (per-goroutine, merged at the end — nothing allocated per op) and the
 // p99 per-step latency (txn round-trip / 5 steps) is reported as

@@ -7,14 +7,14 @@
 // in the batch door's window with them (Engine.admit); the final write runs
 // the two-phase commit from the submitting goroutine: PREPARE every
 // participant (the shard votes on its slice of the write set, pinning the
-// sub-node on yes), then COMMIT or ABORT everywhere. Every fan-out publishes
-// to all its participants before it waits for any, so a step of the
-// protocol costs one wait, not one per participant; only COMMIT waits
-// twice, since the first participant's durable decision is the commit point
-// and must exist before any other participant commits. Non-participating
-// shards never hear about any of it, and participating shards keep serving
-// other traffic between vote and decision — the prepared pin, not a pause,
-// is what freezes the sub-transaction.
+// sub-node on yes), then COMMIT or ABORT everywhere. Every fan-out visits
+// the participants whose lock is free first and waits only for the rest;
+// COMMIT visits the first participant alone before the others, since its
+// durable decision is the commit point and must exist before any other
+// participant commits. Non-participating shards never hear about any of
+// it, and participating shards keep serving other traffic between vote and
+// decision — the prepared pin, not a pause, is what freezes the
+// sub-transaction.
 //
 // The cross-arc registry below is the piece that restores global safety:
 // it records, per pair of cross transactions, whether one's sub-node
@@ -52,22 +52,23 @@ type crossTxn struct {
 	mu    sync.Mutex
 	id    model.TxnID
 	parts []int // participating shards, ascending
-	// calls[i] carries parts[i]'s share of the fan-out in progress and
-	// legs[i] holds its answer (see fanOut); guarded by mu like everything
-	// below.
-	calls []call
-	legs  []leg
+	// legs[i] is parts[i]'s share of the fan-out in progress, then its
+	// answer (see fanOut); guarded by mu like everything below.
+	legs []leg
 	// done marks the decision (or a failed begin); committed distinguishes
 	// COMMIT from ABORT for late-arriving steps.
 	done      bool
 	committed bool
 }
 
-// leg is one participant's answer to a fan-out (ok=false: none came back,
-// because the request was never published or the shard shut down first).
+// leg is one participant's answer to a fan-out (ok=false: the participant
+// was not asked, or the engine closed first). While the fan-out waits for
+// the participant, waiting is set and req holds what it is to apply.
 type leg struct {
-	res Result
-	ok  bool
+	res     Result
+	ok      bool
+	waiting bool
+	req     request
 }
 
 // failed reports whether the leg's request was not carried out.
@@ -295,26 +296,38 @@ func (r *crossRegistry) LabelLive(id model.TxnID) bool {
 
 // ---------------------------------------------------------------------------
 // Engine-side protocol driver. All of these run on the submitting client's
-// goroutine with ct.mu held, doing round-trips to participant shards, and
-// run a participant themselves when it has no runner; a shard's run never
-// blocks on another shard or on any ct.mu, so concurrent two-phase commits
-// (even with overlapping participants) cannot deadlock.
+// goroutine with ct.mu held, and apply each participant's part under that
+// shard's lock, one shard at a time (shard.run); no shard code takes a
+// ct.mu, so concurrent two-phase commits (even with overlapping
+// participants) cannot deadlock.
 
-// fanOut sends req(i) to every participant i it names (ok=true), all
-// before it waits for any, then waits for the answers, running any
-// participant that has no runner itself (await), and leaves each answer in
-// ct.legs[i]. req(i) may read leg i's previous answer. Caller holds ct.mu.
+// fanOut applies req(i) on every participant i it names (ok=true) and
+// leaves each answer in ct.legs[i]. It visits the participants whose lock
+// is free first, in one pass that never waits, then waits for the rest in
+// participant order; a leg that must wait keeps its request meanwhile.
+// req(i) may read leg i's previous answer. Caller holds ct.mu.
 func (e *Engine) fanOut(ct *crossTxn, req func(i int) (request, bool)) {
+	left := 0
 	for i, p := range ct.parts {
-		ct.calls[i] = call{}
-		if r, ok := req(i); ok {
-			ct.calls[i] = e.shards[p].start(r)
+		l := &ct.legs[i]
+		r, want := req(i)
+		if !want {
+			*l = leg{}
+			continue
 		}
+		if rep, ok, ran := e.shards[p].tryRun(r); ran {
+			*l = leg{res: rep.res, ok: ok}
+			continue
+		}
+		*l = leg{waiting: true, req: r}
+		left++
 	}
-	await(ct.calls)
-	for i := range ct.calls {
-		rep, ok := ct.calls[i].redeem()
-		ct.legs[i] = leg{res: rep.res, ok: ok}
+	for i := 0; left > 0; i++ {
+		if l := &ct.legs[i]; l.waiting {
+			rep, ok := e.shards[ct.parts[i]].run(l.req)
+			*l = leg{res: rep.res, ok: ok}
+			left--
+		}
 	}
 }
 
@@ -343,15 +356,12 @@ func (e *Engine) participantsOf(xs []model.Entity) []int {
 }
 
 // beginCross fans a cross-partition BEGIN out as one sub-begin per
-// participating shard and waits for them, then lands the caller's pending
-// work (settle; see Engine.admit), whose steps therefore apply after the
-// sub-begins on every shard they share. The window is not published while
-// the sub-begins are out: a ring cell is freed only when its producer
-// redeems the reply, so a submitter claiming a cell on a ring where it
-// still holds one would wait on itself once other submitters' claims
-// lapped the ring. An ID the registry still tracks is refused before
-// anything begins. On any other failure (admission shed, duplicate ID on
-// some shard, or the engine closing) every sub-begin that applied is
+// participating shard, then lands the caller's pending work (settle; see
+// Engine.admit), whose steps therefore apply after the sub-begins on every
+// shard they share: the order the shards' BeginSeq, and so the governor's
+// choice of straggler, follow. An ID the registry still tracks is refused
+// before anything begins. On any other failure (admission shed, duplicate
+// ID on some shard, or the engine closing) every sub-begin that applied is
 // aborted and the logical transaction never existed; if one applied, the
 // trace marks the incarnation it opened aborted. When none applied, the
 // ID's current incarnation in the trace is an earlier transaction's, which
@@ -362,10 +372,10 @@ func (e *Engine) participantsOf(xs []model.Entity) []int {
 // deadlock: this ct was created here and no step of it can be pending, so
 // the only other party that can want its mu is Engine.Abort, which holds no
 // other ct.mu while it waits; and whoever holds another transaction's mu
-// waits only for shards, which never wait for a ct.mu.
+// waits only for shard locks, whose holders never wait for a ct.mu.
 func (e *Engine) beginCross(step model.Step, pri Priority, settle func()) Result {
 	parts := e.participantsOf(step.Entities)
-	ct := &crossTxn{id: step.Txn, parts: parts, calls: make([]call, len(parts)), legs: make([]leg, len(parts))}
+	ct := &crossTxn{id: step.Txn, parts: parts, legs: make([]leg, len(parts))}
 	if !e.routes.storeNew(step.Txn, route{kind: routeCross, ct: ct, pri: pri}) {
 		return duplicateBegin(step)
 	}
@@ -548,7 +558,7 @@ func (e *Engine) commitCross(ctx context.Context, ct *crossTxn, final model.Step
 	// journaled, no evidence of the decision exists anywhere and the
 	// transaction resolves as the abort recovery would presume.
 	commit := request{kind: reqCommitSub, step: model.Step{Txn: ct.id}}
-	rep, ok := e.shards[ct.parts[0]].do(commit)
+	rep, ok := e.shards[ct.parts[0]].run(commit)
 	if ok && rep.res.Err != nil && rep.res.Aborted == ct.id {
 		// The commit point failed (journal dead on the first participant,
 		// which already released its own sub): abort the siblings and

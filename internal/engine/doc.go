@@ -7,18 +7,15 @@
 //
 // The entity space is hash-partitioned: entity x belongs to partition
 // x mod N. Each of the N shards runs its own core.Scheduler with its own
-// conflict graph and deletion policy, and is owned by one goroutine at a
-// time (the single-writer discipline) — not a goroutine of its own, but
-// whichever submitter holds the shard's runner flag. Clients call Submit,
-// which routes the step to its shard through a lock-free ring mailbox and
-// then waits for the reply; a waiter that finds the flag free becomes the
-// runner: it drains the ring in runs, applies each request, replies, and
-// runs the deletion-policy sweep between runs (amortized GC off the
-// per-step path, cadence set by Config.SweepEveryCompletions). This is flat
-// combining (Hendler et al., SPAA 2010) on the ring the shard already had:
-// one runner applies everyone's queued requests, so a step costs no
-// goroutine hand-off unless two submitters want the same shard at once.
-// The engine starts no goroutine of its own.
+// conflict graph and deletion policy, behind one mutex: the scheduler is a
+// sequential machine fed one step at a time, so a shard is a lock, not a
+// queue or a goroutine. Clients call Submit, which routes the step to its
+// shard, takes the shard's lock, applies the step, runs the housekeeping —
+// among it the deletion-policy sweep, amortized over
+// Config.SweepEveryCompletions completions — and unlocks. A submitter that
+// finds the lock held yields a few times, then blocks; the submitters
+// waiting for a shard are its backlog (Stats.QueueDepth). The engine starts
+// no goroutine of its own.
 //
 // A transaction declares its entity footprint on BEGIN
 // (model.BeginDeclared). A footprint inside one partition routes the
@@ -74,8 +71,8 @@
 // goroutine: PREPARE each participant (the shard runs Rule 3 on its slice
 // of the write set, places the arcs, pins the sub-node, and votes), then
 // COMMIT or ABORT everywhere. Participants never pause — the prepared pin
-// freezes the sub-transaction, not the shard — and shards never wait on
-// each other, so concurrent two-phase commits cannot deadlock and
+// freezes the sub-transaction, not the shard — and no goroutine holds two
+// shard locks, so concurrent two-phase commits cannot deadlock and
 // non-participants are untouched: a bystander active across a cross
 // commit goes on to commit (TestCrossPartition2PC).
 //

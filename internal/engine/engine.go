@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/emit"
 	"repro/internal/model"
-	"repro/internal/ring"
 	"repro/internal/store"
 	"repro/internal/trace"
 )
@@ -30,9 +28,9 @@ type Config struct {
 	// (default 8). Lower is tighter memory, higher is faster.
 	SweepEveryCompletions int
 	// OverloadWatermark, if > 0, enables admission control: a BEGIN routed
-	// at a shard whose submission backlog (Stats.QueueDepth) is at or above
-	// the watermark is shed with ErrOverload instead of queued — the
-	// transaction never begins and no queue slot is consumed. Steps of
+	// at a shard whose submission backlog (Stats.QueueDepth: the submitters
+	// waiting for its lock) is at or above the watermark is shed with
+	// ErrOverload instead of waiting — the transaction never begins. Steps of
 	// already-admitted transactions are never shed (they drain the
 	// backlog), and a PriorityHigh BEGIN bypasses the watermark.
 	OverloadWatermark int
@@ -72,18 +70,6 @@ type Config struct {
 	// Store.
 	WALSyncEvery int
 }
-
-// A runner drains at most runLength requests between GC opportunities, from
-// a ring of queueDepth cells. Neither is a knob: on the gated workloads no
-// shard ever drained a run longer than 5 requests or held more than 4. The
-// cells are most of an idle engine's heap (about 470 B each with the reply
-// slot and its bell), so a ring holds 256: a submitter holds at most one
-// cell per ring, so claims backpressure only beyond 256 concurrent
-// submitters on one shard.
-const (
-	runLength  = 64
-	queueDepth = 256
-)
 
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
@@ -176,8 +162,7 @@ const (
 
 // Stats is a point-in-time aggregate of engine counters. The scalar fields
 // are maintained as lock-free atomics on the submit path; the per-shard
-// scheduler stats are fetched by a snapshot request through each shard's
-// queue.
+// scheduler stats are read by a snapshot request under each shard's lock.
 //
 // The scalar step/transaction counters are logical: a cross-partition
 // transaction counts one BEGIN, one accepted final write, and one
@@ -211,10 +196,9 @@ type Stats struct {
 	// undecided sub-transactions pinned on each shard, indexed by shard.
 	PreparedByShard []int64
 
-	// QueueDepth is the instantaneous per-shard submission backlog
-	// (requests enqueued or blocked enqueuing, not yet picked up by a
-	// runner), indexed by shard. Maintained as a cheap atomic on
-	// the submit path; groundwork for admission control and load shedding.
+	// QueueDepth is the instantaneous per-shard submission backlog: the
+	// submitters waiting for the shard's lock, indexed by shard. Maintained
+	// as a cheap atomic on the submit path; admission control sheds on it.
 	QueueDepth []int64
 
 	// PerShard are the underlying scheduler counters, indexed by shard.
@@ -284,8 +268,8 @@ func New(cfg Config) *Engine {
 // shard's scheduler is rebuilt from its checkpoint plus WAL tail, and
 // orphaned transactions are resolved (see recovery.go), before Open
 // returns and any submission can run a shard. The engine starts no
-// goroutine: every shard is run by the submitters waiting on it (see
-// shard.serve). The report describes what was recovered
+// goroutine: each submitter takes its shard's lock and applies its own
+// request (see shard.run). The report describes what was recovered
 // (empty-but-non-nil without a Store).
 func Open(cfg Config) (*Engine, *RecoveryReport, error) {
 	cfg = cfg.withDefaults()
@@ -297,11 +281,9 @@ func Open(cfg Config) (*Engine, *RecoveryReport, error) {
 	e.shards = make([]*shard, cfg.Shards)
 	for i := range e.shards {
 		e.shards[i] = &shard{
-			idx:  i,
-			eng:  e,
-			mb:   ring.NewMailbox[request, reply](queueDepth),
-			done: make(chan struct{}),
-			jr:   openJournal(cfg.Store, i, cfg.WALSyncEvery),
+			idx: i,
+			eng: e,
+			jr:  openJournal(cfg.Store, i, cfg.WALSyncEvery),
 		}
 	}
 	rep, err := e.recover()
@@ -516,9 +498,9 @@ func (e *Engine) shardOverloaded(p int) bool {
 	return w > 0 && e.shards[p].depth.Load() >= int64(w)
 }
 
-// shedBegin refuses a BEGIN under admission control: nothing began, no
-// queue slot was consumed, and the ID remains free. home is the overloaded
-// shard the event is attributed to; N carries its backlog at the decision.
+// shedBegin refuses a BEGIN under admission control: nothing began, and
+// the ID remains free. home is the overloaded shard the event is
+// attributed to; N carries its backlog at the decision.
 func (e *Engine) shedBegin(step model.Step, home int) Result {
 	e.shed.Add(1)
 	e.rejected.Add(1)
@@ -531,14 +513,13 @@ func (e *Engine) shedBegin(step model.Step, home int) Result {
 
 // SubmitBatch submits a client's steps and returns one Result per step, in
 // submission order. Each shard sees the batch's steps bound for it in
-// submission order, and the shards apply their parts concurrently: the
-// steps between two points where the batch must wait (see below) go out as
-// one round-trip to every shard they touch, all in flight at once, so a
-// whole partition-local transaction (BEGIN, reads, final write) costs one
-// queue hop instead of one per step, and sixteen interleaved ones over four
-// shards cost four. A partition-local step, like a cross read, touches only
-// its shard's state, so only the interleaving of different shards' work
-// changes, as it does between two concurrent clients.
+// submission order: the steps between two points where the batch must wait
+// (see below) go to every shard they touch in one visit per shard, so a
+// whole partition-local transaction (BEGIN, reads, final write) takes its
+// shard's lock once instead of once per step, and sixteen interleaved ones
+// over four shards take four. A partition-local step, like a cross read,
+// touches only its shard's state, so only the interleaving of different
+// shards' work changes, as it does between two concurrent clients.
 //
 // The ordering contract is Submit's: steps of one transaction must appear in
 // order, and a client must not submit a transaction's next step elsewhere
@@ -554,9 +535,9 @@ func (e *Engine) shedBegin(step model.Step, home int) Result {
 // misroute, a step of a dead transaction, a duplicate or shed BEGIN — before
 // a BEGIN that reuses a live ID, and before a cross read whose transaction
 // already has a read bound for another shard in flight, so that a rejection
-// on one participant lands before a sibling acts. A cross BEGIN publishes
-// its sub-begins and waits for them first, then sends what came before it.
-// None of this stalls other clients' traffic.
+// on one participant lands before a sibling acts. A cross BEGIN applies its
+// sub-begins first, then sends what came before it. None of this stalls
+// other clients' traffic.
 func (e *Engine) SubmitBatch(steps []model.Step) []Result {
 	return e.SubmitBatchInto(make([]Result, 0, len(steps)), steps)
 }
@@ -600,10 +581,8 @@ type window struct {
 	start, n int
 	parts    [windowCap]part
 	nparts   int
-	// calls[i] carries parts[i] while apply waits for it.
-	calls  [windowCap]call
-	reads  [windowCap]crossRead
-	nreads int
+	reads    [windowCap]crossRead
+	nreads   int
 }
 
 // crossRead records that the window holds reads of ct bound for shard.
@@ -665,12 +644,11 @@ func (w *window) add(i, shard int, ct *crossTxn) bool {
 // window apply sends: the window counter of the batch benchmarks.
 var testHookWindow func()
 
-// apply runs the window and empties it: it publishes one reqBatch to every
-// shard the window touches, then waits for all the replies, running any of
-// those shards that has no runner itself (await). Each shard writes its
-// steps' results into their own places in dst, so nothing is merged or
-// copied afterwards. A window on one shard goes out unmasked, the caller's
-// span as it stands.
+// apply runs the window and empties it: one reqBatch visits every shard the
+// window touches, the shards whose lock is free first, in one pass that
+// never waits, then the rest in turn. Each shard writes its steps' results
+// into their own places in dst, so nothing is merged or copied afterwards.
+// A window on one shard goes out unmasked, the caller's span as it stands.
 func (e *Engine) apply(w *window, dst []Result, steps []model.Step) []Result {
 	if w.n == 0 {
 		return dst
@@ -685,17 +663,19 @@ func (e *Engine) apply(w *window, dst []Result, steps []model.Step) []Result {
 	if len(parts) == 1 {
 		parts[0].own = 0
 	}
-	calls := w.calls[:len(parts)]
-	for i := range parts {
-		batch.own = parts[i].own
-		calls[i] = e.shards[parts[i].shard].start(batch)
+	left := parts[:0]
+	for _, p := range parts {
+		batch.own = p.own
+		if _, ok, ran := e.shards[p.shard].tryRun(batch); !ran {
+			left = append(left, p)
+		} else if !ok {
+			batch.refuse()
+		}
 	}
-	await(calls)
-	for i := range calls {
-		if _, ok := calls[i].redeem(); !ok {
-			// Never published, or lost to Close: the shard is gone, so
-			// nothing else writes these results.
-			batch.own = parts[i].own
+	for _, p := range left {
+		batch.own = p.own
+		if _, ok := e.shards[p.shard].run(batch); !ok {
+			// The engine closed first: nothing else writes these results.
 			batch.refuse()
 		}
 	}
@@ -720,10 +700,9 @@ func (e *Engine) misroutedStep(st model.Step, home int) bool {
 	return false
 }
 
-// doStep runs one step on a shard, mapping a lost request (Close raced the
-// caller) to ErrClosed.
+// doStep runs one step on a shard, mapping a closed engine to ErrClosed.
 func (e *Engine) doStep(shard int, step model.Step) Result {
-	rep, ok := e.shards[shard].do(request{kind: reqStep, step: step})
+	rep, ok := e.shards[shard].run(request{kind: reqStep, step: step})
 	if !ok {
 		return closedResult(step)
 	}
@@ -782,7 +761,7 @@ func (e *Engine) Abort(id model.TxnID) bool {
 // abortLocal aborts a partition-local transaction on its shard, counting
 // the abort if it applied, and drops its route.
 func (e *Engine) abortLocal(shard int, id model.TxnID) {
-	if rep, ok := e.shards[shard].do(request{kind: reqAbortSub, step: model.Step{Txn: id}}); ok && rep.n > 0 {
+	if rep, ok := e.shards[shard].run(request{kind: reqAbortSub, step: model.Step{Txn: id}}); ok && rep.n > 0 {
 		e.aborted.Add(1)
 	}
 	e.routes.delete(id)
@@ -805,17 +784,10 @@ func (e *Engine) Stats() Stats {
 		Misroutes:   e.misroutes.Load(),
 	}
 	for _, sh := range e.shards {
-		var cs core.Stats
-		if rep, ok := sh.do(request{kind: reqStats}); ok {
-			cs = rep.stats
-		} else {
-			// The shard shut down (do only fails once done is closed, and
-			// final is written before that), so its last snapshot is valid.
-			//lint:ignore shardowned-access read after <-sh.done: final is written before close(done), which do's failure proves happened
-			cs = sh.final
-		}
-		s.PerShard = append(s.PerShard, cs)
-		s.Merged.Merge(cs)
+		// A closed shard still answers reqStats.
+		rep, _ := sh.run(request{kind: reqStats})
+		s.PerShard = append(s.PerShard, rep.stats)
+		s.Merged.Merge(rep.stats)
 	}
 	s.Deleted, s.Sweeps = s.Merged.Deleted, s.Merged.Sweeps
 	s.QueueDepth = e.QueueDepths()
@@ -824,23 +796,23 @@ func (e *Engine) Stats() Stats {
 }
 
 // gauge reads one lock-free gauge of every shard. A shard that shut down
-// reports zero rather than its stale counter: it serves nothing, so its
-// backlog is dead; its depth may hold a phantom +1 from a submit that raced
-// the shutdown drain; a prepare whose decision Close cut off would pin its
+// reports zero rather than its stale counter: it applies nothing, so its
+// backlog is dead; a prepare whose decision Close cut off would pin its
 // prepared count forever; and a closed engine retains nothing a client can
 // reach.
 func (e *Engine) gauge(of func(*shard) *atomic.Int64) []int64 {
 	out := make([]int64, len(e.shards))
 	for i, sh := range e.shards {
-		if !sh.down() {
+		if !sh.closed.Load() {
 			out[i] = of(sh).Load()
 		}
 	}
 	return out
 }
 
-// QueueDepths returns the instantaneous per-shard submission backlog
-// without a shard round-trip — the same gauge admission control sheds on
+// QueueDepths returns the instantaneous per-shard submission backlog (the
+// submitters waiting for each shard's lock) without taking a lock — the
+// same gauge admission control sheds on
 // (Stats.QueueDepth fetches it alongside the heavier scheduler counters).
 func (e *Engine) QueueDepths() []int64 {
 	return e.gauge(func(sh *shard) *atomic.Int64 { return &sh.depth })
@@ -848,8 +820,8 @@ func (e *Engine) QueueDepths() []int64 {
 
 // RetainedCounts returns the per-shard count of retained completed
 // transactions (the storage the deletion policy reclaims), lock-free like
-// QueueDepths. The gauge is refreshed by the runner after every run, so it
-// trails the scheduler by at most one run.
+// QueueDepths. Every run refreshes the gauge before it unlocks, so it
+// trails the scheduler by at most the run in progress.
 func (e *Engine) RetainedCounts() []int64 {
 	return e.gauge(func(sh *shard) *atomic.Int64 { return &sh.retainedN })
 }
@@ -886,22 +858,15 @@ func (e *Engine) Gauges() emit.GaugeSnapshot {
 }
 
 // Close shuts every shard down: once the engine is marked closed, the next
-// runner of each shard — Close itself, or a submitter still waiting on it —
-// runs shutdown instead of a run, answers every queued request with
-// ErrClosed, makes the journal durable, and keeps the runner flag for good.
-// Close returns when every shard is down. Submits still in flight receive
-// ErrClosed; callers should stop submitting first.
+// run on each shard — Close's own, or one of a submitter still in flight —
+// makes the journal durable and marks the shard down, and every later run
+// applies nothing. Close returns when every shard is down. Submits still in
+// flight receive ErrClosed; callers should stop submitting first.
 func (e *Engine) Close() {
 	if !e.closed.CompareAndSwap(false, true) {
 		return
 	}
 	for _, sh := range e.shards {
-		for !sh.down() {
-			if sh.running.CompareAndSwap(false, true) {
-				sh.run() // the engine is closed: this run is the shutdown
-			} else {
-				runtime.Gosched()
-			}
-		}
+		sh.run(request{kind: reqStats}) // the engine is closed: this run shuts the shard down
 	}
 }

@@ -530,8 +530,8 @@ func TestCrossBeginFanOutRollback(t *testing.T) {
 		if err := log.CheckAcceptedCSR(); err != nil {
 			t.Fatalf("original on %v: %v", orig, err)
 		}
-		// Close first: every shard shuts down and its runner flag stays
-		// taken, making the schedulers safe to inspect directly.
+		// Close first: every shard shuts down and no later run applies
+		// anything, making the schedulers safe to inspect directly.
 		eng.Close()
 		for i, sh := range eng.shards {
 			st := sh.sched.Txn(id)
@@ -582,8 +582,8 @@ func TestCrossBeginKeepsTrackedEntry(t *testing.T) {
 		if s := eng.Stats(); s.CrossTxns != 1 || s.CrossAborts != 0 {
 			t.Fatalf("%d shards: %d cross transactions begun, %d aborted; the second BEGIN never happened", shards, s.CrossTxns, s.CrossAborts)
 		}
-		// Close first: every shard shuts down and its runner flag stays
-		// taken, making the schedulers safe to inspect directly.
+		// Close first: every shard shuts down and no later run applies
+		// anything, making the schedulers safe to inspect directly.
 		eng.Close()
 		for _, sh := range eng.shards[2:] {
 			if sh.sched.Txn(5) != nil {

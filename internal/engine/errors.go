@@ -41,7 +41,8 @@ var (
 	// stays live.
 	ErrProtocol = errors.New("engine: protocol violation")
 	// ErrOverload: admission control shed the BEGIN — a shard it would
-	// run on is over the configured queue-depth watermark. Nothing began;
+	// run on has as many submitters waiting for its lock as the configured
+	// watermark. Nothing began;
 	// the client may retry later or escalate to PriorityHigh.
 	ErrOverload = errors.New("engine: shard over the admission watermark")
 	// ErrStragglerAborted: the retention governor reaped the transaction —

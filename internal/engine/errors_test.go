@@ -234,8 +234,8 @@ func (p *blockingPolicy) Sweep(sw *core.Sweep) {
 	<-p.gate
 }
 
-// TestOverloadShedsBegins saturates a shard (its runner wedged in a sweep,
-// submitters stacked on the queue) and asserts that admission control sheds
+// TestOverloadShedsBegins saturates a shard (its lock holder wedged in a
+// sweep, submitters stacked behind the lock) and asserts that admission control sheds
 // further BEGINs with ErrOverload instead of blocking, that a PriorityHigh
 // BEGIN is exempt, and that the engine drains cleanly once the shard
 // resumes — no deadlock anywhere.
@@ -291,8 +291,8 @@ func TestOverloadShedsBegins(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// A normal-priority BEGIN is shed immediately — it neither blocks nor
-	// consumes a queue slot.
+	// A normal-priority BEGIN is shed immediately — it never waits for the
+	// lock.
 	res := eng.Submit(model.BeginDeclared(99, 0))
 	if res.Outcome() != OutcomeRejected || !errors.Is(res.Err, ErrOverload) {
 		t.Fatalf("overloaded begin: %v (%v), want rejected/ErrOverload", res.Outcome(), res.Err)

@@ -38,7 +38,7 @@ import (
 const (
 	// governorCandidates is how many oldest actives each shard reports per
 	// pass; enough to survive a few PriorityHigh or just-finished entries
-	// at the front without a second round-trip.
+	// at the front without a second visit.
 	governorCandidates = 8
 	// maxReapsPerPass caps the reap+sweep iterations of one governor pass,
 	// bounding the time a pass can hold govMu even under a watermark set
@@ -178,7 +178,7 @@ func (e *Engine) oldestStraggler() (id model.TxnID, shard int, inc int64, ok boo
 	var best core.ActiveInfo
 	bestShard := -1
 	for i, sh := range e.shards {
-		rep, alive := sh.do(request{kind: reqOldest})
+		rep, alive := sh.run(request{kind: reqOldest})
 		if !alive {
 			continue
 		}
@@ -224,7 +224,7 @@ func (e *Engine) reapOne(id model.TxnID, shard int, inc, total int64) bool {
 func (e *Engine) sweepAll() int64 {
 	var n int64
 	for _, sh := range e.shards {
-		if rep, ok := sh.do(request{kind: reqSweep}); ok {
+		if rep, ok := sh.run(request{kind: reqSweep}); ok {
 			n += rep.n
 		}
 	}

@@ -250,13 +250,13 @@ func TestReapedSetStaysBounded(t *testing.T) {
 }
 
 // retainedTotal sums the per-shard retained completed-transaction counts,
-// asking each scheduler through its mailbox. The lock-free RetainedCounts
-// gauge is refreshed only after a run's replies have gone out, so reading
-// it right after Submit returns races the runner.
+// asking each scheduler under its shard's lock. The lock-free
+// RetainedCounts gauge trails the scheduler by the run in progress, so
+// reading it right after Submit returns races other submitters.
 func retainedTotal(e *Engine) int64 {
 	var total int64
 	for _, sh := range e.shards {
-		if rep, ok := sh.do(request{kind: reqStats}); ok {
+		if rep, ok := sh.run(request{kind: reqStats}); ok {
 			total += rep.n
 		}
 	}

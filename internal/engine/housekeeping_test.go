@@ -270,8 +270,8 @@ func crossCleanProportional(t *testing.T, abort bool) {
 
 	// Every sub-node on shard 1 is clean, and shard 1 reports each in the
 	// pass that ends the run that committed it, under the registry mutex.
-	// Take the mutex once every report is in (a Stats round-trip lets a
-	// pass still running finish): shard 1 then owes nothing, so Stats below,
+	// Take the mutex once every report is in (a Stats visit lets a pass
+	// still running finish): shard 1 then owes nothing, so Stats below,
 	// which visits every shard, cannot wait on a shard 1 stuck behind it.
 	shard1Owes := func() bool {
 		for _, e := range eng.registry.txns {
@@ -398,8 +398,8 @@ func TestRegistryForgetsRetiredIDs(t *testing.T) {
 
 // registryResidue waits for a quiet engine's registry to empty and returns
 // what is left of it when it gives up: live entries and the clean reports
-// the shards still owe. Every batch ends in housekeeping, so each Stats
-// round-trip moves the tail one step along — the last reports, then the
+// the shards still owe. Every run ends in housekeeping, so each Stats
+// visit moves the tail one step along — the last reports, then the
 // retirement they allow.
 func registryResidue(eng *Engine, debts debtMeter) (left int) {
 	for deadline := time.Now().Add(10 * time.Second); ; {
@@ -416,7 +416,7 @@ func registryResidue(eng *Engine, debts debtMeter) (left int) {
 
 // debtMeter holds, per shard, how many clean reports the shard owed the
 // registry at the end of its last housekeeping pass. The count is taken by
-// the runner, the only goroutine that may read shard.watch.
+// the shard's lock holder, the only goroutine that may read shard.watch.
 type debtMeter []atomic.Int64
 
 // meterDebts installs a debtMeter for an engine with the given number of

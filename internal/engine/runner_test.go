@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,13 +13,13 @@ import (
 	"repro/internal/model"
 )
 
-// This file pins the runner protocol (shard.serve): a shard has no
-// goroutine, the submitters waiting on it run it, and no request is left
-// in a ring that no one will run. Run under -race in CI (the race-cross
-// job).
+// This file pins the shard lock (shard.run): a shard has no goroutine, each
+// submitter takes its shard's lock and applies its own request, every
+// request is answered, and a submitter waiting for the lock is the shard's
+// backlog. Run under -race in CI (the race-cross job).
 
-// slowPolicy is GreedyC1 with a pause in every sweep, so runners hold the
-// flag long enough for the submitters queued behind them to park.
+// slowPolicy is GreedyC1 with a pause in every sweep, so lock holders keep
+// the lock long enough for the submitters behind them to block.
 type slowPolicy struct{ core.GreedyC1 }
 
 func (slowPolicy) Sweep(sw *core.Sweep) {
@@ -26,16 +28,11 @@ func (slowPolicy) Sweep(sw *core.Sweep) {
 }
 
 // TestNoStrandedRequest mixes per-step submissions, batches and Stats from
-// many goroutines on one and on two shards, with a yield between a runner
-// releasing its flag and re-checking the ring — the window in which a
-// producer publishes, finds the flag taken and parks — and a pause in every
-// sweep, so producers do park behind runners. The goroutines meet after
-// every round, so the last producer of a round has no later submitter to
-// run the shard for it: every request must be answered before the deadline,
-// and a runner that left without the re-check strands that producer.
+// many goroutines on one and on two shards, with a pause in every sweep, so
+// submitters do block behind lock holders. The goroutines meet after every
+// round, so the last submitter of a round has no later one to release the
+// shard for it: every request must be answered before the deadline.
 func TestNoStrandedRequest(t *testing.T) {
-	testHookReleased = func(*shard) { runtime.Gosched() }
-	defer func() { testHookReleased = nil }()
 	const (
 		goroutines = 8
 		rounds     = 300
@@ -94,129 +91,43 @@ func TestNoStrandedRequest(t *testing.T) {
 	}
 }
 
-// TestRunnerHandsOff parks a backlog of requests behind a held runner flag,
-// then leaves as a runner does (release, Nudge). The producer at the head
-// wakes and runs the shard; each runner serves its own request, the rest of
-// that run and at most one run more, then hands the ring to the next head,
-// so no submitter is pinned to the backlog and every request is answered.
-func TestRunnerHandsOff(t *testing.T) {
-	eng := New(Config{Shards: 1})
+// TestBlockedSubmitterCountsInQueueDepth: a submitter waiting for a shard's
+// lock is the shard's backlog. While one waits, QueueDepths reads 1 and
+// admission control at watermark 1 sheds a normal-priority BEGIN bound for
+// that shard; once the lock is released the waiter applies its step and the
+// depth reads 0.
+func TestBlockedSubmitterCountsInQueueDepth(t *testing.T) {
+	eng := New(Config{Shards: 2, OverloadWatermark: 1})
 	defer eng.Close()
 	sh := eng.shards[0]
-	var parks atomic.Int64
-	var mu sync.Mutex
-	var served []int
-	testHookPark = func() { parks.Add(1) }
-	testHookServed = func(_ *shard, n int) {
-		mu.Lock()
-		served = append(served, n)
-		mu.Unlock()
-	}
-	defer func() { testHookPark, testHookServed = nil, nil }()
 
-	// Hold the flag, as a runner busy elsewhere would, so every submitter
-	// publishes and parks.
-	sh.running.Store(true)
-	const waiters = 3 * runLength // under queueDepth: every request is published
-	var wg sync.WaitGroup
-	var lost atomic.Int64
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, ok := sh.do(request{kind: reqStats}); !ok {
-				lost.Add(1)
-			}
-		}()
-	}
-	// Every waiter is asleep once the park count reaches the backlog and
-	// stays put: a waiter still spinning would park within microseconds.
+	sh.mu.Lock()
+	answered := make(chan Result, 1)
+	go func() { answered <- eng.Submit(model.BeginDeclared(1, 0)) }()
 	deadline := time.Now().Add(30 * time.Second)
-	for last := int64(-1); ; {
-		time.Sleep(20 * time.Millisecond)
-		n := parks.Load()
-		if n >= waiters && n == last && sh.depth.Load() == waiters {
-			break
-		}
+	for eng.QueueDepths()[0] != 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d parks, depth %d: the backlog never settled", n, sh.depth.Load())
-		}
-		last = n
-	}
-
-	// Leave as a runner does: release the flag, then re-check the ring.
-	sh.running.Store(false)
-	sh.mb.Nudge()
-	finished := make(chan struct{})
-	go func() { wg.Wait(); close(finished) }()
-	select {
-	case <-finished:
-	case <-time.After(30 * time.Second):
-		t.Fatal("the backlog was not drained: a hand-off was lost")
-	}
-	if lost.Load() != 0 {
-		t.Fatalf("%d requests lost", lost.Load())
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	total := 0
-	for _, n := range served {
-		if n > 2*runLength {
-			t.Errorf("a runner served %d requests, want at most %d: its own run and one more", n, 2*runLength)
-		}
-		total += n
-	}
-	if total != waiters {
-		t.Fatalf("runners served %d requests, want %d", total, waiters)
-	}
-	if min := (waiters + 2*runLength - 1) / (2 * runLength); len(served) < min {
-		t.Fatalf("%d runners drained %d requests, want at least %d hand-offs", len(served), waiters, min)
-	}
-}
-
-// TestHandOffPastUnarmedHead: the oldest request on a ring belongs to a
-// producer not waiting on it yet (Start allows that), and a submitter
-// parked behind it has its bell armed only on its own, later request. A
-// runner leaving the ring must still wake that sleeper, or both requests
-// wait for traffic that may never come.
-func TestHandOffPastUnarmedHead(t *testing.T) {
-	eng := New(Config{Shards: 1})
-	defer eng.Close()
-	sh := eng.shards[0]
-	var parks atomic.Int64
-	testHookPark = func() { parks.Add(1) }
-	defer func() { testHookPark = nil }()
-
-	sh.running.Store(true)
-	head := sh.start(request{kind: reqStats}) // published, not waited on yet
-	answered := make(chan bool, 1)
-	go func() {
-		_, ok := sh.do(request{kind: reqStats})
-		answered <- ok
-	}()
-	deadline := time.Now().Add(30 * time.Second)
-	for parks.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("the second submitter never parked")
+			sh.mu.Unlock()
+			t.Fatalf("QueueDepths = %v while a submitter waits for shard 0, want 1 on shard 0", eng.QueueDepths())
 		}
 		time.Sleep(time.Millisecond)
 	}
+	res := eng.SubmitPriority(context.Background(), model.BeginDeclared(2, 2), PriorityNormal)
+	sh.mu.Unlock()
+	if res.Outcome() != OutcomeRejected || !errors.Is(res.Err, ErrOverload) {
+		t.Fatalf("BEGIN behind a waiting submitter: %v (%v), want rejected/ErrOverload", res.Outcome(), res.Err)
+	}
 
-	// Leave as a runner does: release the flag, then re-check the ring.
-	sh.running.Store(false)
-	sh.mb.Nudge()
 	select {
-	case ok := <-answered:
-		if !ok {
-			t.Fatal("the parked request was lost")
+	case res := <-answered:
+		if !res.Accepted() {
+			t.Fatalf("the waiting submitter's BEGIN: %v (%v)", res.Outcome(), res.Err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("the submitter parked behind an unwaited request was never woken")
+		t.Fatal("the waiting submitter never got the lock")
 	}
-	cs := [1]call{head}
-	await(cs[:])
-	if _, ok := cs[0].redeem(); !ok {
-		t.Fatal("the head request was lost")
+	if d := eng.QueueDepths(); d[0] != 0 || d[1] != 0 {
+		t.Fatalf("QueueDepths = %v after the release, want [0 0]", d)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/model"
-	"repro/internal/ring"
 	"repro/internal/store"
 )
 
@@ -19,8 +18,8 @@ const (
 	// reqStep applies one step to the shard's scheduler (local steps and
 	// cross sub-transaction reads alike).
 	reqStep reqKind = iota
-	// reqBatch applies this shard's steps of a batch window in one
-	// round-trip (SubmitBatch).
+	// reqBatch applies this shard's steps of a batch window in one visit
+	// (SubmitBatch).
 	reqBatch
 	// reqStats snapshots the shard's scheduler counters.
 	reqStats
@@ -58,7 +57,7 @@ type request struct {
 	// caller's buffers: the shard writes out[k] for each step k it owns
 	// (every step when own is 0, else the set bits of own), so the shards a
 	// window fans out to write disjoint elements, and the caller reads none
-	// until every reply is in.
+	// until every shard has run.
 	steps []model.Step
 	out   []Result
 	own   uint64
@@ -86,46 +85,36 @@ type reply struct {
 	n       int64
 }
 
-// shard is one entity partition: one core.Scheduler, and the ring its
-// requests queue on. The shard has no goroutine of its own. Its runner is
-// whichever goroutine holds the runner flag, and only the runner touches
-// the scheduler: a submitter waiting for a reply takes the flag when it is
-// free and runs the shard itself (serve), applying its own request and any
-// others queued on the ring.
-//
-// Submission runs on a lock-free MPSC ring (ring.Mailbox): producers claim
-// a cell with one CAS and publish with one store, and replies come back
-// through the same cell — no per-request channel is allocated, pooled, or
-// selected on. The runner drains the ring in runs of up to runLength
-// requests, so housekeeping amortizes across a whole backlog.
+// shard is one entity partition: one core.Scheduler behind one mutex. The
+// shard has no goroutine and no queue of its own. A submitter takes the
+// lock, applies its own request and the housekeeping after it, and lets go
+// (run): the paper's scheduler is a sequential machine fed one step at a
+// time, and that asks for mutual exclusion, nothing more.
 type shard struct {
 	idx int
 	eng *Engine
 	// sched is the shard's single-writer scheduler kernel. Everything
 	// marked //txgc:owner shard below is part of the same discipline: the
-	// runner, inside (*shard).run under the runner flag, owns it; everyone
-	// else goes through the mailbox. txgc-lint's shardowned analyzer
-	// enforces the access side of that contract statically.
+	// goroutine holding mu inside (*shard).run owns it. txgc-lint's
+	// shardowned analyzer enforces the access side of that contract
+	// statically.
 	sched *core.Scheduler //txgc:owner shard
-	mb    *ring.Mailbox[request, reply]
-	// running is the runner flag: whoever swaps it false→true is the ring's
-	// consumer and the scheduler's owner until it stores false again. The
-	// shutdown in Close takes it for good.
-	running atomic.Bool
-	// done is closed once the shard has shut down (shutdown).
-	done chan struct{}
-	// depth counts requests enqueued (or blocked enqueuing) and not yet
-	// picked up by a runner — the submission backlog surfaced in
-	// Stats.QueueDepth for admission-control decisions.
+	// mu is the shard's lock; see run.
+	mu sync.Mutex
+	// closed marks the shard down: set by the first run after the engine
+	// closed, which also synced the journal.
+	closed atomic.Bool
+	// depth counts the submitters waiting for mu — the submission backlog
+	// surfaced in Stats.QueueDepth for admission-control decisions.
 	depth atomic.Int64
 	// preparedN is the number of prepared-but-undecided sub-transactions
 	// currently pinned on this shard (Stats.PreparedByShard). Only the
-	// runner writes it, but the atomic type licenses gauge reads from
+	// lock holder writes it, but the atomic type licenses gauge reads from
 	// anywhere — the shardowned analyzer exempts atomics.
 	preparedN atomic.Int64 //txgc:owner shard
 	// retainedN mirrors the scheduler's retained-completed count for
-	// lock-free reads (Engine.RetainedCounts, the governor's trigger); the
-	// runner refreshes it after every run.
+	// lock-free reads (Engine.RetainedCounts, the governor's trigger); every
+	// run refreshes it before it unlocks.
 	retainedN atomic.Int64
 	// sinceSweep counts completions/aborts since the last GC sweep.
 	sinceSweep int //txgc:owner shard
@@ -140,274 +129,109 @@ type shard struct {
 	// witnessSearches counts the ancestor searches reportCrossClean has run
 	// (the proportionality test's meter).
 	witnessSearches int64 //txgc:owner shard
-	// final is the scheduler's last Stats, published via close(done);
-	// readers synchronize on <-done before touching it.
-	final core.Stats //txgc:owner shard
 
 	// jr is this shard's durability seam (journal.go) — the only way the
 	// shard reaches the store.
 	jr journal //txgc:owner shard
 }
 
-// testHookRoundTrip, when non-nil, runs on the submitting goroutine for
-// every request start publishes: the round-trip counter of the batch-window
-// tests and benchmark.
+// testHookRoundTrip, when non-nil, runs on the submitting goroutine once
+// per shard visit, with the lock held: the visit counter of the
+// batch-window tests and benchmarks.
 var testHookRoundTrip func(sh *shard)
 
-// start publishes a request that expects a reply, without waiting for it;
-// await redeems the call. The call is unpublished (sh nil) when the shard
-// shut down while its ring was full.
-func (sh *shard) start(req request) call {
+// testHookPark, when non-nil, runs on a submitter about to block on a
+// shard lock held elsewhere: the counter of the batch benchmark.
+var testHookPark func()
+
+// waitSpins is how many times a submitter that finds the shard's lock held
+// yields and retries before it blocks in Lock: a run on another goroutine
+// usually ends within that many yields, and blocking costs a sleep and a
+// wake-up where a yield costs neither.
+const waitSpins = 64
+
+// lock takes the shard's lock, counting the caller in depth while it waits.
+func (sh *shard) lock() {
+	if sh.mu.TryLock() {
+		return
+	}
+	sh.depth.Add(1)
+	defer sh.depth.Add(-1)
+	for i := 0; i < waitSpins; i++ {
+		runtime.Gosched()
+		if sh.mu.TryLock() {
+			return
+		}
+	}
+	if hook := testHookPark; hook != nil {
+		hook()
+	}
+	sh.mu.Lock()
+}
+
+// run applies req to the shard and returns the reply; ok=false means the
+// engine is closed and req was not applied. It takes the shard's lock
+// (waiting if another submitter holds it), runs handle, does the
+// housekeeping once — flush, sweep, the retained gauge, the cross
+// registry's clean reports — and unlocks. tryRun is the same visit for a
+// caller that would rather come back later than wait.
+//
+// Why no goroutine holds two shard locks. Nothing run calls under the lock
+// calls run or tryRun: handle, the apply functions and the housekeeping
+// touch this shard's state, the atomics, and leaf locks (the cross
+// registry, the route map, the trace log, the store) under which no shard
+// lock is ever wanted. Shard code never takes a crossTxn's mu either. So the
+// only nesting in the engine is ct.mu → one shard lock, taken by the 2PC
+// driver and by the batch door settling under beginCross, and a cycle of
+// waits would need a lock holder that waits for a ct.mu or a second shard.
+//
+// No timer is needed for registry upkeep. What this shard owes the
+// registry changes only when it commits a cross sub-transaction, or when
+// the active ancestor keeping a committed sub-transaction dirty terminates
+// here (completes, is rejected, or is aborted). Both happen inside handle,
+// and every run ends in reportCrossClean.
+//
+// Once the engine is closed, the first run syncs the journal and marks the
+// shard down, and it and every later run answer ok=false without applying
+// anything; a reqStats is still answered from the scheduler.
+func (sh *shard) run(req request) (reply, bool) {
+	sh.lock()
+	return sh.locked(req)
+}
+
+// tryRun is run if the shard's lock is free, and reports whether it was
+// (ran); it never waits. The fan-outs visit the free shards first with it.
+func (sh *shard) tryRun(req request) (rep reply, ok, ran bool) {
+	if !sh.mu.TryLock() {
+		return reply{}, false, false
+	}
+	rep, ok = sh.locked(req)
+	return rep, ok, true
+}
+
+// locked is the body of run, entered with the shard's lock held, which it
+// releases.
+func (sh *shard) locked(req request) (reply, bool) {
+	defer sh.mu.Unlock()
 	if hook := testHookRoundTrip; hook != nil {
 		hook(sh)
 	}
-	sh.depth.Add(1)
-	tk, ok := sh.mb.Start(req, sh.done)
-	if !ok {
-		// Never published: no runner will ever decrement for it.
-		sh.depth.Add(-1)
-		return call{}
-	}
-	return call{sh: sh, tk: tk}
-}
-
-// do sends a request and waits for its reply. ok=false means the shard
-// shut down without serving the request (Close raced the caller). The
-// round-trip is one ring cell: claim, publish, then wait for the reply to
-// be written back into it — running the shard itself if no one else does
-// — and nothing is allocated. A request published but never served (the
-// shutdown drain already ran) leaves its cell abandoned; by then every
-// later submission fails fast on sh.done, so the ring is garbage either
-// way. Its depth decrement belongs to whoever drains the cell, which may be
-// no one — Stats reports dead shards at zero, so the phantom count is
-// invisible.
-func (sh *shard) do(req request) (reply, bool) {
-	cs := [1]call{sh.start(req)}
-	await(cs[:])
-	return cs[0].redeem()
-}
-
-// call is one request a submitter published to a shard and has yet to
-// redeem (sh nil: never published). fin records that the reply is in, or
-// that the shard shut down without one.
-type call struct {
-	sh  *shard
-	tk  ring.Ticket
-	fin bool
-}
-
-// open reports whether c still waits for its shard.
-func (c *call) open() bool { return c.sh != nil && !c.fin }
-
-// check sets fin if c's reply is in or its shard is gone, and reports it.
-func (c *call) check() bool {
-	c.fin = c.sh.mb.Replied(c.tk) || c.sh.down()
-	return c.fin
-}
-
-// down reports whether the shard has shut down.
-func (sh *shard) down() bool {
-	select {
-	case <-sh.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// redeem takes the reply of a call await finished; ok=false means none
-// came back (never published, or lost to Close), and the cell is abandoned.
-func (c *call) redeem() (reply, bool) {
-	if c.sh == nil {
-		return reply{}, false
-	}
-	return c.sh.mb.Poll(c.tk)
-}
-
-// waitSpins is how many times await yields, with nothing answered and no
-// shard free to run, before it parks: a run on another goroutine usually
-// ends within that many yields.
-const waitSpins = 64
-
-// await waits until every open call in cs is answered, or its shard is
-// gone. A waiting goroutine checks its calls, then runs the shard of any
-// call whose runner flag is free (serve), so it parks only while every
-// shard it waits for has a runner — and the batch door, waiting on several
-// shards, serves whichever of them is free instead of blocking on the
-// first. See serve for why no request is stranded.
-func await(cs []call) {
-	for spins := 0; ; {
-		open, moved := 0, false
-		for i := range cs {
-			c := &cs[i]
-			if !c.open() {
-				continue
-			}
-			if c.check() || c.sh.serve(c) {
-				moved = true
-				continue
-			}
-			open++
-		}
-		switch {
-		case open == 0:
-			return
-		case moved:
-			spins = 0
-		case spins < waitSpins:
-			spins++
-			runtime.Gosched()
-		default:
-			park(cs)
-			spins = 0
-		}
-	}
-}
-
-// bells recycles the bells parked submitters sleep on.
-var bells = sync.Pool{New: func() any { return ring.NewBell() }}
-
-// testHookPark, when non-nil, runs on a submitter about to sleep in park:
-// the park counter of the runner tests and the batch benchmark.
-var testHookPark func()
-
-// park sleeps until something await waits for may have changed: a reply to
-// one of cs's open calls, a Nudge from a runner leaving one of their shards
-// with that call's request next in line, or shutdown. It arms one bell on
-// every open call, then looks once more: a reply already in, a free runner
-// flag, or a shard shut down means no sleep. Stale rings only cost a loop.
-func park(cs []call) {
-	b := bells.Get().(*ring.Bell)
-	var stop <-chan struct{}
-	sleep := true
-	for i := range cs {
-		c := &cs[i]
-		if !c.open() {
-			continue
-		}
-		if stop == nil {
-			stop = c.sh.done
-		}
-		if c.sh.mb.Arm(c.tk, b) || !c.sh.running.Load() || c.check() {
-			sleep = false
-		}
-	}
-	if sleep {
-		if hook := testHookPark; hook != nil {
-			hook()
-		}
-		b.Sleep(stop)
-	}
-	for i := range cs {
-		if c := &cs[i]; c.sh != nil {
-			c.sh.mb.Arm(c.tk, nil)
-		}
-	}
-	bells.Put(b)
-}
-
-// testHookReleased, when non-nil, runs on a runner between releasing the
-// runner flag and re-checking the ring; testHookServed, at the end of every
-// serve, with the requests that serve handled. The runner tests use them.
-var (
-	testHookReleased func(sh *shard)
-	testHookServed   func(sh *shard, handled int)
-)
-
-// serve runs the shard on the calling goroutine if its runner flag is free,
-// and reports whether it did; c is the caller's open call on this shard.
-// The runner drains runs (run) until c's reply is in, serves at most one
-// more run if requests are still waiting, then releases the flag and
-// re-checks the ring. A shard that shut down keeps its flag.
-//
-// Why no request is stranded. A producer publishes its request (a store
-// to the cell's sequence), then checks the flag; a runner releases the flag
-// (a store), then re-checks the ring (a load of the oldest waiting cell).
-// All four are sequentially consistent atomics, like the waiter handshake
-// inside the ring, so the two loads cannot both miss the other side's
-// store: either the producer sees the flag free and takes it, or the runner
-// sees the request. A runner that sees one hands off with Nudge: it rings
-// the bell of the oldest waiting request whose producer parked, and leaves
-// the rest to producers that have not parked, which come back to the flag
-// by themselves. Parking is the same pair once more: a producer arms its
-// bell on every call it waits for, then checks their flags; a leaving
-// runner releases the flag, then reads the bells. The producer woken takes
-// the flag, and its run starts at or before its own request, so each
-// hand-off moves the ring on. A parked producer further back sleeps until
-// a reply or a hand-off reaches it; Nudge looks past requests with no bell
-// armed on them. Every producer of a request in the ring comes back for it
-// (the engine posts no fire-and-forget requests), so the ring never holds a
-// request that no one will run. No submitter holds two cells on one ring
-// (beginCross explains why), so none can wait on itself for a free cell.
-//
-// Bounded runners. A runner's run starts at the oldest request, so its own
-// is answered within ⌈position/runLength⌉ runs, after which it serves at
-// most the rest of that run and one more: under load the ring passes from
-// submitter to submitter instead of pinning one of them to it.
-func (sh *shard) serve(c *call) bool {
-	if !sh.running.CompareAndSwap(false, true) {
-		return false
-	}
-	handled := 0
-	for beyond := false; ; {
-		n, stopped := sh.run()
-		handled += n
-		if stopped {
-			// shutdown answered every request it found, c's among them.
-			c.fin = true
-			return true
-		}
-		if sh.mb.Replied(c.tk) {
-			if beyond || !sh.mb.Pending() {
-				break
-			}
-			beyond = true
-		}
-	}
-	c.fin = true
-	sh.running.Store(false)
-	if hook := testHookReleased; hook != nil {
-		hook(sh)
-	}
-	sh.mb.Nudge()
-	if hook := testHookServed; hook != nil {
-		hook(sh, handled)
-	}
-	return true
-}
-
-// run is one turn of the runner, under the runner flag: drain a run of up
-// to runLength requests from the ring, apply each and reply, then do the
-// housekeeping — flush, sweep, the retained gauge, the cross registry's
-// clean reports — once for the whole run. No timer is needed for registry
-// upkeep. What this shard owes the registry changes only when it commits a
-// cross sub-transaction, or when the active ancestor keeping a committed
-// sub-transaction dirty terminates here (completes, is rejected, or is
-// aborted). Both happen while it serves a request, and every run that
-// served one ends in reportCrossClean. Once the engine is closed the first
-// runner shuts the shard down instead (stopped) and keeps the flag.
-func (sh *shard) run() (handled int, stopped bool) {
 	if sh.eng.closed.Load() {
-		sh.shutdown()
-		return 0, true
-	}
-	for ; handled < runLength; handled++ {
-		req, tk, _, ok := sh.mb.Next()
-		if !ok {
-			break
+		if !sh.closed.Load() {
+			// A graceful close is a sync point: everything acknowledged is
+			// durable when Close returns.
+			sh.jr.sync()
+			sh.closed.Store(true)
 		}
-		sh.depth.Add(-1)
-		sh.handle(req, tk)
+		if req.kind != reqStats {
+			return reply{}, false
+		}
+		return sh.handle(req), true
 	}
-	if handled == 0 {
-		return 0, false
-	}
+	rep := sh.handle(req)
 	// Buffered frames reach the OS, so a process kill loses at most the
 	// unsynced fsync batch, never the unflushed one.
 	sh.jr.batchEnd()
-	// Amortized GC between runs: replies are already out, so sweep cost
-	// never lands on the latency of a submission the runner served for
-	// someone else.
 	sh.maybeSweep()
 	if n := int64(sh.sched.NumCompleted()); n > sh.retainedN.Swap(n) {
 		sh.eng.retentionGrew()
@@ -416,44 +240,38 @@ func (sh *shard) run() (handled int, stopped bool) {
 	// ancestor set froze, so the registry can retire them and unblock
 	// deletion of their labeled successors.
 	sh.reportCrossClean()
-	return handled, false
+	return rep, true
 }
 
-func (sh *shard) handle(req request, tk uint64) {
+// handle applies one request and returns its reply.
+func (sh *shard) handle(req request) reply {
 	switch req.kind {
 	case reqStep:
-		sh.mb.Reply(tk, reply{res: sh.applyOne(req.step)})
+		return reply{res: sh.applyOne(req.step)}
 	case reqBatch:
 		for k, st := range req.steps {
 			if req.owns(k) {
 				req.out[k] = sh.applyOne(st)
 			}
 		}
-		sh.mb.Reply(tk, reply{})
 	case reqStats:
-		sh.mb.Reply(tk, reply{stats: sh.sched.Stats(), n: int64(sh.sched.NumCompleted())})
+		return reply{stats: sh.sched.Stats(), n: int64(sh.sched.NumCompleted())}
 	case reqBeginSub:
-		sh.mb.Reply(tk, reply{res: sh.applyBeginSub(req.step)})
+		return reply{res: sh.applyBeginSub(req.step)}
 	case reqPrepareSub:
-		sh.mb.Reply(tk, reply{res: sh.applyPrepareSub(req.step)})
+		return reply{res: sh.applyPrepareSub(req.step)}
 	case reqCommitSub:
-		sh.mb.Reply(tk, reply{res: sh.applyCommitSub(req.step.Txn, req.decisionDurable)})
+		return reply{res: sh.applyCommitSub(req.step.Txn, req.decisionDurable)}
 	case reqAbortSub:
-		var n int64
 		if sh.applyAbortSub(req.step.Txn) {
-			n = 1
+			return reply{n: 1}
 		}
-		sh.mb.Reply(tk, reply{n: n})
 	case reqOldest:
-		sh.mb.Reply(tk, reply{actives: sh.sched.OldestActives(governorCandidates)})
+		return reply{actives: sh.sched.OldestActives(governorCandidates)}
 	case reqSweep:
-		n := sh.sweep()
-		// Refresh the retained gauge before replying: the governor reads it
-		// right after the sweep returns, and the run's own refresh only
-		// happens once the whole run drains.
-		sh.retainedN.Store(int64(sh.sched.NumCompleted()))
-		sh.mb.Reply(tk, reply{n: n})
+		return reply{n: sh.sweep()}
 	}
+	return reply{}
 }
 
 // applyOne runs one step on the scheduler and returns the engine-level
@@ -669,7 +487,8 @@ func answer(step model.Step, aborted model.TxnID, err error) Result {
 func errResult(step model.Step, err error) Result { return answer(step, model.NoTxn, err) }
 
 // closedResult is what every door answers for a step the engine can no
-// longer run: closed before the submit, or closed with the request queued.
+// longer run: closed before the submit, or before the step reached its
+// shard.
 func closedResult(step model.Step) Result { return errResult(step, stepErr(step, ErrClosed)) }
 
 // sweep runs the deletion policy now, then lets the journal checkpoint what
@@ -696,7 +515,7 @@ type watched struct {
 	beginSeq int64
 }
 
-// testHookCrossClean, when non-nil, runs on the runner at the end
+// testHookCrossClean, when non-nil, runs under the shard's lock at the end
 // of every reportCrossClean with the IDs that pass just reported; the
 // differential test recomputes the report set by full scan from it.
 var testHookCrossClean func(sh *shard, reported []model.TxnID)
@@ -746,31 +565,5 @@ func (sh *shard) reportCrossClean() {
 	sh.cleanBuf = reported
 	if hook := testHookCrossClean; hook != nil {
 		hook(sh, reported)
-	}
-}
-
-// shutdown fails still-queued requests so no client blocks forever,
-// publishes final stats, and closes done. A request published after this
-// final drain is simply lost; its sender stops waiting on sh.done.
-func (sh *shard) shutdown() {
-	defer close(sh.done)
-	// A graceful close is a sync point: everything acknowledged is durable
-	// when Close returns.
-	sh.jr.sync()
-	sh.final = sh.sched.Stats()
-	for {
-		req, tk, _, ok := sh.mb.Next()
-		if !ok {
-			return
-		}
-		sh.depth.Add(-1)
-		if req.kind == reqBatch {
-			req.refuse()
-			sh.mb.Reply(tk, reply{stats: sh.final})
-			continue
-		}
-		// A drained stats request can still be answered truthfully; every
-		// other kind is refused.
-		sh.mb.Reply(tk, reply{stats: sh.final, res: closedResult(req.step)})
 	}
 }

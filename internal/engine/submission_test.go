@@ -12,14 +12,14 @@ import (
 	"repro/internal/workload"
 )
 
-// This file pins the lock-free submission path (ring.Mailbox transport,
-// in-cell reply rendezvous, batched consumer runs) differentially: the
+// This file pins the submission path (each submitter applying its own
+// request under its shard's lock) differentially: the
 // engine's aggregate Stats must agree exactly with what the clients
 // observed in their Results, and the accepted subschedule must pass the
 // offline CSR referee. Any lost request, duplicated reply, or reply
 // delivered to the wrong sender shows up as a counter mismatch or a
 // non-CSR schedule. Run under -race in CI (the race-cross job), where the
-// rendezvous protocol's memory ordering is also checked.
+// hand-over of results through the shard locks is also checked.
 
 // resultTally is what a client can prove happened from the Results it was
 // handed back.
@@ -36,8 +36,8 @@ func (t *resultTally) add(o *resultTally) {
 }
 
 // driveBatched feeds one generator's stream through SubmitBatchInto in
-// multi-transaction chunks — the pipelined mode the ring transport
-// rebuilt — and tallies every Result.
+// multi-transaction chunks — the pipelined mode — and tallies every
+// Result.
 func driveBatched(eng *Engine, gen workload.Generator, chunk int, tally *resultTally, onChunk func()) {
 	steps := make([]model.Step, 0, chunk)
 	results := make([]Result, 0, chunk)
@@ -197,7 +197,7 @@ func TestSubmissionDifferentialLocal(t *testing.T) {
 }
 
 // TestSubmissionDifferentialCrossHeavy: a quarter of transactions span
-// partitions (2PC and registry labels riding the same ring).
+// partitions (2PC and registry labels behind the same shard locks).
 func TestSubmissionDifferentialCrossHeavy(t *testing.T) {
 	log := trace.NewSafeLog()
 	eng := New(Config{
@@ -248,8 +248,8 @@ func TestSubmissionDifferentialCrossHeavy(t *testing.T) {
 
 // TestSubmissionDifferentialGovernorReaping: stragglers hold arcs open
 // under a low retention watermark, so the governor reaps concurrently with
-// submission traffic — the reap's reqOldest/reqSweep round-trips and the
-// victims' dead-route rejections all cross the new transport.
+// submission traffic — the reap's reqOldest/reqSweep visits and the
+// victims' dead-route rejections all take the same shard locks.
 func TestSubmissionDifferentialGovernorReaping(t *testing.T) {
 	log := trace.NewSafeLog()
 	eng := New(Config{

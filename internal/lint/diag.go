@@ -154,7 +154,7 @@ func (prog *Program) scanOwnedFields(p *Package, d *ast.GenDecl) {
 			if owner != "shard" {
 				prog.badDirs = append(prog.badDirs, Diagnostic{
 					Analyzer: "lint", ID: "annotation", Pos: prog.Position(pos),
-					Message: fmt.Sprintf("unknown owner %q (known: shard — the runner inside the struct's run method)", owner),
+					Message: fmt.Sprintf("unknown owner %q (known: shard — the goroutine holding the shard's lock inside run)", owner),
 				})
 				continue
 			}

@@ -7,16 +7,17 @@ import (
 )
 
 // NewShardowned builds the shardowned analyzer: a struct field annotated
-// //txgc:owner shard belongs to whichever goroutine is inside the struct's
-// run method — the runner's drain under the runner flag, which admits one
-// goroutine at a time. Every access to the field must come from run's
-// intra-package static call graph. Two escapes are sanctioned:
+// //txgc:owner shard belongs to the goroutine holding the shard's lock
+// inside run, and the lock admits one goroutine at a time. Every access to
+// the field must come from run's intra-package static call graph. Two
+// escapes are sanctioned:
 //
 //   - fields of sync/atomic types (atomic.Int64 and friends) may be read
 //     anywhere — the annotation still documents who writes, but the type
 //     itself makes cross-goroutine reads safe;
-//   - post-join accesses (the engine reading sh.final after <-sh.done)
-//     carry a //lint:ignore with the happens-before argument as the reason.
+//   - accesses ordered after every run by other means (recovery, before
+//     any submission can take the lock) carry a //lint:ignore with the
+//     happens-before argument as the reason.
 //     (Construction needs none: a struct literal's keys are not selections.)
 //
 // This is the static twin of the -race tier: -race can only catch the
@@ -24,7 +25,7 @@ import (
 func NewShardowned() *Analyzer {
 	return &Analyzer{
 		Name: "shardowned",
-		Doc:  "//txgc:owner shard fields accessed only from the runner's run method (or via atomics)",
+		Doc:  "//txgc:owner shard fields accessed only from the struct's run method, under the shard's lock (or via atomics)",
 		Run:  runShardowned,
 	}
 }

@@ -243,9 +243,9 @@ func TestMailboxStopWhileAwaitingReply(t *testing.T) {
 	}
 }
 
-// TestMailboxStartWaitOutOfOrder: one producer keeps several Start tickets
+// TestMailboxStartWaitOutOfOrder: one producer keeps several start tickets
 // outstanding on one mailbox and redeems them in reverse order, lap after
-// lap of a small ring; every Wait must return its own request's reply.
+// lap of a small ring; every wait must return its own request's reply.
 func TestMailboxStartWaitOutOfOrder(t *testing.T) {
 	m := NewMailbox[int, int](8)
 	done := make(chan struct{})
@@ -262,18 +262,18 @@ func TestMailboxStartWaitOutOfOrder(t *testing.T) {
 			m.Reply(tk, req*2)
 		}
 	}()
-	var tks [5]Ticket
+	var tks [5]ticket
 	for lap := 0; lap < 20; lap++ {
 		for i := range tks {
-			tk, sent := m.Start(lap*10+i, nil)
+			tk, sent := m.start(lap*10+i, nil)
 			if !sent {
-				t.Fatalf("lap %d: Start(%d) not sent", lap, i)
+				t.Fatalf("lap %d: start(%d) not sent", lap, i)
 			}
 			tks[i] = tk
 		}
 		for i := len(tks) - 1; i >= 0; i-- {
-			if rep, ok := m.Wait(tks[i], nil); !ok || rep != (lap*10+i)*2 {
-				t.Fatalf("lap %d: Wait(ticket %d) = (%d, %v), want (%d, true)", lap, i, rep, ok, (lap*10+i)*2)
+			if rep, ok := m.wait(tks[i], nil); !ok || rep != (lap*10+i)*2 {
+				t.Fatalf("lap %d: wait(ticket %d) = (%d, %v), want (%d, true)", lap, i, rep, ok, (lap*10+i)*2)
 			}
 		}
 	}
@@ -285,10 +285,10 @@ func TestMailboxStartWaitOutOfOrder(t *testing.T) {
 func TestMailboxStopBetweenStartAndWait(t *testing.T) {
 	m := NewMailbox[int, int](4)
 	stop := make(chan struct{})
-	tk1, sent1 := m.Start(1, stop)
-	tk2, sent2 := m.Start(2, stop)
+	tk1, sent1 := m.start(1, stop)
+	tk2, sent2 := m.start(2, stop)
 	if !sent1 || !sent2 {
-		t.Fatal("Start with room in the ring must publish")
+		t.Fatal("start with room in the ring must publish")
 	}
 	req, tk, _, ok := m.Next()
 	if !ok || req != 1 {
@@ -303,8 +303,8 @@ func TestMailboxStopBetweenStartAndWait(t *testing.T) {
 	res := make(chan [2]outcome, 1)
 	go func() {
 		var o [2]outcome
-		o[1].rep, o[1].ok = m.Wait(tk2, stop)
-		o[0].rep, o[0].ok = m.Wait(tk1, stop)
+		o[1].rep, o[1].ok = m.wait(tk2, stop)
+		o[0].rep, o[0].ok = m.wait(tk1, stop)
 		res <- o
 	}()
 	select {
@@ -313,13 +313,13 @@ func TestMailboxStopBetweenStartAndWait(t *testing.T) {
 			t.Fatalf("answered ticket = %+v, want {100 true}; unanswered = %+v, want {0 false}", o[0], o[1])
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("Wait did not return after stop closed")
+		t.Fatal("wait did not return after stop closed")
 	}
 }
 
 // TestMailboxLateReplyAfterStop pins the shutdown-drain contract: a reply
 // written while the producer is giving up is still picked up (ok=true) —
-// the last-chance seq check in Wait.
+// the last-chance seq check in wait.
 func TestMailboxLateReplyAfterStop(t *testing.T) {
 	m := NewMailbox[int, int](4)
 	stop := make(chan struct{})
@@ -343,62 +343,4 @@ func TestMailboxLateReplyAfterStop(t *testing.T) {
 	}
 	// ok=false is also legal (the consumer lost the race entirely); what
 	// must never happen is a wrong reply, checked above.
-}
-
-// TestMailboxPollArmNudge drives the pieces a producer that runs the
-// consumer's side itself uses: Poll redeems without blocking and only once,
-// Arm reports a reply already in, and Nudge rings the oldest waiting
-// request's bell, looking past a request whose producer armed none.
-func TestMailboxPollArmNudge(t *testing.T) {
-	m := NewMailbox[int, int](8)
-	rung := func(b *Bell) bool {
-		select {
-		case <-b.ch:
-			return true
-		default:
-			return false
-		}
-	}
-	t1, _ := m.Start(1, nil)
-	t2, _ := m.Start(2, nil)
-	if _, ok := m.Poll(t1); ok {
-		t.Fatal("Poll redeemed a request the consumer has not answered")
-	}
-	b := NewBell()
-	if m.Arm(t2, b) {
-		t.Fatal("Arm reported a reply that was never written")
-	}
-	if !m.Pending() {
-		t.Fatal("Pending = false with two requests published")
-	}
-	m.Nudge()
-	if !rung(b) {
-		t.Fatal("Nudge did not reach the bell armed behind an unarmed request")
-	}
-
-	req, tk, _, ok := m.Next()
-	if !ok || req != 1 {
-		t.Fatalf("Next = (%d, %v), want (1, true)", req, ok)
-	}
-	m.Reply(tk, 10)
-	if rep, ok := m.Poll(t1); !ok || rep != 10 {
-		t.Fatalf("Poll(t1) = (%d, %v), want (10, true)", rep, ok)
-	}
-	if _, ok := m.Poll(t1); ok {
-		t.Fatal("a ticket was redeemed twice")
-	}
-	req, tk, _, _ = m.Next()
-	m.Reply(tk, req*10)
-	if !rung(b) {
-		t.Fatal("Reply did not ring the armed bell")
-	}
-	if !m.Arm(t2, nil) {
-		t.Fatal("Arm did not report the reply already in")
-	}
-	if rep, ok := m.Poll(t2); !ok || rep != 20 {
-		t.Fatalf("Poll(t2) = (%d, %v), want (20, true)", rep, ok)
-	}
-	if m.Pending() {
-		t.Fatal("Pending = true on a drained ring")
-	}
 }

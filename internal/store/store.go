@@ -124,8 +124,8 @@ type ShardState struct {
 }
 
 // ShardStore is one shard's durability endpoint. A shard store is used by
-// one goroutine at a time, the shard's runner; only Stats may be called
-// concurrently.
+// one goroutine at a time, the holder of the shard's lock; only Stats may
+// be called concurrently.
 type ShardStore interface {
 	// Append stages one record in the write buffer and assigns its LSN.
 	// The record is not durable until Sync.

@@ -9,9 +9,10 @@
 # coalescing (BenchmarkWireStep and BenchmarkServePipelined in
 # cmd/txgc-serve, allocs per step vs max_wire_allocs_per_step and writes
 # per eight-deep burst vs max_serve_writes_per_burst), the batch door's
-# fan-out (BenchmarkEngineBatchInterleaved, mailbox round-trips per 64-step
-# batch vs max_batch_roundtrips_per_batch, and the lone submitter's parks per
-# batch vs max_parks_per_batch), cross steps in the batch window
+# fan-out (BenchmarkEngineBatchInterleaved, shard visits per 64-step batch
+# vs max_batch_roundtrips_per_batch, and the times the lone submitter
+# blocked on a shard lock held elsewhere per batch vs max_parks_per_batch),
+# cross steps in the batch window
 # (BenchmarkEngineBatchCross, windows per 64-step batch vs
 # max_cross_batch_windows_per_batch), the telemetry emitter
 # (BenchmarkEngineEmitOverhead: events published per transaction vs
@@ -121,27 +122,27 @@ if [ "$section" != "scale" ]; then
 		pass "cross path $cross_allocs allocs/op within budget of $cross_budget"
 	fi
 
-	# Batch door fan-out: mailbox round-trips per 64-step batch of sixteen
+	# Batch door fan-out: shard visits per 64-step batch of sixteen
 	# interleaved local transactions over four shards. A count fixed by the
 	# code (one per shard a window touches), so the budget is the measured
 	# value and the comparison exact.
 	trips=$(echo "$out" | awk '/BenchmarkEngineBatchInterleaved/ {for (i = 2; i <= NF; i++) if ($i == "roundtrips/batch") print $(i-1)}' | head -1)
 	[ -n "$trips" ] || { echo "check_bench_budget: could not parse roundtrips/batch from benchmark output" >&2; exit 2; }
 	if awk -v a="$trips" -v b="$trips_budget" 'BEGIN {exit !(a > b)}'; then
-		fail batch-roundtrips "batch door $trips mailbox round-trips per batch exceeds budget of $trips_budget (windows no longer fan out)"
+		fail batch-roundtrips "batch door $trips shard visits per batch exceeds budget of $trips_budget (windows no longer fan out)"
 	else
-		pass "batch door $trips mailbox round-trips per batch within budget of $trips_budget"
+		pass "batch door $trips shard visits per batch within budget of $trips_budget"
 	fi
 
-	# Parks of the lone submitter: it finds every runner flag free and runs
-	# each shard itself, so it never sleeps waiting for a reply. A count
-	# fixed by the code; any park means a wake-up hand-off came back.
+	# The lone submitter blocking on a shard lock held elsewhere: it finds
+	# every lock free, so it never blocks. A count fixed by the code; any
+	# block means some other goroutine holds a shard's lock again.
 	parks=$(echo "$out" | awk '/BenchmarkEngineBatchInterleaved/ {for (i = 2; i <= NF; i++) if ($i == "parks/batch") print $(i-1)}' | head -1)
 	[ -n "$parks" ] || { echo "check_bench_budget: could not parse parks/batch from benchmark output" >&2; exit 2; }
 	if awk -v a="$parks" -v b="$parks_budget" 'BEGIN {exit !(a > b)}'; then
-		fail batch-parks "batch door parked $parks times per batch with no other submitter, budget $parks_budget (the submitter no longer runs the shards itself)"
+		fail batch-parks "batch door blocked on a shard lock held elsewhere $parks times per batch with no other submitter, budget $parks_budget (something else holds the shard locks)"
 	else
-		pass "batch door parked $parks times per batch with no other submitter, budget $parks_budget"
+		pass "batch door blocked on a shard lock held elsewhere $parks times per batch with no other submitter, budget $parks_budget"
 	fi
 
 	# Cross steps in the window: windows per 64-step batch of sixteen
@@ -273,8 +274,9 @@ if [ "$section" = "all" ] || [ "$section" = "scale" ]; then
 	# Tail latency: the scaling benchmark's client-observed p99 per-step
 	# latency at two cores on the canonical cross mix. min-of-3 because p99
 	# on shared CI runners eats scheduler preemption tails; the budget is
-	# set ~10x measured and catches wake-protocol bugs (lost wakes park the
-	# sender for the full claimSleep ladder — a 100x signal, not 2x).
+	# set ~10x measured and catches lock convoys and lost wake-ups (a
+	# submitter stuck behind a sleeping lock holder is a 100x signal, not
+	# 2x).
 	scale_out=$(go test -run '^$' -bench 'BenchmarkEngineParallelScaling/cross=5' \
 		-benchtime 20000x -count=3 -cpu 2 ./internal/engine/)
 	echo "$scale_out"

@@ -255,16 +255,16 @@ func (db *DB) Recovery() *RecoveryReport { return db.recovery }
 // concurrently with sessions and after Close.
 func (db *DB) Stats() Stats { return db.eng.Stats() }
 
-// QueueDepths returns the instantaneous per-shard submission backlog — the
-// gauge admission control sheds on — without a shard round-trip.
+// QueueDepths returns the instantaneous per-shard submission backlog (the
+// submitters waiting for each shard's lock) — the gauge admission control
+// sheds on — without taking a shard's lock.
 func (db *DB) QueueDepths() []int64 { return db.eng.QueueDepths() }
 
 // SubmitBatch is the raw step path under the session API: it submits a
 // client's steps and returns one Result per step, in submission order.
-// Each shard sees the batch's steps bound for it in submission order, and
-// the shards apply their parts concurrently: the partition-local steps
-// between two cross-partition steps cost one round-trip per shard they
-// touch, not one per step. Sessions and batches may be mixed on one DB,
+// Each shard sees the batch's steps bound for it in submission order: the
+// partition-local steps between two cross-partition steps cost one visit
+// per shard they touch, not one per step. Sessions and batches may be mixed on one DB,
 // but one transaction's steps must all come from one or the other. Batch
 // steps run at PriorityNormal with no deadline.
 func (db *DB) SubmitBatch(steps []Step) []Result { return db.eng.SubmitBatch(steps) }
