@@ -58,7 +58,7 @@
 //
 //	txgc-serve                          # serve stdin/stdout
 //	txgc-serve -addr :7433              # serve TCP, one session per conn
-//	txgc-serve -shards 8 -policy greedy-c1 -sweep-every 16 -verify
+//	txgc-serve -shards 8 -policy greedy-c1 -verify
 //	txgc-serve -overload-watermark 256  # shed begins on saturated shards
 //	txgc-serve -retention-watermark 512 # reap stragglers pinning retained storage
 //	txgc-serve -data-dir /var/lib/txgc  # per-shard WAL + checkpoints; recover on start
@@ -502,7 +502,6 @@ func main() {
 		addr        = flag.String("addr", "", "TCP listen address (empty: serve stdin/stdout)")
 		shards      = flag.Int("shards", 4, "number of entity partitions, each with its own scheduler")
 		policyName  = flag.String("policy", "greedy-c1", "deletion policy per shard")
-		sweepEvery  = flag.Int("sweep-every", 8, "sweep after this many completions per shard")
 		watermark   = flag.Int("overload-watermark", 0, "shed begins when a shard's backlog reaches this depth (0 = never shed)")
 		retention   = flag.Int("retention-watermark", 0, "abort the oldest straggler when retained completed transactions reach this count (0 = never reap; needs a deletion policy)")
 		verify      = flag.Bool("verify", false, "trace the run and check the accepted subschedule is CSR at shutdown")
@@ -531,16 +530,15 @@ func main() {
 	}
 
 	db, err := client.Open(client.Config{
-		Shards:                *shards,
-		Policy:                *policyName,
-		SweepEveryCompletions: *sweepEvery,
-		OverloadWatermark:     *watermark,
-		RetentionWatermark:    *retention,
-		Verify:                *verify,
-		Trace:                 captureFile != nil,
-		Sinks:                 sinks,
-		DataDir:               *dataDir,
-		FsyncBatch:            *fsyncBatch,
+		Shards:             *shards,
+		Policy:             *policyName,
+		OverloadWatermark:  *watermark,
+		RetentionWatermark: *retention,
+		Verify:             *verify,
+		Trace:              captureFile != nil,
+		Sinks:              sinks,
+		DataDir:            *dataDir,
+		FsyncBatch:         *fsyncBatch,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "txgc-serve:", err)

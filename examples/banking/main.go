@@ -61,10 +61,9 @@ func auditedAccount(k int) client.Entity { return client.Entity(shards * k) }
 
 func run(policy string) (client.Stats, bool) {
 	db, err := client.Open(client.Config{
-		Shards:                shards,
-		Policy:                policy,
-		SweepEveryCompletions: 4,
-		Verify:                true,
+		Shards: shards,
+		Policy: policy,
+		Verify: true,
 	})
 	if err != nil {
 		log.Fatal(err)

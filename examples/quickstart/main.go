@@ -32,10 +32,9 @@ func main() {
 
 func run(policy string) {
 	db, err := client.Open(client.Config{
-		Shards:                1,
-		Policy:                policy,
-		SweepEveryCompletions: 1,
-		Verify:                true,
+		Shards: 1,
+		Policy: policy,
+		Verify: true,
 	})
 	if err != nil {
 		log.Fatal(err)

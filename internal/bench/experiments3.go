@@ -71,10 +71,9 @@ func E13EmitTelemetry(cfg RunConfig) []*Table {
 			bus = emit.NewBus(v.ring, v.mk())
 		}
 		eng := engine.New(engine.Config{
-			Shards:                shards,
-			Policy:                func() core.Policy { return core.GreedyC1{} },
-			SweepEveryCompletions: 8,
-			Bus:                   bus,
+			Shards: shards,
+			Policy: func() core.Policy { return core.GreedyC1{} },
+			Bus:    bus,
 		})
 
 		const drivers = 4

@@ -314,8 +314,9 @@ func recordStragglerStream(txns int) []model.Step {
 }
 
 // BenchmarkSweepStragglerPinned is the between-batch sweep as an engine
-// shard runs it — GreedyC1 by SweepNow after every eighth completion or
-// abort — over a stream whose long reader keeps a few hundred completed
+// shard once ran it — GreedyC1 by SweepNow after every eighth completion or
+// abort, a fixed cadence kept here so the gated figure stays comparable —
+// over a stream whose long reader keeps a few hundred completed
 // transactions pinned, so every sweep walks a long candidate list and
 // deletes little of it. allocs/txn is gated by bench_budget.txt
 // (max_core_sweep_allocs_per_txn); sweep-us is the mean sweep.

@@ -139,10 +139,9 @@ func TestSubmitBatchDuplicateBegin(t *testing.T) {
 func TestSubmitBatchConcurrentCSR(t *testing.T) {
 	log := trace.NewSafeLog()
 	eng := New(Config{
-		Shards:                4,
-		Policy:                func() core.Policy { return core.GreedyC1{} },
-		SweepEveryCompletions: 3,
-		Log:                   log,
+		Shards: 4,
+		Policy: func() core.Policy { return core.GreedyC1{} },
+		Log:    log,
 	})
 	defer eng.Close()
 
@@ -206,9 +205,8 @@ func TestSubmitBatchConcurrentCSR(t *testing.T) {
 func TestSubmitBatchEquivalentToPerStep(t *testing.T) {
 	run := func(submit func(*Engine, model.Step) Result) ([]Result, Stats) {
 		eng := New(Config{
-			Shards:                4,
-			Policy:                func() core.Policy { return core.GreedyC1{} },
-			SweepEveryCompletions: 2,
+			Shards: 4,
+			Policy: func() core.Policy { return core.GreedyC1{} },
 		})
 		defer eng.Close()
 		gen := workload.New(workload.Config{
@@ -371,9 +369,8 @@ func TestSubmitBatchWindowMatchesPerStep(t *testing.T) {
 
 	run := func(submit func(*Engine) []Result) ([]Result, Stats) {
 		eng := New(Config{
-			Shards:                4,
-			Policy:                func() core.Policy { return core.GreedyC1{} },
-			SweepEveryCompletions: 2,
+			Shards: 4,
+			Policy: func() core.Policy { return core.GreedyC1{} },
 		})
 		defer eng.Close()
 		return submit(eng), eng.Stats()
@@ -494,9 +491,8 @@ func TestSubmitBatchCrossMatchesPerStep(t *testing.T) {
 
 	run := func(submit func(*Engine) []Result) ([]Result, Stats) {
 		eng := New(Config{
-			Shards:                4,
-			Policy:                func() core.Policy { return core.GreedyC1{} },
-			SweepEveryCompletions: 2,
+			Shards: 4,
+			Policy: func() core.Policy { return core.GreedyC1{} },
 		})
 		defer eng.Close()
 		return submit(eng), eng.Stats()

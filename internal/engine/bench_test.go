@@ -235,9 +235,8 @@ func BenchmarkEngineRetentionGoverned(b *testing.B) {
 	const chunk = 64
 	const watermark = 64
 	eng := New(Config{
-		Shards:                shards,
-		Policy:                func() core.Policy { return core.GreedyC1{} },
-		SweepEveryCompletions: 4, // no RetentionWatermark: paced explicitly, once per chunk
+		Shards: shards,
+		Policy: func() core.Policy { return core.GreedyC1{} }, // no RetentionWatermark: paced explicitly, once per chunk
 	})
 	defer eng.Close()
 	adv := workload.NewAdversary(workload.AdversaryConfig{

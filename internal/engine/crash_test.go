@@ -13,10 +13,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -134,7 +136,7 @@ func TestCrashRecoveryLoop(t *testing.T) {
 			}
 			eng, _, err := Open(Config{
 				Shards: shards, Policy: greedyPolicy,
-				SweepEveryCompletions: 2, WALSyncEvery: 4, Store: fs,
+				WALSyncEvery: 4, Store: fs,
 			})
 			if err != nil {
 				t.Fatalf("open engine: %v", err)
@@ -160,7 +162,7 @@ func TestCrashRecoveryLoop(t *testing.T) {
 			log := trace.NewSafeLog()
 			eng2, rep, err := Open(Config{
 				Shards: shards, Policy: greedyPolicy,
-				SweepEveryCompletions: 2, Store: fs2, Log: log,
+				Store: fs2, Log: log,
 			})
 			if err != nil {
 				t.Fatalf("recovery failed: %v", err)
@@ -205,7 +207,7 @@ func TestCrashStrictNoAckedLoss(t *testing.T) {
 			}
 			eng, _, err := Open(Config{
 				Shards: shards, Policy: greedyPolicy,
-				SweepEveryCompletions: 2, WALSyncEvery: 1, Store: fs,
+				WALSyncEvery: 1, Store: fs,
 			})
 			if err != nil {
 				t.Fatalf("open engine: %v", err)
@@ -536,6 +538,123 @@ func TestIdleShardDoesNotRecheckpoint(t *testing.T) {
 	}
 }
 
+// TestCheckpointWaitsForTheTail: a sweep checkpoints only once the log
+// appended since the last checkpoint is non-empty and at least as large as
+// that checkpoint's snapshot, so the records of several sweeps build up
+// between checkpoints, and reopening replays that whole tail to the state
+// the live shard had.
+func TestCheckpointWaitsForTheTail(t *testing.T) {
+	st := store.NewMem(1)
+	eng, _, err := Open(Config{Shards: 1, Policy: greedyPolicy, Store: st})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	sh := eng.shards[0]
+	var (
+		sweeps                      int64
+		seq                         uint64
+		ckptAt, snapBytes, ckptRecs int64
+		checkpoints, waited         int
+	)
+	// submit applies step and holds the sweep it ran, if any, to the rule.
+	// It reports whether the step's run checkpointed.
+	submit := func(step model.Step) bool {
+		t.Helper()
+		mustAccept(t, eng.Submit(step))
+		ss := st.Shard(0).Stats()
+		swept := eng.Stats().Sweeps
+		if swept == sweeps {
+			if ss.CheckpointSeq != seq {
+				t.Fatalf("%v: checkpoint without a sweep", step)
+			}
+			return false
+		}
+		sweeps = swept
+		tail := ss.AppendedBytes - ckptAt
+		want := tail > 0 && tail >= snapBytes
+		if got := ss.CheckpointSeq != seq; got != want {
+			t.Fatalf("%v: sweep with a %d B tail over a %d B snapshot: checkpointed %v, want %v", step, tail, snapBytes, got, want)
+		}
+		if !want {
+			if tail > 0 {
+				waited++
+			}
+			return false
+		}
+		checkpoints++
+		waited = 0
+		seq, ckptAt, ckptRecs = ss.CheckpointSeq, ss.AppendedBytes, ss.Records
+		snapBytes = int64(len(store.EncodeSnapshot(sh.sched.ExportState())))
+		return true
+	}
+
+	// A sleeper pins four victims, so every snapshot holds five
+	// transactions and every sweep keeps four.
+	submit(model.BeginDeclared(1, 0))
+	next := model.TxnID(100)
+	for ; next < 104; next++ {
+		trap := model.Entity(next)
+		submit(model.Read(1, trap))
+		submit(model.BeginDeclared(next, trap))
+		submit(model.WriteFinal(next, trap))
+	}
+	// Unrelated transactions, each deleted at the next sweep, until a
+	// checkpoint comes after a sweep that waited with a tail.
+	for done := false; !done; next++ {
+		if next == 300 {
+			t.Fatalf("%d transactions and no checkpoint after a sweep that waited", next-104)
+		}
+		x := model.Entity(next)
+		submit(model.BeginDeclared(next, x))
+		w := waited
+		done = submit(model.WriteFinal(next, x)) && w > 0
+	}
+	// Idle transactions, begun and aborted: sweeps that delete nothing,
+	// until one waits, so the tail holds more than one sweep's records.
+	// Nothing is deleted after the last checkpoint, so the recovered shard
+	// must match the live one.
+	for waited == 0 {
+		if next == 600 {
+			t.Fatal("no sweep waited after the last checkpoint")
+		}
+		submit(model.BeginDeclared(next, model.Entity(next)))
+		if !eng.Abort(next) {
+			t.Fatalf("abort of idle T%d found nothing", next)
+		}
+		next++
+	}
+	tailRecs := st.Shard(0).Stats().Records - ckptRecs
+	live := completedIDs(sh.sched)
+	eng.Close()
+
+	eng2, rep, err := Open(Config{Shards: 1, Policy: greedyPolicy, Store: st})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer eng2.Close()
+	if rep.RecordsReplayed != int(tailRecs) {
+		t.Fatalf("replayed %d records, want the %d appended since the last checkpoint", rep.RecordsReplayed, tailRecs)
+	}
+	if rep.OrphansAborted != 1 {
+		t.Fatalf("OrphansAborted = %d, want 1 (the sleeper)", rep.OrphansAborted)
+	}
+	if got := completedIDs(eng2.shards[0].sched); !slices.Equal(got, live) || len(live) != 4 {
+		t.Fatalf("recovered completed set %v, live %v, want the 4 victims on both", got, live)
+	}
+}
+
+// completedIDs lists the completed transactions a scheduler retains, sorted.
+func completedIDs(s *core.Scheduler) []model.TxnID {
+	var ids []model.TxnID
+	for _, tx := range s.ExportState().Txns {
+		if tx.Status == model.StatusCompleted {
+			ids = append(ids, tx.ID)
+		}
+	}
+	slices.Sort(ids)
+	return ids
+}
+
 // TestWALBoundedUnderGovernedSoak: deletion policy = compaction policy. An
 // adversarial straggler pins retention; the governor reaps it under the
 // watermark; the freed sweeps keep advancing the checkpoint — so the WAL's
@@ -549,8 +668,7 @@ func TestWALBoundedUnderGovernedSoak(t *testing.T) {
 	}
 	eng, _, err := Open(Config{
 		Shards: shards, Policy: greedyPolicy,
-		SweepEveryCompletions: 4, WALSyncEvery: 32,
-		Store: fs,
+		WALSyncEvery: 32, Store: fs,
 	})
 	if err != nil {
 		t.Fatalf("open engine: %v", err)

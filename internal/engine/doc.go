@@ -11,8 +11,8 @@
 // sequential machine fed one step at a time, so a shard is a lock, not a
 // queue or a goroutine. Clients call Submit, which routes the step to its
 // shard, takes the shard's lock, applies the step, runs the housekeeping —
-// among it the deletion-policy sweep, amortized over
-// Config.SweepEveryCompletions completions — and unlocks. A submitter that
+// among it the deletion-policy sweep, due once the terminations since the
+// last one reach what it kept — and unlocks. A submitter that
 // finds the lock held yields a few times, then blocks; the submitters
 // waiting for a shard are its backlog (Stats.QueueDepth). The engine starts
 // no goroutine of its own.

@@ -23,10 +23,6 @@ type Config struct {
 	// Policy builds the deletion policy for one shard; each shard gets its
 	// own instance. nil means never delete (NoGC).
 	Policy func() core.Policy
-	// SweepEveryCompletions is the GC cadence: a shard sweeps once it has
-	// accumulated this many completions/aborts since the last sweep
-	// (default 8). Lower is tighter memory, higher is faster.
-	SweepEveryCompletions int
 	// OverloadWatermark, if > 0, enables admission control: a BEGIN routed
 	// at a shard whose submission backlog (Stats.QueueDepth: the submitters
 	// waiting for its lock) is at or above the watermark is shed with
@@ -56,10 +52,10 @@ type Config struct {
 	// Store, if non-nil, is the durability layer: each shard journals the
 	// accepted subschedule it applies — begins, reads, final writes, 2PC
 	// begin/prepare/commit, and every abort — to its own write-ahead log,
-	// and checkpoints its retained state after every sweep that follows new
-	// records (what the deletion policy proved safe to forget is exactly
-	// what is safe to truncate from the log). Open recovers from it before any shard goes
-	// live. Store.NumShards must equal Shards.
+	// and at a sweep checkpoints its retained state once the log since the
+	// last checkpoint outgrew that snapshot (what the deletion policy proved
+	// safe to forget is exactly what is safe to truncate from the log). Open
+	// recovers from it before any shard goes live. Store.NumShards must equal Shards.
 	Store store.Store
 	// WALSyncEvery batches fsyncs on the journaling hot path: a shard
 	// forces its log once this many records accumulated since the last
@@ -74,9 +70,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 1
-	}
-	if c.SweepEveryCompletions <= 0 {
-		c.SweepEveryCompletions = 8
 	}
 	if c.WALSyncEvery <= 0 {
 		c.WALSyncEvery = 64

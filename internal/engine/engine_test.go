@@ -298,13 +298,12 @@ func TestClientAbort(t *testing.T) {
 }
 
 // TestGCDeletesUnderLoad runs sequential partition-local traffic with
-// GreedyC1 and checks that amortized sweeps actually reclaim nodes and the
+// GreedyC1 and checks that the shards' sweeps actually reclaim nodes and the
 // retained graph stays far below the transaction count.
 func TestGCDeletesUnderLoad(t *testing.T) {
 	eng := New(Config{
-		Shards:                2,
-		Policy:                func() core.Policy { return core.GreedyC1{} },
-		SweepEveryCompletions: 4,
+		Shards: 2,
+		Policy: func() core.Policy { return core.GreedyC1{} },
 	})
 	defer eng.Close()
 	const txns = 400
@@ -340,9 +339,8 @@ func TestGCDeletesUnderLoad(t *testing.T) {
 // the internal consistency of the counters.
 func TestConcurrentSubmitRace(t *testing.T) {
 	eng := New(Config{
-		Shards:                4,
-		Policy:                func() core.Policy { return core.GreedyC1{} },
-		SweepEveryCompletions: 4,
+		Shards: 4,
+		Policy: func() core.Policy { return core.GreedyC1{} },
 	})
 	defer eng.Close()
 

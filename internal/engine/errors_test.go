@@ -243,10 +243,9 @@ func TestOverloadShedsBegins(t *testing.T) {
 	const watermark = 4
 	pol := newBlockingPolicy()
 	eng := New(Config{
-		Shards:                1,
-		Policy:                func() core.Policy { return pol },
-		SweepEveryCompletions: 1,
-		OverloadWatermark:     watermark,
+		Shards:            1,
+		Policy:            func() core.Policy { return pol },
+		OverloadWatermark: watermark,
 	})
 	defer eng.Close()
 

@@ -148,7 +148,8 @@ func (e *Engine) govern(watermark int) int {
 			continue
 		}
 		reaped++
-		if e.sweepAll() == 0 {
+		e.sweepAll()
+		if e.retainedSum() >= total {
 			// The reap released nothing deletable — the remaining retention
 			// is pinned by other actives or undecided 2PC, and reaping more
 			// of the oldest would repeat the same non-result. Yield until
@@ -216,17 +217,15 @@ func (e *Engine) reapOne(id model.TxnID, shard int, inc, total int64) bool {
 	return true
 }
 
-// sweepAll forces a deletion-policy sweep on every shard and returns the
-// total number of transactions reclaimed. The governor sweeps after each
-// reap so the released pins and labels turn into reclaimed storage before
-// the next watermark check — without it, retained counts would only drop
-// at the shards' amortized sweep cadence and the pass would over-reap.
-func (e *Engine) sweepAll() int64 {
-	var n int64
+// sweepAll forces a deletion-policy sweep on every shard. The governor
+// sweeps after each reap so the released pins and labels turn into
+// reclaimed storage before the next watermark check — without it, a shard
+// whose last sweep kept K would sweep only after K more terminations and
+// the pass would over-reap. Whether the reap freed anything is read from
+// the retained gauges, not from this sweep: the reap's own run may have
+// swept already.
+func (e *Engine) sweepAll() {
 	for _, sh := range e.shards {
-		if rep, ok := sh.run(request{kind: reqSweep}); ok {
-			n += rep.n
-		}
+		sh.run(request{kind: reqSweep})
 	}
-	return n
 }

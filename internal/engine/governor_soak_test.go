@@ -62,9 +62,8 @@ const (
 func runSoak(t *testing.T, arm soakArm) (samples []int64, st Stats) {
 	t.Helper()
 	cfg := Config{
-		Shards:                soakShards,
-		Policy:                func() core.Policy { return core.GreedyC1{} },
-		SweepEveryCompletions: 4,
+		Shards: soakShards,
+		Policy: func() core.Policy { return core.GreedyC1{} },
 	}
 	if arm == soakAuto {
 		cfg.RetentionWatermark = soakWatermark

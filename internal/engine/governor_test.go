@@ -20,9 +20,8 @@ import (
 // reclaims the whole backlog. Run under -race in CI.
 func TestReapCrossStragglerUnblocksDownstreamGC(t *testing.T) {
 	eng := New(Config{
-		Shards:                2,
-		Policy:                func() core.Policy { return core.GreedyC1{} },
-		SweepEveryCompletions: 1, // no RetentionWatermark: only govern drives reaping
+		Shards: 2,
+		Policy: func() core.Policy { return core.GreedyC1{} }, // no RetentionWatermark: only govern drives reaping
 	})
 	defer eng.Close()
 	must := func(res Result) {
@@ -48,7 +47,7 @@ func TestReapCrossStragglerUnblocksDownstreamGC(t *testing.T) {
 		}
 	}
 
-	// Every completion swept (SweepEveryCompletions: 1), yet nothing was
+	// The shard swept as its sweeps' kept lists allowed, yet nothing was
 	// deletable: the victims are hostages.
 	if got := retainedTotal(eng); got != victims {
 		t.Fatalf("retained before reap = %d, want %d (victims pinned)", got, victims)
@@ -93,9 +92,8 @@ func TestReapCrossStragglerUnblocksDownstreamGC(t *testing.T) {
 // transaction still commits afterwards.
 func TestGovernorExemptsPriorityHigh(t *testing.T) {
 	eng := New(Config{
-		Shards:                1,
-		Policy:                func() core.Policy { return core.GreedyC1{} },
-		SweepEveryCompletions: 1,
+		Shards: 1,
+		Policy: func() core.Policy { return core.GreedyC1{} },
 	})
 	defer eng.Close()
 	must := func(res Result) {
@@ -140,6 +138,56 @@ func TestGovernorExemptsPriorityHigh(t *testing.T) {
 	}
 }
 
+// TestGovernorCountsTheReapsOwnSweep pins the pass's stop rule. Two
+// sleepers on one shard pin four victims each, and the shard is driven to
+// one termination short of its next sweep, so the first reap's own abort
+// run sweeps what that reap freed. The forced sweep after it then deletes
+// nothing, yet retention fell from 8 to 4: the pass must go on and reap the
+// second sleeper, since 4 is still over the watermark.
+func TestGovernorCountsTheReapsOwnSweep(t *testing.T) {
+	const perSleeper = 4
+	eng := New(Config{
+		Shards: 1,
+		Policy: func() core.Policy { return core.GreedyC1{} }, // no RetentionWatermark: only govern drives reaping
+	})
+	defer eng.Close()
+	must := func(res Result) {
+		t.Helper()
+		if !res.Accepted() {
+			t.Fatalf("%v: %v (%v)", res.Step, res.Outcome(), res.Err)
+		}
+	}
+	must(eng.Submit(model.BeginDeclared(1, 0)))
+	must(eng.Submit(model.BeginDeclared(2, 0)))
+	for s := model.TxnID(1); s <= 2; s++ {
+		for k := 1; k <= perSleeper; k++ {
+			trap, vid := model.Entity(10*int(s)+k), model.TxnID(100*int(s)+k)
+			must(eng.Submit(model.Read(s, trap)))
+			must(eng.Submit(model.BeginDeclared(vid, trap)))
+			must(eng.Submit(model.WriteFinal(vid, trap)))
+		}
+	}
+	if got := retainedTotal(eng); got != 2*perSleeper {
+		t.Fatalf("retained = %d, want %d (victims pinned)", got, 2*perSleeper)
+	}
+	// Idle transactions, begun and aborted, bring the shard to one
+	// termination before the sweep its kept list asks for.
+	sh := eng.shards[0]
+	idle := model.TxnID(1000)
+	for ; sh.sched.Terminations()-sh.sweptTerm < sh.sweptKept-1; idle++ {
+		must(eng.Submit(model.BeginDeclared(idle, 0)))
+		if !eng.Abort(idle) {
+			t.Fatalf("abort of idle T%d found nothing", idle)
+		}
+	}
+	if n := eng.govern(2); n != 2 {
+		t.Fatalf("govern reaped %d, want 2 (the first reap's run swept its own hostages)", n)
+	}
+	if got := retainedTotal(eng); got != 0 {
+		t.Fatalf("retained after the pass = %d, want 0", got)
+	}
+}
+
 // TestGovernorRequiresPolicy: a watermark without a deletion policy is
 // inert — reaping would free nothing (nogc never sweeps), so no shard ever
 // asks for a pass and govern refuses to reap.
@@ -174,10 +222,9 @@ func TestGovernorRequiresPolicy(t *testing.T) {
 func TestGovernorWaitsForTraffic(t *testing.T) {
 	const watermark = 4
 	eng := New(Config{
-		Shards:                1,
-		Policy:                func() core.Policy { return core.GreedyC1{} },
-		SweepEveryCompletions: 1,
-		RetentionWatermark:    watermark,
+		Shards:             1,
+		Policy:             func() core.Policy { return core.GreedyC1{} },
+		RetentionWatermark: watermark,
 	})
 	defer eng.Close()
 	must := func(res Result) {

@@ -103,10 +103,9 @@ func TestCrossCleanDifferential(t *testing.T) {
 	defer func() { testHookCrossClean = nil }()
 
 	eng := New(Config{
-		Shards:                4,
-		Policy:                func() core.Policy { return core.GreedyC1{} },
-		SweepEveryCompletions: 2,
-		RetentionWatermark:    24,
+		Shards:             4,
+		Policy:             func() core.Policy { return core.GreedyC1{} },
+		RetentionWatermark: 24,
 	})
 	txns := 500
 	if testing.Short() {
@@ -439,4 +438,67 @@ func (m debtMeter) total() (n int) {
 		n += int(m[i].Load())
 	}
 	return n
+}
+
+// TestUnpinnedShardRetainsNothing: a shard whose last sweep kept nothing
+// sweeps at the next termination, so with no active transaction left to pin
+// anything, every completion is deleted before its run lets go of the lock.
+func TestUnpinnedShardRetainsNothing(t *testing.T) {
+	eng := New(Config{Shards: 1, Policy: greedyPolicy})
+	defer eng.Close()
+	for i := 0; i < 32; i++ {
+		id, x, y := model.TxnID(i+1), model.Entity(i%3), model.Entity(i%5)
+		mustAccept(t, eng.Submit(model.BeginDeclared(id, x, y)))
+		mustAccept(t, eng.Submit(model.Read(id, x)))
+		mustAccept(t, eng.Submit(model.WriteFinal(id, y)))
+		if got := retainedTotal(eng); got != 0 {
+			t.Fatalf("after T%d completed, %d completed transactions retained, want 0", id, got)
+		}
+	}
+	if s := eng.Stats(); s.Sweeps != 32 {
+		t.Fatalf("Stats.Sweeps = %d, want one per completion (32)", s.Sweeps)
+	}
+}
+
+// TestKeptSweepWaitsForAsManyTerminations: a sweep that kept K completed
+// transactions is followed by the next only after K more terminations. A
+// sleeper pins K victims; unrelated transactions then complete and are
+// deleted K at a time, and the sweep count moves exactly at every K-th.
+func TestKeptSweepWaitsForAsManyTerminations(t *testing.T) {
+	const k = 5
+	eng := New(Config{Shards: 1, Policy: greedyPolicy})
+	defer eng.Close()
+	mustAccept(t, eng.Submit(model.BeginDeclared(1, 0)))
+	for v := 1; v <= k; v++ {
+		trap, vid := model.Entity(v), model.TxnID(100+v)
+		mustAccept(t, eng.Submit(model.Read(1, trap)))
+		mustAccept(t, eng.Submit(model.BeginDeclared(vid, trap)))
+		mustAccept(t, eng.Submit(model.WriteFinal(vid, trap)))
+	}
+	// A forced sweep starts the count with exactly the K hostages kept.
+	eng.sweepAll()
+	if got := retainedTotal(eng); got != k {
+		t.Fatalf("retained = %d, want %d (victims pinned)", got, k)
+	}
+	sweeps := eng.Stats().Sweeps
+	id := model.TxnID(1000)
+	for round := 0; round < 3; round++ {
+		for n := 1; n <= k; n++ {
+			x := model.Entity(id)
+			mustAccept(t, eng.Submit(model.BeginDeclared(id, x)))
+			mustAccept(t, eng.Submit(model.WriteFinal(id, x)))
+			id++
+			want := sweeps
+			if n == k {
+				want++
+			}
+			if got := eng.Stats().Sweeps; got != want {
+				t.Fatalf("round %d, termination %d of %d: Stats.Sweeps = %d, want %d", round, n, k, got, want)
+			}
+		}
+		sweeps++
+		if got := retainedTotal(eng); got != k {
+			t.Fatalf("round %d: retained after the sweep = %d, want the %d hostages", round, got, k)
+		}
+	}
 }

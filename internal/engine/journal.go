@@ -12,9 +12,9 @@ import (
 // reaches the disk and when. Every accepted step and every abort is
 // appended to the shard's WAL before its reply leaves the shard; PREPARE
 // votes and COMMIT decisions are additionally forced before they take
-// effect; a sweep that follows new records checkpoints what the deletion
-// policy retained, which truncates the log (what C1/C2 proved safe to
-// forget is exactly what is safe to drop from the disk).
+// effect; a sweep checkpoints what the deletion policy retained, which
+// truncates the log (what C1/C2 proved safe to forget is exactly what is
+// safe to drop from the disk), once the log has outgrown the last snapshot.
 //
 // The first failure of any store call latches err and the shard fail-stops:
 // continuing to accept work that cannot be made durable would silently
@@ -33,10 +33,10 @@ type journal struct {
 	// syncEvery is Config.WALSyncEvery; pending counts records appended
 	// since the log was last forced.
 	syncEvery, pending int
-	// dirty notes a record appended since the last checkpoint: an idle
-	// shard never rewrites an unchanged snapshot.
-	dirty bool
-	err   error
+	// ckptAt is the store's AppendedBytes at the last checkpoint of this
+	// journal and snapBytes its snapshot's size (0, 0 before it); see swept.
+	ckptAt, snapBytes int64
+	err               error
 	// rec is the reused record: Append serializes synchronously and never
 	// retains its argument, so one buffer per shard replaces a heap-moved
 	// local per journaled record (found by txgc-lint -escape).
@@ -76,7 +76,6 @@ func (j *journal) record(kind store.RecKind, txn model.TxnID, entity model.Entit
 		j.rec = store.Record{Kind: kind, Txn: txn, Entity: entity, Entities: entities}
 		if j.err = j.st.Append(&j.rec); j.err == nil {
 			j.pending++
-			j.dirty = true
 			if promised || j.pending >= j.syncEvery {
 				j.sync()
 			}
@@ -109,16 +108,21 @@ func (j *journal) batchEnd() {
 	}
 }
 
-// swept checkpoints after a deletion-policy sweep, if anything was recorded
-// since the last one: the sweep just proved what is safe to forget, so the
-// snapshot is as small as it will get and everything the log said is now
-// inside it.
+// swept checkpoints after a deletion-policy sweep, which just proved what is
+// safe to forget, once the log appended since the last checkpoint is
+// non-empty and at least that checkpoint's snapshot size: an idle shard
+// rewrites nothing, and the disk holds about two snapshots of retained state.
 func (j *journal) swept(sched *core.Scheduler) {
-	if j.st == nil || j.err != nil || !j.dirty {
+	if j.st == nil || j.err != nil {
 		return
 	}
-	if j.err = j.st.Checkpoint(store.EncodeSnapshot(sched.ExportState())); j.err == nil {
-		j.dirty = false
+	appended := j.st.Stats().AppendedBytes
+	if tail := appended - j.ckptAt; tail <= 0 || tail < j.snapBytes {
+		return
+	}
+	snap := store.EncodeSnapshot(sched.ExportState())
+	if j.err = j.st.Checkpoint(snap); j.err == nil {
+		j.ckptAt, j.snapBytes = appended, int64(len(snap))
 		j.pending = 0
 	}
 }

@@ -48,10 +48,9 @@ func TestOracleShardedCSR(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			log := trace.NewSafeLog()
 			eng := New(Config{
-				Shards:                4,
-				Policy:                factory,
-				SweepEveryCompletions: 3,
-				Log:                   log,
+				Shards: 4,
+				Policy: factory,
+				Log:    log,
 			})
 			defer eng.Close()
 
@@ -117,10 +116,9 @@ func TestOracleCrossHeavyCSR(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			log := trace.NewSafeLog()
 			eng := New(Config{
-				Shards:                4,
-				Policy:                factory,
-				SweepEveryCompletions: 2,
-				Log:                   log,
+				Shards: 4,
+				Policy: factory,
+				Log:    log,
 			})
 			defer eng.Close()
 

@@ -217,6 +217,9 @@ func (e *Engine) recover() (*RecoveryReport, error) {
 		sh.sched.SetTracker(e.liveTracker())
 		sh.sched.SetEmitter(emit.ForShard(e.cfg.Bus, i))
 		sh.retainedN.Store(int64(sh.sched.NumCompleted()))
+		// Recovery counts as a sweep that kept what it restored, so the
+		// orphan aborts above do not sweep on the shard's first visit.
+		sh.sweptTerm, sh.sweptKept = sh.sched.Terminations(), int64(sh.sched.NumCompleted())
 	}
 	return rep, nil
 }

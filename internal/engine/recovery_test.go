@@ -20,7 +20,7 @@ func greedyPolicy() core.Policy { return core.GreedyC1{} }
 func TestRecoverRoundTrip(t *testing.T) {
 	st := store.NewMem(2)
 	eng, rep, err := Open(Config{
-		Shards: 2, Policy: greedyPolicy, SweepEveryCompletions: 2, Store: st,
+		Shards: 2, Policy: greedyPolicy, Store: st,
 	})
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -41,7 +41,7 @@ func TestRecoverRoundTrip(t *testing.T) {
 
 	log := trace.NewSafeLog()
 	eng2, rep2, err := Open(Config{
-		Shards: 2, Policy: greedyPolicy, SweepEveryCompletions: 2, Store: st, Log: log,
+		Shards: 2, Policy: greedyPolicy, Store: st, Log: log,
 	})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
@@ -249,5 +249,40 @@ func mustAccept(t *testing.T, res Result) {
 	t.Helper()
 	if !res.Accepted() {
 		t.Fatalf("submission refused: %+v err=%v", res, res.Err)
+	}
+}
+
+// TestRecoveredCommitsStayRetained is the benchmark's durability probe in
+// process: an active pin keeps four committed probes retained, and after a
+// restart, which aborts the pin as an orphan, a BEGIN reusing each probe's
+// ID must still be refused as a duplicate. The shard's first visits after
+// recovery must not sweep the probes away before they are asked about.
+func TestRecoveredCommitsStayRetained(t *testing.T) {
+	st := store.NewMem(1)
+	eng, _, err := Open(Config{Shards: 1, Policy: greedyPolicy, Store: st})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	mustAccept(t, eng.Submit(model.BeginDeclared(1, 0)))
+	for id := model.TxnID(10); id < 14; id++ {
+		x := model.Entity(id)
+		mustAccept(t, eng.Submit(model.Read(1, x)))
+		mustAccept(t, eng.Submit(model.BeginDeclared(id, x)))
+		mustAccept(t, eng.Submit(model.WriteFinal(id, x)))
+	}
+	eng.Close()
+
+	eng2, rep, err := Open(Config{Shards: 1, Policy: greedyPolicy, Store: st})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer eng2.Close()
+	if rep.OrphansAborted != 1 {
+		t.Fatalf("OrphansAborted = %d, want 1 (the pin)", rep.OrphansAborted)
+	}
+	for id := model.TxnID(10); id < 14; id++ {
+		if res := eng2.Submit(model.BeginDeclared(id, model.Entity(id))); res.Outcome() != OutcomeError {
+			t.Fatalf("BEGIN reusing committed T%d after recovery: %v (%v), want a duplicate refusal", id, res.Outcome(), res.Err)
+		}
 	}
 }

@@ -39,9 +39,8 @@ func TestNoStrandedRequest(t *testing.T) {
 	)
 	for _, shards := range []int{1, 2} {
 		eng := New(Config{
-			Shards:                shards,
-			Policy:                func() core.Policy { return slowPolicy{} },
-			SweepEveryCompletions: 2,
+			Shards: shards,
+			Policy: func() core.Policy { return slowPolicy{} },
 		})
 		var accepted atomic.Int64
 		count := func(res Result) {

@@ -78,9 +78,8 @@ func (r *request) refuse() {
 type reply struct {
 	res   Result
 	stats core.Stats
-	// actives answers reqOldest; n answers reqSweep (transactions deleted),
-	// reqStats (transactions retained) and reqAbortSub (transactions
-	// aborted: 0 or 1).
+	// actives answers reqOldest; n answers reqStats (transactions retained)
+	// and reqAbortSub (transactions aborted: 0 or 1).
 	actives []core.ActiveInfo
 	n       int64
 }
@@ -116,8 +115,9 @@ type shard struct {
 	// lock-free reads (Engine.RetainedCounts, the governor's trigger); every
 	// run refreshes it before it unlocks.
 	retainedN atomic.Int64
-	// sinceSweep counts completions/aborts since the last GC sweep.
-	sinceSweep int //txgc:owner shard
+	// sweptTerm and sweptKept are the scheduler's Terminations and its
+	// retained-completed count as of the last sweep; see maybeSweep.
+	sweptTerm, sweptKept int64 //txgc:owner shard
 	// watch is what this shard owes the cross registry: the committed cross
 	// sub-transactions awaiting its cleanliness report, each entry carrying
 	// the witness that keeps it dirty. watchTerm is the scheduler's
@@ -269,7 +269,7 @@ func (sh *shard) handle(req request) reply {
 	case reqOldest:
 		return reply{actives: sh.sched.OldestActives(governorCandidates)}
 	case reqSweep:
-		return reply{n: sh.sweep()}
+		sh.sweep()
 	}
 	return reply{}
 }
@@ -343,10 +343,8 @@ func (sh *shard) applyOne(step model.Step) (out Result) {
 	if res.CompletedTxn != model.NoTxn {
 		eng.completed.Add(1)
 		eng.routes.delete(res.CompletedTxn)
-		sh.sinceSweep++
 	}
 	if res.Aborted != model.NoTxn {
-		sh.sinceSweep++
 		if r, ok := eng.routes.load(res.Aborted); !ok || r.kind != routeCross {
 			eng.aborted.Add(1)
 			eng.routes.delete(res.Aborted)
@@ -451,7 +449,6 @@ func (sh *shard) applyCommitSub(id model.TxnID, decisionDurable bool) Result {
 		return errResult(model.Step{}, fmt.Errorf("engine: %w: %v", ErrProtocol, err))
 	}
 	sh.preparedN.Add(-1)
-	sh.sinceSweep++
 	// The registry now waits for this shard's clean report: file the debt.
 	// The commit is itself a termination, so this run's closing
 	// reportCrossClean examines the entry.
@@ -471,7 +468,6 @@ func (sh *shard) applyAbortSub(id model.TxnID) bool {
 	if sh.sched.AbortTxn(id) != nil {
 		return false
 	}
-	sh.sinceSweep++
 	sh.jr.record(store.RecAbort, id, 0, nil)
 	return true
 }
@@ -492,16 +488,19 @@ func errResult(step model.Step, err error) Result { return answer(step, model.No
 func closedResult(step model.Step) Result { return errResult(step, stepErr(step, ErrClosed)) }
 
 // sweep runs the deletion policy now, then lets the journal checkpoint what
-// it retained, and reports how many transactions were deleted.
-func (sh *shard) sweep() int64 {
-	n := int64(len(sh.sched.SweepNow()))
-	sh.sinceSweep = 0
+// it retained.
+func (sh *shard) sweep() {
+	sh.sched.SweepNow()
+	sh.sweptTerm, sh.sweptKept = sh.sched.Terminations(), int64(sh.sched.NumCompleted())
 	sh.jr.swept(sh.sched)
-	return n
 }
 
+// maybeSweep sweeps once the terminations (completions, rejections, aborts)
+// since the last sweep reach the completed transactions it kept, and at
+// least one: an unpinned shard sweeps at every termination, and each
+// re-check of a kept list is paid for by as many terminations.
 func (sh *shard) maybeSweep() {
-	if sh.eng.cfg.Policy != nil && sh.sinceSweep >= sh.eng.cfg.SweepEveryCompletions {
+	if sh.eng.cfg.Policy != nil && sh.sched.Terminations()-sh.sweptTerm >= max(1, sh.sweptKept) {
 		sh.sweep()
 	}
 }

@@ -158,10 +158,9 @@ func checkTally(t *testing.T, eng *Engine, want *resultTally) {
 func TestSubmissionDifferentialLocal(t *testing.T) {
 	log := trace.NewSafeLog()
 	eng := New(Config{
-		Shards:                4,
-		Policy:                func() core.Policy { return core.GreedyC1{} },
-		SweepEveryCompletions: 3,
-		Log:                   log,
+		Shards: 4,
+		Policy: func() core.Policy { return core.GreedyC1{} },
+		Log:    log,
 	})
 	defer eng.Close()
 
@@ -201,10 +200,9 @@ func TestSubmissionDifferentialLocal(t *testing.T) {
 func TestSubmissionDifferentialCrossHeavy(t *testing.T) {
 	log := trace.NewSafeLog()
 	eng := New(Config{
-		Shards:                4,
-		Policy:                func() core.Policy { return core.GreedyC1{} },
-		SweepEveryCompletions: 2,
-		Log:                   log,
+		Shards: 4,
+		Policy: func() core.Policy { return core.GreedyC1{} },
+		Log:    log,
 	})
 	defer eng.Close()
 
@@ -253,10 +251,9 @@ func TestSubmissionDifferentialCrossHeavy(t *testing.T) {
 func TestSubmissionDifferentialGovernorReaping(t *testing.T) {
 	log := trace.NewSafeLog()
 	eng := New(Config{
-		Shards:                4,
-		Policy:                func() core.Policy { return core.GreedyC1{} },
-		SweepEveryCompletions: 4, // no RetentionWatermark: paced explicitly per chunk
-		Log:                   log,
+		Shards: 4,
+		Policy: func() core.Policy { return core.GreedyC1{} }, // no RetentionWatermark: paced explicitly per chunk
+		Log:    log,
 	})
 	defer eng.Close()
 

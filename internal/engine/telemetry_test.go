@@ -120,7 +120,7 @@ func TestStatsDifferential(t *testing.T) {
 // proof for the gauge paths.
 func TestGaugesUnderConcurrentLoad(t *testing.T) {
 	const shards = 4
-	eng := New(Config{Shards: shards, SweepEveryCompletions: 4})
+	eng := New(Config{Shards: shards})
 
 	stop := make(chan struct{})
 	var readers sync.WaitGroup

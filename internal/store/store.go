@@ -5,12 +5,12 @@
 // The WAL records what the scheduler *accepted* — begins, reads, final
 // writes, 2PC begin/prepare/commit, and every abort (client, governor, or
 // rejection victim) — because that stream is exactly what must replay to
-// the same conflict graph. The checkpoint is taken at sweep boundaries:
-// the paper's deletion conditions (C1/C2, Lemma 1) say what is safe to
-// forget from the graph, and what is safe to forget from the graph is what
-// is safe to truncate from the log. A sweep that deletes under C1 also
-// advances the WAL truncation point — deletion policy as compaction
-// policy.
+// the same conflict graph. The checkpoint is taken at a sweep once the log
+// since the last one has outgrown its snapshot: the paper's deletion
+// conditions (C1/C2, Lemma 1) say what is safe to forget from the graph,
+// and what is safe to forget from the graph is what is safe to truncate
+// from the log. A sweep that deletes under C1 also shrinks the next
+// checkpoint — deletion policy as compaction policy.
 //
 // Two backends share one contract (see contract_test.go): Mem keeps the
 // encoded frames in memory (surviving engine restarts within a process,

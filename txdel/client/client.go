@@ -101,8 +101,6 @@ type Config struct {
 	// delete), "lemma1", "greedy-c1", "greedy-c1-newest",
 	// "noncurrent-safe", or "max-safe".
 	Policy string
-	// SweepEveryCompletions is the GC cadence per shard (default 8).
-	SweepEveryCompletions int
 	// OverloadWatermark, if > 0, enables admission control: Begins aimed
 	// at a shard with that much submission backlog are shed with
 	// ErrOverload instead of queued. PriorityHigh sessions are exempt.
@@ -116,8 +114,9 @@ type Config struct {
 	RetentionWatermark int
 	// DataDir, when non-empty, enables crash durability on the file
 	// backend: each shard journals its accepted subschedule to a
-	// write-ahead log under this directory and checkpoints at sweep
-	// boundaries, and Open recovers whatever a previous process left there
+	// write-ahead log under this directory and checkpoints at a sweep once
+	// the log has outgrown the last snapshot, and Open recovers whatever a
+	// previous process left there
 	// before serving (see DB.Recovery). The directory is created if
 	// missing; its shard count must match Shards on reopen.
 	DataDir string
@@ -219,15 +218,14 @@ func Open(cfg Config) (*DB, error) {
 		st, owned = f, f
 	}
 	eng, rep, err := engine.Open(engine.Config{
-		Shards:                cfg.Shards,
-		Policy:                factory,
-		SweepEveryCompletions: cfg.SweepEveryCompletions,
-		OverloadWatermark:     cfg.OverloadWatermark,
-		RetentionWatermark:    cfg.RetentionWatermark,
-		Log:                   log,
-		Bus:                   bus,
-		Store:                 st,
-		WALSyncEvery:          cfg.FsyncBatch,
+		Shards:             cfg.Shards,
+		Policy:             factory,
+		OverloadWatermark:  cfg.OverloadWatermark,
+		RetentionWatermark: cfg.RetentionWatermark,
+		Log:                log,
+		Bus:                bus,
+		Store:              st,
+		WALSyncEvery:       cfg.FsyncBatch,
 	})
 	if err != nil {
 		if owned != nil {

@@ -370,10 +370,9 @@ func TestOverloadShedThroughClient(t *testing.T) {
 	gate := make(chan struct{})
 	pol := &blockingPolicy{gate: gate, entered: make(chan struct{})}
 	db := open(t, Config{
-		Shards:                1,
-		SweepEveryCompletions: 1,
-		OverloadWatermark:     watermark,
-		enginePolicy:          func() core.Policy { return pol },
+		Shards:            1,
+		OverloadWatermark: watermark,
+		enginePolicy:      func() core.Policy { return pol },
 	})
 	ctx := context.Background()
 
@@ -435,10 +434,9 @@ func TestOverloadShedThroughClient(t *testing.T) {
 // the offline CSR referee at Close.
 func TestDriveWorkload(t *testing.T) {
 	db := open(t, Config{
-		Shards:                4,
-		Policy:                "greedy-c1",
-		SweepEveryCompletions: 3,
-		Verify:                true,
+		Shards: 4,
+		Policy: "greedy-c1",
+		Verify: true,
 	})
 	const drivers = 4
 	var wg sync.WaitGroup

@@ -15,10 +15,9 @@ import (
 // "straggler-aborted". Run under -race in CI.
 func TestStragglerReapSurfacesTypedError(t *testing.T) {
 	db := open(t, Config{
-		Shards:                1,
-		Policy:                "greedy-c1",
-		SweepEveryCompletions: 1,
-		RetentionWatermark:    1, // one hostage is one too many
+		Shards:             1,
+		Policy:             "greedy-c1",
+		RetentionWatermark: 1, // one hostage is one too many
 	})
 	ctx := context.Background()
 
