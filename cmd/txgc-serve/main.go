@@ -37,7 +37,7 @@
 //
 // The batch op pipelines several begin/read/write steps through a single
 // engine submission (each shard applies its steps in submission order, one
-// queue hop per shard instead of one per step, the shards concurrently),
+// shard visit per shard instead of one per step, the free shards first),
 // answering with one result per step:
 //
 //	{"op":"batch","steps":[{"op":"begin","txn":1,"footprint":[0,4]},

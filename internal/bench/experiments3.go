@@ -93,7 +93,27 @@ func E13EmitTelemetry(cfg RunConfig) []*Table {
 					BaseTxnID:        model.TxnID(d * 10_000_000),
 					Seed:             cfg.Seed + int64(d),
 				})
-				eng.Drive(gen, 8)
+				steps := make([]model.Step, 0, 8)
+				var results []engine.Result
+				for {
+					steps = steps[:0]
+					for len(steps) < cap(steps) {
+						st, ok := gen.Next()
+						if !ok {
+							break
+						}
+						steps = append(steps, st)
+					}
+					if len(steps) == 0 {
+						return
+					}
+					results = eng.SubmitBatchInto(results[:0], steps)
+					for _, r := range results {
+						if !r.Accepted() {
+							gen.NotifyAbort(r.Step.Txn)
+						}
+					}
+				}
 			}(d)
 		}
 		wg.Wait()

@@ -17,11 +17,11 @@ import (
 	"repro/internal/workload"
 )
 
-// TestSubmitBatchSemantics pins SubmitBatch to Submit's semantics over a
-// mixed pipeline: two interleaved local transactions, a cross-partition
-// transaction (immediate sub-transaction steps + two-phase-commit final), a
-// step for an unknown transaction — and, since 2PC, the concurrent local T2
-// surviving the cross commit.
+// TestSubmitBatchSemantics pins SubmitBatchInto to SubmitCtx's semantics
+// over a mixed pipeline: two interleaved local transactions, a
+// cross-partition transaction (immediate sub-transaction steps +
+// two-phase-commit final), a step for an unknown transaction — and, since
+// 2PC, the concurrent local T2 surviving the cross commit.
 func TestSubmitBatchSemantics(t *testing.T) {
 	eng := New(Config{Shards: 4})
 	defer eng.Close()
@@ -38,7 +38,7 @@ func TestSubmitBatchSemantics(t *testing.T) {
 		model.Read(99, 0),      // unknown transaction
 		model.WriteFinal(2, 1), // T2 survived the cross commit
 	}
-	results := eng.SubmitBatch(steps)
+	results := eng.SubmitBatchInto(nil, steps)
 	if len(results) != len(steps) {
 		t.Fatalf("got %d results for %d steps", len(results), len(steps))
 	}
@@ -75,7 +75,7 @@ func TestSubmitBatchSemantics(t *testing.T) {
 func TestSubmitBatchMisroute(t *testing.T) {
 	eng := New(Config{Shards: 4})
 	defer eng.Close()
-	results := eng.SubmitBatch([]model.Step{
+	results := eng.SubmitBatchInto(nil, []model.Step{
 		model.BeginDeclared(1, 0),
 		model.Read(1, 0),
 		model.Read(1, 3), // partition 3: misroute, aborts T1
@@ -97,11 +97,11 @@ func TestSubmitBatchMisroute(t *testing.T) {
 // TestSubmitBatchDuplicateBegin: a BEGIN reusing a still-routed ID errors
 // without disturbing the live transaction, and a BEGIN whose ID collides
 // with a retained completed transaction fails without poisoning the route
-// (the SubmitBatch analogue of TestReusedIDDoesNotPoisonRoute).
+// (the SubmitBatchInto analogue of TestReusedIDDoesNotPoisonRoute).
 func TestSubmitBatchDuplicateBegin(t *testing.T) {
 	eng := New(Config{Shards: 2}) // nogc: completed txns stay retained
 	defer eng.Close()
-	results := eng.SubmitBatch([]model.Step{
+	results := eng.SubmitBatchInto(nil, []model.Step{
 		model.BeginDeclared(4, 0),
 		model.BeginDeclared(4, 0), // duplicate while live
 		model.WriteFinal(4, 0),
@@ -125,14 +125,14 @@ func TestSubmitBatchDuplicateBegin(t *testing.T) {
 	}
 	// What matters is that the failed BEGIN did not poison the route: a
 	// later per-step submission must see the ID as unknown, not routed.
-	res := eng.Submit(model.Read(4, 0))
+	res := submit(eng, model.Read(4, 0))
 	if res.Outcome() != OutcomeRejected || !errors.Is(res.Err, ErrTxnAborted) {
 		t.Fatalf("read after batch: %v (%v), want rejected/ErrTxnAborted", res.Outcome(), res.Err)
 	}
 }
 
-// TestSubmitBatchConcurrentCSR hammers SubmitBatch from many goroutines —
-// through Engine.Drive fed by workload generators — with mixed local and
+// TestSubmitBatchConcurrentCSR hammers SubmitBatchInto from many goroutines —
+// eight steps of a workload generator per batch — with mixed local and
 // cross-partition traffic and a GC policy, then replays the accepted
 // subschedule through the offline CSR referee. Run under -race this is
 // the batch path's data-race and safety oracle.
@@ -162,7 +162,7 @@ func TestSubmitBatchConcurrentCSR(t *testing.T) {
 				RestartAborted:   true,
 				Seed:             int64(500 + d),
 			})
-			eng.Drive(gen, 8)
+			driveBatches(eng, gen, 8, false)
 		}(d)
 	}
 	wg.Wait()
@@ -196,7 +196,7 @@ func TestSubmitBatchConcurrentCSR(t *testing.T) {
 }
 
 // TestSubmitBatchEquivalentToPerStep replays the same single-threaded
-// workload through per-step Submit and through SubmitBatch and demands
+// workload through per-step SubmitCtx and through SubmitBatchInto and demands
 // identical Results and identical engine counters (concurrency aside,
 // batching is pure plumbing). The stream spans four shards with a fifth of
 // its transactions cross-partition, and every 23rd read is sent one entity
@@ -232,10 +232,10 @@ func TestSubmitBatchEquivalentToPerStep(t *testing.T) {
 		}
 		return out, eng.Stats()
 	}
-	perStep, sa := run(func(eng *Engine, st model.Step) Result { return eng.Submit(st) })
+	perStep, sa := run(submit)
 	// Batch of one: same information flow as per-step, so the streams stay
 	// step-for-step comparable even under aborts.
-	batched, sb := run(func(eng *Engine, st model.Step) Result { return eng.SubmitBatch([]model.Step{st})[0] })
+	batched, sb := run(func(eng *Engine, st model.Step) Result { return eng.SubmitBatchInto(nil, []model.Step{st})[0] })
 
 	if len(perStep) != len(batched) {
 		t.Fatalf("step counts diverged: %d vs %d", len(perStep), len(batched))
@@ -309,7 +309,7 @@ func TestSubmitBatchWindowRoundTrips(t *testing.T) {
 	defer eng.Close()
 
 	steps := interleavedBatch(rand.New(rand.NewSource(1)), 0, 0)
-	results := eng.SubmitBatch(steps)
+	results := eng.SubmitBatchInto(nil, steps)
 	if n := trips.Load(); n > 4 {
 		t.Fatalf("%d shard visits for one 64-step window over 4 shards, want at most 4", n)
 	}
@@ -378,7 +378,7 @@ func TestSubmitBatchWindowMatchesPerStep(t *testing.T) {
 	perStep, sa := run(func(eng *Engine) []Result {
 		out := make([]Result, 0, len(stream))
 		for _, st := range stream {
-			out = append(out, eng.Submit(st))
+			out = append(out, submit(eng, st))
 		}
 		return out
 	})
@@ -501,7 +501,7 @@ func TestSubmitBatchCrossMatchesPerStep(t *testing.T) {
 		var out []Result
 		for _, batch := range batches {
 			for _, st := range batch {
-				out = append(out, eng.Submit(st))
+				out = append(out, submit(eng, st))
 			}
 		}
 		return out
@@ -729,7 +729,12 @@ func TestSubmitBatchCloseRacesWindows(t *testing.T) {
 
 // TestSubmitDoorsDoNotAllocate: a partition-local transaction (BEGIN, two
 // reads, final write) costs no allocation through either door in steady
-// state. Sending the per-step door through a one-step run would cost four.
+// state. This is why the per-step door keeps its own apply path (doStep's
+// reqStep) beside the batch window: sent through a one-step SubmitBatchInto
+// window, the transaction costs 8 allocations, two a step. Escape analysis
+// treats a request as one value, and req.step leaks through applyOne's
+// error paths, so the one-step window's steps and out arrays, which share
+// the request, move to the heap.
 func TestSubmitDoorsDoNotAllocate(t *testing.T) {
 	eng := New(Config{Shards: 4, Policy: func() core.Policy { return core.GreedyC1{} }})
 	defer eng.Close()

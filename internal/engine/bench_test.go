@@ -20,7 +20,7 @@ import (
 // BenchmarkEngineThroughput sweeps shard count × deletion policy under
 // partition-local traffic from GOMAXPROCS submitter goroutines. Each
 // iteration is one whole transaction (BEGIN + 3 reads + final write = 5
-// steps) pipelined through SubmitBatch — one shard visit per
+// steps) pipelined through SubmitBatchInto — one shard visit per
 // transaction, the way a real client session drives the engine; steps/s
 // is reported as a metric. Under nogc the per-shard graphs grow without
 // bound, so sharding pays even on one core (smaller graphs → cheaper
@@ -277,7 +277,7 @@ func BenchmarkEngineRetentionGoverned(b *testing.B) {
 		}
 		eng.govern(watermark)
 		var total int64
-		for _, n := range eng.RetainedCounts() {
+		for _, n := range eng.Gauges().Retained {
 			total += n
 		}
 		if total > peak {
@@ -320,11 +320,11 @@ func BenchmarkEngineCrossFrac(b *testing.B) {
 						q := (p + 1) % shards
 						fp = append(fp, model.Entity(q+shards*rng.Intn(perPart)))
 					}
-					eng.Submit(model.BeginDeclared(id, fp...))
+					submit(eng, model.BeginDeclared(id, fp...))
 					for _, e := range fp {
-						eng.Submit(model.Read(id, e))
+						submit(eng, model.Read(id, e))
 					}
-					eng.Submit(model.WriteFinal(id, fp[0]))
+					submit(eng, model.WriteFinal(id, fp[0]))
 				}
 			})
 			b.StopTimer()

@@ -88,23 +88,23 @@ func driveCrashLoad(eng *Engine, seed int64, base model.Entity, idBase, n int, t
 			p1 := rng.Intn(ns)
 			p2 := (p1 + 1 + rng.Intn(ns-1)) % ns
 			e1, e2 := ent(p1), ent(p2)
-			if !eng.Submit(model.BeginDeclared(id, e1, e2)).Accepted() {
+			if !submit(eng, model.BeginDeclared(id, e1, e2)).Accepted() {
 				continue
 			}
-			eng.Submit(model.Read(id, e1))
-			eng.Submit(model.Read(id, e2))
-			res := eng.Submit(model.WriteFinal(id, e1, e2))
+			submit(eng, model.Read(id, e1))
+			submit(eng, model.Read(id, e2))
+			res := submit(eng, model.WriteFinal(id, e1, e2))
 			if tr != nil {
 				tr.note(id, []model.Entity{e1, e2}, res.Accepted())
 			}
 		} else {
 			p := rng.Intn(ns)
 			e1, e2 := ent(p), ent(p)
-			if !eng.Submit(model.BeginDeclared(id, e1, e2)).Accepted() {
+			if !submit(eng, model.BeginDeclared(id, e1, e2)).Accepted() {
 				continue
 			}
-			eng.Submit(model.Read(id, e2))
-			res := eng.Submit(model.WriteFinal(id, e1))
+			submit(eng, model.Read(id, e2))
+			res := submit(eng, model.WriteFinal(id, e1))
 			if tr != nil {
 				tr.note(id, []model.Entity{e1}, res.Accepted())
 			}
@@ -171,7 +171,7 @@ func TestCrashRecoveryLoop(t *testing.T) {
 			if rep.Shards != shards {
 				t.Fatalf("report shards = %d", rep.Shards)
 			}
-			for i, n := range eng2.PreparedCounts() {
+			for i, n := range eng2.Gauges().Prepared {
 				if n != 0 {
 					t.Fatalf("shard %d left %d prepared subs undecided after recovery", i, n)
 				}
@@ -352,9 +352,9 @@ func TestCrashFsyncFailStop(t *testing.T) {
 	sawDead := false
 	for i := 0; i < 10; i++ {
 		id := model.TxnID(i + 1)
-		res := eng.Submit(model.BeginDeclared(id, 0))
+		res := submit(eng, model.BeginDeclared(id, 0))
 		if res.Accepted() {
-			res = eng.Submit(model.WriteFinal(id, 0))
+			res = submit(eng, model.WriteFinal(id, 0))
 		}
 		if !res.Accepted() {
 			if !errors.Is(res.Err, ErrClosed) {
@@ -368,8 +368,8 @@ func TestCrashFsyncFailStop(t *testing.T) {
 		t.Fatal("shard 0 never fail-stopped despite fsync errors")
 	}
 	// Shard 1 (odd entities) is unaffected.
-	mustAccept(t, eng.Submit(model.BeginDeclared(100, 1)))
-	mustAccept(t, eng.Submit(model.WriteFinal(100, 1)))
+	mustAccept(t, submit(eng, model.BeginDeclared(100, 1)))
+	mustAccept(t, submit(eng, model.WriteFinal(100, 1)))
 	eng.Close()
 	fs.Close()
 
@@ -383,10 +383,10 @@ func TestCrashFsyncFailStop(t *testing.T) {
 		t.Fatalf("recovery after fsync fail-stop: %v", err)
 	}
 	defer eng2.Close()
-	mustAccept(t, eng2.Submit(model.BeginDeclared(200, 0)))
-	mustAccept(t, eng2.Submit(model.WriteFinal(200, 0)))
-	mustAccept(t, eng2.Submit(model.BeginDeclared(201, 1)))
-	mustAccept(t, eng2.Submit(model.WriteFinal(201, 1)))
+	mustAccept(t, submit(eng2, model.BeginDeclared(200, 0)))
+	mustAccept(t, submit(eng2, model.WriteFinal(200, 0)))
+	mustAccept(t, submit(eng2, model.BeginDeclared(201, 1)))
+	mustAccept(t, submit(eng2, model.WriteFinal(201, 1)))
 }
 
 // syncFault is a deterministic failpoint: once armed, the shard's WAL writes
@@ -440,18 +440,18 @@ func TestCrash2PCJournalFailure(t *testing.T) {
 			if err != nil {
 				t.Fatalf("open engine: %v", err)
 			}
-			mustAccept(t, eng.Submit(model.BeginDeclared(1, 0, 1)))
-			mustAccept(t, eng.Submit(model.Read(1, 0)))
-			mustAccept(t, eng.Submit(model.Read(1, 1)))
+			mustAccept(t, submit(eng, model.BeginDeclared(1, 0, 1)))
+			mustAccept(t, submit(eng, model.Read(1, 0)))
+			mustAccept(t, submit(eng, model.Read(1, 1)))
 			fault.armed.Store(true)
-			res := eng.Submit(model.WriteFinal(1, 0, 1))
+			res := submit(eng, model.WriteFinal(1, 0, 1))
 			if res.Accepted() != tc.acked {
 				t.Fatalf("final write acked = %v, want %v (err %v)", res.Accepted(), tc.acked, res.Err)
 			}
 			if !tc.acked && !errors.Is(res.Err, ErrClosed) {
 				t.Fatalf("refused final write answered %v, want ErrClosed wrap", res.Err)
 			}
-			for i, n := range eng.PreparedCounts() {
+			for i, n := range eng.Gauges().Prepared {
 				if n != 0 {
 					t.Fatalf("shard %d still holds %d prepared subs", i, n)
 				}
@@ -466,11 +466,11 @@ func TestCrash2PCJournalFailure(t *testing.T) {
 			}
 			// The faulted shard has fail-stopped; its neighbour still serves.
 			dead, alive := model.Entity(tc.shard), model.Entity(1-tc.shard)
-			if res := eng.Submit(model.BeginDeclared(2, dead)); !errors.Is(res.Err, ErrClosed) {
+			if res := submit(eng, model.BeginDeclared(2, dead)); !errors.Is(res.Err, ErrClosed) {
 				t.Fatalf("fail-stopped shard answered %+v (err %v), want ErrClosed wrap", res, res.Err)
 			}
-			mustAccept(t, eng.Submit(model.BeginDeclared(3, alive)))
-			mustAccept(t, eng.Submit(model.WriteFinal(3, alive)))
+			mustAccept(t, submit(eng, model.BeginDeclared(3, alive)))
+			mustAccept(t, submit(eng, model.WriteFinal(3, alive)))
 			eng.Close()
 			fs.Close()
 
@@ -516,8 +516,8 @@ func TestIdleShardDoesNotRecheckpoint(t *testing.T) {
 	defer eng.Close()
 	for i := 0; i < 8; i++ {
 		id, x := model.TxnID(i+1), model.Entity(i%shards)
-		mustAccept(t, eng.Submit(model.BeginDeclared(id, x)))
-		mustAccept(t, eng.Submit(model.WriteFinal(id, x)))
+		mustAccept(t, submit(eng, model.BeginDeclared(id, x)))
+		mustAccept(t, submit(eng, model.WriteFinal(id, x)))
 	}
 	eng.sweepAll()
 	// The whole of Stats, not CheckpointSeq alone: a snapshot rewritten over
@@ -560,7 +560,7 @@ func TestCheckpointWaitsForTheTail(t *testing.T) {
 	// It reports whether the step's run checkpointed.
 	submit := func(step model.Step) bool {
 		t.Helper()
-		mustAccept(t, eng.Submit(step))
+		mustAccept(t, submit(eng, step))
 		ss := st.Shard(0).Stats()
 		swept := eng.Stats().Sweeps
 		if swept == sweeps {
@@ -675,8 +675,8 @@ func TestWALBoundedUnderGovernedSoak(t *testing.T) {
 	}
 	// The straggler: oldest active in the system, pinning its completed
 	// predecessors against C1 until the governor reaps it.
-	mustAccept(t, eng.Submit(model.BeginDeclared(1, 0)))
-	mustAccept(t, eng.Submit(model.Read(1, 0)))
+	mustAccept(t, submit(eng, model.BeginDeclared(1, 0)))
+	mustAccept(t, submit(eng, model.Read(1, 0)))
 	n := 1200
 	if testing.Short() {
 		n = 400
@@ -684,9 +684,9 @@ func TestWALBoundedUnderGovernedSoak(t *testing.T) {
 	for i := 0; i < n; i++ {
 		id := model.TxnID(i + 10)
 		x := model.Entity(i % 2)
-		mustAccept(t, eng.Submit(model.BeginDeclared(id, x)))
-		mustAccept(t, eng.Submit(model.Read(id, x)))
-		mustAccept(t, eng.Submit(model.WriteFinal(id, x)))
+		mustAccept(t, submit(eng, model.BeginDeclared(id, x)))
+		mustAccept(t, submit(eng, model.Read(id, x)))
+		mustAccept(t, submit(eng, model.WriteFinal(id, x)))
 		if i%64 == 63 {
 			eng.govern(32)
 		}

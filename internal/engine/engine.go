@@ -32,7 +32,7 @@ type Config struct {
 	OverloadWatermark int
 	// RetentionWatermark, if > 0, enables the retention governor: once a
 	// shard's run grows the engine-wide retained count (sum of
-	// RetainedCounts) to or past it, the next submission to finish aborts
+	// Gauges().Retained) to or past it, the next submission to finish aborts
 	// the oldest non-PriorityHigh, unprepared active — the straggler pinning
 	// completed predecessors (Theorem 1) — as a context-deadline abort
 	// would, and sweeps, until the count is back under. No timer: an idle
@@ -217,8 +217,9 @@ type route struct {
 	pri   Priority
 }
 
-// Engine is the concurrent sharded scheduler. Submit may be called from
-// any number of goroutines; Close must not race in-flight Submits.
+// Engine is the concurrent sharded scheduler. Its submission doors may be
+// called from any number of goroutines; a submission still in flight when
+// Close runs is answered with ErrClosed.
 type Engine struct {
 	cfg    Config
 	shards []*shard
@@ -336,19 +337,15 @@ func (e *Engine) beginRoute(step model.Step) (home int, cross bool) {
 	return home, false
 }
 
-// Submit routes one step to its shard and returns the engine-level result.
-// Steps of one transaction must be submitted sequentially (each after the
-// previous one's Result), as a real client session would.
-func (e *Engine) Submit(step model.Step) Result {
-	return e.SubmitPriority(context.Background(), step, PriorityNormal)
-}
-
-// SubmitCtx is Submit under a context: a BEGIN with an already-cancelled
-// context is refused before it begins, an access step with a cancelled
-// context aborts its transaction (releasing every shard's state), and a
-// cross-partition final write observing cancellation between PREPARE and
-// the decision aborts instead of committing. The Result's Err then wraps
-// both ErrTxnAborted and the context's cause.
+// SubmitCtx routes one step to its shard and returns the engine-level
+// result. Steps of one transaction must be submitted sequentially (each
+// after the previous one's Result), as a real client session would. Under
+// ctx, a BEGIN with an already-cancelled context is refused before it
+// begins, an access step with a cancelled context aborts its transaction
+// (releasing every shard's state), and a cross-partition final write
+// observing cancellation between PREPARE and the decision aborts instead of
+// committing. The Result's Err then wraps both ErrTxnAborted and the
+// context's cause.
 func (e *Engine) SubmitCtx(ctx context.Context, step model.Step) Result {
 	return e.SubmitPriority(ctx, step, PriorityNormal)
 }
@@ -504,19 +501,21 @@ func (e *Engine) shedBegin(step model.Step, home int) Result {
 	return answer(step, step.Txn, stepErr(step, ErrOverload))
 }
 
-// SubmitBatch submits a client's steps and returns one Result per step, in
-// submission order. Each shard sees the batch's steps bound for it in
-// submission order: the steps between two points where the batch must wait
-// (see below) go to every shard they touch in one visit per shard, so a
-// whole partition-local transaction (BEGIN, reads, final write) takes its
-// shard's lock once instead of once per step, and sixteen interleaved ones
-// over four shards take four. A partition-local step, like a cross read,
-// touches only its shard's state, so only the interleaving of different
-// shards' work changes, as it does between two concurrent clients.
+// SubmitBatchInto submits a client's steps and appends one Result per step
+// to dst, in submission order (pass a reused buffer with spare capacity to
+// keep the submit path allocation-free). Each shard sees the batch's steps
+// bound for it in submission order: the steps between two points where the
+// batch must wait (see below) go to every shard they touch in one visit per
+// shard, so a whole partition-local transaction (BEGIN, reads, final write)
+// takes its shard's lock once instead of once per step, and sixteen
+// interleaved ones over four shards take four. A partition-local step, like
+// a cross read, touches only its shard's state, so only the interleaving of
+// different shards' work changes, as it does between two concurrent
+// clients.
 //
-// The ordering contract is Submit's: steps of one transaction must appear in
-// order, and a client must not submit a transaction's next step elsewhere
-// before the batch returns. A step pipelined behind the end of its own
+// The ordering contract is SubmitCtx's: steps of one transaction must
+// appear in order, and a client must not submit a transaction's next step
+// elsewhere before the batch returns. A step pipelined behind the end of its own
 // transaction — behind its rejected step, or behind its final write — is
 // answered exactly as the per-step path would answer it: rejected, wrapping
 // ErrTxnAborted (ErrStragglerAborted after a reap). Only a step behind its
@@ -531,15 +530,11 @@ func (e *Engine) shedBegin(step model.Step, home int) Result {
 // on one participant lands before a sibling acts. A cross BEGIN applies its
 // sub-begins first, then sends what came before it. None of this stalls
 // other clients' traffic.
-func (e *Engine) SubmitBatch(steps []model.Step) []Result {
-	return e.SubmitBatchInto(make([]Result, 0, len(steps)), steps)
-}
-
-// SubmitBatchInto is SubmitBatch appending into dst (pass a reused buffer
-// with spare capacity to keep the submit path allocation-free). The batch
-// path submits at PriorityNormal with no deadline; session clients needing
-// per-transaction contexts or priorities use the per-step path. Both doors
-// end by running a pending governor pass (Config.RetentionWatermark).
+//
+// The batch path submits at PriorityNormal with no deadline; session
+// clients needing per-transaction contexts or priorities use the per-step
+// path. Both doors end by running a pending governor pass
+// (Config.RetentionWatermark).
 func (e *Engine) SubmitBatchInto(dst []Result, steps []model.Step) []Result {
 	var w window
 	settle := func() { dst = e.apply(&w, dst, steps) }
@@ -761,7 +756,7 @@ func (e *Engine) abortLocal(shard int, id model.TxnID) {
 }
 
 // Stats returns a snapshot of the aggregate counters. It is safe to call
-// concurrently with Submits and after Close.
+// concurrently with submissions and after Close.
 func (e *Engine) Stats() Stats {
 	s := Stats{
 		Submitted:   e.submitted.Load(),
@@ -784,7 +779,7 @@ func (e *Engine) Stats() Stats {
 	}
 	s.Deleted, s.Sweeps = s.Merged.Deleted, s.Merged.Sweeps
 	s.QueueDepth = e.QueueDepths()
-	s.PreparedByShard = e.PreparedCounts()
+	s.PreparedByShard = e.gauge(func(sh *shard) *atomic.Int64 { return &sh.preparedN })
 	return s
 }
 
@@ -811,28 +806,18 @@ func (e *Engine) QueueDepths() []int64 {
 	return e.gauge(func(sh *shard) *atomic.Int64 { return &sh.depth })
 }
 
-// RetainedCounts returns the per-shard count of retained completed
-// transactions (the storage the deletion policy reclaims), lock-free like
-// QueueDepths. Every run refreshes the gauge before it unlocks, so it
-// trails the scheduler by at most the run in progress.
-func (e *Engine) RetainedCounts() []int64 {
-	return e.gauge(func(sh *shard) *atomic.Int64 { return &sh.retainedN })
-}
-
-// PreparedCounts returns the per-shard count of prepared-but-undecided 2PC
-// sub-transactions (each pins its node against deletion), lock-free like
-// QueueDepths.
-func (e *Engine) PreparedCounts() []int64 {
-	return e.gauge(func(sh *shard) *atomic.Int64 { return &sh.preparedN })
-}
-
 // Gauges snapshots the per-shard gauges in the shape the metrics endpoint
-// polls at scrape time (emit.GaugeSource).
+// polls at scrape time (emit.GaugeSource), lock-free like QueueDepths.
+// Retained counts the completed transactions each shard retains (the
+// storage the deletion policy reclaims); every run refreshes it before it
+// unlocks, so it trails the scheduler by at most the run in progress.
+// Prepared counts the prepared-but-undecided 2PC sub-transactions, each
+// pinning its node against deletion.
 func (e *Engine) Gauges() emit.GaugeSnapshot {
 	gs := emit.GaugeSnapshot{
 		QueueDepth:         e.QueueDepths(),
-		Retained:           e.RetainedCounts(),
-		Prepared:           e.PreparedCounts(),
+		Retained:           e.gauge(func(sh *shard) *atomic.Int64 { return &sh.retainedN }),
+		Prepared:           e.gauge(func(sh *shard) *atomic.Int64 { return &sh.preparedN }),
 		RetentionWatermark: int64(e.cfg.RetentionWatermark),
 	}
 	if e.cfg.Store != nil {
@@ -853,8 +838,8 @@ func (e *Engine) Gauges() emit.GaugeSnapshot {
 // Close shuts every shard down: once the engine is marked closed, the next
 // run on each shard — Close's own, or one of a submitter still in flight —
 // makes the journal durable and marks the shard down, and every later run
-// applies nothing. Close returns when every shard is down. Submits still in
-// flight receive ErrClosed; callers should stop submitting first.
+// applies nothing. Close returns when every shard is down. Submissions still
+// in flight receive ErrClosed; callers should stop submitting first.
 func (e *Engine) Close() {
 	if !e.closed.CompareAndSwap(false, true) {
 		return

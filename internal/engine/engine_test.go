@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"slices"
 	"sync"
@@ -10,6 +11,12 @@ import (
 	"repro/internal/model"
 	"repro/internal/trace"
 )
+
+// submit sends one step through the per-step door with no deadline, as a
+// session outside any context would.
+func submit(eng *Engine, step model.Step) Result {
+	return eng.SubmitCtx(context.Background(), step)
+}
 
 // TestSingleShardSemantics pins the engine to the paper's scheduler
 // semantics on one shard: the classic two-transaction cycle is rejected.
@@ -24,16 +31,16 @@ func TestSingleShardSemantics(t *testing.T) {
 		}
 	}
 	// T1 reads x, T2 reads y, T2 writes x (T1→T2), then T1 writes y: cycle.
-	mustOutcome(eng.Submit(model.Begin(0)), OutcomeAccepted)
-	mustOutcome(eng.Submit(model.Begin(1)), OutcomeAccepted)
-	mustOutcome(eng.Submit(model.Read(0, 10)), OutcomeAccepted)
-	mustOutcome(eng.Submit(model.Read(1, 11)), OutcomeAccepted)
-	res := eng.Submit(model.WriteFinal(1, 10))
+	mustOutcome(submit(eng, model.Begin(0)), OutcomeAccepted)
+	mustOutcome(submit(eng, model.Begin(1)), OutcomeAccepted)
+	mustOutcome(submit(eng, model.Read(0, 10)), OutcomeAccepted)
+	mustOutcome(submit(eng, model.Read(1, 11)), OutcomeAccepted)
+	res := submit(eng, model.WriteFinal(1, 10))
 	mustOutcome(res, OutcomeAccepted)
 	if res.CompletedTxn != 1 {
 		t.Fatalf("CompletedTxn = %v, want 1", res.CompletedTxn)
 	}
-	res = eng.Submit(model.WriteFinal(0, 11))
+	res = submit(eng, model.WriteFinal(0, 11))
 	mustOutcome(res, OutcomeRejected)
 	if res.Aborted != 0 {
 		t.Fatalf("Aborted = %v, want 0", res.Aborted)
@@ -52,19 +59,19 @@ func TestRoutingAndMisroute(t *testing.T) {
 	defer eng.Close()
 
 	// Footprint {0,4,8} is all partition 0.
-	if res := eng.Submit(model.BeginDeclared(1, 0, 4, 8)); res.Outcome() != OutcomeAccepted {
+	if res := submit(eng, model.BeginDeclared(1, 0, 4, 8)); res.Outcome() != OutcomeAccepted {
 		t.Fatalf("begin: %v (%v)", res.Outcome(), res.Err)
 	}
-	if res := eng.Submit(model.Read(1, 8)); res.Outcome() != OutcomeAccepted {
+	if res := submit(eng, model.Read(1, 8)); res.Outcome() != OutcomeAccepted {
 		t.Fatalf("in-partition read: %v (%v)", res.Outcome(), res.Err)
 	}
 	// Entity 3 belongs to partition 3: misroute, transaction aborted.
-	res := eng.Submit(model.Read(1, 3))
+	res := submit(eng, model.Read(1, 3))
 	if res.Outcome() != OutcomeRejected || !errors.Is(res.Err, ErrMisroute) {
 		t.Fatalf("foreign read: %v (%v), want rejected/ErrMisroute", res.Outcome(), res.Err)
 	}
 	// The transaction is gone now.
-	res = eng.Submit(model.Read(1, 8))
+	res = submit(eng, model.Read(1, 8))
 	if res.Outcome() != OutcomeRejected || !errors.Is(res.Err, ErrTxnAborted) {
 		t.Fatalf("post-abort read: %v (%v), want rejected/ErrTxnAborted", res.Outcome(), res.Err)
 	}
@@ -84,23 +91,23 @@ func TestCrossPartition2PC(t *testing.T) {
 	defer eng.Close()
 
 	// A local active on shard 0 — a *participant* of the cross commit.
-	if res := eng.Submit(model.BeginDeclared(7, 4)); !res.Accepted() {
+	if res := submit(eng, model.BeginDeclared(7, 4)); !res.Accepted() {
 		t.Fatalf("bystander begin: %v (%v)", res.Outcome(), res.Err)
 	}
-	if res := eng.Submit(model.Read(7, 4)); !res.Accepted() {
+	if res := submit(eng, model.Read(7, 4)); !res.Accepted() {
 		t.Fatalf("bystander read: %v (%v)", res.Outcome(), res.Err)
 	}
 
 	// Cross transaction spanning partitions 0 and 2: sub-transactions begin
 	// on both shards, the read applies immediately on shard 0, and the
 	// final write runs PREPARE on both participants before COMMIT.
-	if res := eng.Submit(model.BeginDeclared(9, 0, 2)); !res.Accepted() {
+	if res := submit(eng, model.BeginDeclared(9, 0, 2)); !res.Accepted() {
 		t.Fatalf("cross begin: %v (%v)", res.Outcome(), res.Err)
 	}
-	if res := eng.Submit(model.Read(9, 0)); !res.Accepted() {
+	if res := submit(eng, model.Read(9, 0)); !res.Accepted() {
 		t.Fatalf("cross read: %v (%v)", res.Outcome(), res.Err)
 	}
-	res := eng.Submit(model.WriteFinal(9, 2))
+	res := submit(eng, model.WriteFinal(9, 2))
 	if res.Outcome() != OutcomeAccepted || res.CompletedTxn != 9 {
 		t.Fatalf("cross final: %v (%v), CompletedTxn=%v", res.Outcome(), res.Err, res.CompletedTxn)
 	}
@@ -115,7 +122,7 @@ func TestCrossPartition2PC(t *testing.T) {
 		}
 	}
 	// The bystander survived the cross commit and completes normally.
-	if res := eng.Submit(model.WriteFinal(7, 4)); !res.Accepted() || res.CompletedTxn != 7 {
+	if res := submit(eng, model.WriteFinal(7, 4)); !res.Accepted() || res.CompletedTxn != 7 {
 		t.Fatalf("bystander final after cross commit: %v (%v)", res.Outcome(), res.Err)
 	}
 	// The referee agrees with everything that was accepted, and both
@@ -149,20 +156,20 @@ func TestCrossCycleDetectedAtPrepare(t *testing.T) {
 			t.Fatalf("%v: %v (%v)", res.Step, res.Outcome(), res.Err)
 		}
 	}
-	mustAccept(eng.Submit(model.BeginDeclared(1, 0, 1)))
-	mustAccept(eng.Submit(model.BeginDeclared(2, 0, 1)))
-	mustAccept(eng.Submit(model.Read(1, 0))) // T1 reads x on shard 0
-	mustAccept(eng.Submit(model.Read(2, 1))) // T2 reads y on shard 1
+	mustAccept(submit(eng, model.BeginDeclared(1, 0, 1)))
+	mustAccept(submit(eng, model.BeginDeclared(2, 0, 1)))
+	mustAccept(submit(eng, model.Read(1, 0))) // T1 reads x on shard 0
+	mustAccept(submit(eng, model.Read(2, 1))) // T2 reads y on shard 1
 	// T2 writes x: shard 0 gets arc T1→T2 (reader before writer), which the
 	// registry records as an inter-shard reach-arc T1→T2.
-	res := eng.Submit(model.WriteFinal(2, 0))
+	res := submit(eng, model.WriteFinal(2, 0))
 	if !res.Accepted() || res.CompletedTxn != 2 {
 		t.Fatalf("T2 final: %v (%v)", res.Outcome(), res.Err)
 	}
 	// T1 writes y: shard 1 would add arc T2→T1, composing with T1→T2 into
 	// a global cycle no single shard can see. The registry vetoes the
 	// prepare; T1 aborts, nothing else does.
-	res = eng.Submit(model.WriteFinal(1, 1))
+	res = submit(eng, model.WriteFinal(1, 1))
 	if res.Outcome() != OutcomeRejected || res.Aborted != 1 {
 		t.Fatalf("T1 final: %v (%v), want rejected cross abort", res.Outcome(), res.Err)
 	}
@@ -196,10 +203,10 @@ func TestCrossAbortReleasesPins(t *testing.T) {
 	defer eng.Close()
 
 	// Client abort mid-flight: sub-transactions live on shards 0,1,2.
-	if res := eng.Submit(model.BeginDeclared(1, 0, 1, 2)); !res.Accepted() {
+	if res := submit(eng, model.BeginDeclared(1, 0, 1, 2)); !res.Accepted() {
 		t.Fatalf("begin: %v (%v)", res.Outcome(), res.Err)
 	}
-	if res := eng.Submit(model.Read(1, 1)); !res.Accepted() {
+	if res := submit(eng, model.Read(1, 1)); !res.Accepted() {
 		t.Fatalf("read: %v (%v)", res.Outcome(), res.Err)
 	}
 	if !eng.Abort(1) {
@@ -208,14 +215,14 @@ func TestCrossAbortReleasesPins(t *testing.T) {
 	if eng.Abort(1) {
 		t.Fatal("second abort returned true")
 	}
-	if res := eng.Submit(model.Read(1, 0)); res.Outcome() != OutcomeRejected || !errors.Is(res.Err, ErrTxnAborted) {
+	if res := submit(eng, model.Read(1, 0)); res.Outcome() != OutcomeRejected || !errors.Is(res.Err, ErrTxnAborted) {
 		t.Fatalf("read after abort: %v (%v)", res.Outcome(), res.Err)
 	}
 	// Every shard released its sub-transaction: the ID is reusable.
-	if res := eng.Submit(model.BeginDeclared(1, 0, 1, 2)); !res.Accepted() {
+	if res := submit(eng, model.BeginDeclared(1, 0, 1, 2)); !res.Accepted() {
 		t.Fatalf("begin after abort (ID reuse): %v (%v)", res.Outcome(), res.Err)
 	}
-	if res := eng.Submit(model.WriteFinal(1, 0, 1, 2)); !res.Accepted() || res.CompletedTxn != 1 {
+	if res := submit(eng, model.WriteFinal(1, 0, 1, 2)); !res.Accepted() || res.CompletedTxn != 1 {
 		t.Fatalf("reused txn final: %v (%v)", res.Outcome(), res.Err)
 	}
 
@@ -224,26 +231,26 @@ func TestCrossAbortReleasesPins(t *testing.T) {
 	// on shard 1 makes T10's final write close a local cycle there, so the
 	// first participant (shard 0) votes yes and pins, then shard 1 votes
 	// no — the abort must unpin shard 0.
-	if res := eng.Submit(model.BeginDeclared(10, 3, 4)); !res.Accepted() {
+	if res := submit(eng, model.BeginDeclared(10, 3, 4)); !res.Accepted() {
 		t.Fatalf("T10 begin: %v (%v)", res.Outcome(), res.Err)
 	}
-	if res := eng.Submit(model.Read(10, 3)); !res.Accepted() {
+	if res := submit(eng, model.Read(10, 3)); !res.Accepted() {
 		t.Fatalf("T10 read 3: %v (%v)", res.Outcome(), res.Err)
 	}
-	if res := eng.Submit(model.Read(10, 4)); !res.Accepted() {
+	if res := submit(eng, model.Read(10, 4)); !res.Accepted() {
 		t.Fatalf("T10 read 4: %v (%v)", res.Outcome(), res.Err)
 	}
 	// Local T11 on shard 1: writes 4 after T10's read (arc T10→T11)…
-	if res := eng.Submit(model.BeginDeclared(11, 4)); !res.Accepted() {
+	if res := submit(eng, model.BeginDeclared(11, 4)); !res.Accepted() {
 		t.Fatalf("T11 begin: %v (%v)", res.Outcome(), res.Err)
 	}
-	if res := eng.Submit(model.WriteFinal(11, 4)); !res.Accepted() {
+	if res := submit(eng, model.WriteFinal(11, 4)); !res.Accepted() {
 		t.Fatalf("T11 final: %v (%v)", res.Outcome(), res.Err)
 	}
 	// …then T10's final write of {3,4}: shard 0 prepares fine (and pins),
 	// but on shard 1 the write needs arc T11→T10 while T10→T11 already
 	// exists — a local cycle, so shard 1 votes no.
-	res := eng.Submit(model.WriteFinal(10, 3, 4))
+	res := submit(eng, model.WriteFinal(10, 3, 4))
 	if res.Outcome() != OutcomeRejected || res.Aborted != 10 {
 		t.Fatalf("T10 final: %v (%v), want local-cycle rejection", res.Outcome(), res.Err)
 	}
@@ -254,7 +261,7 @@ func TestCrossAbortReleasesPins(t *testing.T) {
 		}
 	}
 	// Both IDs reusable: every participant cleaned up.
-	if res := eng.Submit(model.BeginDeclared(10, 3, 4)); !res.Accepted() {
+	if res := submit(eng, model.BeginDeclared(10, 3, 4)); !res.Accepted() {
 		t.Fatalf("T10 reuse after vote-no: %v (%v)", res.Outcome(), res.Err)
 	}
 }
@@ -263,16 +270,16 @@ func TestCrossAbortReleasesPins(t *testing.T) {
 func TestDuplicateBeginAndBadKinds(t *testing.T) {
 	eng := New(Config{Shards: 2})
 	defer eng.Close()
-	if res := eng.Submit(model.BeginDeclared(1, 0)); !res.Accepted() {
+	if res := submit(eng, model.BeginDeclared(1, 0)); !res.Accepted() {
 		t.Fatalf("begin: %v", res.Outcome())
 	}
-	if res := eng.Submit(model.BeginDeclared(1, 0)); res.Outcome() != OutcomeError {
+	if res := submit(eng, model.BeginDeclared(1, 0)); res.Outcome() != OutcomeError {
 		t.Fatalf("duplicate begin: %v, want error", res.Outcome())
 	}
-	if res := eng.Submit(model.Write(1, 0)); res.Outcome() != OutcomeError {
+	if res := submit(eng, model.Write(1, 0)); res.Outcome() != OutcomeError {
 		t.Fatalf("multiwrite step: %v, want error", res.Outcome())
 	}
-	if res := eng.Submit(model.Read(99, 0)); res.Outcome() != OutcomeRejected {
+	if res := submit(eng, model.Read(99, 0)); res.Outcome() != OutcomeRejected {
 		t.Fatalf("read without begin: %v, want rejected", res.Outcome())
 	}
 }
@@ -281,18 +288,18 @@ func TestDuplicateBeginAndBadKinds(t *testing.T) {
 func TestClientAbort(t *testing.T) {
 	eng := New(Config{Shards: 2})
 	defer eng.Close()
-	eng.Submit(model.BeginDeclared(1, 0))
+	submit(eng, model.BeginDeclared(1, 0))
 	if !eng.Abort(1) {
 		t.Fatal("abort of live local txn returned false")
 	}
 	if eng.Abort(1) {
 		t.Fatal("second abort returned true")
 	}
-	eng.Submit(model.BeginDeclared(2, 0, 1)) // cross: sub-txns on shards 0,1
+	submit(eng, model.BeginDeclared(2, 0, 1)) // cross: sub-txns on shards 0,1
 	if !eng.Abort(2) {
 		t.Fatal("abort of live cross txn returned false")
 	}
-	if res := eng.Submit(model.Read(2, 0)); res.Outcome() != OutcomeRejected {
+	if res := submit(eng, model.Read(2, 0)); res.Outcome() != OutcomeRejected {
 		t.Fatalf("read after cross abort: %v", res.Outcome())
 	}
 }
@@ -311,11 +318,11 @@ func TestGCDeletesUnderLoad(t *testing.T) {
 		id := model.TxnID(i)
 		p := i % 2
 		x := model.Entity(p + 2*(i%50))
-		if res := eng.Submit(model.BeginDeclared(id, x)); !res.Accepted() {
+		if res := submit(eng, model.BeginDeclared(id, x)); !res.Accepted() {
 			t.Fatalf("begin %d: %v (%v)", i, res.Outcome(), res.Err)
 		}
-		eng.Submit(model.Read(id, x))
-		eng.Submit(model.WriteFinal(id, x))
+		submit(eng, model.Read(id, x))
+		submit(eng, model.WriteFinal(id, x))
 	}
 	// Quiesce before comparing the engine's atomic Deleted counter with the
 	// schedulers' (a post-batch sweep can land between the two reads on a
@@ -362,14 +369,14 @@ func TestConcurrentSubmitRace(t *testing.T) {
 				} else {
 					fp = []model.Entity{x}
 				}
-				if res := eng.Submit(model.BeginDeclared(id, fp...)); res.Outcome() == OutcomeError {
+				if res := submit(eng, model.BeginDeclared(id, fp...)); res.Outcome() == OutcomeError {
 					t.Errorf("begin %d: %v", id, res.Err)
 					return
 				}
 				for _, e := range fp {
-					eng.Submit(model.Read(id, e))
+					submit(eng, model.Read(id, e))
 				}
-				eng.Submit(model.WriteFinal(id, fp[0]))
+				submit(eng, model.WriteFinal(id, fp[0]))
 			}
 		}(w)
 	}
@@ -397,15 +404,15 @@ func TestConcurrentSubmitRace(t *testing.T) {
 // TestStatsAfterClose verifies final per-shard stats survive Close.
 func TestStatsAfterClose(t *testing.T) {
 	eng := New(Config{Shards: 2})
-	eng.Submit(model.BeginDeclared(1, 0))
-	eng.Submit(model.WriteFinal(1, 0))
+	submit(eng, model.BeginDeclared(1, 0))
+	submit(eng, model.WriteFinal(1, 0))
 	eng.Close()
 	eng.Close() // idempotent
 	s := eng.Stats()
 	if s.Merged.Completed != 1 {
 		t.Fatalf("after close: Merged.Completed = %d, want 1", s.Merged.Completed)
 	}
-	if res := eng.Submit(model.Begin(2)); !errors.Is(res.Err, ErrClosed) {
+	if res := submit(eng, model.Begin(2)); !errors.Is(res.Err, ErrClosed) {
 		t.Fatalf("submit after close: %v, want ErrClosed", res.Err)
 	}
 }
@@ -416,14 +423,14 @@ func TestStatsAfterClose(t *testing.T) {
 func TestReusedIDDoesNotPoisonRoute(t *testing.T) {
 	eng := New(Config{Shards: 2}) // nogc: completed txns stay retained
 	defer eng.Close()
-	eng.Submit(model.BeginDeclared(4, 0))
-	eng.Submit(model.WriteFinal(4, 0))
-	if res := eng.Submit(model.BeginDeclared(4, 0)); res.Outcome() != OutcomeError {
+	submit(eng, model.BeginDeclared(4, 0))
+	submit(eng, model.WriteFinal(4, 0))
+	if res := submit(eng, model.BeginDeclared(4, 0)); res.Outcome() != OutcomeError {
 		t.Fatalf("reused begin: %v, want error", res.Outcome())
 	}
 	// Without a lingering route, this is rejected at the engine (unknown
 	// txn), not routed to the shard as if T4 were live.
-	res := eng.Submit(model.Read(4, 0))
+	res := submit(eng, model.Read(4, 0))
 	if res.Outcome() != OutcomeRejected || !errors.Is(res.Err, ErrTxnAborted) {
 		t.Fatalf("read after failed reuse: %v (%v), want rejected/ErrTxnAborted", res.Outcome(), res.Err)
 	}
@@ -439,15 +446,15 @@ func TestCrossReuseKeepsOriginalInTrace(t *testing.T) {
 	log := trace.NewSafeLog()
 	eng := New(Config{Shards: 2, Log: log}) // nogc keeps T1 retained on shard 0
 	defer eng.Close()
-	eng.Submit(model.BeginDeclared(1, 0))
-	eng.Submit(model.WriteFinal(1, 0))
+	submit(eng, model.BeginDeclared(1, 0))
+	submit(eng, model.WriteFinal(1, 0))
 	// Reuse ID 1 for a cross transaction; the sub-begin on shard 0 hits a
 	// duplicate-BEGIN protocol error and the fan-out rolls back.
-	if res := eng.Submit(model.BeginDeclared(1, 0, 1)); res.Outcome() != OutcomeError {
+	if res := submit(eng, model.BeginDeclared(1, 0, 1)); res.Outcome() != OutcomeError {
 		t.Fatalf("cross reuse begin: %v (%v), want error", res.Outcome(), res.Err)
 	}
 	// No route was left behind: the follow-up final write is unknown.
-	if res := eng.Submit(model.WriteFinal(1, 1)); res.Outcome() != OutcomeRejected || !errors.Is(res.Err, ErrTxnAborted) {
+	if res := submit(eng, model.WriteFinal(1, 1)); res.Outcome() != OutcomeRejected || !errors.Is(res.Err, ErrTxnAborted) {
 		t.Fatalf("cross reuse final: %v (%v), want rejected/ErrTxnAborted", res.Outcome(), res.Err)
 	}
 	var got int
@@ -470,9 +477,9 @@ func TestCrossBeginRollbackLeavesNoTrace(t *testing.T) {
 	log := trace.NewSafeLog()
 	eng := New(Config{Shards: 2, Log: log}) // nogc keeps T1 retained on shard 1
 	defer eng.Close()
-	mustAccept(t, eng.Submit(model.BeginDeclared(1, 1)))
-	mustAccept(t, eng.Submit(model.WriteFinal(1, 1)))
-	if res := eng.Submit(model.BeginDeclared(1, 0, 1)); res.Outcome() != OutcomeError {
+	mustAccept(t, submit(eng, model.BeginDeclared(1, 1)))
+	mustAccept(t, submit(eng, model.WriteFinal(1, 1)))
+	if res := submit(eng, model.BeginDeclared(1, 0, 1)); res.Outcome() != OutcomeError {
 		t.Fatalf("cross reuse begin: %v (%v), want error", res.Outcome(), res.Err)
 	}
 	var got []model.Step
@@ -499,9 +506,9 @@ func TestCrossBeginFanOutRollback(t *testing.T) {
 		log := trace.NewSafeLog()
 		eng := New(Config{Shards: 3, Log: log}) // nogc: the original stays retained
 		defer eng.Close()
-		mustAccept(t, eng.Submit(model.BeginDeclared(id, orig...)))
-		mustAccept(t, eng.Submit(model.WriteFinal(id, orig...)))
-		res := eng.Submit(model.BeginDeclared(id, 0, 1, 2))
+		mustAccept(t, submit(eng, model.BeginDeclared(id, orig...)))
+		mustAccept(t, submit(eng, model.WriteFinal(id, orig...)))
+		res := submit(eng, model.BeginDeclared(id, 0, 1, 2))
 		if !errors.Is(res.Err, ErrProtocol) {
 			t.Fatalf("original on %v: cross begin answered %v, want ErrProtocol", orig, res.Err)
 		}
@@ -555,10 +562,10 @@ func TestCrossBeginKeepsTrackedEntry(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		eng := New(Config{Shards: shards})
 		defer eng.Close()
-		mustAccept(t, eng.Submit(model.BeginDeclared(1, 0)))
-		mustAccept(t, eng.Submit(model.Read(1, 0)))
-		mustAccept(t, eng.Submit(model.BeginDeclared(5, 0, 1)))
-		mustAccept(t, eng.Submit(model.WriteFinal(5, 0, 1)))
+		mustAccept(t, submit(eng, model.BeginDeclared(1, 0)))
+		mustAccept(t, submit(eng, model.Read(1, 0)))
+		mustAccept(t, submit(eng, model.BeginDeclared(5, 0, 1)))
+		mustAccept(t, submit(eng, model.WriteFinal(5, 0, 1)))
 		tracked := func() *crossEntry {
 			eng.registry.mu.Lock()
 			defer eng.registry.mu.Unlock()
@@ -568,7 +575,7 @@ func TestCrossBeginKeepsTrackedEntry(t *testing.T) {
 		if old == nil {
 			t.Fatalf("%d shards: T5 retired behind a live straggler", shards)
 		}
-		if res := eng.Submit(model.BeginDeclared(5, 2, 3)); !errors.Is(res.Err, ErrProtocol) {
+		if res := submit(eng, model.BeginDeclared(5, 2, 3)); !errors.Is(res.Err, ErrProtocol) {
 			t.Fatalf("%d shards: BEGIN reusing tracked T5 answered %v (%v), want ErrProtocol", shards, res.Outcome(), res.Err)
 		}
 		if _, live := eng.routes.load(5); live {
@@ -595,8 +602,8 @@ func TestCrossBeginKeepsTrackedEntry(t *testing.T) {
 func TestStatsCloseRace(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		eng := New(Config{Shards: 2})
-		eng.Submit(model.BeginDeclared(1, 0))
-		eng.Submit(model.WriteFinal(1, 0))
+		submit(eng, model.BeginDeclared(1, 0))
+		submit(eng, model.WriteFinal(1, 0))
 		done := make(chan Stats, 1)
 		go func() { done <- eng.Stats() }()
 		eng.Close()
@@ -629,38 +636,38 @@ func TestCrossIDReuseStaleLabels(t *testing.T) {
 	// Era 1: long-lived local v reads e0; cross T1 reads e0; local L's
 	// write of e0 hands label 1 to L (and arc v→L); local M extends the
 	// chain (arc L→M, label 1 on M); then T1 aborts, leaving stale labels.
-	must(eng.Submit(model.BeginDeclared(5, 0, 8))) // v, shard 0
-	must(eng.Submit(model.Read(5, 0)))
-	must(eng.Submit(model.BeginDeclared(1, 0, 9))) // T1 cross {0,1}
-	must(eng.Submit(model.Read(1, 0)))
-	must(eng.Submit(model.BeginDeclared(7, 0, 4))) // L, shard 0
-	must(eng.Submit(model.WriteFinal(7, 0, 4)))
-	must(eng.Submit(model.BeginDeclared(11, 4, 6))) // M, shard 0
-	must(eng.Submit(model.Read(11, 4)))
-	must(eng.Submit(model.WriteFinal(11, 6)))
+	must(submit(eng, model.BeginDeclared(5, 0, 8))) // v, shard 0
+	must(submit(eng, model.Read(5, 0)))
+	must(submit(eng, model.BeginDeclared(1, 0, 9))) // T1 cross {0,1}
+	must(submit(eng, model.Read(1, 0)))
+	must(submit(eng, model.BeginDeclared(7, 0, 4))) // L, shard 0
+	must(submit(eng, model.WriteFinal(7, 0, 4)))
+	must(submit(eng, model.BeginDeclared(11, 4, 6))) // M, shard 0
+	must(submit(eng, model.Read(11, 4)))
+	must(submit(eng, model.WriteFinal(11, 6)))
 	if !eng.Abort(1) {
 		t.Fatal("abort of T1")
 	}
 	// T2 links M→T2 while label 1 is dead (pruned from the tail M, but L
 	// still carries its stale copy).
-	must(eng.Submit(model.BeginDeclared(2, 6, 9))) // T2 cross {0,1}
-	must(eng.Submit(model.Read(2, 6)))
+	must(submit(eng, model.BeginDeclared(2, 6, 9))) // T2 cross {0,1}
+	must(submit(eng, model.Read(2, 6)))
 	// Era 2: reuse ID 1 for a fresh cross transaction (L's stale label
 	// names the dead incarnation, not this one), then close the loop: T2
 	// commits writing e9, new T1 reads it (reach-arc 2→1), and v's write of
 	// e8 would complete the path 1→v→L→M→2 — a global cycle — so it must be
 	// vetoed.
-	must(eng.Submit(model.BeginDeclared(1, 8, 9)))
-	must(eng.Submit(model.Read(1, 8)))
-	must(eng.Submit(model.WriteFinal(2, 9)))
-	must(eng.Submit(model.Read(1, 9)))
-	res := eng.Submit(model.WriteFinal(5, 8))
+	must(submit(eng, model.BeginDeclared(1, 8, 9)))
+	must(submit(eng, model.Read(1, 8)))
+	must(submit(eng, model.WriteFinal(2, 9)))
+	must(submit(eng, model.Read(1, 9)))
+	res := submit(eng, model.WriteFinal(5, 8))
 	if res.Outcome() != OutcomeRejected || res.Aborted != 5 {
 		t.Fatalf("cycle-closing write: %v (%v), want rejection aborting T5 (stale label hid the reach-path?)",
 			res.Outcome(), res.Err)
 	}
 	// The reused transaction itself commits fine.
-	res = eng.Submit(model.WriteFinal(1))
+	res = submit(eng, model.WriteFinal(1))
 	if !res.Accepted() || res.CompletedTxn != 1 {
 		t.Fatalf("reused T1 final: %v (%v)", res.Outcome(), res.Err)
 	}

@@ -27,49 +27,49 @@ func TestResultErrTaxonomyRoundTrip(t *testing.T) {
 	}
 
 	// ErrCycle: the classic two-transaction rw-cycle on one shard.
-	must(eng.Submit(model.BeginDeclared(1, 0, 2)))
-	must(eng.Submit(model.BeginDeclared(2, 0, 2)))
-	must(eng.Submit(model.Read(1, 0)))
-	must(eng.Submit(model.Read(2, 2)))
-	must(eng.Submit(model.WriteFinal(2, 0)))
-	res := eng.Submit(model.WriteFinal(1, 2))
+	must(submit(eng, model.BeginDeclared(1, 0, 2)))
+	must(submit(eng, model.BeginDeclared(2, 0, 2)))
+	must(submit(eng, model.Read(1, 0)))
+	must(submit(eng, model.Read(2, 2)))
+	must(submit(eng, model.WriteFinal(2, 0)))
+	res := submit(eng, model.WriteFinal(1, 2))
 	if res.Outcome() != OutcomeRejected || !errors.Is(res.Err, ErrCycle) {
 		t.Fatalf("local cycle: %v (%v), want ErrCycle", res.Outcome(), res.Err)
 	}
 
 	// ErrTxnAborted: a step for the freshly-dead transaction.
-	res = eng.Submit(model.Read(1, 0))
+	res = submit(eng, model.Read(1, 0))
 	if !errors.Is(res.Err, ErrTxnAborted) {
 		t.Fatalf("dead-txn step err = %v, want ErrTxnAborted", res.Err)
 	}
 
 	// ErrMisroute: a declared partition-local transaction strays.
-	must(eng.Submit(model.BeginDeclared(3, 0)))
-	res = eng.Submit(model.Read(3, 1))
+	must(submit(eng, model.BeginDeclared(3, 0)))
+	res = submit(eng, model.Read(3, 1))
 	if !errors.Is(res.Err, ErrMisroute) {
 		t.Fatalf("misroute err = %v, want ErrMisroute", res.Err)
 	}
 
 	// ErrCrossCycle: two cross transactions whose shard-local paths compose
 	// into a global cycle; the registry vetoes the second prepare.
-	must(eng.Submit(model.BeginDeclared(10, 0, 1)))
-	must(eng.Submit(model.BeginDeclared(11, 0, 1)))
-	must(eng.Submit(model.Read(10, 0)))
-	must(eng.Submit(model.Read(11, 1)))
-	must(eng.Submit(model.WriteFinal(11, 0)))
-	res = eng.Submit(model.WriteFinal(10, 1))
+	must(submit(eng, model.BeginDeclared(10, 0, 1)))
+	must(submit(eng, model.BeginDeclared(11, 0, 1)))
+	must(submit(eng, model.Read(10, 0)))
+	must(submit(eng, model.Read(11, 1)))
+	must(submit(eng, model.WriteFinal(11, 0)))
+	res = submit(eng, model.WriteFinal(10, 1))
 	if res.Outcome() != OutcomeRejected || !errors.Is(res.Err, ErrCrossCycle) {
 		t.Fatalf("cross cycle: %v (%v), want ErrCrossCycle", res.Outcome(), res.Err)
 	}
 
 	// ErrProtocol: duplicate BEGIN (live ID), and a step kind outside the
 	// basic model.
-	must(eng.Submit(model.BeginDeclared(20, 0)))
-	res = eng.Submit(model.BeginDeclared(20, 0))
+	must(submit(eng, model.BeginDeclared(20, 0)))
+	res = submit(eng, model.BeginDeclared(20, 0))
 	if res.Outcome() != OutcomeError || !errors.Is(res.Err, ErrProtocol) {
 		t.Fatalf("duplicate begin: %v (%v), want ErrProtocol", res.Outcome(), res.Err)
 	}
-	res = eng.Submit(model.Write(20, 0))
+	res = submit(eng, model.Write(20, 0))
 	if !errors.Is(res.Err, ErrProtocol) {
 		t.Fatalf("bad kind err = %v, want ErrProtocol", res.Err)
 	}
@@ -83,7 +83,7 @@ func TestResultErrTaxonomyRoundTrip(t *testing.T) {
 	if res.Outcome() != OutcomeRejected || !errors.Is(res.Err, ErrTxnAborted) || !errors.Is(res.Err, context.Canceled) {
 		t.Fatalf("cancelled-ctx step: %v (%v), want ErrTxnAborted + context.Canceled", res.Outcome(), res.Err)
 	}
-	if res = eng.Submit(model.Read(20, 0)); !errors.Is(res.Err, ErrTxnAborted) {
+	if res = submit(eng, model.Read(20, 0)); !errors.Is(res.Err, ErrTxnAborted) {
 		t.Fatalf("T20 should be dead after ctx abort, got %v", res.Err)
 	}
 	// A BEGIN under a cancelled context never starts.
@@ -91,20 +91,20 @@ func TestResultErrTaxonomyRoundTrip(t *testing.T) {
 	if res.Outcome() != OutcomeRejected || !errors.Is(res.Err, context.Canceled) {
 		t.Fatalf("cancelled-ctx begin: %v (%v)", res.Outcome(), res.Err)
 	}
-	if res = eng.Submit(model.BeginDeclared(21, 0)); !res.Accepted() {
+	if res = submit(eng, model.BeginDeclared(21, 0)); !res.Accepted() {
 		t.Fatalf("ID 21 should be free after refused begin: %v", res.Err)
 	}
 
 	// ErrClosed.
 	eng2 := New(Config{Shards: 1})
 	eng2.Close()
-	if res = eng2.Submit(model.Begin(1)); !errors.Is(res.Err, ErrClosed) {
+	if res = submit(eng2, model.Begin(1)); !errors.Is(res.Err, ErrClosed) {
 		t.Fatalf("closed err = %v, want ErrClosed", res.Err)
 	}
 	// Both doors name the failing step, in the same words.
-	batch := eng2.SubmitBatch([]model.Step{model.Begin(1)})
+	batch := eng2.SubmitBatchInto(nil, []model.Step{model.Begin(1)})
 	if len(batch) != 1 || !errors.Is(batch[0].Err, ErrClosed) || batch[0].Err.Error() != res.Err.Error() {
-		t.Fatalf("closed batch = %+v, want one result with Submit's error %q", batch, res.Err)
+		t.Fatalf("closed batch = %+v, want one result with SubmitCtx's error %q", batch, res.Err)
 	}
 	if !strings.Contains(res.Err.Error(), model.Begin(1).String()) {
 		t.Fatalf("closed err %q does not name the step", res.Err)
@@ -161,9 +161,9 @@ func TestCtxCancelBetweenPrepareAndDecision(t *testing.T) {
 			t.Fatalf("%v: %v (%v)", res.Step, res.Outcome(), res.Err)
 		}
 	}
-	must(eng.Submit(model.BeginDeclared(1, 0, 1)))
-	must(eng.Submit(model.Read(1, 0)))
-	must(eng.Submit(model.Read(1, 1)))
+	must(submit(eng, model.BeginDeclared(1, 0, 1)))
+	must(submit(eng, model.Read(1, 0)))
+	must(submit(eng, model.Read(1, 1)))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -208,8 +208,8 @@ func TestCtxCancelBetweenPrepareAndDecision(t *testing.T) {
 
 	// The ID is fully released: a fresh incarnation begins and commits.
 	testHookPrepared = nil
-	must(eng.Submit(model.BeginDeclared(1, 0, 1)))
-	res = eng.Submit(model.WriteFinal(1, 0, 1))
+	must(submit(eng, model.BeginDeclared(1, 0, 1)))
+	res = submit(eng, model.WriteFinal(1, 0, 1))
 	if !res.Accepted() || res.CompletedTxn != 1 {
 		t.Fatalf("reused T1 final: %v (%v)", res.Outcome(), res.Err)
 	}
@@ -252,11 +252,11 @@ func TestOverloadShedsBegins(t *testing.T) {
 	// Complete one transaction; the sweep that follows wedges the shard.
 	// The submitter of the final write runs that sweep itself, so it
 	// submits from a goroutine of its own and returns once the gate opens.
-	if res := eng.Submit(model.BeginDeclared(1, 0)); !res.Accepted() {
+	if res := submit(eng, model.BeginDeclared(1, 0)); !res.Accepted() {
 		t.Fatalf("begin: %v (%v)", res.Outcome(), res.Err)
 	}
 	final := make(chan Result, 1)
-	go func() { final <- eng.Submit(model.WriteFinal(1, 0)) }()
+	go func() { final <- submit(eng, model.WriteFinal(1, 0)) }()
 	<-pol.entered
 
 	// Stack submitters on the wedged shard until the backlog passes the
@@ -292,13 +292,13 @@ func TestOverloadShedsBegins(t *testing.T) {
 
 	// A normal-priority BEGIN is shed immediately — it never waits for the
 	// lock.
-	res := eng.Submit(model.BeginDeclared(99, 0))
+	res := submit(eng, model.BeginDeclared(99, 0))
 	if res.Outcome() != OutcomeRejected || !errors.Is(res.Err, ErrOverload) {
 		t.Fatalf("overloaded begin: %v (%v), want rejected/ErrOverload", res.Outcome(), res.Err)
 	}
 	// A duplicate of a routed ID is a protocol bug even under overload —
 	// the saturation must not relabel it as retryable.
-	res = eng.Submit(model.BeginDeclared(10, 0))
+	res = submit(eng, model.BeginDeclared(10, 0))
 	if res.Outcome() != OutcomeError || !errors.Is(res.Err, ErrProtocol) || errors.Is(res.Err, ErrOverload) {
 		t.Fatalf("duplicate begin under overload: %v (%v), want ErrProtocol", res.Outcome(), res.Err)
 	}
@@ -313,7 +313,7 @@ func TestOverloadShedsBegins(t *testing.T) {
 			t.Fatalf("stacked high-priority begin %d: %v (%v) — the watermark must not shed PriorityHigh", i, r.Outcome(), r.Err)
 		}
 	}
-	if res := eng.Submit(model.BeginDeclared(99, 0)); !res.Accepted() {
+	if res := submit(eng, model.BeginDeclared(99, 0)); !res.Accepted() {
 		t.Fatalf("begin after drain: %v (%v)", res.Outcome(), res.Err)
 	}
 	s := eng.Stats()

@@ -118,7 +118,7 @@ func runSoak(t *testing.T, arm soakArm) (samples []int64, st Stats) {
 	}
 
 	// The exempt long-runner outlived the whole attack and commits.
-	res := eng.Submit(model.WriteFinal(soakHighID, soakHighEntity))
+	res := submit(eng, model.WriteFinal(soakHighID, soakHighEntity))
 	if !res.Accepted() || res.CompletedTxn != soakHighID {
 		t.Fatalf("PriorityHigh final after soak: %v (%v) — it must never be reaped", res.Outcome(), res.Err)
 	}

@@ -34,14 +34,14 @@ func TestReapCrossStragglerUnblocksDownstreamGC(t *testing.T) {
 	// The sleeper: cross footprint {0,1}, so it sources labels on both
 	// shards. It reads each victim's trap entity (even entities, shard 0)
 	// before the victim writes it, then never commits.
-	must(eng.Submit(model.BeginDeclared(1, 0, 1)))
+	must(submit(eng, model.BeginDeclared(1, 0, 1)))
 	const victims = 8
 	for k := 1; k <= victims; k++ {
 		trap := model.Entity(2 * k)
 		vid := model.TxnID(100 + k)
-		must(eng.Submit(model.Read(1, trap)))
-		must(eng.Submit(model.BeginDeclared(vid, trap)))
-		res := eng.Submit(model.WriteFinal(vid, trap))
+		must(submit(eng, model.Read(1, trap)))
+		must(submit(eng, model.BeginDeclared(vid, trap)))
+		res := submit(eng, model.WriteFinal(vid, trap))
 		if !res.Accepted() || res.CompletedTxn != vid {
 			t.Fatalf("victim %d final: %v (%v)", vid, res.Outcome(), res.Err)
 		}
@@ -66,7 +66,7 @@ func TestReapCrossStragglerUnblocksDownstreamGC(t *testing.T) {
 
 	// The sleeper's session sees the dedicated sentinel — and still the
 	// generic one, so existing errors.Is(err, ErrTxnAborted) code holds.
-	res := eng.Submit(model.Read(1, 18))
+	res := submit(eng, model.Read(1, 18))
 	if !errors.Is(res.Err, ErrStragglerAborted) || !errors.Is(res.Err, ErrTxnAborted) {
 		t.Fatalf("post-reap step err = %v, want ErrStragglerAborted wrapping ErrTxnAborted", res.Err)
 	}
@@ -106,15 +106,15 @@ func TestGovernorExemptsPriorityHigh(t *testing.T) {
 	// T1: PriorityHigh sleeper, begun first (oldest by BeginSeq). Traps
 	// victim 100 via entity 2.
 	must(eng.SubmitPriority(context.Background(), model.BeginDeclared(1, 0), PriorityHigh))
-	must(eng.Submit(model.Read(1, 2)))
+	must(submit(eng, model.Read(1, 2)))
 	// T2: normal sleeper, younger. Traps victim 101 via entity 4.
-	must(eng.Submit(model.BeginDeclared(2, 4)))
-	must(eng.Submit(model.Read(2, 4)))
+	must(submit(eng, model.BeginDeclared(2, 4)))
+	must(submit(eng, model.Read(2, 4)))
 
-	must(eng.Submit(model.BeginDeclared(100, 2)))
-	must(eng.Submit(model.WriteFinal(100, 2)))
-	must(eng.Submit(model.BeginDeclared(101, 4)))
-	must(eng.Submit(model.WriteFinal(101, 4)))
+	must(submit(eng, model.BeginDeclared(100, 2)))
+	must(submit(eng, model.WriteFinal(100, 2)))
+	must(submit(eng, model.BeginDeclared(101, 4)))
+	must(submit(eng, model.WriteFinal(101, 4)))
 
 	if got := retainedTotal(eng); got != 2 {
 		t.Fatalf("retained = %d, want 2", got)
@@ -127,12 +127,12 @@ func TestGovernorExemptsPriorityHigh(t *testing.T) {
 	if got := retainedTotal(eng); got != 1 {
 		t.Fatalf("retained after reap = %d, want 1 (high-priority victim stays pinned)", got)
 	}
-	res := eng.Submit(model.Read(2, 6))
+	res := submit(eng, model.Read(2, 6))
 	if !errors.Is(res.Err, ErrStragglerAborted) {
 		t.Fatalf("reaped straggler err = %v, want ErrStragglerAborted", res.Err)
 	}
 	// The exempt transaction was untouched and commits normally.
-	res = eng.Submit(model.WriteFinal(1, 0))
+	res = submit(eng, model.WriteFinal(1, 0))
 	if !res.Accepted() || res.CompletedTxn != 1 {
 		t.Fatalf("PriorityHigh final after governor pass: %v (%v) — exemption violated", res.Outcome(), res.Err)
 	}
@@ -157,14 +157,14 @@ func TestGovernorCountsTheReapsOwnSweep(t *testing.T) {
 			t.Fatalf("%v: %v (%v)", res.Step, res.Outcome(), res.Err)
 		}
 	}
-	must(eng.Submit(model.BeginDeclared(1, 0)))
-	must(eng.Submit(model.BeginDeclared(2, 0)))
+	must(submit(eng, model.BeginDeclared(1, 0)))
+	must(submit(eng, model.BeginDeclared(2, 0)))
 	for s := model.TxnID(1); s <= 2; s++ {
 		for k := 1; k <= perSleeper; k++ {
 			trap, vid := model.Entity(10*int(s)+k), model.TxnID(100*int(s)+k)
-			must(eng.Submit(model.Read(s, trap)))
-			must(eng.Submit(model.BeginDeclared(vid, trap)))
-			must(eng.Submit(model.WriteFinal(vid, trap)))
+			must(submit(eng, model.Read(s, trap)))
+			must(submit(eng, model.BeginDeclared(vid, trap)))
+			must(submit(eng, model.WriteFinal(vid, trap)))
 		}
 	}
 	if got := retainedTotal(eng); got != 2*perSleeper {
@@ -175,7 +175,7 @@ func TestGovernorCountsTheReapsOwnSweep(t *testing.T) {
 	sh := eng.shards[0]
 	idle := model.TxnID(1000)
 	for ; sh.sched.Terminations()-sh.sweptTerm < sh.sweptKept-1; idle++ {
-		must(eng.Submit(model.BeginDeclared(idle, 0)))
+		must(submit(eng, model.BeginDeclared(idle, 0)))
 		if !eng.Abort(idle) {
 			t.Fatalf("abort of idle T%d found nothing", idle)
 		}
@@ -233,13 +233,13 @@ func TestGovernorWaitsForTraffic(t *testing.T) {
 			t.Fatalf("%v: %v (%v)", res.Step, res.Outcome(), res.Err)
 		}
 	}
-	must(eng.Submit(model.BeginDeclared(1, 0)))
+	must(submit(eng, model.BeginDeclared(1, 0)))
 	for k := 1; k <= watermark; k++ {
 		trap, vid := model.Entity(k), model.TxnID(100+k)
-		must(eng.Submit(model.Read(1, trap)))
-		must(eng.Submit(model.BeginDeclared(vid, trap)))
+		must(submit(eng, model.Read(1, trap)))
+		must(submit(eng, model.BeginDeclared(vid, trap)))
 		if k < watermark {
-			must(eng.Submit(model.WriteFinal(vid, trap)))
+			must(submit(eng, model.WriteFinal(vid, trap)))
 		} else {
 			must(eng.doStep(0, model.WriteFinal(vid, trap)))
 		}
@@ -258,8 +258,8 @@ func TestGovernorWaitsForTraffic(t *testing.T) {
 	id := model.TxnID(1000)
 	for ; id < 1064 && eng.Stats().Reaped == 0; id++ {
 		x := model.Entity(id)
-		must(eng.Submit(model.BeginDeclared(id, x)))
-		must(eng.Submit(model.WriteFinal(id, x)))
+		must(submit(eng, model.BeginDeclared(id, x)))
+		must(submit(eng, model.WriteFinal(id, x)))
 	}
 	if s := eng.Stats(); s.Reaped != 1 {
 		t.Fatalf("after %d unrelated transactions Stats.Reaped = %d, want 1", id-1000, s.Reaped)
@@ -267,7 +267,7 @@ func TestGovernorWaitsForTraffic(t *testing.T) {
 	if got := retainedTotal(eng); got >= watermark {
 		t.Fatalf("retained after the pass = %d, want < %d", got, watermark)
 	}
-	if res := eng.Submit(model.Read(1, 64)); !errors.Is(res.Err, ErrStragglerAborted) {
+	if res := submit(eng, model.Read(1, 64)); !errors.Is(res.Err, ErrStragglerAborted) {
 		t.Fatalf("sleeper step after the pass: %v, want ErrStragglerAborted", res.Err)
 	}
 }
@@ -298,8 +298,8 @@ func TestReapedSetStaysBounded(t *testing.T) {
 
 // retainedTotal sums the per-shard retained completed-transaction counts,
 // asking each scheduler under its shard's lock. The lock-free
-// RetainedCounts gauge trails the scheduler by the run in progress, so
-// reading it right after Submit returns races other submitters.
+// Gauges().Retained trails the scheduler by the run in progress, so
+// reading it right after a submission returns races other submitters.
 func retainedTotal(e *Engine) int64 {
 	var total int64
 	for _, sh := range e.shards {

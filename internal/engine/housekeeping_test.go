@@ -123,7 +123,7 @@ func TestCrossCleanDifferential(t *testing.T) {
 				DeclareFootprint: true, RestartAborted: true,
 				BaseTxnID: model.TxnID(d+1) << 32, Seed: int64(1800 + d),
 			})
-			driveBatches(eng, gen, d == 2)
+			driveBatches(eng, gen, 16, d == 2)
 		}(d)
 	}
 	wg.Wait()
@@ -149,12 +149,13 @@ func TestCrossCleanDifferential(t *testing.T) {
 		passes.Load(), reports.Load(), carried.Load(), st.CrossTxns-st.CrossAborts, st.CrossAborts, st.Reaped)
 }
 
-// driveBatches feeds gen to the engine sixteen steps per SubmitBatch, the
-// way the benchmark's embedded door does. With abortSome it also plays the
-// impatient client: now and then it aborts a cross transaction it has in
-// flight, which is a 2PC ABORT on every participant.
-func driveBatches(eng *Engine, gen *workload.Gen, abortSome bool) {
-	steps := make([]model.Step, 0, 16)
+// driveBatches feeds gen to the engine size steps per SubmitBatchInto, the
+// way the benchmark's embedded door does, and tells gen of every rejected
+// step's transaction. With abortSome it also plays the impatient client:
+// now and then it aborts a cross transaction it has in flight, which is a
+// 2PC ABORT on every participant.
+func driveBatches(eng *Engine, gen *workload.Gen, size int, abortSome bool) {
+	steps := make([]model.Step, 0, size)
 	var results []Result
 	for n := 0; ; n++ {
 		steps = steps[:0]
@@ -246,12 +247,12 @@ func crossCleanProportional(t *testing.T, abort bool) {
 	// Entity 0 lives on shard 0, entity 1 on shard 1. The straggler reads 0;
 	// every cross transaction then writes it, so the straggler precedes all
 	// of their shard-0 sub-nodes.
-	must(eng.Submit(model.BeginDeclared(1, 0)))
-	must(eng.Submit(model.Read(1, 0)))
+	must(submit(eng, model.BeginDeclared(1, 0)))
+	must(submit(eng, model.Read(1, 0)))
 	for i := 0; i < K; i++ {
 		id := model.TxnID(100 + i)
-		must(eng.Submit(model.BeginDeclared(id, 0, 1)))
-		must(eng.Submit(model.WriteFinal(id, 0, 1)))
+		must(submit(eng, model.BeginDeclared(id, 0, 1)))
+		must(submit(eng, model.WriteFinal(id, 0, 1)))
 	}
 	// The last commit's pass may still be running: wait for the one that has
 	// filed all K debts.
@@ -293,7 +294,7 @@ func crossCleanProportional(t *testing.T, abort bool) {
 
 	// A batch that terminates nothing, with the registry mutex held against
 	// the shard: its housekeeping must get through regardless.
-	for _, r := range eng.SubmitBatch([]model.Step{model.BeginDeclared(900, 2), model.Read(900, 2)}) {
+	for _, r := range eng.SubmitBatchInto(nil, []model.Step{model.BeginDeclared(900, 2), model.Read(900, 2)}) {
 		must(r)
 	}
 	idle := settled()
@@ -308,7 +309,7 @@ func crossCleanProportional(t *testing.T, abort bool) {
 			t.Fatal("Abort(straggler) = false")
 		}
 	} else {
-		must(eng.Submit(model.WriteFinal(1, 4)))
+		must(submit(eng, model.WriteFinal(1, 4)))
 	}
 	end := settled()
 	if end.searches != 2*K || end.watching != 0 {
@@ -329,7 +330,7 @@ func crossCleanProportional(t *testing.T, abort bool) {
 func TestSubmitBatchStepBehindOwnAbort(t *testing.T) {
 	eng := New(Config{Shards: 1})
 	defer eng.Close()
-	results := eng.SubmitBatch([]model.Step{
+	results := eng.SubmitBatchInto(nil, []model.Step{
 		model.BeginDeclared(1, 0),
 		model.BeginDeclared(2, 0),
 		model.Read(1, 0),
@@ -353,7 +354,7 @@ func TestSubmitBatchStepBehindOwnAbort(t *testing.T) {
 	}
 	// A genuinely confused client still hears ErrProtocol: a second BEGIN
 	// for an ID the scheduler retains, and the step pipelined behind it.
-	results = eng.SubmitBatch([]model.Step{model.BeginDeclared(2, 0), model.Read(2, 0)})
+	results = eng.SubmitBatchInto(nil, []model.Step{model.BeginDeclared(2, 0), model.Read(2, 0)})
 	for i, r := range results {
 		if r.Outcome() != OutcomeError || !errors.Is(r.Err, ErrProtocol) {
 			t.Fatalf("duplicate-BEGIN batch step %d: %v err=%v, want ErrProtocol", i, r.Outcome(), r.Err)
@@ -379,7 +380,7 @@ func TestRegistryForgetsRetiredIDs(t *testing.T) {
 		for _, st := range []model.Step{
 			model.BeginDeclared(id, 0, 1), model.Read(id, 0), model.WriteFinal(id, 0, 1),
 		} {
-			if res := eng.Submit(st); !res.Accepted() {
+			if res := submit(eng, st); !res.Accepted() {
 				t.Fatalf("%v: %v (%v)", st, res.Outcome(), res.Err)
 			}
 		}
@@ -448,9 +449,9 @@ func TestUnpinnedShardRetainsNothing(t *testing.T) {
 	defer eng.Close()
 	for i := 0; i < 32; i++ {
 		id, x, y := model.TxnID(i+1), model.Entity(i%3), model.Entity(i%5)
-		mustAccept(t, eng.Submit(model.BeginDeclared(id, x, y)))
-		mustAccept(t, eng.Submit(model.Read(id, x)))
-		mustAccept(t, eng.Submit(model.WriteFinal(id, y)))
+		mustAccept(t, submit(eng, model.BeginDeclared(id, x, y)))
+		mustAccept(t, submit(eng, model.Read(id, x)))
+		mustAccept(t, submit(eng, model.WriteFinal(id, y)))
 		if got := retainedTotal(eng); got != 0 {
 			t.Fatalf("after T%d completed, %d completed transactions retained, want 0", id, got)
 		}
@@ -468,12 +469,12 @@ func TestKeptSweepWaitsForAsManyTerminations(t *testing.T) {
 	const k = 5
 	eng := New(Config{Shards: 1, Policy: greedyPolicy})
 	defer eng.Close()
-	mustAccept(t, eng.Submit(model.BeginDeclared(1, 0)))
+	mustAccept(t, submit(eng, model.BeginDeclared(1, 0)))
 	for v := 1; v <= k; v++ {
 		trap, vid := model.Entity(v), model.TxnID(100+v)
-		mustAccept(t, eng.Submit(model.Read(1, trap)))
-		mustAccept(t, eng.Submit(model.BeginDeclared(vid, trap)))
-		mustAccept(t, eng.Submit(model.WriteFinal(vid, trap)))
+		mustAccept(t, submit(eng, model.Read(1, trap)))
+		mustAccept(t, submit(eng, model.BeginDeclared(vid, trap)))
+		mustAccept(t, submit(eng, model.WriteFinal(vid, trap)))
 	}
 	// A forced sweep starts the count with exactly the K hostages kept.
 	eng.sweepAll()
@@ -485,8 +486,8 @@ func TestKeptSweepWaitsForAsManyTerminations(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for n := 1; n <= k; n++ {
 			x := model.Entity(id)
-			mustAccept(t, eng.Submit(model.BeginDeclared(id, x)))
-			mustAccept(t, eng.Submit(model.WriteFinal(id, x)))
+			mustAccept(t, submit(eng, model.BeginDeclared(id, x)))
+			mustAccept(t, submit(eng, model.WriteFinal(id, x)))
 			id++
 			want := sweeps
 			if n == k {

@@ -21,7 +21,7 @@ func driveWorkload(eng *Engine, cfg workload.Config) {
 		if !ok {
 			return
 		}
-		res := eng.Submit(step)
+		res := submit(eng, step)
 		switch res.Outcome() {
 		case OutcomeAccepted:
 		default:

@@ -32,9 +32,9 @@ func TestRecoverRoundTrip(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		id := model.TxnID(i + 1)
 		x := model.Entity(i%2 + 2*(i/2)) // shard i%2
-		mustAccept(t, eng.Submit(model.BeginDeclared(id, x)))
-		mustAccept(t, eng.Submit(model.Read(id, x)))
-		mustAccept(t, eng.Submit(model.WriteFinal(id, x)))
+		mustAccept(t, submit(eng, model.BeginDeclared(id, x)))
+		mustAccept(t, submit(eng, model.Read(id, x)))
+		mustAccept(t, submit(eng, model.WriteFinal(id, x)))
 	}
 	pre := eng.Stats()
 	eng.Close()
@@ -68,12 +68,12 @@ func TestRecoverRoundTrip(t *testing.T) {
 	retained := 0
 	for i := 0; i < 16; i++ {
 		id := model.TxnID(i + 1)
-		res := eng2.Submit(model.Begin(id))
+		res := submit(eng2, model.Begin(id))
 		if res.Outcome() == OutcomeError {
 			retained++
 		} else if res.Accepted() {
 			// An undeclared BEGIN routes by ID hash; stay in that partition.
-			mustAccept(t, eng2.Submit(model.WriteFinal(id, model.Entity(id%2))))
+			mustAccept(t, submit(eng2, model.WriteFinal(id, model.Entity(id%2))))
 		}
 	}
 	if retained != rep2.TxnsRetained {
@@ -82,9 +82,9 @@ func TestRecoverRoundTrip(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		id := model.TxnID(100 + i)
 		x := model.Entity(i % 2)
-		mustAccept(t, eng2.Submit(model.BeginDeclared(id, x)))
-		mustAccept(t, eng2.Submit(model.Read(id, x)))
-		mustAccept(t, eng2.Submit(model.WriteFinal(id, x)))
+		mustAccept(t, submit(eng2, model.BeginDeclared(id, x)))
+		mustAccept(t, submit(eng2, model.Read(id, x)))
+		mustAccept(t, submit(eng2, model.WriteFinal(id, x)))
 	}
 	if err := log.CheckAcceptedCSR(); err != nil {
 		t.Fatalf("recovered + fresh trace not CSR: %v", err)
@@ -96,8 +96,8 @@ func TestRecoverRoundTrip(t *testing.T) {
 func TestRecoverOrphanAbort(t *testing.T) {
 	st := store.NewMem(1)
 	eng := New(Config{Shards: 1, Store: st})
-	mustAccept(t, eng.Submit(model.Begin(7)))
-	mustAccept(t, eng.Submit(model.Read(7, 3)))
+	mustAccept(t, submit(eng, model.Begin(7)))
+	mustAccept(t, submit(eng, model.Read(7, 3)))
 	eng.Close()
 
 	eng2, rep, err := Open(Config{Shards: 1, Store: st})
@@ -109,8 +109,8 @@ func TestRecoverOrphanAbort(t *testing.T) {
 		t.Fatalf("OrphansAborted = %d, want 1", rep.OrphansAborted)
 	}
 	// The orphan is gone: its ID begins fresh.
-	mustAccept(t, eng2.Submit(model.Begin(7)))
-	mustAccept(t, eng2.Submit(model.WriteFinal(7, 3)))
+	mustAccept(t, submit(eng2, model.Begin(7)))
+	mustAccept(t, submit(eng2, model.WriteFinal(7, 3)))
 
 	// And the abort is durable: a second restart resolves nothing.
 	eng2.Close()
@@ -143,12 +143,12 @@ func crash2PC(t *testing.T) *store.Mem {
 	st := store.NewMem(2)
 	eng := New(Config{Shards: 2, Store: st})
 	// A bystander completes before the crash; it must survive recovery.
-	mustAccept(t, eng.Submit(model.BeginDeclared(50, 4)))
-	mustAccept(t, eng.Submit(model.WriteFinal(50, 4)))
+	mustAccept(t, submit(eng, model.BeginDeclared(50, 4)))
+	mustAccept(t, submit(eng, model.WriteFinal(50, 4)))
 
-	mustAccept(t, eng.Submit(model.BeginDeclared(9, 0, 1)))
-	mustAccept(t, eng.Submit(model.Read(9, 0)))
-	mustAccept(t, eng.Submit(model.Read(9, 1)))
+	mustAccept(t, submit(eng, model.BeginDeclared(9, 0, 1)))
+	mustAccept(t, submit(eng, model.Read(9, 0)))
+	mustAccept(t, submit(eng, model.Read(9, 1)))
 
 	prepared := make(chan struct{})
 	release := make(chan struct{})
@@ -158,7 +158,7 @@ func crash2PC(t *testing.T) *store.Mem {
 	}
 	defer func() { testHookPrepared = nil }()
 	done := make(chan Result, 1)
-	go func() { done <- eng.Submit(model.WriteFinal(9, 0, 1)) }()
+	go func() { done <- submit(eng, model.WriteFinal(9, 0, 1)) }()
 	<-prepared
 	// Both YES votes are durable; the decision is parked in the hook. Close
 	// the shards (the crash), then let the driver run into the wall.
@@ -184,19 +184,19 @@ func TestRecoverPrepared2PCPresumedAbort(t *testing.T) {
 	if rep.CrossAborted != 1 {
 		t.Fatalf("report = %+v, want CrossAborted=1", rep)
 	}
-	for i, n := range eng.PreparedCounts() {
+	for i, n := range eng.Gauges().Prepared {
 		if n != 0 {
 			t.Fatalf("shard %d still pins %d prepared subs", i, n)
 		}
 	}
 	// The pins are really released: a fresh transaction writes the same
 	// entities and commits, and the dead ID begins fresh.
-	mustAccept(t, eng.Submit(model.BeginDeclared(60, 0, 1)))
-	if res := eng.Submit(model.WriteFinal(60, 0, 1)); !res.Accepted() {
+	mustAccept(t, submit(eng, model.BeginDeclared(60, 0, 1)))
+	if res := submit(eng, model.WriteFinal(60, 0, 1)); !res.Accepted() {
 		t.Fatalf("write over released pins: %+v", res)
 	}
-	mustAccept(t, eng.Submit(model.BeginDeclared(9, 0)))
-	mustAccept(t, eng.Submit(model.WriteFinal(9, 0)))
+	mustAccept(t, submit(eng, model.BeginDeclared(9, 0)))
+	mustAccept(t, submit(eng, model.WriteFinal(9, 0)))
 }
 
 // TestRecoverCommitEvidenceFinishesLaggards: a durable COMMIT on one
@@ -221,13 +221,13 @@ func TestRecoverCommitEvidenceFinishesLaggards(t *testing.T) {
 	if rep.CrossCommitted != 1 || rep.CrossAborted != 0 {
 		t.Fatalf("report = %+v, want CrossCommitted=1", rep)
 	}
-	for i, n := range eng.PreparedCounts() {
+	for i, n := range eng.Gauges().Prepared {
 		if n != 0 {
 			t.Fatalf("shard %d still pins %d after finished commit", i, n)
 		}
 	}
 	// Committed on both shards now: duplicate BEGIN errors everywhere.
-	if res := eng.Submit(model.BeginDeclared(9, 1)); res.Outcome() != OutcomeError {
+	if res := submit(eng, model.BeginDeclared(9, 1)); res.Outcome() != OutcomeError {
 		t.Fatalf("committed ID began fresh on shard 1: %+v", res)
 	}
 }
@@ -263,12 +263,12 @@ func TestRecoveredCommitsStayRetained(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	mustAccept(t, eng.Submit(model.BeginDeclared(1, 0)))
+	mustAccept(t, submit(eng, model.BeginDeclared(1, 0)))
 	for id := model.TxnID(10); id < 14; id++ {
 		x := model.Entity(id)
-		mustAccept(t, eng.Submit(model.Read(1, x)))
-		mustAccept(t, eng.Submit(model.BeginDeclared(id, x)))
-		mustAccept(t, eng.Submit(model.WriteFinal(id, x)))
+		mustAccept(t, submit(eng, model.Read(1, x)))
+		mustAccept(t, submit(eng, model.BeginDeclared(id, x)))
+		mustAccept(t, submit(eng, model.WriteFinal(id, x)))
 	}
 	eng.Close()
 
@@ -281,7 +281,7 @@ func TestRecoveredCommitsStayRetained(t *testing.T) {
 		t.Fatalf("OrphansAborted = %d, want 1 (the pin)", rep.OrphansAborted)
 	}
 	for id := model.TxnID(10); id < 14; id++ {
-		if res := eng2.Submit(model.BeginDeclared(id, model.Entity(id))); res.Outcome() != OutcomeError {
+		if res := submit(eng2, model.BeginDeclared(id, model.Entity(id))); res.Outcome() != OutcomeError {
 			t.Fatalf("BEGIN reusing committed T%d after recovery: %v (%v), want a duplicate refusal", id, res.Outcome(), res.Err)
 		}
 	}

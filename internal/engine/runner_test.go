@@ -63,7 +63,7 @@ func TestNoStrandedRequest(t *testing.T) {
 					steps := []model.Step{model.BeginDeclared(id, x), model.Read(id, x), model.WriteFinal(id, x)}
 					switch (g + k) % 3 {
 					case 0:
-						for _, res := range eng.SubmitBatch(steps) {
+						for _, res := range eng.SubmitBatchInto(nil, steps) {
 							count(res)
 						}
 						return
@@ -71,7 +71,7 @@ func TestNoStrandedRequest(t *testing.T) {
 						eng.Stats()
 					}
 					for _, st := range steps {
-						count(eng.Submit(st))
+						count(submit(eng, st))
 					}
 				}(g)
 			}
@@ -102,7 +102,7 @@ func TestBlockedSubmitterCountsInQueueDepth(t *testing.T) {
 
 	sh.mu.Lock()
 	answered := make(chan Result, 1)
-	go func() { answered <- eng.Submit(model.BeginDeclared(1, 0)) }()
+	go func() { answered <- submit(eng, model.BeginDeclared(1, 0)) }()
 	deadline := time.Now().Add(30 * time.Second)
 	for eng.QueueDepths()[0] != 1 {
 		if time.Now().After(deadline) {
@@ -144,7 +144,7 @@ func TestOpenStartsNoGoroutine(t *testing.T) {
 	}
 	for id := model.TxnID(1); id <= 8; id++ {
 		x := model.Entity(id)
-		eng.SubmitBatch([]model.Step{model.BeginDeclared(id, x), model.Read(id, x), model.WriteFinal(id, x)})
+		eng.SubmitBatchInto(nil, []model.Step{model.BeginDeclared(id, x), model.Read(id, x), model.WriteFinal(id, x)})
 	}
 	eng.Stats()
 	eng.Close()

@@ -19,7 +19,7 @@ const (
 	// cross sub-transaction reads alike).
 	reqStep reqKind = iota
 	// reqBatch applies this shard's steps of a batch window in one visit
-	// (SubmitBatch).
+	// (SubmitBatchInto).
 	reqBatch
 	// reqStats snapshots the shard's scheduler counters.
 	reqStats
@@ -112,7 +112,7 @@ type shard struct {
 	// anywhere — the shardowned analyzer exempts atomics.
 	preparedN atomic.Int64 //txgc:owner shard
 	// retainedN mirrors the scheduler's retained-completed count for
-	// lock-free reads (Engine.RetainedCounts, the governor's trigger); every
+	// lock-free reads (Engine.Gauges, the governor's trigger); every
 	// run refreshes it before it unlocks.
 	retainedN atomic.Int64
 	// sweptTerm and sweptKept are the scheduler's Terminations and its

@@ -37,13 +37,13 @@ func TestStatsDifferential(t *testing.T) {
 	for i := 0; i < L; i++ {
 		x := take(i % shards)
 		id := model.TxnID(i)
-		if res := eng.Submit(model.BeginDeclared(id, x)); !res.Accepted() {
+		if res := submit(eng, model.BeginDeclared(id, x)); !res.Accepted() {
 			t.Fatalf("local begin %d: %v (%v)", i, res.Outcome(), res.Err)
 		}
-		if res := eng.Submit(model.Read(id, x)); !res.Accepted() {
+		if res := submit(eng, model.Read(id, x)); !res.Accepted() {
 			t.Fatalf("local read %d: %v (%v)", i, res.Outcome(), res.Err)
 		}
-		res := eng.Submit(model.WriteFinal(id, x))
+		res := submit(eng, model.WriteFinal(id, x))
 		if !res.Accepted() || res.CompletedTxn != id {
 			t.Fatalf("local write %d: %v (%v)", i, res.Outcome(), res.Err)
 		}
@@ -51,13 +51,13 @@ func TestStatsDifferential(t *testing.T) {
 	for i := 0; i < C; i++ {
 		a, b := take(i%shards), take((i+1)%shards)
 		id := model.TxnID(1000 + i)
-		if res := eng.Submit(model.BeginDeclared(id, a, b)); !res.Accepted() {
+		if res := submit(eng, model.BeginDeclared(id, a, b)); !res.Accepted() {
 			t.Fatalf("cross begin %d: %v (%v)", i, res.Outcome(), res.Err)
 		}
-		if res := eng.Submit(model.Read(id, a)); !res.Accepted() {
+		if res := submit(eng, model.Read(id, a)); !res.Accepted() {
 			t.Fatalf("cross read %d: %v (%v)", i, res.Outcome(), res.Err)
 		}
-		res := eng.Submit(model.WriteFinal(id, a, b))
+		res := submit(eng, model.WriteFinal(id, a, b))
 		if !res.Accepted() || res.CompletedTxn != id {
 			t.Fatalf("cross write %d: %v (%v)", i, res.Outcome(), res.Err)
 		}
@@ -67,10 +67,10 @@ func TestStatsDifferential(t *testing.T) {
 		// the next partition is a misroute and aborts it.
 		home := i % shards
 		id := model.TxnID(2000 + i)
-		if res := eng.Submit(model.BeginDeclared(id, take(home))); !res.Accepted() {
+		if res := submit(eng, model.BeginDeclared(id, take(home))); !res.Accepted() {
 			t.Fatalf("stray begin %d: %v (%v)", i, res.Outcome(), res.Err)
 		}
-		res := eng.Submit(model.Read(id, take((home+1)%shards)))
+		res := submit(eng, model.Read(id, take((home+1)%shards)))
 		if !errors.Is(res.Err, ErrMisroute) {
 			t.Fatalf("stray read %d: err = %v, want ErrMisroute", i, res.Err)
 		}
@@ -112,9 +112,9 @@ func TestStatsDifferential(t *testing.T) {
 	assertEq("Shed", st.Shed, 0)
 }
 
-// TestGaugesUnderConcurrentLoad hammers the lock-free gauge accessors —
-// QueueDepths, RetainedCounts, PreparedCounts, and the Gauges snapshot the
-// metrics endpoint polls — while a mixed local/cross workload runs, then
+// TestGaugesUnderConcurrentLoad hammers the lock-free gauges — the
+// Gauges snapshot the metrics endpoint polls, with its queue-depth,
+// retained and prepared counts — while a mixed local/cross workload runs, then
 // checks the monotone engine counters never regress and every gauge drains
 // to zero once the engine closes. Run under -race this is also the data-race
 // proof for the gauge paths.
@@ -169,21 +169,21 @@ func TestGaugesUnderConcurrentLoad(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				id := model.TxnID(w*10_000 + i)
 				x := model.Entity(w + shards*(w*200+i)) // unique, partition w
-				if !eng.Submit(model.BeginDeclared(id, x)).Accepted() {
+				if !submit(eng, model.BeginDeclared(id, x)).Accepted() {
 					continue
 				}
-				eng.Submit(model.Read(id, x))
-				eng.Submit(model.WriteFinal(id, x))
+				submit(eng, model.Read(id, x))
+				submit(eng, model.WriteFinal(id, x))
 			}
 			// A handful of cross transactions to exercise the prepared gauge.
 			for i := 0; i < 20; i++ {
 				id := model.TxnID(100_000 + w*1_000 + i)
 				a := model.Entity(w + shards*(1_000_000+w*100+i))
 				b := a + 1 // next partition (mod shards)
-				if !eng.Submit(model.BeginDeclared(id, a, b)).Accepted() {
+				if !submit(eng, model.BeginDeclared(id, a, b)).Accepted() {
 					continue
 				}
-				eng.Submit(model.WriteFinal(id, a, b))
+				submit(eng, model.WriteFinal(id, a, b))
 			}
 		}(w)
 	}

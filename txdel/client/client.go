@@ -73,9 +73,6 @@ type (
 	Stats = engine.Stats
 	// Priority classifies a Begin for admission control.
 	Priority = engine.Priority
-	// StepSource is a stream of steps with abort feedback (satisfied by
-	// txdel.Workload generators); see DB.Drive.
-	StepSource = engine.StepSource
 	// Store is a pluggable durability backend (see Config.Store).
 	Store = store.Store
 	// RecoveryReport summarizes what Open recovered from a durable store.
@@ -265,7 +262,9 @@ func (db *DB) QueueDepths() []int64 { return db.eng.QueueDepths() }
 // per shard they touch, not one per step. Sessions and batches may be mixed on one DB,
 // but one transaction's steps must all come from one or the other. Batch
 // steps run at PriorityNormal with no deadline.
-func (db *DB) SubmitBatch(steps []Step) []Result { return db.eng.SubmitBatch(steps) }
+func (db *DB) SubmitBatch(steps []Step) []Result {
+	return db.eng.SubmitBatchInto(make([]Result, 0, len(steps)), steps)
+}
 
 // Abort aborts a live transaction by ID, whatever state it is in —
 // releasing, for a cross-partition transaction, the sub-transactions and
@@ -274,12 +273,6 @@ func (db *DB) SubmitBatch(steps []Step) []Result { return db.eng.SubmitBatch(ste
 // the raw-path equivalent (e.g. a wire server cleaning up after a
 // disconnected client).
 func (db *DB) Abort(id TxnID) bool { return db.eng.Abort(id) }
-
-// Drive pumps a step source (e.g. a txdel.Workload generator) into the
-// engine through the batched submission path (SubmitBatch), batchSize steps
-// per batch, reacting to rejections the way a per-step session would. It
-// returns the number of steps submitted.
-func (db *DB) Drive(src StepSource, batchSize int) int { return db.eng.Drive(src, batchSize) }
 
 // Bus returns the telemetry bus attached via Config.Sinks (nil without
 // sinks) — for reading the emitted/dropped counters.

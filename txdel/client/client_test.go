@@ -430,8 +430,8 @@ func TestOverloadShedThroughClient(t *testing.T) {
 }
 
 // TestDriveWorkload ports the workload driver onto the client: concurrent
-// generators pumped through DB.Drive with a verify-enabled DB, checked by
-// the offline CSR referee at Close.
+// generators pumped eight steps per DB.SubmitBatch into a verify-enabled
+// DB, checked by the offline CSR referee at Close.
 func TestDriveWorkload(t *testing.T) {
 	db := open(t, Config{
 		Shards: 4,
@@ -455,7 +455,25 @@ func TestDriveWorkload(t *testing.T) {
 				RestartAborted:   true,
 				Seed:             int64(300 + d),
 			})
-			db.Drive(gen, 8)
+			steps := make([]Step, 0, 8)
+			for {
+				steps = steps[:0]
+				for len(steps) < cap(steps) {
+					st, ok := gen.Next()
+					if !ok {
+						break
+					}
+					steps = append(steps, st)
+				}
+				if len(steps) == 0 {
+					return
+				}
+				for _, r := range db.SubmitBatch(steps) {
+					if !r.Accepted() {
+						gen.NotifyAbort(r.Step.Txn)
+					}
+				}
+			}
 		}(d)
 	}
 	wg.Wait()
