@@ -729,12 +729,12 @@ func TestSubmitBatchCloseRacesWindows(t *testing.T) {
 
 // TestSubmitDoorsDoNotAllocate: a partition-local transaction (BEGIN, two
 // reads, final write) costs no allocation through either door in steady
-// state. This is why the per-step door keeps its own apply path (doStep's
-// reqStep) beside the batch window: sent through a one-step SubmitBatchInto
-// window, the transaction costs 8 allocations, two a step. Escape analysis
-// treats a request as one value, and req.step leaks through applyOne's
-// error paths, so the one-step window's steps and out arrays, which share
-// the request, move to the heap.
+// state. The per-step door sends each step as a one-step window whose steps
+// and out arrays live on SubmitPriority's stack. They stay there only
+// because request holds no model.Step by value: a step's Entities leak
+// through applyOne's error paths, escape analysis treats the request as one
+// value, and a step field would move both arrays to the heap, two
+// allocations a step, 8 a transaction.
 func TestSubmitDoorsDoNotAllocate(t *testing.T) {
 	eng := New(Config{Shards: 4, Policy: func() core.Policy { return core.GreedyC1{} }})
 	defer eng.Close()

@@ -4,7 +4,7 @@
 // A cross-partition transaction is split into one sub-transaction per
 // participating shard, all sharing the logical TxnID. BEGIN fans out
 // sub-begins; reads route to the owning shard like local steps, and travel
-// in the batch door's window with them (Engine.admit); the final write runs
+// in the submission window with them (Engine.admit); the final write runs
 // the two-phase commit from the submitting goroutine: PREPARE every
 // participant (the shard votes on its slice of the write set, pinning the
 // sub-node on yes), then COMMIT or ABORT everywhere. Every fan-out visits
@@ -61,18 +61,20 @@ type crossTxn struct {
 	committed bool
 }
 
-// leg is one participant's answer to a fan-out (ok=false: the participant
-// was not asked, or the engine closed first). While the fan-out waits for
-// the participant, waiting is set and req holds what it is to apply.
+// leg is one participant's share of a fan-out: req is what it applies and,
+// once ok, holds the participant's answer (ok=false: the participant was
+// not asked, or the engine closed first). waiting marks a leg the fan-out
+// has yet to run. step is what a sub-begin or prepare applies, which req
+// points at: kept here, with ct, it costs no allocation of its own.
 type leg struct {
-	res     Result
+	req     request
 	ok      bool
 	waiting bool
-	req     request
+	step    model.Step
 }
 
 // failed reports whether the leg's request was not carried out.
-func (l leg) failed() bool { return !l.ok || l.res.Err != nil }
+func (l leg) failed() bool { return !l.ok || l.req.res.Err != nil }
 
 // participant reports whether shard p takes part in the transaction.
 func (ct *crossTxn) participant(p int) bool {
@@ -311,21 +313,20 @@ func (e *Engine) fanOut(ct *crossTxn, req func(i int) (request, bool)) {
 	for i, p := range ct.parts {
 		l := &ct.legs[i]
 		r, want := req(i)
+		l.req, l.ok = r, false
 		if !want {
-			*l = leg{}
 			continue
 		}
-		if rep, ok, ran := e.shards[p].tryRun(r); ran {
-			*l = leg{res: rep.res, ok: ok}
+		if ok, ran := e.shards[p].tryRun(&l.req); ran {
+			l.ok = ok
 			continue
 		}
-		*l = leg{waiting: true, req: r}
+		l.waiting = true
 		left++
 	}
 	for i := 0; left > 0; i++ {
 		if l := &ct.legs[i]; l.waiting {
-			rep, ok := e.shards[ct.parts[i]].run(l.req)
-			*l = leg{res: rep.res, ok: ok}
+			l.ok, l.waiting = e.shards[ct.parts[i]].run(&l.req), false
 			left--
 		}
 	}
@@ -409,7 +410,10 @@ func (e *Engine) beginCross(step model.Step, pri Priority, settle func()) Result
 		e.routes.delete(step.Txn)
 		return duplicateBegin(step)
 	}
-	e.fanOut(ct, func(int) (request, bool) { return request{kind: reqBeginSub, step: step}, true })
+	e.fanOut(ct, func(i int) (request, bool) {
+		ct.legs[i].step = step
+		return request{kind: reqBeginSub, step: &ct.legs[i].step}, true
+	})
 	settle()
 	failed := slices.IndexFunc(ct.legs, leg.failed)
 	if failed < 0 {
@@ -417,14 +421,14 @@ func (e *Engine) beginCross(step model.Step, pri Priority, settle func()) Result
 		e.accepted.Add(1)
 		return answer(step, model.NoTxn, nil)
 	}
-	res, ok := ct.legs[failed].res, ct.legs[failed].ok
+	res, ok := ct.legs[failed].req.res, ct.legs[failed].ok
 	applied := false
 	e.fanOut(ct, func(i int) (request, bool) {
 		if ct.legs[i].failed() {
 			return request{}, false
 		}
 		applied = true
-		return request{kind: reqAbortSub, step: model.Step{Txn: ct.id}}, true
+		return request{kind: reqAbortSub, txn: ct.id}, true
 	})
 	if applied && e.cfg.Log != nil {
 		e.cfg.Log.MarkAborted(ct.id)
@@ -480,7 +484,7 @@ func (e *Engine) crossMisroute(step model.Step, ct *crossTxn) Result {
 // already lost its sub-node ignores the abort. Caller holds ct.mu.
 func (e *Engine) finishCrossAbort(ct *crossTxn, skipShard int) {
 	e.fanOut(ct, func(i int) (request, bool) {
-		return request{kind: reqAbortSub, step: model.Step{Txn: ct.id}}, ct.parts[i] != skipShard
+		return request{kind: reqAbortSub, txn: ct.id}, ct.parts[i] != skipShard
 	})
 	ct.done = true
 	e.registry.drop(ct.id)
@@ -520,7 +524,9 @@ func (e *Engine) commitCross(ctx context.Context, ct *crossTxn, final model.Step
 		}
 	}
 	e.fanOut(ct, func(i int) (request, bool) {
-		return request{kind: reqPrepareSub, step: e.writeSubsetFor(final, ct.parts[i])}, true
+		l := &ct.legs[i]
+		l.step = e.writeSubsetFor(final, ct.parts[i])
+		return request{kind: reqPrepareSub, step: &l.step}, true
 	})
 	e.prepares.Add(int64(len(ct.parts)))
 	for _, l := range ct.legs {
@@ -528,16 +534,16 @@ func (e *Engine) commitCross(ctx context.Context, ct *crossTxn, final model.Step
 			e.finishCrossAbort(ct, -1)
 			return answer(final, ct.id, stepErr(final, ErrClosed))
 		}
-		if l.res.Err != nil {
+		if l.req.res.Err != nil {
 			// A NO vote — a local cycle on that shard (ErrCycle) or a
 			// registry veto (ErrCrossCycle) — or a vote the shard could not
 			// cast. Abort everywhere: only this transaction dies; no
 			// bystander is touched.
 			e.finishCrossAbort(ct, -1)
-			if l.res.Outcome() == OutcomeRejected {
+			if l.req.res.Outcome() == OutcomeRejected {
 				e.rejected.Add(1)
 			}
-			return answer(final, ct.id, l.res.Err)
+			return answer(final, ct.id, l.req.res.Err)
 		}
 	}
 	if hook := testHookPrepared; hook != nil {
@@ -557,17 +563,17 @@ func (e *Engine) commitCross(ctx context.Context, ct *crossTxn, final model.Step
 	// participant's durable RecCommit is the commit point; if it cannot be
 	// journaled, no evidence of the decision exists anywhere and the
 	// transaction resolves as the abort recovery would presume.
-	commit := request{kind: reqCommitSub, step: model.Step{Txn: ct.id}}
-	rep, ok := e.shards[ct.parts[0]].run(commit)
-	if ok && rep.res.Err != nil && rep.res.Aborted == ct.id {
+	commit := request{kind: reqCommitSub, txn: ct.id}
+	ok := e.shards[ct.parts[0]].run(&commit)
+	if ok && commit.res.Err != nil && commit.res.Aborted == ct.id {
 		// The commit point failed (journal dead on the first participant,
 		// which already released its own sub): abort the siblings and
 		// report the transaction aborted.
 		e.finishCrossAbort(ct, ct.parts[0])
-		return answer(final, ct.id, rep.res.Err)
+		return answer(final, ct.id, commit.res.Err)
 	}
 	if ok {
-		commit.decisionDurable = true
+		commit = request{kind: reqCommitSub, txn: ct.id, decisionDurable: true}
 		e.fanOut(ct, func(i int) (request, bool) { return commit, i > 0 })
 		for _, l := range ct.legs[1:] {
 			ok = ok && l.ok

@@ -337,32 +337,78 @@ func (e *Engine) beginRoute(step model.Step) (home int, cross bool) {
 	return home, false
 }
 
-// SubmitCtx routes one step to its shard and returns the engine-level
-// result. Steps of one transaction must be submitted sequentially (each
-// after the previous one's Result), as a real client session would. Under
-// ctx, a BEGIN with an already-cancelled context is refused before it
-// begins, an access step with a cancelled context aborts its transaction
-// (releasing every shard's state), and a cross-partition final write
-// observing cancellation between PREPARE and the decision aborts instead of
-// committing. The Result's Err then wraps both ErrTxnAborted and the
-// context's cause.
+// SubmitCtx is SubmitPriority at PriorityNormal.
 func (e *Engine) SubmitCtx(ctx context.Context, step model.Step) Result {
 	return e.SubmitPriority(ctx, step, PriorityNormal)
 }
 
-// SubmitPriority is SubmitCtx with an admission-control priority for BEGIN
-// steps (access steps ignore the priority — an admitted transaction is
-// never shed).
+// SubmitPriority and SubmitBatchInto are the engine's two doors, and both
+// run one loop (submit). SubmitPriority submits one step under ctx, with an
+// admission priority for a BEGIN (an admitted transaction's steps are never
+// shed). SubmitBatchInto submits a client's steps at PriorityNormal with no
+// deadline and appends one Result per step to dst in submission order (a
+// reused dst with spare capacity keeps it allocation-free).
+//
+// Steps of one transaction must be submitted in order, as a client session
+// would: each after the previous one's Result or behind it in the same
+// batch. Under ctx, a BEGIN with a dead context is refused before it begins,
+// an access step with one aborts its transaction on every shard, and a
+// cross-partition final write that sees cancellation between PREPARE and
+// the decision aborts instead of committing; the Result's Err then wraps
+// both ErrTxnAborted and the context's cause.
+//
+// The loop gathers admitted steps into a window and sends it to every shard
+// it touches in one visit per shard, each shard seeing its steps in
+// submission order: a step alone is a window of one, and sixteen interleaved
+// partition-local transactions over four shards take four visits. It sends
+// the window before every step the engine answers without a shard (a cross
+// final write, a misroute, a step of a dead transaction, a duplicate or shed
+// BEGIN), before a BEGIN that reuses a live ID, and before a cross read
+// whose transaction has a read bound for another shard in the window; a
+// cross BEGIN's sub-begins go ahead of it. The window is applied shard by
+// shard, so two cross transactions' reads bound for different shards may
+// reach the cross registry in another order than submitted, as two
+// concurrent clients' would. A step behind the end of its own transaction in
+// a batch is answered as if submitted alone afterwards: rejected, wrapping
+// ErrTxnAborted (ErrStragglerAborted after a reap); one behind its own
+// refused BEGIN reports ErrProtocol, as the BEGIN did.
+//
+// Both doors end by running a pending governor pass
+// (Config.RetentionWatermark).
 func (e *Engine) SubmitPriority(ctx context.Context, step model.Step, pri Priority) Result {
-	shard, _, ok, res := e.admit(ctx, step, pri, func() {})
-	if ok {
-		res = e.landed(e.doStep(shard, step))
-	}
-	e.governIfWanted()
-	return res
+	steps := [1]model.Step{step}
+	var out [1]Result
+	return e.submit(ctx, pri, out[:0], steps[:])[0]
 }
 
-// admit is the one decision both doors make about a step. Either it answers
+// SubmitBatchInto is the batch door; see SubmitPriority.
+func (e *Engine) SubmitBatchInto(dst []Result, steps []model.Step) []Result {
+	return e.submit(context.Background(), PriorityNormal, dst, steps)
+}
+
+// submit is both doors' loop: it admits each step, gathers the admitted ones
+// into a window, and applies the window wherever admit answers a step itself
+// or the window cannot take the next one.
+func (e *Engine) submit(ctx context.Context, pri Priority, dst []Result, steps []model.Step) []Result {
+	var w window
+	settle := func() { dst = e.apply(&w, dst, steps) }
+	for i := range steps {
+		shard, ct, ok, res := e.admit(ctx, steps[i], pri, settle)
+		if !ok {
+			dst = append(dst, res)
+			continue
+		}
+		if !w.add(i, shard, ct) {
+			settle()
+			w.add(i, shard, ct)
+		}
+	}
+	settle()
+	e.governIfWanted()
+	return dst
+}
+
+// admit is the one decision submit makes about a step. Either it answers
 // the step itself (ok=false) — closed engine, dead context, duplicate, shed
 // or cross-partition BEGIN (its fan-out runs here), dead transaction, cross
 // final write (its two-phase commit runs here), misroute, or a kind outside
@@ -437,7 +483,7 @@ func (e *Engine) admit(ctx context.Context, step model.Step, pri Priority, settl
 			settle()
 			// What was pending may have ended the transaction (a batched
 			// step behind its own abort or final write): then it is dead,
-			// as the per-step door would find it, not misrouted.
+			// as it would be found if submitted alone, not misrouted.
 			if _, live := e.routes.load(step.Txn); !live {
 				return 0, nil, false, e.deadTxn(step)
 			}
@@ -458,7 +504,7 @@ func (e *Engine) admit(ctx context.Context, step model.Step, pri Priority, settl
 // only that shard's sub-node; landed aborts it on the other participants,
 // unless it is already decided (Engine.Abort got there first, or an
 // earlier rejected read of the same window did).
-func (e *Engine) landed(res Result) Result {
+func (e *Engine) landed(res *Result) {
 	switch {
 	case res.Step.Kind == model.KindBegin && res.Outcome() == OutcomeError:
 		e.routes.delete(res.Step.Txn)
@@ -472,7 +518,6 @@ func (e *Engine) landed(res Result) Result {
 			ct.mu.Unlock()
 		}
 	}
-	return res
 }
 
 // duplicateBegin answers a BEGIN whose ID is still routed, or still tracked
@@ -501,65 +546,12 @@ func (e *Engine) shedBegin(step model.Step, home int) Result {
 	return answer(step, step.Txn, stepErr(step, ErrOverload))
 }
 
-// SubmitBatchInto submits a client's steps and appends one Result per step
-// to dst, in submission order (pass a reused buffer with spare capacity to
-// keep the submit path allocation-free). Each shard sees the batch's steps
-// bound for it in submission order: the steps between two points where the
-// batch must wait (see below) go to every shard they touch in one visit per
-// shard, so a whole partition-local transaction (BEGIN, reads, final write)
-// takes its shard's lock once instead of once per step, and sixteen
-// interleaved ones over four shards take four. A partition-local step, like
-// a cross read, touches only its shard's state, so only the interleaving of
-// different shards' work changes, as it does between two concurrent
-// clients.
-//
-// The ordering contract is SubmitCtx's: steps of one transaction must
-// appear in order, and a client must not submit a transaction's next step
-// elsewhere before the batch returns. A step pipelined behind the end of its own
-// transaction — behind its rejected step, or behind its final write — is
-// answered exactly as the per-step path would answer it: rejected, wrapping
-// ErrTxnAborted (ErrStragglerAborted after a reap). Only a step behind its
-// own refused BEGIN reports ErrProtocol, as the BEGIN itself did; its route
-// is dropped by the time the batch returns. A cross-partition transaction's
-// reads travel with the partition-local steps, each to its participant's
-// shard. The batch waits for what it has sent before every step the engine
-// answers without a shard — a cross final write (the two-phase commit), a
-// misroute, a step of a dead transaction, a duplicate or shed BEGIN — before
-// a BEGIN that reuses a live ID, and before a cross read whose transaction
-// already has a read bound for another shard in flight, so that a rejection
-// on one participant lands before a sibling acts. A cross BEGIN applies its
-// sub-begins first, then sends what came before it. None of this stalls
-// other clients' traffic.
-//
-// The batch path submits at PriorityNormal with no deadline; session
-// clients needing per-transaction contexts or priorities use the per-step
-// path. Both doors end by running a pending governor pass
-// (Config.RetentionWatermark).
-func (e *Engine) SubmitBatchInto(dst []Result, steps []model.Step) []Result {
-	var w window
-	settle := func() { dst = e.apply(&w, dst, steps) }
-	for i := range steps {
-		shard, ct, ok, res := e.admit(context.Background(), steps[i], PriorityNormal, settle)
-		if !ok {
-			dst = append(dst, res)
-			continue
-		}
-		if !w.add(i, shard, ct) {
-			settle()
-			w.add(i, shard, ct)
-		}
-	}
-	settle()
-	e.governIfWanted()
-	return dst
-}
-
 // windowCap bounds a window that touches more than one shard, since each
 // shard's share of it is a bit mask over the window's positions. A window
 // on one shard needs no mask and has no bound.
 const windowCap = 64
 
-// window is the batch door's admitted but unapplied work: steps[start:
+// window is submit's admitted but unapplied work: steps[start:
 // start+n], every one admitted, split into one part per shard it touches.
 // Every step the engine answers itself settles the window first, so the
 // window is always one contiguous span, and its results land at the end of
@@ -654,7 +646,7 @@ func (e *Engine) apply(w *window, dst []Result, steps []model.Step) []Result {
 	left := parts[:0]
 	for _, p := range parts {
 		batch.own = p.own
-		if _, ok, ran := e.shards[p.shard].tryRun(batch); !ran {
+		if ok, ran := e.shards[p.shard].tryRun(&batch); !ran {
 			left = append(left, p)
 		} else if !ok {
 			batch.refuse()
@@ -662,13 +654,13 @@ func (e *Engine) apply(w *window, dst []Result, steps []model.Step) []Result {
 	}
 	for _, p := range left {
 		batch.own = p.own
-		if _, ok := e.shards[p.shard].run(batch); !ok {
+		if !e.shards[p.shard].run(&batch) {
 			// The engine closed first: nothing else writes these results.
 			batch.refuse()
 		}
 	}
-	for _, res := range dst[base:] {
-		e.landed(res)
+	for i := range batch.out {
+		e.landed(&batch.out[i])
 	}
 	w.n = 0
 	return dst
@@ -686,15 +678,6 @@ func (e *Engine) misroutedStep(st model.Step, home int) bool {
 		}
 	}
 	return false
-}
-
-// doStep runs one step on a shard, mapping a closed engine to ErrClosed.
-func (e *Engine) doStep(shard int, step model.Step) Result {
-	rep, ok := e.shards[shard].run(request{kind: reqStep, step: step})
-	if !ok {
-		return closedResult(step)
-	}
-	return rep.res
 }
 
 // deadTxn rejects a step addressed to a transaction that is no longer live:
@@ -739,20 +722,28 @@ func (e *Engine) Abort(id model.TxnID) bool {
 	if r.kind == routeCross {
 		return e.crossClientAbort(r.ct)
 	}
-	e.abortLocal(r.shard, id)
+	if !e.abortLocal(r.shard, id) {
+		return false
+	}
 	if e.cfg.Log != nil {
 		e.cfg.Log.MarkAborted(id)
 	}
 	return true
 }
 
-// abortLocal aborts a partition-local transaction on its shard, counting
-// the abort if it applied, and drops its route.
-func (e *Engine) abortLocal(shard int, id model.TxnID) {
-	if rep, ok := e.shards[shard].run(request{kind: reqAbortSub, step: model.Step{Txn: id}}); ok && rep.n > 0 {
-		e.aborted.Add(1)
+// abortLocal aborts a partition-local transaction on its shard and reports
+// whether the abort applied; only then does it count the abort and drop the
+// route. It does not apply on a closed engine, nor when the transaction
+// ended between the route lookup and the shard visit (its final write or a
+// rejection landed first), whose step already dropped the route.
+func (e *Engine) abortLocal(shard int, id model.TxnID) bool {
+	req := request{kind: reqAbortSub, txn: id}
+	if !e.shards[shard].run(&req) || !req.aborted {
+		return false
 	}
+	e.aborted.Add(1)
 	e.routes.delete(id)
+	return true
 }
 
 // Stats returns a snapshot of the aggregate counters. It is safe to call
@@ -773,9 +764,10 @@ func (e *Engine) Stats() Stats {
 	}
 	for _, sh := range e.shards {
 		// A closed shard still answers reqStats.
-		rep, _ := sh.run(request{kind: reqStats})
-		s.PerShard = append(s.PerShard, rep.stats)
-		s.Merged.Merge(rep.stats)
+		req := request{kind: reqStats}
+		sh.run(&req)
+		s.PerShard = append(s.PerShard, req.stats)
+		s.Merged.Merge(req.stats)
 	}
 	s.Deleted, s.Sweeps = s.Merged.Deleted, s.Merged.Sweeps
 	s.QueueDepth = e.QueueDepths()
@@ -845,6 +837,6 @@ func (e *Engine) Close() {
 		return
 	}
 	for _, sh := range e.shards {
-		sh.run(request{kind: reqStats}) // the engine is closed: this run shuts the shard down
+		sh.run(&request{kind: reqStats}) // the engine is closed: this run shuts the shard down
 	}
 }

@@ -18,6 +18,16 @@ func submit(eng *Engine, step model.Step) Result {
 	return eng.SubmitCtx(context.Background(), step)
 }
 
+// applyOnShard applies one step straight on shard p, past both doors: no
+// admission, no route, no governor pass.
+func applyOnShard(eng *Engine, p int, step model.Step) Result {
+	out := []Result{{}}
+	if !eng.shards[p].run(&request{kind: reqBatch, steps: []model.Step{step}, out: out}) {
+		return closedResult(step)
+	}
+	return out[0]
+}
+
 // TestSingleShardSemantics pins the engine to the paper's scheduler
 // semantics on one shard: the classic two-transaction cycle is rejected.
 func TestSingleShardSemantics(t *testing.T) {
@@ -301,6 +311,56 @@ func TestClientAbort(t *testing.T) {
 	}
 	if res := submit(eng, model.Read(2, 0)); res.Outcome() != OutcomeRejected {
 		t.Fatalf("read after cross abort: %v", res.Outcome())
+	}
+}
+
+// TestAbortLosesToFinalWrite: a local transaction's final write lands
+// between Engine.Abort's route lookup and its shard visit, so the abort
+// finds nothing to abort. Abort must say so — report false, count no
+// abort, and leave the committed transaction in the trace's accepted
+// subschedule — and the governor, which reaps through Abort, must count no
+// reap.
+func TestAbortLosesToFinalWrite(t *testing.T) {
+	log := trace.NewSafeLog()
+	eng := New(Config{Shards: 1, Log: log})
+	defer eng.Close()
+	defer func() { testHookRoundTrip = nil }()
+	// finishFirst applies id's final write at the start of the next shard
+	// visit, under the lock, before that visit's own request.
+	finishFirst := func(id model.TxnID) {
+		testHookRoundTrip = func(sh *shard) {
+			testHookRoundTrip = nil
+			if res := sh.applyOne(model.WriteFinal(id, 0)); res.CompletedTxn != id {
+				t.Errorf("T%d's final write: %v", id, res.Err)
+			}
+		}
+	}
+	if res := submit(eng, model.BeginDeclared(1, 0)); !res.Accepted() {
+		t.Fatal(res.Err)
+	}
+	finishFirst(1)
+	if eng.Abort(1) {
+		t.Error("Abort of a transaction that committed first returned true")
+	}
+	if s := eng.Stats(); s.Completed != 1 || s.Aborted != 0 {
+		t.Errorf("Completed %d, Aborted %d; want 1, 0", s.Completed, s.Aborted)
+	}
+	if got := len(log.AcceptedSubschedule()); got != 2 {
+		t.Errorf("accepted subschedule holds %d steps, want T1's 2", got)
+	}
+	if err := log.CheckAcceptedCSR(); err != nil {
+		t.Error(err)
+	}
+
+	if res := submit(eng, model.BeginDeclared(2, 0)); !res.Accepted() {
+		t.Fatal(res.Err)
+	}
+	finishFirst(2)
+	if eng.reapOne(2, 0, 0, 0) {
+		t.Error("reapOne of a transaction that committed first returned true")
+	}
+	if s := eng.Stats(); s.Reaped != 0 || s.Completed != 2 {
+		t.Errorf("Reaped %d, Completed %d; want 0, 2", s.Reaped, s.Completed)
 	}
 }
 

@@ -179,11 +179,11 @@ func (e *Engine) oldestStraggler() (id model.TxnID, shard int, inc int64, ok boo
 	var best core.ActiveInfo
 	bestShard := -1
 	for i, sh := range e.shards {
-		rep, alive := sh.run(request{kind: reqOldest})
-		if !alive {
+		req := request{kind: reqOldest}
+		if !sh.run(&req) {
 			continue
 		}
-		for _, info := range rep.actives {
+		for _, info := range req.actives {
 			r, routed := e.routes.load(info.ID)
 			if !routed || r.pri == PriorityHigh {
 				continue
@@ -226,6 +226,6 @@ func (e *Engine) reapOne(id model.TxnID, shard int, inc, total int64) bool {
 // swept already.
 func (e *Engine) sweepAll() {
 	for _, sh := range e.shards {
-		sh.run(request{kind: reqSweep})
+		sh.run(&request{kind: reqSweep})
 	}
 }

@@ -198,7 +198,7 @@ func TestGovernorRequiresPolicy(t *testing.T) {
 		// Straight on the shard: no door runs, so no submitter claims a
 		// request a run might make.
 		for _, st := range []model.Step{model.BeginDeclared(id, 0), model.WriteFinal(id, 0)} {
-			if res := eng.doStep(0, st); !res.Accepted() {
+			if res := applyOnShard(eng, 0, st); !res.Accepted() {
 				t.Fatalf("%v: %v", st, res.Err)
 			}
 		}
@@ -241,7 +241,7 @@ func TestGovernorWaitsForTraffic(t *testing.T) {
 		if k < watermark {
 			must(submit(eng, model.WriteFinal(vid, trap)))
 		} else {
-			must(eng.doStep(0, model.WriteFinal(vid, trap)))
+			must(applyOnShard(eng, 0, model.WriteFinal(vid, trap)))
 		}
 	}
 	if got := retainedTotal(eng); got != watermark {
@@ -303,9 +303,9 @@ func TestReapedSetStaysBounded(t *testing.T) {
 func retainedTotal(e *Engine) int64 {
 	var total int64
 	for _, sh := range e.shards {
-		if rep, ok := sh.run(request{kind: reqStats}); ok {
-			total += rep.n
-		}
+		sh.mu.Lock()
+		total += int64(sh.sched.NumCompleted())
+		sh.mu.Unlock()
 	}
 	return total
 }

@@ -15,12 +15,9 @@ import (
 type reqKind uint8
 
 const (
-	// reqStep applies one step to the shard's scheduler (local steps and
-	// cross sub-transaction reads alike).
-	reqStep reqKind = iota
-	// reqBatch applies this shard's steps of a batch window in one visit
-	// (SubmitBatchInto).
-	reqBatch
+	// reqBatch applies this shard's steps of a window in one visit: local
+	// steps and cross sub-transaction reads alike, from either door.
+	reqBatch reqKind = iota
 	// reqStats snapshots the shard's scheduler counters.
 	reqStats
 	// reqBeginSub begins a sub-transaction of a cross-partition
@@ -34,7 +31,7 @@ const (
 	// reqAbortSub aborts a transaction: a sub-transaction in any state
 	// (begun, mid-reads, or prepared) — the ABORT decision, a sibling-abort,
 	// or a client abort — or a local one (misroute, client abort). The
-	// reply's n says whether it applied.
+	// answer, aborted, says whether it applied.
 	reqAbortSub
 	// reqOldest snapshots the shard's oldest active transactions for the
 	// retention governor's straggler selection.
@@ -45,9 +42,19 @@ const (
 	reqSweep
 )
 
+// request is one shard visit: what it applies, and the shard's answer. No
+// step it applies is held by value: a sub-begin or prepare reaches its step
+// through a pointer. Handing a step field to the apply functions would leak
+// its Entities through their error paths, and escape analysis does not tell
+// one field of the request from another, so that leak would take steps and
+// out, and with them SubmitPriority's one-step window, to the heap: 8
+// allocations per 4-step transaction.
 type request struct {
 	kind reqKind
-	step model.Step
+	// txn names the transaction a reqCommitSub or reqAbortSub decides.
+	txn model.TxnID
+	// step is what a reqBeginSub or reqPrepareSub applies.
+	step *model.Step
 	// decisionDurable marks a reqCommitSub whose COMMIT decision is already
 	// durable on an earlier participant: a journaling failure here must not
 	// block the in-memory commit (recovery finishes the laggard from the
@@ -61,6 +68,14 @@ type request struct {
 	steps []model.Step
 	out   []Result
 	own   uint64
+
+	// The shard's answer: res to a reqBeginSub, reqPrepareSub or
+	// reqCommitSub, stats to reqStats, actives to reqOldest, and aborted to
+	// reqAbortSub (whether the transaction was live here).
+	res     Result
+	stats   core.Stats
+	actives []core.ActiveInfo
+	aborted bool
 }
 
 // owns reports whether a reqBatch's step k is this shard's to apply.
@@ -73,15 +88,6 @@ func (r *request) refuse() {
 			r.out[k] = closedResult(st)
 		}
 	}
-}
-
-type reply struct {
-	res   Result
-	stats core.Stats
-	// actives answers reqOldest; n answers reqStats (transactions retained)
-	// and reqAbortSub (transactions aborted: 0 or 1).
-	actives []core.ActiveInfo
-	n       int64
 }
 
 // shard is one entity partition: one core.Scheduler behind one mutex. The
@@ -169,7 +175,7 @@ func (sh *shard) lock() {
 	sh.mu.Lock()
 }
 
-// run applies req to the shard and returns the reply; ok=false means the
+// run applies req to the shard and fills in its answer; false means the
 // engine is closed and req was not applied. It takes the shard's lock
 // (waiting if another submitter holds it), runs handle, does the
 // housekeeping once — flush, sweep, the retained gauge, the cross
@@ -182,7 +188,7 @@ func (sh *shard) lock() {
 // registry, the route map, the trace log, the store) under which no shard
 // lock is ever wanted. Shard code never takes a crossTxn's mu either. So the
 // only nesting in the engine is ct.mu → one shard lock, taken by the 2PC
-// driver and by the batch door settling under beginCross, and a cycle of
+// driver and by submit settling its window under beginCross, and a cycle of
 // waits would need a lock holder that waits for a ct.mu or a second shard.
 //
 // No timer is needed for registry upkeep. What this shard owes the
@@ -192,26 +198,25 @@ func (sh *shard) lock() {
 // and every run ends in reportCrossClean.
 //
 // Once the engine is closed, the first run syncs the journal and marks the
-// shard down, and it and every later run answer ok=false without applying
+// shard down, and it and every later run answer false without applying
 // anything; a reqStats is still answered from the scheduler.
-func (sh *shard) run(req request) (reply, bool) {
+func (sh *shard) run(req *request) bool {
 	sh.lock()
 	return sh.locked(req)
 }
 
 // tryRun is run if the shard's lock is free, and reports whether it was
 // (ran); it never waits. The fan-outs visit the free shards first with it.
-func (sh *shard) tryRun(req request) (rep reply, ok, ran bool) {
+func (sh *shard) tryRun(req *request) (ok, ran bool) {
 	if !sh.mu.TryLock() {
-		return reply{}, false, false
+		return false, false
 	}
-	rep, ok = sh.locked(req)
-	return rep, ok, true
+	return sh.locked(req), true
 }
 
 // locked is the body of run, entered with the shard's lock held, which it
 // releases.
-func (sh *shard) locked(req request) (reply, bool) {
+func (sh *shard) locked(req *request) bool {
 	defer sh.mu.Unlock()
 	if hook := testHookRoundTrip; hook != nil {
 		hook(sh)
@@ -224,11 +229,12 @@ func (sh *shard) locked(req request) (reply, bool) {
 			sh.closed.Store(true)
 		}
 		if req.kind != reqStats {
-			return reply{}, false
+			return false
 		}
-		return sh.handle(req), true
+		sh.handle(req)
+		return true
 	}
-	rep := sh.handle(req)
+	sh.handle(req)
 	// Buffered frames reach the OS, so a process kill loses at most the
 	// unsynced fsync batch, never the unflushed one.
 	sh.jr.batchEnd()
@@ -240,14 +246,12 @@ func (sh *shard) locked(req request) (reply, bool) {
 	// ancestor set froze, so the registry can retire them and unblock
 	// deletion of their labeled successors.
 	sh.reportCrossClean()
-	return rep, true
+	return true
 }
 
-// handle applies one request and returns its reply.
-func (sh *shard) handle(req request) reply {
+// handle applies one request and fills in its answer.
+func (sh *shard) handle(req *request) {
 	switch req.kind {
-	case reqStep:
-		return reply{res: sh.applyOne(req.step)}
 	case reqBatch:
 		for k, st := range req.steps {
 			if req.owns(k) {
@@ -255,23 +259,20 @@ func (sh *shard) handle(req request) reply {
 			}
 		}
 	case reqStats:
-		return reply{stats: sh.sched.Stats(), n: int64(sh.sched.NumCompleted())}
+		req.stats = sh.sched.Stats()
 	case reqBeginSub:
-		return reply{res: sh.applyBeginSub(req.step)}
+		req.res = sh.applyBeginSub(*req.step)
 	case reqPrepareSub:
-		return reply{res: sh.applyPrepareSub(req.step)}
+		req.res = sh.applyPrepareSub(*req.step)
 	case reqCommitSub:
-		return reply{res: sh.applyCommitSub(req.step.Txn, req.decisionDurable)}
+		req.res = sh.applyCommitSub(req.txn, req.decisionDurable)
 	case reqAbortSub:
-		if sh.applyAbortSub(req.step.Txn) {
-			return reply{n: 1}
-		}
+		req.aborted = sh.applyAbortSub(req.txn)
 	case reqOldest:
-		return reply{actives: sh.sched.OldestActives(governorCandidates)}
+		req.actives = sh.sched.OldestActives(governorCandidates)
 	case reqSweep:
 		sh.sweep()
 	}
-	return reply{}
 }
 
 // applyOne runs one step on the scheduler and returns the engine-level
@@ -293,8 +294,9 @@ func (sh *shard) applyOne(step model.Step) (out Result) {
 			// this step reaching the scheduler — an earlier step of the same
 			// batch window was rejected or was its final write, or the
 			// governor's abort landed in between. It is dead, not
-			// protocol-confused: answer as the per-step path would, so the
-			// session learns its transaction is gone (and, for a reap, why).
+			// protocol-confused: answer as admit would have answered a step
+			// behind the end, so the session learns its transaction is gone
+			// (and, for a reap, why).
 			return eng.deadTxn(step)
 		}
 		// The scheduler refused to process the step at all (duplicate

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -32,58 +33,11 @@ func sameDecision(a, b Result) bool {
 func TestEngineTheorem2Lockstep(t *testing.T) {
 	const seeds = 50
 	var steps, rejected, deleted int64
-	for _, name := range []string{"lemma1", "greedy-c1", "noncurrent-safe"} {
-		policy, _ := core.PolicyByName(name)
+	for _, name := range theorem2Policies {
 		for shards := 2; shards <= 4; shards++ {
 			for seed := int64(0); seed < seeds; seed++ {
-				ref := New(Config{Shards: shards})
-				pol := New(Config{Shards: shards, Policy: policy})
-				gen := workload.New(workload.Config{
-					Entities:         48,
-					Txns:             100,
-					MaxActive:        6,
-					HotFrac:          0.2,
-					Straggler:        int(seed % 10),
-					Shards:           shards,
-					CrossFrac:        0.3,
-					CrossShards:      2 + int(seed)%(shards-1),
-					DeclareFootprint: true,
-					Seed:             seed,
-				})
-				var stream []model.Step
-				var want []Result
-				for st, ok := gen.Next(); ok; st, ok = gen.Next() {
-					a, b := submit(ref, st), submit(pol, st)
-					if !sameDecision(a, b) {
-						t.Fatalf("%s, %d shards, seed %d, step %d %v: nogc %v (aborted %v, completed %v), policy %v (aborted %v, completed %v)",
-							name, shards, seed, len(stream), st, a.Outcome(), a.Aborted, a.CompletedTxn, b.Outcome(), b.Aborted, b.CompletedTxn)
-					}
-					if !a.Accepted() {
-						gen.NotifyAbort(st.Txn)
-					}
-					stream = append(stream, st)
-					want = append(want, a)
-				}
-				steps += int64(len(stream))
-				rejected += ref.Stats().Rejected
-				deleted += pol.Stats().Deleted
-				ref.Close()
-				pol.Close()
-
-				for _, chunk := range []int{4, 16} {
-					bat := New(Config{Shards: shards, Policy: policy})
-					var got []Result
-					for i := 0; i < len(stream); i += chunk {
-						got = bat.SubmitBatchInto(got, stream[i:min(i+chunk, len(stream))])
-					}
-					bat.Close()
-					for i, a := range want {
-						if b := got[i]; !sameDecision(a, b) {
-							t.Fatalf("%s, %d shards, seed %d, batches of %d, step %d %v: nogc %v (aborted %v, completed %v), batched %v (aborted %v, completed %v)",
-								name, shards, seed, chunk, i, stream[i], a.Outcome(), a.Aborted, a.CompletedTxn, b.Outcome(), b.Aborted, b.CompletedTxn)
-						}
-					}
-				}
+				n, r, d := theorem2Cell(t, name, shards, theorem2Workload(shards, seed, 0.3, 0.2, int(seed%10)), true, 4, 16)
+				steps, rejected, deleted = steps+n, rejected+r, deleted+d
 			}
 		}
 	}
@@ -118,4 +72,110 @@ func TestEngineTheorem2Lockstep(t *testing.T) {
 		ref.Close()
 		pol.Close()
 	}
+}
+
+// FuzzEngineTheorem2 is TestEngineTheorem2Lockstep with the cell drawn
+// from the input: the policy, two to four shards, the seed, the cross and
+// hot fractions in percent, the straggler's reads and the batch chunk.
+//
+// The batched replay is held to a nogc engine fed the same batches, not to
+// the per-step answers. A window applies each shard's share in turn, so two
+// cross transactions' reads bound for different shards can reach the cross
+// registry in another order than submitted, and the registry vetoes
+// whichever closes the cycle second, as it would for two concurrent
+// clients. The corpus entry cross-veto-order is such a cell: in batches of
+// 49, T10's read is vetoed where T7's was per step.
+func FuzzEngineTheorem2(f *testing.F) {
+	f.Add(uint8(0), uint8(0), int64(1), uint8(30), uint8(20), uint8(0), uint8(3))
+	f.Add(uint8(1), uint8(1), int64(7), uint8(30), uint8(20), uint8(9), uint8(15))
+	f.Add(uint8(2), uint8(2), int64(42), uint8(60), uint8(0), uint8(4), uint8(0))
+	f.Add(uint8(1), uint8(2), int64(-3), uint8(100), uint8(100), uint8(15), uint8(63))
+	f.Fuzz(func(t *testing.T, policy, shards uint8, seed int64, crossPct, hotPct, straggler, chunk uint8) {
+		n := 2 + int(shards%3)
+		wcfg := theorem2Workload(n, seed, float64(crossPct%101)/100, float64(hotPct%101)/100, int(straggler%16))
+		theorem2Cell(t, theorem2Policies[int(policy)%len(theorem2Policies)], n, wcfg, false, 1+int(chunk%64))
+	})
+}
+
+// theorem2Policies are the deleting policies the lockstep holds to a nogc
+// engine.
+var theorem2Policies = []string{"lemma1", "greedy-c1", "noncurrent-safe"}
+
+// theorem2Workload is a lockstep cell's stream: 100 transactions over 48
+// entities, at most six active, with declared footprints; a cross one spans
+// from two to shards partitions, as the seed picks.
+func theorem2Workload(shards int, seed int64, crossFrac, hotFrac float64, straggler int) workload.Config {
+	return workload.Config{
+		Entities:         48,
+		Txns:             100,
+		MaxActive:        6,
+		HotFrac:          hotFrac,
+		Straggler:        straggler,
+		Shards:           shards,
+		CrossFrac:        crossFrac,
+		CrossShards:      2 + int(uint64(seed)%uint64(shards-1)),
+		DeclareFootprint: true,
+		Seed:             seed,
+	}
+}
+
+// theorem2Cell is one cell of the lockstep. One goroutine feeds the stream
+// wcfg generates, step by step, to a nogc engine and to one under the named
+// policy; the generator hears of aborts from the nogc side, so both see the
+// same stream. The recorded stream is then replayed into a fresh policy
+// engine through SubmitBatchInto in chunks of each size given, and its
+// answers are held to the per-step nogc ones (perStep) or to a nogc engine
+// fed the same batches. Every step must be decided alike, or the cell fails
+// t. It returns the steps, the nogc engine's rejections and the policy
+// engine's deletions.
+func theorem2Cell(t testing.TB, name string, shards int, wcfg workload.Config, perStep bool, chunks ...int) (steps, rejected, deleted int64) {
+	t.Helper()
+	policy, ok := core.PolicyByName(name)
+	if !ok {
+		t.Fatalf("no policy %q", name)
+	}
+	cell := fmt.Sprintf("%s, %d shards, seed %d, cross %.2f over %d, hot %.2f, straggler %d",
+		name, shards, wcfg.Seed, wcfg.CrossFrac, wcfg.CrossShards, wcfg.HotFrac, wcfg.Straggler)
+	ref := New(Config{Shards: shards})
+	pol := New(Config{Shards: shards, Policy: policy})
+	defer ref.Close()
+	defer pol.Close()
+	gen := workload.New(wcfg)
+	var stream []model.Step
+	var want []Result
+	for st, ok := gen.Next(); ok; st, ok = gen.Next() {
+		a, b := submit(ref, st), submit(pol, st)
+		if !sameDecision(a, b) {
+			t.Fatalf("%s, step %d %v: nogc %v (aborted %v, completed %v), policy %v (aborted %v, completed %v)",
+				cell, len(stream), st, a.Outcome(), a.Aborted, a.CompletedTxn, b.Outcome(), b.Aborted, b.CompletedTxn)
+		}
+		if !a.Accepted() {
+			gen.NotifyAbort(st.Txn)
+		}
+		stream = append(stream, st)
+		want = append(want, a)
+	}
+
+	batched := func(policy func() core.Policy, chunk int) []Result {
+		bat := New(Config{Shards: shards, Policy: policy})
+		defer bat.Close()
+		var got []Result
+		for i := 0; i < len(stream); i += chunk {
+			got = bat.SubmitBatchInto(got, stream[i:min(i+chunk, len(stream))])
+		}
+		return got
+	}
+	for _, chunk := range chunks {
+		got := batched(policy, chunk)
+		if !perStep {
+			want = batched(nil, chunk)
+		}
+		for i, a := range want {
+			if b := got[i]; !sameDecision(a, b) {
+				t.Fatalf("%s, batches of %d, step %d %v: nogc %v (aborted %v, completed %v), batched %v (aborted %v, completed %v)",
+					cell, chunk, i, stream[i], a.Outcome(), a.Aborted, a.CompletedTxn, b.Outcome(), b.Aborted, b.CompletedTxn)
+			}
+		}
+	}
+	return int64(len(stream)), ref.Stats().Rejected, pol.Stats().Deleted
 }

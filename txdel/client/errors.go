@@ -1,8 +1,7 @@
 package client
 
 import (
-	"errors"
-
+	"repro/internal/emit"
 	"repro/internal/engine"
 )
 
@@ -44,29 +43,17 @@ var (
 )
 
 // ErrorCode maps an error from this package onto its stable wire code, the
-// machine-readable field carried by txgc-serve's protocol v2 responses.
-// It returns "" for nil and "internal" for errors outside the taxonomy.
+// machine-readable field carried by txgc-serve's protocol v2 responses:
+// "" for nil, "straggler-aborted" for a reap, and otherwise the name of the
+// outcome class the event bus carries for it (engine.ClassOf), "internal"
+// for an error outside the taxonomy.
 func ErrorCode(err error) string {
-	switch {
-	case err == nil:
+	switch c := engine.ClassOf(err); c {
+	case emit.ClassOK:
 		return ""
-	case errors.Is(err, ErrCycle):
-		return "cycle"
-	case errors.Is(err, ErrCrossCycle):
-		return "cross-cycle"
-	case errors.Is(err, ErrMisroute):
-		return "misroute"
-	case errors.Is(err, ErrOverload):
-		return "overload"
-	case errors.Is(err, ErrProtocol):
-		return "protocol"
-	case errors.Is(err, ErrClosed):
-		return "closed"
-	case errors.Is(err, ErrStragglerAborted):
+	case emit.ClassStraggler:
 		return "straggler-aborted"
-	case errors.Is(err, ErrTxnAborted):
-		return "txn-aborted"
 	default:
-		return "internal"
+		return c.String()
 	}
 }
