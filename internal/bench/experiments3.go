@@ -108,9 +108,9 @@ func E13EmitTelemetry(cfg RunConfig) []*Table {
 						return
 					}
 					results = eng.SubmitBatchInto(results[:0], steps)
-					for _, r := range results {
+					for i, r := range results {
 						if !r.Accepted() {
-							gen.NotifyAbort(r.Step.Txn)
+							gen.NotifyAbort(steps[i].Txn)
 						}
 					}
 				}

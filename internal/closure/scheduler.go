@@ -102,7 +102,7 @@ func (s *Scheduler) Apply(step model.Step) (core.Result, error) {
 		s.txns[step.Txn] = &txn{id: step.Txn, status: model.StatusActive, access: make(model.AccessSet)}
 		s.stats.Begins++
 		s.stats.Accepted++
-		return core.Result{Step: step, Accepted: true, Aborted: model.NoTxn, CompletedTxn: model.NoTxn}, nil
+		return core.Result{Accepted: true, Aborted: model.NoTxn, CompletedTxn: model.NoTxn}, nil
 	case model.KindRead:
 		t, err := s.activeTxn(step.Txn)
 		if err != nil {
@@ -116,7 +116,7 @@ func (s *Scheduler) Apply(step model.Step) (core.Result, error) {
 		}
 		// The closure decides acceptance in O(|tails|).
 		if s.c.WouldCycleInto(t.id, tails) {
-			return s.reject(step, t), nil
+			return s.reject(t), nil
 		}
 		for w := range tails {
 			s.c.AddArc(w, t.id)
@@ -125,7 +125,7 @@ func (s *Scheduler) Apply(step model.Step) (core.Result, error) {
 		s.note(t, step.Entity, model.ReadAccess)
 		s.stats.Reads++
 		s.stats.Accepted++
-		return core.Result{Step: step, Accepted: true, Aborted: model.NoTxn, CompletedTxn: model.NoTxn}, nil
+		return core.Result{Accepted: true, Aborted: model.NoTxn, CompletedTxn: model.NoTxn}, nil
 	case model.KindWriteFinal:
 		t, err := s.activeTxn(step.Txn)
 		if err != nil {
@@ -145,7 +145,7 @@ func (s *Scheduler) Apply(step model.Step) (core.Result, error) {
 			}
 		}
 		if s.c.WouldCycleInto(t.id, tails) {
-			return s.reject(step, t), nil
+			return s.reject(t), nil
 		}
 		for u := range tails {
 			s.c.AddArc(u, t.id)
@@ -158,7 +158,7 @@ func (s *Scheduler) Apply(step model.Step) (core.Result, error) {
 		s.stats.Writes++
 		s.stats.Accepted++
 		s.stats.Completed++
-		res := core.Result{Step: step, Accepted: true, Aborted: model.NoTxn, CompletedTxn: t.id}
+		res := core.Result{Accepted: true, Aborted: model.NoTxn, CompletedTxn: t.id}
 		s.sweep(&res)
 		return res, nil
 	default:
@@ -191,14 +191,14 @@ func (s *Scheduler) note(t *txn, x model.Entity, a model.Access) {
 	set.Add(t.id)
 }
 
-func (s *Scheduler) reject(step model.Step, t *txn) core.Result {
+func (s *Scheduler) reject(t *txn) core.Result {
 	s.forget(t.id)
 	s.c.DeleteNode(t.id)      // aborts drop reachability through the node...
 	s.shadow.RemoveNode(t.id) // ...in both structures
 	delete(s.txns, t.id)
 	s.stats.Rejected++
 	s.stats.Aborts++
-	res := core.Result{Step: step, Accepted: false, Aborted: t.id, CompletedTxn: model.NoTxn}
+	res := core.Result{Accepted: false, Aborted: t.id, CompletedTxn: model.NoTxn}
 	s.sweep(&res)
 	return res
 }

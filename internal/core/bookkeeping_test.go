@@ -438,7 +438,7 @@ func bookkeepingLockstep(t *testing.T, name string, p Policy, manual bool, seed 
 		settle(fmt.Sprintf("abort T%d", id), before, model.NoTxn, true)
 	}
 	// decide compares one step's verdict.
-	decide := func(what string, res Result, err error, want bool) {
+	decide := func(step model.Step, what string, res Result, err error, want bool) {
 		t.Helper()
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
@@ -448,7 +448,7 @@ func bookkeepingLockstep(t *testing.T, name string, p Policy, manual bool, seed 
 		}
 		if !want {
 			rejected++
-			gen.NotifyAbort(res.Step.Txn)
+			gen.NotifyAbort(step.Txn)
 		}
 	}
 
@@ -472,19 +472,19 @@ func bookkeepingLockstep(t *testing.T, name string, p Policy, manual bool, seed 
 				res, err = s.Apply(step)
 			}
 			ref.begin(step.Txn, c)
-			decide(what, res, err, true)
+			decide(step, what, res, err, true)
 			settle(what, before, model.NoTxn, false)
 		case model.KindRead:
 			res, err := s.Apply(step)
 			want := ref.read(step.Txn, step.Entity)
-			decide(what, res, err, want)
+			decide(step, what, res, err, want)
 			settle(what, before, model.NoTxn, !want)
 			if want && rng.Intn(6) == 0 {
 				// The same read again: no new index entry, a later access
 				// sequence number.
 				before = s.CompletedTxns()
 				res, err := s.Apply(step)
-				decide(what+" again", res, err, ref.read(step.Txn, step.Entity))
+				decide(step, what+" again", res, err, ref.read(step.Txn, step.Entity))
 				settle(what+" again", before, model.NoTxn, !res.Accepted)
 			}
 		case model.KindWriteFinal:
@@ -495,7 +495,7 @@ func bookkeepingLockstep(t *testing.T, name string, p Policy, manual bool, seed 
 			if !cross[step.Txn] {
 				res, err := s.Apply(step)
 				want := ref.writeFinal(step.Txn, step.Entities)
-				decide(what, res, err, want)
+				decide(step, what, res, err, want)
 				settle(what, before, res.CompletedTxn, true)
 				break
 			}

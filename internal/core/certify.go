@@ -77,7 +77,7 @@ func (c *Certifier) Apply(step model.Step) (Result, error) {
 		c.pending[step.Txn] = nil
 		c.stats.Begins++
 		c.stats.Accepted++
-		return Result{Step: step, Accepted: true, Aborted: model.NoTxn, CompletedTxn: model.NoTxn}, nil
+		return Result{Accepted: true, Aborted: model.NoTxn, CompletedTxn: model.NoTxn}, nil
 	case model.KindRead:
 		if err := c.requireActive(step.Txn); err != nil {
 			return Result{}, err
@@ -86,7 +86,7 @@ func (c *Certifier) Apply(step model.Step) (Result, error) {
 		c.pending[step.Txn] = append(c.pending[step.Txn], pendingAccess{step.Entity, model.ReadAccess, c.seq})
 		c.stats.Reads++
 		c.stats.Accepted++
-		return Result{Step: step, Accepted: true, Aborted: model.NoTxn, CompletedTxn: model.NoTxn}, nil
+		return Result{Accepted: true, Aborted: model.NoTxn, CompletedTxn: model.NoTxn}, nil
 	case model.KindWriteFinal:
 		if err := c.requireActive(step.Txn); err != nil {
 			return Result{}, err
@@ -141,7 +141,7 @@ func (c *Certifier) certify(step model.Step) (Result, error) {
 		c.status[id] = model.StatusAborted
 		c.stats.Rejected++
 		c.stats.Aborts++
-		return Result{Step: step, Accepted: false, Aborted: id, CompletedTxn: model.NoTxn}, nil
+		return Result{Accepted: false, Aborted: id, CompletedTxn: model.NoTxn}, nil
 	}
 	c.g.LinkTargetsTo(r)
 	for _, pa := range c.pending[id] {
@@ -158,5 +158,5 @@ func (c *Certifier) certify(step model.Step) (Result, error) {
 	if a := c.g.NumArcs(); a > c.stats.PeakArcs {
 		c.stats.PeakArcs = a
 	}
-	return Result{Step: step, Accepted: true, Aborted: model.NoTxn, CompletedTxn: id}, nil
+	return Result{Accepted: true, Aborted: model.NoTxn, CompletedTxn: id}, nil
 }

@@ -116,9 +116,9 @@ type Config struct {
 	Emitter emit.Emitter
 }
 
-// Result reports the effect of one step.
+// Result reports the effect of one step: the verdict, not the step, which
+// the caller already holds.
 type Result struct {
-	Step     model.Step
 	Accepted bool
 	// Aborted is the transaction aborted by a rejected step (NoTxn
 	// otherwise).
@@ -380,7 +380,7 @@ func (s *Scheduler) begin(step model.Step) (Result, error) {
 	s.stats.Begins++
 	s.stats.Accepted++
 	s.emit(emit.KindBegin, emit.ClassOK, id, s.seq, 0)
-	res := Result{Step: step, Accepted: true, Aborted: model.NoTxn, CompletedTxn: model.NoTxn}
+	res := Result{Accepted: true, Aborted: model.NoTxn, CompletedTxn: model.NoTxn}
 	s.afterStep(&res, false)
 	return res, nil
 }
@@ -405,22 +405,22 @@ func (s *Scheduler) read(step model.Step) (Result, error) {
 	}
 	// A cycle appears iff the reader already reaches one of the tails.
 	if g.ReachesAnyTarget(t.ref) {
-		return s.reject(step, t, false), nil
+		return s.reject(t, false), nil
 	}
 	// Cross-shard cycle test: labels arriving at a sub-node are inter-shard
 	// arcs; a registry veto rejects the read like a local cycle.
 	if !s.crossCollect(t) {
-		return s.reject(step, t, true), nil
+		return s.reject(t, true), nil
 	}
 	g.LinkTargetsTo(t.ref)
 	s.noteAccess(t, x, model.ReadAccess, r)
 	if !s.crossFlood(t) {
-		return s.reject(step, t, true), nil
+		return s.reject(t, true), nil
 	}
 	s.stats.Reads++
 	s.stats.Accepted++
 	s.emit(emit.KindAccept, emit.ClassOK, t.ID, t.BeginSeq, 0)
-	res := Result{Step: step, Accepted: true, Aborted: model.NoTxn, CompletedTxn: model.NoTxn}
+	res := Result{Accepted: true, Aborted: model.NoTxn, CompletedTxn: model.NoTxn}
 	s.afterStep(&res, false)
 	return res, nil
 }
@@ -434,10 +434,10 @@ func (s *Scheduler) writeFinal(step model.Step) (Result, error) {
 	g := s.g
 	s.markWriteTargets(t, step.Entities)
 	if g.ReachesAnyTarget(t.ref) {
-		return s.reject(step, t, false), nil
+		return s.reject(t, false), nil
 	}
 	if !s.crossCollect(t) {
-		return s.reject(step, t, true), nil
+		return s.reject(t, true), nil
 	}
 	g.LinkTargetsTo(t.ref)
 	if !s.crossFlood(t) {
@@ -446,7 +446,7 @@ func (s *Scheduler) writeFinal(step model.Step) (Result, error) {
 		// graphs. Reject it before any access bookkeeping lands — in
 		// particular no current value may name a write that failed, or
 		// Corollary 1's noncurrency test would see a phantom overwrite.
-		return s.reject(step, t, true), nil
+		return s.reject(t, true), nil
 	}
 	for i, x := range step.Entities {
 		e := &s.ents.recs[s.noteAccess(t, x, model.WriteAccess, s.recScratch[i])]
@@ -459,7 +459,7 @@ func (s *Scheduler) writeFinal(step model.Step) (Result, error) {
 	s.stats.Accepted++
 	s.stats.Completed++
 	s.emit(emit.KindCommit, emit.ClassOK, t.ID, t.BeginSeq, 0)
-	res := Result{Step: step, Accepted: true, Aborted: model.NoTxn, CompletedTxn: t.ID}
+	res := Result{Accepted: true, Aborted: model.NoTxn, CompletedTxn: t.ID}
 	s.afterStep(&res, true)
 	return res, nil
 }
@@ -559,7 +559,7 @@ func (s *Scheduler) releaseState(t *TxnState) {
 // its arcs, and all its access information are removed. cross marks a
 // rejection forced by the cross-arc registry rather than a cycle in this
 // shard's own graph.
-func (s *Scheduler) reject(step model.Step, t *TxnState, cross bool) Result {
+func (s *Scheduler) reject(t *TxnState, cross bool) Result {
 	if cross {
 		s.emit(emit.KindCrossVeto, emit.ClassCrossCycle, t.ID, t.BeginSeq, 0)
 	} else {
@@ -574,7 +574,7 @@ func (s *Scheduler) reject(step model.Step, t *TxnState, cross bool) Result {
 	s.releaseState(t)
 	s.stats.Rejected++
 	s.stats.Aborts++
-	res := Result{Step: step, Accepted: false, Aborted: t.ID, CompletedTxn: model.NoTxn, CrossVeto: cross}
+	res := Result{Accepted: false, Aborted: t.ID, CompletedTxn: model.NoTxn, CrossVeto: cross}
 	s.afterStep(&res, true)
 	return res
 }

@@ -182,37 +182,37 @@ func TestLabelLatePropagation(t *testing.T) {
 func TestLabelNamesIncarnation(t *testing.T) {
 	tr := &fakeTracker{retired: map[model.TxnID]bool{}, veto: map[reachArc]bool{}}
 	s := NewScheduler(Config{Cross: tr})
-	must := func(res Result) {
+	must := func(st model.Step) {
 		t.Helper()
-		if !res.Accepted {
-			t.Fatalf("%v rejected", res.Step)
+		if !s.MustApply(st).Accepted {
+			t.Fatalf("%v rejected", st)
 		}
 	}
 	// v reads e0; cross T1 reads e0; L writes e0 (arcs v→L, T1→L, label T1
 	// on L); M reads L's e4 (label T1 on M) and writes e6.
-	must(s.MustApply(model.Begin(5)))
-	must(s.MustApply(model.Read(5, 0)))
+	must(model.Begin(5))
+	must(model.Read(5, 0))
 	s.MustBeginCross(t, 1)
-	must(s.MustApply(model.Read(1, 0)))
-	must(s.MustApply(model.Begin(7)))
-	must(s.MustApply(model.WriteFinal(7, 0, 4)))
-	must(s.MustApply(model.Begin(11)))
-	must(s.MustApply(model.Read(11, 4)))
-	must(s.MustApply(model.WriteFinal(11, 6)))
+	must(model.Read(1, 0))
+	must(model.Begin(7))
+	must(model.WriteFinal(7, 0, 4))
+	must(model.Begin(11))
+	must(model.Read(11, 4))
+	must(model.WriteFinal(11, 6))
 	if err := s.AbortTxn(1); err != nil {
 		t.Fatal(err)
 	}
 	tr.retired[1] = true
 	// Cross T2 reads M's e6 (arc M→T2): M's dead label is pruned, L's stays.
 	s.MustBeginCross(t, 2)
-	must(s.MustApply(model.Read(2, 6)))
+	must(model.Read(2, 6))
 	// The ID is tracked again, for a new sub-transaction reading e8; v's
 	// write of e8 links T1→v and so T1→v→L→M→T2.
 	delete(tr.retired, 1)
 	s.MustBeginCross(t, 1)
-	must(s.MustApply(model.Read(1, 8)))
+	must(model.Read(1, 8))
 	tr.arcs = nil
-	must(s.MustApply(model.WriteFinal(5, 8)))
+	must(model.WriteFinal(5, 8))
 	if !slices.Contains(tr.arcs, reachArc{1, 2}) {
 		t.Fatalf("reach-arc 1→2 of the reused ID not reported (flood stopped at a stale label); arcs = %v", tr.arcs)
 	}
@@ -227,23 +227,23 @@ func TestLabelNamesIncarnation(t *testing.T) {
 func TestVetoedFloodLeavesNoLabels(t *testing.T) {
 	tr := &fakeTracker{retired: map[model.TxnID]bool{}, veto: map[reachArc]bool{}}
 	s := NewScheduler(Config{Cross: tr})
-	must := func(res Result) {
+	must := func(st model.Step) {
 		t.Helper()
-		if !res.Accepted {
-			t.Fatalf("%v rejected", res.Step)
+		if !s.MustApply(st).Accepted {
+			t.Fatalf("%v rejected", st)
 		}
 	}
 	// Cross A reads e1. X reads e2, which W overwrites (X→W); active L
 	// reads W's e3 (W→L) and e4, which cross C then writes (L→C).
 	s.MustBeginCross(t, 1)
-	must(s.MustApply(model.Read(1, 1)))
-	must(s.MustApply(model.Begin(2)))
-	must(s.MustApply(model.Read(2, 2)))
-	must(s.MustApply(model.Begin(3)))
-	must(s.MustApply(model.WriteFinal(3, 2, 3)))
-	must(s.MustApply(model.Begin(4)))
-	must(s.MustApply(model.Read(4, 3)))
-	must(s.MustApply(model.Read(4, 4)))
+	must(model.Read(1, 1))
+	must(model.Begin(2))
+	must(model.Read(2, 2))
+	must(model.Begin(3))
+	must(model.WriteFinal(3, 2, 3))
+	must(model.Begin(4))
+	must(model.Read(4, 3))
+	must(model.Read(4, 4))
 	s.MustBeginCross(t, 5)
 	if vote, err := s.PrepareFinal(model.WriteFinal(5, 4)); err != nil || vote != VoteYes {
 		t.Fatalf("prepare C: %v %v", vote, err)
@@ -260,7 +260,7 @@ func TestVetoedFloodLeavesNoLabels(t *testing.T) {
 	// L's own write of e1 now links A→L for real: A→L→C must be reported.
 	delete(tr.veto, reachArc{1, 5})
 	tr.arcs = nil
-	must(s.MustApply(model.WriteFinal(4, 1)))
+	must(model.WriteFinal(4, 1))
 	if !slices.Contains(tr.arcs, reachArc{1, 5}) {
 		t.Fatalf("reach-arc A→C through L not reported; arcs = %v", tr.arcs)
 	}

@@ -400,7 +400,7 @@ func (e *Engine) beginCross(step model.Step, pri Priority, settle func()) Result
 		// published and already resolved the transaction (it deleted the
 		// route and counted the abort). Beginning sub-transactions now
 		// would resurrect it with no route left to ever finish them.
-		return answer(step, step.Txn, stepErr(step, ErrTxnAborted))
+		return answer(step.Txn, stepErr(step, ErrTxnAborted))
 	}
 	if !e.registry.register(step.Txn, ct.parts) {
 		// The ID names a committed cross transaction the registry still
@@ -419,7 +419,7 @@ func (e *Engine) beginCross(step model.Step, pri Priority, settle func()) Result
 	if failed < 0 {
 		e.crossTxns.Add(1)
 		e.accepted.Add(1)
-		return answer(step, model.NoTxn, nil)
+		return answer(model.NoTxn, nil)
 	}
 	res, ok := ct.legs[failed].req.res, ct.legs[failed].ok
 	applied := false
@@ -451,7 +451,7 @@ func (e *Engine) crossStep(ctx context.Context, step model.Step, ct *crossTxn) R
 	defer ct.mu.Unlock()
 	if ct.done {
 		if ct.committed {
-			return errResult(step, fmt.Errorf("engine: step for T%d after its final write: %w", ct.id, ErrProtocol))
+			return errResult(fmt.Errorf("engine: step for T%d after its final write: %w", ct.id, ErrProtocol))
 		}
 		return e.deadTxn(step)
 	}
@@ -474,7 +474,7 @@ func (e *Engine) crossMisroute(step model.Step, ct *crossTxn) Result {
 		e.cfg.Log.Append(step, false)
 	}
 	e.finishCrossAbort(ct, -1)
-	return answer(step, ct.id, stepErr(step, ErrMisroute))
+	return answer(ct.id, stepErr(step, ErrMisroute))
 }
 
 // finishCrossAbort aborts ct's sub-transactions on every participant except
@@ -532,7 +532,7 @@ func (e *Engine) commitCross(ctx context.Context, ct *crossTxn, final model.Step
 	for _, l := range ct.legs {
 		if !l.ok {
 			e.finishCrossAbort(ct, -1)
-			return answer(final, ct.id, stepErr(final, ErrClosed))
+			return answer(ct.id, stepErr(final, ErrClosed))
 		}
 		if l.req.res.Err != nil {
 			// A NO vote — a local cycle on that shard (ErrCycle) or a
@@ -543,7 +543,7 @@ func (e *Engine) commitCross(ctx context.Context, ct *crossTxn, final model.Step
 			if l.req.res.Outcome() == OutcomeRejected {
 				e.rejected.Add(1)
 			}
-			return answer(final, ct.id, l.req.res.Err)
+			return answer(ct.id, l.req.res.Err)
 		}
 	}
 	if hook := testHookPrepared; hook != nil {
@@ -555,7 +555,7 @@ func (e *Engine) commitCross(ctx context.Context, ct *crossTxn, final model.Step
 		// as a client abort would.
 		e.rejected.Add(1)
 		e.finishCrossAbort(ct, -1)
-		return answer(final, ct.id, ctxErr(final, context.Cause(ctx)))
+		return answer(ct.id, ctxErr(final, context.Cause(ctx)))
 	}
 	// Unanimous YES: commit everywhere. The write arcs are already in every
 	// participant's graph (placed at prepare), so the decision only flips
@@ -570,7 +570,7 @@ func (e *Engine) commitCross(ctx context.Context, ct *crossTxn, final model.Step
 		// which already released its own sub): abort the siblings and
 		// report the transaction aborted.
 		e.finishCrossAbort(ct, ct.parts[0])
-		return answer(final, ct.id, commit.res.Err)
+		return answer(ct.id, commit.res.Err)
 	}
 	if ok {
 		commit = request{kind: reqCommitSub, txn: ct.id, decisionDurable: true}
@@ -594,7 +594,7 @@ func (e *Engine) commitCross(ctx context.Context, ct *crossTxn, final model.Step
 	e.routes.delete(ct.id)
 	e.accepted.Add(1)
 	e.completed.Add(1)
-	return Result{Step: final, Aborted: model.NoTxn, CompletedTxn: ct.id}
+	return Result{Aborted: model.NoTxn, CompletedTxn: ct.id}
 }
 
 // crossClientAbort implements Engine.Abort for a cross transaction: it

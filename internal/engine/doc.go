@@ -14,7 +14,8 @@
 // shard's lock, applies the step, runs the housekeeping — among it the
 // deletion-policy sweep, due once the terminations since the last one
 // reach what it kept — and unlocks; SubmitBatchInto does the same for a
-// batch, one visit per shard its steps touch. A submitter that
+// batch, one visit per shard its steps touch, and answers steps[i] with the
+// i-th Result, which does not repeat the step. A submitter that
 // finds the lock held yields a few times, then blocks; the submitters
 // waiting for a shard are its backlog (Stats.QueueDepth). The engine starts
 // no goroutine of its own.
@@ -105,6 +106,16 @@
 // stay until nothing live can re-enter it. Retirement cascades along
 // out-arcs, so chains of committed transactions drain as their
 // predecessors expire.
+//
+// Both doors decide alike (TestSubmitBatchEquivalentToPerStep) except for
+// one freedom of the batch door: it applies a window shard by shard, so two
+// cross transactions' reads bound for different shards reach the registry
+// in window order, and the registry may veto the other one of the two than
+// per-step submission of the same steps would, as it may for two concurrent
+// clients (TestBatchCrossVetoOrder). Ordering those reads across shards
+// would end a window at every cross read; no client can tell a batch from
+// two racing sessions, so the door keeps the freedom. Theorem 2 holds on
+// either side of it.
 //
 // The offline referee (trace.CheckAcceptedCSR) closes the loop end to end:
 // sub-transactions log under the logical TxnID, so the referee rebuilds

@@ -108,12 +108,14 @@ func (o Outcome) String() string {
 	}
 }
 
-// Result reports the engine-level effect of one submission. Err is nil iff
-// the step was applied and accepted; otherwise it wraps one member of the
-// error taxonomy (errors.go) plus the step's context. Nothing else records
-// the verdict: Outcome and Accepted read it from Err.
+// Result reports the engine-level effect of one submission: the answer,
+// not the question. A door answers steps[i] with the i-th Result, and the
+// caller, which holds the step, pairs them by position. Err is nil iff the
+// step was applied and accepted; otherwise it wraps one member of the error
+// taxonomy (errors.go) plus the step's context, so its text names the
+// step's transaction. Nothing else records the verdict: Outcome and
+// Accepted read it from Err.
 type Result struct {
-	Step model.Step
 	// Aborted is the transaction aborted by this submission (NoTxn
 	// otherwise). The step that kills a transaction carries the specific
 	// cause (ErrCycle, ErrCrossCycle, ErrMisroute); later steps addressed
@@ -347,7 +349,8 @@ func (e *Engine) SubmitCtx(ctx context.Context, step model.Step) Result {
 // admission priority for a BEGIN (an admitted transaction's steps are never
 // shed). SubmitBatchInto submits a client's steps at PriorityNormal with no
 // deadline and appends one Result per step to dst in submission order (a
-// reused dst with spare capacity keeps it allocation-free).
+// reused dst with spare capacity keeps it allocation-free): the Result
+// appended for steps[i] answers steps[i]. A Result does not repeat its step.
 //
 // Steps of one transaction must be submitted in order, as a client session
 // would: each after the previous one's Result or behind it in the same
@@ -365,10 +368,17 @@ func (e *Engine) SubmitCtx(ctx context.Context, step model.Step) Result {
 // final write, a misroute, a step of a dead transaction, a duplicate or shed
 // BEGIN), before a BEGIN that reuses a live ID, and before a cross read
 // whose transaction has a read bound for another shard in the window; a
-// cross BEGIN's sub-begins go ahead of it. The window is applied shard by
-// shard, so two cross transactions' reads bound for different shards may
-// reach the cross registry in another order than submitted, as two
-// concurrent clients' would. A step behind the end of its own transaction in
+// cross BEGIN's sub-begins go ahead of it.
+//
+// The window is applied shard by shard, so two cross transactions' reads
+// bound for different shards may reach the cross registry in another order
+// than submitted, and the registry vetoes whichever read closes the cycle
+// second. A batch may therefore veto one cross transaction where the same
+// steps submitted one at a time veto the other, as two concurrent clients'
+// steps may (TestBatchCrossVetoOrder). That freedom is kept: keeping cross
+// reads in submission order across shards would end a window at each one.
+// Theorem 2 holds either way, since a deleting engine decides every batch
+// as one that never deletes. A step behind the end of its own transaction in
 // a batch is answered as if submitted alone afterwards: rejected, wrapping
 // ErrTxnAborted (ErrStragglerAborted after a reap); one behind its own
 // refused BEGIN reports ErrProtocol, as the BEGIN did.
@@ -439,7 +449,7 @@ func (e *Engine) admit(ctx context.Context, step model.Step, pri Priority, settl
 		}
 		// Cause, not Err: a derived context cancelled for a deadline still
 		// reports context.DeadlineExceeded.
-		return 0, nil, false, answer(step, step.Txn, ctxErr(step, context.Cause(ctx)))
+		return 0, nil, false, answer(step.Txn, ctxErr(step, context.Cause(ctx)))
 	}
 	switch step.Kind {
 	case model.KindBegin:
@@ -492,7 +502,7 @@ func (e *Engine) admit(ctx context.Context, step model.Step, pri Priority, settl
 		return r.shard, nil, true, Result{}
 	default:
 		settle()
-		return 0, nil, false, errResult(step, fmt.Errorf("engine: step kind %v not part of the basic model: %w", step.Kind, ErrProtocol))
+		return 0, nil, false, errResult(fmt.Errorf("engine: %v: step kind %v not part of the basic model: %w", step, step.Kind, ErrProtocol))
 	}
 }
 
@@ -504,16 +514,16 @@ func (e *Engine) admit(ctx context.Context, step model.Step, pri Priority, settl
 // only that shard's sub-node; landed aborts it on the other participants,
 // unless it is already decided (Engine.Abort got there first, or an
 // earlier rejected read of the same window did).
-func (e *Engine) landed(res *Result) {
+func (e *Engine) landed(step *model.Step, res *Result) {
 	switch {
-	case res.Step.Kind == model.KindBegin && res.Outcome() == OutcomeError:
-		e.routes.delete(res.Step.Txn)
-	case res.Step.Kind == model.KindRead && res.Aborted == res.Step.Txn:
+	case step.Kind == model.KindBegin && res.Outcome() == OutcomeError:
+		e.routes.delete(step.Txn)
+	case step.Kind == model.KindRead && res.Aborted == step.Txn:
 		if r, live := e.routes.load(res.Aborted); live && r.kind == routeCross {
 			ct := r.ct
 			ct.mu.Lock()
 			if !ct.done {
-				e.finishCrossAbort(ct, e.partitionOf(res.Step.Entity))
+				e.finishCrossAbort(ct, e.partitionOf(step.Entity))
 			}
 			ct.mu.Unlock()
 		}
@@ -523,7 +533,7 @@ func (e *Engine) landed(res *Result) {
 // duplicateBegin answers a BEGIN whose ID is still routed, or still tracked
 // by the cross registry.
 func duplicateBegin(step model.Step) Result {
-	return errResult(step, fmt.Errorf("engine: duplicate BEGIN for T%d: %w", step.Txn, ErrProtocol))
+	return errResult(fmt.Errorf("engine: duplicate BEGIN for T%d: %w", step.Txn, ErrProtocol))
 }
 
 // shardOverloaded reports whether admission control should shed a BEGIN
@@ -543,7 +553,7 @@ func (e *Engine) shedBegin(step model.Step, home int) Result {
 		e.cfg.Bus.Emit(emit.Event{Kind: emit.KindShed, Class: emit.ClassOverload,
 			Shard: int32(home), Txn: step.Txn, N: e.shards[home].depth.Load()})
 	}
-	return answer(step, step.Txn, stepErr(step, ErrOverload))
+	return answer(step.Txn, stepErr(step, ErrOverload))
 }
 
 // windowCap bounds a window that touches more than one shard, since each
@@ -660,7 +670,7 @@ func (e *Engine) apply(w *window, dst []Result, steps []model.Step) []Result {
 		}
 	}
 	for i := range batch.out {
-		e.landed(&batch.out[i])
+		e.landed(&batch.steps[i], &batch.out[i])
 	}
 	w.n = 0
 	return dst
@@ -686,9 +696,9 @@ func (e *Engine) misroutedStep(st model.Step, home int) bool {
 func (e *Engine) deadTxn(step model.Step) Result {
 	e.rejected.Add(1)
 	if e.reaped.contains(step.Txn) {
-		return answer(step, step.Txn, stragglerErr(step))
+		return answer(step.Txn, stragglerErr(step))
 	}
-	return answer(step, step.Txn, stepErr(step, ErrTxnAborted))
+	return answer(step.Txn, stepErr(step, ErrTxnAborted))
 }
 
 // misroute aborts a partition-local transaction that touched a foreign
@@ -707,7 +717,7 @@ func (e *Engine) misroute(step model.Step, r route) Result {
 		e.cfg.Log.Append(step, false)
 	}
 	e.abortLocal(r.shard, step.Txn)
-	return answer(step, step.Txn, stepErr(step, ErrMisroute))
+	return answer(step.Txn, stepErr(step, ErrMisroute))
 }
 
 // Abort aborts a live transaction (e.g. on client disconnect). For a
@@ -764,10 +774,10 @@ func (e *Engine) Stats() Stats {
 	}
 	for _, sh := range e.shards {
 		// A closed shard still answers reqStats.
-		req := request{kind: reqStats}
-		sh.run(&req)
-		s.PerShard = append(s.PerShard, req.stats)
-		s.Merged.Merge(req.stats)
+		var st core.Stats
+		sh.run(&request{kind: reqStats, stats: &st})
+		s.PerShard = append(s.PerShard, st)
+		s.Merged.Merge(st)
 	}
 	s.Deleted, s.Sweeps = s.Merged.Deleted, s.Merged.Sweeps
 	s.QueueDepth = e.QueueDepths()
@@ -837,6 +847,6 @@ func (e *Engine) Close() {
 		return
 	}
 	for _, sh := range e.shards {
-		sh.run(&request{kind: reqStats}) // the engine is closed: this run shuts the shard down
+		sh.run(&request{kind: reqStats}) // the engine is closed: this run shuts the shard down; no one reads its stats
 	}
 }

@@ -37,7 +37,7 @@ func TestSingleShardSemantics(t *testing.T) {
 	mustOutcome := func(res Result, want Outcome) {
 		t.Helper()
 		if res.Outcome() != want {
-			t.Fatalf("%v: outcome = %v (err=%v), want %v", res.Step, res.Outcome(), res.Err, want)
+			t.Fatalf("outcome = %v (err=%v), want %v", res.Outcome(), res.Err, want)
 		}
 	}
 	// T1 reads x, T2 reads y, T2 writes x (T1→T2), then T1 writes y: cycle.
@@ -163,7 +163,7 @@ func TestCrossCycleDetectedAtPrepare(t *testing.T) {
 	mustAccept := func(res Result) {
 		t.Helper()
 		if !res.Accepted() {
-			t.Fatalf("%v: %v (%v)", res.Step, res.Outcome(), res.Err)
+			t.Fatalf("%v (%v)", res.Outcome(), res.Err)
 		}
 	}
 	mustAccept(submit(eng, model.BeginDeclared(1, 0, 1)))
@@ -690,7 +690,7 @@ func TestCrossIDReuseStaleLabels(t *testing.T) {
 	must := func(res Result) {
 		t.Helper()
 		if !res.Accepted() {
-			t.Fatalf("%v: %v (%v)", res.Step, res.Outcome(), res.Err)
+			t.Fatalf("%v (%v)", res.Outcome(), res.Err)
 		}
 	}
 	// Era 1: long-lived local v reads e0; cross T1 reads e0; local L's

@@ -22,7 +22,7 @@ func TestResultErrTaxonomyRoundTrip(t *testing.T) {
 	must := func(res Result) {
 		t.Helper()
 		if !res.Accepted() || res.Err != nil {
-			t.Fatalf("%v: %v (%v)", res.Step, res.Outcome(), res.Err)
+			t.Fatalf("%v (%v)", res.Outcome(), res.Err)
 		}
 	}
 
@@ -135,7 +135,7 @@ func TestOutcomeDerivedFromErr(t *testing.T) {
 		{"closed", stepErr(step, ErrClosed), OutcomeError},
 		{"journal-refusal", dead.refusal(step), OutcomeError},
 	} {
-		res := Result{Step: step, Err: tc.err}
+		res := Result{Err: tc.err}
 		if got := res.Outcome(); got != tc.want {
 			t.Errorf("%s: Outcome() = %v, want %v (err %v)", tc.name, got, tc.want, tc.err)
 		}
@@ -158,7 +158,7 @@ func TestCtxCancelBetweenPrepareAndDecision(t *testing.T) {
 	must := func(res Result) {
 		t.Helper()
 		if !res.Accepted() {
-			t.Fatalf("%v: %v (%v)", res.Step, res.Outcome(), res.Err)
+			t.Fatalf("%v (%v)", res.Outcome(), res.Err)
 		}
 	}
 	must(submit(eng, model.BeginDeclared(1, 0, 1)))

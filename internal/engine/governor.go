@@ -179,11 +179,11 @@ func (e *Engine) oldestStraggler() (id model.TxnID, shard int, inc int64, ok boo
 	var best core.ActiveInfo
 	bestShard := -1
 	for i, sh := range e.shards {
-		req := request{kind: reqOldest}
-		if !sh.run(&req) {
+		var actives []core.ActiveInfo
+		if !sh.run(&request{kind: reqOldest, actives: &actives}) {
 			continue
 		}
-		for _, info := range req.actives {
+		for _, info := range actives {
 			r, routed := e.routes.load(info.ID)
 			if !routed || r.pri == PriorityHigh {
 				continue

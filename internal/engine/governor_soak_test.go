@@ -102,9 +102,9 @@ func runSoak(t *testing.T, arm soakArm) (samples []int64, st Stats) {
 			break
 		}
 		results = eng.SubmitBatchInto(results[:0], steps)
-		for _, r := range results {
+		for i, r := range results {
 			if r.Aborted == soakHighID {
-				t.Fatalf("the PriorityHigh transaction was aborted mid-attack: %v (%v)", r.Step, r.Err)
+				t.Fatalf("the PriorityHigh transaction was aborted mid-attack: %v (%v)", steps[i], r.Err)
 			}
 			if r.Aborted != model.NoTxn && !notified[r.Aborted] {
 				notified[r.Aborted] = true

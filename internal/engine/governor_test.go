@@ -27,7 +27,7 @@ func TestReapCrossStragglerUnblocksDownstreamGC(t *testing.T) {
 	must := func(res Result) {
 		t.Helper()
 		if !res.Accepted() {
-			t.Fatalf("%v: %v (%v)", res.Step, res.Outcome(), res.Err)
+			t.Fatalf("%v (%v)", res.Outcome(), res.Err)
 		}
 	}
 
@@ -99,7 +99,7 @@ func TestGovernorExemptsPriorityHigh(t *testing.T) {
 	must := func(res Result) {
 		t.Helper()
 		if !res.Accepted() {
-			t.Fatalf("%v: %v (%v)", res.Step, res.Outcome(), res.Err)
+			t.Fatalf("%v (%v)", res.Outcome(), res.Err)
 		}
 	}
 
@@ -154,7 +154,7 @@ func TestGovernorCountsTheReapsOwnSweep(t *testing.T) {
 	must := func(res Result) {
 		t.Helper()
 		if !res.Accepted() {
-			t.Fatalf("%v: %v (%v)", res.Step, res.Outcome(), res.Err)
+			t.Fatalf("%v (%v)", res.Outcome(), res.Err)
 		}
 	}
 	must(submit(eng, model.BeginDeclared(1, 0)))
@@ -230,7 +230,7 @@ func TestGovernorWaitsForTraffic(t *testing.T) {
 	must := func(res Result) {
 		t.Helper()
 		if !res.Accepted() {
-			t.Fatalf("%v: %v (%v)", res.Step, res.Outcome(), res.Err)
+			t.Fatalf("%v (%v)", res.Outcome(), res.Err)
 		}
 	}
 	must(submit(eng, model.BeginDeclared(1, 0)))

@@ -240,7 +240,7 @@ func crossCleanProportional(t *testing.T, abort bool) {
 	must := func(res Result) {
 		t.Helper()
 		if !res.Accepted() {
-			t.Fatalf("%v: %v (%v)", res.Step, res.Outcome(), res.Err)
+			t.Fatalf("%v (%v)", res.Outcome(), res.Err)
 		}
 	}
 
@@ -330,7 +330,7 @@ func crossCleanProportional(t *testing.T, abort bool) {
 func TestSubmitBatchStepBehindOwnAbort(t *testing.T) {
 	eng := New(Config{Shards: 1})
 	defer eng.Close()
-	results := eng.SubmitBatchInto(nil, []model.Step{
+	steps := []model.Step{
 		model.BeginDeclared(1, 0),
 		model.BeginDeclared(2, 0),
 		model.Read(1, 0),
@@ -338,14 +338,15 @@ func TestSubmitBatchStepBehindOwnAbort(t *testing.T) {
 		model.Read(1, 4),          // T2 → T1 would close the cycle: T1 aborts
 		model.WriteFinal(1, 8),    // pipelined behind its own abort
 		model.Read(2, 0),          // pipelined behind its own final write
-	})
+	}
+	results := eng.SubmitBatchInto(nil, steps)
 	if r := results[4]; r.Outcome() != OutcomeRejected || !errors.Is(r.Err, ErrCycle) || r.Aborted != 1 {
 		t.Fatalf("cycle-closing read: %v aborted=%v err=%v, want rejected/T1/ErrCycle", r.Outcome(), r.Aborted, r.Err)
 	}
 	for _, i := range []int{5, 6} {
 		r := results[i]
-		if r.Outcome() != OutcomeRejected || !errors.Is(r.Err, ErrTxnAborted) || errors.Is(r.Err, ErrProtocol) || r.Aborted != r.Step.Txn {
-			t.Fatalf("step %d (%v): %v aborted=%v err=%v, want rejected with ErrTxnAborted", i, r.Step, r.Outcome(), r.Aborted, r.Err)
+		if r.Outcome() != OutcomeRejected || !errors.Is(r.Err, ErrTxnAborted) || errors.Is(r.Err, ErrProtocol) || r.Aborted != steps[i].Txn {
+			t.Fatalf("step %d (%v): %v aborted=%v err=%v, want rejected with ErrTxnAborted", i, steps[i], r.Outcome(), r.Aborted, r.Err)
 		}
 	}
 	s := eng.Stats()

@@ -49,17 +49,24 @@ const (
 // one field of the request from another, so that leak would take steps and
 // out, and with them SubmitPriority's one-step window, to the heap: 8
 // allocations per 4-step transaction.
+//
+// Nor does it hold an answer only one kind needs by value: reqStats and
+// reqOldest write theirs through a pointer into the caller's variable, so
+// every request, a reqBatch above all, stays small to build and to copy.
 type request struct {
 	kind reqKind
-	// txn names the transaction a reqCommitSub or reqAbortSub decides.
-	txn model.TxnID
-	// step is what a reqBeginSub or reqPrepareSub applies.
-	step *model.Step
 	// decisionDurable marks a reqCommitSub whose COMMIT decision is already
 	// durable on an earlier participant: a journaling failure here must not
 	// block the in-memory commit (recovery finishes the laggard from the
 	// evidence). The first participant's journal is the commit point.
 	decisionDurable bool
+	// aborted is the answer to a reqAbortSub: whether the transaction was
+	// live here.
+	aborted bool
+	// txn names the transaction a reqCommitSub or reqAbortSub decides.
+	txn model.TxnID
+	// step is what a reqBeginSub or reqPrepareSub applies.
+	step *model.Step
 	// steps is a reqBatch's window and out its results, both aliasing the
 	// caller's buffers: the shard writes out[k] for each step k it owns
 	// (every step when own is 0, else the set bits of own), so the shards a
@@ -68,14 +75,12 @@ type request struct {
 	steps []model.Step
 	out   []Result
 	own   uint64
-
-	// The shard's answer: res to a reqBeginSub, reqPrepareSub or
-	// reqCommitSub, stats to reqStats, actives to reqOldest, and aborted to
-	// reqAbortSub (whether the transaction was live here).
-	res     Result
-	stats   core.Stats
-	actives []core.ActiveInfo
-	aborted bool
+	// res is the answer to a reqBeginSub, reqPrepareSub or reqCommitSub.
+	res Result
+	// stats and actives, when non-nil, receive the answer to a reqStats and
+	// a reqOldest.
+	stats   *core.Stats
+	actives *[]core.ActiveInfo
 }
 
 // owns reports whether a reqBatch's step k is this shard's to apply.
@@ -259,7 +264,9 @@ func (sh *shard) handle(req *request) {
 			}
 		}
 	case reqStats:
-		req.stats = sh.sched.Stats()
+		if req.stats != nil {
+			*req.stats = sh.sched.Stats()
+		}
 	case reqBeginSub:
 		req.res = sh.applyBeginSub(*req.step)
 	case reqPrepareSub:
@@ -269,7 +276,7 @@ func (sh *shard) handle(req *request) {
 	case reqAbortSub:
 		req.aborted = sh.applyAbortSub(req.txn)
 	case reqOldest:
-		req.actives = sh.sched.OldestActives(governorCandidates)
+		*req.actives = sh.sched.OldestActives(governorCandidates)
 	case reqSweep:
 		sh.sweep()
 	}
@@ -285,7 +292,7 @@ func (sh *shard) handle(req *request) {
 func (sh *shard) applyOne(step model.Step) (out Result) {
 	eng := sh.eng
 	if err := sh.jr.refusal(step); err != nil {
-		return errResult(step, err)
+		return errResult(err)
 	}
 	res, err := sh.sched.Apply(step)
 	if err != nil {
@@ -303,12 +310,12 @@ func (sh *shard) applyOne(step model.Step) (out Result) {
 		// BEGIN, step for a finished transaction, bad kind): a protocol
 		// violation, state unchanged.
 		//lint:ignore hotpath-fmt protocol-violation path: accepted steps never reach this return
-		return errResult(step, fmt.Errorf("engine: %w: %v", ErrProtocol, err))
+		return errResult(fmt.Errorf("engine: %w: %v", ErrProtocol, err))
 	}
 	if eng.cfg.Log != nil {
 		eng.cfg.Log.Append(step, res.Accepted)
 	}
-	out = Result{Step: step, Aborted: res.Aborted, CompletedTxn: res.CompletedTxn}
+	out = Result{Aborted: res.Aborted, CompletedTxn: res.CompletedTxn}
 	if res.Accepted {
 		eng.accepted.Add(1)
 		var jerr error
@@ -327,7 +334,7 @@ func (sh *shard) applyOne(step model.Step) (out Result) {
 			// has fail-stopped, so the only observer left is recovery — which
 			// won't have the record, agreeing with the client that the ack
 			// never happened.
-			out = errResult(step, sh.jr.refusal(step))
+			out = errResult(sh.jr.refusal(step))
 		}
 	} else {
 		if res.CrossVeto {
@@ -374,10 +381,10 @@ func (sh *shard) txnGone(id model.TxnID) bool {
 // applies and logs.
 func (sh *shard) applyBeginSub(step model.Step) Result {
 	if err := sh.jr.refusal(step); err != nil {
-		return errResult(step, err)
+		return errResult(err)
 	}
 	if _, err := sh.sched.BeginCross(step); err != nil {
-		return errResult(step, fmt.Errorf("engine: %w: %v", ErrProtocol, err))
+		return errResult(fmt.Errorf("engine: %w: %v", ErrProtocol, err))
 	}
 	if sh.eng.cfg.Log != nil {
 		sh.eng.cfg.Log.Append(step, true)
@@ -385,9 +392,9 @@ func (sh *shard) applyBeginSub(step model.Step) Result {
 	if sh.jr.record(store.RecBeginSub, step.Txn, 0, step.Entities) != nil {
 		// Strict mode: the sub-begin could not be made durable, so refuse it
 		// and let the coordinator abort the siblings (see applyOne).
-		return errResult(step, sh.jr.refusal(step))
+		return errResult(sh.jr.refusal(step))
 	}
-	return answer(step, model.NoTxn, nil)
+	return answer(model.NoTxn, nil)
 }
 
 // applyPrepareSub votes on this shard's slice of a cross final write. A
@@ -396,7 +403,7 @@ func (sh *shard) applyBeginSub(step model.Step) Result {
 // pins the sub-node.
 func (sh *shard) applyPrepareSub(step model.Step) Result {
 	if err := sh.jr.refusal(step); err != nil {
-		return errResult(step, err)
+		return errResult(err)
 	}
 	vote, err := sh.sched.PrepareFinal(step)
 	// The gauge tracks the scheduler's prepared state, not the vote: a
@@ -407,7 +414,7 @@ func (sh *shard) applyPrepareSub(step model.Step) Result {
 		sh.preparedN.Add(1)
 	}
 	if err != nil {
-		return errResult(step, fmt.Errorf("engine: %w: %v", ErrProtocol, err))
+		return errResult(fmt.Errorf("engine: %w: %v", ErrProtocol, err))
 	}
 	switch vote {
 	case core.VoteYes:
@@ -417,16 +424,16 @@ func (sh *shard) applyPrepareSub(step model.Step) Result {
 			// and answer with the failure (the coordinator then aborts the
 			// siblings).
 			sh.applyAbortSub(step.Txn)
-			return answer(step, step.Txn, sh.jr.refusal(step))
+			return answer(step.Txn, sh.jr.refusal(step))
 		}
 		if sh.eng.cfg.Log != nil {
 			sh.eng.cfg.Log.Append(step, true)
 		}
-		return answer(step, model.NoTxn, nil)
+		return answer(model.NoTxn, nil)
 	case core.VoteCrossCycle:
-		return answer(step, step.Txn, stepErr(step, ErrCrossCycle))
+		return answer(step.Txn, stepErr(step, ErrCrossCycle))
 	default: // VoteLocalCycle
-		return answer(step, step.Txn, stepErr(step, ErrCycle))
+		return answer(step.Txn, stepErr(step, ErrCycle))
 	}
 }
 
@@ -444,11 +451,11 @@ func (sh *shard) applyPrepareSub(step model.Step) Result {
 func (sh *shard) applyCommitSub(id model.TxnID, decisionDurable bool) Result {
 	if sh.jr.record(store.RecCommit, id, 0, nil) != nil && !decisionDurable {
 		sh.applyAbortSub(id)
-		return answer(model.Step{}, id, sh.jr.refusal(model.Step{Kind: model.KindWriteFinal, Txn: id}))
+		return answer(id, sh.jr.refusal(model.Step{Kind: model.KindWriteFinal, Txn: id}))
 	}
 	res, err := sh.sched.CommitPrepared(id)
 	if err != nil {
-		return errResult(model.Step{}, fmt.Errorf("engine: %w: %v", ErrProtocol, err))
+		return errResult(fmt.Errorf("engine: %w: %v", ErrProtocol, err))
 	}
 	sh.preparedN.Add(-1)
 	// The registry now waits for this shard's clean report: file the debt.
@@ -476,18 +483,18 @@ func (sh *shard) applyAbortSub(id model.TxnID) bool {
 
 // answer is a Result for a step that completed nothing: err (nil when it
 // was accepted) and the transaction it aborted (NoTxn: none).
-func answer(step model.Step, aborted model.TxnID, err error) Result {
-	return Result{Step: step, Aborted: aborted, CompletedTxn: model.NoTxn, Err: err}
+func answer(aborted model.TxnID, err error) Result {
+	return Result{Aborted: aborted, CompletedTxn: model.NoTxn, Err: err}
 }
 
 // errResult is the answer to a step the shard could not process: nothing
 // was aborted or completed by it.
-func errResult(step model.Step, err error) Result { return answer(step, model.NoTxn, err) }
+func errResult(err error) Result { return answer(model.NoTxn, err) }
 
 // closedResult is what every door answers for a step the engine can no
 // longer run: closed before the submit, or before the step reached its
 // shard.
-func closedResult(step model.Step) Result { return errResult(step, stepErr(step, ErrClosed)) }
+func closedResult(step model.Step) Result { return errResult(stepErr(step, ErrClosed)) }
 
 // sweep runs the deletion policy now, then lets the journal checkpoint what
 // it retained.

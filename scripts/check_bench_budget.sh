@@ -12,6 +12,9 @@
 # fan-out (BenchmarkEngineBatchInterleaved, shard visits per 64-step batch
 # vs max_batch_roundtrips_per_batch, and the times the lone submitter
 # blocked on a shard lock held elsewhere per batch vs max_parks_per_batch),
+# the raw client path's bytes per step (BenchmarkClientSubmitBatch in
+# txdel/client, 64-step local batches through DB.SubmitBatch, B/step vs
+# max_client_batch_bytes_per_step),
 # cross steps in the batch window
 # (BenchmarkEngineBatchCross, windows per 64-step batch vs
 # max_cross_batch_windows_per_batch), the telemetry emitter
@@ -28,8 +31,8 @@
 #
 # Usage: check_bench_budget.sh [all|alloc|scale]
 #   all   (default) every gate
-#   alloc allocation + sweep + wire + fan-out + cross-window + emitter +
-#         WAL + retention gates only
+#   alloc allocation + sweep + wire + client bytes + fan-out +
+#         cross-window + emitter + WAL + retention gates only
 #   scale the -cpu 2 p99 latency gate only (the CI bench-scale job)
 #
 # Every gate runs and reports. A gate over budget is recorded and the
@@ -75,6 +78,7 @@ wal_budget=$(awk '/^max_wal_overhead_ns/ {print $2}' bench_budget.txt)
 sweep_budget=$(awk '/^max_core_sweep_allocs_per_txn/ {print $2}' bench_budget.txt)
 wire_budget=$(awk '/^max_wire_allocs_per_step/ {print $2}' bench_budget.txt)
 writes_budget=$(awk '/^max_serve_writes_per_burst/ {print $2}' bench_budget.txt)
+client_bytes_budget=$(awk '/^max_client_batch_bytes_per_step/ {print $2}' bench_budget.txt)
 [ -n "$budget" ] || { echo "check_bench_budget: no max_allocs_per_op in bench_budget.txt" >&2; exit 2; }
 [ -n "$nogc_budget" ] || { echo "check_bench_budget: no max_nogc_allocs_per_op in bench_budget.txt" >&2; exit 2; }
 [ -n "$cross_budget" ] || { echo "check_bench_budget: no max_cross_allocs_per_op in bench_budget.txt" >&2; exit 2; }
@@ -88,6 +92,7 @@ writes_budget=$(awk '/^max_serve_writes_per_burst/ {print $2}' bench_budget.txt)
 [ -n "$sweep_budget" ] || { echo "check_bench_budget: no max_core_sweep_allocs_per_txn in bench_budget.txt" >&2; exit 2; }
 [ -n "$wire_budget" ] || { echo "check_bench_budget: no max_wire_allocs_per_step in bench_budget.txt" >&2; exit 2; }
 [ -n "$writes_budget" ] || { echo "check_bench_budget: no max_serve_writes_per_burst in bench_budget.txt" >&2; exit 2; }
+[ -n "$client_bytes_budget" ] || { echo "check_bench_budget: no max_client_batch_bytes_per_step in bench_budget.txt" >&2; exit 2; }
 
 if [ "$section" != "scale" ]; then
 	out=$(go test -run '^$' -bench 'BenchmarkEngineThroughput/shards=4/(policy=greedy-c1|policy=nogc)$|BenchmarkEngineCrossFrac/cross=5|BenchmarkEngineBatchInterleaved|BenchmarkEngineBatchCross' \
@@ -191,6 +196,20 @@ if [ "$section" != "scale" ]; then
 		fail serve-writes "serve issued $burst_writes writes per eight-deep burst, budget $writes_budget (replies are no longer coalesced)"
 	else
 		pass "serve issued $burst_writes writes per eight-deep burst, budget $writes_budget"
+	fi
+
+	# The raw client path: bytes allocated per step of 64-step local batches
+	# through DB.SubmitBatch. The engine allocates nothing for such a step,
+	# so this is the []Result each batch returns, one Result a step: a size
+	# fixed by the code, the same on any 64-bit host.
+	client_out=$(go test -run '^$' -bench 'BenchmarkClientSubmitBatch' -benchtime 3000x -benchmem ./txdel/client/)
+	echo "$client_out" | grep Benchmark || true
+	client_bytes=$(echo "$client_out" | awk '/BenchmarkClientSubmitBatch/ {for (i = 2; i <= NF; i++) if ($i == "B/step") print $(i-1)}' | head -1)
+	[ -n "$client_bytes" ] || { echo "check_bench_budget: could not parse B/step from the client benchmark output" >&2; exit 2; }
+	if awk -v a="$client_bytes" -v b="$client_bytes_budget" 'BEGIN {exit !(a > b)}'; then
+		fail client-bytes "client batch path $client_bytes B/step exceeds budget of $client_bytes_budget (a Result grew, or the raw path allocates again)"
+	else
+		pass "client batch path $client_bytes B/step within budget of $client_bytes_budget"
 	fi
 
 	# Emitter: events published per transaction (a count, the same on any

@@ -66,8 +66,10 @@ type (
 	TxnID = model.TxnID
 	// Step is one raw scheduler input (the batch path's unit).
 	Step = model.Step
-	// Result reports the engine-level effect of one raw submission.
-	// Result.Err is the source of truth; it wraps the taxonomy.
+	// Result reports the engine-level effect of one raw submission: the
+	// verdict, not the step, which the caller holds (SubmitBatch's
+	// results[i] answers steps[i]). Result.Err is the source of truth; it
+	// wraps the taxonomy, and its text names the step.
 	Result = engine.Result
 	// Stats is a point-in-time aggregate of engine counters.
 	Stats = engine.Stats
@@ -256,7 +258,8 @@ func (db *DB) Stats() Stats { return db.eng.Stats() }
 func (db *DB) QueueDepths() []int64 { return db.eng.QueueDepths() }
 
 // SubmitBatch is the raw step path under the session API: it submits a
-// client's steps and returns one Result per step, in submission order.
+// client's steps and returns one Result per step, in submission order:
+// results[i] answers steps[i], and the pairing is by position alone.
 // Each shard sees the batch's steps bound for it in submission order: the
 // partition-local steps between two cross-partition steps cost one visit
 // per shard they touch, not one per step. Sessions and batches may be mixed on one DB,

@@ -468,9 +468,9 @@ func TestDriveWorkload(t *testing.T) {
 				if len(steps) == 0 {
 					return
 				}
-				for _, r := range db.SubmitBatch(steps) {
+				for i, r := range db.SubmitBatch(steps) {
 					if !r.Accepted() {
-						gen.NotifyAbort(r.Step.Txn)
+						gen.NotifyAbort(steps[i].Txn)
 					}
 				}
 			}

@@ -1,7 +1,12 @@
-// Package txdel is the public API of the reproduction of Hadzilacos &
+// Package txdel is the paper toolkit of the reproduction of Hadzilacos &
 // Yannakakis, "Deleting Completed Transactions" (PODS '86; JCSS 38,
 // 1989): conflict-graph transaction schedulers that can safely *forget*
-// completed transactions.
+// completed transactions, one sequential scheduler at a time, with the
+// paper's conditions, policies, models and examples.
+//
+// It is not a door to the sharded engine. Package repro/txdel/client is
+// the one engine door: transaction sessions (DB.Begin) and the raw batch
+// path (DB.SubmitBatch) over the concurrent, sharded, durable engine.
 //
 // # Background
 //
@@ -107,7 +112,8 @@ type (
 	Certifier = core.Certifier
 	// Config configures a Scheduler.
 	Config = core.Config
-	// Result reports a step's outcome.
+	// Result reports a step's outcome: the verdict, not the step, which
+	// the caller of Apply already holds.
 	Result = core.Result
 	// Stats are scheduler counters.
 	Stats = core.Stats
