@@ -158,7 +158,7 @@ func FuzzAppendReply(f *testing.F) {
 	f.Add(uint8(0), int64(0), int64(0), "error", "a\\b\"c&d>e\x00\x1f\x7f\n\t\b\f", "protocol", -1)
 	f.Add(uint8(0), int64(0), int64(0), "error", "line\u2028sep\u2029 caf\u00e9 \xff\xc0\x80", "protocol", 0)
 	f.Add(uint8(0), int64(0), int64(0), "", "", "", 0)
-	for _, code := range []string{"cycle", "cross-cycle", "misroute", "txn-aborted", "overload", "straggler-aborted", "protocol", "closed"} {
+	for _, code := range []string{"cycle", "cross-cycle", "misroute", "txn-aborted", "straggler-aborted", "protocol", "closed", "internal"} {
 		f.Add(uint8(3), int64(9), int64(9), "rejected", "engine: refused", code, 0)
 	}
 	f.Fuzz(func(t *testing.T, has uint8, txn, aborted int64, outcome, errText, code string, version int) {

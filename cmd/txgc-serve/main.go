@@ -7,7 +7,8 @@
 //
 // Every failed response carries a machine-readable "code" field mapped from
 // the client error taxonomy, and a begin may carry a deadline and a
-// priority. A session may open with a versioned handshake (hello), which
+// priority ("priority":"high" exempts the transaction from the retention
+// governor). A session may open with a versioned handshake (hello), which
 // answers the one version this server speaks and refuses any other with
 // code "protocol"; a session that skips it is served the same protocol.
 // Clients may pipeline — send further requests without waiting for replies.
@@ -27,8 +28,7 @@
 // spanning shard graphs, caught by the cross-arc registry), "misroute"
 // (entity outside the declared footprint's partitions), "txn-aborted"
 // (step for a dead or unknown transaction — deadline expiry included),
-// "overload" (admission control shed the begin; retry later or use
-// "priority":"high"), "straggler-aborted" (the retention governor reaped
+// "straggler-aborted" (the retention governor reaped
 // the transaction as the oldest live straggler; shorten it, retry, or use
 // "priority":"high"), "protocol" (duplicate begin, malformed request), and
 // "closed". A begin's deadline_ms starts a timer that aborts the
@@ -59,7 +59,6 @@
 //	txgc-serve                          # serve stdin/stdout
 //	txgc-serve -addr :7433              # serve TCP, one session per conn
 //	txgc-serve -shards 8 -policy greedy-c1 -verify
-//	txgc-serve -overload-watermark 256  # shed begins on saturated shards
 //	txgc-serve -retention-watermark 512 # reap stragglers pinning retained storage
 //	txgc-serve -data-dir /var/lib/txgc  # per-shard WAL + checkpoints; recover on start
 //	txgc-serve -data-dir d -fsync-batch 1  # strict durability: fsync before every ack
@@ -120,8 +119,8 @@ type request struct {
 	Version int `json:"version,omitempty"`
 	// DeadlineMS (begin) bounds the transaction's lifetime.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// Priority (begin) is "" / "normal" or "high" (bypasses admission
-	// control).
+	// Priority (begin) is "" / "normal" or "high" (exempt from the
+	// retention governor).
 	Priority string `json:"priority,omitempty"`
 	// Steps carries the sub-requests of a batch op (begin/read/write
 	// only); the whole pipeline is submitted in one engine call.
@@ -502,7 +501,6 @@ func main() {
 		addr        = flag.String("addr", "", "TCP listen address (empty: serve stdin/stdout)")
 		shards      = flag.Int("shards", 4, "number of entity partitions, each with its own scheduler")
 		policyName  = flag.String("policy", "greedy-c1", "deletion policy per shard")
-		watermark   = flag.Int("overload-watermark", 0, "shed begins when a shard's backlog reaches this depth (0 = never shed)")
 		retention   = flag.Int("retention-watermark", 0, "abort the oldest straggler when retained completed transactions reach this count (0 = never reap; needs a deletion policy)")
 		verify      = flag.Bool("verify", false, "trace the run and check the accepted subschedule is CSR at shutdown")
 		metricsAddr = flag.String("metrics-addr", "", "HTTP listen address for the Prometheus /metrics endpoint (empty: no metrics)")
@@ -532,7 +530,6 @@ func main() {
 	db, err := client.Open(client.Config{
 		Shards:             *shards,
 		Policy:             *policyName,
-		OverloadWatermark:  *watermark,
 		RetentionWatermark: *retention,
 		Verify:             *verify,
 		Trace:              captureFile != nil,
@@ -567,8 +564,8 @@ func main() {
 
 	shutdown := func(code int) {
 		st := db.Stats()
-		fmt.Fprintf(os.Stderr, "txgc-serve: %d submitted, %d accepted, %d completed, %d shed, %d deleted by GC, %d cross (%d prepares, %d cross aborts)\n",
-			st.Submitted, st.Accepted, st.Completed, st.Shed, st.Deleted, st.CrossTxns, st.Prepares, st.CrossAborts)
+		fmt.Fprintf(os.Stderr, "txgc-serve: %d submitted, %d accepted, %d completed, %d deleted by GC, %d cross (%d prepares, %d cross aborts)\n",
+			st.Submitted, st.Accepted, st.Completed, st.Deleted, st.CrossTxns, st.Prepares, st.CrossAborts)
 		if bus := db.Bus(); bus != nil {
 			fmt.Fprintf(os.Stderr, "txgc-serve: telemetry: %d events emitted, %d dropped\n", bus.Emitted(), bus.Dropped())
 		}

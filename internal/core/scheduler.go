@@ -352,7 +352,6 @@ func (s *Scheduler) Apply(step model.Step) (Result, error) {
 	case model.KindWriteFinal:
 		return s.writeFinal(step)
 	default:
-		//lint:ignore hotpath-fmt protocol-violation path: a malformed step already left the hot path, and the error text is the API
 		return Result{}, fmt.Errorf("core: step kind %v not part of the basic model", step.Kind)
 	}
 }
@@ -370,7 +369,6 @@ func (s *Scheduler) MustApply(step model.Step) Result {
 func (s *Scheduler) begin(step model.Step) (Result, error) {
 	id := step.Txn
 	if _, ok := s.txns[id]; ok {
-		//lint:ignore hotpath-fmt protocol-violation path: duplicate BEGIN is a client bug, not steady state
 		return Result{}, fmt.Errorf("core: duplicate BEGIN for T%d", id)
 	}
 	s.seq++
@@ -512,7 +510,6 @@ func stepRefused(id model.TxnID, t *TxnState) error {
 			format = "core: step for prepared transaction T%[2]d"
 		}
 	}
-	//lint:ignore hotpath-fmt protocol-violation path: an accepted step never calls this
 	return fmt.Errorf(format, status, id)
 }
 

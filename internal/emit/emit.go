@@ -55,9 +55,6 @@ const (
 	// KindAbort: a transaction (or sub-transaction, or session) aborted;
 	// Class carries the outcome class of the cause.
 	KindAbort
-	// KindShed: admission control refused a BEGIN at the door (Shard is
-	// the overloaded shard).
-	KindShed
 	// KindSweep: a deletion-policy sweep ran; N is the number of retained
 	// completed transactions it reclaimed.
 	KindSweep
@@ -71,7 +68,7 @@ const (
 
 var kindNames = [numKinds]string{
 	"begin", "accept", "veto", "cross-veto", "prepare", "commit", "abort",
-	"shed", "sweep", "reap",
+	"sweep", "reap",
 }
 
 // String implements fmt.Stringer.
@@ -99,8 +96,6 @@ const (
 	// ClassTxnAborted: the transaction died for a non-step reason (client
 	// abort, context cancellation or deadline, sibling sub-abort).
 	ClassTxnAborted
-	// ClassOverload: admission control shed the BEGIN.
-	ClassOverload
 	// ClassProtocol: session-protocol violation.
 	ClassProtocol
 	// ClassClosed: the engine shut down underneath the operation.
@@ -116,8 +111,8 @@ const (
 )
 
 var classNames = [numClasses]string{
-	"ok", "cycle", "cross-cycle", "misroute", "txn-aborted", "overload",
-	"protocol", "closed", "internal", "straggler",
+	"ok", "cycle", "cross-cycle", "misroute", "txn-aborted", "protocol",
+	"closed", "internal", "straggler",
 }
 
 // String implements fmt.Stringer.
@@ -147,7 +142,7 @@ type Event struct {
 	// reused ID cannot be confused with its dead predecessor.
 	Incarnation int64
 	// N is the event's magnitude, when it has one: transactions reclaimed
-	// by a KindSweep, queue depth for a shed BEGIN.
+	// by a KindSweep, the retained count at a KindReap.
 	N int64
 	// DurNanos is the wall-clock latency carried by client-session
 	// KindCommit/KindAbort events (0 elsewhere).

@@ -265,10 +265,10 @@ func TestMetricsSinkEndpoint(t *testing.T) {
 
 // TestKindClassStrings: names are what the wire and docs promise.
 func TestKindClassStrings(t *testing.T) {
-	if KindCrossVeto.String() != "cross-veto" || KindShed.String() != "shed" {
+	if KindCrossVeto.String() != "cross-veto" || KindSweep.String() != "sweep" {
 		t.Fatal("kind names drifted")
 	}
-	if ClassCrossCycle.String() != "cross-cycle" || ClassOverload.String() != "overload" {
+	if ClassCrossCycle.String() != "cross-cycle" || ClassProtocol.String() != "protocol" {
 		t.Fatal("class names drifted")
 	}
 	if Kind(200).String() != "unknown" || Class(200).String() != "unknown" {

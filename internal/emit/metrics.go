@@ -13,7 +13,7 @@ import (
 // gauges, fetched lock-free at scrape time (not derived from events, so a
 // dropped event can never skew a gauge).
 type GaugeSnapshot struct {
-	// QueueDepth is the per-shard submission backlog.
+	// QueueDepth is, per shard, the submitters waiting for its lock.
 	QueueDepth []int64
 	// Retained is the per-shard count of retained completed transactions —
 	// the storage the paper's deletion conditions bound.
@@ -74,7 +74,7 @@ type shardCounters [numKinds][numClasses]uint64
 //	txgc_deleted_total{shard}               transactions reclaimed by sweeps
 //	txgc_sessions_total{outcome}            client sessions ended, by outcome
 //	txgc_session_latency_seconds{outcome}   session wall-clock histograms
-//	txgc_queue_depth{shard}                 submission backlog gauge
+//	txgc_queue_depth{shard}                 submitters waiting for the shard lock
 //	txgc_retained{shard}                    retained completed transactions
 //	txgc_prepared{shard}                    prepared-undecided 2PC gauge
 //	txgc_reaped_total                       stragglers aborted by the governor
@@ -239,7 +239,7 @@ func (m *MetricsSink) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				fmt.Fprintf(w, "%s{shard=\"%d\"} %d\n", name, i, v)
 			}
 		}
-		writeGauge("txgc_queue_depth", "Per-shard submission backlog (requests not yet picked up).", gs.QueueDepth)
+		writeGauge("txgc_queue_depth", "Per-shard submitters waiting for the shard's lock.", gs.QueueDepth)
 		writeGauge("txgc_retained", "Per-shard retained completed transactions (the storage deletion reclaims).", gs.Retained)
 		writeGauge("txgc_prepared", "Per-shard prepared-but-undecided 2PC sub-transactions (pinned).", gs.Prepared)
 		fmt.Fprint(w, "# HELP txgc_retention_watermark Retention governor watermark over the engine-wide retained count (0: disabled).\n# TYPE txgc_retention_watermark gauge\n")

@@ -361,9 +361,9 @@ func (e *Engine) participantsOf(xs []model.Entity) []int {
 // Engine.admit), whose steps therefore apply after the sub-begins on every
 // shard they share: the order the shards' BeginSeq, and so the governor's
 // choice of straggler, follow. An ID the registry still tracks is refused
-// before anything begins. On any other failure (admission shed, duplicate
-// ID on some shard, or the engine closing) every sub-begin that applied is
-// aborted and the logical transaction never existed; if one applied, the
+// before anything begins. On any other failure (duplicate ID on some shard,
+// or the engine closing) every sub-begin that applied is aborted and the
+// logical transaction never existed; if one applied, the
 // trace marks the incarnation it opened aborted. When none applied, the
 // ID's current incarnation in the trace is an earlier transaction's, which
 // the mark would wrongly kill.
@@ -379,19 +379,6 @@ func (e *Engine) beginCross(step model.Step, pri Priority, settle func()) Result
 	ct := &crossTxn{id: step.Txn, parts: parts, legs: make([]leg, len(parts))}
 	if !e.routes.storeNew(step.Txn, route{kind: routeCross, ct: ct, pri: pri}) {
 		return duplicateBegin(step)
-	}
-	if pri != PriorityHigh && e.cfg.OverloadWatermark > 0 {
-		// A cross transaction runs on every participant; one overloaded
-		// participant sheds it whole. Checked after the duplicate test (a
-		// protocol bug must never read as retryable overload); no
-		// sub-transaction exists yet, so dropping the route is the whole
-		// rollback.
-		for _, p := range ct.parts {
-			if e.shardOverloaded(p) {
-				e.routes.delete(step.Txn)
-				return e.shedBegin(step, p)
-			}
-		}
 	}
 	ct.mu.Lock()
 	defer ct.mu.Unlock()

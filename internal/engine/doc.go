@@ -9,15 +9,15 @@
 // x mod N. Each of the N shards runs its own core.Scheduler with its own
 // conflict graph and deletion policy, behind one mutex: the scheduler is a
 // sequential machine fed one step at a time, so a shard is a lock, not a
-// queue or a goroutine. Clients call SubmitCtx (SubmitPriority adds an
-// admission priority), which routes the step to its shard, takes the
-// shard's lock, applies the step, runs the housekeeping — among it the
-// deletion-policy sweep, due once the terminations since the last one
-// reach what it kept — and unlocks; SubmitBatchInto does the same for a
+// queue or a goroutine. Clients call SubmitCtx (SubmitPriority adds a
+// priority for the retention governor), which routes the step to its
+// shard, takes the shard's lock, applies the step, runs the housekeeping —
+// among it the deletion-policy sweep, due once the terminations since the
+// last one reach what it kept — and unlocks; SubmitBatchInto does the same for a
 // batch, one visit per shard its steps touch, and answers steps[i] with the
 // i-th Result, which does not repeat the step. A submitter that
 // finds the lock held yields a few times, then blocks; the submitters
-// waiting for a shard are its backlog (Stats.QueueDepth). The engine starts
+// waiting for a shard are counted in Stats.QueueDepth. The engine starts
 // no goroutine of its own.
 //
 // A transaction declares its entity footprint on BEGIN

@@ -23,13 +23,6 @@ type Config struct {
 	// Policy builds the deletion policy for one shard; each shard gets its
 	// own instance. nil means never delete (NoGC).
 	Policy func() core.Policy
-	// OverloadWatermark, if > 0, enables admission control: a BEGIN routed
-	// at a shard whose submission backlog (Stats.QueueDepth: the submitters
-	// waiting for its lock) is at or above the watermark is shed with
-	// ErrOverload instead of waiting — the transaction never begins. Steps of
-	// already-admitted transactions are never shed (they drain the
-	// backlog), and a PriorityHigh BEGIN bypasses the watermark.
-	OverloadWatermark int
 	// RetentionWatermark, if > 0, enables the retention governor: once a
 	// shard's run grows the engine-wide retained count (sum of
 	// Gauges().Retained) to or past it, the next submission to finish aborts
@@ -44,7 +37,7 @@ type Config struct {
 	// graph folds them into one logical node by construction.
 	Log *trace.SafeLog
 	// Bus, if non-nil, receives a lifecycle event for every begin, accepted
-	// step, veto, prepare, commit, abort, shed, and sweep, stamped with the
+	// step, veto, prepare, commit, abort, and sweep, stamped with the
 	// shard it happened on. The bus never blocks the hot path; the caller
 	// owns its lifecycle (close it after Engine.Close so the tail of the
 	// stream is drained).
@@ -86,8 +79,7 @@ const (
 	// OutcomeAccepted: the step was applied and accepted (Err == nil).
 	OutcomeAccepted Outcome = iota
 	// OutcomeRejected: the step was refused and Aborted names the victim;
-	// Err wraps ErrCycle, ErrCrossCycle, ErrMisroute, ErrOverload, or
-	// ErrTxnAborted.
+	// Err wraps ErrCycle, ErrCrossCycle, ErrMisroute, or ErrTxnAborted.
 	OutcomeRejected
 	// OutcomeError: the submission could not be processed and state is
 	// unchanged; Err wraps ErrProtocol or ErrClosed.
@@ -145,13 +137,13 @@ func (r Result) Outcome() Outcome {
 // Accepted reports whether the step was applied and accepted.
 func (r Result) Accepted() bool { return r.Err == nil }
 
-// Priority classifies a BEGIN for admission control.
+// Priority is what a BEGIN tells the retention governor about its transaction.
 type Priority uint8
 
 const (
-	// PriorityNormal BEGINs are subject to Config.OverloadWatermark.
+	// PriorityNormal transactions may be reaped by the retention governor.
 	PriorityNormal Priority = iota
-	// PriorityHigh BEGINs are admitted even above the overload watermark.
+	// PriorityHigh transactions are never reaped (Config.RetentionWatermark).
 	PriorityHigh
 )
 
@@ -168,13 +160,13 @@ const (
 type Stats struct {
 	Submitted int64 // steps submitted through either door (per step or batched)
 	Accepted  int64 // steps applied and accepted
-	Rejected  int64 // steps refused (cycle, cross-cycle, misroute, overload, dead txn)
+	Rejected  int64 // steps refused (cycle, cross-cycle, misroute, dead txn)
 	Completed int64 // transactions completed
 	Aborted   int64 // transactions aborted, all causes
 	Deleted   int64 // nodes reclaimed by deletion-policy sweeps (Merged.Deleted)
 	Sweeps    int64 // deletion-policy sweeps executed (Merged.Sweeps)
 	CrossTxns int64 // cross-partition transactions begun
-	Shed      int64 // BEGINs refused by admission control (ErrOverload)
+	Shed      int64 // always 0; kept while benchmark/ reads it (ROADMAP item 10)
 	Reaped    int64 // stragglers aborted by the retention governor
 
 	// Prepares counts PREPARE requests sent to participants (one per
@@ -191,9 +183,9 @@ type Stats struct {
 	// undecided sub-transactions pinned on each shard, indexed by shard.
 	PreparedByShard []int64
 
-	// QueueDepth is the instantaneous per-shard submission backlog: the
-	// submitters waiting for the shard's lock, indexed by shard. Maintained
-	// as a cheap atomic on the submit path; admission control sheds on it.
+	// QueueDepth is the instantaneous number of submitters waiting for
+	// each shard's lock, indexed by shard: a lock-wait gauge, maintained as
+	// a cheap atomic on the submit path.
 	QueueDepth []int64
 
 	// PerShard are the underlying scheduler counters, indexed by shard.
@@ -210,8 +202,8 @@ const (
 )
 
 // route is the engine's record of where a live transaction executes. pri is
-// the admission priority the transaction began with; the retention governor
-// consults it to exempt PriorityHigh transactions from straggler reaping.
+// the priority the transaction began with; the retention governor consults
+// it to exempt PriorityHigh transactions from straggler reaping.
 type route struct {
 	kind  routeKind
 	shard int
@@ -245,7 +237,7 @@ type Engine struct {
 	submitted, accepted, rejected    atomic.Int64
 	completed, aborted               atomic.Int64
 	crossTxns, prepares, crossAborts atomic.Int64
-	misroutes, shed                  atomic.Int64
+	misroutes                        atomic.Int64
 }
 
 // New starts an engine with cfg's shards ready. It is Open
@@ -345,12 +337,13 @@ func (e *Engine) SubmitCtx(ctx context.Context, step model.Step) Result {
 }
 
 // SubmitPriority and SubmitBatchInto are the engine's two doors, and both
-// run one loop (submit). SubmitPriority submits one step under ctx, with an
-// admission priority for a BEGIN (an admitted transaction's steps are never
-// shed). SubmitBatchInto submits a client's steps at PriorityNormal with no
-// deadline and appends one Result per step to dst in submission order (a
-// reused dst with spare capacity keeps it allocation-free): the Result
-// appended for steps[i] answers steps[i]. A Result does not repeat its step.
+// run one loop (submit). SubmitPriority submits one step under ctx, with a
+// priority that a BEGIN gives its transaction (PriorityHigh exempts it from
+// the retention governor). SubmitBatchInto submits a client's steps at
+// PriorityNormal with no deadline and appends one Result per step to dst in
+// submission order (a reused dst with spare capacity keeps it
+// allocation-free): the Result appended for steps[i] answers steps[i]. A
+// Result does not repeat its step.
 //
 // Steps of one transaction must be submitted in order, as a client session
 // would: each after the previous one's Result or behind it in the same
@@ -365,8 +358,8 @@ func (e *Engine) SubmitCtx(ctx context.Context, step model.Step) Result {
 // submission order: a step alone is a window of one, and sixteen interleaved
 // partition-local transactions over four shards take four visits. It sends
 // the window before every step the engine answers without a shard (a cross
-// final write, a misroute, a step of a dead transaction, a duplicate or shed
-// BEGIN), before a BEGIN that reuses a live ID, and before a cross read
+// final write, a misroute, a step of a dead transaction, a duplicate BEGIN),
+// before a BEGIN that reuses a live ID, and before a cross read
 // whose transaction has a read bound for another shard in the window; a
 // cross BEGIN's sub-begins go ahead of it.
 //
@@ -419,8 +412,8 @@ func (e *Engine) submit(ctx context.Context, pri Priority, dst []Result, steps [
 }
 
 // admit is the one decision submit makes about a step. Either it answers
-// the step itself (ok=false) — closed engine, dead context, duplicate, shed
-// or cross-partition BEGIN (its fan-out runs here), dead transaction, cross
+// the step itself (ok=false) — closed engine, dead context, duplicate or
+// cross-partition BEGIN (its fan-out runs here), dead transaction, cross
 // final write (its two-phase commit runs here), misroute, or a kind outside
 // the basic model — or it registers the step and names the shard that must
 // apply it (ok=true): a partition-local step, or a cross transaction's read
@@ -460,16 +453,11 @@ func (e *Engine) admit(ctx context.Context, step model.Step, pri Priority, settl
 		// new incarnation must never inherit a straggler verdict.
 		e.reaped.remove(step.Txn)
 		home, cross := e.beginRoute(step)
-		// The duplicate check runs before the shed check so a protocol bug
-		// is never misreported as a retryable overload.
 		switch {
 		case cross:
 			res = e.beginCross(step, pri, settle)
 		case !e.routes.storeNew(step.Txn, route{kind: routeLocal, shard: home, pri: pri}):
 			res = duplicateBegin(step)
-		case pri != PriorityHigh && e.shardOverloaded(home):
-			e.routes.delete(step.Txn)
-			res = e.shedBegin(step, home)
 		default:
 			return home, nil, true, Result{}
 		}
@@ -534,26 +522,6 @@ func (e *Engine) landed(step *model.Step, res *Result) {
 // by the cross registry.
 func duplicateBegin(step model.Step) Result {
 	return errResult(fmt.Errorf("engine: duplicate BEGIN for T%d: %w", step.Txn, ErrProtocol))
-}
-
-// shardOverloaded reports whether admission control should shed a BEGIN
-// bound for shard p.
-func (e *Engine) shardOverloaded(p int) bool {
-	w := e.cfg.OverloadWatermark
-	return w > 0 && e.shards[p].depth.Load() >= int64(w)
-}
-
-// shedBegin refuses a BEGIN under admission control: nothing began, and
-// the ID remains free. home is the overloaded shard the event is
-// attributed to; N carries its backlog at the decision.
-func (e *Engine) shedBegin(step model.Step, home int) Result {
-	e.shed.Add(1)
-	e.rejected.Add(1)
-	if e.cfg.Bus != nil {
-		e.cfg.Bus.Emit(emit.Event{Kind: emit.KindShed, Class: emit.ClassOverload,
-			Shard: int32(home), Txn: step.Txn, N: e.shards[home].depth.Load()})
-	}
-	return answer(step.Txn, stepErr(step, ErrOverload))
 }
 
 // windowCap bounds a window that touches more than one shard, since each
@@ -766,7 +734,6 @@ func (e *Engine) Stats() Stats {
 		Completed:   e.completed.Load(),
 		Aborted:     e.aborted.Load(),
 		CrossTxns:   e.crossTxns.Load(),
-		Shed:        e.shed.Load(),
 		Reaped:      e.reapedN.Load(),
 		Prepares:    e.prepares.Load(),
 		CrossAborts: e.crossAborts.Load(),
@@ -800,10 +767,9 @@ func (e *Engine) gauge(of func(*shard) *atomic.Int64) []int64 {
 	return out
 }
 
-// QueueDepths returns the instantaneous per-shard submission backlog (the
-// submitters waiting for each shard's lock) without taking a lock — the
-// same gauge admission control sheds on
-// (Stats.QueueDepth fetches it alongside the heavier scheduler counters).
+// QueueDepths returns, per shard, the instantaneous number of submitters
+// waiting for the shard's lock, without taking a lock (Stats.QueueDepth
+// fetches the same gauge alongside the heavier scheduler counters).
 func (e *Engine) QueueDepths() []int64 {
 	return e.gauge(func(sh *shard) *atomic.Int64 { return &sh.depth })
 }

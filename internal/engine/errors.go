@@ -40,11 +40,6 @@ var (
 	// model). Engine state is unchanged and the transaction, if live,
 	// stays live.
 	ErrProtocol = errors.New("engine: protocol violation")
-	// ErrOverload: admission control shed the BEGIN — a shard it would
-	// run on has as many submitters waiting for its lock as the configured
-	// watermark. Nothing began;
-	// the client may retry later or escalate to PriorityHigh.
-	ErrOverload = errors.New("engine: shard over the admission watermark")
 	// ErrStragglerAborted: the retention governor reaped the transaction —
 	// it was the oldest live straggler while retained completed storage sat
 	// over Config.RetentionWatermark. Errors carrying it also match
@@ -66,8 +61,6 @@ func ClassOf(err error) emit.Class {
 		return emit.ClassCrossCycle
 	case errors.Is(err, ErrMisroute):
 		return emit.ClassMisroute
-	case errors.Is(err, ErrOverload):
-		return emit.ClassOverload
 	case errors.Is(err, ErrProtocol):
 		return emit.ClassProtocol
 	case errors.Is(err, ErrClosed):
@@ -86,7 +79,6 @@ func ClassOf(err error) emit.Class {
 // stepErr wraps a taxonomy sentinel with the failing step's context. Only
 // failure paths pay the allocation.
 func stepErr(step model.Step, sentinel error) error {
-	//lint:ignore hotpath-fmt failure path by definition — the doc comment above is the contract
 	return fmt.Errorf("engine: %v: %w", step, sentinel)
 }
 
@@ -94,7 +86,6 @@ func stepErr(step model.Step, sentinel error) error {
 // and the context's cause (context.Canceled / context.DeadlineExceeded)
 // are reachable through errors.Is.
 func ctxErr(step model.Step, cause error) error {
-	//lint:ignore hotpath-fmt failure path: runs once per killed transaction, not per step
 	return fmt.Errorf("engine: %v: %w (%w)", step, ErrTxnAborted, cause)
 }
 
@@ -102,6 +93,11 @@ func ctxErr(step model.Step, cause error) error {
 // both ErrStragglerAborted and ErrTxnAborted are reachable through
 // errors.Is, mirroring ctxErr's shape for context kills.
 func stragglerErr(step model.Step) error {
-	//lint:ignore hotpath-fmt failure path: runs once per reaped straggler, not per step
 	return fmt.Errorf("engine: %v: %w (%w)", step, ErrStragglerAborted, ErrTxnAborted)
+}
+
+// protocolErr reports a step the shard's scheduler refused as a protocol
+// violation; the scheduler's own error says which.
+func protocolErr(err error) error {
+	return fmt.Errorf("engine: %w: %v", ErrProtocol, err)
 }

@@ -4,11 +4,8 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/model"
 )
 
@@ -126,7 +123,6 @@ func TestOutcomeDerivedFromErr(t *testing.T) {
 		{"cycle", stepErr(step, ErrCycle), OutcomeRejected},
 		{"cross-cycle", stepErr(step, ErrCrossCycle), OutcomeRejected},
 		{"misroute", stepErr(step, ErrMisroute), OutcomeRejected},
-		{"overload", stepErr(step, ErrOverload), OutcomeRejected},
 		{"txn-aborted", stepErr(step, ErrTxnAborted), OutcomeRejected},
 		{"ctx-cancel", ctxErr(step, context.Canceled), OutcomeRejected},
 		{"ctx-deadline", ctxErr(step, context.DeadlineExceeded), OutcomeRejected},
@@ -212,112 +208,5 @@ func TestCtxCancelBetweenPrepareAndDecision(t *testing.T) {
 	res = submit(eng, model.WriteFinal(1, 0, 1))
 	if !res.Accepted() || res.CompletedTxn != 1 {
 		t.Fatalf("reused T1 final: %v (%v)", res.Outcome(), res.Err)
-	}
-}
-
-// blockingPolicy wedges its shard inside a GC sweep until the gate is
-// closed — a deterministic way to pile up a submission backlog. entered is
-// closed when the first sweep reaches the gate, so a test knows the shard
-// is wedged however many requests its run drained first.
-type blockingPolicy struct {
-	gate, entered chan struct{}
-	once          sync.Once
-}
-
-func newBlockingPolicy() *blockingPolicy {
-	return &blockingPolicy{gate: make(chan struct{}), entered: make(chan struct{})}
-}
-
-func (p *blockingPolicy) Name() string { return "test-block" }
-func (p *blockingPolicy) Sweep(sw *core.Sweep) {
-	p.once.Do(func() { close(p.entered) })
-	<-p.gate
-}
-
-// TestOverloadShedsBegins saturates a shard (its lock holder wedged in a
-// sweep, submitters stacked behind the lock) and asserts that admission control sheds
-// further BEGINs with ErrOverload instead of blocking, that a PriorityHigh
-// BEGIN is exempt, and that the engine drains cleanly once the shard
-// resumes — no deadlock anywhere.
-func TestOverloadShedsBegins(t *testing.T) {
-	const watermark = 4
-	pol := newBlockingPolicy()
-	eng := New(Config{
-		Shards:            1,
-		Policy:            func() core.Policy { return pol },
-		OverloadWatermark: watermark,
-	})
-	defer eng.Close()
-
-	// Complete one transaction; the sweep that follows wedges the shard.
-	// The submitter of the final write runs that sweep itself, so it
-	// submits from a goroutine of its own and returns once the gate opens.
-	if res := submit(eng, model.BeginDeclared(1, 0)); !res.Accepted() {
-		t.Fatalf("begin: %v (%v)", res.Outcome(), res.Err)
-	}
-	final := make(chan Result, 1)
-	go func() { final <- submit(eng, model.WriteFinal(1, 0)) }()
-	<-pol.entered
-
-	// Stack submitters on the wedged shard until the backlog passes the
-	// watermark. The first submitter goes alone so its ID (10) is known to
-	// be routed before the duplicate check below.
-	var wg sync.WaitGroup
-	const stacked = watermark + 2
-	results := make([]Result, stacked)
-	spawn := func(i int) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i] = eng.SubmitPriority(context.Background(), model.BeginDeclared(model.TxnID(10+i), 0), PriorityHigh)
-		}()
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	spawn(0)
-	for eng.shards[0].depth.Load() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("first submitter never enqueued")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	for i := 1; i < stacked; i++ {
-		spawn(i)
-	}
-	for eng.shards[0].depth.Load() < watermark {
-		if time.Now().After(deadline) {
-			t.Fatal("backlog never reached the watermark")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// A normal-priority BEGIN is shed immediately — it never waits for the
-	// lock.
-	res := submit(eng, model.BeginDeclared(99, 0))
-	if res.Outcome() != OutcomeRejected || !errors.Is(res.Err, ErrOverload) {
-		t.Fatalf("overloaded begin: %v (%v), want rejected/ErrOverload", res.Outcome(), res.Err)
-	}
-	// A duplicate of a routed ID is a protocol bug even under overload —
-	// the saturation must not relabel it as retryable.
-	res = submit(eng, model.BeginDeclared(10, 0))
-	if res.Outcome() != OutcomeError || !errors.Is(res.Err, ErrProtocol) || errors.Is(res.Err, ErrOverload) {
-		t.Fatalf("duplicate begin under overload: %v (%v), want ErrProtocol", res.Outcome(), res.Err)
-	}
-	// The shed ID was never consumed: admitting it later must succeed.
-	close(pol.gate)
-	if res := <-final; !res.Accepted() {
-		t.Fatalf("final: %v (%v)", res.Outcome(), res.Err)
-	}
-	wg.Wait()
-	for i, r := range results {
-		if !r.Accepted() {
-			t.Fatalf("stacked high-priority begin %d: %v (%v) — the watermark must not shed PriorityHigh", i, r.Outcome(), r.Err)
-		}
-	}
-	if res := submit(eng, model.BeginDeclared(99, 0)); !res.Accepted() {
-		t.Fatalf("begin after drain: %v (%v)", res.Outcome(), res.Err)
-	}
-	s := eng.Stats()
-	if s.Shed != 1 {
-		t.Fatalf("Stats.Shed = %d, want 1", s.Shed)
 	}
 }

@@ -57,7 +57,6 @@ func (j *journal) refusal(step model.Step) error {
 	if j.err == nil {
 		return nil
 	}
-	//lint:ignore hotpath-fmt fail-stop path: the shard is already dead when this runs
 	return fmt.Errorf("engine: shard %d journal failed (%v): %v: %w", j.shard, j.err, step, ErrClosed)
 }
 

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -114,8 +113,8 @@ type shard struct {
 	// closed marks the shard down: set by the first run after the engine
 	// closed, which also synced the journal.
 	closed atomic.Bool
-	// depth counts the submitters waiting for mu — the submission backlog
-	// surfaced in Stats.QueueDepth for admission-control decisions.
+	// depth counts the submitters waiting for mu: the lock-wait gauge
+	// Stats.QueueDepth, bounded by the callers' own goroutines.
 	depth atomic.Int64
 	// preparedN is the number of prepared-but-undecided sub-transactions
 	// currently pinned on this shard (Stats.PreparedByShard). Only the
@@ -309,8 +308,7 @@ func (sh *shard) applyOne(step model.Step) (out Result) {
 		// The scheduler refused to process the step at all (duplicate
 		// BEGIN, step for a finished transaction, bad kind): a protocol
 		// violation, state unchanged.
-		//lint:ignore hotpath-fmt protocol-violation path: accepted steps never reach this return
-		return errResult(fmt.Errorf("engine: %w: %v", ErrProtocol, err))
+		return errResult(protocolErr(err))
 	}
 	if eng.cfg.Log != nil {
 		eng.cfg.Log.Append(step, res.Accepted)
@@ -384,7 +382,7 @@ func (sh *shard) applyBeginSub(step model.Step) Result {
 		return errResult(err)
 	}
 	if _, err := sh.sched.BeginCross(step); err != nil {
-		return errResult(fmt.Errorf("engine: %w: %v", ErrProtocol, err))
+		return errResult(protocolErr(err))
 	}
 	if sh.eng.cfg.Log != nil {
 		sh.eng.cfg.Log.Append(step, true)
@@ -414,7 +412,7 @@ func (sh *shard) applyPrepareSub(step model.Step) Result {
 		sh.preparedN.Add(1)
 	}
 	if err != nil {
-		return errResult(fmt.Errorf("engine: %w: %v", ErrProtocol, err))
+		return errResult(protocolErr(err))
 	}
 	switch vote {
 	case core.VoteYes:
@@ -455,7 +453,7 @@ func (sh *shard) applyCommitSub(id model.TxnID, decisionDurable bool) Result {
 	}
 	res, err := sh.sched.CommitPrepared(id)
 	if err != nil {
-		return errResult(fmt.Errorf("engine: %w: %v", ErrProtocol, err))
+		return errResult(protocolErr(err))
 	}
 	sh.preparedN.Add(-1)
 	// The registry now waits for this shard's clean report: file the debt.

@@ -14,7 +14,9 @@ import (
 // allocating runtime path):
 //
 //   - calls into package fmt (formatting allocates even when the result
-//     doesn't escape)
+//     doesn't escape), except a call that is itself the operand of a
+//     return in an error result position: building the error is the
+//     failure path, which the accepted path never reaches
 //   - map and slice literals, make, new, and &T{...} composite literals
 //   - non-constant string concatenation
 //   - conversions of non-pointer-shaped concrete values to interface types
@@ -45,7 +47,7 @@ func NewHotpath() *Analyzer {
 
 func checkHotFunc(prog *Program, cc *callChain, fn *types.Func) []Diagnostic {
 	fb := prog.FuncBodyOf(fn)
-	h := &hotChecker{prog: prog, pkg: fb.Pkg, fn: fn, root: cc.rootOf(fn)}
+	h := &hotChecker{prog: prog, pkg: fb.Pkg, fn: fn, root: cc.rootOf(fn), failRet: map[*ast.CallExpr]bool{}}
 	ast.Inspect(fb.Decl.Body, h.visit)
 	return h.out
 }
@@ -56,6 +58,8 @@ type hotChecker struct {
 	fn   *types.Func
 	root *types.Func
 	out  []Diagnostic
+	// failRet holds the calls returned in an error result position.
+	failRet map[*ast.CallExpr]bool
 }
 
 func (h *hotChecker) diag(id string, pos token.Pos, format string, args ...any) {
@@ -107,7 +111,11 @@ func (h *hotChecker) visit(n ast.Node) bool {
 		sig := h.fn.Type().(*types.Signature)
 		if sig.Results().Len() == len(n.Results) {
 			for i, res := range n.Results {
-				h.checkIfaceConv(sig.Results().At(i).Type(), res)
+				rt := sig.Results().At(i).Type()
+				h.checkIfaceConv(rt, res)
+				if call, ok := ast.Unparen(res).(*ast.CallExpr); ok && types.Identical(rt, errorType) {
+					h.failRet[call] = true
+				}
 			}
 		}
 	}
@@ -140,6 +148,9 @@ func (h *hotChecker) checkCall(call *ast.CallExpr) {
 		return
 	}
 	if callee.Pkg() != nil && callee.Pkg().Path() == "fmt" {
+		if h.failRet[call] {
+			return
+		}
 		h.diag("hotpath-fmt", call.Pos(), "call to fmt.%s allocates", callee.Name())
 		return
 	}
@@ -203,6 +214,8 @@ func (h *hotChecker) checkIfaceConvAt(target types.Type, expr ast.Expr, pos toke
 	h.diag("hotpath-iface", pos,
 		"%s → %s boxes a non-pointer value on the heap", types.TypeString(st, types.RelativeTo(h.pkg.Types)), target.String())
 }
+
+var errorType = types.Universe.Lookup("error").Type()
 
 func isPointerShaped(t types.Type) bool {
 	switch t.Underlying().(type) {

@@ -62,3 +62,20 @@ func boxingNegatives(p *item) any {
 	_ = sink
 	return p // pointer-shaped: fits the interface word
 }
+
+// failurePaths: a fmt call returned as an error is not flagged; any other
+// fmt call is.
+//
+//txgc:hotpath
+func failurePaths(n int) (int, error) {
+	if n < 0 {
+		return 0, fmt.Errorf("negative %d", n)
+	}
+	s := fmt.Sprintf("%d", n) // want `\[hotpath-fmt\] call to fmt\.Sprintf allocates`
+	return len(s) + len(label(n)), nil
+}
+
+// label returns a fmt call as a string, not an error: still flagged.
+func label(n int) string {
+	return fmt.Sprint(n) // want `\[hotpath-fmt\] call to fmt\.Sprint allocates \(on the hot path of repro/internal/lint/testdata/hotpath\.failurePaths\)`
+}

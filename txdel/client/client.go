@@ -1,6 +1,5 @@
 // Package client is the public session API over the sharded deletion
-// engine: context-aware transactions, a typed error taxonomy, and
-// first-class admission control.
+// engine: context-aware transactions and a typed error taxonomy.
 //
 // Where package txdel exposes the paper's single-node schedulers and
 // deletion conditions directly, client is how a program talks to the
@@ -15,7 +14,7 @@
 //	db, err := client.Open(client.Config{Shards: 4, Policy: "greedy-c1"})
 //	...
 //	txn, err := db.Begin(ctx, client.WithFootprint(x, y))
-//	if err != nil { ... }            // e.g. errors.Is(err, client.ErrOverload)
+//	if err != nil { ... }            // e.g. errors.Is(err, client.ErrProtocol)
 //	if err := txn.Read(ctx, x); err != nil { ... }
 //	if err := txn.Write(ctx, y); err != nil { ... }  // nil == committed
 //
@@ -33,14 +32,6 @@
 // ErrCycle and friends in this package. The step that kills a transaction
 // carries the specific cause (ErrCycle, ErrCrossCycle, ErrMisroute); later
 // operations on the dead session return ErrTxnAborted.
-//
-// # Admission control
-//
-// With Config.OverloadWatermark set, a Begin aimed at a shard whose
-// submission backlog is over the watermark is shed with ErrOverload
-// instead of queued — load sheds at the door rather than deep in a queue.
-// WithPriority(PriorityHigh) exempts a session (e.g. an operator task)
-// from shedding.
 package client
 
 import (
@@ -73,7 +64,7 @@ type (
 	Result = engine.Result
 	// Stats is a point-in-time aggregate of engine counters.
 	Stats = engine.Stats
-	// Priority classifies a Begin for admission control.
+	// Priority is a session's standing with the retention governor.
 	Priority = engine.Priority
 	// Store is a pluggable durability backend (see Config.Store).
 	Store = store.Store
@@ -85,9 +76,9 @@ type (
 const (
 	// NoTxn is the sentinel for "no transaction".
 	NoTxn = model.NoTxn
-	// PriorityNormal sessions are subject to the overload watermark.
+	// PriorityNormal sessions may be reaped by the retention governor.
 	PriorityNormal = engine.PriorityNormal
-	// PriorityHigh sessions bypass admission control.
+	// PriorityHigh sessions are exempt from the retention governor.
 	PriorityHigh = engine.PriorityHigh
 )
 
@@ -100,10 +91,6 @@ type Config struct {
 	// delete), "lemma1", "greedy-c1", "greedy-c1-newest",
 	// "noncurrent-safe", or "max-safe".
 	Policy string
-	// OverloadWatermark, if > 0, enables admission control: Begins aimed
-	// at a shard with that much submission backlog are shed with
-	// ErrOverload instead of queued. PriorityHigh sessions are exempt.
-	OverloadWatermark int
 	// RetentionWatermark, if > 0, enables the retention governor: when the
 	// engine-wide retained completed count crosses it, the oldest live
 	// straggler session is aborted (its next operation returns an error
@@ -139,7 +126,7 @@ type Config struct {
 	Trace bool
 
 	// Sinks, when non-empty, attaches a telemetry bus: every engine
-	// lifecycle event (begin/accept/veto/prepare/commit/abort/shed/sweep,
+	// lifecycle event (begin/accept/veto/prepare/commit/abort/sweep/reap,
 	// stamped with its shard) plus client-session events (Shard == -1,
 	// commit/abort carrying wall-clock latency) is delivered to each sink
 	// on one drain goroutine. A *emit.MetricsSink in the list is wired to
@@ -148,10 +135,6 @@ type Config struct {
 	// emit.DefaultBuffer events; when sinks fall behind, events beyond it
 	// are dropped and counted — the hot path never blocks.
 	Sinks []emit.Sink
-
-	// enginePolicy, when non-nil, overrides Policy with a custom factory —
-	// a seam for this package's tests.
-	enginePolicy func() core.Policy
 }
 
 func policyFactory(name string) (func() core.Policy, error) {
@@ -184,13 +167,9 @@ type DB struct {
 
 // Open starts the engine with cfg's shards ready to run.
 func Open(cfg Config) (*DB, error) {
-	factory := cfg.enginePolicy
-	if factory == nil {
-		f, err := policyFactory(cfg.Policy)
-		if err != nil {
-			return nil, err
-		}
-		factory = f
+	factory, err := policyFactory(cfg.Policy)
+	if err != nil {
+		return nil, err
 	}
 	var log *trace.SafeLog
 	if cfg.Verify || cfg.Trace {
@@ -219,7 +198,6 @@ func Open(cfg Config) (*DB, error) {
 	eng, rep, err := engine.Open(engine.Config{
 		Shards:             cfg.Shards,
 		Policy:             factory,
-		OverloadWatermark:  cfg.OverloadWatermark,
 		RetentionWatermark: cfg.RetentionWatermark,
 		Log:                log,
 		Bus:                bus,
@@ -252,9 +230,8 @@ func (db *DB) Recovery() *RecoveryReport { return db.recovery }
 // concurrently with sessions and after Close.
 func (db *DB) Stats() Stats { return db.eng.Stats() }
 
-// QueueDepths returns the instantaneous per-shard submission backlog (the
-// submitters waiting for each shard's lock) — the gauge admission control
-// sheds on — without taking a shard's lock.
+// QueueDepths returns, per shard, the instantaneous number of submitters
+// waiting for the shard's lock, without taking a shard's lock.
 func (db *DB) QueueDepths() []int64 { return db.eng.QueueDepths() }
 
 // SubmitBatch is the raw step path under the session API: it submits a

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/store"
 	"repro/internal/workload"
@@ -346,86 +345,6 @@ func TestDeadBeginContextHasOneVoice(t *testing.T) {
 		if idle, busy := run(true, op), run(false, op); idle != busy {
 			t.Errorf("%s: callback first says %q, operation first says %q", name, idle, busy)
 		}
-	}
-}
-
-// blockingPolicy wedges its shard inside a GC sweep until the gate closes;
-// entered is closed when the first sweep reaches the gate.
-type blockingPolicy struct {
-	gate, entered chan struct{}
-	once          sync.Once
-}
-
-func (p *blockingPolicy) Name() string { return "test-block" }
-func (p *blockingPolicy) Sweep(sw *core.Sweep) {
-	p.once.Do(func() { close(p.entered) })
-	<-p.gate
-}
-
-// TestOverloadShedThroughClient saturates the single shard and asserts
-// Begin sheds with ErrOverload while a PriorityHigh Begin is admitted —
-// and that nothing deadlocks.
-func TestOverloadShedThroughClient(t *testing.T) {
-	const watermark = 3
-	gate := make(chan struct{})
-	pol := &blockingPolicy{gate: gate, entered: make(chan struct{})}
-	db := open(t, Config{
-		Shards:            1,
-		OverloadWatermark: watermark,
-		enginePolicy:      func() core.Policy { return pol },
-	})
-	ctx := context.Background()
-
-	// One completion wedges the shard in the sweep that follows. The
-	// session that writes runs that sweep itself, so it writes from a
-	// goroutine of its own and returns once the gate opens.
-	txn, err := db.Begin(ctx, WithFootprint(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrote := make(chan error, 1)
-	go func() { wrote <- txn.Write(ctx, 0) }()
-	<-pol.entered
-
-	var wg sync.WaitGroup
-	highErrs := make([]error, watermark+2)
-	for i := range highErrs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			tx, err := db.Begin(ctx, WithFootprint(0), WithPriority(PriorityHigh))
-			highErrs[i] = err
-			if err == nil {
-				highErrs[i] = tx.Write(ctx, 0)
-			}
-		}(i)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for db.QueueDepths()[0] < watermark {
-		if time.Now().After(deadline) {
-			t.Fatal("backlog never reached the watermark")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	if _, err := db.Begin(ctx, WithFootprint(0)); !errors.Is(err, ErrOverload) {
-		t.Fatalf("begin on saturated shard = %v, want ErrOverload", err)
-	}
-	close(gate)
-	if err := <-wrote; err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	for i, err := range highErrs {
-		if err != nil {
-			t.Fatalf("high-priority session %d: %v — PriorityHigh must not shed", i, err)
-		}
-	}
-	if _, err := db.Begin(ctx, WithFootprint(0)); err != nil {
-		t.Fatalf("begin after drain: %v", err)
-	}
-	if s := db.Stats(); s.Shed != 1 {
-		t.Fatalf("Shed = %d, want 1", s.Shed)
 	}
 }
 

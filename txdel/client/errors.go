@@ -27,10 +27,6 @@ var (
 	// WithID, operation after commit, unknown policy name, bad option).
 	// State is unchanged.
 	ErrProtocol = engine.ErrProtocol
-	// ErrOverload: admission control shed the Begin — a shard it would run
-	// on is over Config.OverloadWatermark. Nothing began; retry later or
-	// escalate with WithPriority(PriorityHigh).
-	ErrOverload = engine.ErrOverload
 	// ErrStragglerAborted: the retention governor reaped the session's
 	// transaction — it was the oldest live straggler while retained
 	// completed storage sat over Config.RetentionWatermark. Errors carrying

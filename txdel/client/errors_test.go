@@ -26,7 +26,6 @@ func TestErrorCodeTable(t *testing.T) {
 		{"misroute", step(ErrMisroute), "misroute"},
 		{"txn-aborted", step(ErrTxnAborted), "txn-aborted"},
 		{"protocol", step(ErrProtocol), "protocol"},
-		{"overload", step(ErrOverload), "overload"},
 		{"closed", step(ErrClosed), "closed"},
 		{"straggler", step(ErrStragglerAborted), "straggler-aborted"},
 		{"ctxErr canceled", fmt.Errorf("engine: T1:r(4): %w (%w)", ErrTxnAborted, context.Canceled), "txn-aborted"},

@@ -12,7 +12,9 @@ import (
 // watermark, a later submission's governor pass reaps it, and the session's
 // next operation must surface ErrStragglerAborted — still matching
 // ErrTxnAborted for legacy branches — with the stable wire code
-// "straggler-aborted". Run under -race in CI.
+// "straggler-aborted". An older PriorityHigh sleeper pins the victim too:
+// the governor must pass it over, reap the normal one, and leave the high
+// one's session live. Run under -race in CI.
 func TestStragglerReapSurfacesTypedError(t *testing.T) {
 	db := open(t, Config{
 		Shards:             1,
@@ -21,6 +23,15 @@ func TestStragglerReapSurfacesTypedError(t *testing.T) {
 	})
 	ctx := context.Background()
 
+	// The high sleeper begins first, so it is the oldest active: the
+	// governor, reaping oldest first, would take it but for its priority.
+	high, err := db.Begin(ctx, WithFootprint(0), WithPriority(PriorityHigh))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := high.Read(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
 	// The sleeper reads entity 2 and then stalls forever.
 	sleeper, err := db.Begin(ctx, WithFootprint(0))
 	if err != nil {
@@ -29,10 +40,10 @@ func TestStragglerReapSurfacesTypedError(t *testing.T) {
 	if err := sleeper.Read(ctx, 2); err != nil {
 		t.Fatal(err)
 	}
-	// The victim writes entity 2 and completes — trapped: the sleeper is an
-	// active tight predecessor and no witness can ever appear. Retained hits
-	// the watermark, and the shard asks for a governor pass, which the next
-	// submission runs: one of the sleeper's own reads below.
+	// The victim writes entity 2 and completes — trapped: each sleeper is
+	// an active tight predecessor and no witness can ever appear. Retained
+	// hits the watermark, and the shard asks for a governor pass, which the
+	// next submission runs: one of the sleeper's own reads below.
 	victim, err := db.Begin(ctx, WithFootprint(2))
 	if err != nil {
 		t.Fatal(err)
@@ -69,5 +80,13 @@ func TestStragglerReapSurfacesTypedError(t *testing.T) {
 	}
 	if s := db.Stats(); s.Reaped < 1 {
 		t.Fatalf("Stats.Reaped = %d, want >= 1", s.Reaped)
+	}
+	// The governor passed over the high sleeper: its session is live, its
+	// next read is accepted, and it commits.
+	if err := high.Read(ctx, 4); err != nil {
+		t.Fatalf("high-priority read after the reap: %v, want accepted", err)
+	}
+	if err := high.Write(ctx, 6); err != nil {
+		t.Fatalf("high-priority commit after the reap: %v", err)
 	}
 }

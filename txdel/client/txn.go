@@ -49,8 +49,8 @@ func WithShards(shards ...int) BeginOption {
 	return func(o *beginOpts) { o.shards = append(o.shards, shards...) }
 }
 
-// WithPriority sets the session's admission-control priority;
-// PriorityHigh bypasses Config.OverloadWatermark shedding.
+// WithPriority sets the session's priority; PriorityHigh exempts it from
+// the retention governor (Config.RetentionWatermark).
 func WithPriority(p Priority) BeginOption {
 	return func(o *beginOpts) { o.pri = p }
 }
@@ -91,8 +91,7 @@ type Txn struct {
 // transaction: if it is cancelled or its deadline expires while the
 // transaction is live, the transaction aborts — even between PREPARE and
 // the commit decision of a cross-shard Write, releasing prepared pins and
-// registry entries. A Begin against an overloaded shard is shed with
-// ErrOverload unless the session has PriorityHigh.
+// registry entries.
 func (db *DB) Begin(ctx context.Context, opts ...BeginOption) (*Txn, error) {
 	var bo beginOpts
 	for _, o := range opts {
