@@ -7,9 +7,10 @@
 // in the submission window with them (Engine.admit); the final write runs
 // the two-phase commit from the submitting goroutine: PREPARE every
 // participant (the shard votes on its slice of the write set, pinning the
-// sub-node on yes), then COMMIT or ABORT everywhere. Every fan-out visits
-// the participants whose lock is free first and waits only for the rest;
-// COMMIT visits the first participant alone before the others, since its
+// sub-node on yes), then COMMIT or ABORT everywhere. Each phase is a window
+// of one step per participant, sent through Engine.visit like a door's
+// window: the participants whose lock is free first, then the rest; COMMIT
+// visits the first participant alone before the others, since its
 // durable decision is the commit point and must exist before any other
 // participant commits. Non-participating shards never hear about any of
 // it, and participating shards keep serving other traffic between vote and
@@ -31,6 +32,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -52,39 +54,32 @@ type crossTxn struct {
 	mu    sync.Mutex
 	id    model.TxnID
 	parts []int // participating shards, ascending
-	// legs[i] is parts[i]'s share of the fan-out in progress, then its
-	// answer (see fanOut); guarded by mu like everything below.
-	legs []leg
+	// steps[i] is what the 2PC phase in progress applies on parts[i], and
+	// out[i] its answer (see fanOut); guarded by mu like everything below.
+	steps []model.Step
+	out   []Result
 	// done marks the decision (or a failed begin); committed distinguishes
 	// COMMIT from ABORT for late-arriving steps.
 	done      bool
 	committed bool
 }
 
-// leg is one participant's share of a fan-out: req is what it applies and,
-// once ok, holds the participant's answer (ok=false: the participant was
-// not asked, or the engine closed first). waiting marks a leg the fan-out
-// has yet to run. step is what a sub-begin or prepare applies, which req
-// points at: kept here, with ct, it costs no allocation of its own.
-type leg struct {
-	req     request
-	ok      bool
-	waiting bool
-	step    model.Step
+// decide readies steps for a COMMIT or ABORT fan-out: every participant
+// applies the decision to the transaction itself.
+func (ct *crossTxn) decide() {
+	for i := range ct.steps {
+		ct.steps[i] = model.Step{Kind: model.KindWriteFinal, Txn: ct.id}
+	}
 }
 
-// failed reports whether the leg's request was not carried out.
-func (l leg) failed() bool { return !l.ok || l.req.res.Err != nil }
+// refused reports whether r is visit's answer for a participant the engine
+// closed under before it ran. A participant that ran and failed answers
+// otherwise: a NO vote or a failed commit point names the transaction in
+// Aborted, and a protocol error wraps ErrProtocol.
+func refused(r Result) bool { return r.Aborted == model.NoTxn && errors.Is(r.Err, ErrClosed) }
 
 // participant reports whether shard p takes part in the transaction.
-func (ct *crossTxn) participant(p int) bool {
-	for _, q := range ct.parts {
-		if q == p {
-			return true
-		}
-	}
-	return false
-}
+func (ct *crossTxn) participant(p int) bool { return slices.Contains(ct.parts, p) }
 
 // crossEntry is one cross transaction's registry record.
 type crossEntry struct {
@@ -298,37 +293,30 @@ func (r *crossRegistry) LabelLive(id model.TxnID) bool {
 
 // ---------------------------------------------------------------------------
 // Engine-side protocol driver. All of these run on the submitting client's
-// goroutine with ct.mu held, and apply each participant's part under that
-// shard's lock, one shard at a time (shard.run); no shard code takes a
-// ct.mu, so concurrent two-phase commits (even with overlapping
+// goroutine with ct.mu held. Every phase is a window with one step per
+// participant, sent through Engine.visit like a door's window, so each
+// participant applies its part under its own shard lock; no shard code takes
+// a ct.mu, so concurrent two-phase commits (even with overlapping
 // participants) cannot deadlock.
 
-// fanOut applies req(i) on every participant i it names (ok=true) and
-// leaves each answer in ct.legs[i]. It visits the participants whose lock
-// is free first, in one pass that never waits, then waits for the rest in
-// participant order; a leg that must wait keeps its request meanwhile.
-// req(i) may read leg i's previous answer. Caller holds ct.mu.
-func (e *Engine) fanOut(ct *crossTxn, req func(i int) (request, bool)) {
-	left := 0
-	for i, p := range ct.parts {
-		l := &ct.legs[i]
-		r, want := req(i)
-		l.req, l.ok = r, false
-		if !want {
-			continue
+// fanOut applies the phase kind on every participant i that want names, with
+// ct.steps[i] as its step, and leaves each answer in ct.out[i]; decided
+// marks a COMMIT already durable elsewhere. It goes windowCap participants
+// at a time, since a part names its step by one bit of a 64-bit mask. want
+// may read ct.out[i], the previous phase's answer. Caller holds ct.mu and
+// has filled ct.steps.
+func (e *Engine) fanOut(ct *crossTxn, kind reqKind, decided bool, want func(i int) bool) {
+	var parts [windowCap]part
+	for lo := 0; lo < len(ct.parts); lo += windowCap {
+		hi, n := min(lo+windowCap, len(ct.parts)), 0
+		for i := lo; i < hi; i++ {
+			if want(i) {
+				parts[n] = part{shard: ct.parts[i], own: 1 << (i - lo)}
+				n++
+			}
 		}
-		if ok, ran := e.shards[p].tryRun(&l.req); ran {
-			l.ok = ok
-			continue
-		}
-		l.waiting = true
-		left++
-	}
-	for i := 0; left > 0; i++ {
-		if l := &ct.legs[i]; l.waiting {
-			l.ok, l.waiting = e.shards[ct.parts[i]].run(&l.req), false
-			left--
-		}
+		req := request{kind: kind, decisionDurable: decided, steps: ct.steps[lo:hi], out: ct.out[lo:hi]}
+		e.visit(&req, parts[:n])
 	}
 }
 
@@ -336,23 +324,11 @@ func (e *Engine) fanOut(ct *crossTxn, req func(i int) (request, bool)) {
 func (e *Engine) participantsOf(xs []model.Entity) []int {
 	parts := make([]int, 0, 4)
 	for _, x := range xs {
-		p := e.partitionOf(x)
-		dup := false
-		for _, q := range parts {
-			if q == p {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if p := e.partitionOf(x); !slices.Contains(parts, p) {
 			parts = append(parts, p)
 		}
 	}
-	for i := 1; i < len(parts); i++ {
-		for j := i; j > 0 && parts[j] < parts[j-1]; j-- {
-			parts[j], parts[j-1] = parts[j-1], parts[j]
-		}
-	}
+	slices.Sort(parts)
 	return parts
 }
 
@@ -376,7 +352,7 @@ func (e *Engine) participantsOf(xs []model.Entity) []int {
 // waits only for shard locks, whose holders never wait for a ct.mu.
 func (e *Engine) beginCross(step model.Step, pri Priority, settle func()) Result {
 	parts := e.participantsOf(step.Entities)
-	ct := &crossTxn{id: step.Txn, parts: parts, legs: make([]leg, len(parts))}
+	ct := &crossTxn{id: step.Txn, parts: parts, steps: make([]model.Step, len(parts)), out: make([]Result, len(parts))}
 	if !e.routes.storeNew(step.Txn, route{kind: routeCross, ct: ct, pri: pri}) {
 		return duplicateBegin(step)
 	}
@@ -397,25 +373,25 @@ func (e *Engine) beginCross(step model.Step, pri Priority, settle func()) Result
 		e.routes.delete(step.Txn)
 		return duplicateBegin(step)
 	}
-	e.fanOut(ct, func(i int) (request, bool) {
-		ct.legs[i].step = step
-		return request{kind: reqBeginSub, step: &ct.legs[i].step}, true
-	})
+	for i := range ct.steps {
+		ct.steps[i] = step
+	}
+	e.fanOut(ct, reqBeginSub, false, func(int) bool { return true })
 	settle()
-	failed := slices.IndexFunc(ct.legs, leg.failed)
+	failed := slices.IndexFunc(ct.out, func(r Result) bool { return r.Err != nil })
 	if failed < 0 {
 		e.crossTxns.Add(1)
 		e.accepted.Add(1)
 		return answer(model.NoTxn, nil)
 	}
-	res, ok := ct.legs[failed].req.res, ct.legs[failed].ok
-	applied := false
-	e.fanOut(ct, func(i int) (request, bool) {
-		if ct.legs[i].failed() {
-			return request{}, false
-		}
-		applied = true
-		return request{kind: reqAbortSub, txn: ct.id}, true
+	// A participant that could not run answers as the engine would have
+	// answered the BEGIN itself.
+	res, applied := ct.out[failed], false
+	ct.decide()
+	e.fanOut(ct, reqAbortSub, false, func(i int) bool {
+		begun := ct.out[i].Err == nil
+		applied = applied || begun
+		return begun
 	})
 	if applied && e.cfg.Log != nil {
 		e.cfg.Log.MarkAborted(ct.id)
@@ -423,9 +399,6 @@ func (e *Engine) beginCross(step model.Step, pri Priority, settle func()) Result
 	ct.done = true
 	e.registry.drop(step.Txn)
 	e.routes.delete(step.Txn)
-	if !ok {
-		return closedResult(step)
-	}
 	return res
 }
 
@@ -470,9 +443,8 @@ func (e *Engine) crossMisroute(step model.Step, ct *crossTxn) Result {
 // trace exclusion, and the engine's logical abort counters. A shard that
 // already lost its sub-node ignores the abort. Caller holds ct.mu.
 func (e *Engine) finishCrossAbort(ct *crossTxn, skipShard int) {
-	e.fanOut(ct, func(i int) (request, bool) {
-		return request{kind: reqAbortSub, txn: ct.id}, ct.parts[i] != skipShard
-	})
+	ct.decide()
+	e.fanOut(ct, reqAbortSub, false, func(i int) bool { return ct.parts[i] != skipShard })
 	ct.done = true
 	e.registry.drop(ct.id)
 	e.routes.delete(ct.id)
@@ -510,27 +482,26 @@ func (e *Engine) commitCross(ctx context.Context, ct *crossTxn, final model.Step
 			return e.crossMisroute(final, ct)
 		}
 	}
-	e.fanOut(ct, func(i int) (request, bool) {
-		l := &ct.legs[i]
-		l.step = e.writeSubsetFor(final, ct.parts[i])
-		return request{kind: reqPrepareSub, step: &l.step}, true
-	})
+	for i, p := range ct.parts {
+		ct.steps[i] = e.writeSubsetFor(final, p)
+	}
+	e.fanOut(ct, reqPrepareSub, false, func(int) bool { return true })
 	e.prepares.Add(int64(len(ct.parts)))
-	for _, l := range ct.legs {
-		if !l.ok {
+	for _, r := range ct.out {
+		if refused(r) {
 			e.finishCrossAbort(ct, -1)
 			return answer(ct.id, stepErr(final, ErrClosed))
 		}
-		if l.req.res.Err != nil {
+		if r.Err != nil {
 			// A NO vote — a local cycle on that shard (ErrCycle) or a
 			// registry veto (ErrCrossCycle) — or a vote the shard could not
 			// cast. Abort everywhere: only this transaction dies; no
 			// bystander is touched.
 			e.finishCrossAbort(ct, -1)
-			if l.req.res.Outcome() == OutcomeRejected {
+			if r.Outcome() == OutcomeRejected {
 				e.rejected.Add(1)
 			}
-			return answer(ct.id, l.req.res.Err)
+			return answer(ct.id, r.Err)
 		}
 	}
 	if hook := testHookPrepared; hook != nil {
@@ -550,23 +521,17 @@ func (e *Engine) commitCross(ctx context.Context, ct *crossTxn, final model.Step
 	// participant's durable RecCommit is the commit point; if it cannot be
 	// journaled, no evidence of the decision exists anywhere and the
 	// transaction resolves as the abort recovery would presume.
-	commit := request{kind: reqCommitSub, txn: ct.id}
-	ok := e.shards[ct.parts[0]].run(&commit)
-	if ok && commit.res.Err != nil && commit.res.Aborted == ct.id {
+	ct.decide()
+	e.fanOut(ct, reqCommitSub, false, func(i int) bool { return i == 0 })
+	if r := ct.out[0]; r.Err != nil && r.Aborted == ct.id {
 		// The commit point failed (journal dead on the first participant,
 		// which already released its own sub): abort the siblings and
 		// report the transaction aborted.
 		e.finishCrossAbort(ct, ct.parts[0])
-		return answer(ct.id, commit.res.Err)
+		return answer(ct.id, r.Err)
 	}
-	if ok {
-		commit = request{kind: reqCommitSub, txn: ct.id, decisionDurable: true}
-		e.fanOut(ct, func(i int) (request, bool) { return commit, i > 0 })
-		for _, l := range ct.legs[1:] {
-			ok = ok && l.ok
-		}
-	}
-	if !ok {
+	e.fanOut(ct, reqCommitSub, true, func(i int) bool { return i > 0 && !refused(ct.out[0]) })
+	if slices.ContainsFunc(ct.out, refused) {
 		// The engine is closing; surviving shards keep their prepared state
 		// only until they shut down.
 		ct.done = true

@@ -603,10 +603,9 @@ func (w *window) add(i, shard int, ct *crossTxn) bool {
 var testHookWindow func()
 
 // apply runs the window and empties it: one reqBatch visits every shard the
-// window touches, the shards whose lock is free first, in one pass that
-// never waits, then the rest in turn. Each shard writes its steps' results
-// into their own places in dst, so nothing is merged or copied afterwards.
-// A window on one shard goes out unmasked, the caller's span as it stands.
+// window touches (visit), and each shard writes its steps' results into
+// their own places in dst, so nothing is merged or copied afterwards. A
+// window on one shard goes out unmasked, the caller's span as it stands.
 func (e *Engine) apply(w *window, dst []Result, steps []model.Step) []Result {
 	if w.n == 0 {
 		return dst
@@ -621,27 +620,35 @@ func (e *Engine) apply(w *window, dst []Result, steps []model.Step) []Result {
 	if len(parts) == 1 {
 		parts[0].own = 0
 	}
-	left := parts[:0]
-	for _, p := range parts {
-		batch.own = p.own
-		if ok, ran := e.shards[p.shard].tryRun(&batch); !ran {
-			left = append(left, p)
-		} else if !ok {
-			batch.refuse()
-		}
-	}
-	for _, p := range left {
-		batch.own = p.own
-		if !e.shards[p.shard].run(&batch) {
-			// The engine closed first: nothing else writes these results.
-			batch.refuse()
-		}
-	}
+	e.visit(&batch, parts)
 	for i := range batch.out {
 		e.landed(&batch.steps[i], &batch.out[i])
 	}
 	w.n = 0
 	return dst
+}
+
+// visit is the one way across shards, for both doors' windows and every 2PC
+// phase: it runs req on each shard parts names, with that part's steps, the
+// shards whose lock is free first, in one pass that never waits, then the
+// rest in turn. A shard the engine closed under answers its steps with
+// ErrClosed: nothing else writes those results.
+func (e *Engine) visit(req *request, parts []part) {
+	left := parts[:0]
+	for _, p := range parts {
+		req.own = p.own
+		if ok, ran := e.shards[p.shard].tryRun(req); !ran {
+			left = append(left, p)
+		} else if !ok {
+			req.refuse()
+		}
+	}
+	for _, p := range left {
+		req.own = p.own
+		if !e.shards[p.shard].run(req) {
+			req.refuse()
+		}
+	}
 }
 
 // misroutedStep reports whether a partition-local transaction's step
@@ -715,8 +722,10 @@ func (e *Engine) Abort(id model.TxnID) bool {
 // ended between the route lookup and the shard visit (its final write or a
 // rejection landed first), whose step already dropped the route.
 func (e *Engine) abortLocal(shard int, id model.TxnID) bool {
-	req := request{kind: reqAbortSub, txn: id}
-	if !e.shards[shard].run(&req) || !req.aborted {
+	steps := [1]model.Step{{Kind: model.KindWriteFinal, Txn: id}}
+	var out [1]Result
+	req := request{kind: reqAbortSub, steps: steps[:], out: out[:]}
+	if !e.shards[shard].run(&req) || out[0].Aborted != id {
 		return false
 	}
 	e.aborted.Add(1)

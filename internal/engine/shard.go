@@ -19,8 +19,10 @@ const (
 	reqBatch reqKind = iota
 	// reqStats snapshots the shard's scheduler counters.
 	reqStats
-	// reqBeginSub begins a sub-transaction of a cross-partition
-	// transaction on this shard.
+	// The four 2PC phases below apply each step the shard owns as that
+	// phase of the step's transaction (applyAs); a two-phase commit sends
+	// one step per participant. reqBeginSub begins a sub-transaction of a
+	// cross-partition transaction on this shard.
 	reqBeginSub
 	// reqPrepareSub is phase one of a cross-partition final write: vote on
 	// this shard's slice of the write set, pinning the sub-node on yes.
@@ -30,7 +32,7 @@ const (
 	// reqAbortSub aborts a transaction: a sub-transaction in any state
 	// (begun, mid-reads, or prepared) — the ABORT decision, a sibling-abort,
 	// or a client abort — or a local one (misroute, client abort). The
-	// answer, aborted, says whether it applied.
+	// answer names the transaction in Aborted when the abort applied.
 	reqAbortSub
 	// reqOldest snapshots the shard's oldest active transactions for the
 	// retention governor's straggler selection.
@@ -41,17 +43,14 @@ const (
 	reqSweep
 )
 
-// request is one shard visit: what it applies, and the shard's answer. No
-// step it applies is held by value: a sub-begin or prepare reaches its step
-// through a pointer. Handing a step field to the apply functions would leak
-// its Entities through their error paths, and escape analysis does not tell
-// one field of the request from another, so that leak would take steps and
-// out, and with them SubmitPriority's one-step window, to the heap: 8
-// allocations per 4-step transaction.
-//
-// Nor does it hold an answer only one kind needs by value: reqStats and
-// reqOldest write theirs through a pointer into the caller's variable, so
-// every request, a reqBatch above all, stays small to build and to copy.
+// request is one shard visit: a window of steps and their answers, or one
+// of the snapshots and the sweep. Both doors' windows and every 2PC phase
+// are windows, all sent by Engine.visit. A request holds no step and no
+// answer by value, so it stays small to build: handing a field of it to the
+// apply functions would leak a step's Entities through their error paths,
+// and escape analysis does not tell one field of the request from another,
+// so that leak would take steps and out, and with them SubmitPriority's
+// one-step window, to the heap.
 type request struct {
 	kind reqKind
 	// decisionDurable marks a reqCommitSub whose COMMIT decision is already
@@ -59,33 +58,24 @@ type request struct {
 	// block the in-memory commit (recovery finishes the laggard from the
 	// evidence). The first participant's journal is the commit point.
 	decisionDurable bool
-	// aborted is the answer to a reqAbortSub: whether the transaction was
-	// live here.
-	aborted bool
-	// txn names the transaction a reqCommitSub or reqAbortSub decides.
-	txn model.TxnID
-	// step is what a reqBeginSub or reqPrepareSub applies.
-	step *model.Step
-	// steps is a reqBatch's window and out its results, both aliasing the
-	// caller's buffers: the shard writes out[k] for each step k it owns
-	// (every step when own is 0, else the set bits of own), so the shards a
-	// window fans out to write disjoint elements, and the caller reads none
-	// until every shard has run.
+	// steps is a window and out its results, both aliasing the caller's
+	// buffers: the shard writes out[k] for each step k it owns (every step
+	// when own is 0, else the set bits of own), so the shards a window fans
+	// out to write disjoint elements, and the caller reads none until every
+	// shard has run.
 	steps []model.Step
 	out   []Result
 	own   uint64
-	// res is the answer to a reqBeginSub, reqPrepareSub or reqCommitSub.
-	res Result
 	// stats and actives, when non-nil, receive the answer to a reqStats and
 	// a reqOldest.
 	stats   *core.Stats
 	actives *[]core.ActiveInfo
 }
 
-// owns reports whether a reqBatch's step k is this shard's to apply.
+// owns reports whether step k of the window is this shard's to apply.
 func (r *request) owns(k int) bool { return r.own == 0 || r.own&(1<<k) != 0 }
 
-// refuse answers every step of a reqBatch this shard owns with ErrClosed.
+// refuse answers every step of the window this shard owns with ErrClosed.
 func (r *request) refuse() {
 	for k, st := range r.steps {
 		if r.owns(k) {
@@ -210,7 +200,8 @@ func (sh *shard) run(req *request) bool {
 }
 
 // tryRun is run if the shard's lock is free, and reports whether it was
-// (ran); it never waits. The fan-outs visit the free shards first with it.
+// (ran); it never waits. Engine.visit, its one caller, visits the free
+// shards first with it.
 func (sh *shard) tryRun(req *request) (ok, ran bool) {
 	if !sh.mu.TryLock() {
 		return false, false
@@ -266,19 +257,30 @@ func (sh *shard) handle(req *request) {
 		if req.stats != nil {
 			*req.stats = sh.sched.Stats()
 		}
-	case reqBeginSub:
-		req.res = sh.applyBeginSub(*req.step)
-	case reqPrepareSub:
-		req.res = sh.applyPrepareSub(*req.step)
-	case reqCommitSub:
-		req.res = sh.applyCommitSub(req.txn, req.decisionDurable)
-	case reqAbortSub:
-		req.aborted = sh.applyAbortSub(req.txn)
+	case reqBeginSub, reqPrepareSub, reqCommitSub, reqAbortSub:
+		for k, st := range req.steps {
+			if req.owns(k) {
+				req.out[k] = sh.applyAs(req, st)
+			}
+		}
 	case reqOldest:
 		*req.actives = sh.sched.OldestActives(governorCandidates)
 	case reqSweep:
 		sh.sweep()
 	}
+}
+
+// applyAs applies st as the 2PC phase req.kind of st's transaction.
+func (sh *shard) applyAs(req *request, st model.Step) Result {
+	switch req.kind {
+	case reqBeginSub:
+		return sh.applyBeginSub(st)
+	case reqPrepareSub:
+		return sh.applyPrepareSub(st)
+	case reqCommitSub:
+		return sh.applyCommitSub(st.Txn, req.decisionDurable)
+	}
+	return sh.applyAbortSub(st.Txn)
 }
 
 // applyOne runs one step on the scheduler and returns the engine-level
@@ -398,10 +400,12 @@ func (sh *shard) applyBeginSub(step model.Step) Result {
 // applyPrepareSub votes on this shard's slice of a cross final write. A
 // YES vote logs the write at its conflict position (the arcs go into the
 // graph now; a later ABORT excludes the transaction via MarkAborted) and
-// pins the sub-node.
+// pins the sub-node. A shard whose journal has failed votes no with the
+// failure, naming the transaction in Aborted as every NO vote does, which
+// tells it from a participant the closed engine kept from voting at all.
 func (sh *shard) applyPrepareSub(step model.Step) Result {
 	if err := sh.jr.refusal(step); err != nil {
-		return errResult(err)
+		return answer(step.Txn, err)
 	}
 	vote, err := sh.sched.PrepareFinal(step)
 	// The gauge tracks the scheduler's prepared state, not the vote: a
@@ -463,20 +467,20 @@ func (sh *shard) applyCommitSub(id model.TxnID, decisionDurable bool) Result {
 	return Result{Aborted: model.NoTxn, CompletedTxn: res.CompletedTxn}
 }
 
-// applyAbortSub aborts a transaction in any state and reports whether it
-// was live here; unknown IDs (the scheduler already rejected a step of it
-// here) are fine. It is also how a vote or decision that could not be
-// journaled lets go of its prepared sub: the journal has latched by then,
-// so nothing more is written.
-func (sh *shard) applyAbortSub(id model.TxnID) bool {
+// applyAbortSub aborts a transaction in any state and answers naming it in
+// Aborted if it was live here; unknown IDs (the scheduler already rejected
+// a step of it here) are fine. It is also how a vote or decision that could
+// not be journaled lets go of its prepared sub: the journal has latched by
+// then, so nothing more is written.
+func (sh *shard) applyAbortSub(id model.TxnID) Result {
 	if sh.sched.Prepared(id) {
 		sh.preparedN.Add(-1)
 	}
 	if sh.sched.AbortTxn(id) != nil {
-		return false
+		return answer(model.NoTxn, nil)
 	}
 	sh.jr.record(store.RecAbort, id, 0, nil)
-	return true
+	return answer(id, nil)
 }
 
 // answer is a Result for a step that completed nothing: err (nil when it
