@@ -317,15 +317,20 @@ func recordStragglerStream(txns int) []model.Step {
 // shard once ran it — GreedyC1 by SweepNow after every eighth completion or
 // abort, a fixed cadence kept here so the gated figure stays comparable —
 // over a stream whose long reader keeps a few hundred completed
-// transactions pinned, so every sweep walks a long candidate list and
-// deletes little of it. allocs/txn is gated by bench_budget.txt
-// (max_core_sweep_allocs_per_txn); sweep-us is the mean sweep.
+// transactions pinned, so a sweep that rescanned them would walk a long
+// candidate list and delete little of it. allocs/txn is gated by
+// bench_budget.txt (max_core_sweep_allocs_per_txn), and so is
+// exams/completion (max_core_sweep_exams_per_completion), the candidates
+// the sweeps took up (Stats.Examined) per completed transaction: a count
+// fixed by the code, since the stream is recorded once. sweep-us is the
+// mean sweep.
 func BenchmarkSweepStragglerPinned(b *testing.B) {
 	const txns = 4000
 	stream := recordStragglerStream(txns)
 	var ms runtime.MemStats
 	var mallocs uint64
 	var sweepNS, sweeps int64
+	var stats Stats
 	peak := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -348,8 +353,10 @@ func BenchmarkSweepStragglerPinned(b *testing.B) {
 		}
 		runtime.ReadMemStats(&ms)
 		mallocs += ms.Mallocs - m0
+		stats = s.Stats()
 	}
 	b.ReportMetric(float64(mallocs)/float64(b.N*txns), "allocs/txn")
+	b.ReportMetric(float64(stats.Examined)/float64(stats.Completed), "exams/completion")
 	b.ReportMetric(float64(sweepNS)/1e3/float64(sweeps), "sweep-us")
 	b.ReportMetric(float64(peak), "peak-kept")
 }

@@ -199,7 +199,13 @@ func RestoreScheduler(cfg Config, st SchedulerState) (*Scheduler, error) {
 // under a permissive tracker (the real registry does not yet know the
 // recovered cross transactions) and installs the rebuilt registry here
 // before the shard goes live.
-func (s *Scheduler) SetTracker(t CrossTracker) { s.cfg.Cross = t }
+func (s *Scheduler) SetTracker(t CrossTracker) { s.setTracker(t) }
+
+// SetSweepManual switches the automatic post-step sweeps off (true) or on
+// (Config.SweepManual). Recovery replays the WAL tail and resolves what it
+// left undecided without sweeping, then switches them on here before the
+// shard goes live.
+func (s *Scheduler) SetSweepManual(manual bool) { s.cfg.SweepManual = manual }
 
 // SetEmitter swaps the lifecycle-event emitter. Recovery replays with a
 // nil emitter — replayed steps already happened, so re-emitting them would

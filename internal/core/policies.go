@@ -22,7 +22,6 @@
 package core
 
 import (
-	"cmp"
 	"slices"
 
 	"repro/internal/graph"
@@ -88,19 +87,38 @@ func (sw *Sweep) JustCompleted() model.TxnID { return sw.justCompleted }
 // next Completed call (each deletion round of a policy loop rebuilds it),
 // and policies may reorder it in place.
 func (sw *Sweep) Completed() []model.TxnID {
-	sw.s.compScratch = append(sw.s.compScratch[:0], sw.s.completed...)
-	ids := sw.s.compScratch
+	return sw.take(sw.s.completed, false)
+}
+
+// pending is Completed for the policies that file what they refuse
+// (GreedyC1, Lemma1Policy): only the retained completed transactions that
+// no refusal still stands against (witness.go), ascending. The gate files
+// what it refuses on the label source's account.
+func (sw *Sweep) pending() []model.TxnID {
+	return sw.take(sw.s.pending, true)
+}
+
+// take copies ids into the candidate scratch and drops what the gate
+// refuses, filing it on its witness when file is set.
+func (sw *Sweep) take(ids []model.TxnID, file bool) []model.TxnID {
+	s := sw.s
+	s.compScratch = append(s.compScratch[:0], ids...)
+	ids = s.compScratch
+	s.stats.Examined += int64(len(ids))
 	// Fast path: a shard that has never seen a cross transaction (no
 	// sub-nodes, no labels, no pins) filters nothing, even when a tracker
 	// is configured — the cross-free GC path stays identical to a plain
 	// local scheduler's.
-	if !sw.s.crossEnabled() && sw.s.g.NumPinned() == 0 {
+	if !s.crossEnabled() && s.g.NumPinned() == 0 {
 		return ids
 	}
 	kept := ids[:0]
 	for _, id := range ids {
-		if sw.s.policyDeletable(id) {
+		t := s.txns[id]
+		if w, ok := s.gate(t); ok {
 			kept = append(kept, id)
+		} else if file && w != nil {
+			s.hold(t, w, refusedByGate)
 		}
 	}
 	return kept
@@ -163,7 +181,9 @@ func (NoGC) Sweep(*Sweep) {}
 
 // Lemma1Policy deletes completed transactions that have no active
 // predecessor at all (Lemma 1). It is strictly weaker than C1 (Example 1's
-// T2 has an active predecessor yet is C1-deletable) but very cheap.
+// T2 has an active predecessor yet is C1-deletable) but very cheap. One
+// pass is a fixpoint: deletion splices arcs, so a candidate with an active
+// ancestor keeps it; the sweep files such a candidate on that ancestor.
 type Lemma1Policy struct{}
 
 // Name implements Policy.
@@ -172,28 +192,25 @@ func (Lemma1Policy) Name() string { return "lemma1" }
 // Sweep implements Policy.
 func (Lemma1Policy) Sweep(sw *Sweep) {
 	s := sw.s
-	for {
-		progress := false
-		for _, id := range sw.Completed() {
-			if _, _, active := s.ActiveAncestor(id); !active {
-				if sw.Delete(id) {
-					progress = true
-				}
-			}
-		}
-		if !progress {
-			return
+	for _, id := range sw.pending() {
+		if a, _, active := s.ActiveAncestor(id); active {
+			s.hold(s.txns[id], s.bySlot[a], refusedByAncestor)
+		} else {
+			sw.Delete(id)
 		}
 	}
 }
 
 // ---------------------------------------------------------------------------
 
-// GreedyC1 repeatedly deletes any completed transaction satisfying C1 on
-// the successively reduced graph until none does. Theorem 3 guarantees
-// each individual deletion is safe, hence (Theorem 2) the policy is
-// correct. The result is maximal by inclusion; Theorem 5 shows finding the
-// maximum is NP-complete, so greedy is the practical default.
+// GreedyC1 deletes every completed transaction satisfying C1 on the
+// successively reduced graph. Theorem 3 guarantees each individual deletion
+// is safe, hence (Theorem 2) the policy is correct. One pass is a fixpoint:
+// a deletion only removes witnesses and never adds an active tight
+// predecessor, so a candidate C1 refuses stays refused for the rest of the
+// sweep; the sweep files it on the active tight predecessor checkC1 named.
+// The result is maximal by inclusion; Theorem 5 shows finding the maximum
+// is NP-complete, so greedy is the practical default.
 //
 // Order controls the scan order; OldestFirst (default) favors deleting
 // older transactions, which empirically keeps the graph smaller because
@@ -214,19 +231,16 @@ func (p GreedyC1) Name() string {
 // Sweep implements Policy.
 func (p GreedyC1) Sweep(sw *Sweep) {
 	s := sw.s
-	for {
-		ids := sw.Completed()
-		if p.NewestFirst {
-			slices.SortFunc(ids, func(a, b model.TxnID) int { return cmp.Compare(b, a) })
-		}
-		progress := false
-		for _, id := range ids {
-			if s.c1Holds(id) && sw.Delete(id) {
-				progress = true
-			}
-		}
-		if !progress {
-			return
+	ids := sw.pending()
+	if p.NewestFirst {
+		slices.Reverse(ids)
+	}
+	for _, id := range ids {
+		t := s.txns[id]
+		if ok, tj, _ := s.checkC1(t); ok {
+			sw.Delete(id)
+		} else {
+			s.hold(t, s.bySlot[tj], refusedByC1)
 		}
 	}
 }

@@ -34,6 +34,7 @@ type Stats struct {
 	Completed  int64
 	Deleted    int64 // nodes removed by the deletion policy
 	Sweeps     int64 // policy sweeps executed
+	Examined   int64 // candidates sweeps took up (witness.go)
 	PeakNodes  int
 	PeakArcs   int
 	PeakKept   int   // peak number of completed transactions retained
@@ -64,6 +65,7 @@ func (s *Stats) Merge(o Stats) {
 	s.Completed += o.Completed
 	s.Deleted += o.Deleted
 	s.Sweeps += o.Sweeps
+	s.Examined += o.Examined
 	s.PeakNodes += o.PeakNodes
 	s.PeakArcs += o.PeakArcs
 	s.PeakKept += o.PeakKept
@@ -91,6 +93,16 @@ type TxnState struct {
 	// (see subtxn.go); prepared marks it voted-yes-but-undecided.
 	isCross  bool
 	prepared bool
+	// source marks a cross sub-node in Scheduler.sources, and why names the
+	// test that filed t on a list of on, its witness (nil: t is pending, or
+	// not completed). held and gated head the lists of the retained
+	// completed transactions filed on t's account — those t blocks by C1 or
+	// Lemma 1, and those its label gates — linked through next. See
+	// witness.go.
+	source      bool
+	why         refusal
+	on, next    *TxnState
+	held, gated *TxnState
 }
 
 // Config configures a Scheduler.
@@ -98,10 +110,10 @@ type Config struct {
 	// Policy is the deletion policy; nil means never delete (NoGC).
 	Policy Policy
 	// SweepManual disables the automatic post-step sweeps entirely: the
-	// policy runs only when the owner calls SweepNow. Engines use this to
-	// amortize GC off the hot path (sweeping between batches instead of
-	// after every completion). Safe for any correct policy: C1/C2 are
-	// evaluated on the graph as it stands whenever the sweep runs.
+	// policy runs only when the owner calls SweepNow. Engines replay their
+	// logs this way and sweep once they are live. Safe for any correct
+	// policy: C1/C2 are evaluated on the graph as it stands whenever the
+	// sweep runs.
 	SweepManual bool
 	// OnDelete, if non-nil, is invoked for every node the policy deletes.
 	OnDelete func(model.TxnID)
@@ -154,9 +166,13 @@ type Scheduler struct {
 	stats Stats
 	// completed holds the retained completed transaction IDs, ascending:
 	// inserted where a transaction completes (or is restored completed),
-	// removed where it is deleted, so a sweep copies the candidate list
-	// instead of scanning and sorting txns every fixpoint round.
+	// removed where it is deleted. pending, kept only under a policy, is
+	// the part of it the next sweep examines: the retained completed
+	// transactions not filed on a witness's list (witness.go). blocked
+	// counts those filed on held lists, the ones a completion can release.
 	completed []model.TxnID
+	pending   []model.TxnID
+	blocked   int
 	// numActive is maintained incrementally so the per-step bookkeeping in
 	// afterStep never scans txns.
 	numActive int
@@ -196,19 +212,29 @@ type Scheduler struct {
 	flooded    []graph.Ref
 	// sweepEpoch numbers the sweep in progress (0 outside one), and
 	// liveMemo holds, per arena slot, the tracker's answer for the
-	// transaction in it as of that sweep (see tracked).
+	// transaction in it as of that sweep, or as of the tracker's
+	// retirement count (see tracked).
 	sweepEpoch int64
 	liveMemo   []liveMemo
+	// sources are the sub-nodes holding refusals of the cross gate, and
+	// retired the tracker's retirement count when they were last asked
+	// about (releaseRetired). counter is the tracker, if it counts its
+	// retirements.
+	sources []*TxnState
+	retired uint64
+	counter retirementCounter
 }
 
 // NewScheduler returns an empty scheduler with the given configuration.
 func NewScheduler(cfg Config) *Scheduler {
-	return &Scheduler{
+	s := &Scheduler{
 		g:    graph.New(),
 		txns: make(map[model.TxnID]*TxnState),
 		ents: entityTable{ids: make(map[model.Entity]int32)},
 		cfg:  cfg,
 	}
+	s.setTracker(cfg.Cross)
+	return s
 }
 
 // Graph exposes the current (reduced) conflict graph. Callers must treat
@@ -270,28 +296,14 @@ func (s *Scheduler) CompletedTxns() []model.TxnID {
 // NumCompleted returns the number of retained completed transactions, O(1).
 func (s *Scheduler) NumCompleted() int { return len(s.completed) }
 
-// markCompleted flips t to completed and files it in the completed index.
+// markCompleted flips t to completed and files it in the completed index
+// and, under a policy, in the pending one: the next sweep examines it.
 func (s *Scheduler) markCompleted(t *TxnState) {
 	t.Status = model.StatusCompleted
-	i := s.completedPos(t.ID)
-	s.completed = append(s.completed, t.ID)
-	copy(s.completed[i+1:], s.completed[i:])
-	s.completed[i] = t.ID
-}
-
-// completedPos returns the index of id in the completed index, or where it
-// belongs if absent. (Hand-rolled rather than slices.BinarySearch: the
-// hot-path lint reads a generic instantiation as interface boxing.)
-func (s *Scheduler) completedPos(id model.TxnID) int {
-	lo, hi := 0, len(s.completed)
-	for lo < hi {
-		if mid := int(uint(lo+hi) >> 1); s.completed[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	s.completed = insertTxn(s.completed, t.ID)
+	if s.cfg.Policy != nil {
+		s.pending = insertTxn(s.pending, t.ID)
 	}
-	return lo
 }
 
 // ActiveInfo names one active transaction for the retention governor's
@@ -451,6 +463,7 @@ func (s *Scheduler) writeFinal(step model.Step) (Result, error) {
 		e.lastSeq, e.lastWriter = s.seq, t.ID
 	}
 	s.markCompleted(t)
+	s.releaseCompleted(t)
 	t.EndSeq = s.seq
 	s.numActive--
 	s.stats.Writes++
@@ -564,6 +577,7 @@ func (s *Scheduler) reject(t *TxnState, cross bool) Result {
 	}
 	s.forget(t)
 	s.clearCross(t)
+	s.leave(t)
 	s.g.RemoveRef(t.ref)
 	t.Status = model.StatusAborted
 	delete(s.txns, t.ID)
@@ -589,10 +603,10 @@ func (s *Scheduler) deleteTxn(id model.TxnID) error {
 	}
 	s.forget(t)
 	s.clearCross(t)
+	s.leave(t)
 	s.g.ReduceRef(t.ref)
 	delete(s.txns, id)
-	i := s.completedPos(id)
-	s.completed = append(s.completed[:i], s.completed[i+1:]...)
+	s.completed = removeTxn(s.completed, id)
 	s.releaseState(t)
 	s.stats.Deleted++
 	if s.cfg.OnDelete != nil {
@@ -628,13 +642,16 @@ func (s *Scheduler) afterStep(res *Result, sweepEvent bool) {
 	s.stats.KeptSample++
 }
 
-// sweep runs the policy once through sw. For its duration the tracker's
-// LabelLive answers are remembered per arena slot (see tracked): the sweep
-// number, which no earlier sweep of this scheduler shares, is the epoch.
+// sweep runs the policy once through sw, after releasing the refusals of
+// the label sources the tracker has retired since. For its duration the
+// tracker's LabelLive answers are remembered per arena slot (see tracked):
+// unless the tracker counts its retirements, the sweep number, which no
+// earlier sweep of this scheduler shares, is the epoch.
 func (s *Scheduler) sweep(sw *Sweep) {
 	sw.s = s
 	sw.deleted = sw.deleted[:0]
 	s.sweepEpoch = s.stats.Sweeps + 1
+	s.releaseRetired()
 	s.cfg.Policy.Sweep(sw)
 	s.sweepEpoch = 0
 	s.stats.Sweeps++
@@ -869,6 +886,7 @@ func (s *Scheduler) AbortTxn(id model.TxnID) error {
 	s.emit(emit.KindAbort, emit.ClassTxnAborted, id, t.BeginSeq, 0)
 	s.forget(t)
 	s.clearCross(t)
+	s.leave(t)
 	s.g.RemoveRef(t.ref)
 	t.Status = model.StatusAborted
 	delete(s.txns, id)

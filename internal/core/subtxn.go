@@ -76,7 +76,9 @@ type CrossTracker interface {
 	// labels its live incarnation sourced. Labels of retired cross
 	// transactions are pruned lazily. A policy sweep asks once per sub-node
 	// and keeps the answer until it ends, so an answer may only ever change
-	// from live to dead.
+	// from live to dead. A tracker that also has a method
+	// Retirements() uint64, counting the transactions it stopped tracking,
+	// is asked about a sub-node again only after that count moved.
 	LabelLive(src model.TxnID) bool
 }
 
@@ -198,6 +200,7 @@ func (s *Scheduler) CommitPrepared(id model.TxnID) (Result, error) {
 	s.g.UnpinRef(t.ref)
 	t.prepared = false
 	s.markCompleted(t)
+	s.releaseCompleted(t)
 	// The write is now committed: install the current values at the
 	// write's prepare-time position (EndSeq), unless a later write of the
 	// entity already landed between vote and decision.
@@ -252,29 +255,38 @@ func (s *Scheduler) labelLive(l label) bool {
 	return t != nil && t.BeginSeq == l.seq && s.tracked(l.slot)
 }
 
-// liveMemo is one slot's remembered LabelLive answer and the sweep it was
-// asked in.
+// liveMemo is one slot's remembered LabelLive answer, the incarnation it is
+// about (its BeginSeq) and the epoch it was asked in.
 type liveMemo struct {
-	epoch int64
-	live  bool
+	epoch, seq int64
+	live       bool
 }
 
 // tracked asks the tracker whether it still tracks the transaction in the
-// occupied slot r. During a sweep it asks once per slot and remembers the
-// answer until the sweep ends, instead of once per label per candidate per
-// fixpoint round. No step runs inside a sweep, so a slot keeps its
-// incarnation throughout, and labels only go live→dead: a remembered "live"
-// is conservative, a remembered "dead" stays true.
+// occupied slot r, and remembers the answer for as long as it must hold.
+// A tracker that counts its retirements cannot retire anything without
+// moving the count, so there the epoch is the count, and the tracker is
+// asked about a slot again only after something retired. Otherwise the
+// epoch is the sweep in progress, asked once per slot instead of once per
+// label per candidate; no step runs inside a sweep, and outside one nothing
+// is remembered. Labels only go live→dead: a remembered "live" is
+// conservative, a remembered "dead" stays true. The count is read before
+// the question, so a retirement that the answer missed moves it again.
 func (s *Scheduler) tracked(r graph.Ref) bool {
-	if s.sweepEpoch == 0 {
-		return s.cfg.Cross.LabelLive(s.bySlot[r].ID)
+	t := s.bySlot[r]
+	epoch := s.sweepEpoch
+	if s.counter != nil {
+		epoch = int64(s.counter.Retirements()) + 1
+	}
+	if epoch == 0 {
+		return s.cfg.Cross.LabelLive(t.ID)
 	}
 	for int(r) >= len(s.liveMemo) {
 		s.liveMemo = append(s.liveMemo, liveMemo{})
 	}
 	m := &s.liveMemo[r]
-	if m.epoch != s.sweepEpoch {
-		m.epoch, m.live = s.sweepEpoch, s.cfg.Cross.LabelLive(s.bySlot[r].ID)
+	if m.epoch != epoch || m.seq != t.BeginSeq {
+		*m = liveMemo{epoch: epoch, seq: t.BeginSeq, live: s.cfg.Cross.LabelLive(t.ID)}
 	}
 	return m.live
 }
@@ -449,22 +461,34 @@ func (s *Scheduler) clearCross(t *TxnState) {
 }
 
 // policyDeletable reports whether a deletion policy may remove id: it must
-// be a retained completed transaction, not pinned, not a sub-transaction
-// the tracker still tracks, and must carry no live cross labels (reducing
-// a live-labeled node would hide inter-shard arcs from the registry).
+// be a retained completed transaction that passes the gate.
 func (s *Scheduler) policyDeletable(id model.TxnID) bool {
 	t, ok := s.txns[id]
 	if !ok || t.Status != model.StatusCompleted {
 		return false
 	}
+	_, ok = s.gate(t)
+	return ok
+}
+
+// gate reports whether a deletion policy may remove the completed t: it
+// must not be pinned, not a sub-transaction the tracker still tracks, and
+// must carry no live cross labels (reducing a live-labeled node would hide
+// inter-shard arcs from the registry). When a label refuses t, w is that
+// label's source; when t's own tracking does, w is t. A pin names no
+// witness: it ends with the sub-transaction's decision.
+func (s *Scheduler) gate(t *TxnState) (w *TxnState, ok bool) {
 	if s.g.PinnedRef(t.ref) {
-		return false
+		return nil, false
 	}
 	if s.cfg.Cross == nil {
-		return true
+		return nil, true
 	}
 	if t.isCross && s.tracked(t.ref) {
-		return false
+		return t, false
 	}
-	return len(s.pruneLabels(t.ref)) == 0
+	if ls := s.pruneLabels(t.ref); len(ls) > 0 {
+		return s.bySlot[ls[0].slot], false
+	}
+	return nil, true
 }

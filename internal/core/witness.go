@@ -1,0 +1,284 @@
+// The sweep's index of refusals: every retained completed transaction a
+// sweep refuses is filed on the list of the witness that refused it, and
+// stays off the candidate list until that witness releases it.
+//
+// A refusal names its witness, and the refusal stands until that witness
+// changes:
+//
+//   - C1 fails for Ti (checkC1) with an active tight predecessor Tj that has
+//     no completed tight successor accessing some entity of Ti strongly
+//     enough. Reduction never adds an active tight predecessor and only
+//     removes witnesses (Theorem 3), an accepted read or a prepare only adds
+//     arcs into an active node, and a completion's new tight paths add
+//     constraints, never witnesses, except to the actives that reach the
+//     completing node: so the refusal stands until Tj terminates or gains a
+//     completed tight successor — a completion with Tj among its own active
+//     tight predecessors.
+//   - Lemma 1 fails for Ti (ActiveAncestor) with an active ancestor A whose
+//     path to Ti runs through completed nodes only; deletion splices, so
+//     the path stays while A is active.
+//   - The cross gate refuses Ti for a live label, or because Ti is a
+//     sub-node the tracker still tracks (its own label source). A label only
+//     ever dies, and only when its source's incarnation leaves the graph or
+//     the tracker retires it.
+//
+// So a transaction keeps two lists. The C1 and Lemma 1 refusals it blocks
+// (held) are released when it terminates (completes, is rejected or
+// aborted), and when a completion finds it among the completing node's
+// active tight predecessors. The gate refusals it sources (gated) are
+// released when the tracker has retired it. Both go when it leaves the
+// graph. A sweep examines only the pending transactions: the new
+// completions and the released ones, in ascending TxnID as before.
+// Everything it skips would have been refused again, so it deletes exactly
+// what a rescan of every retained transaction deletes (CheckSkipped checks
+// it in the tests).
+//
+// The lists are intrusive: four pointers and two bytes in TxnState, and
+// the scheduler's pending index beside its completed one.
+package core
+
+import (
+	"fmt"
+
+	"repro/internal/model"
+)
+
+// refusal is the test that filed a transaction on its witness's list.
+type refusal uint8
+
+const (
+	// refusedByGate: a live cross label, or the transaction's own tracked
+	// sub-node; the witness is the label's source.
+	refusedByGate refusal = iota + 1
+	// refusedByC1: checkC1's active tight predecessor.
+	refusedByC1
+	// refusedByAncestor: Lemma 1's active ancestor.
+	refusedByAncestor
+)
+
+// retirementCounter is implemented by cross trackers that count their
+// retirements: the transactions they stopped tracking. A scheduler whose
+// tracker counts asks LabelLive about a slot again, and about the label
+// sources holding refusals at all, only once the count has moved; one whose
+// tracker does not asks at every sweep.
+type retirementCounter interface {
+	Retirements() uint64
+}
+
+// hold files the completed transaction t on witness w's list for why: the
+// sweeps skip t until w releases it.
+func (s *Scheduler) hold(t, w *TxnState, why refusal) {
+	s.pending = removeTxn(s.pending, t.ID)
+	list := w.list(why)
+	t.on, t.why, t.next = w, why, *list
+	*list = t
+	if why != refusedByGate {
+		s.blocked++
+	} else if !w.source {
+		w.source = true
+		s.sources = append(s.sources, w)
+	}
+}
+
+// list is t's list of the refusals of kind why it witnesses.
+func (t *TxnState) list(why refusal) **TxnState {
+	if why == refusedByGate {
+		return &t.gated
+	}
+	return &t.held
+}
+
+// release returns every transaction on the list to the pending index.
+func (s *Scheduler) release(list **TxnState) {
+	for t := *list; t != nil; {
+		next := t.next
+		t.on, t.next = nil, nil
+		s.pending = insertTxn(s.pending, t.ID)
+		if t.why != refusedByGate {
+			s.blocked--
+		}
+		t = next
+	}
+	*list = nil
+}
+
+// releaseCompleted runs the releases a completion of t causes: the
+// refusals t blocked (it has terminated) and those its active tight
+// predecessors block, whose completed tight successors now include t. The
+// walk back through completed nodes is checkC1's first half, skipped when
+// no held list has anything on it.
+func (s *Scheduler) releaseCompleted(t *TxnState) {
+	s.release(&t.held)
+	if s.blocked == 0 {
+		return
+	}
+	g := s.g
+	g.BeginVisit()
+	g.VisitRef(t.ref)
+	stack := append(s.walkScratch[:0], t.ref)
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, p := range g.InRefs(n) {
+			if !g.VisitRef(p) {
+				continue
+			}
+			if pt := s.bySlot[p]; pt.Status == model.StatusActive {
+				s.release(&pt.held)
+			} else {
+				stack = append(stack, p)
+			}
+		}
+	}
+	s.walkScratch = stack
+}
+
+// leave drops t from the index as its node leaves the graph (rejection,
+// abort or deletion): off the list it is filed on and out of the pending
+// index, both its own lists released, and out of the label sources.
+func (s *Scheduler) leave(t *TxnState) {
+	if w := t.on; w != nil {
+		for p := w.list(t.why); *p != nil; p = &(*p).next {
+			if *p == t {
+				*p = t.next
+				break
+			}
+		}
+		if t.why != refusedByGate {
+			s.blocked--
+		}
+		t.on, t.next = nil, nil
+	} else if t.Status == model.StatusCompleted {
+		s.pending = removeTxn(s.pending, t.ID)
+	}
+	s.release(&t.held)
+	s.release(&t.gated)
+	if t.source {
+		t.source = false
+		for i, w := range s.sources {
+			if w == t {
+				s.sources = append(s.sources[:i], s.sources[i+1:]...)
+				break
+			}
+		}
+	}
+}
+
+// releaseRetired releases the lists of the label sources the tracker no
+// longer tracks: their labels are dead, so the gate refusals they hold are
+// lifted. With a counting tracker it looks only when the count has moved.
+// The count is read before any LabelLive, so a retirement after the read
+// moves it again and is seen at the next sweep.
+func (s *Scheduler) releaseRetired() {
+	if len(s.sources) == 0 {
+		return
+	}
+	if s.counter != nil {
+		n := s.counter.Retirements()
+		if n == s.retired {
+			return
+		}
+		s.retired = n
+	}
+	kept := s.sources[:0]
+	for _, w := range s.sources {
+		if w.gated != nil && s.tracked(w.ref) {
+			kept = append(kept, w)
+			continue
+		}
+		s.release(&w.gated)
+		w.source = false
+	}
+	clear(s.sources[len(kept):])
+	s.sources = kept
+}
+
+// setTracker installs the cross tracker t. The gate refusals and answers
+// of an earlier tracker are let go: its count and answers are not t's.
+func (s *Scheduler) setTracker(t CrossTracker) {
+	s.cfg.Cross = t
+	s.counter, _ = t.(retirementCounter)
+	clear(s.liveMemo)
+	for _, w := range s.sources {
+		s.release(&w.gated)
+		w.source = false
+	}
+	clear(s.sources)
+	s.sources = s.sources[:0]
+}
+
+// CheckSkipped re-runs, for every retained completed transaction the next
+// sweep will skip, the test that filed it — the cross gate, checkC1, or
+// Lemma 1's ancestor search — and reports the first that would now pass: a
+// transaction a rescan of every retained transaction could delete and the
+// indexed sweep would not. It also reports a retained completed
+// transaction that is neither pending nor filed, which no sweep would ever
+// examine again. It is for tests, called at the start of a sweep, as a
+// wrapping policy can: a retirement is noticed there, not when it happens.
+func (s *Scheduler) CheckSkipped() error {
+	blocked := 0
+	for _, id := range s.completed {
+		t := s.txns[id]
+		if t.on == nil {
+			if i := txnPos(s.pending, id); s.cfg.Policy != nil && (i == len(s.pending) || s.pending[i] != id) {
+				return fmt.Errorf("core: T%d is retained, neither pending nor filed", id)
+			}
+			continue
+		}
+		var stands bool
+		switch t.why {
+		case refusedByGate:
+			_, pass := s.gate(t)
+			stands = !pass
+		case refusedByC1:
+			ok, _, _ := s.checkC1(t)
+			stands = !ok
+			blocked++
+		case refusedByAncestor:
+			_, _, stands = s.ActiveAncestor(id)
+			blocked++
+		}
+		if !stands {
+			return fmt.Errorf("core: T%d skipped on T%d's account, yet its refusal (%d) no longer stands", id, t.on.ID, t.why)
+		}
+	}
+	if blocked != s.blocked {
+		return fmt.Errorf("core: %d transactions on held lists, the count says %d", blocked, s.blocked)
+	}
+	return nil
+}
+
+// txnPos returns the index of id in the ascending ids, or where it belongs
+// if absent. (Hand-rolled rather than slices.BinarySearch: the hot-path
+// lint reads a generic instantiation as interface boxing.)
+func txnPos(ids []model.TxnID, id model.TxnID) int {
+	lo, hi := 0, len(ids)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); ids[mid] < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// insertTxn adds id to the ascending ids unless it is there.
+func insertTxn(ids []model.TxnID, id model.TxnID) []model.TxnID {
+	i := txnPos(ids, id)
+	if i < len(ids) && ids[i] == id {
+		return ids
+	}
+	ids = append(ids, id)
+	copy(ids[i+1:], ids[i:])
+	ids[i] = id
+	return ids
+}
+
+// removeTxn drops id from the ascending ids if it is there.
+func removeTxn(ids []model.TxnID, id model.TxnID) []model.TxnID {
+	if i := txnPos(ids, id); i < len(ids) && ids[i] == id {
+		return append(ids[:i], ids[i+1:]...)
+	}
+	return ids
+}

@@ -335,6 +335,38 @@ func BenchmarkEngineCrossFrac(b *testing.B) {
 	}
 }
 
+// BenchmarkCrossTxnAllocs counts what one cross-partition transaction
+// allocates from BEGIN to commit: a BEGIN declaring one entity on each of
+// two or four shards, one read, and the final write of the whole footprint
+// (the two-phase commit), one step at a time on a 4-shard greedy-c1 engine
+// with nothing else running. allocs/op is per transaction, a count fixed by
+// the code: scripts/check_bench_budget.sh gates it exactly at
+// max_cross_txn_allocs_2 and max_cross_txn_allocs_4.
+//
+//	go test -run '^$' -bench BenchmarkCrossTxnAllocs -benchtime 2000x -benchmem ./internal/engine/
+func BenchmarkCrossTxnAllocs(b *testing.B) {
+	for _, parts := range []int{2, 4} {
+		b.Run(fmt.Sprintf("parts=%d", parts), func(b *testing.B) {
+			eng := New(Config{Shards: 4, Policy: func() core.Policy { return core.GreedyC1{} }})
+			defer eng.Close()
+			fp := make([]model.Entity, parts)
+			for i := range fp {
+				fp[i] = model.Entity(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id := model.TxnID(i + 1)
+				submit(eng, model.BeginDeclared(id, fp...))
+				submit(eng, model.Read(id, fp[1]))
+				if res := submit(eng, model.WriteFinal(id, fp...)); res.CompletedTxn != id {
+					b.Fatalf("T%d: %v (%v)", id, res.Outcome(), res.Err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEngineWALOverhead measures what crash durability costs the hot
 // path: the same partition-local workload as BenchmarkEngineThroughput
 // (4 shards, greedy-c1, whole transactions through SubmitBatchInto) run

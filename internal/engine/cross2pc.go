@@ -56,13 +56,23 @@ type crossTxn struct {
 	parts []int // participating shards, ascending
 	// steps[i] is what the 2PC phase in progress applies on parts[i], and
 	// out[i] its answer (see fanOut); guarded by mu like everything below.
+	// Up to inlineParts participants they live in legs, inside the record,
+	// so they cost no allocation of their own.
 	steps []model.Step
 	out   []Result
+	legs  struct {
+		steps [inlineParts]model.Step
+		out   [inlineParts]Result
+	}
 	// done marks the decision (or a failed begin); committed distinguishes
 	// COMMIT from ABORT for late-arriving steps.
 	done      bool
 	committed bool
 }
+
+// inlineParts is how many participants' steps and answers a crossTxn holds
+// in itself (crossTxn.legs).
+const inlineParts = 4
 
 // decide readies steps for a COMMIT or ABORT fan-out: every participant
 // applies the decision to the transaction itself.
@@ -103,11 +113,15 @@ type crossRegistry struct {
 	mu   sync.Mutex
 	txns map[model.TxnID]*crossEntry
 	// live mirrors the key set and size its length, so LabelLive — called
-	// per label source on every policy sweep of every shard — never touches
-	// the mutex. Both are updated under mu; a stale "live" read is
-	// conservative (labels only go live→dead).
-	size atomic.Int64
-	live sync.Map
+	// by every shard's steps and sweeps, per label source, whenever the
+	// retirement count moved — never touches the mutex. Both are updated under mu; a stale "live" read is
+	// conservative (labels only go live→dead). retired counts the entries
+	// that went, bumped after live lost them, so a shard that read the
+	// count before asking LabelLive sees every retirement it counted
+	// (Retirements).
+	size    atomic.Int64
+	live    sync.Map
+	retired atomic.Uint64
 }
 
 func newCrossRegistry() *crossRegistry {
@@ -152,6 +166,7 @@ func (r *crossRegistry) removeLocked(id model.TxnID, e *crossEntry) {
 	delete(r.txns, id)
 	r.live.Delete(id)
 	r.size.Store(int64(len(r.txns)))
+	r.retired.Add(1)
 	for o := range e.out {
 		r.maybeRetireLocked(o)
 	}
@@ -291,6 +306,11 @@ func (r *crossRegistry) LabelLive(id model.TxnID) bool {
 	return ok
 }
 
+// Retirements counts the transactions the registry has stopped tracking,
+// retired or dropped. A shard scheduler asks LabelLive about the label
+// sources holding its sweeps' refusals only once this has moved.
+func (r *crossRegistry) Retirements() uint64 { return r.retired.Load() }
+
 // ---------------------------------------------------------------------------
 // Engine-side protocol driver. All of these run on the submitting client's
 // goroutine with ct.mu held. Every phase is a window with one step per
@@ -352,7 +372,12 @@ func (e *Engine) participantsOf(xs []model.Entity) []int {
 // waits only for shard locks, whose holders never wait for a ct.mu.
 func (e *Engine) beginCross(step model.Step, pri Priority, settle func()) Result {
 	parts := e.participantsOf(step.Entities)
-	ct := &crossTxn{id: step.Txn, parts: parts, steps: make([]model.Step, len(parts)), out: make([]Result, len(parts))}
+	ct := &crossTxn{id: step.Txn, parts: parts}
+	if n := len(parts); n <= inlineParts {
+		ct.steps, ct.out = ct.legs.steps[:n], ct.legs.out[:n]
+	} else {
+		ct.steps, ct.out = make([]model.Step, n), make([]Result, n)
+	}
 	if !e.routes.storeNew(step.Txn, route{kind: routeCross, ct: ct, pri: pri}) {
 		return duplicateBegin(step)
 	}

@@ -11,11 +11,12 @@
 // sequential machine fed one step at a time, so a shard is a lock, not a
 // queue or a goroutine. Clients call SubmitCtx (SubmitPriority adds a
 // priority for the retention governor), which routes the step to its
-// shard, takes the shard's lock, applies the step, runs the housekeeping —
-// among it the deletion-policy sweep, due once the terminations since the
-// last one reach what it kept — and unlocks; SubmitBatchInto does the same for a
-// batch, one visit per shard its steps touch, and answers steps[i] with the
-// i-th Result, which does not repeat the step. A submitter that
+// shard, takes the shard's lock, applies the step (the scheduler sweeps
+// after every step that terminates a transaction, examining only what the
+// termination released), runs the housekeeping and unlocks;
+// SubmitBatchInto does the same for a batch, one visit per shard its steps
+// touch, and answers steps[i] with the i-th Result, which does not repeat
+// the step. A submitter that
 // finds the lock held yields a few times, then blocks; the submitters
 // waiting for a shard are counted in Stats.QueueDepth. The engine starts
 // no goroutine of its own.

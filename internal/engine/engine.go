@@ -282,14 +282,14 @@ func Open(cfg Config) (*Engine, *RecoveryReport, error) {
 }
 
 // schedConfig is the scheduler configuration of shard i with the given
-// cross tracker and emitter (recovery replays with both nil, then swaps in
-// the live ones).
+// cross tracker and emitter (recovery replays with a permissive tracker, no
+// emitter and no sweeps, then swaps in the live ones).
 func (e *Engine) schedConfig(i int, tracker core.CrossTracker, em emit.Emitter) core.Config {
 	var pol core.Policy
 	if e.cfg.Policy != nil {
 		pol = e.cfg.Policy()
 	}
-	return core.Config{Policy: pol, SweepManual: true, Cross: tracker, Emitter: em}
+	return core.Config{Policy: pol, Cross: tracker, Emitter: em}
 }
 
 // liveTracker is the cross tracker a live shard scheduler consults. A

@@ -52,18 +52,39 @@ const (
 
 // reapedSet remembers recently reaped TxnIDs so late steps of a reaped
 // transaction surface ErrStragglerAborted instead of the generic
-// ErrTxnAborted. It is consulted only on failure paths (route misses and
-// scheduler rejections), and the atomic count makes the empty case — every
-// engine without a governor — a single load. ids maps each remembered ID to
-// the ring slot it owns; an ID removed early leaves its slot unowned, so the
-// add that later overwrites the slot evicts only an ID still owning it.
+// ErrTxnAborted. It is consulted on failure paths (route misses and
+// scheduler rejections) and by every BEGIN, which sheds its ID's mark.
+// ids maps each remembered ID to the ring slot it owns; an ID removed early
+// leaves its slot unowned, so the add that later overwrites the slot
+// evicts only an ID still owning it. marks counts the remembered IDs per
+// hash bucket, so an ID whose bucket is empty — nearly every BEGIN's, and
+// every ID of an engine that never reaped — is known absent without mu.
 type reapedSet struct {
-	mu   sync.Mutex
-	ids  map[model.TxnID]int
-	ring [reapedRemember]model.TxnID
-	pos  int
-	n    atomic.Int64
+	mu    sync.Mutex
+	ids   map[model.TxnID]int
+	ring  [reapedRemember]model.TxnID
+	pos   int
+	marks [reapedBuckets]atomic.Int32
 }
+
+// reapedBuckets sizes reapedSet's lock-free pre-check: four buckets per
+// remembered ID keep a full set's false positives under a quarter.
+const (
+	reapedBucketBits = 12
+	reapedBuckets    = 1 << reapedBucketBits
+)
+
+// bucket is id's pre-check bucket (Fibonacci hashing: consecutive IDs
+// spread over the whole table).
+func (r *reapedSet) bucket(id model.TxnID) *atomic.Int32 {
+	return &r.marks[uint64(id)*0x9E3779B97F4A7C15>>(64-reapedBucketBits)]
+}
+
+// maybe reports whether id can be remembered: false is certain, true sends
+// the caller to the map under mu. Marks are set under mu before an ID is
+// remembered and cleared after it is forgotten, so a reap that happened
+// before the caller asked is never missed.
+func (r *reapedSet) maybe(id model.TxnID) bool { return r.bucket(id).Load() != 0 }
 
 func (r *reapedSet) add(id model.TxnID) {
 	r.mu.Lock()
@@ -73,29 +94,30 @@ func (r *reapedSet) add(id model.TxnID) {
 	if _, ok := r.ids[id]; !ok {
 		if slot, ok := r.ids[r.ring[r.pos]]; ok && slot == r.pos {
 			delete(r.ids, r.ring[r.pos])
+			r.bucket(r.ring[r.pos]).Add(-1)
 		}
+		r.bucket(id).Add(1)
 		r.ids[id] = r.pos
 		r.ring[r.pos] = id
 		r.pos = (r.pos + 1) % reapedRemember
-		r.n.Store(int64(len(r.ids)))
 	}
 	r.mu.Unlock()
 }
 
 func (r *reapedSet) remove(id model.TxnID) {
-	if r.n.Load() == 0 {
+	if !r.maybe(id) {
 		return
 	}
 	r.mu.Lock()
 	if _, ok := r.ids[id]; ok {
 		delete(r.ids, id)
-		r.n.Store(int64(len(r.ids)))
+		r.bucket(id).Add(-1)
 	}
 	r.mu.Unlock()
 }
 
 func (r *reapedSet) contains(id model.TxnID) bool {
-	if r.n.Load() == 0 {
+	if !r.maybe(id) {
 		return false
 	}
 	r.mu.Lock()
@@ -217,13 +239,13 @@ func (e *Engine) reapOne(id model.TxnID, shard int, inc, total int64) bool {
 	return true
 }
 
-// sweepAll forces a deletion-policy sweep on every shard. The governor
-// sweeps after each reap so the released pins and labels turn into
-// reclaimed storage before the next watermark check — without it, a shard
-// whose last sweep kept K would sweep only after K more terminations and
-// the pass would over-reap. Whether the reap freed anything is read from
-// the retained gauges, not from this sweep: the reap's own run may have
-// swept already.
+// sweepAll forces a deletion-policy sweep on every shard. A reap's aborts
+// sweep their own shards, but the retirements the reap allows (the reaped
+// cross transaction's, and those that cascade from it) gate labels on
+// shards that terminated nothing since; without this sweep those would
+// wait for their shard's next termination and the pass would over-reap.
+// Whether the reap freed anything is read from the retained gauges, not
+// from this sweep: the reap's own run swept already.
 func (e *Engine) sweepAll() {
 	for _, sh := range e.shards {
 		sh.run(&request{kind: reqSweep})

@@ -139,11 +139,11 @@ func TestGovernorExemptsPriorityHigh(t *testing.T) {
 }
 
 // TestGovernorCountsTheReapsOwnSweep pins the pass's stop rule. Two
-// sleepers on one shard pin four victims each, and the shard is driven to
-// one termination short of its next sweep, so the first reap's own abort
-// run sweeps what that reap freed. The forced sweep after it then deletes
-// nothing, yet retention fell from 8 to 4: the pass must go on and reap the
-// second sleeper, since 4 is still over the watermark.
+// sleepers on one shard pin four victims each. A shard sweeps at every
+// termination, so the first reap's own abort run sweeps what that reap
+// freed. The forced sweep after it then deletes nothing, yet retention fell
+// from 8 to 4: the pass must go on and reap the second sleeper, since 4 is
+// still over the watermark.
 func TestGovernorCountsTheReapsOwnSweep(t *testing.T) {
 	const perSleeper = 4
 	eng := New(Config{
@@ -169,16 +169,6 @@ func TestGovernorCountsTheReapsOwnSweep(t *testing.T) {
 	}
 	if got := retainedTotal(eng); got != 2*perSleeper {
 		t.Fatalf("retained = %d, want %d (victims pinned)", got, 2*perSleeper)
-	}
-	// Idle transactions, begun and aborted, bring the shard to one
-	// termination before the sweep its kept list asks for.
-	sh := eng.shards[0]
-	idle := model.TxnID(1000)
-	for ; sh.sched.Terminations()-sh.sweptTerm < sh.sweptKept-1; idle++ {
-		must(submit(eng, model.BeginDeclared(idle, 0)))
-		if !eng.Abort(idle) {
-			t.Fatalf("abort of idle T%d found nothing", idle)
-		}
 	}
 	if n := eng.govern(2); n != 2 {
 		t.Fatalf("govern reaped %d, want 2 (the first reap's run swept its own hostages)", n)

@@ -462,45 +462,53 @@ func TestUnpinnedShardRetainsNothing(t *testing.T) {
 	}
 }
 
-// TestKeptSweepWaitsForAsManyTerminations: a sweep that kept K completed
-// transactions is followed by the next only after K more terminations. A
-// sleeper pins K victims; unrelated transactions then complete and are
-// deleted K at a time, and the sweep count moves exactly at every K-th.
-func TestKeptSweepWaitsForAsManyTerminations(t *testing.T) {
-	const k = 5
-	eng := New(Config{Shards: 1, Policy: greedyPolicy})
-	defer eng.Close()
-	mustAccept(t, submit(eng, model.BeginDeclared(1, 0)))
-	for v := 1; v <= k; v++ {
-		trap, vid := model.Entity(v), model.TxnID(100+v)
-		mustAccept(t, submit(eng, model.Read(1, trap)))
-		mustAccept(t, submit(eng, model.BeginDeclared(vid, trap)))
-		mustAccept(t, submit(eng, model.WriteFinal(vid, trap)))
-	}
-	// A forced sweep starts the count with exactly the K hostages kept.
-	eng.sweepAll()
-	if got := retainedTotal(eng); got != k {
-		t.Fatalf("retained = %d, want %d (victims pinned)", got, k)
-	}
-	sweeps := eng.Stats().Sweeps
-	id := model.TxnID(1000)
-	for round := 0; round < 3; round++ {
-		for n := 1; n <= k; n++ {
-			x := model.Entity(id)
-			mustAccept(t, submit(eng, model.BeginDeclared(id, x)))
-			mustAccept(t, submit(eng, model.WriteFinal(id, x)))
-			id++
-			want := sweeps
-			if n == k {
-				want++
+// TestRescanAfterEveryTerminationDeletesNothing: a shard sweeps at every
+// step that terminates a transaction, and that sweep, though it examines
+// only the new completion and what the termination released, leaves
+// nothing a rescan of every retained transaction would delete. Hot-spot
+// streams of local transactions are fed one step at a time, to one shard
+// with a straggler and to two shards without one (a straggler reading
+// every shard would be a cross transaction, and the cross gates are the
+// Theorem 2 lockstep's to check); after every step, every completed
+// transaction a shard retains must fail C1, and every terminating step
+// must have swept.
+func TestRescanAfterEveryTerminationDeletesNothing(t *testing.T) {
+	for shards := 1; shards <= 2; shards++ {
+		for seed := int64(1); seed <= 4; seed++ {
+			straggler := 16
+			if shards > 1 {
+				straggler = 0
 			}
-			if got := eng.Stats().Sweeps; got != want {
-				t.Fatalf("round %d, termination %d of %d: Stats.Sweeps = %d, want %d", round, n, k, got, want)
+			eng := New(Config{Shards: shards, Policy: greedyPolicy})
+			gen := workload.New(workload.Config{
+				Entities: 32, Txns: 300, MaxActive: 8, HotFrac: 0.2, Straggler: straggler,
+				Shards: shards, DeclareFootprint: true, RestartAborted: true, Seed: seed,
+			})
+			var retained, sweeps int64
+			for st, ok := gen.Next(); ok; st, ok = gen.Next() {
+				res := submit(eng, st)
+				if !res.Accepted() {
+					gen.NotifyAbort(st.Txn)
+				}
+				if res.Aborted != model.NoTxn || res.CompletedTxn != model.NoTxn {
+					if s := eng.Stats().Sweeps; s == sweeps {
+						t.Fatalf("shards %d, seed %d, %v: terminated T%d without a sweep", shards, seed, st, st.Txn)
+					}
+				}
+				sweeps = eng.Stats().Sweeps
+				for _, sh := range eng.shards {
+					for _, id := range sh.sched.CompletedTxns() {
+						if ok, _ := sh.sched.CheckC1(id); ok {
+							t.Fatalf("shards %d, seed %d, after %v: shard %d retains T%d, which C1 lets go", shards, seed, st, sh.idx, id)
+						}
+						retained++
+					}
+				}
 			}
-		}
-		sweeps++
-		if got := retainedTotal(eng); got != k {
-			t.Fatalf("round %d: retained after the sweep = %d, want the %d hostages", round, got, k)
+			eng.Close()
+			if retained == 0 {
+				t.Fatalf("shards %d, seed %d: nothing was ever retained; the straggler pinned nothing", shards, seed)
+			}
 		}
 	}
 }

@@ -64,12 +64,14 @@ type RecoveryReport struct {
 }
 
 // recoveryTracker is the cross tracker WAL replay runs under: every reach
-// is admitted and every label stays live. Only accepted records were
-// journaled — the vetoes already happened — so replay must never re-veto.
+// is admitted and every label stays live, so nothing ever retires. Only
+// accepted records were journaled — the vetoes already happened — so replay
+// must never re-veto.
 type recoveryTracker struct{}
 
 func (recoveryTracker) OnCrossReach(src, dst model.TxnID) bool { return true }
 func (recoveryTracker) LabelLive(src model.TxnID) bool         { return true }
+func (recoveryTracker) Retirements() uint64                    { return 0 }
 
 // subState is one shard's view of a recovered cross transaction.
 type subState struct {
@@ -101,6 +103,7 @@ func (e *Engine) recover() (*RecoveryReport, error) {
 		}
 		rep.CheckpointSeqs[i] = state.CoveredLSN
 		replayCfg := e.schedConfig(i, recoveryTracker{}, nil)
+		replayCfg.SweepManual = true
 		if state.Snapshot != nil {
 			snap, err := store.DecodeSnapshot(state.Snapshot)
 			if err != nil {
@@ -217,9 +220,9 @@ func (e *Engine) recover() (*RecoveryReport, error) {
 		sh.sched.SetTracker(e.liveTracker())
 		sh.sched.SetEmitter(emit.ForShard(e.cfg.Bus, i))
 		sh.retainedN.Store(int64(sh.sched.NumCompleted()))
-		// Recovery counts as a sweep that kept what it restored, so the
-		// orphan aborts above do not sweep on the shard's first visit.
-		sh.sweptTerm, sh.sweptKept = sh.sched.Terminations(), int64(sh.sched.NumCompleted())
+		// The shard sweeps from its first terminating step on; the orphan
+		// aborts above did not, so what they unpinned waits for it.
+		sh.sched.SetSweepManual(false)
 	}
 	return rep, nil
 }

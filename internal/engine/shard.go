@@ -38,8 +38,8 @@ const (
 	// retention governor's straggler selection.
 	reqOldest
 	// reqSweep forces a deletion-policy sweep now (the governor sweeps
-	// after each reap so released pins turn into reclaimed storage before
-	// the next watermark check).
+	// after each reap so the labels its retirements killed turn into
+	// reclaimed storage before the next watermark check).
 	reqSweep
 )
 
@@ -115,9 +115,6 @@ type shard struct {
 	// lock-free reads (Engine.Gauges, the governor's trigger); every
 	// run refreshes it before it unlocks.
 	retainedN atomic.Int64
-	// sweptTerm and sweptKept are the scheduler's Terminations and its
-	// retained-completed count as of the last sweep; see maybeSweep.
-	sweptTerm, sweptKept int64 //txgc:owner shard
 	// watch is what this shard owes the cross registry: the committed cross
 	// sub-transactions awaiting its cleanliness report, each entry carrying
 	// the witness that keeps it dirty. watchTerm is the scheduler's
@@ -172,8 +169,11 @@ func (sh *shard) lock() {
 // run applies req to the shard and fills in its answer; false means the
 // engine is closed and req was not applied. It takes the shard's lock
 // (waiting if another submitter holds it), runs handle, does the
-// housekeeping once — flush, sweep, the retained gauge, the cross
-// registry's clean reports — and unlocks. tryRun is the same visit for a
+// housekeeping once — flush, checkpoint, the retained gauge, the cross
+// registry's clean reports — and unlocks. The scheduler sweeps by itself
+// after every step that terminates a transaction (a completion, a
+// rejection, an abort); each sweep examines only what that termination
+// released (core/witness.go). tryRun is the same visit for a
 // caller that would rather come back later than wait.
 //
 // Why no goroutine holds two shard locks. Nothing run calls under the lock
@@ -229,11 +229,16 @@ func (sh *shard) locked(req *request) bool {
 		sh.handle(req)
 		return true
 	}
+	sweeps := sh.sched.Stats().Sweeps
 	sh.handle(req)
 	// Buffered frames reach the OS, so a process kill loses at most the
 	// unsynced fsync batch, never the unflushed one.
 	sh.jr.batchEnd()
-	sh.maybeSweep()
+	if sh.sched.Stats().Sweeps != sweeps {
+		// A visit that swept checkpoints what its sweeps retained, once
+		// the log has outgrown the last snapshot.
+		sh.jr.swept(sh.sched)
+	}
 	if n := int64(sh.sched.NumCompleted()); n > sh.retainedN.Swap(n) {
 		sh.eng.retentionGrew()
 	}
@@ -266,7 +271,7 @@ func (sh *shard) handle(req *request) {
 	case reqOldest:
 		*req.actives = sh.sched.OldestActives(governorCandidates)
 	case reqSweep:
-		sh.sweep()
+		sh.sched.SweepNow()
 	}
 }
 
@@ -497,24 +502,6 @@ func errResult(err error) Result { return answer(model.NoTxn, err) }
 // longer run: closed before the submit, or before the step reached its
 // shard.
 func closedResult(step model.Step) Result { return errResult(stepErr(step, ErrClosed)) }
-
-// sweep runs the deletion policy now, then lets the journal checkpoint what
-// it retained.
-func (sh *shard) sweep() {
-	sh.sched.SweepNow()
-	sh.sweptTerm, sh.sweptKept = sh.sched.Terminations(), int64(sh.sched.NumCompleted())
-	sh.jr.swept(sh.sched)
-}
-
-// maybeSweep sweeps once the terminations (completions, rejections, aborts)
-// since the last sweep reach the completed transactions it kept, and at
-// least one: an unpinned shard sweeps at every termination, and each
-// re-check of a kept list is paid for by as many terminations.
-func (sh *shard) maybeSweep() {
-	if sh.eng.cfg.Policy != nil && sh.sched.Terminations()-sh.sweptTerm >= max(1, sh.sweptKept) {
-		sh.sweep()
-	}
-}
 
 // watched is one committed cross sub-transaction awaiting this shard's
 // cleanliness report, with the witness that keeps it dirty: the arena slot

@@ -21,10 +21,12 @@ func sameDecision(a, b Result) bool {
 // never deletes. One goroutine feeds one workload stream, step by step, to
 // a nogc engine and to a policy engine; the generator hears of aborts from
 // the nogc side, so both see the same stream, and every step must be
-// decided alike. The recorded stream is then replayed into a fresh policy
-// engine through SubmitBatchInto, whose answers must match the nogc ones
-// too. The grid mixes hot spots, stragglers and cross-partition
-// transactions over two to four participants.
+// decided alike. Every sweep of the policy engines first checks that what
+// it will skip could not be deleted (exact). The recorded stream is then
+// replayed into a fresh policy engine through SubmitBatchInto, whose
+// answers must match the nogc ones too. The grid mixes hot spots,
+// stragglers and cross-partition transactions over two to four
+// participants.
 //
 // Random streams never trip an unsafe policy here (CommitGC deletes only
 // Sweep.JustCompleted, which the engine's SweepNow leaves NoTxn), so a
@@ -78,6 +80,8 @@ func TestEngineTheorem2Lockstep(t *testing.T) {
 // FuzzEngineTheorem2 is TestEngineTheorem2Lockstep with the cell drawn
 // from the input: the policy, two to four shards, the seed, the cross and
 // hot fractions in percent, the straggler's reads and the batch chunk.
+//
+// Every sweep of the policy engines runs the exactness check (exact).
 //
 // The batched replay is held to a nogc engine fed the same batches, not to
 // the per-step answers. A window applies each shard's share in turn, so two
@@ -186,6 +190,7 @@ func theorem2Cell(t testing.TB, name string, shards int, wcfg workload.Config, p
 	}
 	cell := fmt.Sprintf("%s, %d shards, seed %d, cross %.2f over %d, hot %.2f, straggler %d",
 		name, shards, wcfg.Seed, wcfg.CrossFrac, wcfg.CrossShards, wcfg.HotFrac, wcfg.Straggler)
+	policy = exact(t, cell, policy)
 	stream, want, rejected, deleted := theorem2Lockstep(t, cell, policy, shards, wcfg)
 	for _, chunk := range chunks {
 		got := submitChunks(shards, policy, stream, chunk)
@@ -200,6 +205,30 @@ func theorem2Cell(t testing.TB, name string, shards int, wcfg workload.Config, p
 		}
 	}
 	return int64(len(stream)), rejected, deleted
+}
+
+// exact wraps every policy the constructor builds in the sweep exactness
+// check: at the start of each sweep, once the sweep has released what the
+// tracker retired, every retained transaction the sweep will skip must
+// still be refused by the test that filed it (core.Scheduler.CheckSkipped),
+// so the indexed sweep deletes what a rescan of every retained transaction
+// would. A failure fails t and names the cell.
+func exact(t testing.TB, cell string, policy func() core.Policy) func() core.Policy {
+	return func() core.Policy { return exactPolicy{t: t, cell: cell, Policy: policy()} }
+}
+
+// exactPolicy is a policy under the sweep exactness check (exact).
+type exactPolicy struct {
+	core.Policy
+	t    testing.TB
+	cell string
+}
+
+func (p exactPolicy) Sweep(sw *core.Sweep) {
+	if err := sw.Scheduler().CheckSkipped(); err != nil {
+		p.t.Errorf("%s: sweep %d: %v", p.cell, sw.Scheduler().Stats().Sweeps+1, err)
+	}
+	p.Policy.Sweep(sw)
 }
 
 // theorem2Lockstep feeds the stream wcfg generates, step by step, to a nogc

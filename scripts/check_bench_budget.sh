@@ -3,9 +3,13 @@
 # regress above the budgets in bench_budget.txt: the partition-local path
 # (BenchmarkEngineThroughput, greedy-c1 and nogc, 4 shards), the
 # cross-partition 2PC path (BenchmarkEngineCrossFrac at CrossFrac=0.05),
-# the between-batch sweep's allocations over a straggler-pinned stream
+# the allocations of one cross transaction at two and four participants
+# (BenchmarkCrossTxnAllocs, allocs/op vs max_cross_txn_allocs_2 and
+# max_cross_txn_allocs_4), the between-batch sweep's allocations and
+# candidate examinations over a straggler-pinned stream
 # (BenchmarkSweepStragglerPinned in internal/core, allocs/txn vs
-# max_core_sweep_allocs_per_txn), the wire door's per-step codec and reply
+# max_core_sweep_allocs_per_txn, exams/completion vs
+# max_core_sweep_exams_per_completion), the wire door's per-step codec and reply
 # coalescing (BenchmarkWireStep and BenchmarkServePipelined in
 # cmd/txgc-serve, allocs per step vs max_wire_allocs_per_step and writes
 # per eight-deep burst vs max_serve_writes_per_burst), the batch door's
@@ -31,7 +35,7 @@
 #
 # Usage: check_bench_budget.sh [all|alloc|scale]
 #   all   (default) every gate
-#   alloc allocation + sweep + wire + client bytes + fan-out +
+#   alloc allocation + cross transaction + sweep + wire + client bytes + fan-out +
 #         cross-window + emitter + WAL + retention gates only
 #   scale the -cpu 2 p99 latency gate only (the CI bench-scale job)
 #
@@ -76,6 +80,9 @@ kept_budget=$(awk '/^max_peak_kept/ {print $2}' bench_budget.txt)
 p99_budget=$(awk '/^max_p99_step_ns/ {print $2}' bench_budget.txt)
 wal_budget=$(awk '/^max_wal_overhead_ns/ {print $2}' bench_budget.txt)
 sweep_budget=$(awk '/^max_core_sweep_allocs_per_txn/ {print $2}' bench_budget.txt)
+exams_budget=$(awk '/^max_core_sweep_exams_per_completion/ {print $2}' bench_budget.txt)
+cross2_budget=$(awk '/^max_cross_txn_allocs_2/ {print $2}' bench_budget.txt)
+cross4_budget=$(awk '/^max_cross_txn_allocs_4/ {print $2}' bench_budget.txt)
 wire_budget=$(awk '/^max_wire_allocs_per_step/ {print $2}' bench_budget.txt)
 writes_budget=$(awk '/^max_serve_writes_per_burst/ {print $2}' bench_budget.txt)
 client_bytes_budget=$(awk '/^max_client_batch_bytes_per_step/ {print $2}' bench_budget.txt)
@@ -90,6 +97,9 @@ client_bytes_budget=$(awk '/^max_client_batch_bytes_per_step/ {print $2}' bench_
 [ -n "$p99_budget" ] || { echo "check_bench_budget: no max_p99_step_ns in bench_budget.txt" >&2; exit 2; }
 [ -n "$wal_budget" ] || { echo "check_bench_budget: no max_wal_overhead_ns in bench_budget.txt" >&2; exit 2; }
 [ -n "$sweep_budget" ] || { echo "check_bench_budget: no max_core_sweep_allocs_per_txn in bench_budget.txt" >&2; exit 2; }
+[ -n "$exams_budget" ] || { echo "check_bench_budget: no max_core_sweep_exams_per_completion in bench_budget.txt" >&2; exit 2; }
+[ -n "$cross2_budget" ] || { echo "check_bench_budget: no max_cross_txn_allocs_2 in bench_budget.txt" >&2; exit 2; }
+[ -n "$cross4_budget" ] || { echo "check_bench_budget: no max_cross_txn_allocs_4 in bench_budget.txt" >&2; exit 2; }
 [ -n "$wire_budget" ] || { echo "check_bench_budget: no max_wire_allocs_per_step in bench_budget.txt" >&2; exit 2; }
 [ -n "$writes_budget" ] || { echo "check_bench_budget: no max_serve_writes_per_burst in bench_budget.txt" >&2; exit 2; }
 [ -n "$client_bytes_budget" ] || { echo "check_bench_budget: no max_client_batch_bytes_per_step in bench_budget.txt" >&2; exit 2; }
@@ -161,11 +171,29 @@ if [ "$section" != "scale" ]; then
 		pass "batch door $windows windows per cross-carrying batch within budget of $windows_budget"
 	fi
 
+	# One cross transaction (BEGIN, one read, the final write's two-phase
+	# commit) at two and four participants: allocations per transaction, a
+	# count fixed by the code, so the budgets are the measured values and
+	# one allocation more fails.
+	xtxn_out=$(go test -run '^$' -bench 'BenchmarkCrossTxnAllocs' -benchtime 2000x -benchmem ./internal/engine/)
+	echo "$xtxn_out" | grep BenchmarkCrossTxnAllocs || true
+	for parts in 2 4; do
+		xallocs=$(echo "$xtxn_out" | awk -v pat="parts=$parts" '$0 ~ pat {for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}' | head -1)
+		[ -n "$xallocs" ] || { echo "check_bench_budget: could not parse parts=$parts allocs/op from the cross transaction benchmark output" >&2; exit 2; }
+		if [ "$parts" = 2 ]; then xbudget=$cross2_budget; else xbudget=$cross4_budget; fi
+		if [ "$xallocs" -gt "$xbudget" ]; then
+			fail cross-txn-allocs-$parts "a cross transaction over $parts participants allocates $xallocs times, budget $xbudget"
+		else
+			pass "a cross transaction over $parts participants allocates $xallocs times, budget $xbudget"
+		fi
+	done
+
 	# Between-batch sweep: allocations per transaction of the scheduler
 	# replaying a straggler-pinned stream with a GreedyC1 sweep every eighth
-	# completion. The count is a property of the code, not the host, so one
-	# run suffices; it is fractional (amortized pool and index growth), hence
-	# the awk comparison.
+	# completion, and the candidates those sweeps examined per completion.
+	# Both are properties of the code, not the host, so one run suffices;
+	# they are fractional (amortized pool and index growth; a mean over the
+	# stream), hence the awk comparisons.
 	sweep_out=$(go test -run '^$' -bench 'BenchmarkSweepStragglerPinned' -benchtime 5x ./internal/core/)
 	echo "$sweep_out" | grep BenchmarkSweep || true
 	sweep_allocs=$(echo "$sweep_out" | awk '/BenchmarkSweepStragglerPinned/ {for (i = 2; i <= NF; i++) if ($i == "allocs/txn") print $(i-1)}' | head -1)
@@ -174,6 +202,13 @@ if [ "$section" != "scale" ]; then
 		fail sweep-allocs "straggler-pinned sweep $sweep_allocs allocs/txn exceeds budget of $sweep_budget"
 	else
 		pass "straggler-pinned sweep $sweep_allocs allocs/txn within budget of $sweep_budget"
+	fi
+	sweep_exams=$(echo "$sweep_out" | awk '/BenchmarkSweepStragglerPinned/ {for (i = 2; i <= NF; i++) if ($i == "exams/completion") print $(i-1)}' | head -1)
+	[ -n "$sweep_exams" ] || { echo "check_bench_budget: could not parse exams/completion from the sweep benchmark output" >&2; exit 2; }
+	if awk -v a="$sweep_exams" -v b="$exams_budget" 'BEGIN {exit !(a > b)}'; then
+		fail sweep-exams "straggler-pinned sweep examined $sweep_exams candidates per completion, budget $exams_budget (sweeps re-examine refused candidates)"
+	else
+		pass "straggler-pinned sweep examined $sweep_exams candidates per completion, budget $exams_budget"
 	fi
 
 	# The wire door: allocations per step of the hand-rolled codec (one
