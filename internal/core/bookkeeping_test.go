@@ -347,7 +347,7 @@ func TestAccessBookkeepingDifferential(t *testing.T) {
 }
 
 func bookkeepingLockstep(t *testing.T, name string, p Policy, manual bool, seed int64) {
-	tracker := scriptedTracker{retired: map[model.TxnID]bool{}}
+	tracker := scriptedTracker{}
 	cfg := Config{Policy: p}
 	if manual {
 		cfg.SweepManual, cfg.Cross = true, tracker
@@ -533,7 +533,7 @@ func bookkeepingLockstep(t *testing.T, name string, p Policy, manual bool, seed 
 			}
 		}
 		if manual && len(decided) > 0 && rng.Intn(5) == 0 {
-			tracker.retired[decided[0]] = true
+			s.Retire(decided[0])
 			decided = decided[1:]
 		}
 	}

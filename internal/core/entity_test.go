@@ -70,49 +70,3 @@ func TestEntityRecordsBounded(t *testing.T) {
 		t.Fatalf("greedy-c1 deleted %d transactions, the stream is not exercising deletion", got)
 	}
 }
-
-// countingTracker is a fakeTracker that counts LabelLive questions.
-type countingTracker struct {
-	fakeTracker
-	asked int
-}
-
-func (c *countingTracker) LabelLive(id model.TxnID) bool {
-	c.asked++
-	return c.fakeTracker.LabelLive(id)
-}
-
-// TestLabelLiveAskedOncePerSweep: twenty completed transactions carry the
-// label of one tracked cross sub-transaction, so a sweep refuses them all.
-// The sweep asks the tracker about that label's source once, not once per
-// candidate; and a later sweep asks afresh, so a retirement between the two
-// unblocks deletion.
-func TestLabelLiveAskedOncePerSweep(t *testing.T) {
-	tr := &countingTracker{fakeTracker: fakeTracker{retired: map[model.TxnID]bool{}, veto: map[reachArc]bool{}}}
-	s := NewScheduler(Config{Policy: GreedyC1{}, SweepManual: true, Cross: tr})
-	if _, err := s.BeginCross(model.Begin(1)); err != nil {
-		t.Fatal(err)
-	}
-	s.MustApply(model.Read(1, 0))
-	for id := model.TxnID(2); id <= 21; id++ {
-		s.MustApply(model.Begin(id))
-		if res := s.MustApply(model.WriteFinal(id, 0)); !res.Accepted {
-			t.Fatalf("T%d's write rejected", id)
-		}
-	}
-	tr.asked = 0
-	if del := s.SweepNow(); len(del) != 0 {
-		t.Fatalf("sweep deleted %v, all carry a live label", del)
-	}
-	if tr.asked != 1 {
-		t.Fatalf("one sweep asked LabelLive %d times, want once for the one label source", tr.asked)
-	}
-	tr.retired[1] = true
-	tr.asked = 0
-	if del := s.SweepNow(); len(del) == 0 {
-		t.Fatal("nothing deleted after the label's source retired")
-	}
-	if tr.asked != 1 {
-		t.Fatalf("the next sweep asked LabelLive %d times, want once", tr.asked)
-	}
-}

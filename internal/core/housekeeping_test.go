@@ -159,11 +159,11 @@ func (a audited) audit(sw *Sweep) {
 	}
 }
 
-// scriptedTracker is a CrossTracker whose retirements the test drives.
-type scriptedTracker struct{ retired map[model.TxnID]bool }
+// scriptedTracker is a CrossTracker that admits every reach; the tests
+// drive its retirements through Scheduler.Retire.
+type scriptedTracker struct{}
 
 func (scriptedTracker) OnCrossReach(src, dst model.TxnID) bool { return true }
-func (tr scriptedTracker) LabelLive(id model.TxnID) bool       { return !tr.retired[id] }
 
 // TestHousekeepingDifferential runs two schedulers in lockstep over seeded
 // straggler workloads — one on the shipped policy, one on its reference —
@@ -189,7 +189,7 @@ func TestHousekeepingDifferential(t *testing.T) {
 }
 
 func lockstep(t *testing.T, fast, ref Policy, seed int64) {
-	tracker := scriptedTracker{retired: map[model.TxnID]bool{}}
+	tracker := scriptedTracker{}
 	a := NewScheduler(Config{Policy: audited{t, fast}, Cross: tracker})
 	b := NewScheduler(Config{Policy: ref, Cross: tracker})
 	gen := workload.New(workload.Config{
@@ -273,7 +273,8 @@ func lockstep(t *testing.T, fast, ref Policy, seed int64) {
 			}
 		}
 		if len(decided) > 0 && rng.Intn(6) == 0 {
-			tracker.retired[decided[0]] = true
+			a.Retire(decided[0])
+			b.Retire(decided[0])
 			decided = decided[1:]
 		}
 		if steps++; steps%16 == 0 {

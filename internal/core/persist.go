@@ -142,6 +142,7 @@ func RestoreScheduler(cfg Config, st SchedulerState) (*Scheduler, error) {
 			BeginSeq: snap.BeginSeq,
 			EndSeq:   snap.EndSeq,
 			isCross:  snap.IsCross,
+			tracked:  snap.IsCross,
 			prepared: snap.Prepared,
 		}
 		for _, a := range snap.Access {
@@ -197,9 +198,15 @@ func RestoreScheduler(cfg Config, st SchedulerState) (*Scheduler, error) {
 
 // SetTracker swaps the cross-arc tracker. Recovery replays the WAL tail
 // under a permissive tracker (the real registry does not yet know the
-// recovered cross transactions) and installs the rebuilt registry here
-// before the shard goes live.
-func (s *Scheduler) SetTracker(t CrossTracker) { s.setTracker(t) }
+// recovered cross transactions) and installs the live registry here
+// before the shard goes live. The new tracker tracks none of the sub-nodes
+// present, so every one of them is retired (Retire).
+func (s *Scheduler) SetTracker(t CrossTracker) {
+	s.cfg.Cross = t
+	for _, x := range s.txns {
+		s.retire(x)
+	}
+}
 
 // SetSweepManual switches the automatic post-step sweeps off (true) or on
 // (Config.SweepManual). Recovery replays the WAL tail and resolves what it

@@ -7,12 +7,11 @@ import (
 	"repro/internal/model"
 )
 
-// permissiveTracker admits every cross reach and keeps every label live —
-// the recovery-time stand-in for the engine registry.
+// permissiveTracker admits every cross reach and retires nothing — the
+// recovery-time stand-in for the engine registry.
 type permissiveTracker struct{}
 
 func (permissiveTracker) OnCrossReach(src, dst model.TxnID) bool { return true }
-func (permissiveTracker) LabelLive(src model.TxnID) bool         { return true }
 
 // TestExportRestoreSpliceArcs pins the reason snapshots are state
 // exports, not step logs: after a deletion, the splice arcs through the

@@ -90,16 +90,17 @@ type TxnState struct {
 	// node is present (active or retained completed).
 	ref graph.Ref
 	// isCross marks a sub-transaction of a logical cross-shard transaction
-	// (see subtxn.go); prepared marks it voted-yes-but-undecided.
+	// (see subtxn.go); tracked marks one the tracker has not retired yet
+	// (Retire), so its label is live; prepared marks it
+	// voted-yes-but-undecided.
 	isCross  bool
+	tracked  bool
 	prepared bool
-	// source marks a cross sub-node in Scheduler.sources, and why names the
-	// test that filed t on a list of on, its witness (nil: t is pending, or
-	// not completed). held and gated head the lists of the retained
-	// completed transactions filed on t's account — those t blocks by C1 or
-	// Lemma 1, and those its label gates — linked through next. See
-	// witness.go.
-	source      bool
+	// why names the test that filed t on a list of on, its witness (nil: t
+	// is pending, or not completed). held and gated head the lists of the
+	// retained completed transactions filed on t's account — those t blocks
+	// by C1 or Lemma 1, and those its label gates — linked through next.
+	// See witness.go.
 	why         refusal
 	on, next    *TxnState
 	held, gated *TxnState
@@ -210,31 +211,16 @@ type Scheduler struct {
 	inLabels   []label
 	crossStack []graph.Ref
 	flooded    []graph.Ref
-	// sweepEpoch numbers the sweep in progress (0 outside one), and
-	// liveMemo holds, per arena slot, the tracker's answer for the
-	// transaction in it as of that sweep, or as of the tracker's
-	// retirement count (see tracked).
-	sweepEpoch int64
-	liveMemo   []liveMemo
-	// sources are the sub-nodes holding refusals of the cross gate, and
-	// retired the tracker's retirement count when they were last asked
-	// about (releaseRetired). counter is the tracker, if it counts its
-	// retirements.
-	sources []*TxnState
-	retired uint64
-	counter retirementCounter
 }
 
 // NewScheduler returns an empty scheduler with the given configuration.
 func NewScheduler(cfg Config) *Scheduler {
-	s := &Scheduler{
+	return &Scheduler{
 		g:    graph.New(),
 		txns: make(map[model.TxnID]*TxnState),
 		ents: entityTable{ids: make(map[model.Entity]int32)},
 		cfg:  cfg,
 	}
-	s.setTracker(cfg.Cross)
-	return s
 }
 
 // Graph exposes the current (reduced) conflict graph. Callers must treat
@@ -542,6 +528,7 @@ func (s *Scheduler) acquireState(id model.TxnID, ref graph.Ref) *TxnState {
 	t.BeginSeq = s.seq
 	t.EndSeq = 0
 	t.isCross = false
+	t.tracked = false
 	t.prepared = false
 	s.bindSlot(t, ref)
 	return t
@@ -642,18 +629,11 @@ func (s *Scheduler) afterStep(res *Result, sweepEvent bool) {
 	s.stats.KeptSample++
 }
 
-// sweep runs the policy once through sw, after releasing the refusals of
-// the label sources the tracker has retired since. For its duration the
-// tracker's LabelLive answers are remembered per arena slot (see tracked):
-// unless the tracker counts its retirements, the sweep number, which no
-// earlier sweep of this scheduler shares, is the epoch.
+// sweep runs the policy once through sw.
 func (s *Scheduler) sweep(sw *Sweep) {
 	sw.s = s
 	sw.deleted = sw.deleted[:0]
-	s.sweepEpoch = s.stats.Sweeps + 1
-	s.releaseRetired()
 	s.cfg.Policy.Sweep(sw)
-	s.sweepEpoch = 0
 	s.stats.Sweeps++
 	s.emit(emit.KindSweep, emit.ClassOK, model.NoTxn, 0, int64(len(sw.deleted)))
 }

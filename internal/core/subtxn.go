@@ -50,7 +50,8 @@
 // active ancestor on any participating shard (Lemma 1 lifted to the
 // logical transaction: arcs only ever point into acting nodes, so with no
 // active ancestor anywhere the logical node's ancestor set is frozen and
-// no future cycle can pass through it). Dead labels are pruned lazily and
+// no future cycle can pass through it), or once it aborted, and tells each
+// participant's scheduler through Retire. Dead labels are pruned lazily and
 // the per-shard C1/C2 machinery applies unchanged from then on.
 package core
 
@@ -64,7 +65,9 @@ import (
 
 // CrossTracker is the engine-side cross-arc registry consulted by a shard
 // scheduler running sub-transactions. Implementations must be safe for
-// concurrent use by all shards.
+// concurrent use by all shards. The tracker is not asked whether it still
+// tracks a transaction: it tells each participant's scheduler when it
+// stops, through Scheduler.Retire.
 type CrossTracker interface {
 	// OnCrossReach reports that a path from cross transaction src's
 	// sub-node to cross transaction dst's sub-node has materialized in the
@@ -72,14 +75,6 @@ type CrossTracker interface {
 	// recording the inter-shard arc src→dst would close a cycle among
 	// cross transactions spanning shard graphs.
 	OnCrossReach(src, dst model.TxnID) bool
-	// LabelLive reports whether src is still tracked, and with it the
-	// labels its live incarnation sourced. Labels of retired cross
-	// transactions are pruned lazily. A policy sweep asks once per sub-node
-	// and keeps the answer until it ends, so an answer may only ever change
-	// from live to dead. A tracker that also has a method
-	// Retirements() uint64, counting the transactions it stopped tracking,
-	// is asked about a sub-node again only after that count moved.
-	LabelLive(src model.TxnID) bool
 }
 
 // PrepareVote is a participant's answer to the coordinator's PREPARE.
@@ -115,13 +110,14 @@ func (v PrepareVote) String() string {
 
 // BeginCross begins a sub-transaction of the logical cross transaction
 // step.Txn on this shard: a normal BEGIN whose node additionally sources
-// its logical ID as a cross-ancestor label.
+// its logical ID as a cross-ancestor label, tracked until Retire.
 func (s *Scheduler) BeginCross(step model.Step) (Result, error) {
 	res, err := s.begin(step)
 	if err != nil {
 		return res, err
 	}
-	s.txns[step.Txn].isCross = true
+	t := s.txns[step.Txn]
+	t.isCross, t.tracked = true, true
 	s.numCross++
 	return res, nil
 }
@@ -239,7 +235,7 @@ type label struct {
 // sources nothing.
 func (s *Scheduler) sourceOf(r graph.Ref) (label, bool) {
 	t := s.bySlot[r]
-	if !t.isCross || !s.tracked(r) {
+	if !t.tracked {
 		return label{}, false
 	}
 	return label{slot: r, seq: t.BeginSeq}, true
@@ -252,43 +248,7 @@ func (s *Scheduler) sourceOf(r graph.Ref) (label, bool) {
 // transaction already aborting.
 func (s *Scheduler) labelLive(l label) bool {
 	t := s.bySlot[l.slot]
-	return t != nil && t.BeginSeq == l.seq && s.tracked(l.slot)
-}
-
-// liveMemo is one slot's remembered LabelLive answer, the incarnation it is
-// about (its BeginSeq) and the epoch it was asked in.
-type liveMemo struct {
-	epoch, seq int64
-	live       bool
-}
-
-// tracked asks the tracker whether it still tracks the transaction in the
-// occupied slot r, and remembers the answer for as long as it must hold.
-// A tracker that counts its retirements cannot retire anything without
-// moving the count, so there the epoch is the count, and the tracker is
-// asked about a slot again only after something retired. Otherwise the
-// epoch is the sweep in progress, asked once per slot instead of once per
-// label per candidate; no step runs inside a sweep, and outside one nothing
-// is remembered. Labels only go live→dead: a remembered "live" is
-// conservative, a remembered "dead" stays true. The count is read before
-// the question, so a retirement that the answer missed moves it again.
-func (s *Scheduler) tracked(r graph.Ref) bool {
-	t := s.bySlot[r]
-	epoch := s.sweepEpoch
-	if s.counter != nil {
-		epoch = int64(s.counter.Retirements()) + 1
-	}
-	if epoch == 0 {
-		return s.cfg.Cross.LabelLive(t.ID)
-	}
-	for int(r) >= len(s.liveMemo) {
-		s.liveMemo = append(s.liveMemo, liveMemo{})
-	}
-	m := &s.liveMemo[r]
-	if m.epoch != epoch || m.seq != t.BeginSeq {
-		*m = liveMemo{epoch: epoch, seq: t.BeginSeq, live: s.cfg.Cross.LabelLive(t.ID)}
-	}
-	return m.live
+	return t != nil && t.BeginSeq == l.seq && t.tracked
 }
 
 // labelsOf returns slot r's current label set (possibly containing dead
@@ -484,7 +444,7 @@ func (s *Scheduler) gate(t *TxnState) (w *TxnState, ok bool) {
 	if s.cfg.Cross == nil {
 		return nil, true
 	}
-	if t.isCross && s.tracked(t.ref) {
+	if t.tracked {
 		return t, false
 	}
 	if ls := s.pruneLabels(t.ref); len(ls) > 0 {

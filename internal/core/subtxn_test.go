@@ -11,11 +11,11 @@ import (
 type reachArc struct{ src, dst model.TxnID }
 
 // fakeTracker is a scriptable CrossTracker: it records reported reach-arcs
-// and vetoes the ones listed in veto. Every id is live unless retired.
+// and vetoes the ones listed in veto. The tests retire transactions through
+// Scheduler.Retire.
 type fakeTracker struct {
-	arcs    []reachArc
-	retired map[model.TxnID]bool
-	veto    map[reachArc]bool
+	arcs []reachArc
+	veto map[reachArc]bool
 }
 
 func (f *fakeTracker) OnCrossReach(src, dst model.TxnID) bool {
@@ -26,12 +26,10 @@ func (f *fakeTracker) OnCrossReach(src, dst model.TxnID) bool {
 	return true
 }
 
-func (f *fakeTracker) LabelLive(id model.TxnID) bool { return !f.retired[id] }
-
 // TestSubTxnLifecycle drives one sub-transaction through begin, reads,
 // prepare (pin), and commit, checking status and pin transitions.
 func TestSubTxnLifecycle(t *testing.T) {
-	tr := &fakeTracker{retired: map[model.TxnID]bool{}, veto: map[reachArc]bool{}}
+	tr := &fakeTracker{veto: map[reachArc]bool{}}
 	s := NewScheduler(Config{Cross: tr})
 	if _, err := s.BeginCross(model.Begin(1)); err != nil {
 		t.Fatal(err)
@@ -72,7 +70,7 @@ func TestSubTxnLifecycle(t *testing.T) {
 // TestSubTxnAbortReleasesPin aborts a prepared sub-transaction and checks
 // node, pin, and indexes are gone (the ID becomes reusable).
 func TestSubTxnAbortReleasesPin(t *testing.T) {
-	tr := &fakeTracker{retired: map[model.TxnID]bool{}, veto: map[reachArc]bool{}}
+	tr := &fakeTracker{veto: map[reachArc]bool{}}
 	s := NewScheduler(Config{Cross: tr})
 	s.MustBeginCross(t, 1)
 	s.MustApply(model.Read(1, 10))
@@ -105,7 +103,7 @@ func (s *Scheduler) MustBeginCross(t *testing.T, id model.TxnID) {
 // including when the connecting arc arrives *after* the label (late
 // propagation through an existing path).
 func TestLabelPropagation(t *testing.T) {
-	tr := &fakeTracker{retired: map[model.TxnID]bool{}, veto: map[reachArc]bool{}}
+	tr := &fakeTracker{veto: map[reachArc]bool{}}
 	s := NewScheduler(Config{Cross: tr})
 	// Cross sub-txn 100 writes x via prepare; local 1 reads x afterwards →
 	// arc 100→1 and label 100 on T1.
@@ -136,7 +134,7 @@ func TestLabelPropagation(t *testing.T) {
 // upstream node — it must flood through the existing arc and still report
 // the reach-arc.
 func TestLabelLatePropagation(t *testing.T) {
-	tr := &fakeTracker{retired: map[model.TxnID]bool{}, veto: map[reachArc]bool{}}
+	tr := &fakeTracker{veto: map[reachArc]bool{}}
 	s := NewScheduler(Config{Cross: tr})
 	// Active local 1 reads 5; cross 200's prepared write of 5 creates the
 	// arc 1→200 (no labels yet: T1 carries none).
@@ -180,7 +178,7 @@ func TestLabelLatePropagation(t *testing.T) {
 // erases the stale copy. The new incarnation's label must still flood
 // through L, or the registry never hears of its reach-path to T2.
 func TestLabelNamesIncarnation(t *testing.T) {
-	tr := &fakeTracker{retired: map[model.TxnID]bool{}, veto: map[reachArc]bool{}}
+	tr := &fakeTracker{veto: map[reachArc]bool{}}
 	s := NewScheduler(Config{Cross: tr})
 	must := func(st model.Step) {
 		t.Helper()
@@ -202,13 +200,12 @@ func TestLabelNamesIncarnation(t *testing.T) {
 	if err := s.AbortTxn(1); err != nil {
 		t.Fatal(err)
 	}
-	tr.retired[1] = true
+	s.Retire(1)
 	// Cross T2 reads M's e6 (arc M→T2): M's dead label is pruned, L's stays.
 	s.MustBeginCross(t, 2)
 	must(model.Read(2, 6))
 	// The ID is tracked again, for a new sub-transaction reading e8; v's
 	// write of e8 links T1→v and so T1→v→L→M→T2.
-	delete(tr.retired, 1)
 	s.MustBeginCross(t, 1)
 	must(model.Read(1, 8))
 	tr.arcs = nil
@@ -225,7 +222,7 @@ func TestLabelNamesIncarnation(t *testing.T) {
 // here the real path A→L→C would go unreported, and a global cycle through
 // A and C could commit.
 func TestVetoedFloodLeavesNoLabels(t *testing.T) {
-	tr := &fakeTracker{retired: map[model.TxnID]bool{}, veto: map[reachArc]bool{}}
+	tr := &fakeTracker{veto: map[reachArc]bool{}}
 	s := NewScheduler(Config{Cross: tr})
 	must := func(st model.Step) {
 		t.Helper()
@@ -269,7 +266,7 @@ func TestVetoedFloodLeavesNoLabels(t *testing.T) {
 // TestPrepareVetoAtCollect: a veto on the incoming labels of a prepare
 // leaves the graph unmutated (VoteCrossCycle before any arc lands).
 func TestPrepareVetoAtCollect(t *testing.T) {
-	tr := &fakeTracker{retired: map[model.TxnID]bool{}, veto: map[reachArc]bool{}}
+	tr := &fakeTracker{veto: map[reachArc]bool{}}
 	s := NewScheduler(Config{Cross: tr})
 	s.MustBeginCross(t, 100)
 	if vote, _ := s.PrepareFinal(model.WriteFinal(100, 7)); vote != VoteYes {
@@ -302,7 +299,7 @@ func TestPrepareVetoAtCollect(t *testing.T) {
 // cross label is not deletable; once the label's transaction retires it
 // becomes deletable again.
 func TestDeletionGatedByLabels(t *testing.T) {
-	tr := &fakeTracker{retired: map[model.TxnID]bool{}, veto: map[reachArc]bool{}}
+	tr := &fakeTracker{veto: map[reachArc]bool{}}
 	s := NewScheduler(Config{Policy: GreedyC1{}, SweepManual: true, Cross: tr})
 	// Cross 100 writes 7; local 1 reads 7 (label 100), writes 8, completes.
 	s.MustBeginCross(t, 100)
@@ -325,7 +322,7 @@ func TestDeletionGatedByLabels(t *testing.T) {
 	if s.policyDeletable(1) {
 		t.Fatal("labeled node reported deletable")
 	}
-	tr.retired[100] = true
+	s.Retire(100)
 	deleted = s.SweepNow()
 	if len(deleted) != 2 {
 		t.Fatalf("sweep after retirement deleted %v, want both", deleted)
@@ -380,7 +377,7 @@ func TestGraphPins(t *testing.T) {
 // Corollary 1's noncurrency test (and, after client ID reuse, even the
 // presence guard) would let NoncurrentSafe delete the true current writer.
 func TestAbortedPrepareLeavesNoPhantomWrite(t *testing.T) {
-	tr := &fakeTracker{retired: map[model.TxnID]bool{}, veto: map[reachArc]bool{}}
+	tr := &fakeTracker{veto: map[reachArc]bool{}}
 	s := NewScheduler(Config{Cross: tr})
 	// T10 writes entity 5 and completes: the current writer.
 	s.MustApply(model.Begin(10))

@@ -20,13 +20,13 @@
 //   - The cross gate refuses Ti for a live label, or because Ti is a
 //     sub-node the tracker still tracks (its own label source). A label only
 //     ever dies, and only when its source's incarnation leaves the graph or
-//     the tracker retires it.
+//     the tracker retires it (Retire).
 //
 // So a transaction keeps two lists. The C1 and Lemma 1 refusals it blocks
 // (held) are released when it terminates (completes, is rejected or
 // aborted), and when a completion finds it among the completing node's
 // active tight predecessors. The gate refusals it sources (gated) are
-// released when the tracker has retired it. Both go when it leaves the
+// released when the tracker retires it. Both go when it leaves the
 // graph. A sweep examines only the pending transactions: the new
 // completions and the released ones, in ascending TxnID as before.
 // Everything it skips would have been refused again, so it deletes exactly
@@ -56,15 +56,6 @@ const (
 	refusedByAncestor
 )
 
-// retirementCounter is implemented by cross trackers that count their
-// retirements: the transactions they stopped tracking. A scheduler whose
-// tracker counts asks LabelLive about a slot again, and about the label
-// sources holding refusals at all, only once the count has moved; one whose
-// tracker does not asks at every sweep.
-type retirementCounter interface {
-	Retirements() uint64
-}
-
 // hold files the completed transaction t on witness w's list for why: the
 // sweeps skip t until w releases it.
 func (s *Scheduler) hold(t, w *TxnState, why refusal) {
@@ -74,9 +65,6 @@ func (s *Scheduler) hold(t, w *TxnState, why refusal) {
 	*list = t
 	if why != refusedByGate {
 		s.blocked++
-	} else if !w.source {
-		w.source = true
-		s.sources = append(s.sources, w)
 	}
 }
 
@@ -135,7 +123,7 @@ func (s *Scheduler) releaseCompleted(t *TxnState) {
 
 // leave drops t from the index as its node leaves the graph (rejection,
 // abort or deletion): off the list it is filed on and out of the pending
-// index, both its own lists released, and out of the label sources.
+// index, and both its own lists released.
 func (s *Scheduler) leave(t *TxnState) {
 	if w := t.on; w != nil {
 		for p := w.list(t.why); *p != nil; p = &(*p).next {
@@ -153,58 +141,32 @@ func (s *Scheduler) leave(t *TxnState) {
 	}
 	s.release(&t.held)
 	s.release(&t.gated)
-	if t.source {
-		t.source = false
-		for i, w := range s.sources {
-			if w == t {
-				s.sources = append(s.sources[:i], s.sources[i+1:]...)
-				break
-			}
-		}
+}
+
+// Retire tells the scheduler that the tracker no longer tracks the cross
+// transaction id: its sub-node here, if any, sources no live label from now
+// on, and the gate refusals filed on it go back to the next sweep. An id
+// with no tracked sub-node here is ignored.
+//
+// The caller hands over a retirement before any step that follows it (the
+// engine: at the start of the shard's next visit, before any step of the
+// visit), and that makes Retire exact: it always reaches the incarnation it
+// names, never a later one reusing the ID. A later cross incarnation begins
+// only after the tracker let go of this one, so after its retirement; a
+// later local one cannot begin while this scheduler still holds the old
+// sub-node, and is never tracked anyway.
+func (s *Scheduler) Retire(id model.TxnID) {
+	if t := s.txns[id]; t != nil {
+		s.retire(t)
 	}
 }
 
-// releaseRetired releases the lists of the label sources the tracker no
-// longer tracks: their labels are dead, so the gate refusals they hold are
-// lifted. With a counting tracker it looks only when the count has moved.
-// The count is read before any LabelLive, so a retirement after the read
-// moves it again and is seen at the next sweep.
-func (s *Scheduler) releaseRetired() {
-	if len(s.sources) == 0 {
-		return
+// retire ends t's tracking and releases the gate refusals its label filed.
+func (s *Scheduler) retire(t *TxnState) {
+	if t.tracked {
+		t.tracked = false
+		s.release(&t.gated)
 	}
-	if s.counter != nil {
-		n := s.counter.Retirements()
-		if n == s.retired {
-			return
-		}
-		s.retired = n
-	}
-	kept := s.sources[:0]
-	for _, w := range s.sources {
-		if w.gated != nil && s.tracked(w.ref) {
-			kept = append(kept, w)
-			continue
-		}
-		s.release(&w.gated)
-		w.source = false
-	}
-	clear(s.sources[len(kept):])
-	s.sources = kept
-}
-
-// setTracker installs the cross tracker t. The gate refusals and answers
-// of an earlier tracker are let go: its count and answers are not t's.
-func (s *Scheduler) setTracker(t CrossTracker) {
-	s.cfg.Cross = t
-	s.counter, _ = t.(retirementCounter)
-	clear(s.liveMemo)
-	for _, w := range s.sources {
-		s.release(&w.gated)
-		w.source = false
-	}
-	clear(s.sources)
-	s.sources = s.sources[:0]
 }
 
 // CheckSkipped re-runs, for every retained completed transaction the next
@@ -214,7 +176,7 @@ func (s *Scheduler) setTracker(t CrossTracker) {
 // indexed sweep would not. It also reports a retained completed
 // transaction that is neither pending nor filed, which no sweep would ever
 // examine again. It is for tests, called at the start of a sweep, as a
-// wrapping policy can: a retirement is noticed there, not when it happens.
+// wrapping policy can.
 func (s *Scheduler) CheckSkipped() error {
 	blocked := 0
 	for _, id := range s.completed {

@@ -9,20 +9,6 @@ import (
 	"repro/internal/workload"
 )
 
-// countedTracker is a scriptable CrossTracker that counts its retirements,
-// as the engine's registry does, and how often LabelLive was asked.
-type countedTracker struct {
-	retired map[model.TxnID]bool
-	asked   int
-}
-
-func (c *countedTracker) OnCrossReach(src, dst model.TxnID) bool { return true }
-func (c *countedTracker) LabelLive(id model.TxnID) bool {
-	c.asked++
-	return !c.retired[id]
-}
-func (c *countedTracker) Retirements() uint64 { return uint64(len(c.retired)) }
-
 // checked runs its policy under the sweep exactness check: at the start of
 // each sweep every transaction the sweep will skip must still be refused by
 // the test that filed it.
@@ -39,54 +25,64 @@ func (c checked) Sweep(sw *Sweep) {
 	c.Policy.Sweep(sw)
 }
 
-// TestLabelLiveAskedAfterRetirementsOnly: twenty completed transactions
-// carry the label of one tracked cross sub-transaction. A tracker that
-// counts its retirements is asked about that source once, and not again
-// while the count stands — neither by the sweeps nor by the steps — and the
-// sweep after a retirement asks once more and deletes what C1 lets go.
-func TestLabelLiveAskedAfterRetirementsOnly(t *testing.T) {
-	tr := &countedTracker{retired: map[model.TxnID]bool{}}
-	s := NewScheduler(Config{Policy: GreedyC1{}, SweepManual: true, Cross: tr})
-	if _, err := s.BeginCross(model.Begin(1)); err != nil {
+// TestRetireReleasesOnlyItsSource: committed cross T1 and T2 each gate
+// their own sub-node and the local transactions that read what they wrote.
+// Retiring T1 hands the next sweep exactly T1's list — Stats.Examined grows
+// by its length, and all of it goes — while T2's list stays filed on T2.
+func TestRetireReleasesOnlyItsSource(t *testing.T) {
+	s := NewScheduler(Config{Policy: checked{GreedyC1{}, t}, SweepManual: true, Cross: scriptedTracker{}})
+	for _, src := range []model.TxnID{1, 2} {
+		s.MustBeginCross(t, src)
+		if vote, _ := s.PrepareFinal(model.WriteFinal(src, model.Entity(src))); vote != VoteYes {
+			t.Fatalf("T%d voted %v", src, vote)
+		}
+		if _, err := s.CommitPrepared(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// T3–T5 read T1's e1, T6 and T7 read T2's e2.
+	readers := map[model.TxnID][]model.TxnID{1: {3, 4, 5}, 2: {6, 7}}
+	for src, ids := range readers {
+		for _, id := range ids {
+			s.MustApply(model.Begin(id))
+			s.MustApply(model.Read(id, model.Entity(src)))
+			s.MustApply(model.WriteFinal(id, model.Entity(10+id)))
+		}
+	}
+	if del := s.SweepNow(); len(del) != 0 {
+		t.Fatalf("sweep deleted %v while both labels are live", del)
+	}
+	for src, ids := range readers {
+		for _, id := range append(ids, src) {
+			if w := s.Txn(id).on; w != s.Txn(src) {
+				t.Fatalf("T%d is filed on %v, want on its label's source T%d", id, w, src)
+			}
+		}
+	}
+	examined := s.Stats().Examined
+	s.Retire(1)
+	del := s.SweepNow()
+	slices.Sort(del)
+	if !slices.Equal(del, []model.TxnID{1, 3, 4, 5}) {
+		t.Fatalf("the sweep after T1 retired deleted %v, want T1 and its readers", del)
+	}
+	if n := s.Stats().Examined - examined; n != 4 {
+		t.Fatalf("the sweep after T1 retired examined %d transactions, want T1's list of 4", n)
+	}
+	for _, id := range []model.TxnID{2, 6, 7} {
+		if w := s.Txn(id).on; w != s.Txn(2) {
+			t.Fatalf("T%d is filed on %v after T1 retired, want on T2", id, w)
+		}
+	}
+	if err := s.CheckSkipped(); err != nil {
 		t.Fatal(err)
-	}
-	s.MustApply(model.Read(1, 0))
-	for id := model.TxnID(2); id <= 21; id++ {
-		s.MustApply(model.Begin(id))
-		if res := s.MustApply(model.WriteFinal(id, 0)); !res.Accepted {
-			t.Fatalf("T%d's write rejected", id)
-		}
-	}
-	if tr.asked != 1 {
-		t.Fatalf("twenty writes asked LabelLive %d times, want once for the one label source", tr.asked)
-	}
-	for i := 0; i < 3; i++ {
-		if del := s.SweepNow(); len(del) != 0 {
-			t.Fatalf("sweep %d deleted %v, all carry a live label", i, del)
-		}
-	}
-	if tr.asked != 1 {
-		t.Fatalf("three sweeps without a retirement asked LabelLive %d times in all, want the first time only", tr.asked)
-	}
-	for id := model.TxnID(2); id <= 21; id++ {
-		if w := s.Txn(id).on; w != s.Txn(1) {
-			t.Fatalf("T%d is filed on %v, want on its label's source T1", id, w)
-		}
-	}
-	tr.retired[1] = true
-	// C1 keeps the last writer of the entity the still-active T1 read.
-	if del := s.SweepNow(); len(del) != 19 {
-		t.Fatalf("the sweep after the source retired deleted %v, want all but the last writer", del)
-	}
-	if tr.asked != 2 {
-		t.Fatalf("LabelLive asked %d times, want once more after the retirement", tr.asked)
 	}
 }
 
 // TestIndexedSweepExact holds the indexed sweeps, which examine only new
 // completions and released refusals, to rescans of every retained
 // transaction. Two schedulers take the same straggler streams with cross
-// sub-transactions, random aborts and retirements by a counting tracker:
+// sub-transactions, random aborts and retirements:
 // one under GreedyC1 (oldest and newest first) or Lemma1Policy, checked for
 // exactness at every sweep, one under the reference policy that rescans to
 // a fixpoint. Every step must delete the same set.
@@ -106,9 +102,8 @@ func TestIndexedSweepExact(t *testing.T) {
 }
 
 func indexedLockstep(t *testing.T, fast, ref Policy, seed int64) {
-	tr := &countedTracker{retired: map[model.TxnID]bool{}}
-	a := NewScheduler(Config{Policy: checked{fast, t}, Cross: tr})
-	b := NewScheduler(Config{Policy: ref, Cross: tr})
+	a := NewScheduler(Config{Policy: checked{fast, t}, Cross: scriptedTracker{}})
+	b := NewScheduler(Config{Policy: ref, Cross: scriptedTracker{}})
 	gen := workload.New(workload.Config{
 		Entities: 24, Txns: 300, MaxActive: 6, ReadsMin: 1, ReadsMax: 3,
 		WritesMin: 0, WritesMax: 2, HotFrac: 0.25, Straggler: 12,
@@ -174,7 +169,8 @@ func indexedLockstep(t *testing.T, fast, ref Policy, seed int64) {
 			}
 		}
 		if len(decided) > 0 && rng.Intn(6) == 0 {
-			tr.retired[decided[0]] = true
+			a.Retire(decided[0])
+			b.Retire(decided[0])
 			decided = decided[1:]
 		}
 	}

@@ -108,24 +108,26 @@ type crossEntry struct {
 // scheduler of the engine. All methods are safe for concurrent use. What a
 // shard still owes the registry — the reports of its committed sub-nodes —
 // the shard keeps itself (shard.watch), so its housekeeping takes mu only to
-// report.
+// report. What the registry owes a shard — the transactions it stopped
+// tracking — it keeps for the shard (retired) until the shard's next visit
+// takes them.
 type crossRegistry struct {
 	mu   sync.Mutex
 	txns map[model.TxnID]*crossEntry
-	// live mirrors the key set and size its length, so LabelLive — called
-	// by every shard's steps and sweeps, per label source, whenever the
-	// retirement count moved — never touches the mutex. Both are updated under mu; a stale "live" read is
-	// conservative (labels only go live→dead). retired counts the entries
-	// that went, bumped after live lost them, so a shard that read the
-	// count before asking LabelLive sees every retirement it counted
-	// (Retirements).
-	size    atomic.Int64
-	live    sync.Map
-	retired atomic.Uint64
+	// retired[p] lists the transactions with a sub-transaction on shard p
+	// that the registry stopped tracking since p last took the list, and
+	// due[p] says it is not empty, so a visit with nothing to take never
+	// takes mu. Both are written under mu.
+	retired [][]model.TxnID
+	due     []atomic.Bool
 }
 
-func newCrossRegistry() *crossRegistry {
-	return &crossRegistry{txns: make(map[model.TxnID]*crossEntry)}
+func newCrossRegistry(shards int) *crossRegistry {
+	return &crossRegistry{
+		txns:    make(map[model.TxnID]*crossEntry),
+		retired: make([][]model.TxnID, shards),
+		due:     make([]atomic.Bool, shards),
+	}
 }
 
 var _ core.CrossTracker = (*crossRegistry)(nil)
@@ -143,15 +145,14 @@ func (r *crossRegistry) register(id model.TxnID, parts []int) bool {
 		return false
 	}
 	r.txns[id] = &crossEntry{parts: parts, clean: make([]bool, len(parts))}
-	r.live.Store(id, struct{}{})
-	r.size.Store(int64(len(r.txns)))
 	return true
 }
 
-// removeLocked erases id's entry e and its arcs, then lets each registry
-// successor retire in turn, since losing the arc from id may have zeroed its
-// in-degree. e is out of the map before the cascade starts, so the cascade
-// never touches e.out while it is walked. Caller holds r.mu.
+// removeLocked erases id's entry e and its arcs, files id on the retired
+// list of every participant, then lets each registry successor retire in
+// turn, since losing the arc from id may have zeroed its in-degree. e is
+// out of the map before the cascade starts, so the cascade never touches
+// e.out while it is walked. Caller holds r.mu.
 func (r *crossRegistry) removeLocked(id model.TxnID, e *crossEntry) {
 	for i := range e.in {
 		if ie, ok := r.txns[i]; ok {
@@ -164,9 +165,10 @@ func (r *crossRegistry) removeLocked(id model.TxnID, e *crossEntry) {
 		}
 	}
 	delete(r.txns, id)
-	r.live.Delete(id)
-	r.size.Store(int64(len(r.txns)))
-	r.retired.Add(1)
+	for _, p := range e.parts {
+		r.retired[p] = append(r.retired[p], id)
+		r.due[p].Store(true)
+	}
 	for o := range e.out {
 		r.maybeRetireLocked(o)
 	}
@@ -295,21 +297,24 @@ func (r *crossRegistry) OnCrossReach(src, dst model.TxnID) bool {
 	return true
 }
 
-// LabelLive implements core.CrossTracker: a label stays relevant while its
-// transaction is registered. Lock-free (see the live mirror) because the
-// policy sweeps of every shard call it per label per retained node.
-func (r *crossRegistry) LabelLive(id model.TxnID) bool {
-	if r.size.Load() == 0 {
-		return false
+// take hands shard p the transactions retired since its last take, and
+// keeps buf, emptied, to fill next. Shard p takes at the start of every
+// visit, before any step, and passes each ID to its scheduler's Retire, so
+// a retirement lands before any step that follows it and reaches the
+// incarnation it names: a new cross incarnation of the ID registers only
+// after the old one retired, and a new local one cannot begin on p while p
+// still holds the old sub-node.
+func (r *crossRegistry) take(p int, buf []model.TxnID) []model.TxnID {
+	if !r.due[p].Load() {
+		return buf[:0]
 	}
-	_, ok := r.live.Load(id)
-	return ok
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	ids := r.retired[p]
+	r.retired[p] = buf[:0]
+	r.due[p].Store(false)
+	return ids
 }
-
-// Retirements counts the transactions the registry has stopped tracking,
-// retired or dropped. A shard scheduler asks LabelLive about the label
-// sources holding its sweeps' refusals only once this has moved.
-func (r *crossRegistry) Retirements() uint64 { return r.retired.Load() }
 
 // ---------------------------------------------------------------------------
 // Engine-side protocol driver. All of these run on the submitting client's

@@ -107,6 +107,11 @@
 // stay until nothing live can re-enter it. Retirement cascades along
 // out-arcs, so chains of committed transactions drain as their
 // predecessors expire.
+// Shards are told of a retirement, not asked: the registry files a retired
+// or aborted transaction on a list for each participant, and each visit of
+// a shard takes its list before any step (crossRegistry.take) and hands
+// every ID to core.Scheduler.Retire, which releases what the sub-node's
+// label gated to the next sweep.
 //
 // Both doors decide alike (TestSubmitBatchEquivalentToPerStep) except for
 // one freedom of the batch door: it applies a window shard by shard, so two

@@ -264,7 +264,7 @@ func Open(cfg Config) (*Engine, *RecoveryReport, error) {
 	if cfg.Store != nil && cfg.Store.NumShards() != cfg.Shards {
 		return nil, nil, fmt.Errorf("engine: store has %d shards, config wants %d", cfg.Store.NumShards(), cfg.Shards)
 	}
-	e := &Engine{cfg: cfg, registry: newCrossRegistry()}
+	e := &Engine{cfg: cfg, registry: newCrossRegistry(cfg.Shards)}
 	e.routes.init()
 	e.shards = make([]*shard, cfg.Shards)
 	for i := range e.shards {

@@ -615,7 +615,8 @@ func TestCrossBeginFanOutRollback(t *testing.T) {
 // shards {0,1} commits writing it, so shard 0 cannot report T5 clean and
 // the registry keeps tracking it. A cross BEGIN reusing ID 5 is refused
 // before anything begins, and T5's entry survives as it was — its
-// reach-arcs, clean marks and label liveness with it. On two shards the
+// reach-arcs and clean marks with it, and no shard is told it retired. On
+// two shards the
 // newcomer meets T5's retained sub-nodes; on four nothing but the registry
 // knows the ID is taken.
 func TestCrossBeginKeepsTrackedEntry(t *testing.T) {
@@ -641,8 +642,11 @@ func TestCrossBeginKeepsTrackedEntry(t *testing.T) {
 		if _, live := eng.routes.load(5); live {
 			t.Fatalf("%d shards: refused BEGIN left its route behind", shards)
 		}
-		if e := tracked(); e != old || !slices.Equal(e.parts, []int{0, 1}) || !eng.registry.LabelLive(5) {
+		if e := tracked(); e != old || !slices.Equal(e.parts, []int{0, 1}) {
 			t.Fatalf("%d shards: T5's registry entry was replaced or erased", shards)
+		}
+		if p := retiredOn(eng, 5); p >= 0 {
+			t.Fatalf("%d shards: T5 waits in shard %d's retirement list", shards, p)
 		}
 		if s := eng.Stats(); s.CrossTxns != 1 || s.CrossAborts != 0 {
 			t.Fatalf("%d shards: %d cross transactions begun, %d aborted; the second BEGIN never happened", shards, s.CrossTxns, s.CrossAborts)
@@ -744,5 +748,34 @@ func TestCrossIDReuseStaleLabels(t *testing.T) {
 	}
 	if era2 == 0 {
 		t.Fatal("referee dropped the reused incarnation's steps")
+	}
+}
+
+// TestRetirementLandsBeforeTheVisit: cross T1 over shards {0,1} aborts, and
+// its ID begins again on the same shards at once, so the BEGIN's visits are
+// the first to take the abort's retirement. It must land before the BEGIN:
+// after it, it would retire the new incarnation. That incarnation commits
+// behind straggler S on shard 1, so the registry keeps tracking it, and
+// local L on shard 0 completes downstream of it: T1's label must keep L,
+// and T1's own sub-node, from the sweeps.
+func TestRetirementLandsBeforeTheVisit(t *testing.T) {
+	eng := New(Config{Shards: 2, Policy: func() core.Policy { return core.GreedyC1{} }})
+	defer eng.Close()
+	mustAccept(t, submit(eng, model.BeginDeclared(9, 1))) // S, shard 1
+	mustAccept(t, submit(eng, model.Read(9, 1)))
+	mustAccept(t, submit(eng, model.BeginDeclared(1, 0, 1)))
+	if !eng.Abort(1) {
+		t.Fatal("abort of T1")
+	}
+	mustAccept(t, submit(eng, model.BeginDeclared(1, 0, 1)))
+	mustAccept(t, submit(eng, model.WriteFinal(1, 0, 1)))
+	mustAccept(t, submit(eng, model.BeginDeclared(7, 0, 2))) // L, shard 0
+	mustAccept(t, submit(eng, model.Read(7, 0)))
+	mustAccept(t, submit(eng, model.WriteFinal(7, 2)))
+	// Close first: every shard shuts down and no later run applies
+	// anything, making the schedulers safe to inspect directly.
+	eng.Close()
+	if got := completedIDs(eng.shards[0].sched); !slices.Equal(got, []model.TxnID{1, 7}) {
+		t.Fatalf("shard 0 retains %v, want T1 and the L its label gates", got)
 	}
 }

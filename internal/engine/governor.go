@@ -241,8 +241,9 @@ func (e *Engine) reapOne(id model.TxnID, shard int, inc, total int64) bool {
 
 // sweepAll forces a deletion-policy sweep on every shard. A reap's aborts
 // sweep their own shards, but the retirements the reap allows (the reaped
-// cross transaction's, and those that cascade from it) gate labels on
-// shards that terminated nothing since; without this sweep those would
+// cross transaction's, and those that cascade from it) release labels on
+// shards that terminated nothing since: the sweep's visit hands them over
+// first, and the sweep deletes what they gated. Without it those would
 // wait for their shard's next termination and the pass would over-reap.
 // Whether the reap freed anything is read from the retained gauges, not
 // from this sweep: the reap's own run swept already.

@@ -367,7 +367,8 @@ func TestSubmitBatchStepBehindOwnAbort(t *testing.T) {
 // only. A finished one is forgotten once it retires, and nothing of its ID
 // is kept for the labels it left behind — those name its incarnation and
 // die with it — so a server that commits cross transactions all day must not
-// grow a set of every ID it ever saw. (Reusing an ID whose stale labels
+// grow a set of every ID it ever saw. The retirement lists it keeps for the
+// shards are empty once every shard has been visited. (Reusing an ID whose stale labels
 // still sit in a shard graph is TestCrossIDReuseStaleLabels' subject.)
 func TestRegistryForgetsRetiredIDs(t *testing.T) {
 	debts := meterDebts(2, nil)
@@ -395,6 +396,30 @@ func TestRegistryForgetsRetiredIDs(t *testing.T) {
 	if left := registryResidue(eng, debts); left != 0 {
 		t.Fatalf("%d registry entries and debts left after the engine went quiet", left)
 	}
+	// The last retirement may have come after its shards' visits in the
+	// last pass; one more visit of every shard takes it.
+	eng.Stats()
+	reg := eng.registry
+	reg.mu.Lock()
+	defer reg.mu.Unlock()
+	for p, ids := range reg.retired {
+		if len(ids) != 0 || reg.due[p].Load() {
+			t.Fatalf("shard %d's retirement list holds %v after every shard was visited", p, ids)
+		}
+	}
+}
+
+// retiredOn returns a shard whose retirement list holds id, or -1.
+func retiredOn(eng *Engine, id model.TxnID) int {
+	reg := eng.registry
+	reg.mu.Lock()
+	defer reg.mu.Unlock()
+	for p, ids := range reg.retired {
+		if slices.Contains(ids, id) {
+			return p
+		}
+	}
+	return -1
 }
 
 // registryResidue waits for a quiet engine's registry to empty and returns

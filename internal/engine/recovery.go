@@ -64,14 +64,13 @@ type RecoveryReport struct {
 }
 
 // recoveryTracker is the cross tracker WAL replay runs under: every reach
-// is admitted and every label stays live, so nothing ever retires. Only
-// accepted records were journaled — the vetoes already happened — so replay
-// must never re-veto.
+// is admitted and nothing retires, so every label stays live. Only accepted
+// records were journaled — the vetoes already happened — so replay must
+// never re-veto. Installing the live tracker retires every sub-node
+// (core.Scheduler.SetTracker).
 type recoveryTracker struct{}
 
 func (recoveryTracker) OnCrossReach(src, dst model.TxnID) bool { return true }
-func (recoveryTracker) LabelLive(src model.TxnID) bool         { return true }
-func (recoveryTracker) Retirements() uint64                    { return 0 }
 
 // subState is one shard's view of a recovered cross transaction.
 type subState struct {

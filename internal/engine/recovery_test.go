@@ -286,3 +286,50 @@ func TestRecoveredCommitsStayRetained(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoverRetiresCrossSubNodes: cross T1 commits on shards {0,1} behind
+// straggler S on shard 1, so the registry still tracks it, and local L on
+// shard 0 completes carrying T1's label; then the process dies. The
+// reopened registry tracks nothing, and recovery aborts S as an orphan, so
+// nothing pins T1 or L any more: the first sweep on each shard must delete
+// them, as it would delete any other completed transaction without an
+// active ancestor.
+func TestRecoverRetiresCrossSubNodes(t *testing.T) {
+	st := store.NewMem(2)
+	eng, _, err := Open(Config{Shards: 2, Policy: greedyPolicy, Store: st})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	mustAccept(t, submit(eng, model.BeginDeclared(9, 1))) // S, shard 1
+	mustAccept(t, submit(eng, model.Read(9, 1)))
+	mustAccept(t, submit(eng, model.BeginDeclared(1, 0, 1)))
+	mustAccept(t, submit(eng, model.WriteFinal(1, 0, 1)))
+	mustAccept(t, submit(eng, model.BeginDeclared(7, 0, 2))) // L, shard 0
+	mustAccept(t, submit(eng, model.Read(7, 0)))
+	mustAccept(t, submit(eng, model.WriteFinal(7, 2)))
+	if n := eng.Gauges().Retained; n[0] != 2 || n[1] != 1 {
+		t.Fatalf("retained %v before the crash, want T1 and L on shard 0, T1 on shard 1", n)
+	}
+	// The crash: eng is dropped without Close; the store keeps what its
+	// shards appended.
+
+	eng2, rep, err := Open(Config{Shards: 2, Policy: greedyPolicy, Store: st})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer eng2.Close()
+	if rep.OrphansAborted != 1 {
+		t.Fatalf("OrphansAborted = %d, want 1 (S)", rep.OrphansAborted)
+	}
+	// One completion per shard sweeps it.
+	for id, x := range map[model.TxnID]model.Entity{20: 4, 21: 5} {
+		mustAccept(t, submit(eng2, model.BeginDeclared(id, x)))
+		mustAccept(t, submit(eng2, model.WriteFinal(id, x)))
+	}
+	eng2.Close()
+	for _, sh := range eng2.shards {
+		if ids := completedIDs(sh.sched); len(ids) != 0 {
+			t.Fatalf("shard %d retains %v after its sweep, with nothing tracked or active", sh.idx, ids)
+		}
+	}
+}

@@ -121,8 +121,10 @@ type shard struct {
 	// Terminations at the last pass over the list. See reportCrossClean.
 	watch     []watched //txgc:owner shard
 	watchTerm int64     //txgc:owner shard
-	// cleanBuf is scratch for cross-registry clean reporting.
+	// cleanBuf is scratch for cross-registry clean reporting, and retiring
+	// for the retirements the registry hands over (crossRegistry.take).
 	cleanBuf []model.TxnID //txgc:owner shard
+	retiring []model.TxnID //txgc:owner shard
 	// witnessSearches counts the ancestor searches reportCrossClean has run
 	// (the proportionality test's meter).
 	witnessSearches int64 //txgc:owner shard
@@ -168,13 +170,14 @@ func (sh *shard) lock() {
 
 // run applies req to the shard and fills in its answer; false means the
 // engine is closed and req was not applied. It takes the shard's lock
-// (waiting if another submitter holds it), runs handle, does the
-// housekeeping once — flush, checkpoint, the retained gauge, the cross
-// registry's clean reports — and unlocks. The scheduler sweeps by itself
-// after every step that terminates a transaction (a completion, a
-// rejection, an abort); each sweep examines only what that termination
-// released (core/witness.go). tryRun is the same visit for a
-// caller that would rather come back later than wait.
+// (waiting if another submitter holds it), hands the scheduler the
+// registry's retirements, runs handle, does the housekeeping once — flush,
+// checkpoint, the retained gauge, the cross registry's clean reports — and
+// unlocks. The scheduler sweeps by itself after every step that terminates
+// a transaction (a completion, a rejection, an abort); each sweep examines
+// only what that termination or a retirement released (core/witness.go).
+// tryRun is the same visit for a caller that would rather come back later
+// than wait.
 //
 // Why no goroutine holds two shard locks. Nothing run calls under the lock
 // calls run or tryRun: handle, the apply functions and the housekeeping
@@ -228,6 +231,11 @@ func (sh *shard) locked(req *request) bool {
 		}
 		sh.handle(req)
 		return true
+	}
+	// The registry's retirements land before any step of the visit.
+	sh.retiring = sh.eng.registry.take(sh.idx, sh.retiring)
+	for _, id := range sh.retiring {
+		sh.sched.Retire(id)
 	}
 	sweeps := sh.sched.Stats().Sweeps
 	sh.handle(req)

@@ -208,11 +208,12 @@ func theorem2Cell(t testing.TB, name string, shards int, wcfg workload.Config, p
 }
 
 // exact wraps every policy the constructor builds in the sweep exactness
-// check: at the start of each sweep, once the sweep has released what the
-// tracker retired, every retained transaction the sweep will skip must
-// still be refused by the test that filed it (core.Scheduler.CheckSkipped),
-// so the indexed sweep deletes what a rescan of every retained transaction
-// would. A failure fails t and names the cell.
+// check: at the start of each sweep, after its visit handed the scheduler
+// the registry's retirements, every retained transaction the sweep will
+// skip must still be refused by the test that filed it
+// (core.Scheduler.CheckSkipped), so the indexed sweep deletes what a rescan
+// of every retained transaction would. A failure fails t and names the
+// cell.
 func exact(t testing.TB, cell string, policy func() core.Policy) func() core.Policy {
 	return func() core.Policy { return exactPolicy{t: t, cell: cell, Policy: policy()} }
 }
