@@ -143,17 +143,18 @@ func (a audited) audit(sw *Sweep) {
 				}
 			}
 		}
-		slot, seq, found := s.ActiveAncestor(id)
+		slot := s.activeAncestor(s.txns[id])
+		found := slot != graph.NoRef
 		if found != refHasActivePredecessor(s, id) {
-			a.t.Fatalf("ActiveAncestor(T%d) found=%v, closure scan disagrees", id, found)
+			a.t.Fatalf("activeAncestor(T%d) found=%v, closure scan disagrees", id, found)
 		}
 		if found != HasActivePredecessor(s, s.g, id) {
-			a.t.Fatalf("HasActivePredecessor(T%d) disagrees with ActiveAncestor=%v", id, found)
+			a.t.Fatalf("HasActivePredecessor(T%d) disagrees with activeAncestor=%v", id, found)
 		}
 		if found {
 			anc := s.g.IDOf(slot)
-			if !s.g.Ancestors(id).Has(anc) || !s.ActiveAt(slot, seq) || s.txns[anc].BeginSeq != seq {
-				a.t.Fatalf("ActiveAncestor(T%d) = slot %d (T%d, seq %d): not an active ancestor", id, slot, anc, seq)
+			if !s.g.Ancestors(id).Has(anc) || s.bySlot[slot].Status != model.StatusActive {
+				a.t.Fatalf("activeAncestor(T%d) = slot %d (T%d): not an active ancestor", id, slot, anc)
 			}
 		}
 	}

@@ -193,8 +193,9 @@ func (Lemma1Policy) Name() string { return "lemma1" }
 func (Lemma1Policy) Sweep(sw *Sweep) {
 	s := sw.s
 	for _, id := range sw.pending() {
-		if a, _, active := s.ActiveAncestor(id); active {
-			s.hold(s.txns[id], s.bySlot[a], refusedByAncestor)
+		t := s.txns[id]
+		if a := s.activeAncestor(t); a != graph.NoRef {
+			s.hold(t, s.bySlot[a], refusedByAncestor)
 		} else {
 			sw.Delete(id)
 		}

@@ -35,6 +35,7 @@ type Stats struct {
 	Deleted    int64 // nodes removed by the deletion policy
 	Sweeps     int64 // policy sweeps executed
 	Examined   int64 // candidates sweeps took up (witness.go)
+	Searched   int64 // ancestor searches for committed sub-nodes' clean reports (witness.go)
 	PeakNodes  int
 	PeakArcs   int
 	PeakKept   int   // peak number of completed transactions retained
@@ -66,6 +67,7 @@ func (s *Stats) Merge(o Stats) {
 	s.Deleted += o.Deleted
 	s.Sweeps += o.Sweeps
 	s.Examined += o.Examined
+	s.Searched += o.Searched
 	s.PeakNodes += o.PeakNodes
 	s.PeakArcs += o.PeakArcs
 	s.PeakKept += o.PeakKept
@@ -97,13 +99,14 @@ type TxnState struct {
 	tracked  bool
 	prepared bool
 	// why names the test that filed t on a list of on, its witness (nil: t
-	// is pending, or not completed). held and gated head the lists of the
-	// retained completed transactions filed on t's account — those t blocks
-	// by C1 or Lemma 1, and those its label gates — linked through next.
-	// See witness.go.
-	why         refusal
-	on, next    *TxnState
-	held, gated *TxnState
+	// is pending, or not completed). held, owed and gated head the lists of
+	// the retained completed transactions filed on t's account — those t
+	// blocks by C1 or Lemma 1, the sub-nodes it keeps from their clean
+	// report, and those its label gates — linked through next. See
+	// witness.go.
+	why               refusal
+	on, next          *TxnState
+	held, owed, gated *TxnState
 }
 
 // Config configures a Scheduler.
@@ -171,9 +174,11 @@ type Scheduler struct {
 	// the part of it the next sweep examines: the retained completed
 	// transactions not filed on a witness's list (witness.go). blocked
 	// counts those filed on held lists, the ones a completion can release.
+	// clean hands over the sub-nodes found clean (TakeClean).
 	completed []model.TxnID
 	pending   []model.TxnID
 	blocked   int
+	clean     []model.TxnID
 	// numActive is maintained incrementally so the per-step bookkeeping in
 	// afterStep never scans txns.
 	numActive int
@@ -564,8 +569,8 @@ func (s *Scheduler) reject(t *TxnState, cross bool) Result {
 	}
 	s.forget(t)
 	s.clearCross(t)
-	s.leave(t)
 	s.g.RemoveRef(t.ref)
+	s.leave(t)
 	t.Status = model.StatusAborted
 	delete(s.txns, t.ID)
 	s.numActive--
@@ -590,8 +595,8 @@ func (s *Scheduler) deleteTxn(id model.TxnID) error {
 	}
 	s.forget(t)
 	s.clearCross(t)
-	s.leave(t)
 	s.g.ReduceRef(t.ref)
+	s.leave(t)
 	delete(s.txns, id)
 	s.completed = removeTxn(s.completed, id)
 	s.releaseState(t)
@@ -781,43 +786,18 @@ func (s *Scheduler) witnessed(e *entity, need model.Access, ti graph.Ref) bool {
 	return false
 }
 
-// ActiveAncestor looks for an active transaction that reaches id by any
-// path (Lemma 1's obstacle), stopping at the first one. It returns that
-// transaction's arena slot and BeginSeq — together they name one
-// incarnation, since slots are recycled but sequence numbers are not — so a
-// caller can later ask ActiveAt whether the very same obstacle still stands.
-// It does for as long as that transaction stays active: the search stops at
-// the first active node it meets, so the path from it to id runs through
-// completed nodes only, and those leave the graph only by deletion, which
-// splices their arcs. found is false when id has no active ancestor or is
-// not in the graph.
-func (s *Scheduler) ActiveAncestor(id model.TxnID) (slot graph.Ref, beginSeq int64, found bool) {
-	t, ok := s.txns[id]
-	if !ok {
-		return graph.NoRef, 0, false
-	}
-	a := s.g.FindAncestorRef(t.ref, s.activeSlot)
-	if a == graph.NoRef {
-		return graph.NoRef, 0, false
-	}
-	return a, s.bySlot[a].BeginSeq, true
+// activeAncestor returns the slot of an active transaction that reaches t
+// by some path (Lemma 1's obstacle), the first one the search meets, or
+// NoRef. The path from it to t runs through completed nodes only, and those
+// leave the graph only by deletion, which splices their arcs: it stays an
+// ancestor for as long as it stays active.
+func (s *Scheduler) activeAncestor(t *TxnState) graph.Ref {
+	return s.g.FindAncestorRef(t.ref, s.activeSlot)
 }
 
 func (s *Scheduler) activeSlot(r graph.Ref) bool {
 	return s.bySlot[r].Status == model.StatusActive
 }
-
-// ActiveAt reports whether slot still holds the active transaction that
-// began at beginSeq.
-func (s *Scheduler) ActiveAt(slot graph.Ref, beginSeq int64) bool {
-	t := s.bySlot[slot]
-	return t != nil && t.BeginSeq == beginSeq && t.Status == model.StatusActive
-}
-
-// Terminations counts the active transactions that have stopped being
-// active so far — completions, rejections and aborts. While it has not
-// moved, every ActiveAt a caller could ask still answers as it last did.
-func (s *Scheduler) Terminations() int64 { return s.stats.Completed + s.stats.Aborts }
 
 // CheckC2 evaluates Theorem 4's condition C2 for the set of transactions.
 func (s *Scheduler) CheckC2(set graph.NodeSet) (bool, *C2Violation) {
@@ -866,8 +846,8 @@ func (s *Scheduler) AbortTxn(id model.TxnID) error {
 	s.emit(emit.KindAbort, emit.ClassTxnAborted, id, t.BeginSeq, 0)
 	s.forget(t)
 	s.clearCross(t)
-	s.leave(t)
 	s.g.RemoveRef(t.ref)
+	s.leave(t)
 	t.Status = model.StatusAborted
 	delete(s.txns, id)
 	s.numActive--

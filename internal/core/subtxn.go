@@ -51,8 +51,10 @@
 // logical transaction: arcs only ever point into acting nodes, so with no
 // active ancestor anywhere the logical node's ancestor set is frozen and
 // no future cycle can pass through it), or once it aborted, and tells each
-// participant's scheduler through Retire. Dead labels are pruned lazily and
-// the per-shard C1/C2 machinery applies unchanged from then on.
+// participant's scheduler through Retire; each scheduler hands over the
+// committed sub-nodes it finds clean (TakeClean, witness.go). Dead labels
+// are pruned lazily and the per-shard C1/C2 machinery applies unchanged
+// from then on.
 package core
 
 import (
@@ -187,7 +189,8 @@ func (s *Scheduler) PrepareFinal(step model.Step) (PrepareVote, error) {
 }
 
 // CommitPrepared is phase two: it completes a prepared sub-transaction
-// (the decision was COMMIT) and releases its pin.
+// (the decision was COMMIT) and releases its pin. A sub-node the tracker
+// still tracks is then filed for its clean report (witness.go).
 func (s *Scheduler) CommitPrepared(id model.TxnID) (Result, error) {
 	t, ok := s.txns[id]
 	if !ok || !t.prepared {
@@ -197,6 +200,9 @@ func (s *Scheduler) CommitPrepared(id model.TxnID) (Result, error) {
 	t.prepared = false
 	s.markCompleted(t)
 	s.releaseCompleted(t)
+	if t.tracked && s.cfg.Cross != nil {
+		s.owe(t)
+	}
 	// The write is now committed: install the current values at the
 	// write's prepare-time position (EndSeq), unless a later write of the
 	// entity already landed between vote and decision.

@@ -178,3 +178,130 @@ func indexedLockstep(t *testing.T, fast, ref Policy, seed int64) {
 		t.Fatal("workload too tame: nothing deleted")
 	}
 }
+
+// TestCleanReportWaitsForTheLastAncestor: committed cross sub-node X has two
+// active ancestors, A1 directly and A2 through completed local C. X is
+// handed over clean (TakeClean) in the very step that ends the second of
+// them — by completion, rejection or abort — and never before; until then
+// it is filed on one of them, searched once at its commit and once per
+// ending witness. Under nogc nothing of this reaches the pending index, and
+// CheckSkipped re-runs the owed refusal outside the held count. Retiring X
+// while it is owed, or after it was found clean but before the hand-over,
+// drops its report.
+func TestCleanReportWaitsForTheLastAncestor(t *testing.T) {
+	for _, policy := range []string{"nogc", "greedy-c1"} {
+		for _, ending := range []string{"complete", "reject", "abort"} {
+			for _, retire := range []string{"", "owed", "clean"} {
+				name := fmt.Sprintf("%s/%s/retire=%s", policy, ending, retire)
+				t.Run(name, func(t *testing.T) { cleanReportLockstep(t, policy == "nogc", ending, retire) })
+			}
+		}
+	}
+}
+
+func cleanReportLockstep(t *testing.T, nogc bool, ending, retire string) {
+	const a1, a2, c, x = 1, 2, 3, 10
+	cfg := Config{Cross: scriptedTracker{}}
+	if !nogc {
+		cfg.Policy = checked{GreedyC1{}, t}
+	}
+	s := NewScheduler(cfg)
+	s.MustApply(model.Begin(a1))
+	s.MustApply(model.Read(a1, 1))
+	s.MustApply(model.Begin(a2))
+	s.MustApply(model.Read(a2, 4))
+	s.MustApply(model.Begin(c))
+	s.MustApply(model.WriteFinal(c, 4, 5)) // A2 → C
+	s.MustBeginCross(t, x)
+	if vote, err := s.PrepareFinal(model.WriteFinal(x, 1, 5, 3)); vote != VoteYes || err != nil {
+		t.Fatalf("X voted %v (%v)", vote, err)
+	}
+	if _, err := s.CommitPrepared(x); err != nil { // A1 → X, C → X
+		t.Fatal(err)
+	}
+	xs := s.Txn(x)
+	searched := int64(1)
+	// check holds the state after every step: X handed over iff want, the
+	// search count, nogc's empty pending index, and CheckSkipped.
+	check := func(what string, want bool) {
+		t.Helper()
+		if got := s.TakeClean(nil); want != (len(got) == 1 && got[0] == x) || len(got) > 1 {
+			t.Fatalf("%s: handed over %v, want X: %v", what, got, want)
+		}
+		if n := s.Stats().Searched; n != searched {
+			t.Fatalf("%s: %d ancestor searches, want %d", what, n, searched)
+		}
+		if nogc && len(s.pending) != 0 {
+			t.Fatalf("%s: pending %v under nogc", what, s.pending)
+		}
+		if err := s.CheckSkipped(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	owedOn := func(what string, w model.TxnID) {
+		t.Helper()
+		if xs.on != s.Txn(w) || xs.why != owedByAncestor {
+			t.Fatalf("%s: X is filed on %v for %d, want owed on T%d", what, xs.on, xs.why, w)
+		}
+	}
+	check("commit", false)
+	first := xs.on.ID
+	if first != a1 && first != a2 {
+		t.Fatalf("X is filed on T%d, not on an active ancestor", first)
+	}
+	last := model.TxnID(a1 + a2 - first)
+	owedOn("commit", first)
+	// CheckSkipped re-runs the refusal: untracked, X would be deletable, and
+	// the owed list is no held list.
+	if nogc && s.blocked != 0 {
+		t.Fatalf("owed sub-node counted on held lists: blocked = %d", s.blocked)
+	}
+	xs.tracked = false
+	if err := s.CheckSkipped(); err == nil {
+		t.Fatal("CheckSkipped accepts an owed sub-node the tracker no longer tracks")
+	}
+	xs.tracked = true
+	if retire == "owed" {
+		s.Retire(x)
+		if xs.on != nil && xs.why == owedByAncestor {
+			t.Fatal("Retire left X owed")
+		}
+		check("retire", false)
+	}
+	end := func(w model.TxnID) {
+		t.Helper()
+		switch ending {
+		case "complete":
+			s.MustApply(model.WriteFinal(w, model.Entity(20+w)))
+		case "reject":
+			if res := s.MustApply(model.Read(w, 3)); res.Accepted { // X → w closes a cycle
+				t.Fatalf("T%d's read of X's write was accepted", w)
+			}
+		case "abort":
+			if err := s.AbortTxn(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	end(first)
+	if retire != "owed" {
+		searched++
+		owedOn("the first ancestor's end", last)
+	}
+	check("the first ancestor's end", false)
+	end(last)
+	if retire == "owed" {
+		check("the last ancestor's end", false)
+		return
+	}
+	searched++
+	if xs.on != xs || xs.why != refusedByGate {
+		t.Fatalf("X is filed on %v for %d after its last ancestor ended, want on its own gated list", xs.on, xs.why)
+	}
+	if retire == "clean" {
+		s.Retire(x)
+		check("retire", false)
+		return
+	}
+	check("the last ancestor's end", true)
+}

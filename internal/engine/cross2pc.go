@@ -107,10 +107,10 @@ type crossEntry struct {
 // reach-arcs among them. It implements core.CrossTracker for every shard
 // scheduler of the engine. All methods are safe for concurrent use. What a
 // shard still owes the registry — the reports of its committed sub-nodes —
-// the shard keeps itself (shard.watch), so its housekeeping takes mu only to
-// report. What the registry owes a shard — the transactions it stopped
-// tracking — it keeps for the shard (retired) until the shard's next visit
-// takes them.
+// its scheduler keeps, filed on the active ancestors that keep them dirty
+// (core/witness.go), so the shard's housekeeping takes mu only to report.
+// What the registry owes a shard — the transactions it stopped tracking — it
+// keeps for the shard (retired) until the shard's next visit takes them.
 type crossRegistry struct {
 	mu   sync.Mutex
 	txns map[model.TxnID]*crossEntry
@@ -569,8 +569,8 @@ func (e *Engine) commitCross(ctx context.Context, ct *crossTxn, final model.Step
 		e.routes.delete(ct.id)
 		return closedResult(final)
 	}
-	// Each participant filed its clean report as a debt when it committed;
-	// the registry entry retires once the last one is paid.
+	// Each participant's scheduler filed its clean report when it committed;
+	// the registry entry retires once the last one is in.
 	ct.done = true
 	ct.committed = true
 	e.routes.delete(ct.id)

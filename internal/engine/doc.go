@@ -96,22 +96,26 @@
 // The registry retires a cross transaction T — unpinning all of the above
 // and letting plain per-shard C1/C2 resume — once (a) every participant
 // reports T's sub-node free of active ancestors, and (b) no live cross
-// transaction still reaches T (registry in-degree zero). A shard files the
-// report as a debt when it commits its sub-node, and reports nothing else,
-// so (a) also says every participant committed: T is decided. (a) freezes
-// T's ancestor sets: arcs only ever point into acting nodes, so a completed
-// sub-node all of whose ancestors are completed can never gain new ones,
-// and no new label can arrive at it (its carrier would already be an active
-// ancestor). (b) covers cycles that would use T's *existing* through-paths
-// while only the return path is new: the reach-arcs into and out of T must
-// stay until nothing live can re-enter it. Retirement cascades along
-// out-arcs, so chains of committed transactions drain as their
-// predecessors expire.
+// transaction still reaches T (registry in-degree zero). Only a committed
+// sub-node is ever reported: its scheduler files it at the commit on the
+// first active ancestor it finds, searches again when that ancestor
+// terminates, and hands the ID over once none is left
+// (core.Scheduler.TakeClean), which the shard reports at the end of its
+// visit. So (a) also says every participant committed: T is decided. (a)
+// freezes T's ancestor sets: arcs only ever point into acting nodes, so a
+// completed sub-node all of whose ancestors are completed can never gain
+// new ones, and no new label can arrive at it (its carrier would already
+// be an active ancestor). (b) covers cycles that would use T's *existing*
+// through-paths while only the return path is new: the reach-arcs into and
+// out of T must stay until nothing live can re-enter it. Retirement
+// cascades along out-arcs, so chains of committed transactions drain as
+// their predecessors expire.
 // Shards are told of a retirement, not asked: the registry files a retired
 // or aborted transaction on a list for each participant, and each visit of
 // a shard takes its list before any step (crossRegistry.take) and hands
-// every ID to core.Scheduler.Retire, which releases what the sub-node's
-// label gated to the next sweep.
+// the IDs to core.Scheduler.Retire, which releases what the sub-nodes'
+// labels gated and sweeps it at once, so a retirement frees what it gated
+// in the visit that lands it.
 //
 // Both doors decide alike (TestSubmitBatchEquivalentToPerStep) except for
 // one freedom of the batch door: it applies a window shard by shard, so two

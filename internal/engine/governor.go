@@ -239,16 +239,16 @@ func (e *Engine) reapOne(id model.TxnID, shard int, inc, total int64) bool {
 	return true
 }
 
-// sweepAll forces a deletion-policy sweep on every shard. A reap's aborts
-// sweep their own shards, but the retirements the reap allows (the reaped
-// cross transaction's, and those that cascade from it) release labels on
-// shards that terminated nothing since: the sweep's visit hands them over
-// first, and the sweep deletes what they gated. Without it those would
-// wait for their shard's next termination and the pass would over-reap.
-// Whether the reap freed anything is read from the retained gauges, not
-// from this sweep: the reap's own run swept already.
+// sweepAll visits every shard. A reap's aborts sweep their own shards, but
+// the retirements the reap allows (the reaped cross transaction's, and
+// those that cascade from it) release labels on shards that terminated
+// nothing since. A visit hands a shard its retirements, and the scheduler
+// sweeps what they released (core.Scheduler.Retire); without the visit
+// those would wait for the shard's next termination and the pass would
+// over-reap. Whether the reap freed anything is read from the
+// retained gauges: the reap's own run swept already.
 func (e *Engine) sweepAll() {
 	for _, sh := range e.shards {
-		sh.run(&request{kind: reqSweep})
+		sh.run(&request{kind: reqStats})
 	}
 }

@@ -16,8 +16,8 @@ import (
 // so every victim is double-gated: C1 fails (the sleeper is an active
 // tight predecessor with no witness in sight) AND the victim carries the
 // sleeper's cross-ancestor label. Reaping the sleeper must kill its labels
-// along with the arcs, so ONE governor pass — reap plus its forced sweep —
-// reclaims the whole backlog. Run under -race in CI.
+// along with the arcs, so ONE governor pass — the reap and the visits
+// that land its retirements — reclaims the whole backlog. Run under -race in CI.
 func TestReapCrossStragglerUnblocksDownstreamGC(t *testing.T) {
 	eng := New(Config{
 		Shards: 2,
@@ -141,9 +141,9 @@ func TestGovernorExemptsPriorityHigh(t *testing.T) {
 // TestGovernorCountsTheReapsOwnSweep pins the pass's stop rule. Two
 // sleepers on one shard pin four victims each. A shard sweeps at every
 // termination, so the first reap's own abort run sweeps what that reap
-// freed. The forced sweep after it then deletes nothing, yet retention fell
-// from 8 to 4: the pass must go on and reap the second sleeper, since 4 is
-// still over the watermark.
+// freed. The visits after it then delete nothing, yet retention fell from 8
+// to 4: the pass must go on and reap the second sleeper, since 4 is still
+// over the watermark.
 func TestGovernorCountsTheReapsOwnSweep(t *testing.T) {
 	const perSleeper = 4
 	eng := New(Config{

@@ -14,10 +14,10 @@ import (
 )
 
 // The reference side of the cross-clean differential: the between-batch
-// registry upkeep as it was before the watched witnesses — scan the whole
-// registry for this shard's debts, materialize every debtor's ancestor
-// closure — kept here so the incremental path always has a full scan to be
-// held against.
+// registry upkeep as it was before the scheduler filed committed sub-nodes
+// on their witnesses — scan the whole registry for this shard's debts,
+// materialize every debtor's ancestor closure — kept here so the indexed
+// path always has a full scan to be held against.
 
 // refPendingClean is the registry scan: the transactions whose sub-node
 // shard has committed and not yet reported clean. Caller holds r.mu and
@@ -51,13 +51,13 @@ func refClean(sh *shard, id model.TxnID) bool {
 	return true
 }
 
-// TestCrossCleanDifferential holds the watched-witness upkeep against the
-// full scan at every batch end of every shard, under a seeded cross-heavy
-// workload with stragglers, cycle rejections, 2PC vetoes, client aborts of
-// cross transactions in flight and governor reaps: what each pass reports
-// must be exactly what the full scan would report over the same debts, and
-// the debts the shard filed as it committed must be exactly what a scan of
-// the registry's entries says it owes.
+// TestCrossCleanDifferential holds the scheduler's clean reports against
+// the full scan at the end of every run of every shard, under a seeded
+// cross-heavy workload with stragglers, cycle rejections, 2PC vetoes,
+// client aborts of cross transactions in flight and governor reaps: every
+// ID a run reports must be clean by the full scan, and every committed
+// sub-node the registry still waits for must have an active ancestor by
+// it (no report missed).
 func TestCrossCleanDifferential(t *testing.T) {
 	var passes, reports, carried atomic.Int64
 	var failed atomic.Bool
@@ -66,7 +66,7 @@ func TestCrossCleanDifferential(t *testing.T) {
 			t.Errorf(format, args...)
 		}
 	}
-	debts := meterDebts(4, func(sh *shard, reported []model.TxnID) {
+	testHookCrossClean = func(sh *shard, reported []model.TxnID) {
 		passes.Add(1)
 		reports.Add(int64(len(reported)))
 		for _, id := range reported {
@@ -74,32 +74,16 @@ func TestCrossCleanDifferential(t *testing.T) {
 				fail("shard %d reported T%d clean; the full scan finds an active ancestor", sh.idx, id)
 			}
 		}
-		var mine []model.TxnID
-		for _, w := range sh.watch {
-			mine = append(mine, w.id)
-			if refClean(sh, w.id) {
-				fail("shard %d keeps T%d dirty (witness slot %d); the full scan finds it clean", sh.idx, w.id, w.slot)
-			}
-			if !sh.sched.ActiveAt(w.slot, w.beginSeq) {
-				fail("shard %d: T%d's witness at slot %d is not active after the pass", sh.idx, w.id, w.slot)
-			}
-		}
-		carried.Add(int64(len(mine)))
 		reg := sh.eng.registry
 		reg.mu.Lock()
 		defer reg.mu.Unlock()
-		slices.Sort(mine)
-		want := refPendingClean(reg, sh)
-		// A closing engine drops a commit it could not finish, so only then
-		// may the shard owe a report the registry no longer waits for.
-		owed := mine
-		if sh.eng.closed.Load() {
-			owed = slices.DeleteFunc(slices.Clone(mine), func(id model.TxnID) bool { return !slices.Contains(want, id) })
+		for _, id := range refPendingClean(reg, sh) {
+			if refClean(sh, id) {
+				fail("shard %d never reported T%d clean; the full scan finds it clean", sh.idx, id)
+			}
+			carried.Add(1)
 		}
-		if !slices.Equal(owed, want) {
-			fail("shard %d watches %v, entry scan says it owes %v", sh.idx, mine, want)
-		}
-	})
+	}
 	defer func() { testHookCrossClean = nil }()
 
 	eng := New(Config{
@@ -130,14 +114,14 @@ func TestCrossCleanDifferential(t *testing.T) {
 	st := eng.Stats()
 	// Quiet now: every debt gets reported and every entry retired within a
 	// few rounds of housekeeping.
-	left := registryResidue(eng, debts)
+	left := registryResidue(eng)
 	eng.Close()
 
 	if failed.Load() {
 		t.FailNow()
 	}
 	if left != 0 {
-		t.Fatalf("%d registry entries and debts left after the engine went quiet", left)
+		t.Fatalf("%d registry entries left after the engine went quiet", left)
 	}
 	if st.CrossTxns == 0 || st.CrossAborts == 0 || st.Reaped == 0 || st.Merged.Rejected == 0 {
 		t.Fatalf("workload too tame: %d cross, %d cross aborts, %d reaped, %d rejected", st.CrossTxns, st.CrossAborts, st.Reaped, st.Merged.Rejected)
@@ -189,11 +173,12 @@ func driveBatches(eng *Engine, gen *workload.Gen, size int, abortSome bool) {
 // TestCrossCleanProportional counts the work. One live straggler on shard 0
 // is an ancestor of K committed cross sub-transactions there, so shard 0
 // owes the registry K cleanliness reports it cannot yet make. While the
-// straggler lives each debt is searched exactly once, when it arrives; a
+// straggler lives each debt is searched exactly once, when it commits; a
 // batch that terminates nothing then runs no ancestor search and never takes
 // the registry mutex (the test holds it throughout); and ending the
 // straggler — by completion, which retires the witness, or by abort, which
-// severs paths — re-examines each debt exactly once and clears them all.
+// severs paths — searches each debt again exactly once and clears them all.
+// The count is the scheduler's Stats.Searched.
 func TestCrossCleanProportional(t *testing.T) {
 	for _, ending := range []string{"complete", "abort"} {
 		t.Run(ending, func(t *testing.T) { crossCleanProportional(t, ending == "abort") })
@@ -202,17 +187,16 @@ func TestCrossCleanProportional(t *testing.T) {
 
 func crossCleanProportional(t *testing.T, abort bool) {
 	const K = 64
-	// pass is shard 0's state at the end of one reportCrossClean.
+	// pass is shard 0's state at the end of one run.
 	type pass struct {
-		progress int64 // steps accepted plus transactions aborted so far
+		progress int64 // steps accepted plus transactions completed or aborted so far
 		searches int64
-		watching int
 	}
 	seen := make(chan pass, 4096) // more than the passes the test can cause
 	testHookCrossClean = func(sh *shard, _ []model.TxnID) {
 		if sh.idx == 0 {
 			st := sh.sched.Stats()
-			seen <- pass{st.Accepted + st.Aborts, sh.witnessSearches, len(sh.watch)}
+			seen <- pass{st.Accepted + st.Completed + st.Aborts, st.Searched}
 		}
 	}
 	defer func() { testHookCrossClean = nil }()
@@ -224,7 +208,7 @@ func crossCleanProportional(t *testing.T, abort bool) {
 	settled := func() pass {
 		t.Helper()
 		st := eng.Stats().PerShard[0]
-		want := st.Accepted + st.Aborts
+		want := st.Accepted + st.Completed + st.Aborts
 		deadline := time.After(10 * time.Second)
 		for {
 			select {
@@ -254,15 +238,22 @@ func crossCleanProportional(t *testing.T, abort bool) {
 		must(submit(eng, model.BeginDeclared(id, 0, 1)))
 		must(submit(eng, model.WriteFinal(id, 0, 1)))
 	}
-	// The last commit's pass may still be running: wait for the one that has
-	// filed all K debts.
-	p := settled()
-	for deadline := time.After(10 * time.Second); p.watching < K; {
-		select {
-		case p = <-seen:
-		case <-deadline:
-			t.Fatalf("shard 0 watches %d debts, want %d", p.watching, K)
+	// owed counts the registry entries still waiting for shard 0's report.
+	// Caller holds the registry mutex.
+	owed := func() (n int) {
+		for _, e := range eng.registry.txns {
+			if !e.clean[0] { // every entry's parts are [0 1]
+				n++
+			}
 		}
+		return n
+	}
+	p := settled()
+	eng.registry.mu.Lock()
+	debts := owed()
+	eng.registry.mu.Unlock()
+	if debts != K {
+		t.Fatalf("shard 0 owes %d reports, want %d", debts, K)
 	}
 	if p.searches != K {
 		t.Fatalf("%d ancestor searches while %d debts arrived, want one each", p.searches, K)
@@ -298,9 +289,10 @@ func crossCleanProportional(t *testing.T, abort bool) {
 		must(r)
 	}
 	idle := settled()
+	debts = owed()
 	eng.registry.mu.Unlock()
-	if idle.searches != K || idle.watching != K {
-		t.Fatalf("idle batch: %d searches, %d debts watched; want %d and %d untouched", idle.searches, idle.watching, K, K)
+	if idle.searches != K || debts != K {
+		t.Fatalf("idle batch: %d searches, %d debts owed; want %d and %d untouched", idle.searches, debts, K, K)
 	}
 
 	// End the straggler.
@@ -312,12 +304,12 @@ func crossCleanProportional(t *testing.T, abort bool) {
 		must(submit(eng, model.WriteFinal(1, 4)))
 	}
 	end := settled()
-	if end.searches != 2*K || end.watching != 0 {
-		t.Fatalf("after the straggler ended: %d searches, %d debts left; want %d and 0", end.searches, end.watching, 2*K)
-	}
 	eng.registry.mu.Lock()
-	live := len(eng.registry.txns)
+	debts, live := owed(), len(eng.registry.txns)
 	eng.registry.mu.Unlock()
+	if end.searches != 2*K || debts != 0 {
+		t.Fatalf("after the straggler ended: %d searches, %d debts left; want %d and 0", end.searches, debts, 2*K)
+	}
 	if live != 0 {
 		t.Fatalf("registry still tracks %d transactions after every debt was reported", live)
 	}
@@ -371,8 +363,6 @@ func TestSubmitBatchStepBehindOwnAbort(t *testing.T) {
 // shards are empty once every shard has been visited. (Reusing an ID whose stale labels
 // still sit in a shard graph is TestCrossIDReuseStaleLabels' subject.)
 func TestRegistryForgetsRetiredIDs(t *testing.T) {
-	debts := meterDebts(2, nil)
-	defer func() { testHookCrossClean = nil }()
 	eng := New(Config{Shards: 2, Policy: func() core.Policy { return core.GreedyC1{} }})
 	defer eng.Close()
 	const n = 500
@@ -393,8 +383,8 @@ func TestRegistryForgetsRetiredIDs(t *testing.T) {
 	if peak > 16 {
 		t.Fatalf("registry held up to %d entries while %d cross transactions ran one at a time", peak, n)
 	}
-	if left := registryResidue(eng, debts); left != 0 {
-		t.Fatalf("%d registry entries and debts left after the engine went quiet", left)
+	if left := registryResidue(eng); left != 0 {
+		t.Fatalf("%d registry entries left after the engine went quiet", left)
 	}
 	// The last retirement may have come after its shards' visits in the
 	// last pass; one more visit of every shard takes it.
@@ -423,16 +413,15 @@ func retiredOn(eng *Engine, id model.TxnID) int {
 }
 
 // registryResidue waits for a quiet engine's registry to empty and returns
-// what is left of it when it gives up: live entries and the clean reports
-// the shards still owe. Every run ends in housekeeping, so each Stats
-// visit moves the tail one step along — the last reports, then the
-// retirement they allow.
-func registryResidue(eng *Engine, debts debtMeter) (left int) {
+// how many entries are left when it gives up. Every run ends in
+// housekeeping, so each Stats visit moves the tail one step along — the
+// last reports, then the retirement they allow.
+func registryResidue(eng *Engine) (left int) {
 	for deadline := time.Now().Add(10 * time.Second); ; {
 		eng.Stats()
 		reg := eng.registry
 		reg.mu.Lock()
-		left = len(reg.txns) + debts.total()
+		left = len(reg.txns)
 		reg.mu.Unlock()
 		if left == 0 || time.Now().After(deadline) {
 			return left
@@ -440,31 +429,44 @@ func registryResidue(eng *Engine, debts debtMeter) (left int) {
 	}
 }
 
-// debtMeter holds, per shard, how many clean reports the shard owed the
-// registry at the end of its last housekeeping pass. The count is taken by
-// the shard's lock holder, the only goroutine that may read shard.watch.
-type debtMeter []atomic.Int64
-
-// meterDebts installs a debtMeter for an engine with the given number of
-// shards as testHookCrossClean, chaining to next when it is not nil. Call
-// it before the engine starts, and reset the hook after the engine closes.
-func meterDebts(shards int, next func(sh *shard, reported []model.TxnID)) debtMeter {
-	m := make(debtMeter, shards)
-	testHookCrossClean = func(sh *shard, reported []model.TxnID) {
-		m[sh.idx].Store(int64(len(sh.watch)))
-		if next != nil {
-			next(sh, reported)
+// TestRetirementSweepsInTheVisitThatLandsIt: cross C commits on shards
+// {0,1} behind straggler S on shard 1, and local L on shard 0 completes
+// carrying C's label, so shard 0 retains C and L. S's end on shard 1 lets
+// the registry retire C. Shard 0 terminates nothing after that; its next
+// visit, a BEGIN, takes the retirement and deletes both.
+func TestRetirementSweepsInTheVisitThatLandsIt(t *testing.T) {
+	eng := New(Config{Shards: 2, Policy: func() core.Policy { return core.GreedyC1{} }})
+	defer eng.Close()
+	for _, st := range []model.Step{
+		model.BeginDeclared(9, 1), model.Read(9, 1), // S, shard 1
+		model.BeginDeclared(1, 0, 1), model.WriteFinal(1, 0, 1), // C
+		model.BeginDeclared(7, 0), model.Read(7, 0), model.WriteFinal(7, 2), // L, shard 0
+	} {
+		if res := submit(eng, st); !res.Accepted() {
+			t.Fatalf("%v: %v (%v)", st, res.Outcome(), res.Err)
 		}
 	}
-	return m
-}
-
-// total sums the shards' debts.
-func (m debtMeter) total() (n int) {
-	for i := range m {
-		n += int(m[i].Load())
+	before := eng.Stats().PerShard[0]
+	if res := submit(eng, model.WriteFinal(9, 3)); !res.Accepted() {
+		t.Fatalf("S's final write: %v (%v)", res.Outcome(), res.Err)
 	}
-	return n
+	if retiredOn(eng, 1) < 0 {
+		t.Fatal("S ended, yet the registry did not retire C")
+	}
+	if n := eng.Gauges().Retained[0]; n != 2 {
+		t.Fatalf("shard 0 retains %d before its next visit, want C and L", n)
+	}
+	if res := submit(eng, model.BeginDeclared(20, 4)); !res.Accepted() {
+		t.Fatalf("BEGIN on shard 0: %v (%v)", res.Outcome(), res.Err)
+	}
+	if n := eng.Gauges().Retained[0]; n != 0 {
+		t.Fatalf("shard 0 retains %d after the visit that took C's retirement, want 0", n)
+	}
+	after := eng.Stats().PerShard[0]
+	if after.Completed != before.Completed || after.Aborts != before.Aborts || after.Deleted != before.Deleted+2 {
+		t.Fatalf("shard 0: %d→%d completed, %d→%d aborts, %d→%d deleted; want no termination and 2 deletions",
+			before.Completed, after.Completed, before.Aborts, after.Aborts, before.Deleted, after.Deleted)
+	}
 }
 
 // TestUnpinnedShardRetainsNothing: a shard whose last sweep kept nothing

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -289,11 +290,16 @@ func TestRecoveredCommitsStayRetained(t *testing.T) {
 
 // TestRecoverRetiresCrossSubNodes: cross T1 commits on shards {0,1} behind
 // straggler S on shard 1, so the registry still tracks it, and local L on
-// shard 0 completes carrying T1's label; then the process dies. The
-// reopened registry tracks nothing, and recovery aborts S as an orphan, so
-// nothing pins T1 or L any more: the first sweep on each shard must delete
-// them, as it would delete any other completed transaction without an
-// active ancestor.
+// shard 0 completes carrying T1's label; cross T2 then commits behind S too,
+// after shard 1's last checkpoint, so replay commits it again and files it
+// on S. Then the process dies. The reopened registry tracks nothing, and
+// recovery aborts S as an orphan, so nothing pins T1, T2 or L any more: the
+// first sweep on each shard must delete them, as it would delete any other
+// completed transaction without an active ancestor. Recovery's abort of S
+// finds T2 clean under the replay tracker; the live tracker retires T2, and
+// that report must go with it, never reaching the registry, where a new
+// cross T2 that commits behind another straggler must wait for that
+// straggler like any other.
 func TestRecoverRetiresCrossSubNodes(t *testing.T) {
 	st := store.NewMem(2)
 	eng, _, err := Open(Config{Shards: 2, Policy: greedyPolicy, Store: st})
@@ -302,6 +308,10 @@ func TestRecoverRetiresCrossSubNodes(t *testing.T) {
 	}
 	mustAccept(t, submit(eng, model.BeginDeclared(9, 1))) // S, shard 1
 	mustAccept(t, submit(eng, model.Read(9, 1)))
+	for x := model.Entity(101); x < 117; x += 2 {
+		// Reads that only make shard 1's checkpoint outweigh T2's records.
+		mustAccept(t, submit(eng, model.Read(9, x)))
+	}
 	mustAccept(t, submit(eng, model.BeginDeclared(1, 0, 1)))
 	mustAccept(t, submit(eng, model.WriteFinal(1, 0, 1)))
 	mustAccept(t, submit(eng, model.BeginDeclared(7, 0, 2))) // L, shard 0
@@ -309,6 +319,12 @@ func TestRecoverRetiresCrossSubNodes(t *testing.T) {
 	mustAccept(t, submit(eng, model.WriteFinal(7, 2)))
 	if n := eng.Gauges().Retained; n[0] != 2 || n[1] != 1 {
 		t.Fatalf("retained %v before the crash, want T1 and L on shard 0, T1 on shard 1", n)
+	}
+	ckpt := st.Shard(1).Stats().CheckpointSeq
+	mustAccept(t, submit(eng, model.BeginDeclared(2, 0, 1)))
+	mustAccept(t, submit(eng, model.WriteFinal(2, 0, 1)))
+	if st.Shard(1).Stats().CheckpointSeq != ckpt {
+		t.Fatal("shard 1 checkpointed T2's commit; replay would not commit it again")
 	}
 	// The crash: eng is dropped without Close; the store keeps what its
 	// shards appended.
@@ -321,10 +337,34 @@ func TestRecoverRetiresCrossSubNodes(t *testing.T) {
 	if rep.OrphansAborted != 1 {
 		t.Fatalf("OrphansAborted = %d, want 1 (S)", rep.OrphansAborted)
 	}
+	// No shard has run yet: what recovery left to hand over is still there.
+	for _, sh := range eng2.shards {
+		if ids := sh.sched.TakeClean(nil); len(ids) != 0 {
+			t.Fatalf("shard %d would report %v clean to a registry that never tracked them", sh.idx, ids)
+		}
+	}
 	// One completion per shard sweeps it.
 	for id, x := range map[model.TxnID]model.Entity{20: 4, 21: 5} {
 		mustAccept(t, submit(eng2, model.BeginDeclared(id, x)))
 		mustAccept(t, submit(eng2, model.WriteFinal(id, x)))
+	}
+	// T2 again, behind a new straggler on shard 1.
+	mustAccept(t, submit(eng2, model.BeginDeclared(30, 3)))
+	mustAccept(t, submit(eng2, model.Read(30, 3)))
+	mustAccept(t, submit(eng2, model.BeginDeclared(2, 0, 3)))
+	mustAccept(t, submit(eng2, model.WriteFinal(2, 0, 3)))
+	eng2.Stats()
+	reg := eng2.registry
+	reg.mu.Lock()
+	e := reg.txns[2]
+	dirty := e != nil && !e.clean[slices.Index(e.parts, 1)]
+	reg.mu.Unlock()
+	if !dirty {
+		t.Fatal("the new T2 is not waiting for shard 1, where the straggler still reaches it")
+	}
+	mustAccept(t, submit(eng2, model.WriteFinal(30, 7)))
+	if left := registryResidue(eng2); left != 0 {
+		t.Fatalf("registry still tracks %d transactions after the straggler ended", left)
 	}
 	eng2.Close()
 	for _, sh := range eng2.shards {

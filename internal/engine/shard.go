@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/store"
 )
@@ -37,20 +36,16 @@ const (
 	// reqOldest snapshots the shard's oldest active transactions for the
 	// retention governor's straggler selection.
 	reqOldest
-	// reqSweep forces a deletion-policy sweep now (the governor sweeps
-	// after each reap so the labels its retirements killed turn into
-	// reclaimed storage before the next watermark check).
-	reqSweep
 )
 
 // request is one shard visit: a window of steps and their answers, or one
-// of the snapshots and the sweep. Both doors' windows and every 2PC phase
-// are windows, all sent by Engine.visit. A request holds no step and no
-// answer by value, so it stays small to build: handing a field of it to the
-// apply functions would leak a step's Entities through their error paths,
-// and escape analysis does not tell one field of the request from another,
-// so that leak would take steps and out, and with them SubmitPriority's
-// one-step window, to the heap.
+// of the snapshots (a reqStats with no stats is a plain visit). Both doors'
+// windows and every 2PC phase are windows, all sent by Engine.visit. A
+// request holds no step and no answer by value, so it stays small to
+// build: handing a field of it to the apply functions would leak a step's
+// Entities through their error paths, and escape analysis does not tell
+// one field of the request from another, so that leak would take steps and
+// out, and with them SubmitPriority's one-step window, to the heap.
 type request struct {
 	kind reqKind
 	// decisionDurable marks a reqCommitSub whose COMMIT decision is already
@@ -115,19 +110,11 @@ type shard struct {
 	// lock-free reads (Engine.Gauges, the governor's trigger); every
 	// run refreshes it before it unlocks.
 	retainedN atomic.Int64
-	// watch is what this shard owes the cross registry: the committed cross
-	// sub-transactions awaiting its cleanliness report, each entry carrying
-	// the witness that keeps it dirty. watchTerm is the scheduler's
-	// Terminations at the last pass over the list. See reportCrossClean.
-	watch     []watched //txgc:owner shard
-	watchTerm int64     //txgc:owner shard
-	// cleanBuf is scratch for cross-registry clean reporting, and retiring
-	// for the retirements the registry hands over (crossRegistry.take).
-	cleanBuf []model.TxnID //txgc:owner shard
-	retiring []model.TxnID //txgc:owner shard
-	// witnessSearches counts the ancestor searches reportCrossClean has run
-	// (the proportionality test's meter).
-	witnessSearches int64 //txgc:owner shard
+	// handoff carries IDs between the scheduler and the cross registry: the
+	// retirements the registry hands over at the start of a visit
+	// (crossRegistry.take), the clean reports the scheduler hands over at
+	// its end (core.Scheduler.TakeClean).
+	handoff []model.TxnID //txgc:owner shard
 
 	// jr is this shard's durability seam (journal.go) — the only way the
 	// shard reaches the store.
@@ -174,8 +161,9 @@ func (sh *shard) lock() {
 // registry's retirements, runs handle, does the housekeeping once — flush,
 // checkpoint, the retained gauge, the cross registry's clean reports — and
 // unlocks. The scheduler sweeps by itself after every step that terminates
-// a transaction (a completion, a rejection, an abort); each sweep examines
-// only what that termination or a retirement released (core/witness.go).
+// a transaction (a completion, a rejection, an abort) and after a hand-over
+// of retirements that released anything; each sweep examines only what
+// that termination or those retirements released (core/witness.go).
 // tryRun is the same visit for a caller that would rather come back later
 // than wait.
 //
@@ -188,11 +176,11 @@ func (sh *shard) lock() {
 // driver and by submit settling its window under beginCross, and a cycle of
 // waits would need a lock holder that waits for a ct.mu or a second shard.
 //
-// No timer is needed for registry upkeep. What this shard owes the
-// registry changes only when it commits a cross sub-transaction, or when
-// the active ancestor keeping a committed sub-transaction dirty terminates
-// here (completes, is rejected, or is aborted). Both happen inside handle,
-// and every run ends in reportCrossClean.
+// No timer is needed for registry upkeep. A committed cross
+// sub-transaction becomes clean only at a step of this shard: its own
+// commit, or the termination here (completion, rejection or abort) of the
+// active ancestor that kept it dirty. The scheduler notes it at that step,
+// and every run ends by handing what it noted to the registry.
 //
 // Once the engine is closed, the first run syncs the journal and marks the
 // shard down, and it and every later run answer false without applying
@@ -232,12 +220,10 @@ func (sh *shard) locked(req *request) bool {
 		sh.handle(req)
 		return true
 	}
-	// The registry's retirements land before any step of the visit.
-	sh.retiring = sh.eng.registry.take(sh.idx, sh.retiring)
-	for _, id := range sh.retiring {
-		sh.sched.Retire(id)
-	}
 	sweeps := sh.sched.Stats().Sweeps
+	// The registry's retirements land before any step of the visit.
+	sh.handoff = sh.eng.registry.take(sh.idx, sh.handoff)
+	sh.sched.Retire(sh.handoff...)
 	sh.handle(req)
 	// Buffered frames reach the OS, so a process kill loses at most the
 	// unsynced fsync batch, never the unflushed one.
@@ -253,7 +239,13 @@ func (sh *shard) locked(req *request) bool {
 	// Registry upkeep: report committed cross sub-transactions whose
 	// ancestor set froze, so the registry can retire them and unblock
 	// deletion of their labeled successors.
-	sh.reportCrossClean()
+	sh.handoff = sh.sched.TakeClean(sh.handoff[:0])
+	if len(sh.handoff) > 0 {
+		sh.eng.registry.reportClean(sh.idx, sh.handoff...)
+	}
+	if hook := testHookCrossClean; hook != nil {
+		hook(sh, sh.handoff)
+	}
 	return true
 }
 
@@ -278,8 +270,6 @@ func (sh *shard) handle(req *request) {
 		}
 	case reqOldest:
 		*req.actives = sh.sched.OldestActives(governorCandidates)
-	case reqSweep:
-		sh.sched.SweepNow()
 	}
 }
 
@@ -473,10 +463,6 @@ func (sh *shard) applyCommitSub(id model.TxnID, decisionDurable bool) Result {
 		return errResult(protocolErr(err))
 	}
 	sh.preparedN.Add(-1)
-	// The registry now waits for this shard's clean report: file the debt.
-	// The commit is itself a termination, so this run's closing
-	// reportCrossClean examines the entry.
-	sh.watch = append(sh.watch, watched{id: id, slot: graph.NoRef})
 	return Result{Aborted: model.NoTxn, CompletedTxn: res.CompletedTxn}
 }
 
@@ -511,64 +497,7 @@ func errResult(err error) Result { return answer(model.NoTxn, err) }
 // shard.
 func closedResult(step model.Step) Result { return errResult(stepErr(step, ErrClosed)) }
 
-// watched is one committed cross sub-transaction awaiting this shard's
-// cleanliness report, with the witness that keeps it dirty: the arena slot
-// and BeginSeq of one active ancestor (slot NoRef: not examined yet).
-type watched struct {
-	id       model.TxnID
-	slot     graph.Ref
-	beginSeq int64
-}
-
 // testHookCrossClean, when non-nil, runs under the shard's lock at the end
-// of every reportCrossClean with the IDs that pass just reported; the
-// differential test recomputes the report set by full scan from it.
+// of every run with the IDs it just reported clean; the differential test
+// recomputes the report set by full scan from it.
 var testHookCrossClean func(sh *shard, reported []model.TxnID)
-
-// reportCrossClean tells the registry which committed cross transactions
-// have a frozen ancestor set on this shard (no active ancestor — Lemma 1's
-// premise, which is monotone once the sub-node is completed). When every
-// participant has reported, the registry retires the transaction and its
-// labels die, unblocking deletion downstream.
-//
-// The answer for every watched entry is the one a full ancestor search
-// would give, but the search runs only where that answer can have changed.
-// The witness is the first active node a backward search met, so every node
-// strictly between it and the watched node was completed at the time. A
-// completed node leaves the graph only by deletion, which splices its arcs
-// (reduction preserves reachability among the nodes that remain); rejections
-// and aborts remove active nodes only, so they cannot touch that path; and
-// the watched node itself cannot go, because the registry still tracks it,
-// which gates it from every policy. The witness therefore stays an ancestor
-// for as long as it stays active, and the entry stays dirty with it. So an
-// entry is re-examined only when it is new or its witness terminated, and a
-// batch that terminated nothing skips the list altogether (a new entry comes
-// with a termination: the commit that filed it).
-func (sh *shard) reportCrossClean() {
-	reported := sh.cleanBuf[:0]
-	if term := sh.sched.Terminations(); len(sh.watch) > 0 && term != sh.watchTerm {
-		sh.watchTerm = term
-		kept := sh.watch[:0]
-		for _, w := range sh.watch {
-			if w.slot != graph.NoRef && sh.sched.ActiveAt(w.slot, w.beginSeq) {
-				kept = append(kept, w)
-				continue
-			}
-			sh.witnessSearches++
-			if slot, seq, found := sh.sched.ActiveAncestor(w.id); found {
-				kept = append(kept, watched{id: w.id, slot: slot, beginSeq: seq})
-			} else {
-				// No active ancestor, or no sub-node here at all.
-				reported = append(reported, w.id)
-			}
-		}
-		sh.watch = kept
-		if len(reported) > 0 {
-			sh.eng.registry.reportClean(sh.idx, reported...)
-		}
-	}
-	sh.cleanBuf = reported
-	if hook := testHookCrossClean; hook != nil {
-		hook(sh, reported)
-	}
-}
