@@ -298,7 +298,7 @@ func (r *refBook) export() SchedulerState {
 	for id, t := range r.txns {
 		snap := TxnSnap{
 			ID: id, Status: t.status, BeginSeq: t.beginSeq, EndSeq: t.endSeq,
-			IsCross: t.cross, Prepared: t.prepared, Pinned: t.prepared,
+			IsCross: t.cross, Prepared: t.prepared,
 		}
 		for x, a := range t.access {
 			snap.Access = append(snap.Access, AccessSnap{Entity: x, Access: a, Seq: t.accessSeq[x]})
@@ -322,7 +322,7 @@ func (r *refBook) export() SchedulerState {
 // policy PolicyByName lists. Half the runs sweep after every completion or
 // abort; the other half sweep by SweepNow every few terminations with a
 // cross-arc tracker retiring decided transactions, the reference honouring
-// the scheduler's label and pin gate. After every step the exported state
+// the scheduler's label gate. After every step the exported state
 // (access sets, sequence numbers, current values, arcs), the verdicts of
 // Noncurrent, CurrentWriterPresent and CheckC1 for every retained
 // transaction, and the set each sweep deleted must all agree.

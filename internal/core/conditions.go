@@ -35,13 +35,31 @@ func terminated(v StateView, id model.TxnID) bool {
 // path to ti in g whose intermediate nodes are all completed — the paper's
 // "active tight predecessors". The result is sorted.
 func ActiveTightPredecessors(v StateView, g *graph.Graph, ti model.TxnID) []model.TxnID {
-	// The closure itself lives in graph scratch (it is consumed before any
-	// other closure runs); only the — usually empty — result escapes.
-	closure := g.BackwardClosureScratch(ti, func(n model.TxnID) bool { return terminated(v, n) })
+	src := g.Ref(ti)
+	if src == graph.NoRef {
+		return nil
+	}
+	// The closure is visit stamps, never a set (max-safe sweeps call this
+	// per candidate): the walk back through terminated nodes lists the
+	// active nodes it stops at.
+	var buf [256]graph.Ref
+	stack := append(buf[:0], src)
+	g.BeginVisit()
+	g.VisitRef(src)
 	var out []model.TxnID
-	for id := range closure {
-		if v.Status(id) == model.StatusActive {
-			out = append(out, id)
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, p := range g.InRefs(n) {
+			if !g.VisitRef(p) {
+				continue
+			}
+			id := g.IDOf(p)
+			if st := v.Status(id); st == model.StatusActive {
+				out = append(out, id)
+			} else if st.Terminated() {
+				stack = append(stack, p)
+			}
 		}
 	}
 	sortTxns(out)

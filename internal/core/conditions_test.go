@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -117,6 +119,62 @@ func TestActiveTightPredecessorsTightness(t *testing.T) {
 	got := ActiveTightPredecessors(v, g, 13)
 	if len(got) != 1 || got[0] != 11 {
 		t.Fatalf("ActiveTightPredecessors = %v, want [11]", got)
+	}
+}
+
+// TestActiveTightPredecessorsMatchesClosure checks the stamp walk against
+// the definition read off BackwardClosure: on random DAGs with random
+// statuses, and behind a completed chain longer than the walk's stack
+// buffer.
+func TestActiveTightPredecessorsMatchesClosure(t *testing.T) {
+	want := func(v *fakeView, g *graph.Graph, ti model.TxnID) []model.TxnID {
+		var out []model.TxnID
+		for id := range g.BackwardClosure(ti, func(n model.TxnID) bool { return terminated(v, n) }) {
+			if v.Status(id) == model.StatusActive {
+				out = append(out, id)
+			}
+		}
+		slices.Sort(out)
+		return out
+	}
+	statuses := []model.Status{model.StatusActive, model.StatusCompleted, model.StatusCompleted, model.StatusAborted}
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 200; round++ {
+		g := graph.New()
+		v := &fakeView{status: map[model.TxnID]model.Status{}}
+		n := 2 + rng.Intn(30)
+		for id := model.TxnID(1); id <= model.TxnID(n); id++ {
+			g.AddNode(id)
+			v.status[id] = statuses[rng.Intn(len(statuses))]
+			for from := model.TxnID(1); from < id; from++ {
+				if rng.Intn(5) == 0 {
+					g.AddArc(from, id)
+				}
+			}
+		}
+		for id := model.TxnID(1); id <= model.TxnID(n); id++ {
+			if got, w := ActiveTightPredecessors(v, g, id), want(v, g, id); !slices.Equal(got, w) {
+				t.Fatalf("round %d: ActiveTightPredecessors(T%d) = %v, closure says %v\n%v", round, id, got, w, g)
+			}
+		}
+	}
+	// A fan of 600 completed nodes into T1000, each read by the active
+	// T1: every one is on the stack at once.
+	g := graph.New()
+	v := &fakeView{status: map[model.TxnID]model.Status{1: model.StatusActive, 1000: model.StatusCompleted}}
+	g.AddNode(1)
+	g.AddNode(1000)
+	for id := model.TxnID(2); id < 602; id++ {
+		v.status[id] = model.StatusCompleted
+		g.AddNode(id)
+		g.AddArc(1, id)
+		g.AddArc(id, 1000)
+	}
+	if got := ActiveTightPredecessors(v, g, 1000); !slices.Equal(got, []model.TxnID{1}) {
+		t.Fatalf("ActiveTightPredecessors(T1000) = %v, want [1]", got)
+	}
+	if got := ActiveTightPredecessors(v, g, 5000); got != nil {
+		t.Fatalf("ActiveTightPredecessors of a missing node = %v, want nil", got)
 	}
 }
 

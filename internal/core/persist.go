@@ -4,14 +4,15 @@
 // predecessor×successor arcs through removed nodes, so the retained graph
 // is not reconstructible by replaying the retained transactions' steps —
 // the splice arcs name conflicts whose witnesses are gone. ExportState
-// therefore captures the graph as it stands (nodes, arcs, pins), the
+// therefore captures the graph as it stands (nodes and arcs), the
 // per-transaction access bookkeeping Corollary 1 needs (access kinds and
 // sequence numbers) and the per-entity current-value map (which may name
 // deleted transactions — exactly the non-compositionality the paper
-// studies), all in deterministic order. Cross-ancestor labels are left
-// out: a restored scheduler tracks no cross transaction until its owner
-// installs a tracker, and the engine's recovery registers none, so every
-// label a snapshot could carry would be dead on arrival.
+// studies), all in deterministic order. A prepared sub-transaction is
+// one flag on its record. Cross-ancestor labels are left out: the engine's
+// recovery registers no recovered cross transaction with its registry and
+// retires every one before the shards go live, so every label a snapshot
+// could carry would be dead by then.
 //
 // RestoreScheduler inverts it. The entity records' reader and writer lists
 // are rebuilt from the access sets: a transaction whose retained access
@@ -48,7 +49,6 @@ type TxnSnap struct {
 	EndSeq   int64
 	IsCross  bool
 	Prepared bool
-	Pinned   bool
 	Access   []AccessSnap
 }
 
@@ -87,7 +87,6 @@ func (s *Scheduler) ExportState() SchedulerState {
 			EndSeq:   t.EndSeq,
 			IsCross:  t.isCross,
 			Prepared: t.prepared,
-			Pinned:   s.g.PinnedRef(t.ref),
 			Access:   make([]AccessSnap, 0, len(t.acc)),
 		}
 		for _, ac := range t.acc {
@@ -167,11 +166,11 @@ func RestoreScheduler(cfg Config, st SchedulerState) (*Scheduler, error) {
 		case model.StatusCompleted:
 			s.markCompleted(t)
 		}
-		if snap.Prepared && snap.Status != model.StatusActive {
-			return nil, fmt.Errorf("core: restore: prepared transaction T%d is not active", snap.ID)
-		}
-		if snap.Pinned {
-			s.g.PinRef(ref)
+		if snap.Prepared {
+			if snap.Status != model.StatusActive {
+				return nil, fmt.Errorf("core: restore: prepared transaction T%d is not active", snap.ID)
+			}
+			s.numPrepared++
 		}
 		if snap.IsCross {
 			s.numCross++
@@ -194,18 +193,6 @@ func RestoreScheduler(cfg Config, st SchedulerState) (*Scheduler, error) {
 		e.lastSeq, e.lastWriter = w.Seq, w.Writer
 	}
 	return s, nil
-}
-
-// SetTracker swaps the cross-arc tracker. Recovery replays the WAL tail
-// under a permissive tracker (the real registry does not yet know the
-// recovered cross transactions) and installs the live registry here
-// before the shard goes live. The new tracker tracks none of the sub-nodes
-// present, so every one of them is retired (Retire).
-func (s *Scheduler) SetTracker(t CrossTracker) {
-	s.cfg.Cross = t
-	for _, x := range s.txns {
-		s.retire(x)
-	}
 }
 
 // SetSweepManual switches the automatic post-step sweeps off (true) or on

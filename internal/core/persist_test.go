@@ -45,9 +45,9 @@ func TestExportRestoreSpliceArcs(t *testing.T) {
 	}
 }
 
-// TestExportRestorePrepared checks a prepared (pinned) cross
-// sub-transaction survives a round trip: still prepared, still pinned,
-// still committable and abortable, and restored without labels (snapshots
+// TestExportRestorePrepared checks a prepared cross sub-transaction
+// survives a round trip: still prepared, still counted prepared, still
+// committable and abortable, and restored without labels (snapshots
 // carry none: see persist.go).
 func TestExportRestorePrepared(t *testing.T) {
 	cfg := Config{Cross: permissiveTracker{}}
@@ -80,9 +80,8 @@ func TestExportRestorePrepared(t *testing.T) {
 		if !restored.Prepared(7) {
 			t.Fatalf("%s: restored T7 not prepared", branch)
 		}
-		rt := restored.Txn(7)
-		if rt == nil || !restored.Graph().PinnedRef(rt.ref) {
-			t.Fatalf("%s: restored T7 not pinned", branch)
+		if restored.NumPrepared() != 1 {
+			t.Fatalf("%s: restored T7 not counted prepared", branch)
 		}
 		if got := fmt.Sprintf("%+v", restored.ExportState()); got != fmt.Sprintf("%+v", exp) {
 			t.Fatalf("%s: re-export mismatch", branch)
@@ -101,8 +100,8 @@ func TestExportRestorePrepared(t *testing.T) {
 				t.Fatalf("AbortTxn after restore: %v", err)
 			}
 		}
-		if restored.Graph().NumPinned() != 0 {
-			t.Fatalf("%s: pin not released", branch)
+		if restored.NumPrepared() != 0 {
+			t.Fatalf("%s: prepared count not released", branch)
 		}
 	}
 }

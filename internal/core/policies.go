@@ -78,11 +78,10 @@ func (sw *Sweep) JustCompleted() model.TxnID { return sw.justCompleted }
 
 // Completed returns the retained completed transactions that a policy may
 // consider for deletion, ascending. Under a cross-shard engine this
-// excludes pinned (prepared-but-undecided) sub-transactions, sub-
-// transactions whose logical transaction the cross-arc registry still
-// tracks, and nodes carrying live cross-ancestor labels — deleting any of
-// those could hide an inter-shard arc (see subtxn.go). Purely local
-// schedulers get the plain completed set.
+// excludes sub-transactions whose logical transaction the cross-arc
+// registry still tracks and nodes carrying live cross-ancestor labels —
+// deleting either could hide an inter-shard arc (see subtxn.go). Purely
+// local schedulers get the plain completed set.
 // The returned slice is backed by scheduler scratch: it is valid until the
 // next Completed call (each deletion round of a policy loop rebuilds it),
 // and policies may reorder it in place.
@@ -106,10 +105,10 @@ func (sw *Sweep) take(ids []model.TxnID, file bool) []model.TxnID {
 	ids = s.compScratch
 	s.stats.Examined += int64(len(ids))
 	// Fast path: a shard that has never seen a cross transaction (no
-	// sub-nodes, no labels, no pins) filters nothing, even when a tracker
-	// is configured — the cross-free GC path stays identical to a plain
-	// local scheduler's.
-	if !s.crossEnabled() && s.g.NumPinned() == 0 {
+	// sub-nodes, no labels) filters nothing, even when a tracker is
+	// configured — the cross-free GC path stays identical to a plain local
+	// scheduler's.
+	if !s.crossEnabled() {
 		return ids
 	}
 	kept := ids[:0]
@@ -117,7 +116,7 @@ func (sw *Sweep) take(ids []model.TxnID, file bool) []model.TxnID {
 		t := s.txns[id]
 		if w, ok := s.gate(t); ok {
 			kept = append(kept, id)
-		} else if file && w != nil {
+		} else if file {
 			s.hold(t, w, refusedByGate)
 		}
 	}
@@ -137,7 +136,7 @@ func (sw *Sweep) CheckC2(set graph.NodeSet) bool {
 
 // Delete removes id unconditionally with respect to C1/C2 (the policy is
 // responsible for that safety), but never a node the engine has gated
-// (pinned, registry-tracked, or live-labeled — see Completed). It returns
+// (registry-tracked or live-labeled — see Completed). It returns
 // false if id is not a deletable retained completed transaction.
 func (sw *Sweep) Delete(id model.TxnID) bool {
 	if !sw.s.policyDeletable(id) {

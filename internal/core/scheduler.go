@@ -180,8 +180,10 @@ type Scheduler struct {
 	blocked   int
 	clean     []model.TxnID
 	// numActive is maintained incrementally so the per-step bookkeeping in
-	// afterStep never scans txns.
-	numActive int
+	// afterStep never scans txns; numPrepared counts the active ones that
+	// are prepared.
+	numActive   int
+	numPrepared int
 	// statePool recycles TxnState records (with their access lists) across
 	// delete/abort → begin.
 	statePool []*TxnState
@@ -308,8 +310,8 @@ type ActiveInfo struct {
 }
 
 // OldestActives returns up to k active transactions ordered oldest-first by
-// BeginSeq. Prepared sub-transactions are excluded: a YES vote pins the
-// node until the coordinator decides, so aborting one out from under 2PC is
+// BeginSeq. Prepared sub-transactions are excluded: a YES vote binds the
+// node to the coordinator's decision, so aborting one out from under 2PC is
 // never the governor's call. The scan is O(numActive) with an insertion
 // pass bounded by k; the governor calls this off the per-step path, only
 // when the retention watermark is crossed.
@@ -567,19 +569,28 @@ func (s *Scheduler) reject(t *TxnState, cross bool) Result {
 	} else {
 		s.emit(emit.KindVeto, emit.ClassCycle, t.ID, t.BeginSeq, 0)
 	}
+	s.abort(t)
+	s.stats.Rejected++
+	res := Result{Accepted: false, Aborted: t.ID, CompletedTxn: model.NoTxn, CrossVeto: cross}
+	s.afterStep(&res, true)
+	return res
+}
+
+// abort removes the active t: its node, its arcs, and all its access
+// information.
+func (s *Scheduler) abort(t *TxnState) {
 	s.forget(t)
 	s.clearCross(t)
 	s.g.RemoveRef(t.ref)
 	s.leave(t)
+	if t.prepared {
+		s.numPrepared--
+	}
 	t.Status = model.StatusAborted
 	delete(s.txns, t.ID)
 	s.numActive--
 	s.releaseState(t)
-	s.stats.Rejected++
 	s.stats.Aborts++
-	res := Result{Accepted: false, Aborted: t.ID, CompletedTxn: model.NoTxn, CrossVeto: cross}
-	s.afterStep(&res, true)
-	return res
 }
 
 // deleteTxn removes a completed transaction with the paper's reduction:
@@ -833,8 +844,8 @@ func (s *Scheduler) SweepNow() []model.TxnID {
 // Removing an active node never un-breaks a cycle check already passed and
 // erases only arcs into/out of a transaction that will never commit, so it
 // is always safe. Engines use it for the ABORT decision of a cross-shard
-// two-phase commit (a prepared sub-transaction's pin is released with its
-// node) and to clean up after disconnected clients.
+// two-phase commit (prepared or not) and to clean up after disconnected
+// clients.
 func (s *Scheduler) AbortTxn(id model.TxnID) error {
 	t, ok := s.txns[id]
 	if !ok {
@@ -844,15 +855,7 @@ func (s *Scheduler) AbortTxn(id model.TxnID) error {
 		return fmt.Errorf("core: abort of %v transaction T%d", t.Status, id)
 	}
 	s.emit(emit.KindAbort, emit.ClassTxnAborted, id, t.BeginSeq, 0)
-	s.forget(t)
-	s.clearCross(t)
-	s.g.RemoveRef(t.ref)
-	s.leave(t)
-	t.Status = model.StatusAborted
-	delete(s.txns, id)
-	s.numActive--
-	s.releaseState(t)
-	s.stats.Aborts++
+	s.abort(t)
 	res := Result{Accepted: false, Aborted: id, CompletedTxn: model.NoTxn}
 	s.afterStep(&res, true)
 	return nil

@@ -41,10 +41,12 @@
 // inter-shard arc from the registry. Sweep.Delete therefore refuses, via
 // policyDeletable:
 //
-//   - pinned nodes (prepared-but-undecided sub-transactions);
 //   - sub-transactions of a logical transaction the tracker still tracks
 //     (undecided, or decided but possibly still on a future global cycle);
 //   - any node carrying a live label.
+//
+// A prepared-but-undecided sub-transaction needs no gate of its own: it is
+// still active, and no policy deletes an active node.
 //
 // The tracker retires a cross transaction once it is decided and has no
 // active ancestor on any participating shard (Lemma 1 lifted to the
@@ -84,7 +86,7 @@ type PrepareVote uint8
 
 const (
 	// VoteYes: the sub-transaction's final-write arcs are locally acyclic
-	// and the registry accepted the inter-shard arcs; the node is pinned
+	// and the registry accepted the inter-shard arcs; the node is prepared,
 	// awaiting the decision.
 	VoteYes PrepareVote = iota
 	// VoteLocalCycle: the final write would close a cycle in this shard's
@@ -130,15 +132,20 @@ func (s *Scheduler) Prepared(id model.TxnID) bool {
 	return ok && t.prepared
 }
 
+// NumPrepared returns the number of prepared-but-undecided
+// sub-transactions.
+func (s *Scheduler) NumPrepared() int { return s.numPrepared }
+
 // PrepareFinal is phase one of the final write of a cross sub-transaction:
 // it runs Rule 3's cycle test for this shard's slice of the write set and,
-// on VoteYes, applies the arcs, records the accesses, and pins the node in
+// on VoteYes, applies the arcs, records the accesses, and holds the node in
 // the prepared state (still active; no further steps are accepted for it).
 // The transaction completes only via CommitPrepared, or releases everything
 // via AbortTxn. On VoteLocalCycle nothing is mutated; on VoteCrossCycle the
 // caller must follow up with AbortTxn (on every participant) — the vetoed
 // inter-shard arc was not recorded, but prepare arcs may already be in the
-// graph.
+// graph. A VoteCrossCycle from crossFlood leaves the node prepared until
+// that abort.
 func (s *Scheduler) PrepareFinal(step model.Step) (PrepareVote, error) {
 	t, err := s.activeTxn(step.Txn)
 	if err != nil {
@@ -167,8 +174,8 @@ func (s *Scheduler) PrepareFinal(step model.Step) (PrepareVote, error) {
 		s.noteAccess(t, x, model.WriteAccess, s.recScratch[i])
 	}
 	t.prepared = true
+	s.numPrepared++
 	t.EndSeq = s.seq
-	g.PinRef(t.ref)
 	s.stats.Writes++
 	s.stats.Accepted++
 	vote := VoteYes
@@ -189,15 +196,15 @@ func (s *Scheduler) PrepareFinal(step model.Step) (PrepareVote, error) {
 }
 
 // CommitPrepared is phase two: it completes a prepared sub-transaction
-// (the decision was COMMIT) and releases its pin. A sub-node the tracker
-// still tracks is then filed for its clean report (witness.go).
+// (the decision was COMMIT). A sub-node the tracker still tracks is then
+// filed for its clean report (witness.go).
 func (s *Scheduler) CommitPrepared(id model.TxnID) (Result, error) {
 	t, ok := s.txns[id]
 	if !ok || !t.prepared {
 		return Result{}, fmt.Errorf("core: CommitPrepared for unprepared transaction T%d", id)
 	}
-	s.g.UnpinRef(t.ref)
 	t.prepared = false
+	s.numPrepared--
 	s.markCompleted(t)
 	s.releaseCompleted(t)
 	if t.tracked && s.cfg.Cross != nil {
@@ -438,15 +445,11 @@ func (s *Scheduler) policyDeletable(id model.TxnID) bool {
 }
 
 // gate reports whether a deletion policy may remove the completed t: it
-// must not be pinned, not a sub-transaction the tracker still tracks, and
-// must carry no live cross labels (reducing a live-labeled node would hide
-// inter-shard arcs from the registry). When a label refuses t, w is that
-// label's source; when t's own tracking does, w is t. A pin names no
-// witness: it ends with the sub-transaction's decision.
+// must not be a sub-transaction the tracker still tracks, and must carry no
+// live cross labels (reducing a live-labeled node would hide inter-shard
+// arcs from the registry). When a label refuses t, w is that label's
+// source; when t's own tracking does, w is t.
 func (s *Scheduler) gate(t *TxnState) (w *TxnState, ok bool) {
-	if s.g.PinnedRef(t.ref) {
-		return nil, false
-	}
 	if s.cfg.Cross == nil {
 		return nil, true
 	}

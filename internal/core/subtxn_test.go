@@ -4,7 +4,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/graph"
 	"repro/internal/model"
 )
 
@@ -27,7 +26,7 @@ func (f *fakeTracker) OnCrossReach(src, dst model.TxnID) bool {
 }
 
 // TestSubTxnLifecycle drives one sub-transaction through begin, reads,
-// prepare (pin), and commit, checking status and pin transitions.
+// prepare, and commit, checking status and prepared-count transitions.
 func TestSubTxnLifecycle(t *testing.T) {
 	tr := &fakeTracker{veto: map[reachArc]bool{}}
 	s := NewScheduler(Config{Cross: tr})
@@ -45,8 +44,8 @@ func TestSubTxnLifecycle(t *testing.T) {
 		t.Fatal("Prepared(1) = false after VoteYes")
 	}
 	ts := s.Txn(1)
-	if ts.Status != model.StatusActive || !s.Graph().PinnedRef(ts.ref) {
-		t.Fatalf("prepared sub-txn: status=%v pinned=%v, want active+pinned", ts.Status, s.Graph().PinnedRef(ts.ref))
+	if ts.Status != model.StatusActive || s.NumPrepared() != 1 {
+		t.Fatalf("prepared sub-txn: status=%v prepared=%d, want active+prepared", ts.Status, s.NumPrepared())
 	}
 	// No further steps while prepared.
 	if _, err := s.Apply(model.Read(1, 12)); err == nil {
@@ -56,8 +55,8 @@ func TestSubTxnLifecycle(t *testing.T) {
 	if err != nil || res.CompletedTxn != 1 {
 		t.Fatalf("commit: %+v err=%v", res, err)
 	}
-	if s.Graph().NumPinned() != 0 {
-		t.Fatal("pin survived commit")
+	if s.NumPrepared() != 0 {
+		t.Fatal("prepared count survived commit")
 	}
 	if st := s.Status(1); st != model.StatusCompleted {
 		t.Fatalf("status after commit = %v", st)
@@ -68,7 +67,7 @@ func TestSubTxnLifecycle(t *testing.T) {
 }
 
 // TestSubTxnAbortReleasesPin aborts a prepared sub-transaction and checks
-// node, pin, and indexes are gone (the ID becomes reusable).
+// node, prepared count, and indexes are gone (the ID becomes reusable).
 func TestSubTxnAbortReleasesPin(t *testing.T) {
 	tr := &fakeTracker{veto: map[reachArc]bool{}}
 	s := NewScheduler(Config{Cross: tr})
@@ -80,8 +79,8 @@ func TestSubTxnAbortReleasesPin(t *testing.T) {
 	if err := s.AbortTxn(1); err != nil {
 		t.Fatal(err)
 	}
-	if s.Graph().NumPinned() != 0 || s.Graph().NumNodes() != 0 {
-		t.Fatalf("abort left pins=%d nodes=%d", s.Graph().NumPinned(), s.Graph().NumNodes())
+	if s.NumPrepared() != 0 || s.Graph().NumNodes() != 0 {
+		t.Fatalf("abort left prepared=%d nodes=%d", s.NumPrepared(), s.Graph().NumNodes())
 	}
 	// ID reusable.
 	if _, err := s.BeginCross(model.Begin(1)); err != nil {
@@ -295,6 +294,52 @@ func TestPrepareVetoAtCollect(t *testing.T) {
 	}
 }
 
+// TestFloodVetoKeepsPrepared: a prepare whose arcs landed and whose vote
+// crossFlood then vetoes (VoteCrossCycle after the link) leaves its
+// sub-node prepared, and counted so, through other traffic until the
+// coordinator's AbortTxn; the abort takes it out of the count.
+func TestFloodVetoKeepsPrepared(t *testing.T) {
+	tr := &fakeTracker{veto: map[reachArc]bool{}}
+	s := NewScheduler(Config{Cross: tr})
+	// Cross A reads e10; cross T reads e20, which cross C then writes and
+	// commits (T→C).
+	s.MustBeginCross(t, 100)
+	s.MustApply(model.Read(100, 10))
+	s.MustBeginCross(t, 1)
+	s.MustApply(model.Read(1, 20))
+	s.MustBeginCross(t, 200)
+	if vote, err := s.PrepareFinal(model.WriteFinal(200, 20)); err != nil || vote != VoteYes {
+		t.Fatalf("prepare C: %v %v", vote, err)
+	}
+	if _, err := s.CommitPrepared(200); err != nil {
+		t.Fatal(err)
+	}
+	// T's write of e10 links A→T (reported and allowed); label A then
+	// floods T→C, and the registry vetoes A→C.
+	tr.veto[reachArc{100, 200}] = true
+	vote, err := s.PrepareFinal(model.WriteFinal(1, 10))
+	if err != nil || vote != VoteCrossCycle {
+		t.Fatalf("prepare T: %v %v, want %v", vote, err, VoteCrossCycle)
+	}
+	if !s.Graph().HasArc(100, 1) || !slices.Contains(tr.arcs, reachArc{100, 1}) {
+		t.Fatalf("prepare arcs did not land before the veto; arcs = %v", tr.arcs)
+	}
+	if !s.Prepared(1) || s.NumPrepared() != 1 {
+		t.Fatalf("after the flood veto: Prepared(T)=%v NumPrepared=%d, want true, 1", s.Prepared(1), s.NumPrepared())
+	}
+	s.MustApply(model.Begin(5))
+	s.MustApply(model.WriteFinal(5, 30))
+	if !s.Prepared(1) || s.NumPrepared() != 1 {
+		t.Fatalf("after other traffic: Prepared(T)=%v NumPrepared=%d, want true, 1", s.Prepared(1), s.NumPrepared())
+	}
+	if err := s.AbortTxn(1); err != nil {
+		t.Fatal(err)
+	}
+	if s.Prepared(1) || s.NumPrepared() != 0 {
+		t.Fatalf("after the abort: Prepared(T)=%v NumPrepared=%d, want false, 0", s.Prepared(1), s.NumPrepared())
+	}
+}
+
 // TestDeletionGatedByLabels: a completed local transaction carrying a live
 // cross label is not deletable; once the label's transaction retires it
 // becomes deletable again.
@@ -326,49 +371,6 @@ func TestDeletionGatedByLabels(t *testing.T) {
 	deleted = s.SweepNow()
 	if len(deleted) != 2 {
 		t.Fatalf("sweep after retirement deleted %v, want both", deleted)
-	}
-}
-
-// TestPinnedNodeNotDeletable: pins gate deletion directly at the graph
-// level even without any label.
-func TestPinnedNodeNotDeletable(t *testing.T) {
-	s := NewScheduler(Config{Policy: GreedyC1{}, SweepManual: true})
-	s.MustApply(model.Begin(1))
-	s.MustApply(model.WriteFinal(1, 5))
-	ref := s.Graph().Ref(1)
-	s.Graph().PinRef(ref)
-	if got := s.SweepNow(); len(got) != 0 {
-		t.Fatalf("sweep deleted pinned node: %v", got)
-	}
-	s.Graph().UnpinRef(ref)
-	if got := s.SweepNow(); len(got) != 1 {
-		t.Fatalf("sweep after unpin deleted %v, want [1]", got)
-	}
-}
-
-// TestGraphPins pins the graph-level pin bookkeeping: idempotence, counts,
-// and automatic release when the slot is freed or recycled.
-func TestGraphPins(t *testing.T) {
-	g := graph.New()
-	r := g.AddNodeRef(1)
-	g.PinRef(r)
-	g.PinRef(r)
-	if !g.PinnedRef(r) || g.NumPinned() != 1 {
-		t.Fatalf("pin: pinned=%v count=%d", g.PinnedRef(r), g.NumPinned())
-	}
-	g.RemoveRef(r)
-	if g.NumPinned() != 0 {
-		t.Fatalf("pin survived RemoveRef: %d", g.NumPinned())
-	}
-	r2 := g.AddNodeRef(2) // recycles the slot
-	if g.PinnedRef(r2) {
-		t.Fatal("recycled slot inherited a pin")
-	}
-	g.PinRef(r2)
-	g.UnpinRef(r2)
-	g.UnpinRef(r2)
-	if g.NumPinned() != 0 {
-		t.Fatalf("unpin not idempotent: %d", g.NumPinned())
 	}
 }
 

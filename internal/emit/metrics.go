@@ -241,7 +241,7 @@ func (m *MetricsSink) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		writeGauge("txgc_queue_depth", "Per-shard submitters waiting for the shard's lock.", gs.QueueDepth)
 		writeGauge("txgc_retained", "Per-shard retained completed transactions (the storage deletion reclaims).", gs.Retained)
-		writeGauge("txgc_prepared", "Per-shard prepared-but-undecided 2PC sub-transactions (pinned).", gs.Prepared)
+		writeGauge("txgc_prepared", "Per-shard prepared-but-undecided 2PC sub-transactions.", gs.Prepared)
 		fmt.Fprint(w, "# HELP txgc_retention_watermark Retention governor watermark over the engine-wide retained count (0: disabled).\n# TYPE txgc_retention_watermark gauge\n")
 		fmt.Fprintf(w, "txgc_retention_watermark %d\n", gs.RetentionWatermark)
 		if gs.WALAppendedBytes != nil {

@@ -6,15 +6,15 @@
 // sub-begins; reads route to the owning shard like local steps, and travel
 // in the submission window with them (Engine.admit); the final write runs
 // the two-phase commit from the submitting goroutine: PREPARE every
-// participant (the shard votes on its slice of the write set, pinning the
-// sub-node on yes), then COMMIT or ABORT everywhere. Each phase is a window
-// of one step per participant, sent through Engine.visit like a door's
-// window: the participants whose lock is free first, then the rest; COMMIT
-// visits the first participant alone before the others, since its
+// participant (the shard votes on its slice of the write set, holding the
+// sub-node prepared on yes), then COMMIT or ABORT everywhere. Each phase is
+// a window of one step per participant, sent through Engine.visit like a
+// door's window: the participants whose lock is free first, then the rest;
+// COMMIT visits the first participant alone before the others, since its
 // durable decision is the commit point and must exist before any other
 // participant commits. Non-participating shards never hear about any of
 // it, and participating shards keep serving other traffic between vote and
-// decision — the prepared pin, not a pause, is what freezes the
+// decision — the prepared state, not a pause, is what freezes the
 // sub-transaction.
 //
 // The cross-arc registry below is the piece that restores global safety:
@@ -45,7 +45,7 @@ import (
 
 // testHookPrepared, when non-nil, is invoked by commitCross after every
 // participant voted YES and before the decision — the window in which a
-// prepared-but-undecided sub-transaction is pinned on each shard. Tests use
+// prepared-but-undecided sub-transaction sits on each shard. Tests use
 // it to cancel the submitting context exactly between PREPARE and decision.
 var testHookPrepared func(model.TxnID)
 
@@ -383,7 +383,7 @@ func (e *Engine) beginCross(step model.Step, pri Priority, settle func()) Result
 	} else {
 		ct.steps, ct.out = make([]model.Step, n), make([]Result, n)
 	}
-	if !e.routes.storeNew(step.Txn, route{kind: routeCross, ct: ct, pri: pri}) {
+	if !e.routes.storeNew(step.Txn, route{ct: ct, pri: pri}) {
 		return duplicateBegin(step)
 	}
 	ct.mu.Lock()
@@ -504,8 +504,8 @@ func (e *Engine) writeSubsetFor(final model.Step, p int) model.Step {
 // (decisionDurable). Every outcome — commit, local-cycle vote, registry
 // veto, context cancellation between PREPARE and decision, shard shutdown —
 // resolves the transaction deterministically on all participants: a
-// prepared-but-undecided sub-transaction never outlives the decision, and
-// its pins are released on every shard.
+// prepared-but-undecided sub-transaction never outlives the decision on
+// any shard.
 func (e *Engine) commitCross(ctx context.Context, ct *crossTxn, final model.Step) Result {
 	for _, x := range final.Entities {
 		if !ct.participant(e.partitionOf(x)) {
@@ -539,7 +539,7 @@ func (e *Engine) commitCross(ctx context.Context, ct *crossTxn, final model.Step
 	}
 	if ctx.Err() != nil {
 		// The client's context died while every participant sat prepared:
-		// decide ABORT, releasing the pins and the registry entry, exactly
+		// decide ABORT, releasing the sub-nodes and the registry entry, exactly
 		// as a client abort would.
 		e.rejected.Add(1)
 		e.finishCrossAbort(ct, -1)
@@ -547,7 +547,7 @@ func (e *Engine) commitCross(ctx context.Context, ct *crossTxn, final model.Step
 	}
 	// Unanimous YES: commit everywhere. The write arcs are already in every
 	// participant's graph (placed at prepare), so the decision only flips
-	// sub-transactions to completed and releases pins. The first
+	// sub-transactions to completed. The first
 	// participant's durable RecCommit is the commit point; if it cannot be
 	// journaled, no evidence of the decision exists anywhere and the
 	// transaction resolves as the abort recovery would presume.
@@ -580,7 +580,7 @@ func (e *Engine) commitCross(ctx context.Context, ct *crossTxn, final model.Step
 }
 
 // crossClientAbort implements Engine.Abort for a cross transaction: it
-// releases the sub-transactions (pins included) on all participants,
+// releases the sub-transactions (prepared ones included) on all participants,
 // whatever state the transaction is in — freshly begun, mid-reads, or
 // prepared-but-undecided (Abort then serializes after the decision via
 // ct.mu and reports false). Returns whether the abort took effect.

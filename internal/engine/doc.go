@@ -73,12 +73,12 @@
 //
 // The commit itself is a two-phase protocol driven from the submitting
 // goroutine: PREPARE each participant (the shard runs Rule 3 on its slice
-// of the write set, places the arcs, pins the sub-node, and votes), then
-// COMMIT or ABORT everywhere. Participants never pause — the prepared pin
-// freezes the sub-transaction, not the shard — and no goroutine holds two
-// shard locks, so concurrent two-phase commits cannot deadlock and
-// non-participants are untouched: a bystander active across a cross
-// commit goes on to commit (TestCrossPartition2PC).
+// of the write set, places the arcs, holds the sub-node prepared, and
+// votes), then COMMIT or ABORT everywhere. Participants never pause — the
+// prepared state freezes the sub-transaction, not the shard — and no
+// goroutine holds two shard locks, so concurrent two-phase commits cannot
+// deadlock and non-participants are untouched: a bystander active across a
+// cross commit goes on to commit (TestCrossPartition2PC).
 //
 // # Deletion under sharding — C1/C2 lifted to logical transactions
 //
@@ -87,16 +87,16 @@
 // unchanged — but per-shard C1 cannot see inter-shard paths, so deletion
 // is additionally gated (core.Sweep refuses) for:
 //
-//   - prepared-but-undecided sub-nodes (pinned in the graph arena);
 //   - sub-nodes of registry-tracked logical transactions;
 //   - any node carrying a live cross-ancestor label, since reducing it
 //     would stop the label from reaching future successors and hide a
 //     reach-arc from the registry.
 //
-// The registry retires a cross transaction T — unpinning all of the above
-// and letting plain per-shard C1/C2 resume — once (a) every participant
-// reports T's sub-node free of active ancestors, and (b) no live cross
-// transaction still reaches T (registry in-degree zero). Only a committed
+// A prepared-but-undecided sub-node is still active, so no policy can
+// delete it. The registry retires a cross transaction T — lifting both
+// gates above and letting plain per-shard C1/C2 resume — once (a) every
+// participant reports T's sub-node free of active ancestors, and (b) no
+// live cross transaction still reaches T (registry in-degree zero). Only a committed
 // sub-node is ever reported: its scheduler files it at the commit on the
 // first active ancestor it finds, searches again when that ancestor
 // terminates, and hands the ID over once none is left

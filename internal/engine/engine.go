@@ -179,8 +179,9 @@ type Stats struct {
 
 	Misroutes int64 // partition-discipline violations
 
-	// PreparedByShard is the instantaneous number of prepared-but-
-	// undecided sub-transactions pinned on each shard, indexed by shard.
+	// PreparedByShard is the number of prepared-but-undecided
+	// sub-transactions on each shard, indexed by shard: each scheduler's
+	// count, mirrored at the end of every shard visit.
 	PreparedByShard []int64
 
 	// QueueDepth is the instantaneous number of submitters waiting for
@@ -194,18 +195,11 @@ type Stats struct {
 	Merged core.Stats
 }
 
-type routeKind uint8
-
-const (
-	routeLocal routeKind = iota
-	routeCross
-)
-
-// route is the engine's record of where a live transaction executes. pri is
-// the priority the transaction began with; the retention governor consults
-// it to exempt PriorityHigh transactions from straggler reaping.
+// route is the engine's record of where a live transaction executes: its
+// shard, or, for a cross-partition transaction, its crossTxn. pri is the
+// priority the transaction began with; the retention governor consults it
+// to exempt PriorityHigh transactions from straggler reaping.
 type route struct {
-	kind  routeKind
 	shard int
 	ct    *crossTxn
 	pri   Priority
@@ -281,25 +275,19 @@ func Open(cfg Config) (*Engine, *RecoveryReport, error) {
 	return e, rep, nil
 }
 
-// schedConfig is the scheduler configuration of shard i with the given
-// cross tracker and emitter (recovery replays with a permissive tracker, no
-// emitter and no sweeps, then swaps in the live ones).
-func (e *Engine) schedConfig(i int, tracker core.CrossTracker, em emit.Emitter) core.Config {
-	var pol core.Policy
+// schedConfig is a shard scheduler's configuration with the given emitter
+// (recovery replays with none and without sweeps, then installs the live
+// one). Its cross tracker is the registry; a single shard can never see a
+// cross transaction, so it gets none and stays entirely label-free.
+func (e *Engine) schedConfig(em emit.Emitter) core.Config {
+	cfg := core.Config{Emitter: em}
 	if e.cfg.Policy != nil {
-		pol = e.cfg.Policy()
+		cfg.Policy = e.cfg.Policy()
 	}
-	return core.Config{Policy: pol, Cross: tracker, Emitter: em}
-}
-
-// liveTracker is the cross tracker a live shard scheduler consults. A
-// single shard can never see a cross transaction; leaving the tracker nil
-// keeps its scheduler entirely label-free.
-func (e *Engine) liveTracker() core.CrossTracker {
 	if e.cfg.Shards > 1 {
-		return e.registry
+		cfg.Cross = e.registry
 	}
-	return nil
+	return cfg
 }
 
 // NumShards returns the number of shards.
@@ -456,7 +444,7 @@ func (e *Engine) admit(ctx context.Context, step model.Step, pri Priority, settl
 		switch {
 		case cross:
 			res = e.beginCross(step, pri, settle)
-		case !e.routes.storeNew(step.Txn, route{kind: routeLocal, shard: home, pri: pri}):
+		case !e.routes.storeNew(step.Txn, route{shard: home, pri: pri}):
 			res = duplicateBegin(step)
 		default:
 			return home, nil, true, Result{}
@@ -469,7 +457,7 @@ func (e *Engine) admit(ctx context.Context, step model.Step, pri Priority, settl
 		case !live:
 			settle()
 			return 0, nil, false, e.deadTxn(step)
-		case r.kind == routeCross:
+		case r.ct != nil:
 			if p := e.partitionOf(step.Entity); step.Kind == model.KindRead && r.ct.participant(p) {
 				return p, r.ct, true, Result{}
 			}
@@ -507,7 +495,7 @@ func (e *Engine) landed(step *model.Step, res *Result) {
 	case step.Kind == model.KindBegin && res.Outcome() == OutcomeError:
 		e.routes.delete(step.Txn)
 	case step.Kind == model.KindRead && res.Aborted == step.Txn:
-		if r, live := e.routes.load(res.Aborted); live && r.kind == routeCross {
+		if r, live := e.routes.load(res.Aborted); live && r.ct != nil {
 			ct := r.ct
 			ct.mu.Lock()
 			if !ct.done {
@@ -696,15 +684,15 @@ func (e *Engine) misroute(step model.Step, r route) Result {
 }
 
 // Abort aborts a live transaction (e.g. on client disconnect). For a
-// cross-partition transaction it releases the sub-transactions — pins
-// included — on every participant, whatever state the transaction is in.
-// It returns false if the transaction is unknown or already decided.
+// cross-partition transaction it releases the sub-transactions — prepared
+// ones included — on every participant, whatever state the transaction is
+// in. It returns false if the transaction is unknown or already decided.
 func (e *Engine) Abort(id model.TxnID) bool {
 	r, ok := e.routes.load(id)
 	if !ok {
 		return false
 	}
-	if r.kind == routeCross {
+	if r.ct != nil {
 		return e.crossClientAbort(r.ct)
 	}
 	if !e.abortLocal(r.shard, id) {
@@ -763,9 +751,9 @@ func (e *Engine) Stats() Stats {
 
 // gauge reads one lock-free gauge of every shard. A shard that shut down
 // reports zero rather than its stale counter: it applies nothing, so its
-// backlog is dead; a prepare whose decision Close cut off would pin its
-// prepared count forever; and a closed engine retains nothing a client can
-// reach.
+// backlog is dead; a prepare whose decision Close cut off would hold its
+// prepared count up forever; and a closed engine retains nothing a client
+// can reach.
 func (e *Engine) gauge(of func(*shard) *atomic.Int64) []int64 {
 	out := make([]int64, len(e.shards))
 	for i, sh := range e.shards {
@@ -786,10 +774,10 @@ func (e *Engine) QueueDepths() []int64 {
 // Gauges snapshots the per-shard gauges in the shape the metrics endpoint
 // polls at scrape time (emit.GaugeSource), lock-free like QueueDepths.
 // Retained counts the completed transactions each shard retains (the
-// storage the deletion policy reclaims); every run refreshes it before it
-// unlocks, so it trails the scheduler by at most the run in progress.
-// Prepared counts the prepared-but-undecided 2PC sub-transactions, each
-// pinning its node against deletion.
+// storage the deletion policy reclaims) and Prepared the
+// prepared-but-undecided 2PC sub-transactions; every run refreshes both
+// before it unlocks, so they trail the scheduler by at most the run in
+// progress.
 func (e *Engine) Gauges() emit.GaugeSnapshot {
 	gs := emit.GaugeSnapshot{
 		QueueDepth:         e.QueueDepths(),

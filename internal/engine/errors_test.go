@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -141,10 +142,58 @@ func TestOutcomeDerivedFromErr(t *testing.T) {
 	}
 }
 
+// TestPreparedGaugeWhilePrepared reads the prepared gauge where it is not
+// zero: in the window between every participant's YES vote and the
+// decision, each participant of a cross transaction over shards 0 and 1
+// counts one prepared sub-transaction and the bystander shard 2 none, in
+// Stats.PreparedByShard and Gauges().Prepared alike. The commit, and the
+// abort of a final write whose context died in that window, bring every
+// shard back to 0. Run under -race in CI.
+func TestPreparedGaugeWhilePrepared(t *testing.T) {
+	eng := New(Config{Shards: 3})
+	defer eng.Close()
+	gauges := func(when string, want []int64) {
+		t.Helper()
+		if got := eng.Stats().PreparedByShard; !slices.Equal(got, want) {
+			t.Errorf("%s: PreparedByShard = %v, want %v", when, got, want)
+		}
+		if got := eng.Gauges().Prepared; !slices.Equal(got, want) {
+			t.Errorf("%s: Gauges().Prepared = %v, want %v", when, got, want)
+		}
+	}
+	for i, decision := range []string{"commit", "ctx abort"} {
+		id := model.TxnID(i + 1)
+		for _, st := range []model.Step{model.BeginDeclared(id, 0, 1), model.Read(id, 0)} {
+			if res := submit(eng, st); !res.Accepted() {
+				t.Fatalf("%s: %v: %v (%v)", decision, st, res.Outcome(), res.Err)
+			}
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		hooked := 0
+		testHookPrepared = func(model.TxnID) {
+			hooked++
+			gauges(decision+", prepared", []int64{1, 1, 0})
+			if decision != "commit" {
+				cancel()
+			}
+		}
+		res := eng.SubmitCtx(ctx, model.WriteFinal(id, 0, 1))
+		testHookPrepared = nil
+		cancel()
+		if hooked != 1 {
+			t.Fatalf("%s: prepared hook ran %d times, want 1", decision, hooked)
+		}
+		if committed := res.Accepted() && res.CompletedTxn == id; committed != (decision == "commit") {
+			t.Fatalf("%s: final write: %v (%v)", decision, res.Outcome(), res.Err)
+		}
+		gauges(decision+", decided", []int64{0, 0, 0})
+	}
+}
+
 // TestCtxCancelBetweenPrepareAndDecision cancels a cross-partition final
 // write's context in the exact window where every participant holds a
-// prepared-but-undecided (pinned) sub-transaction. The 2PC driver must
-// decide ABORT: pins released, PreparedByShard drained to zero, and no
+// prepared-but-undecided sub-transaction. The 2PC driver must decide
+// ABORT: sub-nodes released, PreparedByShard drained to zero, and no
 // cross-arc registry entry left behind. Run under -race in CI.
 func TestCtxCancelBetweenPrepareAndDecision(t *testing.T) {
 	eng := New(Config{Shards: 2})

@@ -2,11 +2,13 @@
 //
 // Each shard's scheduler is reconstructed in two layers — the latest
 // checkpoint (a state export, carrying the splice arcs deletion left
-// behind) and the WAL tail replayed on top of it. Replay runs under a
-// permissive cross tracker and a nil emitter: only accepted records were
-// journaled, so every veto already did its work before the crash, and
-// re-emitting replayed steps would double-count every metric. The live
-// registry and emitter are installed once replay ends.
+// behind) and the WAL tail replayed on top of it. Replay runs under the
+// live cross registry, which tracks none of the recovered transactions and
+// so admits every reach they report: only accepted records were journaled,
+// so every veto already did its work before the crash. It runs with a nil
+// emitter, since re-emitting replayed steps would double-count every
+// metric; the live emitter is installed once replay ends, and every
+// recovered cross transaction is retired on each shard.
 //
 // After replay the engine resolves what the crash interrupted:
 //
@@ -63,15 +65,6 @@ type RecoveryReport struct {
 	CrossAborted int
 }
 
-// recoveryTracker is the cross tracker WAL replay runs under: every reach
-// is admitted and nothing retires, so every label stays live. Only accepted
-// records were journaled — the vetoes already happened — so replay must
-// never re-veto. Installing the live tracker retires every sub-node
-// (core.Scheduler.SetTracker).
-type recoveryTracker struct{}
-
-func (recoveryTracker) OnCrossReach(src, dst model.TxnID) bool { return true }
-
 // subState is one shard's view of a recovered cross transaction.
 type subState struct {
 	shard    int
@@ -87,7 +80,7 @@ func (e *Engine) recover() (*RecoveryReport, error) {
 	rep := &RecoveryReport{Shards: len(e.shards)}
 	if e.cfg.Store == nil {
 		for i, sh := range e.shards {
-			sh.sched = core.NewScheduler(e.schedConfig(i, e.liveTracker(), emit.ForShard(e.cfg.Bus, i)))
+			sh.sched = core.NewScheduler(e.schedConfig(emit.ForShard(e.cfg.Bus, i)))
 		}
 		return rep, nil
 	}
@@ -101,7 +94,7 @@ func (e *Engine) recover() (*RecoveryReport, error) {
 			return nil, fmt.Errorf("engine: recover shard %d: %w", i, err)
 		}
 		rep.CheckpointSeqs[i] = state.CoveredLSN
-		replayCfg := e.schedConfig(i, recoveryTracker{}, nil)
+		replayCfg := e.schedConfig(nil)
 		replayCfg.SweepManual = true
 		if state.Snapshot != nil {
 			snap, err := store.DecodeSnapshot(state.Snapshot)
@@ -205,7 +198,8 @@ func (e *Engine) recover() (*RecoveryReport, error) {
 	}
 
 	// Make the resolutions durable, count what is retained, seed the trace
-	// referee, and swap in the live tracker and emitter.
+	// referee, retire the recovered cross transactions (the registry tracks
+	// none of them) and swap in the live emitter.
 	for i, sh := range e.shards {
 		if err := sh.jr.sync(); err != nil {
 			return nil, fmt.Errorf("engine: recover shard %d: sync resolutions: %w", i, err)
@@ -216,11 +210,11 @@ func (e *Engine) recover() (*RecoveryReport, error) {
 		e.seedTraceLog()
 	}
 	for i, sh := range e.shards {
-		sh.sched.SetTracker(e.liveTracker())
+		sh.sched.Retire(crossOrder...)
 		sh.sched.SetEmitter(emit.ForShard(e.cfg.Bus, i))
 		sh.retainedN.Store(int64(sh.sched.NumCompleted()))
 		// The shard sweeps from its first terminating step on; the orphan
-		// aborts above did not, so what they unpinned waits for it.
+		// aborts above did not, so what they released waits for it.
 		sh.sched.SetSweepManual(false)
 	}
 	return rep, nil

@@ -24,7 +24,8 @@ const (
 	// cross-partition transaction on this shard.
 	reqBeginSub
 	// reqPrepareSub is phase one of a cross-partition final write: vote on
-	// this shard's slice of the write set, pinning the sub-node on yes.
+	// this shard's slice of the write set, holding the sub-node prepared on
+	// yes.
 	reqPrepareSub
 	// reqCommitSub is the COMMIT decision for a prepared sub-transaction.
 	reqCommitSub
@@ -101,14 +102,11 @@ type shard struct {
 	// depth counts the submitters waiting for mu: the lock-wait gauge
 	// Stats.QueueDepth, bounded by the callers' own goroutines.
 	depth atomic.Int64
-	// preparedN is the number of prepared-but-undecided sub-transactions
-	// currently pinned on this shard (Stats.PreparedByShard). Only the
-	// lock holder writes it, but the atomic type licenses gauge reads from
-	// anywhere — the shardowned analyzer exempts atomics.
-	preparedN atomic.Int64 //txgc:owner shard
-	// retainedN mirrors the scheduler's retained-completed count for
-	// lock-free reads (Engine.Gauges, the governor's trigger); every
-	// run refreshes it before it unlocks.
+	// preparedN and retainedN mirror the scheduler's prepared-but-undecided
+	// and retained-completed counts for lock-free reads (Engine.Gauges,
+	// Stats.PreparedByShard, the governor's trigger); every run refreshes
+	// them before it unlocks.
+	preparedN atomic.Int64
 	retainedN atomic.Int64
 	// handoff carries IDs between the scheduler and the cross registry: the
 	// retirements the registry hands over at the start of a visit
@@ -233,6 +231,7 @@ func (sh *shard) locked(req *request) bool {
 		// the log has outgrown the last snapshot.
 		sh.jr.swept(sh.sched)
 	}
+	sh.preparedN.Store(int64(sh.sched.NumPrepared()))
 	if n := int64(sh.sched.NumCompleted()); n > sh.retainedN.Swap(n) {
 		sh.eng.retentionGrew()
 	}
@@ -357,7 +356,7 @@ func (sh *shard) applyOne(step model.Step) (out Result) {
 		eng.routes.delete(res.CompletedTxn)
 	}
 	if res.Aborted != model.NoTxn {
-		if r, ok := eng.routes.load(res.Aborted); !ok || r.kind != routeCross {
+		if r, ok := eng.routes.load(res.Aborted); !ok || r.ct == nil {
 			eng.aborted.Add(1)
 			eng.routes.delete(res.Aborted)
 		}
@@ -376,7 +375,7 @@ func (sh *shard) txnGone(id model.TxnID) bool {
 		return true
 	}
 	r, live := sh.eng.routes.load(id)
-	return !live || r.kind == routeCross && sh.sched.Txn(id) == nil
+	return !live || r.ct != nil && sh.sched.Txn(id) == nil
 }
 
 // applyBeginSub begins a cross sub-transaction on this shard's scheduler.
@@ -403,21 +402,15 @@ func (sh *shard) applyBeginSub(step model.Step) Result {
 // applyPrepareSub votes on this shard's slice of a cross final write. A
 // YES vote logs the write at its conflict position (the arcs go into the
 // graph now; a later ABORT excludes the transaction via MarkAborted) and
-// pins the sub-node. A shard whose journal has failed votes no with the
-// failure, naming the transaction in Aborted as every NO vote does, which
-// tells it from a participant the closed engine kept from voting at all.
+// holds the sub-node prepared. A shard whose journal has failed votes no
+// with the failure, naming the transaction in Aborted as every NO vote
+// does, which tells it from a participant the closed engine kept from
+// voting at all.
 func (sh *shard) applyPrepareSub(step model.Step) Result {
 	if err := sh.jr.refusal(step); err != nil {
 		return answer(step.Txn, err)
 	}
 	vote, err := sh.sched.PrepareFinal(step)
-	// The gauge tracks the scheduler's prepared state, not the vote: a
-	// late registry veto (VoteCrossCycle out of crossFlood) leaves the
-	// node prepared+pinned until the coordinator's abort, and that abort
-	// decrements the gauge via applyAbortSub.
-	if sh.sched.Prepared(step.Txn) {
-		sh.preparedN.Add(1)
-	}
 	if err != nil {
 		return errResult(protocolErr(err))
 	}
@@ -462,7 +455,6 @@ func (sh *shard) applyCommitSub(id model.TxnID, decisionDurable bool) Result {
 	if err != nil {
 		return errResult(protocolErr(err))
 	}
-	sh.preparedN.Add(-1)
 	return Result{Aborted: model.NoTxn, CompletedTxn: res.CompletedTxn}
 }
 
@@ -472,9 +464,6 @@ func (sh *shard) applyCommitSub(id model.TxnID, decisionDurable bool) Result {
 // not be journaled lets go of its prepared sub: the journal has latched by
 // then, so nothing more is written.
 func (sh *shard) applyAbortSub(id model.TxnID) Result {
-	if sh.sched.Prepared(id) {
-		sh.preparedN.Add(-1)
-	}
 	if sh.sched.AbortTxn(id) != nil {
 		return answer(model.NoTxn, nil)
 	}

@@ -117,37 +117,11 @@ type Graph struct {
 	tmark  []uint32
 	tepoch uint32
 	tlist  []Ref
-
-	// cset is the reused result set of BackwardClosureScratch.
-	cset NodeSet
-
-	// pinned marks prepared-but-undecided nodes (a cross-shard
-	// sub-transaction between its PREPARE vote and the coordinator's
-	// decision). Pins are advisory: deletion policies must skip pinned
-	// nodes, while RemoveRef/ReduceRef still operate (the decision itself
-	// releases the node). Cleared automatically when the slot is freed.
-	pinned []bool
-	pins   int
 }
 
 // New returns an empty graph.
 func New() *Graph {
 	return &Graph{idx: make(map[model.TxnID]Ref)}
-}
-
-// Clone deep-copies the graph. The clone's slot assignment is compacted,
-// so Refs are not portable between a graph and its clone.
-func (g *Graph) Clone() *Graph {
-	c := New()
-	for id := range g.idx {
-		c.AddNode(id)
-	}
-	for from, r := range g.idx {
-		for _, s := range g.out[r] {
-			c.AddArc(from, g.ids[s])
-		}
-	}
-	return c
 }
 
 // AddNode inserts a node with no arcs. Adding an existing node is a no-op.
@@ -172,7 +146,6 @@ func (g *Graph) AddNodeRef(id model.TxnID) Ref {
 		g.in = append(g.in, nil)
 		g.visited = append(g.visited, 0)
 		g.tmark = append(g.tmark, 0)
-		g.pinned = append(g.pinned, false)
 	}
 	g.idx[id] = r
 	g.nodes++
@@ -318,29 +291,6 @@ func (g *Graph) RemoveNode(id model.TxnID) {
 	}
 }
 
-// PinRef marks slot r as pinned (a prepared-but-undecided sub-transaction).
-// Pinning is idempotent.
-func (g *Graph) PinRef(r Ref) {
-	if !g.pinned[r] {
-		g.pinned[r] = true
-		g.pins++
-	}
-}
-
-// UnpinRef clears the pin on slot r (idempotent).
-func (g *Graph) UnpinRef(r Ref) {
-	if g.pinned[r] {
-		g.pinned[r] = false
-		g.pins--
-	}
-}
-
-// PinnedRef reports whether slot r is pinned.
-func (g *Graph) PinnedRef(r Ref) bool { return g.pinned[r] }
-
-// NumPinned returns the number of pinned nodes.
-func (g *Graph) NumPinned() int { return g.pins }
-
 // OutRefs returns slot r's successor slots. The slice aliases the graph's
 // adjacency storage: callers must treat it as read-only and must not hold
 // it across mutations.
@@ -362,7 +312,6 @@ func (g *Graph) RemoveRef(r Ref) {
 	}
 	g.out[r] = g.out[r][:0]
 	g.in[r] = g.in[r][:0]
-	g.UnpinRef(r)
 	delete(g.idx, g.ids[r])
 	g.ids[r] = model.NoTxn
 	g.free = append(g.free, r)
@@ -595,19 +544,6 @@ func (g *Graph) ForwardClosure(src model.TxnID, through func(model.TxnID) bool) 
 // reaches src by a non-empty path whose intermediate nodes satisfy through.
 func (g *Graph) BackwardClosure(src model.TxnID, through func(model.TxnID) bool) NodeSet {
 	return g.closureInto(make(NodeSet), src, through, g.in)
-}
-
-// BackwardClosureScratch is BackwardClosure for a single owner evaluating
-// the generic deletion conditions on its own graph: the result set lives in
-// graph-owned scratch, so no map is allocated per call. The returned set is
-// valid only until the next BackwardClosureScratch call on g and must not
-// be retained or mutated.
-func (g *Graph) BackwardClosureScratch(src model.TxnID, through func(model.TxnID) bool) NodeSet {
-	if g.cset == nil {
-		g.cset = make(NodeSet)
-	}
-	clear(g.cset)
-	return g.closureInto(g.cset, src, through, g.in)
 }
 
 // closureInto adds to out every node met from src along adj (g.out or

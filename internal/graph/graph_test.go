@@ -191,19 +191,6 @@ func TestAcyclicAndTopo(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	g := mk(t, [2]model.TxnID{1, 2})
-	c := g.Clone()
-	c.AddNode(9)
-	c.AddArc(2, 9)
-	if g.HasNode(9) || g.NumArcs() != 1 {
-		t.Fatal("clone shares state with original")
-	}
-	if !g.Equal(mk(t, [2]model.TxnID{1, 2})) {
-		t.Fatal("original changed")
-	}
-}
-
 func TestDescendantsAncestors(t *testing.T) {
 	g := mk(t, [2]model.TxnID{1, 2}, [2]model.TxnID{2, 3}, [2]model.TxnID{4, 3})
 	d := g.Descendants(1)

@@ -78,6 +78,7 @@ func FuzzSnapshot(f *testing.F) {
 	f.Add([]byte{snapshotVersion})
 	f.Add(EncodeSnapshot(sampleState()))
 	f.Add(v1Snapshot())
+	f.Add(v2PinnedSnapshot())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := DecodeSnapshot(data)
 		if err != nil {
@@ -130,6 +131,59 @@ func v1Snapshot() []byte {
 	b = binary.AppendVarint(b, 2)
 	b = binary.AppendVarint(b, 7)
 	return b
+}
+
+// v2PinnedSnapshot is a version-2 checkpoint as earlier releases wrote it
+// for one prepared cross sub-transaction T7 (its final write of entity 3
+// voted at seq 2): its flags byte carries bit 2, the graph pin, beside the
+// prepared bit.
+func v2PinnedSnapshot() []byte {
+	return []byte{
+		snapshotVersion,
+		0x4, // seq 2
+		0x1, // txns
+		0xe, // T7
+		0x0, // active
+		0x2, // begin seq 1
+		0x4, // end seq 2
+		0x7, // cross | prepared | pinned (1<<2)
+		0x1, // accesses
+		0x6, // entity 3
+		0x2, // write
+		0x4, // seq 2
+		0x0, // arcs
+		0x0, // writes
+	}
+}
+
+// TestSnapshotV2PinnedBitStillDecodes: a checkpoint that marked a prepared
+// sub-transaction's pin (flag bit 2) keeps opening. The bit is ignored; the
+// sub-node restores prepared from its own prepared bit, and re-encodes
+// without the pin.
+func TestSnapshotV2PinnedBitStillDecodes(t *testing.T) {
+	data := v2PinnedSnapshot()
+	st, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatalf("DecodeSnapshot: %v", err)
+	}
+	want := core.TxnSnap{ID: 7, Status: model.StatusActive, BeginSeq: 1, EndSeq: 2, IsCross: true, Prepared: true,
+		Access: []core.AccessSnap{{Entity: 3, Access: model.WriteAccess, Seq: 2}}}
+	if st.Seq != 2 || len(st.Txns) != 1 || fmt.Sprintf("%+v", st.Txns[0]) != fmt.Sprintf("%+v", want) ||
+		len(st.Arcs) != 0 || len(st.Writes) != 0 {
+		t.Fatalf("decoded as %+v", st)
+	}
+	s, err := core.RestoreScheduler(core.Config{}, st)
+	if err != nil {
+		t.Fatalf("RestoreScheduler: %v", err)
+	}
+	if !s.Prepared(7) || s.NumPrepared() != 1 || s.Status(7) != model.StatusActive {
+		t.Fatalf("restored T7: prepared=%v count=%d status=%v, want a prepared active sub-node",
+			s.Prepared(7), s.NumPrepared(), s.Status(7))
+	}
+	data[7] = snapFlagCross | snapFlagPrepared
+	if enc := EncodeSnapshot(s.ExportState()); string(enc) != string(data) {
+		t.Fatalf("re-encoded as %#v, want %#v", enc, data)
+	}
 }
 
 // TestSnapshotV1StillDecodes: a data dir checkpointed by a version-1 writer

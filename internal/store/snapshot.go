@@ -25,10 +25,12 @@ const (
 	snapshotVersionV1 = 1
 )
 
+// Transaction flags. Bit 2 marked a prepared sub-transaction's graph pin;
+// it is no longer written, and a set bit decodes as nothing more than the
+// prepared bit beside it says.
 const (
 	snapFlagCross    = 1 << 0
 	snapFlagPrepared = 1 << 1
-	snapFlagPinned   = 1 << 2
 )
 
 // EncodeSnapshot serializes an exported scheduler state.
@@ -48,9 +50,6 @@ func EncodeSnapshot(st core.SchedulerState) []byte {
 		}
 		if t.Prepared {
 			flags |= snapFlagPrepared
-		}
-		if t.Pinned {
-			flags |= snapFlagPinned
 		}
 		buf = append(buf, flags)
 		buf = binary.AppendUvarint(buf, uint64(len(t.Access)))
@@ -144,7 +143,6 @@ func DecodeSnapshot(data []byte) (core.SchedulerState, error) {
 		flags := r.byte("txn flags")
 		t.IsCross = flags&snapFlagCross != 0
 		t.Prepared = flags&snapFlagPrepared != 0
-		t.Pinned = flags&snapFlagPinned != 0
 		naccess := r.uvarint("access count")
 		for j := uint64(0); j < naccess && r.err == nil; j++ {
 			var a core.AccessSnap
