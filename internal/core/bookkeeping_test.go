@@ -132,29 +132,20 @@ func (r *refBook) read(id model.TxnID, x model.Entity) bool {
 	return true
 }
 
+// writeFinal is id's final write of xs: a completion, or for a cross
+// sub-transaction its vote, which holds it prepared when it passes.
 func (r *refBook) writeFinal(id model.TxnID, xs []model.Entity) bool {
 	r.seq++
 	if !r.link(id, xs, model.WriteAccess) {
 		r.abort(id)
 		return false
 	}
-	for _, x := range xs {
-		r.lastWriteSeq[x] = r.seq
-		r.lastWriter[x] = id
-	}
-	t := r.txns[id]
-	t.status, t.endSeq = model.StatusCompleted, r.seq
-	return true
-}
-
-func (r *refBook) prepareFinal(id model.TxnID, xs []model.Entity) PrepareVote {
-	r.seq++
-	if !r.link(id, xs, model.WriteAccess) {
-		return VoteLocalCycle
-	}
 	t := r.txns[id]
 	t.prepared, t.endSeq = true, r.seq
-	return VoteYes
+	if !t.cross {
+		r.commitPrepared(id)
+	}
+	return true
 }
 
 func (r *refBook) commitPrepared(id model.TxnID) {
@@ -316,7 +307,7 @@ func (r *refBook) export() SchedulerState {
 
 // TestAccessBookkeepingDifferential runs the scheduler in lockstep with the
 // six-map reference over seeded hot-spot streams with a straggler: cross
-// sub-transactions through BeginCross/PrepareFinal/CommitPrepared (and
+// sub-transactions through BeginCross/Apply/CommitPrepared (and
 // AbortTxn when the coordinator decides ABORT), cycle rejections, client
 // aborts, repeated reads and repeated entities in a write set, under every
 // policy PolicyByName lists. Half the runs sweep after every completion or
@@ -492,30 +483,19 @@ func bookkeepingLockstep(t *testing.T, name string, p Policy, manual bool, seed 
 				step.Entities = append(slices.Clone(step.Entities), step.Entities[0])
 				what = step.String()
 			}
-			if !cross[step.Txn] {
-				res, err := s.Apply(step)
-				want := ref.writeFinal(step.Txn, step.Entities)
-				decide(step, what, res, err, want)
-				settle(what, before, res.CompletedTxn, true)
+			res, err := s.Apply(step)
+			want := ref.writeFinal(step.Txn, step.Entities)
+			decide(step, what, res, err, want)
+			settle(what, before, res.CompletedTxn, !cross[step.Txn] || !want)
+			if !cross[step.Txn] || !want {
 				break
 			}
-			vote, err := s.PrepareFinal(step)
-			if err != nil {
-				t.Fatalf("%s: %v", what, err)
-			}
-			if want := ref.prepareFinal(step.Txn, step.Entities); vote != want {
-				t.Fatalf("%s: vote %v, reference %v", what, vote, want)
-			}
-			settle(what, before, model.NoTxn, false)
-			if vote != VoteYes || rng.Intn(4) == 0 {
-				if vote != VoteYes {
-					rejected++
-				}
-				abort(step.Txn) // a NO vote, or the coordinator decided ABORT
+			if rng.Intn(4) == 0 {
+				abort(step.Txn) // the coordinator decided ABORT
 				break
 			}
 			before = s.CompletedTxns()
-			res, err := s.CommitPrepared(step.Txn)
+			res, err = s.CommitPrepared(step.Txn)
 			if err != nil {
 				t.Fatalf("commit T%d: %v", step.Txn, err)
 			}

@@ -169,7 +169,7 @@ func (scriptedTracker) OnCrossReach(src, dst model.TxnID) bool { return true }
 // TestHousekeepingDifferential runs two schedulers in lockstep over seeded
 // straggler workloads — one on the shipped policy, one on its reference —
 // with random aborts, cross sub-transactions committed through
-// PrepareFinal/CommitPrepared, and tracker retirements mixed in. Every step
+// Apply/CommitPrepared, and tracker retirements mixed in. Every step
 // must be decided alike and every sweep must delete the same set; the
 // shipped side is audited at every sweep.
 func TestHousekeepingDifferential(t *testing.T) {
@@ -237,13 +237,15 @@ func lockstep(t *testing.T, fast, ref Policy, seed int64) {
 			ra, ea = a.BeginCross(step)
 			rb, eb = b.BeginCross(step)
 		case step.Kind == model.KindWriteFinal && cross[step.Txn]:
-			va, ea1 := a.PrepareFinal(step)
-			vb, eb1 := b.PrepareFinal(step)
-			if va != vb || (ea1 == nil) != (eb1 == nil) {
-				t.Fatalf("%v: votes diverged: %v/%v vs %v/%v", step, va, ea1, vb, eb1)
+			ra, ea = a.Apply(step)
+			rb, eb = b.Apply(step)
+			same(step.String()+" vote", ra, rb, ea, eb)
+			if !ra.Accepted {
+				gen.NotifyAbort(step.Txn) // a NO vote aborted the sub-node
+				continue
 			}
-			if ea1 != nil || va != VoteYes || rng.Intn(4) == 0 {
-				abort(step.Txn) // NO vote, or the coordinator decided ABORT
+			if rng.Intn(4) == 0 {
+				abort(step.Txn) // the coordinator decided ABORT
 				continue
 			}
 			ra, ea = a.CommitPrepared(step.Txn)

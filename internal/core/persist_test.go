@@ -60,9 +60,9 @@ func TestExportRestorePrepared(t *testing.T) {
 	if _, err := s.Apply(model.Read(7, 1)); err != nil {
 		t.Fatal(err)
 	}
-	vote, err := s.PrepareFinal(model.WriteFinal(7, 2))
-	if err != nil || vote != VoteYes {
-		t.Fatalf("PrepareFinal: vote=%v err=%v", vote, err)
+	vote, err := s.Apply(model.WriteFinal(7, 2))
+	if err != nil || !vote.Accepted {
+		t.Fatalf("vote: %+v err=%v", vote, err)
 	}
 	// A bystander downstream of the sub-node carries its label.
 	s.MustApply(model.Begin(9))

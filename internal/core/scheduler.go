@@ -347,6 +347,12 @@ func (s *Scheduler) NumActive() int { return s.numActive }
 // multiple-write-model step kind) yields an error and leaves the state
 // unchanged.
 //
+// The final write of a cross sub-transaction (BeginCross) is its vote in
+// the two-phase commit. It runs the same tests as any final write, and a
+// rejection is the NO vote, aborting the sub-node. An accepted one is the
+// YES vote: the sub-node is held prepared, still active and completing
+// nothing, until CommitPrepared or AbortTxn.
+//
 //txgc:hotpath
 func (s *Scheduler) Apply(step model.Step) (Result, error) {
 	switch step.Kind {
@@ -452,20 +458,47 @@ func (s *Scheduler) writeFinal(step model.Step) (Result, error) {
 		return s.reject(t, true), nil
 	}
 	for i, x := range step.Entities {
-		e := &s.ents.recs[s.noteAccess(t, x, model.WriteAccess, s.recScratch[i])]
-		e.lastSeq, e.lastWriter = s.seq, t.ID
+		s.noteAccess(t, x, model.WriteAccess, s.recScratch[i])
+	}
+	t.EndSeq = s.seq
+	s.stats.Writes++
+	s.stats.Accepted++
+	if !t.isCross {
+		return s.complete(t), nil
+	}
+	// A sub-node's final write is its vote, and the vote is YES: the node
+	// waits prepared for the decision, CommitPrepared or AbortTxn. The
+	// current values wait with it, since an ABORT must not leave Corollary
+	// 1's noncurrency test believing these entities were overwritten.
+	t.prepared = true
+	s.numPrepared++
+	s.emit(emit.KindPrepare, emit.ClassOK, t.ID, t.BeginSeq, 0)
+	res := Result{Accepted: true, Aborted: model.NoTxn, CompletedTxn: model.NoTxn}
+	s.afterStep(&res, false)
+	return res, nil
+}
+
+// complete ends t, whose final write is in the graph, as completed: its
+// written entities take it as their current writer at the write's position
+// EndSeq, unless a later write landed while t sat prepared. A sub-node the
+// tracker still tracks is filed for its clean report (witness.go).
+func (s *Scheduler) complete(t *TxnState) Result {
+	for _, ac := range t.acc {
+		if e := &s.ents.recs[ac.rec]; ac.a == model.WriteAccess && t.EndSeq > e.lastSeq {
+			e.lastSeq, e.lastWriter = t.EndSeq, t.ID
+		}
 	}
 	s.markCompleted(t)
 	s.releaseCompleted(t)
-	t.EndSeq = s.seq
+	if t.tracked && s.cfg.Cross != nil {
+		s.owe(t)
+	}
 	s.numActive--
-	s.stats.Writes++
-	s.stats.Accepted++
 	s.stats.Completed++
 	s.emit(emit.KindCommit, emit.ClassOK, t.ID, t.BeginSeq, 0)
 	res := Result{Accepted: true, Aborted: model.NoTxn, CompletedTxn: t.ID}
 	s.afterStep(&res, true)
-	return res, nil
+	return res
 }
 
 // markWriteTargets runs Rule 3's marking for t's final write of xs — arcs

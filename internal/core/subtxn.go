@@ -4,6 +4,13 @@
 // share the logical TxnID, so folding them back into one logical node (for
 // the offline referee) is the identity on IDs.
 //
+// A sub-transaction takes the paper's three kinds of step. BeginCross is
+// its BEGIN, and its reads go through Apply like any read. Its final write
+// goes through Apply too, and is its vote: a rejection is the NO vote and
+// aborts the sub-node, as a rejected read does; an accepted write is the
+// YES vote and holds the sub-node prepared, its arcs in the graph, until
+// the decision: CommitPrepared completes it, AbortTxn removes it.
+//
 // # Cross-ancestor labels
 //
 // Per-shard acyclicity equals global conflict serializability only while
@@ -62,7 +69,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/emit"
 	"repro/internal/graph"
 	"repro/internal/model"
 )
@@ -79,37 +85,6 @@ type CrossTracker interface {
 	// recording the inter-shard arc src→dst would close a cycle among
 	// cross transactions spanning shard graphs.
 	OnCrossReach(src, dst model.TxnID) bool
-}
-
-// PrepareVote is a participant's answer to the coordinator's PREPARE.
-type PrepareVote uint8
-
-const (
-	// VoteYes: the sub-transaction's final-write arcs are locally acyclic
-	// and the registry accepted the inter-shard arcs; the node is prepared,
-	// awaiting the decision.
-	VoteYes PrepareVote = iota
-	// VoteLocalCycle: the final write would close a cycle in this shard's
-	// graph. Nothing was mutated.
-	VoteLocalCycle
-	// VoteCrossCycle: the registry vetoed an inter-shard arc — committing
-	// would close a cycle spanning shard graphs. The sub-node may retain
-	// its prepare arcs; the coordinator's ABORT releases them.
-	VoteCrossCycle
-)
-
-// String implements fmt.Stringer.
-func (v PrepareVote) String() string {
-	switch v {
-	case VoteYes:
-		return "yes"
-	case VoteLocalCycle:
-		return "no-local-cycle"
-	case VoteCrossCycle:
-		return "no-cross-cycle"
-	default:
-		return fmt.Sprintf("PrepareVote(%d)", uint8(v))
-	}
 }
 
 // BeginCross begins a sub-transaction of the logical cross transaction
@@ -136,68 +111,9 @@ func (s *Scheduler) Prepared(id model.TxnID) bool {
 // sub-transactions.
 func (s *Scheduler) NumPrepared() int { return s.numPrepared }
 
-// PrepareFinal is phase one of the final write of a cross sub-transaction:
-// it runs Rule 3's cycle test for this shard's slice of the write set and,
-// on VoteYes, applies the arcs, records the accesses, and holds the node in
-// the prepared state (still active; no further steps are accepted for it).
-// The transaction completes only via CommitPrepared, or releases everything
-// via AbortTxn. On VoteLocalCycle nothing is mutated; on VoteCrossCycle the
-// caller must follow up with AbortTxn (on every participant) — the vetoed
-// inter-shard arc was not recorded, but prepare arcs may already be in the
-// graph. A VoteCrossCycle from crossFlood leaves the node prepared until
-// that abort.
-func (s *Scheduler) PrepareFinal(step model.Step) (PrepareVote, error) {
-	t, err := s.activeTxn(step.Txn)
-	if err != nil {
-		return VoteLocalCycle, err
-	}
-	if !t.isCross {
-		return VoteLocalCycle, fmt.Errorf("core: PrepareFinal for non-cross transaction T%d", t.ID)
-	}
-	s.seq++
-	g := s.g
-	s.markWriteTargets(t, step.Entities)
-	if g.ReachesAnyTarget(t.ref) {
-		s.emit(emit.KindVeto, emit.ClassCycle, t.ID, t.BeginSeq, 0)
-		return VoteLocalCycle, nil
-	}
-	if !s.crossCollect(t) {
-		s.emit(emit.KindCrossVeto, emit.ClassCrossCycle, t.ID, t.BeginSeq, 0)
-		return VoteCrossCycle, nil
-	}
-	g.LinkTargetsTo(t.ref)
-	// Note the write accesses (arcs and entity records), but leave the
-	// current values to CommitPrepared: an ABORT decision must not leave
-	// Corollary 1's noncurrency test believing these entities were
-	// overwritten.
-	for i, x := range step.Entities {
-		s.noteAccess(t, x, model.WriteAccess, s.recScratch[i])
-	}
-	t.prepared = true
-	s.numPrepared++
-	t.EndSeq = s.seq
-	s.stats.Writes++
-	s.stats.Accepted++
-	vote := VoteYes
-	if !s.crossFlood(t) {
-		// A label propagated onward from the freshly-linked node closed a
-		// registry cycle. Vote no; the coordinator aborts all participants,
-		// which removes these arcs.
-		vote = VoteCrossCycle
-	}
-	if vote == VoteYes {
-		s.emit(emit.KindPrepare, emit.ClassOK, t.ID, t.BeginSeq, 0)
-	} else {
-		s.emit(emit.KindCrossVeto, emit.ClassCrossCycle, t.ID, t.BeginSeq, 0)
-	}
-	var res Result
-	s.afterStep(&res, false)
-	return vote, nil
-}
-
 // CommitPrepared is phase two: it completes a prepared sub-transaction
-// (the decision was COMMIT). A sub-node the tracker still tracks is then
-// filed for its clean report (witness.go).
+// (the decision was COMMIT), installing its write's current values at the
+// position of its vote.
 func (s *Scheduler) CommitPrepared(id model.TxnID) (Result, error) {
 	t, ok := s.txns[id]
 	if !ok || !t.prepared {
@@ -205,25 +121,7 @@ func (s *Scheduler) CommitPrepared(id model.TxnID) (Result, error) {
 	}
 	t.prepared = false
 	s.numPrepared--
-	s.markCompleted(t)
-	s.releaseCompleted(t)
-	if t.tracked && s.cfg.Cross != nil {
-		s.owe(t)
-	}
-	// The write is now committed: install the current values at the
-	// write's prepare-time position (EndSeq), unless a later write of the
-	// entity already landed between vote and decision.
-	for _, ac := range t.acc {
-		if e := &s.ents.recs[ac.rec]; ac.a == model.WriteAccess && t.EndSeq > e.lastSeq {
-			e.lastSeq, e.lastWriter = t.EndSeq, t.ID
-		}
-	}
-	s.numActive--
-	s.stats.Completed++
-	s.emit(emit.KindCommit, emit.ClassOK, id, t.BeginSeq, 0)
-	res := Result{Accepted: true, Aborted: model.NoTxn, CompletedTxn: id}
-	s.afterStep(&res, true)
-	return res, nil
+	return s.complete(t), nil
 }
 
 // crossEnabled reports whether any cross bookkeeping can be live on this

@@ -36,12 +36,12 @@ func TestSubTxnLifecycle(t *testing.T) {
 	if res := s.MustApply(model.Read(1, 10)); !res.Accepted {
 		t.Fatal("sub-txn read rejected")
 	}
-	vote, err := s.PrepareFinal(model.WriteFinal(1, 11))
-	if err != nil || vote != VoteYes {
+	vote, err := s.Apply(model.WriteFinal(1, 11))
+	if err != nil || !vote.Accepted {
 		t.Fatalf("prepare: vote=%v err=%v", vote, err)
 	}
 	if !s.Prepared(1) {
-		t.Fatal("Prepared(1) = false after VoteYes")
+		t.Fatal("Prepared(1) = false after a YES vote")
 	}
 	ts := s.Txn(1)
 	if ts.Status != model.StatusActive || s.NumPrepared() != 1 {
@@ -73,7 +73,7 @@ func TestSubTxnAbortReleasesPin(t *testing.T) {
 	s := NewScheduler(Config{Cross: tr})
 	s.MustBeginCross(t, 1)
 	s.MustApply(model.Read(1, 10))
-	if vote, err := s.PrepareFinal(model.WriteFinal(1, 11)); err != nil || vote != VoteYes {
+	if vote, err := s.Apply(model.WriteFinal(1, 11)); err != nil || !vote.Accepted {
 		t.Fatalf("prepare: %v %v", vote, err)
 	}
 	if err := s.AbortTxn(1); err != nil {
@@ -107,7 +107,7 @@ func TestLabelPropagation(t *testing.T) {
 	// Cross sub-txn 100 writes x via prepare; local 1 reads x afterwards →
 	// arc 100→1 and label 100 on T1.
 	s.MustBeginCross(t, 100)
-	if vote, _ := s.PrepareFinal(model.WriteFinal(100, 7)); vote != VoteYes {
+	if vote, _ := s.Apply(model.WriteFinal(100, 7)); !vote.Accepted {
 		t.Fatalf("prepare vote: %v", vote)
 	}
 	if _, err := s.CommitPrepared(100); err != nil {
@@ -140,7 +140,7 @@ func TestLabelLatePropagation(t *testing.T) {
 	s.MustApply(model.Begin(1))
 	s.MustApply(model.Read(1, 5))
 	s.MustBeginCross(t, 200)
-	if vote, _ := s.PrepareFinal(model.WriteFinal(200, 5)); vote != VoteYes {
+	if vote, _ := s.Apply(model.WriteFinal(200, 5)); !vote.Accepted {
 		t.Fatal("prepare 200")
 	}
 	if _, err := s.CommitPrepared(200); err != nil {
@@ -150,7 +150,7 @@ func TestLabelLatePropagation(t *testing.T) {
 	// 300 arrives at T1 and must flood through the *existing* arc 1→200,
 	// reporting 300→200.
 	s.MustBeginCross(t, 300)
-	if vote, _ := s.PrepareFinal(model.WriteFinal(300, 9)); vote != VoteYes {
+	if vote, _ := s.Apply(model.WriteFinal(300, 9)); !vote.Accepted {
 		t.Fatal("prepare 300")
 	}
 	if _, err := s.CommitPrepared(300); err != nil {
@@ -241,7 +241,7 @@ func TestVetoedFloodLeavesNoLabels(t *testing.T) {
 	must(model.Read(4, 3))
 	must(model.Read(4, 4))
 	s.MustBeginCross(t, 5)
-	if vote, err := s.PrepareFinal(model.WriteFinal(5, 4)); err != nil || vote != VoteYes {
+	if vote, err := s.Apply(model.WriteFinal(5, 4)); err != nil || !vote.Accepted {
 		t.Fatalf("prepare C: %v %v", vote, err)
 	}
 	// X's write of e1 links A→X: label A floods X→W→L and meets C, and the
@@ -262,13 +262,13 @@ func TestVetoedFloodLeavesNoLabels(t *testing.T) {
 	}
 }
 
-// TestPrepareVetoAtCollect: a veto on the incoming labels of a prepare
-// leaves the graph unmutated (VoteCrossCycle before any arc lands).
+// TestPrepareVetoAtCollect: a veto on the incoming labels of a step leaves
+// the graph unmutated (the rejection comes before any arc lands).
 func TestPrepareVetoAtCollect(t *testing.T) {
 	tr := &fakeTracker{veto: map[reachArc]bool{}}
 	s := NewScheduler(Config{Cross: tr})
 	s.MustBeginCross(t, 100)
-	if vote, _ := s.PrepareFinal(model.WriteFinal(100, 7)); vote != VoteYes {
+	if vote, _ := s.Apply(model.WriteFinal(100, 7)); !vote.Accepted {
 		t.Fatal("prepare 100")
 	}
 	if _, err := s.CommitPrepared(100); err != nil {
@@ -294,11 +294,11 @@ func TestPrepareVetoAtCollect(t *testing.T) {
 	}
 }
 
-// TestFloodVetoKeepsPrepared: a prepare whose arcs landed and whose vote
-// crossFlood then vetoes (VoteCrossCycle after the link) leaves its
-// sub-node prepared, and counted so, through other traffic until the
-// coordinator's AbortTxn; the abort takes it out of the count.
-func TestFloodVetoKeepsPrepared(t *testing.T) {
+// TestFloodVetoRejects: a vote whose arcs landed and whose label flood
+// the registry then vetoes is a NO vote like any other: the final write is
+// rejected as a cross veto, and the sub-node leaves the graph at once
+// rather than waiting prepared for the coordinator's ABORT.
+func TestFloodVetoRejects(t *testing.T) {
 	tr := &fakeTracker{veto: map[reachArc]bool{}}
 	s := NewScheduler(Config{Cross: tr})
 	// Cross A reads e10; cross T reads e20, which cross C then writes and
@@ -308,7 +308,7 @@ func TestFloodVetoKeepsPrepared(t *testing.T) {
 	s.MustBeginCross(t, 1)
 	s.MustApply(model.Read(1, 20))
 	s.MustBeginCross(t, 200)
-	if vote, err := s.PrepareFinal(model.WriteFinal(200, 20)); err != nil || vote != VoteYes {
+	if vote, err := s.Apply(model.WriteFinal(200, 20)); err != nil || !vote.Accepted {
 		t.Fatalf("prepare C: %v %v", vote, err)
 	}
 	if _, err := s.CommitPrepared(200); err != nil {
@@ -317,26 +317,19 @@ func TestFloodVetoKeepsPrepared(t *testing.T) {
 	// T's write of e10 links A→T (reported and allowed); label A then
 	// floods T→C, and the registry vetoes A→C.
 	tr.veto[reachArc{100, 200}] = true
-	vote, err := s.PrepareFinal(model.WriteFinal(1, 10))
-	if err != nil || vote != VoteCrossCycle {
-		t.Fatalf("prepare T: %v %v, want %v", vote, err, VoteCrossCycle)
+	vote, err := s.Apply(model.WriteFinal(1, 10))
+	if err != nil || vote.Accepted || !vote.CrossVeto || vote.Aborted != 1 {
+		t.Fatalf("prepare T: %+v %v, want a cross veto aborting T1", vote, err)
 	}
-	if !s.Graph().HasArc(100, 1) || !slices.Contains(tr.arcs, reachArc{100, 1}) {
-		t.Fatalf("prepare arcs did not land before the veto; arcs = %v", tr.arcs)
+	if !slices.Contains(tr.arcs, reachArc{100, 1}) {
+		t.Fatalf("the flood ran before the veto: arcs = %v", tr.arcs)
 	}
-	if !s.Prepared(1) || s.NumPrepared() != 1 {
-		t.Fatalf("after the flood veto: Prepared(T)=%v NumPrepared=%d, want true, 1", s.Prepared(1), s.NumPrepared())
+	if s.Txn(1) != nil || s.Graph().HasNode(1) || s.Prepared(1) || s.NumPrepared() != 0 {
+		t.Fatalf("after the flood veto: Txn(T)=%v node=%v Prepared(T)=%v NumPrepared=%d, want gone and 0",
+			s.Txn(1), s.Graph().HasNode(1), s.Prepared(1), s.NumPrepared())
 	}
-	s.MustApply(model.Begin(5))
-	s.MustApply(model.WriteFinal(5, 30))
-	if !s.Prepared(1) || s.NumPrepared() != 1 {
-		t.Fatalf("after other traffic: Prepared(T)=%v NumPrepared=%d, want true, 1", s.Prepared(1), s.NumPrepared())
-	}
-	if err := s.AbortTxn(1); err != nil {
-		t.Fatal(err)
-	}
-	if s.Prepared(1) || s.NumPrepared() != 0 {
-		t.Fatalf("after the abort: Prepared(T)=%v NumPrepared=%d, want false, 0", s.Prepared(1), s.NumPrepared())
+	if err := s.AbortTxn(1); err == nil {
+		t.Fatal("the coordinator's ABORT found the vetoed sub-node still there")
 	}
 }
 
@@ -348,7 +341,7 @@ func TestDeletionGatedByLabels(t *testing.T) {
 	s := NewScheduler(Config{Policy: GreedyC1{}, SweepManual: true, Cross: tr})
 	// Cross 100 writes 7; local 1 reads 7 (label 100), writes 8, completes.
 	s.MustBeginCross(t, 100)
-	if vote, _ := s.PrepareFinal(model.WriteFinal(100, 7)); vote != VoteYes {
+	if vote, _ := s.Apply(model.WriteFinal(100, 7)); !vote.Accepted {
 		t.Fatal("prepare 100")
 	}
 	if _, err := s.CommitPrepared(100); err != nil {
@@ -386,7 +379,7 @@ func TestAbortedPrepareLeavesNoPhantomWrite(t *testing.T) {
 	s.MustApply(model.WriteFinal(10, 5))
 	// Cross T50 prepares a write of 5, then the coordinator aborts it.
 	s.MustBeginCross(t, 50)
-	if vote, err := s.PrepareFinal(model.WriteFinal(50, 5)); err != nil || vote != VoteYes {
+	if vote, err := s.Apply(model.WriteFinal(50, 5)); err != nil || !vote.Accepted {
 		t.Fatalf("prepare: %v %v", vote, err)
 	}
 	if err := s.AbortTxn(50); err != nil {
@@ -398,7 +391,7 @@ func TestAbortedPrepareLeavesNoPhantomWrite(t *testing.T) {
 	}
 	// A prepare that actually commits does install the bookkeeping.
 	s.MustBeginCross(t, 60)
-	if vote, _ := s.PrepareFinal(model.WriteFinal(60, 5)); vote != VoteYes {
+	if vote, _ := s.Apply(model.WriteFinal(60, 5)); !vote.Accepted {
 		t.Fatal("prepare 60")
 	}
 	if _, err := s.CommitPrepared(60); err != nil {

@@ -33,7 +33,7 @@ func TestRetireReleasesOnlyItsSource(t *testing.T) {
 	s := NewScheduler(Config{Policy: checked{GreedyC1{}, t}, SweepManual: true, Cross: scriptedTracker{}})
 	for _, src := range []model.TxnID{1, 2} {
 		s.MustBeginCross(t, src)
-		if vote, _ := s.PrepareFinal(model.WriteFinal(src, model.Entity(src))); vote != VoteYes {
+		if vote, _ := s.Apply(model.WriteFinal(src, model.Entity(src))); !vote.Accepted {
 			t.Fatalf("T%d voted %v", src, vote)
 		}
 		if _, err := s.CommitPrepared(src); err != nil {
@@ -142,11 +142,14 @@ func indexedLockstep(t *testing.T, fast, ref Policy, seed int64) {
 			ra, ea = a.BeginCross(step)
 			rb, eb = b.BeginCross(step)
 		case step.Kind == model.KindWriteFinal && cross[step.Txn]:
-			va, _ := a.PrepareFinal(step)
-			if vb, _ := b.PrepareFinal(step); va != vb {
-				t.Fatalf("%v: votes %v vs %v", step, va, vb)
+			ra, ea = a.Apply(step)
+			rb, eb = b.Apply(step)
+			same(step.String()+" vote", ra, rb, ea, eb)
+			if !ra.Accepted {
+				gen.NotifyAbort(step.Txn)
+				continue
 			}
-			if va != VoteYes || rng.Intn(4) == 0 {
+			if rng.Intn(4) == 0 {
 				abort(step.Txn)
 				continue
 			}
@@ -213,7 +216,7 @@ func cleanReportLockstep(t *testing.T, nogc bool, ending, retire string) {
 	s.MustApply(model.Begin(c))
 	s.MustApply(model.WriteFinal(c, 4, 5)) // A2 → C
 	s.MustBeginCross(t, x)
-	if vote, err := s.PrepareFinal(model.WriteFinal(x, 1, 5, 3)); vote != VoteYes || err != nil {
+	if vote, err := s.Apply(model.WriteFinal(x, 1, 5, 3)); !vote.Accepted || err != nil {
 		t.Fatalf("X voted %v (%v)", vote, err)
 	}
 	if _, err := s.CommitPrepared(x); err != nil { // A1 → X, C → X

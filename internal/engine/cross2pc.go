@@ -6,13 +6,16 @@
 // sub-begins; reads route to the owning shard like local steps, and travel
 // in the submission window with them (Engine.admit); the final write runs
 // the two-phase commit from the submitting goroutine: PREPARE every
-// participant (the shard votes on its slice of the write set, holding the
-// sub-node prepared on yes), then COMMIT or ABORT everywhere. Each phase is
-// a window of one step per participant, sent through Engine.visit like a
-// door's window: the participants whose lock is free first, then the rest;
-// COMMIT visits the first participant alone before the others, since its
-// durable decision is the commit point and must exist before any other
-// participant commits. Non-participating shards never hear about any of
+// participant, then COMMIT or ABORT everywhere. A sub-begin and a vote are
+// ordinary steps to the shard, a BEGIN and a final write applied by
+// applyOne: the final write of a sub-transaction is its slice of the write
+// set, and a rejection is the NO vote, which aborts that shard's sub-node,
+// while an accepted one is the YES vote, which holds it prepared. Each
+// phase is a window of one step per participant, sent through Engine.visit
+// like a door's window: the participants whose lock is free first, then
+// the rest; COMMIT visits the first participant alone before the others,
+// since its durable decision is the commit point and must exist before any
+// other participant commits. Non-participating shards never hear about any of
 // it, and participating shards keep serving other traffic between vote and
 // decision — the prepared state, not a pause, is what freezes the
 // sub-transaction.
@@ -406,7 +409,7 @@ func (e *Engine) beginCross(step model.Step, pri Priority, settle func()) Result
 	for i := range ct.steps {
 		ct.steps[i] = step
 	}
-	e.fanOut(ct, reqBeginSub, false, func(int) bool { return true })
+	e.fanOut(ct, reqBatch, false, func(int) bool { return true })
 	settle()
 	failed := slices.IndexFunc(ct.out, func(r Result) bool { return r.Err != nil })
 	if failed < 0 {
@@ -515,7 +518,7 @@ func (e *Engine) commitCross(ctx context.Context, ct *crossTxn, final model.Step
 	for i, p := range ct.parts {
 		ct.steps[i] = e.writeSubsetFor(final, p)
 	}
-	e.fanOut(ct, reqPrepareSub, false, func(int) bool { return true })
+	e.fanOut(ct, reqBatch, false, func(int) bool { return true })
 	e.prepares.Add(int64(len(ct.parts)))
 	for _, r := range ct.out {
 		if refused(r) {

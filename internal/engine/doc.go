@@ -67,18 +67,25 @@
 //     global cycle would have to complete a registry cycle first, so no
 //     accepted schedule contains one. The refusal lands wherever the last
 //     connecting arc appears: at PREPARE (the classic two-transaction case
-//     — the cross transaction itself aborts, voting no), or at a local
+//     — the cross transaction's final write is rejected on that shard,
+//     which is its NO vote, and the transaction aborts), or at a local
 //     step whose new arcs complete the last shard-local path (that local
 //     transaction aborts, exactly the paper's cycle-rejection semantics).
 //
 // The commit itself is a two-phase protocol driven from the submitting
-// goroutine: PREPARE each participant (the shard runs Rule 3 on its slice
-// of the write set, places the arcs, holds the sub-node prepared, and
-// votes), then COMMIT or ABORT everywhere. Participants never pause — the
-// prepared state freezes the sub-transaction, not the shard — and no
-// goroutine holds two shard locks, so concurrent two-phase commits cannot
-// deadlock and non-participants are untouched: a bystander active across a
-// cross commit goes on to commit (TestCrossPartition2PC).
+// goroutine: PREPARE each participant, then COMMIT or ABORT everywhere.
+// To a participant the PREPARE is the sub-transaction's final write, its
+// slice of the write set, applied like any step: Rule 3's cycle test and
+// the registry's veto decide it. A rejection is the NO vote and removes
+// that shard's sub-node at once; an accepted write places the arcs and is
+// the YES vote, holding the sub-node prepared for the decision. The BEGIN
+// fans out the same way, as one ordinary BEGIN per participant, which the
+// shard tells from a local one by its footprint spanning shards.
+// Participants never pause — the prepared state freezes the
+// sub-transaction, not the shard — and no goroutine holds two shard locks,
+// so concurrent two-phase commits cannot deadlock and non-participants are
+// untouched: a bystander active across a cross commit goes on to commit
+// (TestCrossPartition2PC).
 //
 // # Deletion under sharding — C1/C2 lifted to logical transactions
 //

@@ -63,6 +63,11 @@ type RecoveryReport struct {
 	// CrossAborted counts cross transactions aborted during recovery
 	// (undecided, partially prepared, or presumed abort).
 	CrossAborted int
+	// MaxTxnID is the highest TxnID the recovered state names: in a tail
+	// record, a checkpointed transaction, or a current value's writer. A
+	// client allocating IDs counts on from it, so it never reuses one the
+	// recovered state still names.
+	MaxTxnID model.TxnID
 }
 
 // subState is one shard's view of a recovered cross transaction.
@@ -105,6 +110,12 @@ func (e *Engine) recover() (*RecoveryReport, error) {
 			if err != nil {
 				return nil, fmt.Errorf("engine: recover shard %d: checkpoint: %v: %w", i, err, store.ErrCorruptWAL)
 			}
+			for _, t := range snap.Txns {
+				rep.MaxTxnID = max(rep.MaxTxnID, t.ID)
+			}
+			for _, w := range snap.Writes {
+				rep.MaxTxnID = max(rep.MaxTxnID, w.Writer)
+			}
 		} else {
 			sh.sched = core.NewScheduler(replayCfg)
 		}
@@ -115,6 +126,7 @@ func (e *Engine) recover() (*RecoveryReport, error) {
 			if r.Kind == store.RecCommit {
 				commitEvidence[r.Txn] = true
 			}
+			rep.MaxTxnID = max(rep.MaxTxnID, r.Txn)
 			rep.RecordsReplayed++
 		}
 	}
@@ -230,24 +242,24 @@ func replayRecord(sched *core.Scheduler, r store.Record) error {
 		if err != nil || !res.Accepted {
 			return replayDiverged(r, res, err)
 		}
+	case store.RecBeginSub:
+		if _, err := sched.BeginCross(model.Step{Kind: model.KindBegin, Txn: r.Txn, Entities: r.Entities}); err != nil {
+			return fmt.Errorf("%v replay: %v", r.Kind, err)
+		}
 	case store.RecRead:
 		res, err := sched.Apply(model.Step{Kind: model.KindRead, Txn: r.Txn, Entity: r.Entity})
 		if err != nil || !res.Accepted {
 			return replayDiverged(r, res, err)
 		}
-	case store.RecWrite:
+	case store.RecWrite, store.RecPrepare:
+		// A sub-transaction's final write is its vote: it must re-apply
+		// prepared, and any other final write completed.
 		res, err := sched.Apply(model.Step{Kind: model.KindWriteFinal, Txn: r.Txn, Entities: r.Entities})
 		if err != nil || !res.Accepted {
 			return replayDiverged(r, res, err)
 		}
-	case store.RecBeginSub:
-		if _, err := sched.BeginCross(model.Step{Kind: model.KindBegin, Txn: r.Txn, Entities: r.Entities}); err != nil {
-			return fmt.Errorf("%v replay: %v", r.Kind, err)
-		}
-	case store.RecPrepare:
-		vote, err := sched.PrepareFinal(model.Step{Kind: model.KindWriteFinal, Txn: r.Txn, Entities: r.Entities})
-		if err != nil || vote != core.VoteYes {
-			return fmt.Errorf("%v replay: vote=%v err=%v", r.Kind, vote, err)
+		if prepared := res.CompletedTxn == model.NoTxn; prepared != (r.Kind == store.RecPrepare) {
+			return fmt.Errorf("%v replay: final write re-applied with prepared=%v", r.Kind, prepared)
 		}
 	case store.RecCommit:
 		if _, err := sched.CommitPrepared(r.Txn); err != nil {

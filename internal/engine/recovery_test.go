@@ -200,6 +200,54 @@ func TestRecoverPrepared2PCPresumedAbort(t *testing.T) {
 	mustAccept(t, submit(eng, model.WriteFinal(9, 0)))
 }
 
+// TestRefusedVoteJournal: the participant that votes NO journals the abort
+// of its sub-node and never a RecPrepare; its YES sibling journals the
+// sub-begin, the vote and then the ABORT decision. The reopened engine
+// finds nothing of the transaction left to resolve.
+func TestRefusedVoteJournal(t *testing.T) {
+	st := store.NewMem(2)
+	eng := New(Config{Shards: 2, Store: st})
+	// Cross T10 reads e0 on shard 0; local U20 reads e2 and overwrites e0
+	// (T10→U20); T10's write of e2 closes U20→T10 there, so shard 0 votes
+	// NO, while shard 1 votes YES on e1.
+	mustAccept(t, submit(eng, model.BeginDeclared(10, 0, 2, 1)))
+	mustAccept(t, submit(eng, model.BeginDeclared(20, 0, 2)))
+	mustAccept(t, submit(eng, model.Read(20, 2)))
+	mustAccept(t, submit(eng, model.Read(10, 0)))
+	mustAccept(t, submit(eng, model.WriteFinal(20, 0)))
+	if res := submit(eng, model.WriteFinal(10, 2, 1)); !errors.Is(res.Err, ErrCycle) || res.Aborted != 10 {
+		t.Fatalf("refused write: %+v, want a cycle aborting T10", res)
+	}
+	eng.Close()
+	want := [][]store.RecKind{
+		{store.RecBeginSub, store.RecRead, store.RecAbort},
+		{store.RecBeginSub, store.RecPrepare, store.RecAbort},
+	}
+	for i := range want {
+		state, err := st.Shard(i).Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []store.RecKind
+		for _, r := range state.Tail {
+			if r.Txn == 10 {
+				got = append(got, r.Kind)
+			}
+		}
+		if !slices.Equal(got, want[i]) {
+			t.Fatalf("shard %d journaled %v for T10, want %v", i, got, want[i])
+		}
+	}
+	eng, rep, err := Open(Config{Shards: 2, Store: st})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer eng.Close()
+	if rep.CrossAborted != 0 || rep.CrossCommitted != 0 {
+		t.Fatalf("report = %+v, want no cross transaction to resolve", rep)
+	}
+}
+
 // TestRecoverCommitEvidenceFinishesLaggards: a durable COMMIT on one
 // participant commits the transaction everywhere — the decision stands even
 // if the other participant crashed before hearing it.
@@ -243,6 +291,34 @@ func TestRecoverCorruptSnapshotFails(t *testing.T) {
 	_, _, err := Open(Config{Shards: 1, Store: st})
 	if !errors.Is(err, store.ErrCorruptWAL) {
 		t.Fatalf("Open = %v, want ErrCorruptWAL", err)
+	}
+}
+
+// TestRecoverWriteKindMismatchFails: a sub-transaction's final write
+// re-applies prepared and a local one completed, so a RecWrite for a
+// sub-begun transaction, or a RecPrepare for a local one, is a log that
+// does not describe the history: Open fails with ErrCorruptWAL.
+func TestRecoverWriteKindMismatchFails(t *testing.T) {
+	for _, begin := range []store.RecKind{store.RecBeginSub, store.RecBegin} {
+		write := store.RecWrite
+		if begin == store.RecBegin {
+			write = store.RecPrepare
+		}
+		st := store.NewMem(2)
+		for _, r := range []store.Record{
+			{Kind: begin, Txn: 1, Entities: []model.Entity{0, 1}},
+			{Kind: write, Txn: 1, Entities: []model.Entity{0}},
+		} {
+			if err := st.Shard(0).Append(&r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Shard(0).Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Open(Config{Shards: 2, Store: st}); !errors.Is(err, store.ErrCorruptWAL) {
+			t.Fatalf("%v then %v: Open = %v, want ErrCorruptWAL", begin, write, err)
+		}
 	}
 }
 

@@ -18,15 +18,12 @@ const (
 	reqBatch reqKind = iota
 	// reqStats snapshots the shard's scheduler counters.
 	reqStats
-	// The four 2PC phases below apply each step the shard owns as that
-	// phase of the step's transaction (applyAs); a two-phase commit sends
-	// one step per participant. reqBeginSub begins a sub-transaction of a
-	// cross-partition transaction on this shard.
-	reqBeginSub
-	// reqPrepareSub is phase one of a cross-partition final write: vote on
-	// this shard's slice of the write set, holding the sub-node prepared on
-	// yes.
-	reqPrepareSub
+	// The two 2PC decisions below apply each step the shard owns as that
+	// decision for the step's transaction (applyAs); a two-phase commit
+	// sends one step per participant. A cross BEGIN's sub-begins and its
+	// votes are reqBatch windows: to a shard they are a BEGIN and a final
+	// write (applyOne).
+	//
 	// reqCommitSub is the COMMIT decision for a prepared sub-transaction.
 	reqCommitSub
 	// reqAbortSub aborts a transaction: a sub-transaction in any state
@@ -261,7 +258,7 @@ func (sh *shard) handle(req *request) {
 		if req.stats != nil {
 			*req.stats = sh.sched.Stats()
 		}
-	case reqBeginSub, reqPrepareSub, reqCommitSub, reqAbortSub:
+	case reqCommitSub, reqAbortSub:
 		for k, st := range req.steps {
 			if req.owns(k) {
 				req.out[k] = sh.applyAs(req, st)
@@ -272,32 +269,51 @@ func (sh *shard) handle(req *request) {
 	}
 }
 
-// applyAs applies st as the 2PC phase req.kind of st's transaction.
+// applyAs applies st as the 2PC decision req.kind for st's transaction.
 func (sh *shard) applyAs(req *request, st model.Step) Result {
-	switch req.kind {
-	case reqBeginSub:
-		return sh.applyBeginSub(st)
-	case reqPrepareSub:
-		return sh.applyPrepareSub(st)
-	case reqCommitSub:
+	if req.kind == reqCommitSub {
 		return sh.applyCommitSub(st.Txn, req.decisionDurable)
 	}
 	return sh.applyAbortSub(st.Txn)
 }
 
-// applyOne runs one step on the scheduler and returns the engine-level
-// result, updating the engine counters and route table. A rejected step of
-// a cross sub-transaction removes only this shard's sub-node; the
-// submitting goroutine owns the logical abort (siblings, route, counters),
-// so route and abort bookkeeping are skipped here for cross routes.
+// applyOne runs one step on the scheduler, journals it, and returns the
+// engine-level result, updating the engine counters and route table.
+//
+// A BEGIN whose footprint spans shards is a cross sub-begin, which only the
+// 2PC driver sends, and the final write of a cross sub-transaction is its
+// vote (core.Scheduler.Apply). The driver counts each logical step of a
+// cross transaction once, so a sub-begin or a vote counts nothing here. A
+// rejected step of a cross sub-transaction, a read or a NO vote, removes
+// only this shard's sub-node: the submitting goroutine owns the logical
+// abort (siblings, route, counters), so route and abort bookkeeping are
+// skipped here for cross routes.
 //
 //txgc:hotpath
 func (sh *shard) applyOne(step model.Step) (out Result) {
 	eng := sh.eng
 	if err := sh.jr.refusal(step); err != nil {
+		if step.Kind == model.KindWriteFinal {
+			// A vote the failed journal refuses names its transaction, which
+			// tells it from a participant the closed engine kept from voting
+			// at all (refused).
+			if r, _ := eng.routes.load(step.Txn); r.ct != nil {
+				return answer(step.Txn, err)
+			}
+		}
 		return errResult(err)
 	}
-	res, err := sh.sched.Apply(step)
+	sub := false
+	if step.Kind == model.KindBegin {
+		_, sub = eng.beginRoute(step)
+	}
+	var res core.Result
+	var err error
+	if sub {
+		res, err = sh.sched.BeginCross(step)
+	} else {
+		res, err = sh.sched.Apply(step)
+	}
 	if err != nil {
 		if step.Kind != model.KindBegin && sh.txnGone(step.Txn) {
 			// The transaction ended between the submitter's route lookup and
@@ -319,15 +335,28 @@ func (sh *shard) applyOne(step model.Step) (out Result) {
 	}
 	out = Result{Aborted: res.Aborted, CompletedTxn: res.CompletedTxn}
 	if res.Accepted {
-		eng.accepted.Add(1)
 		var jerr error
-		switch step.Kind {
-		case model.KindBegin:
-			jerr = sh.jr.record(store.RecBegin, step.Txn, 0, step.Entities)
-		case model.KindRead:
+		switch {
+		case step.Kind == model.KindRead:
+			eng.accepted.Add(1)
 			jerr = sh.jr.record(store.RecRead, step.Txn, step.Entity, nil)
-		case model.KindWriteFinal:
+		case sub:
+			jerr = sh.jr.record(store.RecBeginSub, step.Txn, 0, step.Entities)
+		case step.Kind == model.KindBegin:
+			eng.accepted.Add(1)
+			jerr = sh.jr.record(store.RecBegin, step.Txn, 0, step.Entities)
+		case res.CompletedTxn != model.NoTxn:
+			eng.accepted.Add(1)
 			jerr = sh.jr.record(store.RecWrite, step.Txn, 0, step.Entities)
+		default:
+			// A YES vote, forced to disk before it leaves the shard. One
+			// that could not be made durable must never reach the
+			// coordinator: it answers as a NO vote does, naming the
+			// transaction, and the coordinator's ABORT releases the
+			// prepared sub-node with its siblings.
+			if jerr = sh.jr.record(store.RecPrepare, step.Txn, 0, step.Entities); jerr != nil {
+				out.Aborted = step.Txn
+			}
 		}
 		if jerr != nil {
 			// Strict mode promised durability before the ack, and the journal
@@ -336,7 +365,7 @@ func (sh *shard) applyOne(step model.Step) (out Result) {
 			// has fail-stopped, so the only observer left is recovery — which
 			// won't have the record, agreeing with the client that the ack
 			// never happened.
-			out = errResult(sh.jr.refusal(step))
+			out = answer(out.Aborted, sh.jr.refusal(step))
 		}
 	} else {
 		if res.CrossVeto {
@@ -344,22 +373,21 @@ func (sh *shard) applyOne(step model.Step) (out Result) {
 		} else {
 			out.Err = stepErr(step, ErrCycle)
 		}
-		eng.rejected.Add(1)
-		if res.Aborted != model.NoTxn {
-			// The rejection's victim is gone from the graph; replay must
-			// see the abort or it would resurrect the victim live.
-			sh.jr.record(store.RecAbort, res.Aborted, 0, nil)
+		// The rejection's victim is gone from the graph; replay must see
+		// the abort or it would resurrect the victim live.
+		sh.jr.record(store.RecAbort, res.Aborted, 0, nil)
+		if r, ok := eng.routes.load(res.Aborted); !ok || r.ct == nil {
+			eng.rejected.Add(1)
+			eng.aborted.Add(1)
+			eng.routes.delete(res.Aborted)
+		} else if step.Kind == model.KindRead {
+			// The driver counts a NO vote's rejection, once for all voters.
+			eng.rejected.Add(1)
 		}
 	}
 	if res.CompletedTxn != model.NoTxn {
 		eng.completed.Add(1)
 		eng.routes.delete(res.CompletedTxn)
-	}
-	if res.Aborted != model.NoTxn {
-		if r, ok := eng.routes.load(res.Aborted); !ok || r.ct == nil {
-			eng.aborted.Add(1)
-			eng.routes.delete(res.Aborted)
-		}
 	}
 	return out
 }
@@ -376,63 +404,6 @@ func (sh *shard) txnGone(id model.TxnID) bool {
 	}
 	r, live := sh.eng.routes.load(id)
 	return !live || r.ct != nil && sh.sched.Txn(id) == nil
-}
-
-// applyBeginSub begins a cross sub-transaction on this shard's scheduler.
-// Engine-level logical counters are the 2PC driver's job; the shard only
-// applies and logs.
-func (sh *shard) applyBeginSub(step model.Step) Result {
-	if err := sh.jr.refusal(step); err != nil {
-		return errResult(err)
-	}
-	if _, err := sh.sched.BeginCross(step); err != nil {
-		return errResult(protocolErr(err))
-	}
-	if sh.eng.cfg.Log != nil {
-		sh.eng.cfg.Log.Append(step, true)
-	}
-	if sh.jr.record(store.RecBeginSub, step.Txn, 0, step.Entities) != nil {
-		// Strict mode: the sub-begin could not be made durable, so refuse it
-		// and let the coordinator abort the siblings (see applyOne).
-		return errResult(sh.jr.refusal(step))
-	}
-	return answer(model.NoTxn, nil)
-}
-
-// applyPrepareSub votes on this shard's slice of a cross final write. A
-// YES vote logs the write at its conflict position (the arcs go into the
-// graph now; a later ABORT excludes the transaction via MarkAborted) and
-// holds the sub-node prepared. A shard whose journal has failed votes no
-// with the failure, naming the transaction in Aborted as every NO vote
-// does, which tells it from a participant the closed engine kept from
-// voting at all.
-func (sh *shard) applyPrepareSub(step model.Step) Result {
-	if err := sh.jr.refusal(step); err != nil {
-		return answer(step.Txn, err)
-	}
-	vote, err := sh.sched.PrepareFinal(step)
-	if err != nil {
-		return errResult(protocolErr(err))
-	}
-	switch vote {
-	case core.VoteYes:
-		if sh.jr.record(store.RecPrepare, step.Txn, 0, step.Entities) != nil {
-			// The YES vote could not be made durable, so it must never
-			// reach the coordinator: release the sub-transaction locally
-			// and answer with the failure (the coordinator then aborts the
-			// siblings).
-			sh.applyAbortSub(step.Txn)
-			return answer(step.Txn, sh.jr.refusal(step))
-		}
-		if sh.eng.cfg.Log != nil {
-			sh.eng.cfg.Log.Append(step, true)
-		}
-		return answer(model.NoTxn, nil)
-	case core.VoteCrossCycle:
-		return answer(step.Txn, stepErr(step, ErrCrossCycle))
-	default: // VoteLocalCycle
-		return answer(step.Txn, stepErr(step, ErrCycle))
-	}
 }
 
 // applyCommitSub completes a prepared sub-transaction (COMMIT decision).

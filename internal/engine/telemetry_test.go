@@ -14,11 +14,12 @@ import (
 // mixed local/cross workload. The workload is conflict-free by construction
 // so every count is exact: L local transactions (one read, one final write)
 // and C cross transactions with exactly two participants each (one read, a
-// two-entity final write through 2PC), then M misrouted transactions that
-// abort.
+// two-entity final write through 2PC), then V1 and V2 cross transactions
+// whose final write one participant and two participants refuse, then M
+// misrouted transactions that abort.
 func TestStatsDifferential(t *testing.T) {
 	const shards = 4
-	const L, C, M = 40, 12, 5
+	const L, C, V1, V2, M = 40, 12, 3, 3, 5
 	eng := New(Config{Shards: shards})
 	defer eng.Close()
 
@@ -62,6 +63,39 @@ func TestStatsDifferential(t *testing.T) {
 			t.Fatalf("cross write %d: %v (%v)", i, res.Outcome(), res.Err)
 		}
 	}
+	// A refused vote: cross T reads r on a participant, local U reads w
+	// there and then overwrites r (T→U), and T's final write of w closes
+	// the cycle U→T, so that participant votes NO. Each refusing
+	// participant costs one local U that commits.
+	for i := 0; i < V1+V2; i++ {
+		refusers := 1
+		if i >= V1 {
+			refusers = 2
+		}
+		id := model.TxnID(3000 + 10*i)
+		var r, w, fp []model.Entity
+		for p := 0; p < 2; p++ {
+			r, w = append(r, take((i+p)%shards)), append(w, take((i+p)%shards))
+		}
+		fp = append(append(fp, r...), w...)
+		if res := submit(eng, model.BeginDeclared(id, fp...)); !res.Accepted() {
+			t.Fatalf("refused-vote begin %d: %v (%v)", i, res.Outcome(), res.Err)
+		}
+		for p := 0; p < refusers; p++ {
+			u := id + model.TxnID(1+p)
+			for _, st := range []model.Step{
+				model.BeginDeclared(u, r[p], w[p]), model.Read(u, w[p]),
+				model.Read(id, r[p]), model.WriteFinal(u, r[p]),
+			} {
+				if res := submit(eng, st); !res.Accepted() {
+					t.Fatalf("refused-vote %d: %v: %v (%v)", i, st, res.Outcome(), res.Err)
+				}
+			}
+		}
+		if res := submit(eng, model.WriteFinal(id, w...)); !errors.Is(res.Err, ErrCycle) || res.Aborted != id {
+			t.Fatalf("refused-vote write %d: %+v, want a cycle aborting T%d", i, res, id)
+		}
+	}
 	for i := 0; i < M; i++ {
 		// A single-partition transaction that strays: reading an entity of
 		// the next partition is a misroute and aborts it.
@@ -97,18 +131,24 @@ func TestStatsDifferential(t *testing.T) {
 			t.Fatalf("%s = %d, want %d (stats %+v)", name, got, want, st)
 		}
 	}
-	assertEq("Completed", st.Completed, L+C)
-	assertEq("Merged.Completed", st.Merged.Completed, L+2*C)
-	assertEq("Merged.Begins", st.Merged.Begins, L+2*C+M)
-	assertEq("Merged.Writes", st.Merged.Writes, L+2*C)
-	assertEq("Merged.Reads", st.Merged.Reads, L+C)
-	assertEq("Prepares", st.Prepares, 2*C)
-	assertEq("CrossTxns", st.CrossTxns, C)
+	// Logical counters: a refused cross transaction is one rejection and
+	// one abort, however many participants refuse.
+	assertEq("Completed", st.Completed, L+C+V1+2*V2)
+	assertEq("Rejected", st.Rejected, V1+V2+M)
+	assertEq("Merged.Completed", st.Merged.Completed, L+2*C+V1+2*V2)
+	assertEq("Merged.Begins", st.Merged.Begins, L+2*C+3*V1+4*V2+M)
+	assertEq("Merged.Writes", st.Merged.Writes, L+2*C+2*V1+2*V2)
+	assertEq("Merged.Reads", st.Merged.Reads, L+C+2*V1+4*V2)
+	assertEq("Prepares", st.Prepares, 2*(C+V1+V2))
+	assertEq("CrossTxns", st.CrossTxns, C+V1+V2)
 	assertEq("Misroutes", st.Misroutes, M)
-	assertEq("Aborted", st.Aborted, M)
-	assertEq("Merged.Aborts", st.Merged.Aborts, M)
-	assertEq("Merged.Rejected", st.Merged.Rejected, 0) // misroutes abort pre-scheduler
-	assertEq("CrossAborts", st.CrossAborts, 0)
+	assertEq("Aborted", st.Aborted, V1+V2+M)
+	assertEq("Merged.Aborts", st.Merged.Aborts, 2*(V1+V2)+M)
+	assertEq("CrossAborts", st.CrossAborts, V1+V2)
+	// A NO vote is the voter's rejected final write, so each refusing
+	// participant counts one rejection on its shard; misroutes abort before
+	// the scheduler sees a step.
+	assertEq("Merged.Rejected", st.Merged.Rejected, V1+2*V2)
 	assertEq("Shed", st.Shed, 0)
 }
 

@@ -219,7 +219,11 @@ func Open(cfg Config) (*DB, error) {
 			m.SetBus(bus)
 		}
 	}
-	return &DB{eng: eng, log: log, bus: bus, verify: cfg.Verify, ownedStore: owned, recovery: rep}, nil
+	db := &DB{eng: eng, log: log, bus: bus, verify: cfg.Verify, ownedStore: owned, recovery: rep}
+	// Sessions count on from the IDs the recovered state names: reusing one
+	// would collide with a retained transaction.
+	db.nextID.Store(int64(rep.MaxTxnID))
+	return db, nil
 }
 
 // Recovery reports what Open recovered from the durability layer (an empty

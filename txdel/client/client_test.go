@@ -505,6 +505,48 @@ func TestDurableRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReopenedSessionsDoNotReuseIDs: sessions on a reopened durable store
+// count on from the highest ID the recovered state names. Under the
+// default nogc policy the committed transactions are still retained, so a
+// counter restarted at 1 would collide with the first of them.
+func TestReopenedSessionsDoNotReuseIDs(t *testing.T) {
+	ctx := context.Background()
+	mem := store.NewMem(2)
+	db, err := Open(Config{Shards: 2, Store: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last TxnID
+	for _, fp := range [][]Entity{{0}, {0, 1}} {
+		txn, err := db.Begin(ctx, WithFootprint(fp...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := txn.Write(ctx, fp...); err != nil {
+			t.Fatalf("T%d: %v", txn.ID(), err)
+		}
+		last = txn.ID()
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2 := open(t, Config{Shards: 2, Store: mem})
+	if got := db2.Recovery().MaxTxnID; got != last {
+		t.Fatalf("MaxTxnID = %d, want %d", got, last)
+	}
+	txn, err := db2.Begin(ctx, WithFootprint(0))
+	if err != nil {
+		t.Fatalf("first Begin after the reopen: %v", err)
+	}
+	if txn.ID() <= last {
+		t.Fatalf("reopened session began T%d, want an ID above T%d", txn.ID(), last)
+	}
+	if err := txn.Write(ctx, 0); err != nil {
+		t.Fatalf("commit after the reopen: %v", err)
+	}
+}
+
 // TestDataDirStoreExclusive: the two durability knobs cannot be combined,
 // and a caller-supplied Store works without a DataDir.
 func TestDataDirStoreExclusive(t *testing.T) {
