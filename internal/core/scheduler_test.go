@@ -171,6 +171,16 @@ func TestProtocolErrors(t *testing.T) {
 	if _, err := s.Apply(model.Finish(1)); err == nil {
 		t.Fatal("finish step kind must error in the basic model")
 	}
+	// The engine's two-phase-commit decisions are not scheduler steps.
+	apply(t, s, model.Begin(2))
+	for _, k := range []model.StepKind{model.KindCommit, model.KindAbort} {
+		if _, err := s.Apply(model.Step{Kind: k, Txn: 2}); err == nil {
+			t.Fatalf("%v step kind must error in the basic model", k)
+		}
+	}
+	if st := s.Txn(2).Status; st != model.StatusActive {
+		t.Fatalf("T2 is %v after the refused decisions, want active", st)
+	}
 }
 
 func TestMustApplyPanicsOnProtocolError(t *testing.T) {

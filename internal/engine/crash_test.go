@@ -473,6 +473,13 @@ func TestCrash2PCJournalFailure(t *testing.T) {
 			mustAccept(t, submit(eng, model.WriteFinal(3, alive)))
 			eng.Close()
 			fs.Close()
+			// Past the commit point the decision stands in memory too, on the
+			// participant whose own COMMIT record failed as well.
+			for i, sh := range eng.shards {
+				if st := sh.sched.Txn(1); tc.acked && (st == nil || st.Status != model.StatusCompleted) {
+					t.Fatalf("shard %d: acked T1 is not completed in memory", i)
+				}
+			}
 
 			fs2, err := store.OpenFile(dir, shards, store.Options{})
 			if err != nil {

@@ -10,7 +10,9 @@
 // ordinary steps to the shard, a BEGIN and a final write applied by
 // applyOne: the final write of a sub-transaction is its slice of the write
 // set, and a rejection is the NO vote, which aborts that shard's sub-node,
-// while an accepted one is the YES vote, which holds it prepared. Each
+// while an accepted one is the YES vote, which holds it prepared. The
+// decision is a step as well, model.KindCommit or model.KindAbort, which
+// the shard applies by applyCommitSub or applyAbortSub. Each
 // phase is a window of one step per participant, sent through Engine.visit
 // like a door's window: the participants whose lock is free first, then
 // the rest; COMMIT visits the first participant alone before the others,
@@ -25,8 +27,9 @@
 // reaches the other's inside some shard graph (reported by the shards'
 // label propagation), and vetoes the step that would close a cycle among
 // those reach-arcs. A committed transaction stays until every participant
-// has reported its sub-node clean; each participant files that report as a
-// debt of its own when it commits the sub-node. The registry holds live
+// has reported its sub-node clean; each participant's scheduler files the
+// committed sub-node on the active ancestor that keeps it dirty, and the
+// shard reports it once none is left. The registry holds live
 // state only: a retired or aborted transaction's entry goes at once, and
 // nothing of its ID is kept for the labels it left in shard graphs — those
 // name its incarnation, not the reusable TxnID, so they die with it. See
@@ -77,11 +80,11 @@ type crossTxn struct {
 // in itself (crossTxn.legs).
 const inlineParts = 4
 
-// decide readies steps for a COMMIT or ABORT fan-out: every participant
-// applies the decision to the transaction itself.
-func (ct *crossTxn) decide() {
+// decide readies steps for a fan-out of the decision kind, KindCommit or
+// KindAbort: one step per participant, naming the transaction.
+func (ct *crossTxn) decide(kind model.StepKind) {
 	for i := range ct.steps {
-		ct.steps[i] = model.Step{Kind: model.KindWriteFinal, Txn: ct.id}
+		ct.steps[i] = model.Step{Kind: kind, Txn: ct.id}
 	}
 }
 
@@ -327,13 +330,12 @@ func (r *crossRegistry) take(p int, buf []model.TxnID) []model.TxnID {
 // a ct.mu, so concurrent two-phase commits (even with overlapping
 // participants) cannot deadlock.
 
-// fanOut applies the phase kind on every participant i that want names, with
-// ct.steps[i] as its step, and leaves each answer in ct.out[i]; decided
-// marks a COMMIT already durable elsewhere. It goes windowCap participants
-// at a time, since a part names its step by one bit of a 64-bit mask. want
-// may read ct.out[i], the previous phase's answer. Caller holds ct.mu and
-// has filled ct.steps.
-func (e *Engine) fanOut(ct *crossTxn, kind reqKind, decided bool, want func(i int) bool) {
+// fanOut applies ct.steps[i] on every participant i that want names and
+// leaves each answer in ct.out[i]. It goes windowCap participants at a time,
+// since a part names its step by one bit of a 64-bit mask. want may read
+// ct.out[i], the previous phase's answer. Caller holds ct.mu and has filled
+// ct.steps.
+func (e *Engine) fanOut(ct *crossTxn, want func(i int) bool) {
 	var parts [windowCap]part
 	for lo := 0; lo < len(ct.parts); lo += windowCap {
 		hi, n := min(lo+windowCap, len(ct.parts)), 0
@@ -343,7 +345,7 @@ func (e *Engine) fanOut(ct *crossTxn, kind reqKind, decided bool, want func(i in
 				n++
 			}
 		}
-		req := request{kind: kind, decisionDurable: decided, steps: ct.steps[lo:hi], out: ct.out[lo:hi]}
+		req := request{steps: ct.steps[lo:hi], out: ct.out[lo:hi]}
 		e.visit(&req, parts[:n])
 	}
 }
@@ -409,7 +411,7 @@ func (e *Engine) beginCross(step model.Step, pri Priority, settle func()) Result
 	for i := range ct.steps {
 		ct.steps[i] = step
 	}
-	e.fanOut(ct, reqBatch, false, func(int) bool { return true })
+	e.fanOut(ct, func(int) bool { return true })
 	settle()
 	failed := slices.IndexFunc(ct.out, func(r Result) bool { return r.Err != nil })
 	if failed < 0 {
@@ -420,8 +422,8 @@ func (e *Engine) beginCross(step model.Step, pri Priority, settle func()) Result
 	// A participant that could not run answers as the engine would have
 	// answered the BEGIN itself.
 	res, applied := ct.out[failed], false
-	ct.decide()
-	e.fanOut(ct, reqAbortSub, false, func(i int) bool {
+	ct.decide(model.KindAbort)
+	e.fanOut(ct, func(i int) bool {
 		begun := ct.out[i].Err == nil
 		applied = applied || begun
 		return begun
@@ -476,8 +478,8 @@ func (e *Engine) crossMisroute(step model.Step, ct *crossTxn) Result {
 // trace exclusion, and the engine's logical abort counters. A shard that
 // already lost its sub-node ignores the abort. Caller holds ct.mu.
 func (e *Engine) finishCrossAbort(ct *crossTxn, skipShard int) {
-	ct.decide()
-	e.fanOut(ct, reqAbortSub, false, func(i int) bool { return ct.parts[i] != skipShard })
+	ct.decide(model.KindAbort)
+	e.fanOut(ct, func(i int) bool { return ct.parts[i] != skipShard })
 	ct.done = true
 	e.registry.drop(ct.id)
 	e.routes.delete(ct.id)
@@ -504,7 +506,7 @@ func (e *Engine) writeSubsetFor(final model.Step, p int) model.Step {
 // participant order, or the first shard that could not vote, decides the
 // answer. COMMIT goes to parts[0] first, whose durable RecCommit is the
 // commit point, then to the rest at once, which commit on that evidence
-// (decisionDurable). Every outcome — commit, local-cycle vote, registry
+// (shard.applyCommitSub). Every outcome — commit, local-cycle vote, registry
 // veto, context cancellation between PREPARE and decision, shard shutdown —
 // resolves the transaction deterministically on all participants: a
 // prepared-but-undecided sub-transaction never outlives the decision on
@@ -518,7 +520,7 @@ func (e *Engine) commitCross(ctx context.Context, ct *crossTxn, final model.Step
 	for i, p := range ct.parts {
 		ct.steps[i] = e.writeSubsetFor(final, p)
 	}
-	e.fanOut(ct, reqBatch, false, func(int) bool { return true })
+	e.fanOut(ct, func(int) bool { return true })
 	e.prepares.Add(int64(len(ct.parts)))
 	for _, r := range ct.out {
 		if refused(r) {
@@ -554,8 +556,8 @@ func (e *Engine) commitCross(ctx context.Context, ct *crossTxn, final model.Step
 	// participant's durable RecCommit is the commit point; if it cannot be
 	// journaled, no evidence of the decision exists anywhere and the
 	// transaction resolves as the abort recovery would presume.
-	ct.decide()
-	e.fanOut(ct, reqCommitSub, false, func(i int) bool { return i == 0 })
+	ct.decide(model.KindCommit)
+	e.fanOut(ct, func(i int) bool { return i == 0 })
 	if r := ct.out[0]; r.Err != nil && r.Aborted == ct.id {
 		// The commit point failed (journal dead on the first participant,
 		// which already released its own sub): abort the siblings and
@@ -563,7 +565,7 @@ func (e *Engine) commitCross(ctx context.Context, ct *crossTxn, final model.Step
 		e.finishCrossAbort(ct, ct.parts[0])
 		return answer(ct.id, r.Err)
 	}
-	e.fanOut(ct, reqCommitSub, true, func(i int) bool { return i > 0 && !refused(ct.out[0]) })
+	e.fanOut(ct, func(i int) bool { return i > 0 && !refused(ct.out[0]) })
 	if slices.ContainsFunc(ct.out, refused) {
 		// The engine is closing; surviving shards keep their prepared state
 		// only until they shut down.

@@ -80,8 +80,12 @@
 // that shard's sub-node at once; an accepted write places the arcs and is
 // the YES vote, holding the sub-node prepared for the decision. The BEGIN
 // fans out the same way, as one ordinary BEGIN per participant, which the
-// shard tells from a local one by its footprint spanning shards.
-// Participants never pause — the prepared state freezes the
+// shard tells from a local one by its footprint spanning shards. The
+// decision is a step too, a model.KindCommit or model.KindAbort per
+// participant, which no door admits: every shard visit is one window of
+// steps (it may also ask for the scheduler's counters or oldest actives),
+// and recovery resolves what a crash left undecided through the same two
+// decision paths. Participants never pause — the prepared state freezes the
 // sub-transaction, not the shard — and no goroutine holds two shard locks,
 // so concurrent two-phase commits cannot deadlock and non-participants are
 // untouched: a bystander active across a cross commit goes on to commit

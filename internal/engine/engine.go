@@ -590,7 +590,7 @@ func (w *window) add(i, shard int, ct *crossTxn) bool {
 // window apply sends: the window counter of the batch benchmarks.
 var testHookWindow func()
 
-// apply runs the window and empties it: one reqBatch visits every shard the
+// apply runs the window and empties it: one request visits every shard the
 // window touches (visit), and each shard writes its steps' results into
 // their own places in dst, so nothing is merged or copied afterwards. A
 // window on one shard goes out unmasked, the caller's span as it stands.
@@ -603,7 +603,7 @@ func (e *Engine) apply(w *window, dst []Result, steps []model.Step) []Result {
 	}
 	base := len(dst)
 	dst = slices.Grow(dst, w.n)[:base+w.n]
-	batch := request{kind: reqBatch, steps: steps[w.start : w.start+w.n], out: dst[base:]}
+	batch := request{steps: steps[w.start : w.start+w.n], out: dst[base:]}
 	parts := w.parts[:w.nparts]
 	if len(parts) == 1 {
 		parts[0].own = 0
@@ -710,9 +710,9 @@ func (e *Engine) Abort(id model.TxnID) bool {
 // ended between the route lookup and the shard visit (its final write or a
 // rejection landed first), whose step already dropped the route.
 func (e *Engine) abortLocal(shard int, id model.TxnID) bool {
-	steps := [1]model.Step{{Kind: model.KindWriteFinal, Txn: id}}
+	steps := [1]model.Step{{Kind: model.KindAbort, Txn: id}}
 	var out [1]Result
-	req := request{kind: reqAbortSub, steps: steps[:], out: out[:]}
+	req := request{steps: steps[:], out: out[:]}
 	if !e.shards[shard].run(&req) || out[0].Aborted != id {
 		return false
 	}
@@ -737,9 +737,9 @@ func (e *Engine) Stats() Stats {
 		Misroutes:   e.misroutes.Load(),
 	}
 	for _, sh := range e.shards {
-		// A closed shard still answers reqStats.
+		// A closed shard still answers a request for stats.
 		var st core.Stats
-		sh.run(&request{kind: reqStats, stats: &st})
+		sh.run(&request{stats: &st})
 		s.PerShard = append(s.PerShard, st)
 		s.Merged.Merge(st)
 	}
@@ -810,6 +810,6 @@ func (e *Engine) Close() {
 		return
 	}
 	for _, sh := range e.shards {
-		sh.run(&request{kind: reqStats}) // the engine is closed: this run shuts the shard down; no one reads its stats
+		sh.run(&request{}) // the engine is closed: this run shuts the shard down
 	}
 }

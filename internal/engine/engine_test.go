@@ -22,7 +22,7 @@ func submit(eng *Engine, step model.Step) Result {
 // admission, no route, no governor pass.
 func applyOnShard(eng *Engine, p int, step model.Step) Result {
 	out := []Result{{}}
-	if !eng.shards[p].run(&request{kind: reqBatch, steps: []model.Step{step}, out: out}) {
+	if !eng.shards[p].run(&request{steps: []model.Step{step}, out: out}) {
 		return closedResult(step)
 	}
 	return out[0]

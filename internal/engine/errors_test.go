@@ -190,6 +190,59 @@ func TestPreparedGaugeWhilePrepared(t *testing.T) {
 	}
 }
 
+// TestDecisionStepsRefusedAtTheDoors: a two-phase-commit decision is a step
+// only the engine sends its shards. Through either door a KindCommit or a
+// KindAbort answers ErrProtocol and changes nothing: a live local
+// transaction stays live, and a cross transaction stays begun, then
+// prepared on every participant, until its own final write commits it.
+func TestDecisionStepsRefusedAtTheDoors(t *testing.T) {
+	eng := New(Config{Shards: 2})
+	defer eng.Close()
+	defer func() { testHookPrepared = nil }()
+	refused := func(when string, ids ...model.TxnID) {
+		t.Helper()
+		var steps []model.Step
+		for _, id := range ids {
+			steps = append(steps, model.Step{Kind: model.KindCommit, Txn: id}, model.Step{Kind: model.KindAbort, Txn: id})
+		}
+		before := eng.Stats()
+		results := eng.SubmitBatchInto(nil, steps)
+		for _, st := range steps {
+			results = append(results, eng.SubmitPriority(context.Background(), st, PriorityNormal))
+		}
+		for i, res := range results {
+			if res.Outcome() != OutcomeError || !errors.Is(res.Err, ErrProtocol) || res.Aborted != model.NoTxn || res.CompletedTxn != model.NoTxn {
+				t.Fatalf("%s: %v: %v aborted=%v completed=%v (%v), want ErrProtocol",
+					when, steps[i%len(steps)], res.Outcome(), res.Aborted, res.CompletedTxn, res.Err)
+			}
+		}
+		after := eng.Stats()
+		if after.Accepted != before.Accepted || after.Rejected != before.Rejected || after.Aborted != before.Aborted ||
+			after.Completed != before.Completed || after.CrossAborts != before.CrossAborts ||
+			!slices.Equal(after.PreparedByShard, before.PreparedByShard) {
+			t.Fatalf("%s: refused decisions changed the engine: %+v, then %+v", when, before, after)
+		}
+	}
+	mustAccept(t, submit(eng, model.BeginDeclared(1, 0)))
+	mustAccept(t, submit(eng, model.BeginDeclared(2, 0, 1)))
+	mustAccept(t, submit(eng, model.Read(2, 1)))
+	refused("begun", 1, 2)
+	hooked := 0
+	testHookPrepared = func(model.TxnID) {
+		hooked++
+		if got := eng.Stats().PreparedByShard; !slices.Equal(got, []int64{1, 1}) {
+			t.Fatalf("prepared on %v, want both participants", got)
+		}
+		refused("prepared", 2)
+	}
+	if res := submit(eng, model.WriteFinal(2, 0, 1)); !res.Accepted() || res.CompletedTxn != 2 || hooked != 1 {
+		t.Fatalf("T2's final write after %d prepared hooks: %v (%v), want its commit", hooked, res.Outcome(), res.Err)
+	}
+	if res := submit(eng, model.WriteFinal(1, 0)); !res.Accepted() || res.CompletedTxn != 1 {
+		t.Fatalf("T1's final write: %v (%v), want its completion", res.Outcome(), res.Err)
+	}
+}
+
 // TestCtxCancelBetweenPrepareAndDecision cancels a cross-partition final
 // write's context in the exact window where every participant holds a
 // prepared-but-undecided sub-transaction. The 2PC driver must decide

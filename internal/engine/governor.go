@@ -7,9 +7,10 @@
 // across shards. The governor turns the watermark into an SLO: when the
 // engine-wide retained count crosses Config.RetentionWatermark, it aborts
 // the oldest live straggler through the same machinery as a client
-// context-deadline abort (Engine.Abort → reqAbortSub / crossClientAbort),
-// which removes the straggler's node and arcs, drops its registry entry and
-// labels, and thereby re-enables the sweeps that reclaim its hostages.
+// context-deadline abort (Engine.Abort → a KindAbort step on its shard, or
+// crossClientAbort's fan-out), which removes the straggler's node and arcs,
+// drops its registry entry and labels, and thereby re-enables the sweeps
+// that reclaim its hostages.
 //
 // Trigger: no clock, no goroutine. A run that grows a shard's retained count
 // to an engine total at or over the watermark sets Engine.govWanted; the next
@@ -202,7 +203,7 @@ func (e *Engine) oldestStraggler() (id model.TxnID, shard int, inc int64, ok boo
 	bestShard := -1
 	for i, sh := range e.shards {
 		var actives []core.ActiveInfo
-		if !sh.run(&request{kind: reqOldest, actives: &actives}) {
+		if !sh.run(&request{actives: &actives}) {
 			continue
 		}
 		for _, info := range actives {
@@ -249,6 +250,6 @@ func (e *Engine) reapOne(id model.TxnID, shard int, inc, total int64) bool {
 // retained gauges: the reap's own run swept already.
 func (e *Engine) sweepAll() {
 	for _, sh := range e.shards {
-		sh.run(&request{kind: reqStats})
+		sh.run(&request{})
 	}
 }

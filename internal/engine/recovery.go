@@ -25,8 +25,10 @@
 //   - Anything else — a cross transaction missing a durable YES vote
 //     somewhere — aborts everywhere.
 //
-// Every resolution is journaled and synced before Open returns, so a crash
-// during (or right after) recovery re-resolves to the same state.
+// Resolutions run through the shard's own decision paths (applyCommitSub,
+// applyAbortSub), which journal them, and are synced before Open returns,
+// so a crash during (or right after) recovery re-resolves to the same
+// state.
 //
 //lint:file-ignore shardowned recovery runs on Open's goroutine strictly before Open returns the engine, so it owns every shard's state by happens-before (whoever later runs a shard received the engine through that return)
 package engine
@@ -73,7 +75,6 @@ type RecoveryReport struct {
 // subState is one shard's view of a recovered cross transaction.
 type subState struct {
 	shard    int
-	active   bool
 	prepared bool
 }
 
@@ -143,11 +144,7 @@ func (e *Engine) recover() (*RecoveryReport, error) {
 				if _, seen := cross[t.ID]; !seen {
 					crossOrder = append(crossOrder, t.ID)
 				}
-				cross[t.ID] = append(cross[t.ID], subState{
-					shard:    i,
-					active:   t.Status == model.StatusActive,
-					prepared: t.Prepared,
-				})
+				cross[t.ID] = append(cross[t.ID], subState{shard: i, prepared: t.Prepared})
 				if t.Status == model.StatusCompleted {
 					commitEvidence[t.ID] = true
 				}
@@ -157,54 +154,35 @@ func (e *Engine) recover() (*RecoveryReport, error) {
 		}
 	}
 
-	// Orphaned local actives: their sessions are gone; abort.
+	// Orphaned local actives: their sessions are gone; abort. Resolutions
+	// run through the shard's own decision paths, which journal them.
 	for i, ids := range orphans {
-		sh := e.shards[i]
 		for _, id := range ids {
-			if sh.sched.AbortTxn(id) == nil {
-				sh.jr.record(store.RecAbort, id, 0, nil)
+			if e.shards[i].applyAbortSub(id).Aborted == id {
 				rep.OrphansAborted++
 			}
 		}
 	}
 
-	// Cross transactions: finish commits, abort the rest.
+	// Cross transactions: finish commits, abort the rest. A committed
+	// transaction with an unprepared sub cannot happen under the protocol
+	// (votes are synced before the decision); the stray sub is shed.
 	for _, id := range crossOrder {
-		subs := cross[id]
-		if commitEvidence[id] {
-			for _, s := range subs {
-				if !s.active {
-					continue
-				}
-				sh := e.shards[s.shard]
-				if s.prepared {
-					if err := sh.jr.record(store.RecCommit, id, 0, nil); err != nil {
-						return nil, fmt.Errorf("engine: recover shard %d: journal commit T%d: %w", s.shard, id, err)
-					}
-					if _, err := sh.sched.CommitPrepared(id); err != nil {
-						return nil, fmt.Errorf("engine: recover shard %d: commit T%d: %v: %w", s.shard, id, err, store.ErrCorruptWAL)
-					}
-				} else if sh.sched.AbortTxn(id) == nil {
-					// A committed transaction with an unprepared sub cannot
-					// happen under the protocol (votes are synced before the
-					// decision); shed the stray sub defensively.
-					sh.jr.record(store.RecAbort, id, 0, nil)
-				}
-			}
-			rep.CrossCommitted++
-			continue
-		}
-		// Undecided (presumed abort), partially prepared, or no active sub
-		// left at all. Aborting an already-gone sub is a no-op.
-		aborted := false
-		for _, s := range subs {
+		decided, aborted := commitEvidence[id], false
+		for _, s := range cross[id] {
 			sh := e.shards[s.shard]
-			if sh.sched.AbortTxn(id) == nil {
-				sh.jr.record(store.RecAbort, id, 0, nil)
+			if decided && s.prepared {
+				if res := sh.applyCommitSub(id); res.Err != nil {
+					return nil, fmt.Errorf("engine: recover shard %d: commit T%d: %v: %w", s.shard, id, res.Err, store.ErrCorruptWAL)
+				}
+			} else if sh.applyAbortSub(id).Aborted == id {
 				aborted = true
 			}
 		}
-		if aborted {
+		switch {
+		case decided:
+			rep.CrossCommitted++
+		case aborted:
 			rep.CrossAborted++
 		}
 	}
@@ -235,7 +213,18 @@ func (e *Engine) recover() (*RecoveryReport, error) {
 // replayRecord re-applies one journal record. Accepted records must
 // re-accept — the WAL and checkpoint describe one deterministic history,
 // so any divergence means the medium lied.
+//
+// A local BEGIN may name the ID of a transaction the replay holds
+// completed: the live engine deleted that incarnation before it accepted
+// the BEGIN, and replay, which never sweeps, still has it. Replay deletes
+// it first, through the C1 test; a refusal is a divergence. A sub-begin
+// gets no such leave: commit evidence is keyed by TxnID, so a RecCommit of
+// the earlier incarnation would decide the later one, and a reused cross
+// ID fails Open instead of committing what presumed abort would abort.
 func replayRecord(sched *core.Scheduler, r store.Record) error {
+	if t := sched.Txn(r.Txn); t != nil && t.Status == model.StatusCompleted && r.Kind == store.RecBegin && !sched.DeleteIfSafe(r.Txn) {
+		return fmt.Errorf("%v replay: completed T%d fails C1", r.Kind, r.Txn)
+	}
 	switch r.Kind {
 	case store.RecBegin:
 		res, err := sched.Apply(model.Step{Kind: model.KindBegin, Txn: r.Txn, Entities: r.Entities})

@@ -322,6 +322,160 @@ func TestRecoverWriteKindMismatchFails(t *testing.T) {
 	}
 }
 
+// pinTail keeps every shard's WAL tail unfolded: one straggler per shard
+// reads twenty entities that twenty writers then overwrite, so every writer
+// stays retained and the snapshot stays larger than what the test journals
+// next. The returned check fails the test if a shard checkpointed anyway.
+func pinTail(t *testing.T, eng *Engine, st *store.Mem, shards int) func() {
+	t.Helper()
+	for p := 0; p < shards; p++ {
+		mustAccept(t, submit(eng, model.BeginDeclared(model.TxnID(1000+p), model.Entity(p))))
+	}
+	for x := model.Entity(1); x <= 40; x++ {
+		s, w := 1000+model.TxnID(int(x)%shards), 100+model.TxnID(x)
+		mustAccept(t, submit(eng, model.Read(s, x)))
+		mustAccept(t, submit(eng, model.BeginDeclared(w, x)))
+		mustAccept(t, submit(eng, model.WriteFinal(w, x)))
+	}
+	ckpts := make([]uint64, shards)
+	for p := range ckpts {
+		ckpts[p] = st.Shard(p).Stats().CheckpointSeq
+	}
+	return func() {
+		t.Helper()
+		for p := range ckpts {
+			if st.Shard(p).Stats().CheckpointSeq != ckpts[p] {
+				t.Fatalf("shard %d checkpointed: the test needs its whole tail", p)
+			}
+		}
+	}
+}
+
+// TestRecoverReusedIDAfterDeletion: T1 completes and is deleted, then a new
+// local T1 begins and completes, and both incarnations stay in the WAL
+// tail. T3 overwrites what the first T1 wrote, so no policy keeps it as a
+// current writer. Replay, which never sweeps, still holds the first T1
+// completed when the second one's BEGIN comes, and Open must succeed under
+// every policy that deletes. On one shard the first T1 is local; on two its
+// footprint spans both, and the second begins once the registry retired
+// the first. The seeded referee names a transaction by its ID alone, so it
+// would merge the first T1's sub-node left on shard 1 with the second T1
+// on shard 0; the recovered trace is checked on one shard only.
+func TestRecoverReusedIDAfterDeletion(t *testing.T) {
+	for _, name := range []string{"lemma1", "greedy-c1", "greedy-c1-newest", "noncurrent-safe", "max-safe"} {
+		policy, _ := core.PolicyByName(name)
+		for _, shards := range []int{1, 2} {
+			st := store.NewMem(shards)
+			eng, _, err := Open(Config{Shards: shards, Policy: policy, Store: st})
+			if err != nil {
+				t.Fatalf("%s, %d shards: open: %v", name, shards, err)
+			}
+			pinned := pinTail(t, eng, st, shards)
+			mustAccept(t, submit(eng, model.BeginDeclared(1, 76, 77)))
+			mustAccept(t, submit(eng, model.WriteFinal(1, 76, 77)))
+			mustAccept(t, submit(eng, model.BeginDeclared(3, 76, 77)))
+			mustAccept(t, submit(eng, model.WriteFinal(3, 76, 77)))
+			mustAccept(t, submit(eng, model.BeginDeclared(1, 76)))
+			mustAccept(t, submit(eng, model.WriteFinal(1, 76)))
+			pinned()
+			eng.Close()
+
+			var log *trace.SafeLog
+			if shards == 1 {
+				log = trace.NewSafeLog()
+			}
+			eng2, rep, err := Open(Config{Shards: shards, Policy: policy, Store: st, Log: log})
+			if err != nil {
+				t.Fatalf("%s, %d shards: reopen: %v", name, shards, err)
+			}
+			if rep.OrphansAborted != shards || rep.CrossAborted != 0 {
+				t.Fatalf("%s, %d shards: report = %+v, want the stragglers aborted and nothing else", name, shards, rep)
+			}
+			mustAccept(t, submit(eng2, model.BeginDeclared(2, 76, 77)))
+			mustAccept(t, submit(eng2, model.Read(2, 76)))
+			mustAccept(t, submit(eng2, model.WriteFinal(2, 77)))
+			eng2.Close()
+			if log == nil {
+				continue
+			}
+			if err := log.CheckAcceptedCSR(); err != nil {
+				t.Fatalf("%s, %d shards: recovered + fresh trace not CSR: %v", name, shards, err)
+			}
+		}
+	}
+}
+
+// TestRecoverReusedCrossIDNeverCommits: cross T9 commits and is deleted,
+// then a new T9 on the same participants prepares on both and the engine
+// crashes before the decision, with both incarnations in every tail. The
+// first T9's RecCommit names the same ID, but it is no decision for the
+// second, which presumed abort must abort: Open either refuses the tail as
+// corrupt, as it does while commit evidence is keyed by TxnID alone, or
+// aborts T9 everywhere. It must never commit it.
+func TestRecoverReusedCrossIDNeverCommits(t *testing.T) {
+	st := store.NewMem(2)
+	eng, _, err := Open(Config{Shards: 2, Policy: greedyPolicy, Store: st})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	pinned := pinTail(t, eng, st, 2)
+	mustAccept(t, submit(eng, model.BeginDeclared(9, 76, 77)))
+	mustAccept(t, submit(eng, model.WriteFinal(9, 76, 77)))
+	mustAccept(t, submit(eng, model.BeginDeclared(9, 76, 77)))
+	prepared := make(chan struct{})
+	release := make(chan struct{})
+	testHookPrepared = func(model.TxnID) {
+		close(prepared)
+		<-release
+	}
+	defer func() { testHookPrepared = nil }()
+	done := make(chan Result, 1)
+	go func() { done <- submit(eng, model.WriteFinal(9, 76, 77)) }()
+	<-prepared
+	pinned()
+	eng.Close()
+	close(release)
+	if res := <-done; res.Accepted() {
+		t.Fatalf("final write committed across the crash: %+v", res)
+	}
+
+	eng2, rep, err := Open(Config{Shards: 2, Policy: greedyPolicy, Store: st})
+	if errors.Is(err, store.ErrCorruptWAL) {
+		return
+	}
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer eng2.Close()
+	if rep.CrossCommitted != 0 || rep.CrossAborted != 1 {
+		t.Fatalf("report = %+v, want the second T9 aborted, nothing committed", rep)
+	}
+	for i, sh := range eng2.shards {
+		if sh.sched.Txn(9) != nil {
+			t.Fatalf("shard %d still holds T9", i)
+		}
+	}
+}
+
+// TestRecoverDuplicateActiveBeginFails is the control for the reuse above:
+// a BEGIN for an ID the replay holds active describes no history the
+// engine could have accepted, so Open fails with ErrCorruptWAL.
+func TestRecoverDuplicateActiveBeginFails(t *testing.T) {
+	st := store.NewMem(1)
+	for range 2 {
+		r := store.Record{Kind: store.RecBegin, Txn: 1, Entities: []model.Entity{0}}
+		if err := st.Shard(0).Append(&r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Shard(0).Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(Config{Shards: 1, Store: st}); !errors.Is(err, store.ErrCorruptWAL) {
+		t.Fatalf("Open = %v, want ErrCorruptWAL", err)
+	}
+}
+
 func mustAccept(t *testing.T, res Result) {
 	t.Helper()
 	if !res.Accepted() {

@@ -10,47 +10,16 @@ import (
 	"repro/internal/store"
 )
 
-type reqKind uint8
-
-const (
-	// reqBatch applies this shard's steps of a window in one visit: local
-	// steps and cross sub-transaction reads alike, from either door.
-	reqBatch reqKind = iota
-	// reqStats snapshots the shard's scheduler counters.
-	reqStats
-	// The two 2PC decisions below apply each step the shard owns as that
-	// decision for the step's transaction (applyAs); a two-phase commit
-	// sends one step per participant. A cross BEGIN's sub-begins and its
-	// votes are reqBatch windows: to a shard they are a BEGIN and a final
-	// write (applyOne).
-	//
-	// reqCommitSub is the COMMIT decision for a prepared sub-transaction.
-	reqCommitSub
-	// reqAbortSub aborts a transaction: a sub-transaction in any state
-	// (begun, mid-reads, or prepared) — the ABORT decision, a sibling-abort,
-	// or a client abort — or a local one (misroute, client abort). The
-	// answer names the transaction in Aborted when the abort applied.
-	reqAbortSub
-	// reqOldest snapshots the shard's oldest active transactions for the
-	// retention governor's straggler selection.
-	reqOldest
-)
-
-// request is one shard visit: a window of steps and their answers, or one
-// of the snapshots (a reqStats with no stats is a plain visit). Both doors'
-// windows and every 2PC phase are windows, all sent by Engine.visit. A
-// request holds no step and no answer by value, so it stays small to
-// build: handing a field of it to the apply functions would leak a step's
-// Entities through their error paths, and escape analysis does not tell
-// one field of the request from another, so that leak would take steps and
-// out, and with them SubmitPriority's one-step window, to the heap.
+// request is one shard visit: a window of steps and their answers, and the
+// snapshots the visitor asked for. Both doors' windows, every 2PC phase and
+// every abort are windows, sent by Engine.visit or run; a visit with no step
+// is a plain visit, which hands the shard its retirements and does the
+// housekeeping. A request holds no step and no answer by value, so it stays
+// small to build: handing a field of it to the apply functions would leak a
+// step's Entities through their error paths, and escape analysis does not
+// tell one field of the request from another, so that leak would take steps
+// and out, and with them SubmitPriority's one-step window, to the heap.
 type request struct {
-	kind reqKind
-	// decisionDurable marks a reqCommitSub whose COMMIT decision is already
-	// durable on an earlier participant: a journaling failure here must not
-	// block the in-memory commit (recovery finishes the laggard from the
-	// evidence). The first participant's journal is the commit point.
-	decisionDurable bool
 	// steps is a window and out its results, both aliasing the caller's
 	// buffers: the shard writes out[k] for each step k it owns (every step
 	// when own is 0, else the set bits of own), so the shards a window fans
@@ -59,8 +28,9 @@ type request struct {
 	steps []model.Step
 	out   []Result
 	own   uint64
-	// stats and actives, when non-nil, receive the answer to a reqStats and
-	// a reqOldest.
+	// stats and actives, when non-nil, receive the scheduler's counters and
+	// its oldest active transactions (the retention governor's candidates),
+	// read after the window.
 	stats   *core.Stats
 	actives *[]core.ActiveInfo
 }
@@ -179,7 +149,7 @@ func (sh *shard) lock() {
 //
 // Once the engine is closed, the first run syncs the journal and marks the
 // shard down, and it and every later run answer false without applying
-// anything; a reqStats is still answered from the scheduler.
+// anything; a request for stats alone is still answered from the scheduler.
 func (sh *shard) run(req *request) bool {
 	sh.lock()
 	return sh.locked(req)
@@ -209,10 +179,10 @@ func (sh *shard) locked(req *request) bool {
 			sh.jr.sync()
 			sh.closed.Store(true)
 		}
-		if req.kind != reqStats {
+		if req.stats == nil || len(req.steps) > 0 {
 			return false
 		}
-		sh.handle(req)
+		*req.stats = sh.sched.Stats()
 		return true
 	}
 	sweeps := sh.sched.Stats().Sweeps
@@ -245,36 +215,29 @@ func (sh *shard) locked(req *request) bool {
 	return true
 }
 
-// handle applies one request and fills in its answer.
+// handle applies one request and fills in its answer: each step it owns,
+// a 2PC decision through its own path and any other step through applyOne,
+// then the snapshots asked for.
 func (sh *shard) handle(req *request) {
-	switch req.kind {
-	case reqBatch:
-		for k, st := range req.steps {
-			if req.owns(k) {
-				req.out[k] = sh.applyOne(st)
-			}
+	for k, st := range req.steps {
+		if !req.owns(k) {
+			continue
 		}
-	case reqStats:
-		if req.stats != nil {
-			*req.stats = sh.sched.Stats()
+		switch st.Kind {
+		case model.KindCommit:
+			req.out[k] = sh.applyCommitSub(st.Txn)
+		case model.KindAbort:
+			req.out[k] = sh.applyAbortSub(st.Txn)
+		default:
+			req.out[k] = sh.applyOne(st)
 		}
-	case reqCommitSub, reqAbortSub:
-		for k, st := range req.steps {
-			if req.owns(k) {
-				req.out[k] = sh.applyAs(req, st)
-			}
-		}
-	case reqOldest:
+	}
+	if req.stats != nil {
+		*req.stats = sh.sched.Stats()
+	}
+	if req.actives != nil {
 		*req.actives = sh.sched.OldestActives(governorCandidates)
 	}
-}
-
-// applyAs applies st as the 2PC decision req.kind for st's transaction.
-func (sh *shard) applyAs(req *request, st model.Step) Result {
-	if req.kind == reqCommitSub {
-		return sh.applyCommitSub(st.Txn, req.decisionDurable)
-	}
-	return sh.applyAbortSub(st.Txn)
 }
 
 // applyOne runs one step on the scheduler, journals it, and returns the
@@ -413,14 +376,19 @@ func (sh *shard) txnGone(id model.TxnID) bool {
 // therefore the commit point — if it fails, no durable evidence exists
 // anywhere, recovery would presume abort, and so must we: release the
 // prepared sub and answer with the failure so the coordinator aborts the
-// siblings instead of acknowledging a commit only memory ever saw. Once
-// some earlier participant holds the record (decisionDurable), a local
-// journal failure fail-stops the shard but the commit still applies in
-// memory: the decision stands, and recovery finishes it from the evidence.
-func (sh *shard) applyCommitSub(id model.TxnID, decisionDurable bool) Result {
-	if sh.jr.record(store.RecCommit, id, 0, nil) != nil && !decisionDurable {
-		sh.applyAbortSub(id)
-		return answer(id, sh.jr.refusal(model.Step{Kind: model.KindWriteFinal, Txn: id}))
+// siblings instead of acknowledging a commit only memory ever saw. A COMMIT
+// anywhere else finds the decision durable already — on the first
+// participant, or, with no route left, in the log recovery is finishing —
+// so a local journal failure fail-stops the shard but the commit still
+// applies in memory: the decision stands, and recovery finishes it from the
+// evidence. The route is looked up only when the journal fails, and its
+// participants never change, so reading them needs no ct.mu.
+func (sh *shard) applyCommitSub(id model.TxnID) Result {
+	if sh.jr.record(store.RecCommit, id, 0, nil) != nil {
+		if r, _ := sh.eng.routes.load(id); r.ct != nil && r.ct.parts[0] == sh.idx {
+			sh.applyAbortSub(id)
+			return answer(id, sh.jr.refusal(model.Step{Kind: model.KindWriteFinal, Txn: id}))
+		}
 	}
 	res, err := sh.sched.CommitPrepared(id)
 	if err != nil {

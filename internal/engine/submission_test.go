@@ -246,7 +246,7 @@ func TestSubmissionDifferentialCrossHeavy(t *testing.T) {
 
 // TestSubmissionDifferentialGovernorReaping: stragglers hold arcs open
 // under a low retention watermark, so the governor reaps concurrently with
-// submission traffic — the reap's reqOldest and sweepAll visits and the
+// submission traffic — the reap's candidate visits and sweepAll's and the
 // victims' dead-route rejections all take the same shard locks.
 func TestSubmissionDifferentialGovernorReaping(t *testing.T) {
 	log := trace.NewSafeLog()

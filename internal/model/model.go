@@ -131,6 +131,11 @@ const (
 	// KindFinish marks a multiple-write transaction as finished (it has no
 	// graph effect; it only changes the transaction's status).
 	KindFinish
+	// KindCommit and KindAbort are a sharded engine's two-phase-commit
+	// decisions for a transaction, outside the basic model: the engine
+	// sends them to its shards and no scheduler or client door accepts them.
+	KindCommit
+	KindAbort
 )
 
 // String implements fmt.Stringer.
@@ -146,6 +151,10 @@ func (k StepKind) String() string {
 		return "write"
 	case KindFinish:
 		return "finish"
+	case KindCommit:
+		return "commit"
+	case KindAbort:
+		return "abort"
 	default:
 		return fmt.Sprintf("StepKind(%d)", uint8(k))
 	}
@@ -197,8 +206,8 @@ func (st Step) String() string {
 		return fmt.Sprintf("T%d:W%v", st.Txn, st.Entities)
 	case KindWrite:
 		return fmt.Sprintf("T%d:w(%d)", st.Txn, st.Entity)
-	case KindFinish:
-		return fmt.Sprintf("T%d:finish", st.Txn)
+	case KindFinish, KindCommit, KindAbort:
+		return fmt.Sprintf("T%d:%v", st.Txn, st.Kind)
 	default:
 		return fmt.Sprintf("T%d:?", st.Txn)
 	}

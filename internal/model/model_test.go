@@ -135,12 +135,12 @@ func TestStringers(t *testing.T) {
 			t.Fatal("empty Status string")
 		}
 	}
-	for _, k := range []StepKind{KindBegin, KindRead, KindWriteFinal, KindWrite, KindFinish, StepKind(99)} {
+	for _, k := range []StepKind{KindBegin, KindRead, KindWriteFinal, KindWrite, KindFinish, KindCommit, KindAbort, StepKind(99)} {
 		if k.String() == "" {
 			t.Fatal("empty StepKind string")
 		}
 	}
-	for _, st := range []Step{Begin(1), Read(1, 2), WriteFinal(1, 2), Write(1, 2), Finish(1), {Kind: StepKind(99), Txn: 1}} {
+	for _, st := range []Step{Begin(1), Read(1, 2), WriteFinal(1, 2), Write(1, 2), Finish(1), {Kind: KindCommit, Txn: 1}, {Kind: KindAbort, Txn: 1}, {Kind: StepKind(99), Txn: 1}} {
 		if st.String() == "" {
 			t.Fatal("empty Step string")
 		}

@@ -431,6 +431,36 @@ func TestRawBatchPath(t *testing.T) {
 	}
 }
 
+// TestSubmitBatchRefusesDecisions: the raw path admits no two-phase-commit
+// decision. A KindCommit or KindAbort answers ErrProtocol, and the local
+// and cross transactions it names run on to their completions.
+func TestSubmitBatchRefusesDecisions(t *testing.T) {
+	db := open(t, Config{Shards: 2, Verify: true})
+	results := db.SubmitBatch([]Step{
+		model.BeginDeclared(1, 0),
+		model.BeginDeclared(2, 0, 1),
+		{Kind: model.KindCommit, Txn: 1},
+		{Kind: model.KindAbort, Txn: 1},
+		{Kind: model.KindCommit, Txn: 2},
+		{Kind: model.KindAbort, Txn: 2},
+		model.WriteFinal(1, 0),
+		model.WriteFinal(2, 0, 1),
+	})
+	for i, res := range results[2:6] {
+		if !errors.Is(res.Err, ErrProtocol) || res.Aborted != NoTxn || res.CompletedTxn != NoTxn {
+			t.Fatalf("decision %d: aborted=%v completed=%v err=%v, want ErrProtocol", i, res.Aborted, res.CompletedTxn, res.Err)
+		}
+	}
+	for i, res := range results[6:] {
+		if !res.Accepted() || res.CompletedTxn != TxnID(i+1) {
+			t.Fatalf("T%d's final write: %v err=%v, want its completion", i+1, res.Outcome(), res.Err)
+		}
+	}
+	if s := db.Stats(); s.Aborted != 0 || s.Completed != 2 {
+		t.Fatalf("stats: %d aborted, %d completed; want 0 and 2", s.Aborted, s.Completed)
+	}
+}
+
 // TestBatchStepBehindOwnAbort: a step pipelined in the same batch behind
 // its own transaction's rejected step answers like the per-step path —
 // ErrTxnAborted, never ErrProtocol — so a batch client's abort handling
