@@ -22,18 +22,19 @@
 // decision — the prepared state, not a pause, is what freezes the
 // sub-transaction.
 //
-// The cross-arc registry below is the piece that restores global safety:
-// it records, per pair of cross transactions, whether one's sub-node
-// reaches the other's inside some shard graph (reported by the shards'
-// label propagation), and vetoes the step that would close a cycle among
-// those reach-arcs. A committed transaction stays until every participant
-// has reported its sub-node clean; each participant's scheduler files the
-// committed sub-node on the active ancestor that keeps it dirty, and the
-// shard reports it once none is left. The registry holds live
-// state only: a retired or aborted transaction's entry goes at once, and
-// nothing of its ID is kept for the labels it left in shard graphs — those
-// name its incarnation, not the reusable TxnID, so they die with it. See
-// the package documentation for the full argument.
+// The cross-arc registry below, which tracks the same crossTxn records the
+// routes name, is the piece that restores global safety: it records, per
+// pair of cross transactions, whether one's sub-node reaches the other's
+// inside some shard graph (reported by the shards' label propagation), and
+// vetoes the step that would close a cycle among those reach-arcs. A
+// committed transaction stays until every participant has reported its
+// sub-node clean; each participant's scheduler files the committed sub-node
+// on the active ancestor that keeps it dirty, and the shard reports it once
+// none is left. The registry holds live state only: a retired or aborted
+// transaction's record goes at once, and nothing of its ID is kept for the
+// labels it left in shard graphs — those name its incarnation, not the
+// reusable TxnID, so they die with it. See the package documentation for
+// the full argument.
 package engine
 
 import (
@@ -55,29 +56,41 @@ import (
 // it to cancel the submitting context exactly between PREPARE and decision.
 var testHookPrepared func(model.TxnID)
 
-// crossTxn is the engine's record of a live cross-partition transaction.
+// crossTxn is the engine's one record of a cross-partition transaction: its
+// route names it until the decision, the registry until it retires. id and
+// parts never change, so both read them without a lock.
 type crossTxn struct {
-	mu    sync.Mutex
 	id    model.TxnID
 	parts []int // participating shards, ascending
-	// steps[i] is what the 2PC phase in progress applies on parts[i], and
-	// out[i] its answer (see fanOut); guarded by mu like everything below.
-	// Up to inlineParts participants they live in legs, inside the record,
-	// so they cost no allocation of their own.
+	// The protocol driver's part, guarded by mu. steps[i] is what the 2PC
+	// phase in progress applies on parts[i], and out[i] its answer (see
+	// fanOut).
+	mu    sync.Mutex
 	steps []model.Step
 	out   []Result
-	legs  struct {
-		steps [inlineParts]model.Step
-		out   [inlineParts]Result
-	}
 	// done marks the decision (or a failed begin); committed distinguishes
 	// COMMIT from ABORT for late-arriving steps.
 	done      bool
 	committed bool
+	// The registry's part, guarded by crossRegistry.mu. clean[i] records
+	// that parts[i] reported the sub-node has no active ancestor there
+	// (monotone; see reportClean), and cleanN counts them. succ and pred are
+	// the inter-shard reach-arcs to and from other registered records.
+	clean      []bool
+	cleanN     int
+	succ, pred map[*crossTxn]struct{}
+	// Up to inlineParts participants, parts, steps, out and clean live
+	// here, inside the record, so they cost no allocation of their own.
+	legs struct {
+		parts [inlineParts]int
+		steps [inlineParts]model.Step
+		out   [inlineParts]Result
+		clean [inlineParts]bool
+	}
 }
 
-// inlineParts is how many participants' steps and answers a crossTxn holds
-// in itself (crossTxn.legs).
+// inlineParts is how many participants a crossTxn holds in itself
+// (crossTxn.legs).
 const inlineParts = 4
 
 // decide readies steps for a fan-out of the decision kind, KindCommit or
@@ -97,29 +110,19 @@ func refused(r Result) bool { return r.Aborted == model.NoTxn && errors.Is(r.Err
 // participant reports whether shard p takes part in the transaction.
 func (ct *crossTxn) participant(p int) bool { return slices.Contains(ct.parts, p) }
 
-// crossEntry is one cross transaction's registry record.
-type crossEntry struct {
-	parts []int
-	// clean[i] records that parts[i] reported the sub-node has no active
-	// ancestor there (monotone; see reportClean). cleanN counts them.
-	clean  []bool
-	cleanN int
-	// out/in are the inter-shard reach-arcs among registered transactions.
-	out map[model.TxnID]struct{}
-	in  map[model.TxnID]struct{}
-}
-
 // crossRegistry tracks live cross transactions and the inter-shard
 // reach-arcs among them. It implements core.CrossTracker for every shard
-// scheduler of the engine. All methods are safe for concurrent use. What a
-// shard still owes the registry — the reports of its committed sub-nodes —
-// its scheduler keeps, filed on the active ancestors that keep them dirty
-// (core/witness.go), so the shard's housekeeping takes mu only to report.
-// What the registry owes a shard — the transactions it stopped tracking — it
-// keeps for the shard (retired) until the shard's next visit takes them.
+// scheduler of the engine. All methods are safe for concurrent use. mu
+// guards the fields below and the registry's part of every record it
+// tracks. What a shard still owes the registry — the reports of its
+// committed sub-nodes — its scheduler keeps, filed on the active ancestors
+// that keep them dirty (core/witness.go), so the shard's housekeeping takes
+// mu only to report. What the registry owes a shard — the transactions it
+// stopped tracking — it keeps for the shard (retired) until the shard's
+// next visit takes them.
 type crossRegistry struct {
 	mu   sync.Mutex
-	txns map[model.TxnID]*crossEntry
+	txns map[model.TxnID]*crossTxn
 	// retired[p] lists the transactions with a sub-transaction on shard p
 	// that the registry stopped tracking since p last took the list, and
 	// due[p] says it is not empty, so a visit with nothing to take never
@@ -130,7 +133,7 @@ type crossRegistry struct {
 
 func newCrossRegistry(shards int) *crossRegistry {
 	return &crossRegistry{
-		txns:    make(map[model.TxnID]*crossEntry),
+		txns:    make(map[model.TxnID]*crossTxn),
 		retired: make([][]model.TxnID, shards),
 		due:     make([]atomic.Bool, shards),
 	}
@@ -138,61 +141,57 @@ func newCrossRegistry(shards int) *crossRegistry {
 
 var _ core.CrossTracker = (*crossRegistry)(nil)
 
-// register adds a cross transaction with its participant set. It refuses
-// (false) an ID it still tracks: a committed transaction's entry outlives
-// its route until it retires, and overwriting it would lose its reach-arcs
-// and clean marks. An ID whose earlier incarnation retired is fine: that
-// incarnation's leftover labels name its own sub-nodes, never this one's,
-// so nothing needs erasing first.
-func (r *crossRegistry) register(id model.TxnID, parts []int) bool {
+// register starts tracking ct. It refuses (false) an ID it still tracks: a
+// committed transaction's record outlives its route until it retires, and
+// overwriting it would lose its reach-arcs and clean marks. An ID whose
+// earlier incarnation retired is fine: that incarnation's leftover labels
+// name its own sub-nodes, never this one's, so nothing needs erasing first.
+func (r *crossRegistry) register(ct *crossTxn) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, tracked := r.txns[id]; tracked {
+	if _, tracked := r.txns[ct.id]; tracked {
 		return false
 	}
-	r.txns[id] = &crossEntry{parts: parts, clean: make([]bool, len(parts))}
+	r.txns[ct.id] = ct
 	return true
 }
 
-// removeLocked erases id's entry e and its arcs, files id on the retired
-// list of every participant, then lets each registry successor retire in
-// turn, since losing the arc from id may have zeroed its in-degree. e is
-// out of the map before the cascade starts, so the cascade never touches
-// e.out while it is walked. Caller holds r.mu.
-func (r *crossRegistry) removeLocked(id model.TxnID, e *crossEntry) {
-	for i := range e.in {
-		if ie, ok := r.txns[i]; ok {
-			delete(ie.out, id)
-		}
+// removeLocked erases ct and its arcs, files its ID on the retired list of
+// every participant, then lets each registry successor retire in turn,
+// since losing the arc from ct may have zeroed its in-degree. ct is out of
+// its neighbours' sets before the cascade starts, so the cascade never
+// touches ct.succ while it is walked. Caller holds r.mu; the map names ct.
+func (r *crossRegistry) removeLocked(ct *crossTxn) {
+	for p := range ct.pred {
+		delete(p.succ, ct)
 	}
-	for o := range e.out {
-		if oe, ok := r.txns[o]; ok {
-			delete(oe.in, id)
-		}
+	for s := range ct.succ {
+		delete(s.pred, ct)
 	}
-	delete(r.txns, id)
-	for _, p := range e.parts {
-		r.retired[p] = append(r.retired[p], id)
+	delete(r.txns, ct.id)
+	for _, p := range ct.parts {
+		r.retired[p] = append(r.retired[p], ct.id)
 		r.due[p].Store(true)
 	}
-	for o := range e.out {
-		r.maybeRetireLocked(o)
+	for s := range ct.succ {
+		r.maybeRetireLocked(s)
 	}
 }
 
 // drop retires an aborted cross transaction immediately: its sub-nodes are
 // removed from every shard graph, so it can never be on a future cycle.
 // Labels it sourced die with it (pruned lazily by the shards). Dropping
-// its arcs may unblock successors' retirement.
-func (r *crossRegistry) drop(id model.TxnID) {
+// its arcs may unblock successors' retirement. A record the map does not
+// name (register refused it) leaves the tracked one alone.
+func (r *crossRegistry) drop(ct *crossTxn) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e, ok := r.txns[id]; ok {
-		r.removeLocked(id, e)
+	if r.txns[ct.id] == ct {
+		r.removeLocked(ct)
 	}
 }
 
-// maybeRetireLocked retires id iff no future global cycle can pass through
+// maybeRetireLocked retires ct iff no future global cycle can pass through
 // it, which needs both of:
 //
 //  1. clean on every participant. A shard reports only a sub-node it has
@@ -203,17 +202,18 @@ func (r *crossRegistry) drop(id model.TxnID) {
 //     would itself be an active predecessor);
 //  2. registry in-degree zero — no live cross transaction reaches it even
 //     through *existing* paths. Without this, a cycle could close through
-//     id later without touching id at all: X→…→id and id→…→Y both already
-//     exist, and only the return path Y→…→X is new. Retiring id would have
+//     ct later without touching ct at all: X→…→ct and ct→…→Y both already
+//     exist, and only the return path Y→…→X is new. Retiring ct would have
 //     deleted exactly the two arcs that make that veto fire.
 //
 // Condition 1 guarantees no new incoming paths, 2 no existing incoming path
-// from anything still alive; together nothing can ever re-enter id, so its
-// outgoing reach-arcs are dead weight and the entry can go. Retirement
-// cascades: removing id's out-arcs may zero a successor's in-degree.
-func (r *crossRegistry) maybeRetireLocked(id model.TxnID) {
-	if e, ok := r.txns[id]; ok && e.cleanN == len(e.parts) && len(e.in) == 0 {
-		r.removeLocked(id, e)
+// from anything still alive; together nothing can ever re-enter ct, so its
+// outgoing reach-arcs are dead weight and the record can go. Retirement
+// cascades: removing ct's out-arcs may zero a successor's in-degree. One
+// cascade can reach ct twice, so it retires only while the map names it.
+func (r *crossRegistry) maybeRetireLocked(ct *crossTxn) {
+	if r.txns[ct.id] == ct && ct.cleanN == len(ct.parts) && len(ct.pred) == 0 {
+		r.removeLocked(ct)
 	}
 }
 
@@ -228,37 +228,31 @@ func (r *crossRegistry) reportClean(shard int, ids ...model.TxnID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, id := range ids {
-		e, ok := r.txns[id]
+		ct, ok := r.txns[id]
 		if !ok {
 			continue
 		}
-		for i, p := range e.parts {
-			if p == shard && !e.clean[i] {
-				e.clean[i] = true
-				e.cleanN++
-			}
+		if i := slices.Index(ct.parts, shard); i >= 0 && !ct.clean[i] {
+			ct.clean[i] = true
+			ct.cleanN++
 		}
-		r.maybeRetireLocked(id)
+		r.maybeRetireLocked(ct)
 	}
 }
 
 // reachableLocked reports whether from reaches to through registry arcs.
 // Caller holds r.mu; the registry graph is tiny (live cross transactions
 // only), so a straight DFS with a map is fine.
-func (r *crossRegistry) reachableLocked(from, to model.TxnID) bool {
+func (r *crossRegistry) reachableLocked(from, to *crossTxn) bool {
 	if from == to {
 		return true
 	}
-	visited := map[model.TxnID]struct{}{from: {}}
-	stack := []model.TxnID{from}
+	visited := map[*crossTxn]struct{}{from: {}}
+	stack := []*crossTxn{from}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		e, ok := r.txns[n]
-		if !ok {
-			continue
-		}
-		for s := range e.out {
+		for s := range n.succ {
 			if s == to {
 				return true
 			}
@@ -279,27 +273,27 @@ func (r *crossRegistry) reachableLocked(from, to model.TxnID) bool {
 func (r *crossRegistry) OnCrossReach(src, dst model.TxnID) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	se, sok := r.txns[src]
-	de, dok := r.txns[dst]
+	s, sok := r.txns[src]
+	d, dok := r.txns[dst]
 	if !sok || !dok {
 		// One side is retired: it can no longer be on a future cycle, so
 		// the arc is irrelevant.
 		return true
 	}
-	if _, ok := se.out[dst]; ok {
+	if _, ok := s.succ[d]; ok {
 		return true
 	}
-	if r.reachableLocked(dst, src) {
+	if r.reachableLocked(d, s) {
 		return false
 	}
-	if se.out == nil {
-		se.out = make(map[model.TxnID]struct{})
+	if s.succ == nil {
+		s.succ = make(map[*crossTxn]struct{})
 	}
-	if de.in == nil {
-		de.in = make(map[model.TxnID]struct{})
+	if d.pred == nil {
+		d.pred = make(map[*crossTxn]struct{})
 	}
-	se.out[dst] = struct{}{}
-	de.in[src] = struct{}{}
+	s.succ[d] = struct{}{}
+	d.pred[s] = struct{}{}
 	return true
 }
 
@@ -350,9 +344,9 @@ func (e *Engine) fanOut(ct *crossTxn, want func(i int) bool) {
 	}
 }
 
-// participantsOf returns the sorted distinct shards owning the footprint.
-func (e *Engine) participantsOf(xs []model.Entity) []int {
-	parts := make([]int, 0, 4)
+// participantsOf appends to parts the sorted distinct shards owning the
+// footprint; parts comes in empty.
+func (e *Engine) participantsOf(parts []int, xs []model.Entity) []int {
 	for _, x := range xs {
 		if p := e.partitionOf(x); !slices.Contains(parts, p) {
 			parts = append(parts, p)
@@ -381,12 +375,12 @@ func (e *Engine) participantsOf(xs []model.Entity) []int {
 // other ct.mu while it waits; and whoever holds another transaction's mu
 // waits only for shard locks, whose holders never wait for a ct.mu.
 func (e *Engine) beginCross(step model.Step, pri Priority, settle func()) Result {
-	parts := e.participantsOf(step.Entities)
-	ct := &crossTxn{id: step.Txn, parts: parts}
-	if n := len(parts); n <= inlineParts {
-		ct.steps, ct.out = ct.legs.steps[:n], ct.legs.out[:n]
+	ct := &crossTxn{id: step.Txn}
+	ct.parts = e.participantsOf(ct.legs.parts[:0], step.Entities)
+	if n := len(ct.parts); n <= inlineParts {
+		ct.steps, ct.out, ct.clean = ct.legs.steps[:n], ct.legs.out[:n], ct.legs.clean[:n]
 	} else {
-		ct.steps, ct.out = make([]model.Step, n), make([]Result, n)
+		ct.steps, ct.out, ct.clean = make([]model.Step, n), make([]Result, n), make([]bool, n)
 	}
 	if !e.routes.storeNew(step.Txn, route{ct: ct, pri: pri}) {
 		return duplicateBegin(step)
@@ -400,12 +394,11 @@ func (e *Engine) beginCross(step model.Step, pri Priority, settle func()) Result
 		// would resurrect it with no route left to ever finish them.
 		return answer(step.Txn, stepErr(step, ErrTxnAborted))
 	}
-	if !e.registry.register(step.Txn, ct.parts) {
+	if !e.registry.register(ct) {
 		// The ID names a committed cross transaction the registry still
-		// tracks. Nothing is begun yet, so dropping the route is the whole
-		// rollback; done keeps a racing Engine.Abort off the old entry.
-		ct.done = true
-		e.routes.delete(step.Txn)
+		// tracks. Nothing is begun yet, so ending ct, which leaves that
+		// record alone, is the whole rollback.
+		e.endCross(ct, false)
 		return duplicateBegin(step)
 	}
 	for i := range ct.steps {
@@ -431,10 +424,19 @@ func (e *Engine) beginCross(step model.Step, pri Priority, settle func()) Result
 	if applied && e.cfg.Log != nil {
 		e.cfg.Log.MarkAborted(ct.id)
 	}
-	ct.done = true
-	e.registry.drop(step.Txn)
-	e.routes.delete(step.Txn)
+	e.endCross(ct, false)
 	return res
+}
+
+// endCross ends ct: it marks it done, drops it from the registry unless it
+// committed (then it retires later), and deletes its route. Caller holds
+// ct.mu.
+func (e *Engine) endCross(ct *crossTxn, committed bool) {
+	ct.done, ct.committed = true, committed
+	if !committed {
+		e.registry.drop(ct)
+	}
+	e.routes.delete(ct.id)
 }
 
 // crossStep answers a cross transaction's final write, or a read outside
@@ -474,15 +476,13 @@ func (e *Engine) crossMisroute(step model.Step, ct *crossTxn) Result {
 
 // finishCrossAbort aborts ct's sub-transactions on every participant except
 // skipShard (whose scheduler already removed its own sub-node), all at once
-// (fanOut), then retires the logical transaction: route, registry entry,
+// (fanOut), then retires the logical transaction: route, registry record,
 // trace exclusion, and the engine's logical abort counters. A shard that
 // already lost its sub-node ignores the abort. Caller holds ct.mu.
 func (e *Engine) finishCrossAbort(ct *crossTxn, skipShard int) {
 	ct.decide(model.KindAbort)
 	e.fanOut(ct, func(i int) bool { return ct.parts[i] != skipShard })
-	ct.done = true
-	e.registry.drop(ct.id)
-	e.routes.delete(ct.id)
+	e.endCross(ct, false)
 	e.aborted.Add(1)
 	e.crossAborts.Add(1)
 	if e.cfg.Log != nil {
@@ -544,8 +544,8 @@ func (e *Engine) commitCross(ctx context.Context, ct *crossTxn, final model.Step
 	}
 	if ctx.Err() != nil {
 		// The client's context died while every participant sat prepared:
-		// decide ABORT, releasing the sub-nodes and the registry entry, exactly
-		// as a client abort would.
+		// decide ABORT, releasing the sub-nodes and the registry's record,
+		// exactly as a client abort would.
 		e.rejected.Add(1)
 		e.finishCrossAbort(ct, -1)
 		return answer(ct.id, ctxErr(final, context.Cause(ctx)))
@@ -569,16 +569,12 @@ func (e *Engine) commitCross(ctx context.Context, ct *crossTxn, final model.Step
 	if slices.ContainsFunc(ct.out, refused) {
 		// The engine is closing; surviving shards keep their prepared state
 		// only until they shut down.
-		ct.done = true
-		e.registry.drop(ct.id)
-		e.routes.delete(ct.id)
+		e.endCross(ct, false)
 		return closedResult(final)
 	}
 	// Each participant's scheduler filed its clean report when it committed;
-	// the registry entry retires once the last one is in.
-	ct.done = true
-	ct.committed = true
-	e.routes.delete(ct.id)
+	// the registry lets the record go once the last one is in.
+	e.endCross(ct, true)
 	e.accepted.Add(1)
 	e.completed.Add(1)
 	return Result{Aborted: model.NoTxn, CompletedTxn: ct.id}

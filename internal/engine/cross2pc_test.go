@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -181,4 +182,138 @@ func TestCross2PCRefusedByClose(t *testing.T) {
 	if n := registrySize(eng); n != 0 {
 		t.Fatalf("registry still tracks %d transactions", n)
 	}
+}
+
+// TestRetirementCascadeRetiresOnce is the regression for a record reached
+// twice in one retirement cascade. Three cross transactions on two shards
+// carry the reach-arcs T1→T2, T1→T3 and T2→T3, and every sub-node is
+// reported clean, T1's last: its retirement cascades to T2 and T3, and when
+// T1's walk meets T2 first, T2's own cascade retires T3 before T1's walk
+// gets to it. Each participant must be told of each retirement exactly
+// once, and the registry must end empty. The walk follows map order, so
+// the test repeats to take both orders.
+func TestRetirementCascadeRetiresOnce(t *testing.T) {
+	for round := 0; round < 64; round++ {
+		r := newCrossRegistry(2)
+		for id := model.TxnID(1); id <= 3; id++ {
+			ct := &crossTxn{id: id, parts: []int{0, 1}, clean: make([]bool, 2)}
+			if !r.register(ct) {
+				t.Fatalf("round %d: T%d refused by an empty registry", round, id)
+			}
+		}
+		for _, arc := range [][2]model.TxnID{{1, 2}, {1, 3}, {2, 3}} {
+			if !r.OnCrossReach(arc[0], arc[1]) {
+				t.Fatalf("round %d: reach-arc T%d→T%d vetoed", round, arc[0], arc[1])
+			}
+		}
+		for p := range 2 {
+			r.reportClean(p, 3, 2, 1)
+		}
+		for p := range 2 {
+			ids := r.take(p, nil)
+			slices.Sort(ids)
+			if !slices.Equal(ids, []model.TxnID{1, 2, 3}) {
+				t.Fatalf("round %d: shard %d told of retirements %v, want [1 2 3]", round, p, ids)
+			}
+		}
+		if n := len(r.txns); n != 0 {
+			t.Fatalf("round %d: registry still tracks %d transactions", round, n)
+		}
+	}
+}
+
+// trackedRecord is the record the registry tracks under id, or nil.
+func trackedRecord(eng *Engine, id model.TxnID) *crossTxn {
+	eng.registry.mu.Lock()
+	defer eng.registry.mu.Unlock()
+	return eng.registry.txns[id]
+}
+
+// TestCrossRecordLifecycle follows the one record of a cross transaction
+// through the route map and the registry. From BEGIN both name the same
+// record. A commit behind a straggler deletes the route, but the registry
+// keeps the record, its steps naming no entity of the final write, until
+// the straggler ends. A NO vote, a misroute, a client abort and a refused
+// sub-begin leave neither map holding the transaction.
+func TestCrossRecordLifecycle(t *testing.T) {
+	eng := New(Config{Shards: 4}) // nogc: a completed local transaction stays
+	defer eng.Close()
+	gone := func(what string, id model.TxnID) {
+		t.Helper()
+		if _, live := eng.routes.load(id); live {
+			t.Fatalf("%s: T%d's route left behind", what, id)
+		}
+		if ct := trackedRecord(eng, id); ct != nil {
+			t.Fatalf("%s: the registry still tracks T%d", what, id)
+		}
+	}
+
+	// Commit behind straggler T1, which reads e0 before cross T5 writes it,
+	// so shard 0 cannot report T5 clean.
+	mustAccept(t, submit(eng, model.BeginDeclared(1, 0)))
+	mustAccept(t, submit(eng, model.Read(1, 0)))
+	mustAccept(t, submit(eng, model.BeginDeclared(5, 0, 1)))
+	r, _ := eng.routes.load(5)
+	ct := r.ct
+	if ct == nil || trackedRecord(eng, 5) != ct {
+		t.Fatal("after BEGIN, the route and the registry name different records")
+	}
+	if res := submit(eng, model.WriteFinal(5, 0, 1)); res.CompletedTxn != 5 {
+		t.Fatalf("T5's final write: %v (%v)", res.Outcome(), res.Err)
+	}
+	if _, live := eng.routes.load(5); live {
+		t.Fatal("after the commit, T5's route is left behind")
+	}
+	if trackedRecord(eng, 5) != ct {
+		t.Fatal("T5 left the registry behind a live straggler")
+	}
+	ct.mu.Lock()
+	for i, st := range ct.steps {
+		if len(st.Entities) != 0 {
+			t.Errorf("the retained record's step %d names %v of the final write", i, st.Entities)
+		}
+	}
+	ct.mu.Unlock()
+	mustAccept(t, submit(eng, model.WriteFinal(1, 4)))
+	if left := registryResidue(eng); left != 0 {
+		t.Fatalf("registry still tracks %d transactions after the straggler ended", left)
+	}
+	gone("retired", 5)
+
+	// A NO vote: T6 reads e0 and T7 reads e1; T7's write of e0 places the
+	// reach-arc T6→T7 and commits, and T6's write of e1 would close the
+	// cycle, so shard 1 votes NO.
+	mustAccept(t, submit(eng, model.BeginDeclared(6, 0, 1)))
+	mustAccept(t, submit(eng, model.BeginDeclared(7, 0, 1)))
+	mustAccept(t, submit(eng, model.Read(6, 0)))
+	mustAccept(t, submit(eng, model.Read(7, 1)))
+	mustAccept(t, submit(eng, model.WriteFinal(7, 0)))
+	if res := submit(eng, model.WriteFinal(6, 1)); !errors.Is(res.Err, ErrCrossCycle) {
+		t.Fatalf("T6's final write answered %v, want ErrCrossCycle", res.Err)
+	}
+	gone("NO vote", 6)
+
+	// A misroute: T8 on shards {0,1} reads e2, owned by shard 2.
+	mustAccept(t, submit(eng, model.BeginDeclared(8, 0, 1)))
+	if res := submit(eng, model.Read(8, 2)); !errors.Is(res.Err, ErrMisroute) {
+		t.Fatalf("T8's read outside its participants answered %v, want ErrMisroute", res.Err)
+	}
+	gone("misroute", 8)
+
+	// A client abort.
+	mustAccept(t, submit(eng, model.BeginDeclared(9, 2, 3)))
+	mustAccept(t, submit(eng, model.Read(9, 3)))
+	if !eng.Abort(9) {
+		t.Fatal("Abort(9) did not apply")
+	}
+	gone("client abort", 9)
+
+	// A refused sub-begin: local T10 stays completed on shard 2, so the
+	// cross BEGIN reusing its ID is refused there and rolled back.
+	mustAccept(t, submit(eng, model.BeginDeclared(10, 2)))
+	mustAccept(t, submit(eng, model.WriteFinal(10, 2)))
+	if res := submit(eng, model.BeginDeclared(10, 2, 3)); !errors.Is(res.Err, ErrProtocol) {
+		t.Fatalf("cross BEGIN reusing local T10 answered %v, want ErrProtocol", res.Err)
+	}
+	gone("refused sub-begin", 10)
 }

@@ -63,14 +63,16 @@
 //
 //  3. The registry keeps the reach-arcs among live cross transactions and
 //     refuses the one that would close a registry cycle — the acting step
-//     is rejected and only its own transaction aborts. By (1)+(2) every
-//     global cycle would have to complete a registry cycle first, so no
-//     accepted schedule contains one. The refusal lands wherever the last
-//     connecting arc appears: at PREPARE (the classic two-transaction case
-//     — the cross transaction's final write is rejected on that shard,
-//     which is its NO vote, and the transaction aborts), or at a local
-//     step whose new arcs complete the last shard-local path (that local
-//     transaction aborts, exactly the paper's cycle-rejection semantics).
+//     is rejected and only its own transaction aborts. It tracks the
+//     record the route names (crossTxn), whose clean marks and arcs it
+//     guards. By (1)+(2) every global cycle would have to complete a
+//     registry cycle first, so no accepted schedule contains one. The
+//     refusal lands wherever the last connecting arc appears: at PREPARE
+//     (the classic two-transaction case — the cross transaction's final
+//     write is rejected on that shard, which is its NO vote, and the
+//     transaction aborts), or at a local step whose new arcs complete the
+//     last shard-local path (that local transaction aborts, exactly the
+//     paper's cycle-rejection semantics).
 //
 // The commit itself is a two-phase protocol driven from the submitting
 // goroutine: PREPARE each participant, then COMMIT or ABORT everywhere.

@@ -627,7 +627,7 @@ func TestCrossBeginKeepsTrackedEntry(t *testing.T) {
 		mustAccept(t, submit(eng, model.Read(1, 0)))
 		mustAccept(t, submit(eng, model.BeginDeclared(5, 0, 1)))
 		mustAccept(t, submit(eng, model.WriteFinal(5, 0, 1)))
-		tracked := func() *crossEntry {
+		tracked := func() *crossTxn {
 			eng.registry.mu.Lock()
 			defer eng.registry.mu.Unlock()
 			return eng.registry.txns[5]
